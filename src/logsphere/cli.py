@@ -1,11 +1,12 @@
 """Command-line driver: identity-verification suites, multiplier spectra,
 deficit flows, and moving-spheres diagnostics with machine-readable output.
 
-Reports are JSON (schema field = 1) and per-row tables are CSV; rerunning
+Reports are JSON (schema field = 2) and per-row tables are CSV; rerunning
 with the same config and seed reproduces the report byte for byte, so no
 wall-clock fields go into the files.  Flags take precedence over a JSON
-config file, which takes precedence over defaults.  The only environment
-variable read is LOGSPHERE_WORKERS (worker count for the double sums).
+config file, which takes precedence over defaults; no environment variable
+is read.  Bad input (a malformed number or spec, a missing file) exits with
+a one-line message.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -26,7 +26,7 @@ from . import energy as en
 from . import harmonics as hm
 from . import sphere as sp
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -37,22 +37,41 @@ class RunConfig:
     tol: float = 1.0
     seed: int = 0
     out: str | None = None
-    workers: int = 1
     fault: dict | None = None
+
+
+def _number(text: str, what: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise SystemExit(f"{what}: not a number: {text!r}") from None
+
+
+def _numbers(text: str, what: str) -> np.ndarray:
+    """Comma-separated floats."""
+    return np.array([_number(x, what) for x in text.split(",")])
+
+
+def _read_json_file(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SystemExit(f"cannot read {what} file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise SystemExit(f"{what} file {path!r} is not valid JSON: {exc}") from None
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data.update(json.load(fh))
+        data = _read_json_file(args.config, "config")
+        if not isinstance(data, dict):
+            raise SystemExit(f"config file {args.config!r} must hold a JSON object")
     for key in ("n", "band_limit", "grid_degree", "tol", "seed", "out"):
         val = getattr(args, key, None)
         if val is not None:
             data[key] = val
-    workers = os.environ.get("LOGSPHERE_WORKERS")
-    if workers:
-        data["workers"] = max(1, int(workers))
     allowed = {f for f in RunConfig.__dataclass_fields__}
     unknown = set(data) - allowed
     if unknown:
@@ -210,7 +229,7 @@ def _suite_energyharmonics(cfg: RunConfig, rng) -> dict:
     for _ in range(3):
         c = hm.random_coeffs(n, L, rng)
         f = hm.synthesize(c, grid)
-        direct = 2.0 * en.energy_direct_extrapolated(f, f, workers=cfg.workers)
+        direct = 2.0 * en.energy_direct_extrapolated(f, f)
         spectral = 2.0 * en.energy_spectral(c, c, table=table)
         worst = max(worst, abs(direct - spectral) / abs(spectral))
     tol = 2e-2 * cfg.tol
@@ -338,20 +357,21 @@ def cmd_spectrum(cfg: RunConfig, lmax: int) -> int:
 def _parse_vector_spec(payload: str, n: int) -> np.ndarray:
     """Either '<mag>e<axis>' (axis is 1-based in R^{n+1}) or a comma list."""
     if "," in payload:
-        vec = np.array([float(x) for x in payload.split(",")], dtype=float)
+        vec = _numbers(payload, "zeta")
         if vec.size != n + 1:
             raise SystemExit(f"zeta needs {n + 1} components, got {vec.size}")
         return vec
     if "e" in payload:
-        mag_s, axis_s = payload.split("e", 1)
+        # the last 'e' separates the axis, so the magnitude may carry an exponent
+        mag_s, axis_s = payload.rsplit("e", 1)
         vec = np.zeros(n + 1)
-        axis = int(axis_s)
+        axis = _number(axis_s, "zeta axis", int)
         if not 1 <= axis <= n + 1:
             raise SystemExit(f"axis must be in 1..{n + 1}, got {axis}")
-        vec[axis - 1] = float(mag_s)
+        vec[axis - 1] = _number(mag_s, "zeta magnitude")
         return vec
     vec = np.zeros(n + 1)
-    vec[-1] = float(payload)
+    vec[-1] = _number(payload, "zeta")
     return vec
 
 
@@ -359,7 +379,7 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
     kind, _, payload = spec.partition(":")
     n, L = cfg.n, cfg.band_limit
     if kind == "constant":
-        value = float(payload) if payload else 1.0
+        value = _number(payload, "constant init") if payload else 1.0
         c = hm.HarmonicCoeffs.zeros(n, L)
         c.coeffs[0] = value * math.sqrt(sp.sphere_area(n))
         return c
@@ -369,9 +389,9 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
         for part in filter(None, payload.split(",")):
             key, _, val = part.partition("=")
             if key == "seed":
-                seed = int(val)
+                seed = _number(val, "random init seed", int)
             elif key == "amp":
-                amp = float(val)
+                amp = _number(val, "random init amp")
             else:
                 raise SystemExit(f"unknown random-init option {key!r}")
         return dy.random_positive_init(n, L, np.random.default_rng(seed), amp)
@@ -382,13 +402,20 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
             if key == "zeta":
                 zeta = _parse_vector_spec(val, n)
             elif key == "c":
-                c_amp = float(val)
+                c_amp = _number(val, "extremizer amplitude")
             else:
                 raise SystemExit(f"unknown extremizer option {key!r}")
-        return _family_coeffs(n, L, zeta, c_amp)
+        try:
+            params = cf.ExtremizerParams(zeta, c_amp)
+        except ValueError as exc:
+            raise SystemExit(f"extremizer init: {exc}") from None
+        return _family_coeffs(n, L, params.zeta, params.c)
     if kind == "coeffs":
-        with open(payload, "r", encoding="utf-8") as fh:
-            return hm.HarmonicCoeffs.from_json_dict(json.load(fh))
+        data = _read_json_file(payload, "coeffs")
+        try:
+            return hm.HarmonicCoeffs.from_json_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SystemExit(f"coeffs file {payload!r} is malformed: {exc!r}") from None
     raise SystemExit(f"unknown init spec {spec!r}")
 
 
@@ -420,10 +447,24 @@ def cmd_minimize(cfg: RunConfig, init_spec: str, max_iter: int, step: float) -> 
 def _parse_point(text: str, n: int) -> np.ndarray:
     if text == "north":
         return sp.north_pole(n)
-    vec = np.array([float(x) for x in text.split(",")], dtype=float)
+    vec = _numbers(text, "--xi0")
     if vec.size != n + 1:
         raise SystemExit(f"point needs {n + 1} components, got {vec.size}")
-    return sp.sphere_point(vec)
+    try:
+        return cf.LiftedInversion(1.0, vec).xi0  # nonzero, not the south pole
+    except ValueError as exc:
+        raise SystemExit(f"--xi0: {exc}") from None
+
+
+def _parse_normal(text: str, n: int) -> np.ndarray:
+    vec = _numbers(text, "--e")
+    if vec.size != n:
+        raise SystemExit(f"--e needs {n} components, got {vec.size}")
+    try:
+        cf.LiftedReflection(0.0, vec)  # nonzero
+    except ValueError as exc:
+        raise SystemExit(f"--e: {exc}") from None
+    return vec
 
 
 def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
@@ -441,19 +482,15 @@ def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
     rng = np.random.default_rng(cfg.seed)
     if (xi0 is None) == (e is None):
         raise SystemExit("pass exactly one of --xi0 or --e")
-    if values == "auto":
-        if xi0 is not None:
-            report = dy.critical_lambda(u, _parse_point(xi0, n), tol=tol, rng=rng)
-        else:
-            report = dy.critical_alpha(u, np.array([float(x) for x in e.split(",")]),
-                                       tol=tol, rng=rng)
+    point = _parse_point(xi0, n) if xi0 is not None else None
+    normal = _parse_normal(e, n) if e is not None else None
+    if values != "auto":
+        vals = _numbers(values, "--values").tolist()
+        report = dy.moving_sphere_profile(u, vals, xi0=point, e=normal, rng=rng)
+    elif point is not None:
+        report = dy.critical_lambda(u, point, tol=tol, rng=rng)
     else:
-        vals = [float(x) for x in values.split(",")]
-        if xi0 is not None:
-            report = dy.moving_sphere_profile(u, vals, xi0=_parse_point(xi0, n), rng=rng)
-        else:
-            report = dy.moving_sphere_profile(
-                u, vals, e=np.array([float(x) for x in e.split(",")]), rng=rng)
+        report = dy.critical_alpha(u, normal, tol=tol, rng=rng)
     if report.critical is not None:
         bound = " (lower bound)" if report.critical_is_bound else ""
         print(f"critical {report.parameter_name} = {report.critical:.6f}{bound}, "

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .harmonics import analyze, as_evaluable
 from .sphere import sphere_point
 
 POLE_TOL = 1e-14
@@ -45,30 +46,43 @@ def _unrows(vals, single):
     return vals
 
 
+def _row_sq(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each row (a faster np.sum(a * a, axis=1))."""
+    return np.einsum("ij,ij->i", a, a)
+
+
 def stereographic(x) -> np.ndarray:
     """Inverse stereographic projection R^n -> S^n minus the south pole."""
     xp, single = _as_rows(x)
-    s2 = np.sum(xp * xp, axis=1, keepdims=True)
+    s2 = _row_sq(xp)[:, None]
     xi = np.hstack([2.0 * xp / (1.0 + s2), (1.0 - s2) / (1.0 + s2)])
     return _unrows(xi, single)
+
+
+def _planar_lift(pts: np.ndarray, what: str):
+    """Stereographic preimages x = xi'/(1 + xi_{n+1}) of unit rows, and the
+    denominators 1 + xi_{n+1}.
+
+    Below the equator the denominator is formed as |xi'|^2/(1 - xi_{n+1}),
+    which equals it on the sphere and does not cancel near the south pole.
+    """
+    last, head = pts[:, -1], pts[:, :-1]
+    far = 1.0 + np.abs(last)  # 1 + xi_{n+1} above the equator, 1 - xi_{n+1} below
+    denom = np.where(last < 0.0, _row_sq(head) / far, far)
+    if np.any(denom < POLE_TOL):
+        raise PoleError(f"{what} is singular at (or too close to) the south pole")
+    return head / denom[:, None], denom
 
 
 def inverse_stereographic(xi) -> np.ndarray:
     """Stereographic projection S^n minus south pole -> R^n."""
     pts, single = _as_rows(xi)
-    denom = 1.0 + pts[:, -1:]
-    if np.any(denom < POLE_TOL):
-        raise PoleError("point at (or too close to) the south pole")
-    return _unrows(pts[:, :-1] / denom, single)
+    x, _ = _planar_lift(pts, "stereographic projection")
+    return _unrows(x, single)
 
 
 def _jac_stereo(xp, n):
-    s2 = np.sum(xp * xp, axis=1)
-    return (2.0 / (1.0 + s2)) ** n
-
-
-def _jac_stereo_inv(pts, n):
-    return (1.0 + pts[:, -1]) ** (-float(n))
+    return (2.0 / (1.0 + _row_sq(xp))) ** n
 
 
 @dataclass(frozen=True)
@@ -138,31 +152,27 @@ class Moebius:
 ConformalMap = LiftedInversion | LiftedReflection | Moebius
 
 
-def _check_inversion_poles(phi: LiftedInversion, pts):
-    if np.any(1.0 + pts[:, -1] < POLE_TOL):
-        raise PoleError("lifted inversion is singular at the south pole")
-    x = pts[:, :-1] / (1.0 + pts[:, -1:])
-    d2 = np.sum((x - phi.x0) ** 2, axis=1)
-    if np.any(d2 < POLE_TOL * POLE_TOL):
-        raise PoleError("lifted inversion is singular at xi0")
-    return x, d2
+def _planar_step(phi: LiftedInversion | LiftedReflection, pts):
+    """Planar image y of the stereographic preimages of `pts` under a lifted
+    inversion or reflection, the planar Jacobian there, and 1 + xi_{n+1}."""
+    if isinstance(phi, LiftedInversion):
+        x, denom = _planar_lift(pts, "lifted inversion")
+        x0 = phi.x0
+        d2 = _row_sq(x - x0)
+        if np.any(d2 < POLE_TOL * POLE_TOL):
+            raise PoleError("lifted inversion is singular at xi0")
+        y = phi.lam**2 * (x - x0) / d2[:, None] + x0
+        return y, (phi.lam**2 / d2) ** phi.n, denom
+    x, denom = _planar_lift(pts, "lifted reflection")
+    y = x + 2.0 * (phi.alpha - x @ phi.e)[:, None] * phi.e
+    return y, 1.0, denom
 
 
 def apply_map(phi: ConformalMap, xi) -> np.ndarray:
     """Image of point(s) under the map; result re-normalized onto the sphere."""
     pts, single = _as_rows(xi)
-    if isinstance(phi, LiftedInversion):
-        x, d2 = _check_inversion_poles(phi, pts)
-        y = phi.lam**2 * (x - phi.x0) / d2[:, None] + phi.x0
-        out = stereographic(y)
-        out = out if out.ndim == 2 else out[None, :]
-    elif isinstance(phi, LiftedReflection):
-        if np.any(1.0 + pts[:, -1] < POLE_TOL):
-            raise PoleError("lifted reflection is singular at the south pole")
-        x = pts[:, :-1] / (1.0 + pts[:, -1:])
-        y = x + 2.0 * (phi.alpha - x @ phi.e)[:, None] * phi.e
-        out = stereographic(y)
-        out = out if out.ndim == 2 else out[None, :]
+    if isinstance(phi, (LiftedInversion, LiftedReflection)):
+        out = stereographic(_planar_step(phi, pts)[0])
     elif isinstance(phi, Moebius):
         mu = phi.mu
         xm = pts - mu
@@ -178,16 +188,10 @@ def jacobian(phi: ConformalMap, xi) -> float | np.ndarray:
     """|det D phi| at point(s), by the chain rule on closed-form factors."""
     pts, single = _as_rows(xi)
     n = phi.n
-    if isinstance(phi, LiftedInversion):
-        x, d2 = _check_inversion_poles(phi, pts)
-        y = phi.lam**2 * (x - phi.x0) / d2[:, None] + phi.x0
-        jac = _jac_stereo(y, n) * (phi.lam**2 / d2) ** n * _jac_stereo_inv(pts, n)
-    elif isinstance(phi, LiftedReflection):
-        if np.any(1.0 + pts[:, -1] < POLE_TOL):
-            raise PoleError("lifted reflection is singular at the south pole")
-        x = pts[:, :-1] / (1.0 + pts[:, -1:])
-        y = x + 2.0 * (phi.alpha - x @ phi.e)[:, None] * phi.e
-        jac = _jac_stereo(y, n) * _jac_stereo_inv(pts, n)
+    if isinstance(phi, (LiftedInversion, LiftedReflection)):
+        # J_S(y) * J_plane(x) * J_{S^{-1}}(xi)
+        y, jac_plane, denom = _planar_step(phi, pts)
+        jac = _jac_stereo(y, n) * jac_plane * denom ** (-float(n))
     elif isinstance(phi, Moebius):
         z2 = float(np.dot(phi.zeta, phi.zeta))
         jac = (math.sqrt(1.0 - z2) / (1.0 - pts @ phi.zeta)) ** n
@@ -340,9 +344,7 @@ def region_of(phi: ConformalMap) -> SigmaRegion:
 def in_sigma(region: SigmaRegion, xi) -> bool | np.ndarray:
     """Strict membership test; the boundary has measure zero."""
     pts, single = _as_rows(xi)
-    if np.any(1.0 + pts[:, -1] < POLE_TOL):
-        raise PoleError("membership test rejected at the south pole")
-    x = pts[:, :-1] / (1.0 + pts[:, -1:])
+    x, _ = _planar_lift(pts, "membership test")
     # strict inequality with a few-ulp inward slack, so points constructed on
     # the boundary through the stereographic roundtrip classify as outside
     if region.kind == "inversion":
@@ -427,8 +429,6 @@ def antisymmetry_defect(w, phi: ConformalMap, region: SigmaRegion,
     the region.
     """
     if not callable(w):
-        from .harmonics import analyze, as_evaluable
-
         grid = w.grid
         w = as_evaluable(analyze(w, grid.degree))
     if points is None:

@@ -24,7 +24,12 @@ from .harmonics import (
     analyze,
     as_evaluable,
     degree_of_index,
+    flat_index,
     h_multiplier_table,
+    harmonic_count,
+    harmonic_indices,
+    random_coeffs,
+    synthesize,
 )
 from .sphere import GridFunction, QuadratureGrid, sphere_area
 
@@ -78,8 +83,6 @@ class FlowResult:
 def _deficit_parts(coefs: np.ndarray, n: int, L: int, grid: QuadratureGrid,
                    hvec: np.ndarray, area: float, cn: float):
     c = HarmonicCoeffs(n, L, coefs)
-    from .harmonics import synthesize
-
     vals = synthesize(c, grid).values
     norm_sq = float(np.dot(coefs, coefs))
     usq = vals * vals
@@ -125,8 +128,6 @@ def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig,
     n, L = init.n, cfg.band_limit
     if L != init.L:
         # re-truncate or pad the initial coefficients to the working band
-        from .harmonics import flat_index, harmonic_count, harmonic_indices
-
         vec = np.zeros(harmonic_count(n, L))
         for (l, m) in harmonic_indices(n, min(L, init.L)):
             vec[flat_index(n, l, m)] = init.get(l, m)
@@ -174,8 +175,6 @@ def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig,
 def random_positive_init(n: int, L: int, rng: np.random.Generator,
                          amplitude: float = 0.2) -> HarmonicCoeffs:
     """Constant plus a band-limited perturbation kept safely positive."""
-    from .harmonics import harmonic_count, random_coeffs, synthesize
-
     pert = random_coeffs(n, L, rng, decay=1.5).coeffs
     pert[0] = 0.0
     grid = default_entropy_grid(n, L)
@@ -237,8 +236,6 @@ def fit_extremizer(u: HarmonicCoeffs, grid: QuadratureGrid | None = None,
     n, L = u.n, u.L
     if grid is None:
         grid = default_entropy_grid(n, L)
-    from .harmonics import synthesize
-
     u_vals = synthesize(u, grid).values
     area = sphere_area(n)
     norm = math.sqrt(float(np.sum(grid.weights * u_vals**2)))

@@ -13,7 +13,6 @@ quadratically on the diagonal).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .harmonics import (
     HarmonicCoeffs,
     MultiplierTable,
     analyze,
+    apply_H,
     as_evaluable,
     degree_of_index,
     flat_index,
@@ -32,7 +32,7 @@ from .harmonics import (
     synthesize,
 )
 from .specfun import ln_gamma
-from .sphere import GridFunction, QuadratureGrid, build_grid, sphere_area
+from .sphere import GridFunction, QuadratureGrid, apply_radial_kernel, build_grid, sphere_area
 
 
 def constant_Cn(n: int) -> float:
@@ -69,63 +69,46 @@ def min_internode_distance(grid: QuadratureGrid) -> float:
     return float(min(ring.min(), polar.min()))
 
 
-def _pair_energy_sums(grid: QuadratureGrid, V: np.ndarray, eps_list, workers: int = 1,
-                      chunk: int = 1024) -> np.ndarray:
+def _pair_energy_sums(grid: QuadratureGrid, V: np.ndarray, eps_list) -> np.ndarray:
     """sum_{|xi_i - xi_j| >= eps} w_i w_j (V_i - V_j)^2 / |xi_i - xi_j|^n
-    for each eps and each column of V.  Deterministic chunk-ordered reduction.
+    for each eps and each column of V.
+
+    K being symmetric, the sum is 2 sum w V^2 (K w) - 2 sum w V K(w V); one
+    kernel product per eps serves every column.
     """
-    nodes, w, n = grid.nodes, grid.weights, grid.n
-    N = nodes.shape[0]
+    w, n = grid.weights, grid.n
     V = np.atleast_2d(V.T).T  # (N, k)
-    nsq = np.sum(nodes * nodes, axis=1)
-    starts = list(range(0, N, chunk))
-
-    def do_chunk(s0):
-        sl = slice(s0, min(s0 + chunk, N))
-        d2 = nsq[sl, None] + nsq[None, :] - 2.0 * (nodes[sl] @ nodes.T)
-        np.maximum(d2, 0.0, out=d2)
-        kern0 = np.maximum(d2, 1e-300) ** (-0.5 * n)
-        ii = np.arange(sl.start, sl.stop)
-        out = np.zeros((len(eps_list), V.shape[1]))
-        for ei, eps in enumerate(eps_list):
-            kern = np.where(d2 < eps * eps, 0.0, kern0)
-            kern[ii - s0, ii] = 0.0
-            M = kern * (w[sl, None] * w[None, :])
-            rows = M.sum(axis=1)
-            cols = M.sum(axis=0)
-            MV = M @ V
-            out[ei] = (
-                (V[sl] ** 2 * rows[:, None]).sum(axis=0)
-                + (cols[:, None] * V**2).sum(axis=0)
-                - 2.0 * (V[sl] * MV).sum(axis=0)
-            )
-        return out
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(do_chunk, starts))
-    else:
-        partials = [do_chunk(s0) for s0 in starts]
-    return np.sum(np.array(partials), axis=0)
+    wV = w[:, None] * V
+    X = np.column_stack([w, wV])
+    out = np.empty((len(eps_list), V.shape[1]))
+    for ei, eps in enumerate(eps_list):
+        KX = apply_radial_kernel(grid, lambda d2: d2 ** (-0.5 * n), eps, X)
+        out[ei] = 2.0 * (wV * V).T @ KX[:, 0] - 2.0 * np.sum(wV * KX[:, 1:], axis=0)
+    return out
 
 
-def energy_direct(u: GridFunction, v: GridFunction, eps: float, workers: int = 1) -> float:
-    """Double quadrature of E[u,v] over pairs with |xi-eta| >= eps."""
+def _cutoff_energies(u: GridFunction, v: GridFunction, eps_list) -> np.ndarray:
+    """Double quadrature of E[u,v] over pairs with |xi-eta| >= eps, for each
+    eps in increasing order."""
     grid = u.grid
     if v.grid is not grid:
         raise ValueError("grid mismatch: both functions must live on one grid")
-    if eps < 2.0 * min_internode_distance(grid):
+    if eps_list[0] < 2.0 * min_internode_distance(grid):
         raise ValueError(
-            f"eps={eps} below twice the minimum internode distance; "
+            f"eps={eps_list[0]} below twice the minimum internode distance; "
             "the near-diagonal sum would be unresolved"
         )
     if u is v or u.values is v.values:
-        s = _pair_energy_sums(grid, u.values[:, None], [eps], workers)[0, 0]
-        return 0.5 * s
+        return 0.5 * _pair_energy_sums(grid, u.values[:, None], eps_list)[:, 0]
     # polarization: 4 E[u,v] = E[u+v,u+v] - E[u-v,u-v]
     V = np.column_stack([u.values + v.values, u.values - v.values])
-    s = _pair_energy_sums(grid, V, [eps], workers)[0]
-    return 0.5 * (s[0] - s[1]) / 4.0
+    s = _pair_energy_sums(grid, V, eps_list)
+    return 0.5 * (s[:, 0] - s[:, 1]) / 4.0
+
+
+def energy_direct(u: GridFunction, v: GridFunction, eps: float) -> float:
+    """Double quadrature of E[u,v] over pairs with |xi-eta| >= eps."""
+    return float(_cutoff_energies(u, v, [eps])[0])
 
 
 def default_energy_eps(grid: QuadratureGrid) -> float:
@@ -136,37 +119,23 @@ def default_energy_eps(grid: QuadratureGrid) -> float:
 
 
 def energy_direct_extrapolated(u: GridFunction, v: GridFunction,
-                               eps: float | None = None, workers: int = 1) -> float:
-    """Richardson extrapolation over (eps, 2 eps) of the cutoff quadrature;
-    both cutoffs are evaluated in one pass over the pair kernel."""
-    grid = u.grid
-    if v.grid is not grid:
-        raise ValueError("grid mismatch: both functions must live on one grid")
+                               eps: float | None = None) -> float:
+    """Richardson extrapolation over (eps, 2 eps) of the cutoff quadrature."""
     if eps is None:
-        eps = default_energy_eps(grid)
-    if eps < 2.0 * min_internode_distance(grid):
-        raise ValueError(f"eps={eps} below twice the minimum internode distance")
-    if u is v or u.values is v.values:
-        s = _pair_energy_sums(grid, u.values[:, None], [eps, 2.0 * eps], workers)[:, 0]
-        e1, e2 = 0.5 * s[0], 0.5 * s[1]
-    else:
-        V = np.column_stack([u.values + v.values, u.values - v.values])
-        s = _pair_energy_sums(grid, V, [eps, 2.0 * eps], workers)
-        e1 = 0.5 * (s[0, 0] - s[0, 1]) / 4.0
-        e2 = 0.5 * (s[1, 0] - s[1, 1]) / 4.0
-    return (4.0 * e1 - e2) / 3.0
+        eps = default_energy_eps(u.grid)
+    e1, e2 = _cutoff_energies(u, v, [eps, 2.0 * eps])
+    return float((4.0 * e1 - e2) / 3.0)
 
 
 def energy_direct_extrapolated_many(grid: QuadratureGrid, values: np.ndarray,
-                                    eps: float | None = None,
-                                    workers: int = 1) -> np.ndarray:
+                                    eps: float | None = None) -> np.ndarray:
     """Extrapolated quadratic-form energies for several functions at once
-    (columns of `values`); a single pass over the pair kernel serves all."""
+    (columns of `values`); one kernel product per cutoff serves all."""
     if eps is None:
         eps = default_energy_eps(grid)
     if eps < 2.0 * min_internode_distance(grid):
         raise ValueError(f"eps={eps} below twice the minimum internode distance")
-    s = _pair_energy_sums(grid, values, [eps, 2.0 * eps], workers)
+    s = _pair_energy_sums(grid, values, [eps, 2.0 * eps])
     return 0.5 * (4.0 * s[0] - s[1]) / 3.0
 
 
@@ -334,8 +303,6 @@ def verify_conf_H(u: HarmonicCoeffs, phi: ConformalMap, L_work: int = 32,
                          "use a globally smooth Moebius map")
     if grid is None:
         grid = _projection_grid(u.n, L_work)
-    from .harmonics import apply_H  # local import avoids a cycle at module load
-
     u_pb_vals = grid.sample(pullback(as_evaluable(u), phi))
     c_pb = analyze(u_pb_vals, L_work)
     _check_projection_tail(c_pb)

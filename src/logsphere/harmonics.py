@@ -13,9 +13,10 @@ logarithmic operator as
     h_l = (2 pi^{n/2} / Gamma(n/2)) * (psi(l+n/2) - psi(n/2)),
 
 the s-derivative of the fractional family at s = 0.  The principal-value
-integral definition of the logarithmic operator is implemented here only as
-a slow quadrature oracle with symmetric chordal exclusion and Richardson
-extrapolation; the spectral route is the primary path.
+integral definition of the logarithmic operator is also available as a
+quadrature oracle with symmetric chordal exclusion and Richardson
+extrapolation, built on the azimuthal-FFT kernel product
+`sphere.apply_radial_kernel`; the spectral route is the primary path.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import assoc_legendre_norm, digamma, fourier_basis, ln_gamma, tri_index
-from .sphere import GridFunction, QuadratureGrid, sphere_area
-
-DEFAULT_BAND_LIMIT = {1: 64, 2: 32}
-
+from .sphere import GridFunction, QuadratureGrid, apply_radial_kernel, sphere_area
 
 def harmonic_count(n: int, L: int) -> int:
     if n == 1:
@@ -347,7 +345,16 @@ def apply_P2s(c: HarmonicCoeffs, s: float) -> HarmonicCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# slow quadrature oracles for the integral definitions
+# quadrature oracles for the integral definitions
+
+def _kernel_products(f: GridFunction, exponent: float, eps: float):
+    """(K w, K (w f)) for K_ij = |xi_i - xi_j|^{-2 exponent}, cut off below eps."""
+    grid = f.grid
+    w = grid.weights
+    KX = apply_radial_kernel(grid, lambda d2: d2 ** -exponent, eps,
+                             np.column_stack([w, w * f.values]))
+    return KX[:, 0], KX[:, 1]
+
 
 def pv_apply_H_direct(f: GridFunction, eps: float) -> np.ndarray:
     """One-cutoff quadrature of the principal-value integral at every node.
@@ -355,14 +362,8 @@ def pv_apply_H_direct(f: GridFunction, eps: float) -> np.ndarray:
     Excludes chordal distances below eps symmetrically; error is O(eps^2)
     plus quadrature error, so callers should Richardson-extrapolate.
     """
-    grid = f.grid
-    d2 = _pairwise_sq_dists(grid.nodes, grid.nodes)
-    d2 = np.maximum(d2, 1e-300)
-    kern = d2 ** (-0.5 * grid.n)
-    kern[d2 < eps * eps] = 0.0
-    np.fill_diagonal(kern, 0.0)
-    kw = kern * grid.weights[None, :]
-    return f.values * kw.sum(axis=1) - kw @ f.values
+    kw, kwf = _kernel_products(f, 0.5 * f.grid.n, eps)
+    return f.values * kw - kwf
 
 
 def pv_apply_H(f: GridFunction, eps: float) -> np.ndarray:
@@ -381,28 +382,12 @@ def apply_P2s_direct(f: GridFunction, s: float, eps: float) -> np.ndarray:
     """
     if s <= 0.0:
         raise ValueError("direct kernel quadrature requires s > 0")
-    grid = f.grid
-    n = grid.n
+    n = f.grid.n
     pref = math.exp(
         ln_gamma(0.5 * (n - 2.0 * s))
         - 2.0 * s * math.log(2.0)
         - 0.5 * n * math.log(math.pi)
         - ln_gamma(s)
     )
-    d2 = _pairwise_sq_dists(grid.nodes, grid.nodes)
-    d2 = np.maximum(d2, 1e-300)
-    kern = d2 ** (-0.5 * (n - 2.0 * s))
-    kern[d2 < eps * eps] = 0.0
-    np.fill_diagonal(kern, 0.0)
-    kw = kern * grid.weights[None, :]
-    difference = kw @ f.values - f.values * kw.sum(axis=1)
-    return pref * difference + f.values * multiplier_P2s(n, 0, s)
-
-
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.maximum(sq, 0.0)
+    kw, kwf = _kernel_products(f, 0.5 * (n - 2.0 * s), eps)
+    return pref * (kwf - f.values * kw) + f.values * multiplier_P2s(n, 0, s)

@@ -133,10 +133,50 @@ def integrate(grid: QuadratureGrid, f: GridFunction) -> float:
     return float(np.sum(grid.weights * f.values))
 
 
-def inner_product(grid: QuadratureGrid, f: GridFunction, g: GridFunction) -> float:
-    if f.grid is not grid or g.grid is not grid:
-        raise ValueError("grid mismatch in inner product")
-    return float(np.sum(grid.weights * f.values * g.values))
+def apply_radial_kernel(grid: QuadratureGrid, kernel, eps: float, X) -> np.ndarray:
+    """K @ X for the radial kernel K_ij = kernel(|xi_i - xi_j|^2), with
+    K_ij = 0 on the diagonal and wherever |xi_i - xi_j| < eps.
+
+    On a product grid the chordal distance depends only on the two polar
+    rings and the azimuth difference, so K is block-circulant in azimuth: a
+    Fourier transform along azimuth turns K @ X into one ring-by-ring
+    product per azimuthal frequency.  The kernel table has nt^2 (nphi/2 + 1)
+    entries instead of the N^2 = nt^2 nphi^2 of a dense matrix, and each
+    column of X costs O(nt^2 nphi).  The circle grid is the single-ring
+    case, a plain circulant.
+    `kernel` maps an array of squared distances to kernel values; it is
+    called only on the retained pairs.  X has shape (N,) or (N, k).
+    """
+    if grid.n == 1:
+        t, s, nphi = np.zeros(1), np.ones(1), grid.node_count
+    elif grid.n == 2 and grid.polar_t is not None:
+        t, nphi = grid.polar_t, grid.az_phi.size
+        s = np.sqrt(1.0 - t * t)
+    else:
+        raise ValueError("radial kernels need a circle grid or an n = 2 product grid")
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] != grid.node_count:
+        raise ValueError(f"X has {X.shape[0]} rows, the grid {grid.node_count} nodes")
+    nt, half = t.size, nphi // 2 + 1
+    lags = np.arange(half)
+    # squared chord from ring i at azimuth 0 to ring j at azimuth lag k, as a
+    # sum of nonnegative terms so that near pairs do not cancel; lags past
+    # nphi/2 repeat the distances of nphi - k
+    rings = (t[:, None] - t[None, :]) ** 2 + (s[:, None] - s[None, :]) ** 2
+    d2 = rings + 4.0 * np.outer(s, s) * np.sin(math.pi * lags / nphi)[:, None, None] ** 2
+    keep = d2 >= eps * eps
+    keep[0, np.arange(nt), np.arange(nt)] = False
+    table = np.zeros_like(d2)
+    table[keep] = kernel(d2[keep])
+    # the DFT of an even lag row is a real cosine sum over its first half; a
+    # small matrix does it many times faster than an FFT of the row, whose
+    # length 2*degree + 1 is often prime
+    fold = np.where((lags == 0) | (2 * lags == nphi), 1.0, 2.0)
+    cos = np.cos(2.0 * math.pi * (np.outer(lags, lags) % nphi) / nphi) * fold
+    khat = (cos @ table.reshape(half, -1)).reshape(half, nt, nt)  # (freq, ring i, ring j)
+    xhat = np.fft.rfft(X.reshape(nt, nphi, -1), axis=1).transpose(1, 0, 2)  # (freq, ring j, col)
+    yhat = khat @ xhat.real + 1j * (khat @ xhat.imag)
+    return np.fft.irfft(yhat, n=nphi, axis=0).transpose(1, 0, 2).reshape(X.shape)
 
 
 def north_pole(n: int) -> np.ndarray:

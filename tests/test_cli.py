@@ -4,9 +4,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from logsphere.cli import main
+from logsphere.cli import RunConfig, _parse_vector_spec, _suite_conformal_distance, main
 
 
 def read_json(path):
@@ -24,7 +25,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -183,4 +184,51 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(SystemExit):
+        main(["verify", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--init", "extremizer:zeta=1e-3e9"],
+    ["minimize", "--init", "extremizer:zeta=1e-3ex"],
+    ["minimize", "--init", "extremizer:zeta=bige3"],
+    ["minimize", "--init", "coeffs:{tmp}/missing.json"],
+    ["minimize", "--init", "coeffs:{tmp}/not_json.txt"],
+    ["verify", "--config", "{tmp}/missing.json"],
+    ["verify", "--config", "{tmp}/not_json.txt"],
+    ["movespheres", "--xi0=0,x,1"],
+    ["movespheres", "--e", "1,x"],
+    ["movespheres", "--xi0", "north", "--values", "0.5,big"],
+    ["minimize", "--init", "extremizer:zeta=2e3"],
+    ["movespheres", "--xi0=0,0,0"],
+    ["movespheres", "--xi0=0,0,-1"],
+    ["movespheres", "--e", "0,0"],
+    ["movespheres", "--e", "1,0,0"],
+], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
+        "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
+        "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size"])
+def test_bad_input_exits_with_one_line(argv, tmp_path):
+    (tmp_path / "not_json.txt").write_text("not json")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    message = exc.value.code
+    assert isinstance(message, str) and message and "\n" not in message
+
+
+def test_zeta_spec_magnitude_may_carry_an_exponent():
+    np.testing.assert_array_equal(_parse_vector_spec("1e-3e3", 2), [0.0, 0.0, 1e-3])
+    np.testing.assert_array_equal(_parse_vector_spec("0.3e1", 1), [0.3, 0.0])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_conformal_distance_suite_passes_over_seeds(n):
+    # near the south pole 1 + xi_{n+1} used to cancel in the planar lift
+    for seed in range(40):
+        res = _suite_conformal_distance(RunConfig(n=n, seed=seed), np.random.default_rng(seed))
+        assert res["passed"], (seed, res["metric"])
+
+
+def test_workers_config_key_is_unknown(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    with pytest.raises(SystemExit, match="unknown config keys"):
         main(["verify", "--config", str(cfg)])

@@ -87,6 +87,15 @@ def test_energy_direct_matches_spectral_for_harmonic(grids):
     assert direct == pytest.approx(2.0 * math.pi, rel=2e-2)
 
 
+def test_energy_direct_cross_check_at_degree_96(grids, rng):
+    # N = 18721 nodes, beyond what a dense N x N pair sum could afford
+    g = grids(2, 96)
+    c = random_coeffs(2, 8, rng)
+    direct = energy_direct_extrapolated(synthesize(c, g), synthesize(c, g))
+    spectral = energy_spectral(c, c)
+    assert abs(direct - spectral) < 1e-3 * abs(spectral)
+
+
 def test_energy_direct_eps_guard(grids):
     g = grids(2, 16)
     f = GridFunction(g, np.ones(g.node_count))

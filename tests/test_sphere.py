@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from logsphere import (
     GridFunction,
@@ -12,6 +14,8 @@ from logsphere import (
     sphere_point,
     zonal_basis,
 )
+from logsphere.energy import min_internode_distance
+from logsphere.sphere import apply_radial_kernel
 
 
 def test_sphere_area_values():
@@ -105,3 +109,43 @@ def test_chordal_distance_metric_properties(rng):
     assert np.all(dab <= chordal_distance(a, c) + chordal_distance(c, b) + 1e-14)
     assert np.all(dab >= 0.0)
     assert np.all(dab <= 2.0 + 1e-14)
+
+
+def dense_radial_kernel(grid, kernel, eps, X):
+    """Reference K @ X with the N x N kernel matrix written out."""
+    d2 = np.sum((grid.nodes[:, None, :] - grid.nodes[None, :, :]) ** 2, axis=2)
+    keep = d2 >= eps * eps
+    np.fill_diagonal(keep, False)
+    K = np.zeros_like(d2)
+    K[keep] = kernel(d2[keep])
+    return K @ X, np.sqrt(d2[~np.eye(grid.node_count, dtype=bool)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2]), degree=st.integers(1, 12),
+       eps_spacings=st.floats(0.0, 6.0), s_frac=st.floats(0.0, 0.95))
+@example(n=2, degree=12, eps_spacings=0.5, s_frac=0.0)  # below every ring spacing
+@example(n=1, degree=12, eps_spacings=0.5, s_frac=0.5)
+@example(n=2, degree=8, eps_spacings=2.0, s_frac=0.0)
+def test_apply_radial_kernel_matches_dense(n, degree, eps_spacings, s_frac):
+    # exponent n/2 (the log operator) when s = 0, else (n - 2s)/2
+    grid = build_grid(n, degree)
+    eps = eps_spacings * min_internode_distance(grid)
+    exponent = 0.5 * n * (1.0 - s_frac)
+    kernel = lambda d2: d2 ** -exponent
+    X = np.random.default_rng(degree).standard_normal((grid.node_count, 2))
+    want, dists = dense_radial_kernel(grid, kernel, eps, X)
+    # a cutoff on a node distance is decided by rounding; skip those ties
+    assume(np.abs(dists - eps).min() > 1e-9)
+    scale = np.abs(want).max()
+    got = apply_radial_kernel(grid, kernel, eps, X)
+    assert np.abs(got - want).max() <= 1e-12 * scale
+    column = apply_radial_kernel(grid, kernel, eps, X[:, 0])
+    assert column.shape == (grid.node_count,)
+    assert np.abs(column - want[:, 0]).max() <= 1e-12 * scale
+
+
+def test_apply_radial_kernel_rejects_bad_shapes():
+    g = build_grid(2, 4)
+    with pytest.raises(ValueError):
+        apply_radial_kernel(g, lambda d2: 1.0 / d2, 0.1, np.ones(g.node_count + 1))
