@@ -13,6 +13,7 @@ from .conformal import (
     antisymmetry_defect,
     apply_map,
     bubble_to_zeta,
+    cap_points,
     extremizer,
     in_sigma,
     inverse,

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -72,10 +73,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             data[key] = val
-    allowed = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(data) - allowed
+    types = typing.get_type_hints(RunConfig)
+    unknown = set(data) - set(types)
     if unknown:
         raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+    for key, val in data.items():
+        # a JSON integer is a valid float; true/false is not a number
+        want = (int, float) if types[key] is float else types[key]
+        if isinstance(val, bool) or not isinstance(val, want):
+            declared = RunConfig.__dataclass_fields__[key].type
+            raise SystemExit(f"config key {key!r} must be {declared}, got {val!r}")
     cfg = RunConfig(**data)
     if cfg.n not in (1, 2):
         raise SystemExit("the verification pipeline supports n in {1, 2}")
@@ -375,13 +382,33 @@ def _parse_vector_spec(payload: str, n: int) -> np.ndarray:
     return vec
 
 
+def _parse_constant(payload: str) -> float:
+    return _number(payload, "constant") if payload else 1.0
+
+
+def _parse_extremizer(payload: str, n: int) -> cf.ExtremizerParams:
+    """'zeta=<vector spec>;c=<amplitude>', both optional."""
+    zeta, c_amp = np.zeros(n + 1), 1.0
+    for part in filter(None, payload.split(";")):
+        key, _, val = part.partition("=")
+        if key == "zeta":
+            zeta = _parse_vector_spec(val, n)
+        elif key == "c":
+            c_amp = _number(val, "extremizer amplitude")
+        else:
+            raise SystemExit(f"unknown extremizer option {key!r}")
+    try:
+        return cf.ExtremizerParams(zeta, c_amp)
+    except ValueError as exc:
+        raise SystemExit(f"extremizer: {exc}") from None
+
+
 def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
     kind, _, payload = spec.partition(":")
     n, L = cfg.n, cfg.band_limit
     if kind == "constant":
-        value = _number(payload, "constant init") if payload else 1.0
         c = hm.HarmonicCoeffs.zeros(n, L)
-        c.coeffs[0] = value * math.sqrt(sp.sphere_area(n))
+        c.coeffs[0] = _parse_constant(payload) * math.sqrt(sp.sphere_area(n))
         return c
     if kind == "random":
         seed = cfg.seed
@@ -396,19 +423,7 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
                 raise SystemExit(f"unknown random-init option {key!r}")
         return dy.random_positive_init(n, L, np.random.default_rng(seed), amp)
     if kind == "extremizer":
-        zeta, c_amp = np.zeros(n + 1), 1.0
-        for part in filter(None, payload.split(";")):
-            key, _, val = part.partition("=")
-            if key == "zeta":
-                zeta = _parse_vector_spec(val, n)
-            elif key == "c":
-                c_amp = _number(val, "extremizer amplitude")
-            else:
-                raise SystemExit(f"unknown extremizer option {key!r}")
-        try:
-            params = cf.ExtremizerParams(zeta, c_amp)
-        except ValueError as exc:
-            raise SystemExit(f"extremizer init: {exc}") from None
+        params = _parse_extremizer(payload, n)
         return _family_coeffs(n, L, params.zeta, params.c)
     if kind == "coeffs":
         data = _read_json_file(payload, "coeffs")
@@ -470,15 +485,15 @@ def _parse_normal(text: str, n: int) -> np.ndarray:
 def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
                     values: str, csv_path: str | None, tol: float) -> int:
     n = cfg.n
-    coeffs = _parse_init(u_spec, cfg)
-    if u_spec.startswith("constant:"):
-        value = float(u_spec.split(":", 1)[1] or 1.0)
+    # the constant and the family member are evaluated in closed form
+    kind, _, payload = u_spec.partition(":")
+    if kind == "constant":
+        value = _parse_constant(payload)
         u = lambda pts: np.full(np.atleast_2d(pts).shape[0], value)
-    elif u_spec.startswith("extremizer:"):
-        fitted = dy.fit_extremizer(coeffs)
-        u = cf.extremizer(fitted.params)
+    elif kind == "extremizer":
+        u = cf.extremizer(_parse_extremizer(payload, n))
     else:
-        u = hm.as_evaluable(coeffs)
+        u = hm.as_evaluable(_parse_init(u_spec, cfg))
     rng = np.random.default_rng(cfg.seed)
     if (xi0 is None) == (e is None):
         raise SystemExit("pass exactly one of --xi0 or --e")

@@ -372,29 +372,39 @@ def _orthonormal_frame(axis: np.ndarray) -> np.ndarray:
     return np.array(frame)
 
 
-def sample_region(region: SigmaRegion, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Surface-uniform sample of the cap (n = 1 or 2)."""
+def cap_points(region: SigmaRegion, u: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
+    """Points of the cap from variates u in [0, 1] (n = 1 or 2).
+
+    For n = 1 the signed angle from the axis is (2u - 1) times the cap's
+    half-width; for n = 2 the height along the axis is c + (1 - c) u and
+    `phi` is the azimuth about it.  Uniform variates give a surface-uniform
+    sample, and fixed ones deform continuously with the region.
+    """
     n = region.n
     c = region.cos_threshold
+    frame = _orthonormal_frame(region.axis)
     if n == 1:
-        half = math.acos(max(-1.0, min(1.0, c)))
-        beta = rng.uniform(-half, half, count)
-        frame = _orthonormal_frame(region.axis)
+        beta = (2.0 * u - 1.0) * math.acos(max(-1.0, min(1.0, c)))
         return (
             np.cos(beta)[:, None] * region.axis[None, :]
             + np.sin(beta)[:, None] * frame[0][None, :]
         )
     if n == 2:
-        t = rng.uniform(c, 1.0, count)
-        phi = rng.uniform(0.0, 2.0 * math.pi, count)
+        t = c + (1.0 - c) * u
         s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        frame = _orthonormal_frame(region.axis)
         return (
             t[:, None] * region.axis[None, :]
             + (s * np.cos(phi))[:, None] * frame[0][None, :]
             + (s * np.sin(phi))[:, None] * frame[1][None, :]
         )
     raise ValueError(f"cap sampling supports n in {{1, 2}}, got n={n}")
+
+
+def sample_region(region: SigmaRegion, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Surface-uniform sample of the cap (n = 1 or 2)."""
+    u = rng.uniform(0.0, 1.0, count)
+    phi = rng.uniform(0.0, 2.0 * math.pi, count) if region.n == 2 else None
+    return cap_points(region, u, phi)
 
 
 def grid_nodes_in(region: SigmaRegion, grid) -> np.ndarray:

@@ -360,81 +360,82 @@ class MovingSphereReport:
         return rows
 
 
+def _map_for(kind: str, center, direction, value: float) -> cf.ConformalMap:
+    if kind == "inversion":
+        return cf.LiftedInversion(value, center)
+    return cf.LiftedReflection(value, direction)
+
+
 class _CapProbe:
-    """Sample nodes on the comparison region, deforming continuously with the
-    scale parameter; half planar-ball template, half cap template."""
+    """w = u_Phi - u over one map family, on sample nodes from a template that
+    deforms continuously with the scale parameter: half planar-ball nodes
+    (inversions only), half cap nodes.
 
-    def __init__(self, u, n: int, samples: int, rng: np.random.Generator):
-        self.u = u
-        self.n = n
-        half = max(samples // 2, 8)
+    A value whose map has a pole at a node is retried once on a fresh
+    template from the probe's generator; other values keep the first one.
+    """
+
+    def __init__(self, u, kind: str, center, direction, samples: int,
+                 rng: np.random.Generator):
+        if isinstance(u, HarmonicCoeffs):
+            u = as_evaluable(u)
+        elif not callable(u):
+            raise TypeError("u must be callable on points or a HarmonicCoeffs")
+        self.u, self.kind, self.center, self.direction = u, kind, center, direction
+        self.n = (center.size - 1) if kind == "inversion" else direction.size
+        self.samples, self.rng = samples, rng
+        self.template = self._draw_template()
+
+    def _draw_template(self):
+        half, n, rng = max(self.samples // 2, 8), self.n, self.rng
         # planar ball template (used by the inversion variant)
-        self.ball_dirs = rng.standard_normal((half, n))
-        self.ball_dirs /= np.linalg.norm(self.ball_dirs, axis=1, keepdims=True)
-        self.ball_radii = np.maximum(rng.uniform(0.0, 1.0, half) ** (1.0 / n), 1e-6)
+        ball_dirs = rng.standard_normal((half, n))
+        ball_dirs /= np.linalg.norm(ball_dirs, axis=1, keepdims=True)
+        ball_radii = np.maximum(rng.uniform(0.0, 1.0, half) ** (1.0 / n), 1e-6)
         # cap template in the frame of the cap axis
-        self.cap_u = rng.uniform(0.0, 1.0, half)
-        self.cap_phi = rng.uniform(0.0, 2.0 * math.pi, half)
+        cap_u = rng.uniform(0.0, 1.0, half)
+        cap_phi = rng.uniform(0.0, 2.0 * math.pi, half)
+        return ball_dirs, ball_radii, cap_u, cap_phi
 
-    def _cap_points(self, region: cf.SigmaRegion) -> np.ndarray:
-        c = region.cos_threshold
-        if self.n == 1:
-            halfwidth = math.acos(max(-1.0, min(1.0, c)))
-            beta = (2.0 * self.cap_u - 1.0) * halfwidth
-            frame = cf._orthonormal_frame(region.axis)
-            return (
-                np.cos(beta)[:, None] * region.axis[None, :]
-                + np.sin(beta)[:, None] * frame[0][None, :]
-            )
-        t = c + (1.0 - c) * self.cap_u
-        s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        frame = cf._orthonormal_frame(region.axis)
-        return (
-            t[:, None] * region.axis[None, :]
-            + (s * np.cos(self.cap_phi))[:, None] * frame[0][None, :]
-            + (s * np.sin(self.cap_phi))[:, None] * frame[1][None, :]
-        )
-
-    def points(self, phi: cf.ConformalMap) -> np.ndarray:
-        region = cf.region_of(phi)
-        pts = [self._cap_points(region)]
+    def _stats(self, phi: cf.ConformalMap, template) -> tuple[float, float, float]:
+        ball_dirs, ball_radii, cap_u, cap_phi = template
+        pts = cf.cap_points(cf.region_of(phi), cap_u, cap_phi)
         if isinstance(phi, cf.LiftedInversion):
-            x = phi.x0 + phi.lam * self.ball_radii[:, None] * self.ball_dirs
-            pts.append(np.atleast_2d(cf.stereographic(x)))
-        return np.vstack(pts)
-
-    def w_stats(self, phi: cf.ConformalMap) -> tuple[float, float, float]:
-        """(min w, sup |w|, antisymmetry defect) over the probe nodes."""
-        pts = self.points(phi)
+            x = phi.x0 + phi.lam * ball_radii[:, None] * ball_dirs
+            pts = np.vstack([pts, np.atleast_2d(cf.stereographic(x))])
         jr = np.sqrt(cf.jacobian(phi, pts))
         mapped = np.atleast_2d(cf.apply_map(phi, pts))
-        u_here = np.atleast_1d(self.u(pts))
-        w = jr * np.atleast_1d(self.u(mapped)) - u_here
+        u_mapped = np.atleast_1d(self.u(mapped))
+        w = jr * u_mapped - np.atleast_1d(self.u(pts))
         jr_m = np.sqrt(cf.jacobian(phi, mapped))
         back = np.atleast_2d(cf.apply_map(phi, mapped))
-        w_m = jr_m * np.atleast_1d(self.u(back)) - np.atleast_1d(self.u(mapped))
+        w_m = jr_m * np.atleast_1d(self.u(back)) - u_mapped
         defect = float(np.abs(w + jr * w_m).max())
         return float(w.min()), float(np.abs(w).max()), defect
 
+    def w_stats(self, value: float) -> tuple[float, float, float]:
+        """(min w, sup |w|, antisymmetry defect) at one scale value."""
+        phi = _map_for(self.kind, self.center, self.direction, value)
+        try:
+            return self._stats(phi, self.template)
+        except cf.PoleError:
+            return self._stats(phi, self._draw_template())
 
-def _coerce_evaluable(u):
-    if isinstance(u, HarmonicCoeffs):
-        return as_evaluable(u)
-    if callable(u):
-        return u
-    raise TypeError("u must be callable on points or a HarmonicCoeffs")
+    def profile(self, values) -> MovingSphereReport:
+        """Report of the stats at each value, in increasing order."""
+        values = np.sort(np.asarray(values, dtype=float))
+        stats = np.array([self.w_stats(float(v)) for v in values]).reshape(-1, 3)
+        return MovingSphereReport(
+            kind=self.kind, n=self.n, center=self.center, direction=self.direction,
+            values=values, min_w=stats[:, 0], sup_abs_w=stats[:, 1],
+            defect=stats[:, 2], samples=self.samples,
+        )
 
 
 def _sup_abs_u(u, n: int, rng: np.random.Generator, count: int = 4096) -> float:
     pts = rng.standard_normal((count, n + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return float(np.abs(np.atleast_1d(u(pts))).max())
-
-
-def _map_for(kind: str, n: int, center, direction, value: float) -> cf.ConformalMap:
-    if kind == "inversion":
-        return cf.LiftedInversion(value, center)
-    return cf.LiftedReflection(value, direction)
 
 
 def moving_sphere_profile(u, values, xi0=None, e=None,
@@ -447,100 +448,45 @@ def moving_sphere_profile(u, values, xi0=None, e=None,
     """
     if (xi0 is None) == (e is None):
         raise ValueError("pass exactly one of xi0 (inversion) or e (reflection)")
-    u = _coerce_evaluable(u)
     rng = rng if rng is not None else np.random.default_rng(0)
     if xi0 is not None:
-        kind, center, direction = "inversion", np.asarray(xi0, float), None
-        n = center.size - 1
         if np.any(np.asarray(values) <= 0):
             raise ValueError("inversion radii must be positive")
+        probe = _CapProbe(u, "inversion", np.asarray(xi0, float), None, samples, rng)
     else:
-        kind, center, direction = "reflection", None, np.asarray(e, float)
-        n = direction.size
-    probe = _CapProbe(u, n, samples, rng)
-    values = np.sort(np.asarray(values, dtype=float))
-    mins, sups, defs = [], [], []
-    for v in values:
-        phi = _map_for(kind, n, center, direction, float(v))
-        try:
-            mn, sup, df = probe.w_stats(phi)
-        except cf.PoleError:
-            # pole collision with a sample node: jitter the template once
-            probe = _CapProbe(u, n, samples, np.random.default_rng(rng.integers(2**32)))
-            mn, sup, df = probe.w_stats(phi)
-        mins.append(mn)
-        sups.append(sup)
-        defs.append(df)
-    return MovingSphereReport(
-        kind=kind, n=n, center=center, direction=direction,
-        values=values, min_w=np.array(mins), sup_abs_w=np.array(sups),
-        defect=np.array(defs), samples=samples,
-    )
+        probe = _CapProbe(u, "reflection", None, np.asarray(e, float), samples, rng)
+    return probe.profile(values)
 
 
-def _critical_search(u, kind: str, center, direction, lo: float, hi: float,
-                     tol: float, samples: int, rng: np.random.Generator,
-                     scan_count: int = 32, bisect_iters: int = 48) -> MovingSphereReport:
-    u = _coerce_evaluable(u)
-    n = (center.size - 1) if kind == "inversion" else direction.size
-    probe = _CapProbe(u, n, samples, rng)
-    threshold = -tol * _sup_abs_u(u, n, rng)
-
-    def min_w(value: float) -> float:
-        return probe.w_stats(_map_for(kind, n, center, direction, value))[0]
-
-    # scan from the safe end toward the unsafe end
-    if kind == "inversion":
-        scan = np.geomspace(lo, hi, scan_count)
-    else:
-        scan = np.linspace(hi, lo, scan_count)
-    stats = [probe.w_stats(_map_for(kind, n, center, direction, float(v))) for v in scan]
-    if stats[0][0] < threshold:
+def _critical_search(probe: _CapProbe, scan: np.ndarray, mean, tol: float,
+                     bisect_iters: int = 48) -> MovingSphereReport:
+    """Profile over `scan`, which runs from the safe end toward the unsafe
+    end, then bisect the first failing step with `mean`."""
+    threshold = -tol * _sup_abs_u(probe.u, probe.n, probe.rng)
+    report = probe.profile(scan)
+    fails = report.min_w < threshold
+    if scan[0] > scan[-1]:  # the report is in increasing order
+        fails = fails[::-1]
+    if fails[0]:
         raise ValueError(
             f"comparison already fails at the safe end {scan[0]}: "
             "enlarge the search interval"
         )
-    good, bad = float(scan[0]), None
-    for v, (mn, _sup, _df) in zip(scan[1:], stats[1:]):
-        if mn < threshold:
-            bad = float(v)
-            break
-        good = float(v)
-    order = np.argsort(scan)
-    report = MovingSphereReport(
-        kind=kind, n=n, center=center, direction=direction,
-        values=scan[order],
-        min_w=np.array([s[0] for s in stats])[order],
-        sup_abs_w=np.array([s[1] for s in stats])[order],
-        defect=np.array([s[2] for s in stats])[order],
-        samples=samples,
-    )
-    if bad is None:
+    if not fails.any():
         # no sign change: the critical value is at least the end of the scan
         report.critical = float(scan[-1])
         report.critical_is_bound = True
-        report.sup_w_at_critical = probe.w_stats(
-            _map_for(kind, n, center, direction, report.critical)
-        )[1]
-        return report
-    a, b = (good, bad) if kind == "inversion" else (bad, good)
-    for _ in range(bisect_iters):
-        mid = math.sqrt(a * b) if kind == "inversion" else 0.5 * (a + b)
-        if min_w(mid) < threshold:
-            if kind == "inversion":
-                b = mid
+    else:
+        k = int(np.argmax(fails))
+        good, bad = float(scan[k - 1]), float(scan[k])
+        for _ in range(bisect_iters):
+            mid = mean(good, bad)
+            if probe.w_stats(mid)[0] < threshold:
+                bad = mid
             else:
-                a = mid
-        else:
-            if kind == "inversion":
-                a = mid
-            else:
-                b = mid
-    critical = math.sqrt(a * b) if kind == "inversion" else 0.5 * (a + b)
-    report.critical = float(critical)
-    report.sup_w_at_critical = probe.w_stats(
-        _map_for(kind, n, center, direction, report.critical)
-    )[1]
+                good = mid
+        report.critical = float(mean(good, bad))
+    report.sup_w_at_critical = probe.w_stats(report.critical)[1]
     return report
 
 
@@ -554,8 +500,9 @@ def critical_lambda(u, xi0, lo: float = 0.02, hi: float = 50.0, tol: float = 1e-
     (read: the critical scale is >= hi).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    return _critical_search(u, "inversion", np.asarray(xi0, float), None, lo, hi,
-                            tol, samples, rng)
+    probe = _CapProbe(u, "inversion", np.asarray(xi0, float), None, samples, rng)
+    return _critical_search(probe, np.geomspace(lo, hi, 32),
+                            lambda a, b: math.sqrt(a * b), tol)
 
 
 def critical_alpha(u, e, lo: float = -6.0, hi: float = 6.0, tol: float = 1e-9,
@@ -567,5 +514,5 @@ def critical_alpha(u, e, lo: float = -6.0, hi: float = 6.0, tol: float = 1e-9,
     the comparison fails.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    return _critical_search(u, "reflection", None, np.asarray(e, float), lo, hi,
-                            tol, samples, rng)
+    probe = _CapProbe(u, "reflection", None, np.asarray(e, float), samples, rng)
+    return _critical_search(probe, np.linspace(hi, lo, 32), lambda a, b: 0.5 * (a + b), tol)

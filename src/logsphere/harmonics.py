@@ -115,10 +115,24 @@ class HarmonicCoeffs:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HarmonicCoeffs":
+        """Inverse of to_json_dict; missing triplets are zero.  Non-integer
+        labels, non-finite values, repeated (l, m) and degrees outside 0..L
+        are rejected."""
         n, L = int(data["n"]), int(data["L"])
         vec = np.zeros(harmonic_count(n, L))
+        seen = set()
         for l, m, value in data["coeffs"]:
-            vec[flat_index(n, int(l), int(m))] = float(value)
+            if (int(l), int(m)) != (l, m):
+                raise ValueError(f"labels must be integers, got (l={l!r}, m={m!r})")
+            l, m, value = int(l), int(m), float(value)
+            if not 0 <= l <= L:
+                raise ValueError(f"degree l={l} is outside the band 0..{L}")
+            if (l, m) in seen:
+                raise ValueError(f"duplicate coefficient (l={l}, m={m})")
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite coefficient {value} at (l={l}, m={m})")
+            seen.add((l, m))
+            vec[flat_index(n, l, m)] = value
         return cls(n, L, vec)
 
     @classmethod

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from logsphere import build_grid
+
+# Property tests draw the same examples on every run, and run without a
+# per-example deadline, whose timing varies with machine load.
+settings.register_profile("logsphere", derandomize=True, deadline=None)
+settings.load_profile("logsphere")
 
 
 @pytest.fixture(scope="session")

@@ -146,6 +146,16 @@ def test_movespheres_family_reflection(tmp_path):
     assert rep["sup_w_at_critical"] <= 1e-3
 
 
+def test_movespheres_evaluates_the_requested_extremizer(tmp_path):
+    # the family member is probed in closed form, not through a band-limited refit
+    out = tmp_path / "ms.json"
+    assert main(["movespheres", "--u", "extremizer:zeta=0.95e3", "--xi0", "north",
+                 "--values", "auto", "--out", str(out)]) == 0
+    rep = read_json(out)["report"]
+    zeta = 0.95
+    assert rep["critical"] == pytest.approx(math.sqrt(1.0 - zeta**2) / (1.0 + zeta), rel=1e-6)
+
+
 def test_movespheres_explicit_values(tmp_path):
     out = tmp_path / "ms.json"
     assert main(["movespheres", "--u", "constant:1", "--xi0", "north",
@@ -203,11 +213,34 @@ def test_unknown_config_key_rejected(tmp_path):
     ["movespheres", "--xi0=0,0,-1"],
     ["movespheres", "--e", "0,0"],
     ["movespheres", "--e", "1,0,0"],
+    ["verify", "--config", "{tmp}/band_limit_str.json"],
+    ["verify", "--config", "{tmp}/seed_str.json"],
+    ["minimize", "--init", "coeffs:{tmp}/coeffs_nan.json"],
+    ["minimize", "--init", "coeffs:{tmp}/coeffs_inf.json"],
+    ["minimize", "--init", "coeffs:{tmp}/coeffs_duplicate.json"],
+    ["minimize", "--init", "coeffs:{tmp}/coeffs_above_band.json"],
+    ["minimize", "--init", "coeffs:{tmp}/coeffs_negative_degree.json"],
+    ["movespheres", "--xi0", "north", "--u", "constant:x"],
+    ["movespheres", "--xi0", "north", "--u", "extremizer:zeta=2e3"],
 ], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
-        "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size"])
+        "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
+        "config-band-limit-type", "config-seed-type", "coeffs-nan", "coeffs-inf",
+        "coeffs-duplicate", "coeffs-above-band", "coeffs-negative-degree",
+        "u-constant", "u-extremizer-outside-ball"])
 def test_bad_input_exits_with_one_line(argv, tmp_path):
     (tmp_path / "not_json.txt").write_text("not json")
+    files = {
+        "band_limit_str.json": {"band_limit": "x"},
+        "seed_str.json": {"seed": "abc"},
+        "coeffs_nan.json": {"n": 1, "L": 2, "coeffs": [[0, 0, 1.0], [1, 1, math.nan]]},
+        "coeffs_inf.json": {"n": 2, "L": 2, "coeffs": [[0, 0, math.inf]]},
+        "coeffs_duplicate.json": {"n": 2, "L": 2, "coeffs": [[1, 0, 1.0], [1, 0, 2.0]]},
+        "coeffs_above_band.json": {"n": 2, "L": 2, "coeffs": [[3, 0, 1.0]]},
+        "coeffs_negative_degree.json": {"n": 1, "L": 2, "coeffs": [[-1, 1, 1.0]]},
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))  # NaN and Infinity tokens
     with pytest.raises(SystemExit) as exc:
         main([arg.format(tmp=tmp_path) for arg in argv])
     message = exc.value.code

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from logsphere import conformal as cf
 from logsphere import (
     ExtremizerParams,
     FlowConfig,
@@ -227,3 +228,54 @@ def test_report_serialization(rng):
     rows = rep.csv_rows()
     assert rows[0] == ("lambda", "min_w", "sup_abs_w", "defect")
     assert len(rows) == 3
+
+
+def force_pole_errors(monkeypatch, first_call, count=1):
+    """Make calls first_call .. first_call + count - 1 of cf.jacobian raise."""
+    real, calls = cf.jacobian, [0]
+
+    def jacobian(phi, pts):
+        calls[0] += 1
+        if first_call <= calls[0] < first_call + count:
+            raise cf.PoleError("forced collision with a sample node")
+        return real(phi, pts)
+
+    monkeypatch.setattr(cf, "jacobian", jacobian)
+
+
+def assert_same_stats_except(rep, ref, index):
+    others = np.arange(ref.values.size) != index
+    np.testing.assert_array_equal(rep.values, ref.values)
+    for col in ("min_w", "sup_abs_w", "defect"):
+        np.testing.assert_array_equal(getattr(rep, col)[others], getattr(ref, col)[others])
+        assert np.isfinite(getattr(rep, col)[index])
+
+
+FAMILY = extremizer(ExtremizerParams(np.array([0.2, -0.1, 0.25])))
+
+
+def test_profile_retries_a_pole_collision_on_that_value_only(monkeypatch):
+    # each scale value calls jacobian twice; call 3 is the first of value 1
+    values = [0.4, 0.9, 1.3, 1.7]
+    ref = moving_sphere_profile(FAMILY, values, xi0=north_pole(2),
+                                rng=np.random.default_rng(2))
+    force_pole_errors(monkeypatch, 3)
+    rep = moving_sphere_profile(FAMILY, values, xi0=north_pole(2),
+                                rng=np.random.default_rng(2))
+    assert_same_stats_except(rep, ref, 1)
+
+
+def test_critical_search_retries_a_pole_collision(monkeypatch):
+    ref = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
+    force_pole_errors(monkeypatch, 11)  # scan value 5, far below the critical radius
+    rep = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
+    assert_same_stats_except(rep, ref, 5)
+    assert rep.critical == ref.critical
+    assert rep.sup_w_at_critical == ref.sup_w_at_critical
+
+
+def test_second_pole_collision_at_one_value_raises(monkeypatch):
+    force_pole_errors(monkeypatch, 3, count=2)
+    with pytest.raises(cf.PoleError):
+        moving_sphere_profile(FAMILY, [0.4, 0.9], xi0=north_pole(2),
+                              rng=np.random.default_rng(2))

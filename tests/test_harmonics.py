@@ -240,6 +240,19 @@ def test_json_roundtrip(rng):
     assert sparse.norm_sq() == pytest.approx(3.5**2)
 
 
+@pytest.mark.parametrize("n, triplets, match", [
+    (2, [[1, 0, math.nan]], "non-finite"),
+    (2, [[1, 0, -math.inf]], "non-finite"),
+    (1, [[1, -1, 1.0], [1, -1, 1.0]], "duplicate"),
+    (2, [[3, 0, 1.0]], "outside the band"),
+    (1, [[-1, 1, 1.0]], "outside the band"),
+    (2, [[1.7, 0.9, 1.0]], "integers"),
+])
+def test_coeff_json_rejects_bad_triplets(n, triplets, match):
+    with pytest.raises(ValueError, match=match):
+        HarmonicCoeffs.from_json_dict({"n": n, "L": 2, "coeffs": triplets})
+
+
 def test_coefficient_layout():
     assert harmonic_count(1, 4) == 9
     assert harmonic_count(2, 4) == 25

@@ -121,7 +121,7 @@ def dense_radial_kernel(grid, kernel, eps, X):
     return K @ X, np.sqrt(d2[~np.eye(grid.node_count, dtype=bool)])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(n=st.sampled_from([1, 2]), degree=st.integers(1, 12),
        eps_spacings=st.floats(0.0, 6.0), s_frac=st.floats(0.0, 0.95))
 @example(n=2, degree=12, eps_spacings=0.5, s_frac=0.0)  # below every ring spacing
