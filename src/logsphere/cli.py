@@ -84,11 +84,28 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             declared = RunConfig.__dataclass_fields__[key].type
             raise SystemExit(f"config key {key!r} must be {declared}, got {val!r}")
     cfg = RunConfig(**data)
+    if cfg.fault is not None:
+        _check_fault(cfg.fault)
     if cfg.n not in (1, 2):
         raise SystemExit("the verification pipeline supports n in {1, 2}")
     if cfg.band_limit < 4:
         raise SystemExit("band limit must be >= 4")
     return cfg
+
+
+def _check_fault(fault: dict):
+    """The fault hook names a suite that takes one, and any scale is finite."""
+    unknown = set(fault) - {"suite", "scale"}
+    if unknown:
+        raise SystemExit(f"unknown fault keys: {sorted(unknown)}")
+    if fault.get("suite") not in _FAULT_SUITES:
+        raise SystemExit(f"fault suite must be one of {list(_FAULT_SUITES)}, "
+                         f"got {fault.get('suite')!r}")
+    scale = fault.get("scale", 1.0)
+    # the comparison is false for NaN, infinities and integers beyond any float
+    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+            or not abs(scale) <= sys.float_info.max):
+        raise SystemExit(f"fault scale must be a finite number, got {scale!r}")
 
 
 def _np_default(obj):
@@ -299,6 +316,9 @@ def _suite_el_residual(cfg: RunConfig, rng) -> dict:
     return {"name": "el_residual_family", "metric": worst, "tolerance": tol,
             "passed": worst <= tol}
 
+
+# suites that honour the config's fault hook
+_FAULT_SUITES = ("energyharmonics",)
 
 _SUITES = (
     _suite_conformal_distance,

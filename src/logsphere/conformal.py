@@ -74,6 +74,16 @@ def _planar_lift(pts: np.ndarray, what: str):
     return head / denom[:, None], denom
 
 
+def _unit(v) -> np.ndarray:
+    """A copy of v scaled to unit length.  A vector already unit to within
+    a few ulp is kept bit for bit, so a map rebuilt from its JSON is the map
+    that wrote it (normalizing again can move a component by an ulp)."""
+    v = np.array(v, dtype=float)
+    if abs(float(v @ v) - 1.0) <= 8.0 * np.finfo(float).eps:
+        return v
+    return sphere_point(v)
+
+
 def inverse_stereographic(xi) -> np.ndarray:
     """Stereographic projection S^n minus south pole -> R^n."""
     pts, single = _as_rows(xi)
@@ -94,7 +104,7 @@ class LiftedInversion:
     xi0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "xi0", sphere_point(self.xi0))
+        object.__setattr__(self, "xi0", _unit(self.xi0))
         if self.lam <= 0:
             raise ValueError(f"inversion radius must be positive, got {self.lam}")
         if 1.0 + self.xi0[-1] < 1e-12:
@@ -118,11 +128,9 @@ class LiftedReflection:
     e: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.e, dtype=float)
-        norm = np.linalg.norm(e)
-        if norm < 1e-12:
+        if np.linalg.norm(self.e) < 1e-12:
             raise ValueError("reflection normal must be a nonzero vector")
-        object.__setattr__(self, "e", e / norm)
+        object.__setattr__(self, "e", _unit(self.e))
 
     @property
     def n(self) -> int:

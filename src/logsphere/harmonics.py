@@ -3,8 +3,11 @@
 A band-limited expansion sum_{l<=L} u_{l,m} Y_{l,m} stands in for the finite
 energy space.  On product grids the forward/backward transforms factor into
 an azimuth contraction followed by per-order polar contractions, so no large
-design matrix is ever materialized; off-grid synthesis evaluates the basis
-directly in chunks.
+design matrix is ever materialized.  Off-grid synthesis re-expands each
+order's polar functions once per band limit in Chebyshev polynomials of
+cos(theta), exactly, so evaluating at a chunk of points is one recurrence
+for the Chebyshev values, one matrix product per parity of the order and an
+azimuth sum; no Legendre table of the points is built.
 
 Multipliers: the fractional integral family acts on degree-l harmonics as
 Gamma(l+n/2-s)/Gamma(l+n/2+s), its inverse as the reciprocal, and the
@@ -21,6 +24,7 @@ extrapolation, built on the azimuthal-FFT kernel product
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import weakref
@@ -71,11 +75,13 @@ def harmonic_indices(n: int, L: int) -> list[tuple[int, int]]:
 
 
 def degree_of_index(n: int, L: int) -> np.ndarray:
-    """Degree l of each flat coefficient slot."""
-    out = np.empty(harmonic_count(n, L), dtype=int)
-    for k, (l, _m) in enumerate(harmonic_indices(n, L)):
-        out[k] = l
-    return out
+    """Degree l of each flat coefficient slot k: (k + 1) // 2 on the circle,
+    isqrt(k) on the 2-sphere."""
+    count = harmonic_count(n, L)
+    if n == 1:
+        return (np.arange(count) + 1) // 2
+    ls = np.arange(L + 1)
+    return np.repeat(ls, 2 * ls + 1)
 
 
 @dataclass(eq=False)
@@ -227,8 +233,54 @@ def synthesize(c: HarmonicCoeffs, grid: QuadratureGrid) -> GridFunction:
     return GridFunction(grid, F.ravel())
 
 
+@functools.lru_cache(maxsize=8)
+def _evaluation_plan(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-order polar basis re-expanded in Chebyshev polynomials of t = cos(theta).
+
+    For even m, Pbar_lm is a polynomial of degree l in t; for odd m it is
+    sin(theta) times one of degree l - 1, i.e. a sum of sin(j theta) =
+    sin(theta) U_{j-1}(t), j <= l.  So the K = L + 1 Gauss-Chebyshev nodes
+    interpolate every row exactly.  The odd rows are expanded by a DST of
+    their values rather than a DCT of the values over sin(theta), which
+    would amplify the rounding near the poles.
+
+    Returns `cheb[m, l, j]`, the coefficient of T_j(t) (even m) or of
+    U_j(t) sin(theta) (odd m) in row (l, m), with the sqrt(2) azimuth factor
+    folded in for m > 0 and zero for l < m; and `gather[m, k, l]`, the flat
+    slot of the (l, m) cosine (k = 0) and (l, -m) sine (k = 1) coefficient,
+    or harmonic_count(2, L), a zero pad, where there is none.
+    """
+    K = L + 1
+    angle = (2 * np.arange(K) + 1) * math.pi / (2 * K)
+    j = np.arange(K)[:, None]
+    # node values -> coefficients: a DCT-II for T_j, a DST-II for sin((j+1) theta)
+    dct = np.cos(j * angle) * (2.0 / K)
+    dct[0] *= 0.5
+    dst = np.sin((j + 1) * angle) * (2.0 / K)
+    leg = assoc_legendre_norm(L, np.cos(angle))
+    ls, ms = np.tril_indices(L + 1)  # (l, m) of each row, in tri_index order
+    odd = ms % 2 == 1
+    cheb = np.zeros((L + 1, L + 1, K))
+    cheb[ms[~odd], ls[~odd]] = leg[~odd] @ dct.T
+    cheb[ms[odd], ls[odd]] = leg[odd] @ dst.T
+    cheb[1:] *= math.sqrt(2.0)
+    gather = np.full((L + 1, 2, L + 1), harmonic_count(2, L))
+    gather[ms, 0, ls] = ls * ls + ls + ms
+    sine = ms > 0
+    gather[ms[sine], 1, ls[sine]] = ls[sine] ** 2 + ls[sine] - ms[sine]
+    cheb.flags.writeable = False
+    gather.flags.writeable = False
+    return cheb, gather
+
+
 def evaluate_at(c: HarmonicCoeffs, points: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Evaluate the expansion at arbitrary points (needed by pullbacks)."""
+    """Evaluate the expansion at arbitrary points (needed by pullbacks).
+
+    On S^2 a call contracts the coefficients with the cached per-L Chebyshev
+    plan (`_evaluation_plan`, O(L^3) and independent of the point count),
+    then per chunk of points builds the Chebyshev tables by recurrence and
+    takes one matrix product per parity of m; memory is O(L * chunk).
+    """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     if single:
@@ -237,32 +289,38 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray, chunk: int = 4096) -> np.
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         vals = fourier_basis(c.L, theta) @ c.coeffs
         return float(vals[0]) if single else vals
-    L = c.L
-    # per-order coefficient rows, padded to length L+1
-    ac = np.zeros((L + 1, L + 1))
-    as_ = np.zeros((L + 1, L + 1))
-    for m in range(L + 1):
-        for l in range(m, L + 1):
-            ac[m, l] = c.coeffs[flat_index(2, l, m)]
-            if m > 0:
-                as_[m, l] = c.coeffs[flat_index(2, l, -m)]
+    M = c.L + 1
+    cheb, gather = _evaluation_plan(c.L)
+    # Chebyshev coefficients of the (m, cos) and (m, sin) rows of u, by parity of m
+    C = np.append(c.coeffs, 0.0)[gather] @ cheb
+    even, odd = C[0::2].reshape(-1, M), C[1::2].reshape(-1, M)
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], chunk):
         sl = slice(start, min(start + chunk, pts.shape[0]))
+        x, y = pts[sl, 0], pts[sl, 1]
         t = np.clip(pts[sl, 2], -1.0, 1.0)
-        phi = np.arctan2(pts[sl, 1], pts[sl, 0])
-        leg = assoc_legendre_norm(L, t)
-        acc = np.zeros(t.size)
-        for m in range(L + 1):
-            rows = np.array([tri_index(l, m) for l in range(m, L + 1)])
-            pol_c = ac[m, m:] @ leg[rows]
-            if m == 0:
-                acc += pol_c
-            else:
-                pol_s = as_[m, m:] @ leg[rows]
-                acc += math.sqrt(2.0) * (
-                    pol_c * np.cos(m * phi) + pol_s * np.sin(m * phi)
-                )
+        npts = t.size
+        TU = np.empty((2, M, npts))  # T_j(t) and U_j(t)
+        TU[:, 0] = 1.0
+        if M > 1:
+            TU[0, 1] = t
+            TU[1, 1] = 2.0 * t
+        for j in range(2, M):
+            np.multiply(2.0 * t, TU[:, j - 1], out=TU[:, j])
+            TU[:, j] -= TU[:, j - 2]
+        V = [(even @ TU[0]).reshape(-1, 2, npts), (odd @ TU[1]).reshape(-1, 2, npts)]
+        V[1] *= np.sqrt(np.maximum(0.0, 1.0 - t * t))  # sin(theta)
+        # e^{i phi} = (x + i y) / rho, taken as 1 on the z-axis
+        rho = np.hypot(x, y)
+        axis = rho == 0.0
+        rho[axis] = 1.0
+        z = np.where(axis, 1.0, x / rho) + 1j * (y / rho)
+        acc = V[0][0, 0].copy()
+        zm = np.ones(npts, dtype=complex)
+        for m in range(1, M):
+            zm *= z
+            cos_row, sin_row = V[m % 2][m // 2]
+            acc += cos_row * zm.real + sin_row * zm.imag
         out[sl] = acc
     return float(out[0]) if single else out
 

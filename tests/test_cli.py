@@ -222,12 +222,19 @@ def test_unknown_config_key_rejected(tmp_path):
     ["minimize", "--init", "coeffs:{tmp}/coeffs_negative_degree.json"],
     ["movespheres", "--xi0", "north", "--u", "constant:x"],
     ["movespheres", "--xi0", "north", "--u", "extremizer:zeta=2e3"],
+    ["verify", "--config", "{tmp}/fault_scale_str.json"],
+    ["verify", "--config", "{tmp}/fault_scale_nan.json"],
+    ["verify", "--config", "{tmp}/fault_scale_huge.json"],
+    ["verify", "--config", "{tmp}/fault_suite_unknown.json"],
+    ["verify", "--config", "{tmp}/fault_suite_missing.json"],
+    ["verify", "--config", "{tmp}/fault_extra_key.json"],
 ], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
         "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
         "config-band-limit-type", "config-seed-type", "coeffs-nan", "coeffs-inf",
         "coeffs-duplicate", "coeffs-above-band", "coeffs-negative-degree",
-        "u-constant", "u-extremizer-outside-ball"])
+        "u-constant", "u-extremizer-outside-ball", "fault-scale-str", "fault-scale-nan",
+        "fault-scale-huge", "fault-suite-unknown", "fault-suite-missing", "fault-extra-key"])
 def test_bad_input_exits_with_one_line(argv, tmp_path):
     (tmp_path / "not_json.txt").write_text("not json")
     files = {
@@ -238,6 +245,12 @@ def test_bad_input_exits_with_one_line(argv, tmp_path):
         "coeffs_duplicate.json": {"n": 2, "L": 2, "coeffs": [[1, 0, 1.0], [1, 0, 2.0]]},
         "coeffs_above_band.json": {"n": 2, "L": 2, "coeffs": [[3, 0, 1.0]]},
         "coeffs_negative_degree.json": {"n": 1, "L": 2, "coeffs": [[-1, 1, 1.0]]},
+        "fault_scale_str.json": {"fault": {"suite": "energyharmonics", "scale": "abc"}},
+        "fault_scale_nan.json": {"fault": {"suite": "energyharmonics", "scale": math.nan}},
+        "fault_scale_huge.json": {"fault": {"suite": "energyharmonics", "scale": 10**400}},
+        "fault_suite_unknown.json": {"fault": {"suite": "nosuch"}},
+        "fault_suite_missing.json": {"fault": {"scale": 1.05}},
+        "fault_extra_key.json": {"fault": {"suite": "energyharmonics", "bogus": 1}},
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))  # NaN and Infinity tokens

@@ -2,9 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from logsphere import (
     GridFunction,
@@ -22,13 +25,17 @@ from logsphere import (
     synthesize,
 )
 from logsphere.harmonics import (
+    _evaluation_plan,
     apply_P2s_direct,
+    degree_of_index,
     flat_index,
     h_multiplier_table,
     harmonic_count,
+    harmonic_indices,
     log_operator_scale,
 )
-from logsphere.specfun import digamma
+from logsphere.specfun import assoc_legendre_norm, digamma, tri_index
+from logsphere.sphere import sphere_point
 
 
 def test_analyze_constant(grids):
@@ -81,6 +88,108 @@ def test_off_grid_evaluation_matches_nodes(grids, rng):
         assert np.abs(on_grid - off).max() < 1e-10
         single = evaluate_at(c, g.nodes[3])
         assert single == pytest.approx(on_grid[3], abs=1e-12)
+
+
+def dense_evaluate_at(c, points):
+    """Reference for evaluate_at on S^2: the table of every normalized
+    Legendre value at every point, summed term by term."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    t = np.clip(pts[:, 2], -1.0, 1.0)
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    leg = assoc_legendre_norm(c.L, t)
+    out = np.zeros(t.size)
+    for l in range(c.L + 1):
+        out += c.get(l, 0) * leg[tri_index(l, 0)]
+        for m in range(1, l + 1):
+            out += math.sqrt(2.0) * leg[tri_index(l, m)] * (
+                c.get(l, m) * np.cos(m * phi) + c.get(l, -m) * np.sin(m * phi))
+    return out
+
+
+def longdouble_evaluate_at(c, points):
+    """evaluate_at on S^2 in extended precision: the same normalized-Legendre
+    recurrence, with t = z, sin(theta) = sqrt(1 - t^2) and phi = atan2(y, x)."""
+    ld = np.longdouble
+    pts = np.asarray(points, dtype=ld)
+    t = np.clip(pts[:, 2], ld(-1), ld(1))
+    s = np.sqrt(ld(1) - t * t)
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    out = np.zeros(t.size, dtype=ld)
+    pmm = np.full(t.size, ld(1) / np.sqrt(ld(4) * ld(np.pi)))
+    for m in range(c.L + 1):
+        trig = {l: (ld(c.get(l, m)), ld(c.get(l, -m)) if m else ld(0))
+                for l in range(m, c.L + 1)}
+        azc, azs = np.sqrt(ld(2)) * np.cos(m * phi), np.sqrt(ld(2)) * np.sin(m * phi)
+        prev, cur = np.zeros_like(t), pmm
+        for l in range(m, c.L + 1):
+            if m == 0:
+                out += trig[l][0] * cur
+            else:
+                out += cur * (trig[l][0] * azc + trig[l][1] * azs)
+            a = np.sqrt(ld((2 * l + 1) * (2 * l + 3)) / ld((l + 1 - m) * (l + 1 + m)))
+            b = np.sqrt(ld((2 * l + 3) * (l - m) * (l + m))
+                        / ld((2 * l - 1) * (l + 1 - m) * (l + 1 + m))) if l > m else ld(0)
+            prev, cur = cur, a * t * cur - b * prev
+        pmm = pmm * s * np.sqrt(ld(2 * m + 3) / ld(2 * m + 2))
+    return out
+
+
+# points on the z-axis, signed zeros included
+AXIS_POINTS = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]]
+
+
+@given(L=st.integers(0, 24), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40),
+       chunk=st.integers(1, 64),
+       extra=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+                      .filter(lambda v: np.linalg.norm(v) > 0.1), max_size=4))
+@example(L=24, seed=0, count=16, chunk=7, extra=[])  # 20 points: 7 + 7 + 6
+@example(L=0, seed=1, count=1, chunk=4096, extra=[])
+def test_evaluate_at_matches_dense_table(L, seed, count, chunk, extra):
+    rng = np.random.default_rng(seed)
+    c = HarmonicCoeffs(2, L, rng.standard_normal(harmonic_count(2, L)))
+    pts = np.vstack([AXIS_POINTS, sphere_point(rng.standard_normal((count, 3))),
+                     sphere_point(np.reshape(extra, (-1, 3)))])
+    want = dense_evaluate_at(c, pts)
+    tol = 1e-12 * np.abs(want).max()
+    got = evaluate_at(c, pts, chunk=chunk)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol
+    for k in (0, 1, pts.shape[0] - 1):
+        single = evaluate_at(c, pts[k], chunk=chunk)
+        assert isinstance(single, float)
+        assert abs(single - want[k]) <= tol
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="numpy long double is not extended precision here")
+def test_evaluate_at_high_band_limit_matches_extended_precision():
+    rng = np.random.default_rng(128)
+    c = random_coeffs(2, 128, rng)
+    pts = np.vstack([AXIS_POINTS, sphere_point(rng.standard_normal((256, 3)))])
+    want = longdouble_evaluate_at(c, pts)
+    scale = float(np.abs(want).max())
+    assert float(np.abs(evaluate_at(c, pts) - want).max()) <= 1e-13 * scale
+
+
+def test_evaluate_at_memory_is_bounded_at_high_band_limit():
+    rng = np.random.default_rng(4096)
+    c = random_coeffs(2, 128, rng)
+    pts = sphere_point(rng.standard_normal((4096, 3)))
+    _evaluation_plan.cache_clear()  # count building the per-L plan too
+    tracemalloc.start()
+    try:
+        evaluate_at(c, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_degree_of_index_matches_harmonic_indices(n):
+    for L in range(41):
+        want = [l for l, _m in harmonic_indices(n, L)]
+        assert degree_of_index(n, L).tolist() == want
 
 
 def test_parseval(grids, rng):
