@@ -41,11 +41,21 @@ class RunConfig:
     fault: dict | None = None
 
 
+def _finite(val) -> bool:
+    """A number that is not a boolean, NaN, infinite or an integer beyond any
+    float (the comparison is false for each of those)."""
+    return (not isinstance(val, bool) and isinstance(val, (int, float))
+            and abs(val) <= sys.float_info.max)
+
+
 def _number(text: str, what: str, kind=float):
     try:
-        return kind(text)
+        val = kind(text)
     except ValueError:
         raise SystemExit(f"{what}: not a number: {text!r}") from None
+    if not _finite(val):
+        raise SystemExit(f"{what}: not a finite number: {text!r}")
+    return val
 
 
 def _numbers(text: str, what: str) -> np.ndarray:
@@ -90,7 +100,17 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise SystemExit("the verification pipeline supports n in {1, 2}")
     if cfg.band_limit < 4:
         raise SystemExit("band limit must be >= 4")
+    if cfg.grid_degree is not None and cfg.grid_degree < 1:
+        raise SystemExit(f"grid degree must be >= 1, got {cfg.grid_degree}")
+    if not (_finite(cfg.tol) and cfg.tol > 0):
+        raise SystemExit(f"tol must be a positive finite number, got {cfg.tol!r}")
+    _check_seed(cfg.seed)
     return cfg
+
+
+def _check_seed(seed: int):
+    if seed < 0:
+        raise SystemExit(f"seed must be >= 0, got {seed}")
 
 
 def _check_fault(fault: dict):
@@ -102,9 +122,7 @@ def _check_fault(fault: dict):
         raise SystemExit(f"fault suite must be one of {list(_FAULT_SUITES)}, "
                          f"got {fault.get('suite')!r}")
     scale = fault.get("scale", 1.0)
-    # the comparison is false for NaN, infinities and integers beyond any float
-    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
-            or not abs(scale) <= sys.float_info.max):
+    if not _finite(scale):
         raise SystemExit(f"fault scale must be a finite number, got {scale!r}")
 
 
@@ -166,12 +184,9 @@ def _suite_conformal_distance(cfg: RunConfig, rng) -> dict:
     for phi in _random_maps(n, rng, 5):
         pts = sp.sphere_point(rng.standard_normal((200, n + 1)))
         a, b = pts[:100], pts[100:]
-        ja, jb = cf.jacobian(phi, a), cf.jacobian(phi, b)
+        (ma, ja), (mb, jb) = cf.map_with_jacobian(phi, a), cf.map_with_jacobian(phi, b)
         lhs = ja ** (1.0 / n) * np.sum((a - b) ** 2, axis=1) * jb ** (1.0 / n)
-        rhs = np.sum(
-            (np.atleast_2d(cf.apply_map(phi, a)) - np.atleast_2d(cf.apply_map(phi, b))) ** 2,
-            axis=1,
-        )
+        rhs = np.sum((np.atleast_2d(ma) - np.atleast_2d(mb)) ** 2, axis=1)
         worst = max(worst, float(np.abs(lhs / rhs - 1.0).max()))
     return {"name": "conformal_distance", "metric": worst, "tolerance": tol,
             "passed": worst <= tol}
@@ -437,6 +452,7 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
             key, _, val = part.partition("=")
             if key == "seed":
                 seed = _number(val, "random init seed", int)
+                _check_seed(seed)
             elif key == "amp":
                 amp = _number(val, "random init amp")
             else:
@@ -455,8 +471,11 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
 
 
 def cmd_minimize(cfg: RunConfig, init_spec: str, max_iter: int, step: float) -> int:
+    try:
+        flow_cfg = dy.FlowConfig(step_size=step, max_iter=max_iter, band_limit=cfg.band_limit)
+    except ValueError as exc:
+        raise SystemExit(f"minimize: {exc}") from None
     init = _parse_init(init_spec, cfg)
-    flow_cfg = dy.FlowConfig(step_size=step, max_iter=max_iter, band_limit=cfg.band_limit)
     result = dy.minimize_deficit(init, flow_cfg)
     fit = dy.fit_extremizer(result.coeffs)
     print(f"flow: {result.iterations} iterations, final deficit {result.final_deficit:.3e} "
@@ -505,6 +524,8 @@ def _parse_normal(text: str, n: int) -> np.ndarray:
 def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
                     values: str, csv_path: str | None, tol: float) -> int:
     n = cfg.n
+    if not (_finite(tol) and tol >= 0):
+        raise SystemExit(f"--scan-tol must be a nonnegative finite number, got {tol!r}")
     # the constant and the family member are evaluated in closed form
     kind, _, payload = u_spec.partition(":")
     if kind == "constant":
@@ -521,6 +542,10 @@ def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
     normal = _parse_normal(e, n) if e is not None else None
     if values != "auto":
         vals = _numbers(values, "--values").tolist()
+        if len(set(vals)) != len(vals):
+            raise SystemExit("--values: each scale value may appear once")
+        if point is not None and min(vals) <= 0:
+            raise SystemExit("--values: inversion radii must be positive")
         report = dy.moving_sphere_profile(u, vals, xi0=point, e=normal, rng=rng)
     elif point is not None:
         report = dy.critical_lambda(u, point, tol=tol, rng=rng)

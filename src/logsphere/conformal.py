@@ -192,20 +192,33 @@ def apply_map(phi: ConformalMap, xi) -> np.ndarray:
     return _unrows(sphere_point(out), single)
 
 
+def _lifted_jacobian(phi: LiftedInversion | LiftedReflection, y, jac_plane, denom):
+    """J_S(y) * J_plane(x) * J_{S^{-1}}(xi) from one `_planar_step`."""
+    return _jac_stereo(y, phi.n) * jac_plane * denom ** (-float(phi.n))
+
+
 def jacobian(phi: ConformalMap, xi) -> float | np.ndarray:
     """|det D phi| at point(s), by the chain rule on closed-form factors."""
     pts, single = _as_rows(xi)
-    n = phi.n
     if isinstance(phi, (LiftedInversion, LiftedReflection)):
-        # J_S(y) * J_plane(x) * J_{S^{-1}}(xi)
-        y, jac_plane, denom = _planar_step(phi, pts)
-        jac = _jac_stereo(y, n) * jac_plane * denom ** (-float(n))
+        jac = _lifted_jacobian(phi, *_planar_step(phi, pts))
     elif isinstance(phi, Moebius):
         z2 = float(np.dot(phi.zeta, phi.zeta))
-        jac = (math.sqrt(1.0 - z2) / (1.0 - pts @ phi.zeta)) ** n
+        jac = (math.sqrt(1.0 - z2) / (1.0 - pts @ phi.zeta)) ** phi.n
     else:
         raise TypeError(f"not a conformal map: {phi!r}")
     return _unrows(jac, single)
+
+
+def map_with_jacobian(phi: ConformalMap, xi):
+    """(apply_map(phi, xi), jacobian(phi, xi)), the same values; a lifted
+    inversion or reflection takes one planar step for both."""
+    if not isinstance(phi, (LiftedInversion, LiftedReflection)):
+        return apply_map(phi, xi), jacobian(phi, xi)
+    pts, single = _as_rows(xi)
+    step = _planar_step(phi, pts)
+    image = sphere_point(stereographic(step[0]))
+    return _unrows(image, single), _unrows(_lifted_jacobian(phi, *step), single)
 
 
 def inverse(phi: ConformalMap) -> ConformalMap:
@@ -222,7 +235,8 @@ def pullback(u, phi: ConformalMap):
     """L2-isometric pullback u_phi = J_phi^{1/2} (u o phi) as a callable."""
 
     def u_phi(pts):
-        return np.sqrt(jacobian(phi, pts)) * u(apply_map(phi, pts))
+        image, jac = map_with_jacobian(phi, pts)
+        return np.sqrt(jac) * u(image)
 
     return u_phi
 
@@ -432,8 +446,9 @@ def kernel_l(phi: ConformalMap, xi, eta) -> float | np.ndarray:
     d2 = np.sum((xis - etas) ** 2, axis=1)
     if np.any(d2 < POLE_TOL):
         raise ValueError("kernel is singular at coincident points")
-    jr = np.sqrt(jacobian(phi, etas))
-    d2m = np.sum((xis - np.atleast_2d(apply_map(phi, etas))) ** 2, axis=1)
+    image, jac = map_with_jacobian(phi, etas)
+    jr = np.sqrt(jac)
+    d2m = np.sum((xis - np.atleast_2d(image)) ** 2, axis=1)
     vals = d2 ** (-0.5 * n) - jr * d2m ** (-0.5 * n)
     return _unrows(vals, single_a and single_b)
 
@@ -456,7 +471,6 @@ def antisymmetry_defect(w, phi: ConformalMap, region: SigmaRegion,
     points = np.atleast_2d(points)
     if points.shape[0] == 0:
         raise ValueError("no evaluation points inside the region")
-    jr = np.sqrt(jacobian(phi, points))
-    mapped = apply_map(phi, points)
-    vals = np.atleast_1d(w(points)) + jr * np.atleast_1d(w(mapped))
+    mapped, jac = map_with_jacobian(phi, points)
+    vals = np.atleast_1d(w(points)) + np.sqrt(jac) * np.atleast_1d(w(mapped))
     return float(np.abs(vals).max())

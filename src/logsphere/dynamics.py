@@ -48,12 +48,14 @@ class FlowConfig:
     norm_value: float | None = None  # None: keep the initial L2 norm
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.max_iter <= 0 or self.stop_tol <= 0:
-            raise ValueError("flow parameters must be positive")
+        # the chained comparisons are false for NaN and infinities too
+        if not (0 < self.step_size < math.inf and self.max_iter > 0
+                and 0 < self.stop_tol < math.inf):
+            raise ValueError("flow parameters must be positive and finite")
         if self.band_limit < 1:
             raise ValueError("band limit must be >= 1")
-        if self.norm_value is not None and self.norm_value <= 0:
-            raise ValueError("norm constraint must be positive")
+        if self.norm_value is not None and not 0 < self.norm_value < math.inf:
+            raise ValueError("norm constraint must be positive and finite")
 
 
 @dataclass
@@ -373,6 +375,9 @@ class _CapProbe:
 
     A value whose map has a pole at a node is retried once on a fresh
     template from the probe's generator; other values keep the first one.
+    The bisection needs only min w, which skips the second map pass of the
+    antisymmetry defect, so a pole that only that pass would hit is not
+    retried there.
     """
 
     def __init__(self, u, kind: str, center, direction, samples: int,
@@ -397,29 +402,44 @@ class _CapProbe:
         cap_phi = rng.uniform(0.0, 2.0 * math.pi, half)
         return ball_dirs, ball_radii, cap_u, cap_phi
 
-    def _stats(self, phi: cf.ConformalMap, template) -> tuple[float, float, float]:
+    def _w(self, phi: cf.ConformalMap, template):
+        """w at the template's nodes, with J^{1/2}, the images and u there."""
         ball_dirs, ball_radii, cap_u, cap_phi = template
         pts = cf.cap_points(cf.region_of(phi), cap_u, cap_phi)
         if isinstance(phi, cf.LiftedInversion):
             x = phi.x0 + phi.lam * ball_radii[:, None] * ball_dirs
             pts = np.vstack([pts, np.atleast_2d(cf.stereographic(x))])
-        jr = np.sqrt(cf.jacobian(phi, pts))
-        mapped = np.atleast_2d(cf.apply_map(phi, pts))
+        mapped, jac = cf.map_with_jacobian(phi, pts)
+        jr, mapped = np.sqrt(jac), np.atleast_2d(mapped)
         u_mapped = np.atleast_1d(self.u(mapped))
         w = jr * u_mapped - np.atleast_1d(self.u(pts))
-        jr_m = np.sqrt(cf.jacobian(phi, mapped))
-        back = np.atleast_2d(cf.apply_map(phi, mapped))
-        w_m = jr_m * np.atleast_1d(self.u(back)) - u_mapped
+        return w, jr, mapped, u_mapped
+
+    def _stats(self, phi: cf.ConformalMap, template) -> tuple[float, float, float]:
+        w, jr, mapped, u_mapped = self._w(phi, template)
+        back, jac_m = cf.map_with_jacobian(phi, mapped)
+        w_m = np.sqrt(jac_m) * np.atleast_1d(self.u(np.atleast_2d(back))) - u_mapped
         defect = float(np.abs(w + jr * w_m).max())
         return float(w.min()), float(np.abs(w).max()), defect
 
-    def w_stats(self, value: float) -> tuple[float, float, float]:
-        """(min w, sup |w|, antisymmetry defect) at one scale value."""
+    def _min_w(self, phi: cf.ConformalMap, template) -> float:
+        return float(self._w(phi, template)[0].min())
+
+    def _at(self, stats, value: float):
+        """stats(phi, template) for the value's map, under the retry policy."""
         phi = _map_for(self.kind, self.center, self.direction, value)
         try:
-            return self._stats(phi, self.template)
+            return stats(phi, self.template)
         except cf.PoleError:
-            return self._stats(phi, self._draw_template())
+            return stats(phi, self._draw_template())
+
+    def w_stats(self, value: float) -> tuple[float, float, float]:
+        """(min w, sup |w|, antisymmetry defect) at one scale value."""
+        return self._at(self._stats, value)
+
+    def min_w(self, value: float) -> float:
+        """min w at one scale value, the first entry of `w_stats`."""
+        return self._at(self._min_w, value)
 
     def profile(self, values) -> MovingSphereReport:
         """Report of the stats at each value, in increasing order."""
@@ -481,7 +501,7 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, mean, tol: float,
         good, bad = float(scan[k - 1]), float(scan[k])
         for _ in range(bisect_iters):
             mid = mean(good, bad)
-            if probe.w_stats(mid)[0] < threshold:
+            if probe.min_w(mid) < threshold:
                 bad = mid
             else:
                 good = mid

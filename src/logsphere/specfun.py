@@ -106,34 +106,55 @@ def assoc_legendre_norm(L: int, t: np.ndarray) -> np.ndarray:
 
     Output shape is ((L+1)(L+2)/2, len(t)), row tri_index(l, m) holding
     Nbar_{l,m}(t) with the normalization int_{S^2} (Nbar_{l,m} trig_m)^2 = 1
-    once combined with the sqrt(2) cos/sin azimuth factors.  Upward
-    recurrence in l at fixed m; no Condon-Shortley phase.
+    once combined with the sqrt(2) cos/sin azimuth factors; no
+    Condon-Shortley phase.
+
+    Upward three-term recurrence in l at fixed m,
+
+        Nbar_{l,m} = a_{l,m} t Nbar_{l-1,m} - b_{l,m} Nbar_{l-2,m},
+
+    run along the diagonals k = l - m: after the seeds Nbar_{m,m} (k = 0)
+    and Nbar_{m+1,m} = sqrt(2m+3) t Nbar_{m,m} (k = 1), step k updates
+    every order m = 0..L-k at once and scatters the rows into place.  The
+    coefficients are exact integer ratios under one division and one square
+    root, so the table is the same, bit for bit, as one step per (l, m);
+    working memory is three (L+1) x len(t) blocks.
     """
     t = np.asarray(t, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))  # sin(theta)
     rows = (L + 1) * (L + 2) // 2
-    tab = np.zeros((rows, t.size))
+    tab = np.empty((rows, t.size))
+    # entry (k, m) of these (L+1) x (L+1) arrays belongs to degree l = k + m;
+    # only the entries with l <= L are used
+    order = np.arange(L + 1)
+    deg = order[:, None] + order
+    target = deg * (deg + 1) // 2 + order  # tri_index(l, m)
+    # recurrence coefficients for k >= 2, in exact integers up to the division
+    l, msq = deg[2:], order**2
+    a = np.sqrt((4 * l * l - 1) / (l * l - msq))
+    b = np.sqrt((2 * l + 1) * ((l - 1) ** 2 - msq) / ((2 * l - 3) * (l * l - msq)))
+    prev, cur, nxt = (np.empty((L + 1, t.size)) for _ in range(3))
     # Diagonal seeds Nbar_{m,m}.
     diag = 1.0 / math.sqrt(4.0 * math.pi)
     smp = np.ones_like(t)
     for m in range(L + 1):
-        tab[tri_index(m, m)] = diag * smp
+        prev[m] = diag * smp
         if m < L:
             smp = smp * s
             diag *= math.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0))
-    for m in range(L + 1):
-        if m + 1 <= L:
-            a = math.sqrt(2.0 * m + 3.0)
-            tab[tri_index(m + 1, m)] = a * t * tab[tri_index(m, m)]
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(
-                (2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
-                / ((2.0 * l - 3.0) * (l * l - m * m))
-            )
-            tab[tri_index(l, m)] = (
-                a * t * tab[tri_index(l - 1, m)] - b * tab[tri_index(l - 2, m)]
-            )
+    tab[target[0]] = prev
+    if L >= 1:
+        np.multiply(np.sqrt(2.0 * order[:L] + 3.0)[:, None] * t, prev[:L], out=cur[:L])
+        tab[target[1, :L]] = cur[:L]
+    for k in range(2, L + 1):
+        # nxt = (a t) cur - b prev, in place; prev (degree l - 2) is not needed again
+        n = L + 1 - k
+        np.multiply(a[k - 2, :n, None], t, out=nxt[:n])
+        nxt[:n] *= cur[:n]
+        prev[:n] *= b[k - 2, :n, None]
+        nxt[:n] -= prev[:n]
+        tab[target[k, :n]] = nxt[:n]
+        prev, cur, nxt = cur, nxt, prev
     return tab
 
 

@@ -228,13 +228,35 @@ def test_unknown_config_key_rejected(tmp_path):
     ["verify", "--config", "{tmp}/fault_suite_unknown.json"],
     ["verify", "--config", "{tmp}/fault_suite_missing.json"],
     ["verify", "--config", "{tmp}/fault_extra_key.json"],
+    ["verify", "--seed", "-1"],
+    ["verify", "--grid-degree", "-3"],
+    ["minimize", "--max-iter", "0"],
+    ["minimize", "--step", "nan"],
+    ["minimize", "--step", "inf"],
+    ["minimize", "--init", "random:seed=-1"],
+    ["movespheres", "--xi0", "north", "--values", "0.5,0.5"],
+    ["movespheres", "--xi0", "north", "--values", "0.5,nan"],
+    ["movespheres", "--xi0", "north", "--values=-0.5,1"],
+    ["movespheres", "--xi0=0,nan,1"],
+    ["movespheres", "--xi0", "north", "--u", "constant:inf"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "-1"],
+    ["verify", "--config", "{tmp}/tol_nan.json"],
+    ["verify", "--config", "{tmp}/tol_negative.json"],
+    ["verify", "--config", "{tmp}/tol_huge.json"],
+    ["movespheres", "--xi0", "north", "--scan-tol", "nan"],
+    ["movespheres", "--xi0", "north", "--scan-tol", "-1"],
 ], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
         "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
         "config-band-limit-type", "config-seed-type", "coeffs-nan", "coeffs-inf",
         "coeffs-duplicate", "coeffs-above-band", "coeffs-negative-degree",
         "u-constant", "u-extremizer-outside-ball", "fault-scale-str", "fault-scale-nan",
-        "fault-scale-huge", "fault-suite-unknown", "fault-suite-missing", "fault-extra-key"])
+        "fault-scale-huge", "fault-suite-unknown", "fault-suite-missing", "fault-extra-key",
+        "seed-negative", "grid-degree-negative", "max-iter-zero", "step-nan", "step-inf",
+        "random-seed-negative", "values-repeated", "values-nan", "values-negative-radius",
+        "xi0-nan", "u-constant-inf", "tol-nan", "tol-negative", "config-tol-nan",
+        "config-tol-negative", "config-tol-huge", "scan-tol-nan", "scan-tol-negative"])
 def test_bad_input_exits_with_one_line(argv, tmp_path):
     (tmp_path / "not_json.txt").write_text("not json")
     files = {
@@ -251,6 +273,9 @@ def test_bad_input_exits_with_one_line(argv, tmp_path):
         "fault_suite_unknown.json": {"fault": {"suite": "nosuch"}},
         "fault_suite_missing.json": {"fault": {"scale": 1.05}},
         "fault_extra_key.json": {"fault": {"suite": "energyharmonics", "bogus": 1}},
+        "tol_nan.json": {"tol": math.nan},
+        "tol_negative.json": {"tol": -1.0},
+        "tol_huge.json": {"tol": 10**400},
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))  # NaN and Infinity tokens

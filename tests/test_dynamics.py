@@ -26,7 +26,7 @@ from logsphere import (
     sphere_point,
     zeta_to_bubble,
 )
-from logsphere.dynamics import random_positive_init
+from logsphere.dynamics import _CapProbe, random_positive_init
 from logsphere.energy import default_entropy_grid
 from logsphere.harmonics import flat_index
 
@@ -46,6 +46,10 @@ def test_flow_config_validation():
         FlowConfig(max_iter=0)
     with pytest.raises(ValueError):
         FlowConfig(norm_value=0.0)
+    for bad in ({"step_size": math.nan}, {"step_size": math.inf},
+                {"stop_tol": math.nan}, {"norm_value": math.inf}):
+        with pytest.raises(ValueError):
+            FlowConfig(**bad)
 
 
 def test_flow_near_fixed_point(grids):
@@ -231,16 +235,20 @@ def test_report_serialization(rng):
 
 
 def force_pole_errors(monkeypatch, first_call, count=1):
-    """Make calls first_call .. first_call + count - 1 of cf.jacobian raise."""
-    real, calls = cf.jacobian, [0]
+    """Make calls first_call .. first_call + count - 1 of the planar step that
+    every lifted map and Jacobian takes raise; returns the list of the call
+    numbers that raised."""
+    real, calls, raised = cf._planar_step, [0], []
 
-    def jacobian(phi, pts):
+    def planar_step(phi, pts):
         calls[0] += 1
         if first_call <= calls[0] < first_call + count:
+            raised.append(calls[0])
             raise cf.PoleError("forced collision with a sample node")
         return real(phi, pts)
 
-    monkeypatch.setattr(cf, "jacobian", jacobian)
+    monkeypatch.setattr(cf, "_planar_step", planar_step)
+    return raised
 
 
 def assert_same_stats_except(rep, ref, index):
@@ -255,27 +263,51 @@ FAMILY = extremizer(ExtremizerParams(np.array([0.2, -0.1, 0.25])))
 
 
 def test_profile_retries_a_pole_collision_on_that_value_only(monkeypatch):
-    # each scale value calls jacobian twice; call 3 is the first of value 1
+    # each scale value takes two planar steps (its nodes, then their images);
+    # call 3 is the first of value 1
     values = [0.4, 0.9, 1.3, 1.7]
     ref = moving_sphere_profile(FAMILY, values, xi0=north_pole(2),
                                 rng=np.random.default_rng(2))
-    force_pole_errors(monkeypatch, 3)
+    raised = force_pole_errors(monkeypatch, 3)
     rep = moving_sphere_profile(FAMILY, values, xi0=north_pole(2),
                                 rng=np.random.default_rng(2))
+    assert raised == [3]
     assert_same_stats_except(rep, ref, 1)
 
 
 def test_critical_search_retries_a_pole_collision(monkeypatch):
     ref = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
-    force_pole_errors(monkeypatch, 11)  # scan value 5, far below the critical radius
+    raised = force_pole_errors(monkeypatch, 11)  # scan value 5, far below the critical radius
     rep = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
+    assert raised == [11]
     assert_same_stats_except(rep, ref, 5)
     assert rep.critical == ref.critical
     assert rep.sup_w_at_critical == ref.sup_w_at_critical
 
 
+def test_bisection_retries_a_pole_collision(monkeypatch):
+    # 32 scan values take 64 planar steps; each bisection step takes one
+    ref = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
+    raised = force_pole_errors(monkeypatch, 65)
+    rep = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
+    assert raised == [65]
+    for col in ("values", "min_w", "sup_abs_w", "defect"):  # the scan is untouched
+        np.testing.assert_array_equal(getattr(rep, col), getattr(ref, col))
+    assert rep.critical == pytest.approx(ref.critical, rel=1e-6)
+
+
 def test_second_pole_collision_at_one_value_raises(monkeypatch):
-    force_pole_errors(monkeypatch, 3, count=2)
+    raised = force_pole_errors(monkeypatch, 3, count=2)
     with pytest.raises(cf.PoleError):
         moving_sphere_profile(FAMILY, [0.4, 0.9], xi0=north_pole(2),
                               rng=np.random.default_rng(2))
+    assert raised == [3, 4]
+
+
+@pytest.mark.parametrize("kind", ["inversion", "reflection"])
+def test_min_w_is_the_first_of_w_stats(kind):
+    center = sphere_point([0.6, 0.3, 0.9]) if kind == "inversion" else None
+    direction = np.array([0.6, 0.8]) if kind == "reflection" else None
+    probe = _CapProbe(FAMILY, kind, center, direction, 512, np.random.default_rng(3))
+    for value in (0.3, 0.7, 1.1, 1.9):
+        assert probe.min_w(value) == probe.w_stats(value)[0]

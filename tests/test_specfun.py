@@ -5,9 +5,18 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from logsphere import sphere_point, zonal_basis
-from logsphere.specfun import EULER_GAMMA, digamma, fourier_basis, ln_gamma
+from logsphere.specfun import (
+    EULER_GAMMA,
+    assoc_legendre_norm,
+    digamma,
+    fourier_basis,
+    ln_gamma,
+    tri_index,
+)
 
 mp.mp.dps = 40
 
@@ -102,3 +111,53 @@ def test_fourier_basis_shape_and_normalization():
     w = 2.0 * math.pi / 200
     gram = B.T @ B * w
     np.testing.assert_allclose(gram, np.eye(7), atol=1e-12)
+
+
+def loop_assoc_legendre_norm(L, t):
+    """Reference table: one scalar recurrence step per (l, m), upward in l."""
+    t = np.asarray(t, dtype=float)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    tab = np.zeros(((L + 1) * (L + 2) // 2, t.size))
+    diag = 1.0 / math.sqrt(4.0 * math.pi)
+    smp = np.ones_like(t)
+    for m in range(L + 1):
+        tab[tri_index(m, m)] = diag * smp
+        if m < L:
+            smp = smp * s
+            diag *= math.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0))
+    for m in range(L + 1):
+        if m + 1 <= L:
+            a = math.sqrt(2.0 * m + 3.0)
+            tab[tri_index(m + 1, m)] = a * t * tab[tri_index(m, m)]
+        for l in range(m + 2, L + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(
+                (2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
+                / ((2.0 * l - 3.0) * (l * l - m * m))
+            )
+            tab[tri_index(l, m)] = (
+                a * t * tab[tri_index(l - 1, m)] - b * tab[tri_index(l - 2, m)]
+            )
+    return tab
+
+
+EDGE_T = [1.0, -1.0, 0.0, -0.0]
+
+
+@given(L=st.integers(0, 40),
+       t=st.lists(st.one_of(st.sampled_from(EDGE_T), st.floats(-1.0, 1.0)), max_size=24))
+@example(L=0, t=EDGE_T)
+@example(L=1, t=EDGE_T)
+@example(L=40, t=EDGE_T)
+def test_assoc_legendre_norm_matches_the_per_pair_loop(L, t):
+    got = assoc_legendre_norm(L, np.array(t))
+    want = loop_assoc_legendre_norm(L, np.array(t))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def test_assoc_legendre_norm_matches_the_loop_on_the_degree_256_grid():
+    # the polar nodes of the entropy grid at band limit 128
+    t, _ = np.polynomial.legendre.leggauss(257)
+    assert np.array_equal(assoc_legendre_norm(128, t), loop_assoc_legendre_norm(128, t))
