@@ -1,12 +1,13 @@
 """Command-line driver: identity-verification suites, multiplier spectra,
 deficit flows, and moving-spheres diagnostics with machine-readable output.
 
-Reports are JSON (schema field = 2) and per-row tables are CSV; rerunning
+Reports are JSON (schema field = 3) and per-row tables are CSV; rerunning
 with the same config and seed reproduces the report byte for byte, so no
 wall-clock fields go into the files.  Flags take precedence over a JSON
 config file, which takes precedence over defaults; no environment variable
 is read.  Bad input (a malformed number or spec, a missing file) exits with
-a one-line message.
+a one-line message, and so does a band limit whose transform tables would
+exceed a fixed memory budget.
 """
 
 from __future__ import annotations
@@ -27,7 +28,11 @@ from . import energy as en
 from . import harmonics as hm
 from . import sphere as sp
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+# A band limit whose largest transform table (`_table_bytes`) exceeds this is
+# refused before anything is allocated.
+TABLE_BUDGET_BYTES = 2 * 1024**3
 
 
 @dataclass
@@ -106,6 +111,30 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise SystemExit(f"tol must be a positive finite number, got {cfg.tol!r}")
     _check_seed(cfg.seed)
     return cfg
+
+
+def _table_bytes(n: int, L: int, grid_degree: int) -> int:
+    """Bytes of a transform table at band limit L on a grid of the given
+    degree: one float per harmonic per polar ring (n = 2) or node (n = 1)."""
+    nodes = grid_degree + 1 if n == 2 else 2 * (grid_degree + 1)
+    return 8 * hm.harmonic_count(n, L) * nodes
+
+
+def _check_table_budget(cfg: RunConfig, command: str):
+    """Refuse a band limit whose largest table exceeds TABLE_BUDGET_BYTES.
+
+    verify works at band limit max(32, 2L) on a grid of that degree; the
+    flow and the probe work at L on the degree-2L entropy grid.
+    """
+    L = cfg.band_limit
+    if command == "verify":
+        need = _table_bytes(cfg.n, max(32, 2 * L), max(32, 2 * L))
+    else:
+        need = _table_bytes(cfg.n, L, max(2 * L, 4))
+    if need > TABLE_BUDGET_BYTES:
+        raise SystemExit(f"band limit {L} needs about {need / 1024**3:.3g} GiB of "
+                         f"tables for {command}, above the "
+                         f"{TABLE_BUDGET_BYTES / 1024**3:g} GiB budget")
 
 
 def _check_seed(seed: int):
@@ -289,9 +318,11 @@ def _suite_gibbs(cfg: RunConfig, rng) -> dict:
         worst_gap = min(worst_gap, en.gibbs_gap(f, sp.GridFunction(grid, gv)))
         eq = en.gibbs_gap(f, sp.GridFunction(grid, np.log(fv) + float(rng.normal())))
         worst_eq = max(worst_eq, abs(eq))
-    passed = worst_gap >= -1e-10 * cfg.tol and worst_eq <= 1e-9 * cfg.tol
-    return {"name": "gibbs", "metric": worst_gap, "tolerance": -1e-10,
-            "passed": passed, "details": {"max_equality_gap": worst_eq}}
+    tol, eq_tol = -1e-10 * cfg.tol, 1e-9 * cfg.tol
+    passed = worst_gap >= tol and worst_eq <= eq_tol
+    return {"name": "gibbs", "metric": worst_gap, "tolerance": tol,
+            "passed": passed,
+            "details": {"max_equality_gap": worst_eq, "equality_tolerance": eq_tol}}
 
 
 def _family_coeffs(n: int, L: int, zeta: np.ndarray, c: float = 1.0) -> hm.HarmonicCoeffs:
@@ -375,6 +406,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 # spectrum subcommand
 
 def cmd_spectrum(cfg: RunConfig, lmax: int) -> int:
+    if lmax < 0:
+        raise SystemExit(f"--lmax must be >= 0, got {lmax}")
     n = cfg.n
     s_values = [0.25 * n / 2, 0.5 * n / 2, 0.75 * n / 2]
     header = ["l", "h"] + [f"p2s@s={s:g}" for s in s_values]
@@ -614,6 +647,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     cfg = _load_config(args)
+    if args.command in ("verify", "minimize", "movespheres"):
+        _check_table_budget(cfg, args.command)
     if args.command == "verify":
         return cmd_verify(cfg)
     if args.command == "spectrum":

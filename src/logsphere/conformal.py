@@ -14,6 +14,12 @@ T_mu with mu = zeta/(1+sqrt(1-|zeta|^2)); its Jacobian on the sphere is
 (sqrt(1-|zeta|^2)/(1-zeta.xi))^n and T_mu^{-1} = T_{-mu}.  T_0 is the
 identity, so the Moebius family is not involutive (unlike the lifted
 inversions and reflections, which square to the identity).
+
+A lifted inversion or reflection takes one pole-checked planar step
+(`_planar_step`) on coordinate columns: lift to the plane, apply the planar
+map.  The image on the sphere and the chain-rule Jacobian both come from
+that step and from one |y|^2, so `apply_map`, `jacobian` and
+`map_with_jacobian` return the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -46,32 +52,45 @@ def _unrows(vals, single):
     return vals
 
 
-def _row_sq(a: np.ndarray) -> np.ndarray:
-    """Squared norm of each row (a faster np.sum(a * a, axis=1))."""
-    return np.einsum("ij,ij->i", a, a)
+def _col_sq(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each column of a (coordinates along axis 0)."""
+    out = a[0] * a[0]
+    for row in a[1:]:
+        out += row * row
+    return out
+
+
+def _stereographic_columns(y: np.ndarray):
+    """Inverse stereographic projection of coordinate columns y (shape
+    (n, k)): the image columns (shape (n+1, k)) and 1 + |y|^2."""
+    s2 = _col_sq(y)
+    s2p1 = 1.0 + s2
+    image = np.empty((y.shape[0] + 1, s2.size))
+    np.divide(2.0 * y, s2p1, out=image[:-1])
+    np.divide(1.0 - s2, s2p1, out=image[-1])
+    return image, s2p1
 
 
 def stereographic(x) -> np.ndarray:
     """Inverse stereographic projection R^n -> S^n minus the south pole."""
     xp, single = _as_rows(x)
-    s2 = _row_sq(xp)[:, None]
-    xi = np.hstack([2.0 * xp / (1.0 + s2), (1.0 - s2) / (1.0 + s2)])
-    return _unrows(xi, single)
+    return _unrows(_stereographic_columns(xp.T)[0].T, single)
 
 
 def _planar_lift(pts: np.ndarray, what: str):
-    """Stereographic preimages x = xi'/(1 + xi_{n+1}) of unit rows, and the
-    denominators 1 + xi_{n+1}.
+    """Stereographic preimages x = xi'/(1 + xi_{n+1}) of unit rows, as
+    coordinate columns (shape (n, k)), and the denominators 1 + xi_{n+1}.
 
     Below the equator the denominator is formed as |xi'|^2/(1 - xi_{n+1}),
     which equals it on the sphere and does not cancel near the south pole.
     """
-    last, head = pts[:, -1], pts[:, :-1]
+    cols = np.ascontiguousarray(pts.T)
+    last, head = cols[-1], cols[:-1]
     far = 1.0 + np.abs(last)  # 1 + xi_{n+1} above the equator, 1 - xi_{n+1} below
-    denom = np.where(last < 0.0, _row_sq(head) / far, far)
+    denom = np.where(last < 0.0, _col_sq(head) / far, far)
     if np.any(denom < POLE_TOL):
         raise PoleError(f"{what} is singular at (or too close to) the south pole")
-    return head / denom[:, None], denom
+    return head / denom, denom
 
 
 def _unit(v) -> np.ndarray:
@@ -88,11 +107,7 @@ def inverse_stereographic(xi) -> np.ndarray:
     """Stereographic projection S^n minus south pole -> R^n."""
     pts, single = _as_rows(xi)
     x, _ = _planar_lift(pts, "stereographic projection")
-    return _unrows(x, single)
-
-
-def _jac_stereo(xp, n):
-    return (2.0 / (1.0 + _row_sq(xp))) ** n
+    return _unrows(x.T, single)
 
 
 @dataclass(frozen=True)
@@ -102,6 +117,7 @@ class LiftedInversion:
 
     lam: float
     xi0: np.ndarray
+    x0: np.ndarray = field(init=False, repr=False)  # planar preimage of xi0
 
     def __post_init__(self):
         object.__setattr__(self, "xi0", _unit(self.xi0))
@@ -109,14 +125,11 @@ class LiftedInversion:
             raise ValueError(f"inversion radius must be positive, got {self.lam}")
         if 1.0 + self.xi0[-1] < 1e-12:
             raise ValueError("xi0 must differ from the south pole")
+        object.__setattr__(self, "x0", inverse_stereographic(self.xi0))
 
     @property
     def n(self) -> int:
         return self.xi0.size - 1
-
-    @property
-    def x0(self) -> np.ndarray:
-        return inverse_stereographic(self.xi0)
 
 
 @dataclass(frozen=True)
@@ -161,64 +174,63 @@ ConformalMap = LiftedInversion | LiftedReflection | Moebius
 
 
 def _planar_step(phi: LiftedInversion | LiftedReflection, pts):
-    """Planar image y of the stereographic preimages of `pts` under a lifted
-    inversion or reflection, the planar Jacobian there, and 1 + xi_{n+1}."""
+    """Planar image y (coordinate columns, shape (n, k)) of the stereographic
+    preimages of the rows of `pts` under a lifted inversion or reflection,
+    the planar Jacobian there, and the denominators 1 + xi_{n+1}."""
     if isinstance(phi, LiftedInversion):
-        x, denom = _planar_lift(pts, "lifted inversion")
-        x0 = phi.x0
-        d2 = _row_sq(x - x0)
+        d, denom = _planar_lift(pts, "lifted inversion")
+        x0 = phi.x0[:, None]
+        d -= x0
+        d2 = _col_sq(d)
         if np.any(d2 < POLE_TOL * POLE_TOL):
             raise PoleError("lifted inversion is singular at xi0")
-        y = phi.lam**2 * (x - x0) / d2[:, None] + x0
-        return y, (phi.lam**2 / d2) ** phi.n, denom
+        # y = lam^2 (x - x0) / |x - x0|^2 + x0, in place
+        d *= phi.lam**2
+        d /= d2
+        d += x0
+        return d, (phi.lam**2 / d2) ** phi.n, denom
     x, denom = _planar_lift(pts, "lifted reflection")
-    y = x + 2.0 * (phi.alpha - x @ phi.e)[:, None] * phi.e
-    return y, 1.0, denom
+    return x + 2.0 * (phi.alpha - phi.e @ x) * phi.e[:, None], 1.0, denom
 
 
-def apply_map(phi: ConformalMap, xi) -> np.ndarray:
-    """Image of point(s) under the map; result re-normalized onto the sphere."""
+def _lifted(phi: LiftedInversion | LiftedReflection, pts):
+    """Image rows and Jacobian of a lifted inversion or reflection, from one
+    `_planar_step`: the image is the inverse stereographic projection of y,
+    renormalized onto the sphere, and the Jacobian is the chain-rule product
+    J_S(y) * J_plane(x) * J_{S^{-1}}(xi) = (2 / ((1 + |y|^2) denom))^n J_plane;
+    both use the one |y|^2."""
+    y, jac_plane, denom = _planar_step(phi, pts)
+    image, s2p1 = _stereographic_columns(y)
+    image /= np.sqrt(_col_sq(image))
+    return image.T, (2.0 / (s2p1 * denom)) ** phi.n * jac_plane
+
+
+def map_with_jacobian(phi: ConformalMap, xi):
+    """(apply_map(phi, xi), jacobian(phi, xi)), the same values bit for bit;
+    a lifted inversion or reflection takes one planar step for both."""
     pts, single = _as_rows(xi)
     if isinstance(phi, (LiftedInversion, LiftedReflection)):
-        out = stereographic(_planar_step(phi, pts)[0])
+        image, jac = _lifted(phi, pts)
     elif isinstance(phi, Moebius):
         mu = phi.mu
         xm = pts - mu
         d2 = np.sum(xm * xm, axis=1, keepdims=True)
-        mu2 = float(np.dot(mu, mu))
-        out = ((1.0 - mu2) * xm - d2 * mu) / d2
-    else:
-        raise TypeError(f"not a conformal map: {phi!r}")
-    return _unrows(sphere_point(out), single)
-
-
-def _lifted_jacobian(phi: LiftedInversion | LiftedReflection, y, jac_plane, denom):
-    """J_S(y) * J_plane(x) * J_{S^{-1}}(xi) from one `_planar_step`."""
-    return _jac_stereo(y, phi.n) * jac_plane * denom ** (-float(phi.n))
-
-
-def jacobian(phi: ConformalMap, xi) -> float | np.ndarray:
-    """|det D phi| at point(s), by the chain rule on closed-form factors."""
-    pts, single = _as_rows(xi)
-    if isinstance(phi, (LiftedInversion, LiftedReflection)):
-        jac = _lifted_jacobian(phi, *_planar_step(phi, pts))
-    elif isinstance(phi, Moebius):
+        image = sphere_point(((1.0 - float(np.dot(mu, mu))) * xm - d2 * mu) / d2)
         z2 = float(np.dot(phi.zeta, phi.zeta))
         jac = (math.sqrt(1.0 - z2) / (1.0 - pts @ phi.zeta)) ** phi.n
     else:
         raise TypeError(f"not a conformal map: {phi!r}")
-    return _unrows(jac, single)
+    return _unrows(image, single), _unrows(jac, single)
 
 
-def map_with_jacobian(phi: ConformalMap, xi):
-    """(apply_map(phi, xi), jacobian(phi, xi)), the same values; a lifted
-    inversion or reflection takes one planar step for both."""
-    if not isinstance(phi, (LiftedInversion, LiftedReflection)):
-        return apply_map(phi, xi), jacobian(phi, xi)
-    pts, single = _as_rows(xi)
-    step = _planar_step(phi, pts)
-    image = sphere_point(stereographic(step[0]))
-    return _unrows(image, single), _unrows(_lifted_jacobian(phi, *step), single)
+def apply_map(phi: ConformalMap, xi) -> np.ndarray:
+    """Image of point(s) under the map; result re-normalized onto the sphere."""
+    return map_with_jacobian(phi, xi)[0]
+
+
+def jacobian(phi: ConformalMap, xi) -> float | np.ndarray:
+    """|det D phi| at point(s), by the chain rule on closed-form factors."""
+    return map_with_jacobian(phi, xi)[1]
 
 
 def inverse(phi: ConformalMap) -> ConformalMap:
@@ -370,9 +382,9 @@ def in_sigma(region: SigmaRegion, xi) -> bool | np.ndarray:
     # strict inequality with a few-ulp inward slack, so points constructed on
     # the boundary through the stereographic roundtrip classify as outside
     if region.kind == "inversion":
-        res = np.linalg.norm(x - region.x0, axis=1) < region.lam * (1.0 - 1e-13)
+        res = np.sqrt(_col_sq(x - region.x0[:, None])) < region.lam * (1.0 - 1e-13)
     else:
-        res = x @ region.e > region.alpha + 1e-13 * (1.0 + abs(region.alpha))
+        res = region.e @ x > region.alpha + 1e-13 * (1.0 + abs(region.alpha))
     return _unrows(res, single)
 
 

@@ -411,8 +411,10 @@ class _CapProbe:
             pts = np.vstack([pts, np.atleast_2d(cf.stereographic(x))])
         mapped, jac = cf.map_with_jacobian(phi, pts)
         jr, mapped = np.sqrt(jac), np.atleast_2d(mapped)
-        u_mapped = np.atleast_1d(self.u(mapped))
-        w = jr * u_mapped - np.atleast_1d(self.u(pts))
+        # one evaluation of u for the images and the nodes together
+        both = np.atleast_1d(self.u(np.vstack([mapped, pts])))
+        u_mapped = both[:len(mapped)]
+        w = jr * u_mapped - both[len(mapped):]
         return w, jr, mapped, u_mapped
 
     def _stats(self, phi: cf.ConformalMap, template) -> tuple[float, float, float]:

@@ -5,9 +5,11 @@ energy space.  On product grids the forward/backward transforms factor into
 an azimuth contraction followed by per-order polar contractions, so no large
 design matrix is ever materialized.  Off-grid synthesis re-expands each
 order's polar functions once per band limit in Chebyshev polynomials of
-cos(theta), exactly, so evaluating at a chunk of points is one recurrence
-for the Chebyshev values, one matrix product per parity of the order and an
-azimuth sum; no Legendre table of the points is built.
+cos(theta), exactly, so evaluating at a chunk of points takes whole-array
+steps: the powers of e^{i theta} (real parts T_j(cos theta), imaginary parts
+sin((j+1) theta)) feed one matrix product per parity of the order, and the
+azimuth sum is one contraction with the powers of e^{i phi}.  No Legendre
+table of the points is built and no Python loop runs per order.
 
 Multipliers: the fractional integral family acts on degree-l harmonics as
 Gamma(l+n/2-s)/Gamma(l+n/2+s), its inverse as the reciprocal, and the
@@ -273,13 +275,30 @@ def _evaluation_plan(L: int) -> tuple[np.ndarray, np.ndarray]:
     return cheb, gather
 
 
+def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[j] = base**j for the rows of a complex (count, k) array: one
+    multiply per row, in doubling blocks (rows k + i are rows i times
+    base**k), so a table takes O(log count) calls."""
+    out[0] = 1.0
+    k = 1
+    while k < out.shape[0]:
+        np.multiply(out[k - 1], base, out=out[k])
+        n = min(k, out.shape[0] - k)
+        np.multiply(out[1:n], out[k], out=out[k + 1:k + n])
+        k += n
+    return out
+
+
 def evaluate_at(c: HarmonicCoeffs, points: np.ndarray, chunk: int = 4096) -> np.ndarray:
     """Evaluate the expansion at arbitrary points (needed by pullbacks).
 
     On S^2 a call contracts the coefficients with the cached per-L Chebyshev
-    plan (`_evaluation_plan`, O(L^3) and independent of the point count),
-    then per chunk of points builds the Chebyshev tables by recurrence and
-    takes one matrix product per parity of m; memory is O(L * chunk).
+    plan (`_evaluation_plan`, O(L^3) and independent of the point count).
+    Per chunk of points it takes the powers of e^{i theta} = t + i sin(theta):
+    their real parts T_j(t) = cos(j theta) and imaginary parts
+    sin((j+1) theta) = sin(theta) U_j(t) feed one matrix product per parity
+    of m.  The azimuth sum is one contraction of the products with the powers
+    of e^{i phi}.  One workspace of O(L * chunk) floats holds all of it.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
@@ -295,33 +314,37 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray, chunk: int = 4096) -> np.
     C = np.append(c.coeffs, 0.0)[gather] @ cheb
     even, odd = C[0::2].reshape(-1, M), C[1::2].reshape(-1, M)
     out = np.empty(pts.shape[0])
+    # One workspace for every chunk, two halves of M + 1 complex rows each:
+    # `second` holds the powers of e^{i theta} and then the products, `first`
+    # the real table and then the powers of e^{i phi}.  At most two tables of
+    # the chunk are alive at once, and no megabyte-size temporary is freed
+    # and faulted in again on every call.
+    work = np.empty((2, (M + 1) * min(chunk, pts.shape[0])), dtype=complex)
     for start in range(0, pts.shape[0], chunk):
         sl = slice(start, min(start + chunk, pts.shape[0]))
         x, y = pts[sl, 0], pts[sl, 1]
         t = np.clip(pts[sl, 2], -1.0, 1.0)
         npts = t.size
-        TU = np.empty((2, M, npts))  # T_j(t) and U_j(t)
-        TU[:, 0] = 1.0
-        if M > 1:
-            TU[0, 1] = t
-            TU[1, 1] = 2.0 * t
-        for j in range(2, M):
-            np.multiply(2.0 * t, TU[:, j - 1], out=TU[:, j])
-            TU[:, j] -= TU[:, j - 2]
-        V = [(even @ TU[0]).reshape(-1, 2, npts), (odd @ TU[1]).reshape(-1, 2, npts)]
-        V[1] *= np.sqrt(np.maximum(0.0, 1.0 - t * t))  # sin(theta)
+        first = work[0, :(M + 1) * npts].reshape(M + 1, npts)
+        second = work[1, :(M + 1) * npts].reshape(M + 1, npts)
+        # the powers of e^{i theta}, copied to real rows table[j] = (cos, sin)(j theta)
+        polar = _powers(t + 1j * np.sqrt(np.maximum(0.0, 1.0 - t * t)), second)
+        table = first.view(float).reshape(M + 1, 2, npts)
+        table[...] = polar.view(float).reshape(M + 1, npts, 2).transpose(0, 2, 1)
+        # rows (m, cos) and (m, sin), by parity of m, over the points
+        V = second.view(float).reshape(-1, npts)
+        V_even, V_odd = V[:even.shape[0]], V[even.shape[0]:2 * M]
+        np.matmul(even, table[:M, 0], out=V_even)
+        np.matmul(odd, table[1:, 1], out=V_odd)
         # e^{i phi} = (x + i y) / rho, taken as 1 on the z-axis
         rho = np.hypot(x, y)
         axis = rho == 0.0
         rho[axis] = 1.0
-        z = np.where(axis, 1.0, x / rho) + 1j * (y / rho)
-        acc = V[0][0, 0].copy()
-        zm = np.ones(npts, dtype=complex)
-        for m in range(1, M):
-            zm *= z
-            cos_row, sin_row = V[m % 2][m // 2]
-            acc += cos_row * zm.real + sin_row * zm.imag
-        out[sl] = acc
+        azimuth = _powers(np.where(axis, 1.0, x / rho) + 1j * (y / rho), first[:M])
+        out[sl] = (np.einsum("mn,mn->n", V_even[0::2], azimuth[0::2].real)
+                   + np.einsum("mn,mn->n", V_even[1::2], azimuth[0::2].imag)
+                   + np.einsum("mn,mn->n", V_odd[0::2], azimuth[1::2].real)
+                   + np.einsum("mn,mn->n", V_odd[1::2], azimuth[1::2].imag))
     return float(out[0]) if single else out
 
 

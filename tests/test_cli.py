@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from logsphere.cli import RunConfig, _parse_vector_spec, _suite_conformal_distance, main
+from logsphere.cli import (
+    RunConfig,
+    _parse_vector_spec,
+    _suite_conformal_distance,
+    _suite_gibbs,
+    main,
+)
 
 
 def read_json(path):
@@ -25,7 +31,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -246,6 +252,8 @@ def test_unknown_config_key_rejected(tmp_path):
     ["verify", "--config", "{tmp}/tol_huge.json"],
     ["movespheres", "--xi0", "north", "--scan-tol", "nan"],
     ["movespheres", "--xi0", "north", "--scan-tol", "-1"],
+    ["minimize", "--band-limit", "100000", "--max-iter", "1"],
+    ["spectrum", "--lmax=-3"],
 ], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
         "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
@@ -256,7 +264,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "seed-negative", "grid-degree-negative", "max-iter-zero", "step-nan", "step-inf",
         "random-seed-negative", "values-repeated", "values-nan", "values-negative-radius",
         "xi0-nan", "u-constant-inf", "tol-nan", "tol-negative", "config-tol-nan",
-        "config-tol-negative", "config-tol-huge", "scan-tol-nan", "scan-tol-negative"])
+        "config-tol-negative", "config-tol-huge", "scan-tol-nan", "scan-tol-negative",
+        "band-limit-huge", "spectrum-lmax-negative"])
 def test_bad_input_exits_with_one_line(argv, tmp_path):
     (tmp_path / "not_json.txt").write_text("not json")
     files = {
@@ -303,3 +312,11 @@ def test_workers_config_key_is_unknown(tmp_path):
     cfg.write_text(json.dumps({"workers": 2}))
     with pytest.raises(SystemExit, match="unknown config keys"):
         main(["verify", "--config", str(cfg)])
+
+
+def test_gibbs_report_carries_the_bounds_it_applies():
+    res = _suite_gibbs(RunConfig(tol=2.0), np.random.default_rng(0))
+    assert res["tolerance"] == -2e-10
+    assert res["details"]["equality_tolerance"] == 2e-9
+    assert res["passed"] == (res["metric"] >= res["tolerance"]
+                             and res["details"]["max_equality_gap"] <= 2e-9)

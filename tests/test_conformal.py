@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logsphere import (
     ExtremizerParams,
@@ -23,6 +25,7 @@ from logsphere import (
     jacobian,
     kernel_l,
     map_from_json,
+    map_with_jacobian,
     map_to_json,
     pullback,
     pullback_to_plane,
@@ -354,3 +357,92 @@ def test_map_constructor_validation():
         LiftedReflection(0.0, np.zeros(2))
     with pytest.raises(ValueError):
         Moebius(np.array([1.0, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the row-wise lifted map the column-wise planar step replaced
+
+def _row_sq(a):
+    return np.einsum("ij,ij->i", a, a)
+
+
+def _rowwise_lift(pts):
+    last, head = pts[:, -1], pts[:, :-1]
+    far = 1.0 + np.abs(last)
+    denom = np.where(last < 0.0, _row_sq(head) / far, far)
+    return head / denom[:, None], denom
+
+
+def rowwise_map_with_jacobian(phi, pts):
+    """Planar step on rows, then the inverse stereographic projection and
+    sphere_point(), and the chain-rule Jacobian
+    (2/(1+|y|^2))^n * J_plane * (1 + xi_{n+1})^(-n)."""
+    n = phi.n
+    x, denom = _rowwise_lift(pts)
+    if isinstance(phi, LiftedInversion):
+        x0 = _rowwise_lift(phi.xi0[None, :])[0][0]
+        d2 = _row_sq(x - x0)
+        y = phi.lam**2 * (x - x0) / d2[:, None] + x0
+        jac_plane = (phi.lam**2 / d2) ** n
+    else:
+        y = x + 2.0 * (phi.alpha - x @ phi.e)[:, None] * phi.e
+        jac_plane = 1.0
+    s2 = _row_sq(y)[:, None]
+    image = sphere_point(np.hstack([2.0 * y / (1.0 + s2), (1.0 - s2) / (1.0 + s2)]))
+    jac = (2.0 / (1.0 + s2[:, 0])) ** n * jac_plane * denom ** (-float(n))
+    return image, jac
+
+
+def _unit_vectors(dim):
+    return (st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+            .filter(lambda v: np.linalg.norm(v) > 0.1).map(sphere_point))
+
+
+@st.composite
+def lifted_maps(draw, n):
+    if draw(st.booleans()):
+        xi0 = draw(_unit_vectors(n + 1))
+        if 1.0 + xi0[-1] < 0.2:
+            xi0 = -xi0
+        return LiftedInversion(draw(st.floats(0.05, 5.0)), xi0)
+    return LiftedReflection(draw(st.floats(-2.0, 2.0)), draw(_unit_vectors(n)))
+
+
+def _near(center, seed, count, distance):
+    """Unit points at about `distance` (between 1 and 2 times it) from a unit
+    vector."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((count, center.size))
+    v -= np.outer(v @ center, center)
+    v *= distance * rng.uniform(1.0, 2.0, (count, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+    return sphere_point(center + v)
+
+
+@given(n=st.sampled_from([1, 2]), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-6.0, -1.0))
+def test_lifted_maps_match_the_rowwise_oracle(n, data, seed, log_scale):
+    phi = data.draw(lifted_maps(n))
+    south = np.zeros(n + 1)
+    south[-1] = -1.0
+    groups = [sphere_point(np.random.default_rng(seed).standard_normal((32, n + 1))),
+              _near(south, seed, 16, 10.0**log_scale)]
+    if isinstance(phi, LiftedInversion):
+        groups.append(_near(phi.xi0, seed, 16, 10.0 ** (2.0 * log_scale)))
+    pts = np.vstack(groups)
+    want_image, want_jac = rowwise_map_with_jacobian(phi, pts)
+    image, jac = map_with_jacobian(phi, pts)
+    eps = np.finfo(float).eps
+    assert np.abs(image - want_image).max() <= 2.0 * eps
+    assert np.abs(jac / want_jac - 1.0).max() <= 8.0 * eps
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_map_entry_points_agree_bit_for_bit(rng, n):
+    pts = random_points(rng, n, 64)
+    for phi in example_maps(n):
+        image, jac = map_with_jacobian(phi, pts)
+        np.testing.assert_array_equal(apply_map(phi, pts), image)
+        np.testing.assert_array_equal(jacobian(phi, pts), jac)
+        single_image, single_jac = map_with_jacobian(phi, pts[5])
+        np.testing.assert_array_equal(apply_map(phi, pts[5]), single_image)
+        assert jacobian(phi, pts[5]) == single_jac == jac[5]

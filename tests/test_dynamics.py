@@ -26,6 +26,7 @@ from logsphere import (
     sphere_point,
     zeta_to_bubble,
 )
+from logsphere import harmonics as hm
 from logsphere.dynamics import _CapProbe, random_positive_init
 from logsphere.energy import default_entropy_grid
 from logsphere.harmonics import flat_index
@@ -311,3 +312,31 @@ def test_min_w_is_the_first_of_w_stats(kind):
     probe = _CapProbe(FAMILY, kind, center, direction, 512, np.random.default_rng(3))
     for value in (0.3, 0.7, 1.1, 1.9):
         assert probe.min_w(value) == probe.w_stats(value)[0]
+
+
+def count_evaluations(monkeypatch):
+    """Record the point count of every harmonics.evaluate_at call."""
+    real, calls = hm.evaluate_at, []
+
+    def evaluate_at(c, points, *args, **kwargs):
+        calls.append(np.atleast_2d(points).shape[0])
+        return real(c, points, *args, **kwargs)
+
+    monkeypatch.setattr(hm, "evaluate_at", evaluate_at)
+    return calls
+
+
+def test_bisection_evaluates_u_once_per_step(monkeypatch):
+    u = random_positive_init(2, 8, np.random.default_rng(11), amplitude=0.5)
+    xi0 = sphere_point([0.3, -0.2, 0.9])
+    probe = _CapProbe(u, "inversion", xi0, None, 256, np.random.default_rng(2))
+    calls = count_evaluations(monkeypatch)
+    probe.min_w(0.7)
+    assert calls == [512]  # the 256 images and 256 nodes together
+    probe.w_stats(0.7)
+    assert calls == [512, 512, 256]  # then the images mapped back
+    del calls[:]
+    rep = critical_lambda(u, xi0, samples=256, rng=np.random.default_rng(2))
+    assert not rep.critical_is_bound
+    # sup |u|, two per scan value, one per bisection step, two at the critical value
+    assert len(calls) == 1 + 2 * 32 + 48 + 2
