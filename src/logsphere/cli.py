@@ -1,13 +1,13 @@
 """Command-line driver: identity-verification suites, multiplier spectra,
 deficit flows, and moving-spheres diagnostics with machine-readable output.
 
-Reports are JSON (schema field = 3) and per-row tables are CSV; rerunning
+Reports are JSON (schema field = 4) and per-row tables are CSV; rerunning
 with the same config and seed reproduces the report byte for byte, so no
 wall-clock fields go into the files.  Flags take precedence over a JSON
 config file, which takes precedence over defaults; no environment variable
 is read.  Bad input (a malformed number or spec, a missing file) exits with
-a one-line message, and so does a band limit whose transform tables would
-exceed a fixed memory budget.
+a one-line message, and so does a band limit or grid degree whose largest
+array would exceed a fixed memory budget.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from . import energy as en
 from . import harmonics as hm
 from . import sphere as sp
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
-# A band limit whose largest transform table (`_table_bytes`) exceeds this is
-# refused before anything is allocated.
+# A band limit whose largest transform table (`_table_bytes`), or a grid
+# degree whose largest kernel array (`_kernel_bytes`), exceeds this is refused
+# before anything is allocated.
 TABLE_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -120,21 +121,40 @@ def _table_bytes(n: int, L: int, grid_degree: int) -> int:
     return 8 * hm.harmonic_count(n, L) * nodes
 
 
-def _check_table_budget(cfg: RunConfig, command: str):
-    """Refuse a band limit whose largest table exceeds TABLE_BUDGET_BYTES.
+def _kernel_bytes(n: int, degree: int) -> int:
+    """Bytes of the largest array the pair-kernel cross-check builds on a grid
+    of the given degree: `sp.apply_radial_kernel`'s (nphi/2 + 1) nt^2
+    squared-chord table and (nphi/2 + 1)^2 cosine matrix, and the
+    (degree + 1)^2 Gauss-Legendre companion matrix on S^2."""
+    nt, nphi = (degree + 1, 2 * degree + 1) if n == 2 else (1, 2 * (degree + 1))
+    half = nphi // 2 + 1
+    return 8 * max(half * nt * nt, half * half, nt * nt)
 
-    verify works at band limit max(32, 2L) on a grid of that degree; the
-    flow and the probe work at L on the degree-2L entropy grid.
+
+def _energyharmonics_degree(cfg: RunConfig) -> int:
+    return cfg.grid_degree or (48 if cfg.n == 2 else 64)
+
+
+def _check_table_budget(cfg: RunConfig, command: str):
+    """Refuse a band limit or grid degree whose largest table exceeds
+    TABLE_BUDGET_BYTES.
+
+    verify works at band limit max(32, 2L) on a grid of that degree and sums
+    the pair kernel on the `energyharmonics` grid; the flow and the probe
+    work at L on the degree-2L entropy grid.
     """
     L = cfg.band_limit
     if command == "verify":
-        need = _table_bytes(cfg.n, max(32, 2 * L), max(32, 2 * L))
+        degree = _energyharmonics_degree(cfg)
+        needs = {f"band limit {L}": _table_bytes(cfg.n, max(32, 2 * L), max(32, 2 * L)),
+                 f"grid degree {degree}": _kernel_bytes(cfg.n, degree)}
     else:
-        need = _table_bytes(cfg.n, L, max(2 * L, 4))
-    if need > TABLE_BUDGET_BYTES:
-        raise SystemExit(f"band limit {L} needs about {need / 1024**3:.3g} GiB of "
-                         f"tables for {command}, above the "
-                         f"{TABLE_BUDGET_BYTES / 1024**3:g} GiB budget")
+        needs = {f"band limit {L}": _table_bytes(cfg.n, L, max(2 * L, 4))}
+    for what, need in needs.items():
+        if need > TABLE_BUDGET_BYTES:
+            raise SystemExit(f"{what} needs about {need / 1024**3:.3g} GiB of tables "
+                             f"for {command}, above the "
+                             f"{TABLE_BUDGET_BYTES / 1024**3:g} GiB budget")
 
 
 def _check_seed(seed: int):
@@ -287,8 +307,7 @@ def _suite_conf_transf_H(cfg: RunConfig, rng) -> dict:
 def _suite_energyharmonics(cfg: RunConfig, rng) -> dict:
     n = cfg.n
     L = 8
-    degree = cfg.grid_degree if cfg.grid_degree else (48 if n == 2 else 64)
-    grid = sp.build_grid(n, degree)
+    grid = sp.build_grid(n, _energyharmonics_degree(cfg))
     table = hm.h_multiplier_table(n, L)
     fault = cfg.fault or {}
     if fault.get("suite") == "energyharmonics":
@@ -344,9 +363,11 @@ def _suite_deficit(cfg: RunConfig, rng) -> dict:
         zdir *= rng.uniform(0.1, 0.5) / np.linalg.norm(zdir)
         crep = en.beckner_deficit(_family_coeffs(n, L, zdir), grid)
         worst_family = max(worst_family, abs(crep.deficit) / crep.energy_term)
-    passed = worst_rel >= -1e-6 * cfg.tol and worst_family <= 1e-3 * cfg.tol
-    return {"name": "deficit_nonneg", "metric": worst_family, "tolerance": 1e-3,
-            "passed": passed, "details": {"min_random_relative_deficit": worst_rel}}
+    tol, random_tol = 1e-3 * cfg.tol, -1e-6 * cfg.tol
+    passed = worst_rel >= random_tol and worst_family <= tol
+    return {"name": "deficit_nonneg", "metric": worst_family, "tolerance": tol,
+            "passed": passed, "details": {"min_random_relative_deficit": worst_rel,
+                                          "random_tolerance": random_tol}}
 
 
 def _suite_el_residual(cfg: RunConfig, rng) -> dict:
@@ -475,9 +496,7 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
     kind, _, payload = spec.partition(":")
     n, L = cfg.n, cfg.band_limit
     if kind == "constant":
-        c = hm.HarmonicCoeffs.zeros(n, L)
-        c.coeffs[0] = _parse_constant(payload) * math.sqrt(sp.sphere_area(n))
-        return c
+        return hm.HarmonicCoeffs.constant(n, L, _parse_constant(payload))
     if kind == "random":
         seed = cfg.seed
         amp = 0.2

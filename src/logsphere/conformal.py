@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import analyze, as_evaluable
 from .sphere import sphere_point
 
 POLE_TOL = 1e-14
@@ -469,13 +468,9 @@ def antisymmetry_defect(w, phi: ConformalMap, region: SigmaRegion,
                         points=None, grid=None) -> float:
     """max over region points of |w(eta) + J^{1/2}(eta) w(phi(eta))|.
 
-    `w` may be a callable or a GridFunction (projected to its grid's band
-    limit for off-grid evaluation).  Points default to the grid nodes inside
-    the region.
+    `w` is a callable points -> values.  Points default to the nodes of
+    `grid` inside the region.
     """
-    if not callable(w):
-        grid = w.grid
-        w = as_evaluable(analyze(w, grid.degree))
     if points is None:
         if grid is None:
             raise ValueError("need explicit points or a grid to take nodes from")

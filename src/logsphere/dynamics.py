@@ -24,10 +24,7 @@ from .harmonics import (
     analyze,
     as_evaluable,
     degree_of_index,
-    flat_index,
     h_multiplier_table,
-    harmonic_count,
-    harmonic_indices,
     random_coeffs,
     synthesize,
 )
@@ -45,7 +42,6 @@ class FlowConfig:
     max_iter: int = 2000
     stop_tol: float = 1e-13  # stop once a step decreases the deficit less than this
     band_limit: int = 16
-    norm_value: float | None = None  # None: keep the initial L2 norm
 
     def __post_init__(self):
         # the chained comparisons are false for NaN and infinities too
@@ -54,8 +50,6 @@ class FlowConfig:
             raise ValueError("flow parameters must be positive and finite")
         if self.band_limit < 1:
             raise ValueError("band limit must be >= 1")
-        if self.norm_value is not None and not 0 < self.norm_value < math.inf:
-            raise ValueError("norm constraint must be positive and finite")
 
 
 @dataclass
@@ -82,66 +76,58 @@ class FlowResult:
         }
 
 
-def _deficit_parts(coefs: np.ndarray, n: int, L: int, grid: QuadratureGrid,
-                   hvec: np.ndarray, area: float, cn: float):
-    c = HarmonicCoeffs(n, L, coefs)
-    vals = synthesize(c, grid).values
-    norm_sq = float(np.dot(coefs, coefs))
-    usq = vals * vals
-    logfac = np.where(
-        usq > 0.0,
-        np.log(np.maximum(usq, 1e-300)) + math.log(area / norm_sq),
-        0.0,
-    )
-    deficit = 2.0 * float(np.sum(hvec * coefs * coefs)) - cn * float(
-        np.sum(grid.weights * usq * logfac)
-    )
-    grad_entropy = 2.0 * cn * analyze(GridFunction(grid, vals * logfac), L).coeffs
-    grad = 4.0 * hvec * coefs - grad_entropy
-    return deficit, grad
+class _Deficit:
+    """The deficit and its coefficient-space gradient at one (n, L), with
+    what every evaluation shares set up once: the entropy grid, h_l at each
+    slot, |S^n| and C_n."""
+
+    def __init__(self, n: int, L: int, grid: QuadratureGrid | None = None):
+        self.n, self.L = n, L
+        self.grid = grid if grid is not None else default_entropy_grid(n, L)
+        self.hvec = h_multiplier_table(n, L).per_slot(L)
+        self.area, self.cn = sphere_area(n), constant_Cn(n)
+
+    def __call__(self, coefs: np.ndarray) -> tuple[float, np.ndarray]:
+        grid, hvec, cn = self.grid, self.hvec, self.cn
+        vals = synthesize(HarmonicCoeffs(self.n, self.L, coefs), grid).values
+        norm_sq = float(np.dot(coefs, coefs))
+        usq = vals * vals
+        logfac = np.where(
+            usq > 0.0,
+            np.log(np.maximum(usq, 1e-300)) + math.log(self.area / norm_sq),
+            0.0,
+        )
+        deficit = 2.0 * float(np.sum(hvec * coefs * coefs)) - cn * float(
+            np.sum(grid.weights * usq * logfac)
+        )
+        grad_entropy = 2.0 * cn * analyze(GridFunction(grid, vals * logfac), self.L).coeffs
+        grad = 4.0 * hvec * coefs - grad_entropy
+        return deficit, grad
 
 
 def deficit_gradient(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> np.ndarray:
     """Gradient of the (unconstrained) deficit in coefficient space."""
-    if grid is None:
-        grid = default_entropy_grid(u.n, u.L)
-    hvec = h_multiplier_table(u.n, u.L).values[degree_of_index(u.n, u.L)]
-    _, grad = _deficit_parts(
-        u.coeffs, u.n, u.L, grid, hvec, sphere_area(u.n), constant_Cn(u.n)
-    )
-    return grad
+    return _Deficit(u.n, u.L, grid)(u.coeffs)[1]
 
 
 def deficit_value(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> float:
-    if grid is None:
-        grid = default_entropy_grid(u.n, u.L)
-    hvec = h_multiplier_table(u.n, u.L).values[degree_of_index(u.n, u.L)]
-    d, _ = _deficit_parts(
-        u.coeffs, u.n, u.L, grid, hvec, sphere_area(u.n), constant_Cn(u.n)
-    )
-    return d
+    return _Deficit(u.n, u.L, grid)(u.coeffs)[0]
 
 
 def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig,
                      grid: QuadratureGrid | None = None) -> FlowResult:
-    """Projected gradient descent on the deficit over ||u||_2 = const."""
+    """Projected gradient descent on the deficit over ||u||_2 = ||init||_2.
+
+    The deficit is 2-homogeneous, D(tu) = t^2 D(u), so the flow keeps the
+    initial norm; scale `init` to flow on another sphere.
+    """
     if not np.any(init.coeffs):
         raise ValueError("flow needs a nonzero initial state")
     n, L = init.n, cfg.band_limit
-    if L != init.L:
-        # re-truncate or pad the initial coefficients to the working band
-        vec = np.zeros(harmonic_count(n, L))
-        for (l, m) in harmonic_indices(n, min(L, init.L)):
-            vec[flat_index(n, l, m)] = init.get(l, m)
-        init = HarmonicCoeffs(n, L, vec)
-    if grid is None:
-        grid = default_entropy_grid(n, L)
-    hvec = h_multiplier_table(n, L).values[degree_of_index(n, L)]
-    area, cn = sphere_area(n), constant_Cn(n)
-
-    target = cfg.norm_value if cfg.norm_value is not None else math.sqrt(init.norm_sq())
-    c = init.coeffs * (target / math.sqrt(init.norm_sq()))
-    deficit, grad = _deficit_parts(c, n, L, grid, hvec, area, cn)
+    c = init.with_band_limit(L).coeffs
+    target = math.sqrt(float(np.dot(c, c)))
+    deficit_parts = _Deficit(n, L, grid)
+    deficit, grad = deficit_parts(c)
     deficits = [deficit]
     step = cfg.step_size
     converged, message = False, "max iterations reached"
@@ -156,7 +142,7 @@ def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig,
         for _ in range(50):
             cand = c - step * tangent
             cand *= target / np.linalg.norm(cand)
-            d_new, g_new = _deficit_parts(cand, n, L, grid, hvec, area, cn)
+            d_new, g_new = deficit_parts(cand)
             if d_new <= deficit - 1e-4 * step * gnorm * gnorm:
                 accepted = True
                 break
@@ -178,13 +164,13 @@ def random_positive_init(n: int, L: int, rng: np.random.Generator,
                          amplitude: float = 0.2) -> HarmonicCoeffs:
     """Constant plus a band-limited perturbation kept safely positive."""
     pert = random_coeffs(n, L, rng, decay=1.5).coeffs
-    pert[0] = 0.0
+    pert[degree_of_index(n, L) == 0] = 0.0
     grid = default_entropy_grid(n, L)
     probe = synthesize(HarmonicCoeffs(n, L, pert), grid).values
     scale = amplitude / max(np.abs(probe).max(), 1e-12)
-    vec = pert * scale
-    vec[0] = math.sqrt(sphere_area(n))
-    return HarmonicCoeffs(n, L, vec)
+    u = HarmonicCoeffs.constant(n, L, 1.0)
+    u.coeffs += pert * scale
+    return u
 
 
 # ---------------------------------------------------------------------------

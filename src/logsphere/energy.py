@@ -13,7 +13,7 @@ quadratically on the diagonal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,7 @@ from .harmonics import (
     apply_H,
     as_evaluable,
     degree_of_index,
-    flat_index,
     h_multiplier_table,
-    harmonic_count,
-    harmonic_indices,
     synthesize,
 )
 from .specfun import ln_gamma
@@ -51,9 +48,8 @@ def energy_spectral(u: HarmonicCoeffs, v: HarmonicCoeffs,
         )
     if table is None:
         table = h_multiplier_table(u.n, u.L)
-    ls = degree_of_index(u.n, u.L)
     # grouping u*v first makes the form exactly symmetric in its arguments
-    return float(np.sum(table.values[ls] * (u.coeffs * v.coeffs)))
+    return float(np.sum(table.per_slot(u.L) * (u.coeffs * v.coeffs)))
 
 
 def min_internode_distance(grid: QuadratureGrid) -> float:
@@ -165,15 +161,7 @@ class DeficitReport:
     eps: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "energy_term": self.energy_term,
-            "entropy_term": self.entropy_term,
-            "deficit": self.deficit,
-            "n": self.n,
-            "L": self.L,
-            "grid_degree": self.grid_degree,
-            "eps": self.eps,
-        }
+        return asdict(self)
 
 
 def default_entropy_grid(n: int, L: int) -> QuadratureGrid:
@@ -218,14 +206,13 @@ class ELResidual:
         self.residuals = np.asarray(self.residuals, dtype=float)
         self.max_abs = float(np.abs(self.residuals).max())
 
+    def _coeffs(self) -> HarmonicCoeffs:
+        return HarmonicCoeffs(self.n, self.L_test, self.residuals)
+
     def get(self, l: int, m: int) -> float:
-        return float(self.residuals[flat_index(self.n, l, m)])
+        return self._coeffs().get(l, m)
 
     def to_json_dict(self) -> dict:
-        trip = [
-            [l, m, float(self.residuals[flat_index(self.n, l, m)])]
-            for (l, m) in harmonic_indices(self.n, self.L_test)
-        ]
         return {
             "n": self.n,
             "L": self.L,
@@ -234,7 +221,7 @@ class ELResidual:
             "floored": self.floored,
             "floor": self.floor,
             "max_abs": self.max_abs,
-            "residuals": trip,
+            "residuals": self._coeffs().triplets(),
         }
 
 
@@ -253,10 +240,7 @@ def el_residual(u: HarmonicCoeffs, L_test: int, grid: QuadratureGrid | None = No
         floored = False
     logs = np.log(np.maximum(vals, floor))
     rhs = analyze(GridFunction(grid, vals * logs), L_test)
-    table = h_multiplier_table(u.n, L_test)
-    ls = degree_of_index(u.n, L_test)
-    count = harmonic_count(u.n, L_test)
-    res = table.values[ls] * u.coeffs[:count] - constant_Cn(u.n) * rhs.coeffs
+    res = apply_H(u.with_band_limit(L_test)).coeffs - constant_Cn(u.n) * rhs.coeffs
     return ELResidual(
         n=u.n, L=u.L, L_test=L_test, grid_degree=grid.degree,
         residuals=res, floored=floored, floor=floor,
@@ -265,10 +249,6 @@ def el_residual(u: HarmonicCoeffs, L_test: int, grid: QuadratureGrid | None = No
 
 # ---------------------------------------------------------------------------
 # conformal transformation identities as numerical residuals
-
-def _projection_grid(n: int, L_work: int) -> QuadratureGrid:
-    return build_grid(n, L_work)
-
 
 def verify_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: ConformalMap,
                   L_work: int = 32, grid: QuadratureGrid | None = None) -> float:
@@ -283,7 +263,7 @@ def verify_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: ConformalMap,
     if u.n != v.n:
         raise ValueError("dimension mismatch between u and v")
     if grid is None:
-        grid = _projection_grid(u.n, L_work)
+        grid = build_grid(u.n, L_work)
     u_pb = analyze(grid.sample(pullback(as_evaluable(u), phi)), L_work)
     v_pb = analyze(grid.sample(pullback(as_evaluable(v), phi)), L_work)
     _check_projection_tail(u_pb)
@@ -302,7 +282,7 @@ def verify_conf_H(u: HarmonicCoeffs, phi: ConformalMap, L_work: int = 32,
         raise ValueError("the identity check projects pullbacks spectrally; "
                          "use a globally smooth Moebius map")
     if grid is None:
-        grid = _projection_grid(u.n, L_work)
+        grid = build_grid(u.n, L_work)
     u_pb_vals = grid.sample(pullback(as_evaluable(u), phi))
     c_pb = analyze(u_pb_vals, L_work)
     _check_projection_tail(c_pb)

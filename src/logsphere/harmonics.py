@@ -1,7 +1,13 @@
 """Band-limited analysis/synthesis on S^n and the spectral multipliers.
 
 A band-limited expansion sum_{l<=L} u_{l,m} Y_{l,m} stands in for the finite
-energy space.  On product grids the forward/backward transforms factor into
+energy space.  This module alone decides where (l, m) lives in the flat
+coefficient vector: in degree-major order, as `harmonic_indices` lists it,
+so a lower band is a prefix.  Other modules go through `HarmonicCoeffs`
+(`get`, `constant`, `with_band_limit`, the JSON triplets) and
+`MultiplierTable.per_slot`.
+
+On product grids the forward/backward transforms factor into
 an azimuth contraction followed by per-order polar contractions, so no large
 design matrix is ever materialized.  Off-grid synthesis re-expands each
 order's polar functions once per band limit in Chebyshev polynomials of
@@ -65,15 +71,10 @@ def flat_index(n: int, l: int, m: int) -> int:
 
 
 def harmonic_indices(n: int, L: int) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
+    """(l, m) of each flat slot, in slot order."""
     if n == 1:
-        out.append((0, 0))
-        for l in range(1, L + 1):
-            out.extend([(l, 1), (l, -1)])
-    else:
-        for l in range(L + 1):
-            out.extend((l, m) for m in range(-l, l + 1))
-    return out
+        return [(0, 0)] + [(l, m) for l in range(1, L + 1) for m in (1, -1)]
+    return [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
 
 
 def degree_of_index(n: int, L: int) -> np.ndarray:
@@ -111,12 +112,20 @@ class HarmonicCoeffs:
     def copy_with(self, coeffs: np.ndarray) -> "HarmonicCoeffs":
         return HarmonicCoeffs(self.n, self.L, coeffs)
 
+    def with_band_limit(self, L: int) -> "HarmonicCoeffs":
+        """The same expansion at band limit L: degrees above L dropped, new
+        degrees zero.  The lower band is a prefix of the slot order."""
+        vec = np.zeros(harmonic_count(self.n, L))
+        vec[:self.coeffs.size] = self.coeffs[:vec.size]
+        return HarmonicCoeffs(self.n, L, vec)
+
+    def triplets(self) -> list[list]:
+        """[l, m, u_{l,m}] for every slot, in slot order."""
+        labels = harmonic_indices(self.n, self.L)
+        return [[l, m, value] for (l, m), value in zip(labels, self.coeffs.tolist())]
+
     def to_json_dict(self) -> dict:
-        triplets = [
-            [l, m, float(self.coeffs[flat_index(self.n, l, m)])]
-            for (l, m) in harmonic_indices(self.n, self.L)
-        ]
-        return {"n": self.n, "L": self.L, "coeffs": triplets}
+        return {"n": self.n, "L": self.L, "coeffs": self.triplets()}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -150,6 +159,13 @@ class HarmonicCoeffs:
     @classmethod
     def zeros(cls, n: int, L: int) -> "HarmonicCoeffs":
         return cls(n, L, np.zeros(harmonic_count(n, L)))
+
+    @classmethod
+    def constant(cls, n: int, L: int, value: float) -> "HarmonicCoeffs":
+        """The constant function `value`: u_{0,0} = value sqrt(|S^n|)."""
+        c = cls.zeros(n, L)
+        c.coeffs[0] = value * math.sqrt(sphere_area(n))
+        return c
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +282,12 @@ def _evaluation_plan(L: int) -> tuple[np.ndarray, np.ndarray]:
     cheb[ms[~odd], ls[~odd]] = leg[~odd] @ dct.T
     cheb[ms[odd], ls[odd]] = leg[odd] @ dst.T
     cheb[1:] *= math.sqrt(2.0)
-    gather = np.full((L + 1, 2, L + 1), harmonic_count(2, L))
-    gather[ms, 0, ls] = ls * ls + ls + ms
-    sine = ms > 0
-    gather[ms[sine], 1, ls[sine]] = ls[sine] ** 2 + ls[sine] - ms[sine]
+    # the gather inverts the degree-major slot order: slot k has degree l_k,
+    # and m runs from -l_k up through the block of slots of that degree
+    slot_l = degree_of_index(2, L)
+    slot_m = np.arange(slot_l.size) - np.searchsorted(slot_l, slot_l) - slot_l
+    gather = np.full((L + 1, 2, L + 1), slot_l.size)
+    gather[np.abs(slot_m), (slot_m < 0).astype(int), slot_l] = np.arange(slot_l.size)
     cheb.flags.writeable = False
     gather.flags.writeable = False
     return cheb, gather
@@ -353,13 +371,11 @@ def as_evaluable(c: HarmonicCoeffs):
     return lambda pts: evaluate_at(c, pts)
 
 
-def random_coeffs(n: int, L: int, rng: np.random.Generator, decay: float = 1.0,
-                  offset: float = 0.0) -> HarmonicCoeffs:
-    """Gaussian coefficients damped as (1+l)^{-decay}, optional constant part."""
+def random_coeffs(n: int, L: int, rng: np.random.Generator,
+                  decay: float = 1.0) -> HarmonicCoeffs:
+    """Gaussian coefficients damped as (1+l)^{-decay}."""
     ls = degree_of_index(n, L)
     vec = rng.standard_normal(harmonic_count(n, L)) / (1.0 + ls) ** decay
-    if offset != 0.0:
-        vec[0] += offset * math.sqrt(sphere_area(n))
     return HarmonicCoeffs(n, L, vec)
 
 
@@ -415,6 +431,10 @@ class MultiplierTable:
     def L(self) -> int:
         return self.values.size - 1
 
+    def per_slot(self, L: int) -> np.ndarray:
+        """m_l at each flat coefficient slot of band limit L."""
+        return self.values[degree_of_index(self.n, L)]
+
 
 def h_multiplier_table(n: int, L: int) -> MultiplierTable:
     return MultiplierTable(n, np.array([multiplier_H(n, l) for l in range(L + 1)]))
@@ -423,8 +443,7 @@ def h_multiplier_table(n: int, L: int) -> MultiplierTable:
 def apply_multiplier(c: HarmonicCoeffs, table: MultiplierTable) -> HarmonicCoeffs:
     if table.L < c.L:
         raise ValueError(f"multiplier table up to degree {table.L} too short for L={c.L}")
-    ls = degree_of_index(c.n, c.L)
-    return c.copy_with(c.coeffs * table.values[ls])
+    return c.copy_with(c.coeffs * table.per_slot(c.L))
 
 
 def apply_H(c: HarmonicCoeffs) -> HarmonicCoeffs:

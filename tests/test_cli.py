@@ -9,8 +9,10 @@ import pytest
 
 from logsphere.cli import (
     RunConfig,
+    _check_table_budget,
     _parse_vector_spec,
     _suite_conformal_distance,
+    _suite_deficit,
     _suite_gibbs,
     main,
 )
@@ -31,7 +33,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -254,6 +256,7 @@ def test_unknown_config_key_rejected(tmp_path):
     ["movespheres", "--xi0", "north", "--scan-tol", "-1"],
     ["minimize", "--band-limit", "100000", "--max-iter", "1"],
     ["spectrum", "--lmax=-3"],
+    ["verify", "--grid-degree", "100000"],
 ], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
         "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
@@ -265,8 +268,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "random-seed-negative", "values-repeated", "values-nan", "values-negative-radius",
         "xi0-nan", "u-constant-inf", "tol-nan", "tol-negative", "config-tol-nan",
         "config-tol-negative", "config-tol-huge", "scan-tol-nan", "scan-tol-negative",
-        "band-limit-huge", "spectrum-lmax-negative"])
-def test_bad_input_exits_with_one_line(argv, tmp_path):
+        "band-limit-huge", "spectrum-lmax-negative", "grid-degree-huge"])
+def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not_json.txt").write_text("not json")
     files = {
         "band_limit_str.json": {"band_limit": "x"},
@@ -292,6 +295,15 @@ def test_bad_input_exits_with_one_line(argv, tmp_path):
         main([arg.format(tmp=tmp_path) for arg in argv])
     message = exc.value.code
     assert isinstance(message, str) and message and "\n" not in message
+    assert capsys.readouterr().out == ""  # refused before any work is reported
+
+
+@pytest.mark.parametrize("n, largest_ok", [(2, 644), (1, 16382)])
+def test_grid_degree_budget_boundary(n, largest_ok):
+    # the largest kernel array: (degree + 1)^3 doubles on S^2, (degree + 2)^2 on S^1
+    _check_table_budget(RunConfig(n=n, grid_degree=largest_ok), "verify")
+    with pytest.raises(SystemExit, match=f"grid degree {largest_ok + 1} "):
+        _check_table_budget(RunConfig(n=n, grid_degree=largest_ok + 1), "verify")
 
 
 def test_zeta_spec_magnitude_may_carry_an_exponent():
@@ -314,9 +326,14 @@ def test_workers_config_key_is_unknown(tmp_path):
         main(["verify", "--config", str(cfg)])
 
 
-def test_gibbs_report_carries_the_bounds_it_applies():
-    res = _suite_gibbs(RunConfig(tol=2.0), np.random.default_rng(0))
-    assert res["tolerance"] == -2e-10
-    assert res["details"]["equality_tolerance"] == 2e-9
-    assert res["passed"] == (res["metric"] >= res["tolerance"]
-                             and res["details"]["max_equality_gap"] <= 2e-9)
+@pytest.mark.parametrize("suite, tolerance, detail, bound, applied", [
+    (_suite_gibbs, -2e-10, "equality_tolerance", 2e-9,
+     lambda r: r["metric"] >= -2e-10 and r["details"]["max_equality_gap"] <= 2e-9),
+    (_suite_deficit, 2e-3, "random_tolerance", -2e-6,
+     lambda r: r["metric"] <= 2e-3 and r["details"]["min_random_relative_deficit"] >= -2e-6),
+], ids=["gibbs", "deficit_nonneg"])
+def test_report_carries_the_bounds_it_applies(suite, tolerance, detail, bound, applied):
+    res = suite(RunConfig(tol=2.0), np.random.default_rng(0))
+    assert res["tolerance"] == tolerance
+    assert res["details"][detail] == bound
+    assert res["passed"] == applied(res)

@@ -37,7 +37,7 @@ from logsphere import (
     stereographic,
     zeta_to_bubble,
 )
-from logsphere.harmonics import as_evaluable
+from logsphere.harmonics import analyze, as_evaluable
 
 
 def random_points(rng, n, k):
@@ -332,9 +332,9 @@ def test_antisymmetry_defect_cases(grids, rng):
     assert antisymmetry_defect(one, phi, region, points=pts) == pytest.approx(expected, rel=1e-12)
     zero = lambda q: np.zeros(np.atleast_2d(q).shape[0])
     assert antisymmetry_defect(zero, phi, region, points=pts) == 0.0
-    # GridFunction input goes through harmonic synthesis
+    # a grid function is evaluated off the grid through its expansion
     f = GridFunction(g, np.ones(g.node_count))
-    assert antisymmetry_defect(f, phi, region, grid=g) > 1.0
+    assert antisymmetry_defect(as_evaluable(analyze(f, g.degree)), phi, region, grid=g) > 1.0
 
 
 def test_map_json_roundtrip():

@@ -29,7 +29,7 @@ from logsphere import (
 from logsphere import harmonics as hm
 from logsphere.dynamics import _CapProbe, random_positive_init
 from logsphere.energy import default_entropy_grid
-from logsphere.harmonics import flat_index
+from logsphere.harmonics import flat_index, harmonic_count, harmonic_indices
 
 
 def family_coeffs(grids, zeta, L=32):
@@ -45,10 +45,8 @@ def test_flow_config_validation():
         FlowConfig(step_size=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        FlowConfig(norm_value=0.0)
     for bad in ({"step_size": math.nan}, {"step_size": math.inf},
-                {"stop_tol": math.nan}, {"norm_value": math.inf}):
+                {"stop_tol": math.nan}):
         with pytest.raises(ValueError):
             FlowConfig(**bad)
 
@@ -82,6 +80,23 @@ def test_flow_monotone_and_norm_conserving(rng):
     diffs = np.diff(res.deficits)
     assert np.all(diffs <= 1e-14)
     assert math.sqrt(res.coeffs.norm_sq()) == pytest.approx(target, abs=1e-10 * target)
+
+
+@pytest.mark.parametrize("n, init_L, band_limit", [(2, 6, 8), (2, 10, 8), (1, 5, 9), (1, 12, 9)])
+def test_flow_changes_the_band_of_its_init(n, init_L, band_limit):
+    # oracle: the per-label copy the flow made before `with_band_limit`
+    rng = np.random.default_rng(init_L)
+    init = random_coeffs(n, init_L, rng, decay=1.5)
+    init.coeffs[0] += math.sqrt(sphere_area(n))
+    vec = np.zeros(harmonic_count(n, band_limit))
+    for (l, m) in harmonic_indices(n, min(band_limit, init_L)):
+        vec[flat_index(n, l, m)] = init.get(l, m)
+    cfg = FlowConfig(band_limit=band_limit, max_iter=5)
+    got = minimize_deficit(init, cfg)
+    want = minimize_deficit(HarmonicCoeffs(n, band_limit, vec), cfg)
+    assert got.coeffs.L == band_limit
+    np.testing.assert_array_equal(got.coeffs.coeffs, want.coeffs.coeffs)
+    assert got.deficits == want.deficits
 
 
 def test_flow_rejects_zero_init():

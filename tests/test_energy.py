@@ -28,7 +28,7 @@ from logsphere import (
     verify_conf_H,
 )
 from logsphere.energy import min_internode_distance
-from logsphere.harmonics import flat_index
+from logsphere.harmonics import flat_index, harmonic_indices
 
 
 def family_coeffs(grids, zeta, c=1.0, L=32):
@@ -168,6 +168,18 @@ def test_el_residual_flooring_flag(grids, rng):
         el_residual(signed, 10)  # L_test beyond band limit
     d = r.to_json_dict()
     assert d["floored"] and len(d["residuals"]) == 25
+
+
+def test_el_residual_json_matches_per_label_writer(grids):
+    # oracle: the triplet writer ELResidual had before it delegated to HarmonicCoeffs
+    fam = family_coeffs(grids, [0.1, -0.2, 0.15], L=16)
+    for L_test in (0, 3, 8):
+        r = el_residual(fam, L_test)
+        want = [[l, m, float(r.residuals[flat_index(2, l, m)])]
+                for (l, m) in harmonic_indices(2, L_test)]
+        d = r.to_json_dict()
+        assert d["residuals"] == want
+        assert all(r.get(l, m) == v for l, m, v in want)
 
 
 def test_verify_conf_E(grids, rng):

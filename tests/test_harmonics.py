@@ -35,7 +35,7 @@ from logsphere.harmonics import (
     log_operator_scale,
 )
 from logsphere.specfun import assoc_legendre_norm, digamma, tri_index
-from logsphere.sphere import sphere_point
+from logsphere.sphere import sphere_area, sphere_point
 
 
 def test_analyze_constant(grids):
@@ -367,8 +367,49 @@ def test_coefficient_layout():
     assert harmonic_count(2, 4) == 25
     assert flat_index(2, 2, -2) == 4
     assert flat_index(2, 2, 2) == 8
-    with pytest.raises(ValueError):
-        flat_index(2, 1, 2)
+    assert (flat_index(1, 0, 0), flat_index(1, 2, 1), flat_index(1, 2, -1)) == (0, 3, 4)
+    for n, l, m in ((2, 1, 2), (1, 0, 1), (1, 2, 0), (1, 2, 2), (3, 0, 0)):
+        with pytest.raises(ValueError):
+            flat_index(n, l, m)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_slot_order_is_degree_major(n):
+    # harmonic_indices lists the slots in order, so a lower band is a prefix
+    for L in range(12):
+        labels = harmonic_indices(n, L)
+        assert [flat_index(n, l, m) for l, m in labels] == list(range(harmonic_count(n, L)))
+        if L:
+            assert labels[:harmonic_count(n, L - 1)] == harmonic_indices(n, L - 1)
+
+
+def per_label_band_change(c: HarmonicCoeffs, L: int) -> HarmonicCoeffs:
+    """The per-(l, m) copy that changed a band limit before `with_band_limit`."""
+    vec = np.zeros(harmonic_count(c.n, L))
+    for (l, m) in harmonic_indices(c.n, min(L, c.L)):
+        vec[flat_index(c.n, l, m)] = c.get(l, m)
+    return HarmonicCoeffs(c.n, L, vec)
+
+
+@given(n=st.sampled_from([1, 2]), L=st.integers(0, 20), L_new=st.integers(0, 20),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, L=20, L_new=0, seed=0)
+@example(n=1, L=0, L_new=20, seed=0)
+def test_with_band_limit_matches_per_label_copy(n, L, L_new, seed):
+    c = HarmonicCoeffs(n, L, np.random.default_rng(seed).standard_normal(harmonic_count(n, L)))
+    got = c.with_band_limit(L_new)
+    want = per_label_band_change(c, L_new)
+    assert (got.n, got.L) == (n, L_new)
+    np.testing.assert_array_equal(got.coeffs, want.coeffs)
+    assert got.coeffs is not c.coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_constant_coeffs(n):
+    c = HarmonicCoeffs.constant(n, 5, 2.5)
+    assert c.get(0, 0) == 2.5 * math.sqrt(sphere_area(n))
+    assert not np.any(c.with_band_limit(0).with_band_limit(5).coeffs - c.coeffs)
+    assert c.norm_sq() == c.get(0, 0) ** 2
 
 
 def test_energy_identity_band_limited(grids, rng):
