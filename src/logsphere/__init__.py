@@ -74,7 +74,7 @@ from .harmonics import (
     random_coeffs,
     synthesize,
 )
-from .specfun import digamma, gamma, ln_gamma, zonal_basis
+from .specfun import digamma, ln_gamma, zonal_basis
 from .sphere import (
     GridFunction,
     QuadratureGrid,
@@ -82,7 +82,6 @@ from .sphere import (
     chordal_distance,
     integrate,
     north_pole,
-    south_pole,
     sphere_area,
     sphere_point,
 )

@@ -1,13 +1,15 @@
 """Command-line driver: identity-verification suites, multiplier spectra,
 deficit flows, and moving-spheres diagnostics with machine-readable output.
 
-Reports are JSON (schema field = 4) and per-row tables are CSV; rerunning
+Reports are JSON (schema field = 5) and per-row tables are CSV; rerunning
 with the same config and seed reproduces the report byte for byte, so no
 wall-clock fields go into the files.  Flags take precedence over a JSON
 config file, which takes precedence over defaults; no environment variable
-is read.  Bad input (a malformed number or spec, a missing file) exits with
-a one-line message, and so does a band limit or grid degree whose largest
-array would exceed a fixed memory budget.
+is read.  Each subcommand takes a flag and a config key for exactly the
+`RunConfig` fields it reads (`_READS`), and its report echoes those.  Bad
+input (a malformed number or spec, a missing file, a flag or config key the
+subcommand does not read) exits with a one-line message, and so does a band
+limit or grid degree whose tables would exceed a fixed memory budget.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +30,11 @@ from . import energy as en
 from . import harmonics as hm
 from . import sphere as sp
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # A band limit whose largest transform table (`_table_bytes`), or a grid
-# degree whose largest kernel array (`_kernel_bytes`), exceeds this is refused
-# before anything is allocated.
+# degree whose pair-kernel cross-check peaks (`sp.radial_kernel_bytes`) above
+# this, is refused before anything is allocated.
 TABLE_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -45,6 +47,26 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     fault: dict | None = None
+
+
+# The RunConfig fields each subcommand reads, decided here only: it has a flag
+# for each (`fault` comes from a config file only), accepts no other config
+# key and echoes them, less `out`, in its report.  Others keep their default.
+_READS = {
+    "verify": ("n", "band_limit", "grid_degree", "tol", "seed", "out", "fault"),
+    "spectrum": ("n", "out"),
+    "minimize": ("n", "band_limit", "seed", "out"),
+    "movespheres": ("n", "band_limit", "seed", "out"),
+}
+
+_FLAGS = {
+    "n": {"type": int, "help": "sphere dimension (1 or 2)"},
+    "band_limit": {"type": int},
+    "grid_degree": {"type": int},
+    "tol": {"type": float, "help": "global tolerance multiplier (default 1.0)"},
+    "seed": {"type": int},
+    "out": {"help": "report path (JSON; CSV for spectrum)"},
+}
 
 
 def _finite(val) -> bool:
@@ -81,18 +103,19 @@ def _read_json_file(path: str, what: str):
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         data = _read_json_file(args.config, "config")
         if not isinstance(data, dict):
             raise SystemExit(f"config file {args.config!r} must hold a JSON object")
-    for key in ("n", "band_limit", "grid_degree", "tol", "seed", "out"):
+    reads = _READS[args.command]
+    unknown = set(data) - set(reads)
+    if unknown:
+        raise SystemExit(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    for key in reads:
         val = getattr(args, key, None)
         if val is not None:
             data[key] = val
     types = typing.get_type_hints(RunConfig)
-    unknown = set(data) - set(types)
-    if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
     for key, val in data.items():
         # a JSON integer is a valid float; true/false is not a number
         want = (int, float) if types[key] is float else types[key]
@@ -121,23 +144,13 @@ def _table_bytes(n: int, L: int, grid_degree: int) -> int:
     return 8 * hm.harmonic_count(n, L) * nodes
 
 
-def _kernel_bytes(n: int, degree: int) -> int:
-    """Bytes of the largest array the pair-kernel cross-check builds on a grid
-    of the given degree: `sp.apply_radial_kernel`'s (nphi/2 + 1) nt^2
-    squared-chord table and (nphi/2 + 1)^2 cosine matrix, and the
-    (degree + 1)^2 Gauss-Legendre companion matrix on S^2."""
-    nt, nphi = (degree + 1, 2 * degree + 1) if n == 2 else (1, 2 * (degree + 1))
-    half = nphi // 2 + 1
-    return 8 * max(half * nt * nt, half * half, nt * nt)
-
-
 def _energyharmonics_degree(cfg: RunConfig) -> int:
     return cfg.grid_degree or (48 if cfg.n == 2 else 64)
 
 
 def _check_table_budget(cfg: RunConfig, command: str):
-    """Refuse a band limit or grid degree whose largest table exceeds
-    TABLE_BUDGET_BYTES.
+    """Refuse a band limit whose largest table, or a grid degree whose
+    pair-kernel peak, exceeds TABLE_BUDGET_BYTES.
 
     verify works at band limit max(32, 2L) on a grid of that degree and sums
     the pair kernel on the `energyharmonics` grid; the flow and the probe
@@ -147,7 +160,7 @@ def _check_table_budget(cfg: RunConfig, command: str):
     if command == "verify":
         degree = _energyharmonics_degree(cfg)
         needs = {f"band limit {L}": _table_bytes(cfg.n, max(32, 2 * L), max(32, 2 * L)),
-                 f"grid degree {degree}": _kernel_bytes(cfg.n, degree)}
+                 f"grid degree {degree}": sp.radial_kernel_bytes(cfg.n, degree)}
     else:
         needs = {f"band limit {L}": _table_bytes(cfg.n, L, max(2 * L, 4))}
     for what, need in needs.items():
@@ -176,22 +189,14 @@ def _check_fault(fault: dict):
 
 
 def _np_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars to Python ones
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _report_config(cfg: RunConfig) -> dict:
+def _report_config(cfg: RunConfig, command: str) -> dict:
     # the output path is not semantic; dropping it keeps reports byte-identical
-    data = asdict(cfg)
-    data.pop("out", None)
-    return data
+    return {key: getattr(cfg, key) for key in _READS[command] if key != "out"}
 
 
 def _write_json(report: dict, path: str | None):
@@ -211,18 +216,27 @@ def _write_csv(rows: list[tuple], path: str):
 # ---------------------------------------------------------------------------
 # verify subcommand
 
+def _random_zeta(n: int, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
+    """A uniformly directed vector in R^{n+1} with length drawn from [lo, hi)."""
+    zdir = rng.standard_normal(n + 1)
+    zdir *= rng.uniform(lo, hi) / np.linalg.norm(zdir)
+    return zdir
+
+
+def _random_inversion(n: int, rng: np.random.Generator) -> cf.LiftedInversion:
+    xi0 = sp.sphere_point(rng.standard_normal(n + 1))
+    if 1.0 + xi0[-1] < 0.2:  # keep the base point away from the south pole
+        xi0 = -xi0
+    return cf.LiftedInversion(float(rng.uniform(0.3, 2.0)), xi0)
+
+
 def _random_maps(n: int, rng: np.random.Generator, count: int):
     maps = []
     for _ in range(count):
-        xi0 = sp.sphere_point(rng.standard_normal(n + 1))
-        if 1.0 + xi0[-1] < 0.2:  # keep the base point away from the south pole
-            xi0 = -xi0
-        maps.append(cf.LiftedInversion(float(rng.uniform(0.3, 2.0)), xi0))
+        maps.append(_random_inversion(n, rng))
         e = rng.standard_normal(n)
         maps.append(cf.LiftedReflection(float(rng.uniform(-1.0, 1.0)), e))
-        zdir = rng.standard_normal(n + 1)
-        zdir *= rng.uniform(0.1, 0.6) / np.linalg.norm(zdir)
-        maps.append(cf.Moebius(zdir))
+        maps.append(cf.Moebius(_random_zeta(n, rng, 0.1, 0.6)))
     return maps
 
 
@@ -245,14 +259,9 @@ def _suite_kernel_sign(cfg: RunConfig, rng) -> dict:
     n = cfg.n
     violations, pairs = 0, 0
     worst = math.inf
-    for k in range(20):
-        xi0 = sp.sphere_point(rng.standard_normal(n + 1))
-        if 1.0 + xi0[-1] < 0.2:
-            xi0 = -xi0
-        for phi in (
-            cf.LiftedInversion(float(rng.uniform(0.3, 2.0)), xi0),
-            cf.LiftedReflection(float(rng.uniform(-1.0, 1.0)), rng.standard_normal(n)),
-        ):
+    for _ in range(20):
+        for phi in (_random_inversion(n, rng),
+                    cf.LiftedReflection(float(rng.uniform(-1.0, 1.0)), rng.standard_normal(n))):
             region = cf.region_of(phi)
             a = cf.sample_region(region, 2500, rng)
             b = cf.sample_region(region, 2500, rng)
@@ -275,9 +284,7 @@ def _suite_conf_transf_E(cfg: RunConfig, rng) -> dict:
     for _ in range(3):
         u = hm.random_coeffs(n, L_in, rng)
         v = hm.random_coeffs(n, L_in, rng)
-        zdir = rng.standard_normal(n + 1)
-        zdir *= rng.uniform(0.1, 0.5) / np.linalg.norm(zdir)
-        phi = cf.Moebius(zdir)
+        phi = cf.Moebius(_random_zeta(n, rng, 0.1, 0.5))
         res = en.verify_conf_E(u, v, phi, L_work, grid)
         allowed = 1e-3 * (1.0 + abs(en.energy_spectral(u, v))) * cfg.tol
         worst_ratio = max(worst_ratio, res / allowed)
@@ -293,9 +300,7 @@ def _suite_conf_transf_H(cfg: RunConfig, rng) -> dict:
     worst_ratio = 0.0
     for _ in range(3):
         u = hm.random_coeffs(n, L_in, rng)
-        zdir = rng.standard_normal(n + 1)
-        zdir *= rng.uniform(0.1, 0.4) / np.linalg.norm(zdir)
-        phi = cf.Moebius(zdir)
+        phi = cf.Moebius(_random_zeta(n, rng, 0.1, 0.4))
         res = en.verify_conf_H(u, phi, L_work, grid)
         hu = hm.synthesize(hm.apply_H(u), grid).values
         allowed = 1e-3 * max(1.0, float(np.abs(hu).max())) * cfg.tol
@@ -359,9 +364,8 @@ def _suite_deficit(cfg: RunConfig, rng) -> dict:
         worst_rel = min(worst_rel, rep.deficit / rep.energy_term)
     worst_family = 0.0
     for _ in range(5):
-        zdir = rng.standard_normal(n + 1)
-        zdir *= rng.uniform(0.1, 0.5) / np.linalg.norm(zdir)
-        crep = en.beckner_deficit(_family_coeffs(n, L, zdir), grid)
+        zeta = _random_zeta(n, rng, 0.1, 0.5)
+        crep = en.beckner_deficit(_family_coeffs(n, L, zeta), grid)
         worst_family = max(worst_family, abs(crep.deficit) / crep.energy_term)
     tol, random_tol = 1e-3 * cfg.tol, -1e-6 * cfg.tol
     passed = worst_rel >= random_tol and worst_family <= tol
@@ -411,7 +415,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     report = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
-        "config": _report_config(cfg),
+        "config": _report_config(cfg, "verify"),
         "suites": results,
         "all_pass": all_pass,
     }
@@ -431,12 +435,9 @@ def cmd_spectrum(cfg: RunConfig, lmax: int) -> int:
         raise SystemExit(f"--lmax must be >= 0, got {lmax}")
     n = cfg.n
     s_values = [0.25 * n / 2, 0.5 * n / 2, 0.75 * n / 2]
-    header = ["l", "h"] + [f"p2s@s={s:g}" for s in s_values]
-    rows: list[tuple] = [tuple(header)]
-    degrees = list(range(lmax + 1)) + [10_000]
-    for l in degrees:
-        row = [l, hm.multiplier_H(n, l)] + [hm.multiplier_P2s(n, l, s) for s in s_values]
-        rows.append(tuple(row))
+    rows: list[tuple] = [("l", "h", *(f"p2s@s={s:g}" for s in s_values))]
+    for l in [*range(lmax + 1), 10_000]:
+        rows.append((l, hm.multiplier_H(n, l), *(hm.multiplier_P2s(n, l, s) for s in s_values)))
     if cfg.out:
         _write_csv(rows, cfg.out)
     else:
@@ -537,7 +538,7 @@ def cmd_minimize(cfg: RunConfig, init_spec: str, max_iter: int, step: float) -> 
     report = {
         "schema": SCHEMA_VERSION,
         "command": "minimize",
-        "config": _report_config(cfg),
+        "config": _report_config(cfg, "minimize"),
         "init": init_spec,
         "flow": result.to_json_dict(),
         "fit": fit.to_json_dict(),
@@ -610,7 +611,7 @@ def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
     out = {
         "schema": SCHEMA_VERSION,
         "command": "movespheres",
-        "config": _report_config(cfg),
+        "config": _report_config(cfg, "movespheres"),
         "u": u_spec,
         "report": report.to_json_dict(),
     }
@@ -622,40 +623,41 @@ def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=None, help="sphere dimension (1 or 2)")
-    p.add_argument("--band-limit", dest="band_limit", type=int, default=None)
-    p.add_argument("--grid-degree", dest="grid_degree", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="global tolerance multiplier (default 1.0)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None, help="report JSON path")
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with one line, like all bad input; subparsers inherit this."""
+
+    def error(self, message):
+        raise SystemExit(f"{self.prog}: {message}")
+
+
+def _subparser(sub, command: str, summary: str) -> argparse.ArgumentParser:
+    """The subcommand's parser with a flag for each field it reads."""
+    p = sub.add_parser(command, help=summary)
+    for key in _READS[command]:
+        if key in _FLAGS:
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+    p.add_argument("--config", help="JSON config file")
+    return p
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logsphere",
         description="Verification suites and diagnostics for the logarithmic "
                     "energy on the n-sphere.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run every identity suite")
-    _add_common(p_verify)
-
-    p_spec = sub.add_parser("spectrum", help="emit multiplier table as CSV")
-    _add_common(p_spec)
+    _subparser(sub, "verify", "run every identity suite")
+    p_spec = _subparser(sub, "spectrum", "emit multiplier table as CSV")
     p_spec.add_argument("--lmax", type=int, default=64)
 
-    p_min = sub.add_parser("minimize", help="deficit-minimizing flow")
-    _add_common(p_min)
+    p_min = _subparser(sub, "minimize", "deficit-minimizing flow")
     p_min.add_argument("--init", type=str, default="random:seed=0")
     p_min.add_argument("--max-iter", dest="max_iter", type=int, default=2000)
     p_min.add_argument("--step", type=float, default=0.05)
 
-    p_ms = sub.add_parser("movespheres", help="moving-spheres diagnostic")
-    _add_common(p_ms)
+    p_ms = _subparser(sub, "movespheres", "moving-spheres diagnostic")
     p_ms.add_argument("--u", type=str, default="constant:1")
     p_ms.add_argument("--xi0", type=str, default=None)
     p_ms.add_argument("--e", type=str, default=None)
@@ -674,10 +676,8 @@ def main(argv=None) -> int:
         return cmd_spectrum(cfg, args.lmax)
     if args.command == "minimize":
         return cmd_minimize(cfg, args.init, args.max_iter, args.step)
-    if args.command == "movespheres":
-        return cmd_movespheres(cfg, args.u, args.xi0, args.e, args.values,
-                               args.csv, args.scan_tol)
-    raise SystemExit(f"unknown command {args.command!r}")
+    return cmd_movespheres(cfg, args.u, args.xi0, args.e, args.values,
+                           args.csv, args.scan_tol)
 
 
 def console_main():

@@ -59,10 +59,6 @@ def ln_gamma(x: float) -> float:
     return (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + tail - shift
 
 
-def gamma(x: float) -> float:
-    return math.exp(ln_gamma(x))
-
-
 def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0, by recurrence then series."""
     x = float(x)

@@ -71,9 +71,6 @@ class QuadratureGrid:
         """Largest spherical-polynomial degree integrated exactly."""
         return 2 * self.degree
 
-    def function(self, values) -> "GridFunction":
-        return GridFunction(self, np.asarray(values, dtype=float))
-
     def sample(self, f) -> "GridFunction":
         """Sample a callable pts -> values at the grid nodes."""
         return GridFunction(self, np.asarray(f(self.nodes), dtype=float))
@@ -179,11 +176,19 @@ def apply_radial_kernel(grid: QuadratureGrid, kernel, eps: float, X) -> np.ndarr
     return np.fft.irfft(yhat, n=nphi, axis=0).transpose(1, 0, 2).reshape(X.shape)
 
 
+def radial_kernel_bytes(n: int, degree: int) -> int:
+    """Upper bound on the peak bytes of `build_grid(n, degree)` plus one
+    `apply_radial_kernel` call on it with up to three columns, in doubles:
+    five arrays of the nt^2 (nphi/2 + 1) squared-chord table's shape
+    (distances, keep mask, table, retained distances, kernel values), two
+    of the (nphi/2 + 1)^2 cosine matrix's while it is built, 16 node-length
+    arrays, and 256 KiB of casting buffers and small arrays."""
+    nt, nphi = (degree + 1, 2 * degree + 1) if n == 2 else (1, 2 * (degree + 1))
+    half = nphi // 2 + 1
+    return 8 * (5 * half * nt * nt + 2 * half * half + 16 * nt * nphi) + 256 * 1024
+
+
 def north_pole(n: int) -> np.ndarray:
     e = np.zeros(n + 1)
     e[n] = 1.0
     return e
-
-
-def south_pole(n: int) -> np.ndarray:
-    return -north_pole(n)

@@ -33,7 +33,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 4
+    assert report["schema"] == 5
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -257,6 +257,14 @@ def test_unknown_config_key_rejected(tmp_path):
     ["minimize", "--band-limit", "100000", "--max-iter", "1"],
     ["spectrum", "--lmax=-3"],
     ["verify", "--grid-degree", "100000"],
+    ["spectrum", "--band-limit", "8"],
+    ["spectrum", "--seed", "1"],
+    ["minimize", "--tol", "2"],
+    ["minimize", "--grid-degree", "5"],
+    ["movespheres", "--xi0", "north", "--tol", "1e-6"],
+    ["minimize", "--n", "x"],
+    ["minimize", "--config", "{tmp}/grid_degree.json"],
+    ["movespheres", "--xi0", "north", "--config", "{tmp}/fault_suite_ok.json"],
 ], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
         "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
@@ -268,7 +276,10 @@ def test_unknown_config_key_rejected(tmp_path):
         "random-seed-negative", "values-repeated", "values-nan", "values-negative-radius",
         "xi0-nan", "u-constant-inf", "tol-nan", "tol-negative", "config-tol-nan",
         "config-tol-negative", "config-tol-huge", "scan-tol-nan", "scan-tol-negative",
-        "band-limit-huge", "spectrum-lmax-negative", "grid-degree-huge"])
+        "band-limit-huge", "spectrum-lmax-negative", "grid-degree-huge",
+        "spectrum-band-limit", "spectrum-seed", "minimize-tol", "minimize-grid-degree",
+        "movespheres-tol", "minimize-n-type", "minimize-config-grid-degree",
+        "movespheres-config-fault"])
 def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not_json.txt").write_text("not json")
     files = {
@@ -288,6 +299,8 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
         "tol_nan.json": {"tol": math.nan},
         "tol_negative.json": {"tol": -1.0},
         "tol_huge.json": {"tol": 10**400},
+        "grid_degree.json": {"grid_degree": 5},
+        "fault_suite_ok.json": {"fault": {"suite": "energyharmonics"}},
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))  # NaN and Infinity tokens
@@ -298,12 +311,25 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     assert capsys.readouterr().out == ""  # refused before any work is reported
 
 
-@pytest.mark.parametrize("n, largest_ok", [(2, 644), (1, 16382)])
+@pytest.mark.parametrize("n, largest_ok", [(2, 373), (1, 11573)])
 def test_grid_degree_budget_boundary(n, largest_ok):
-    # the largest kernel array: (degree + 1)^3 doubles on S^2, (degree + 2)^2 on S^1
+    # the pair-kernel peak: about 5 (degree + 1)^3 doubles on S^2, dominated by
+    # the squared-chord tables, and 2 (degree + 2)^2 on S^1, the cosine matrix
     _check_table_budget(RunConfig(n=n, grid_degree=largest_ok), "verify")
     with pytest.raises(SystemExit, match=f"grid degree {largest_ok + 1} "):
         _check_table_budget(RunConfig(n=n, grid_degree=largest_ok + 1), "verify")
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["minimize", "--init", "constant:1", "--max-iter", "1"], {"n", "band_limit", "seed"}),
+    (["movespheres", "--xi0", "north", "--values", "1"], {"n", "band_limit", "seed"}),
+    (["verify", "--n", "1", "--band-limit", "4"],
+     {"n", "band_limit", "grid_degree", "tol", "seed", "fault"}),
+], ids=["minimize", "movespheres", "verify"])
+def test_report_echoes_the_fields_its_command_reads(argv, echoed, tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert set(read_json(out)["config"]) == echoed
 
 
 def test_zeta_spec_magnitude_may_carry_an_exponent():

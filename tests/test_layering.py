@@ -4,10 +4,12 @@ The flat (l, m) -> slot order of the coefficient vector is decided in
 `harmonics` alone: other modules reach coefficients through
 `HarmonicCoeffs` and `MultiplierTable`, never through the label-to-slot
 functions or a hard-coded slot.  `conformal` is geometry only and depends on
-`sphere`, not on the transforms.
+`sphere`, not on the transforms.  Every public name is used somewhere
+besides its definition and the package's re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,44 @@ def test_conformal_does_not_import_harmonics():
             imported.update(alias.name for alias in node.names)
     assert not {name for name in imported if name.split(".")[-1] == "harmonics"}
     assert imported & {"sphere"}
+
+
+ROOT = SRC.parent.parent
+
+
+def public_definitions() -> set[str]:
+    """Public module-level functions and classes of src/logsphere, and the
+    public methods of those classes."""
+    out = set()
+    for module in MODULES:
+        for node in tree(module).body:
+            if isinstance(node, ast.ClassDef):
+                out.update(sub.name for sub in node.body
+                           if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.add(node.name)
+    return {name for name in out if not name.startswith("_")}
+
+
+def names_referenced() -> set[str]:
+    """Every name used by src/logsphere (its `__init__` re-exports aside), the
+    tests and the benchmark, plus the benchmark's traced function names and
+    the console entry point."""
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    out = set()
+    for path in files:
+        out |= names_used(ast.parse(path.read_text(encoding="utf-8")))
+    layers = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    for node in layers.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            out.update(sub.value for sub in ast.walk(node.value)
+                       if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+    # a "package.module:function" entry point
+    out.update(re.findall(r'"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    return out
+
+
+def test_no_dead_public_names():
+    assert sorted(public_definitions() - names_referenced()) == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from logsphere import (
     sphere_point,
     zonal_basis,
 )
-from logsphere.energy import min_internode_distance
-from logsphere.sphere import apply_radial_kernel
+from logsphere.energy import energy_direct_extrapolated, min_internode_distance
+from logsphere.sphere import apply_radial_kernel, radial_kernel_bytes
 
 
 def test_sphere_area_values():
@@ -149,3 +150,21 @@ def test_apply_radial_kernel_rejects_bad_shapes():
     g = build_grid(2, 4)
     with pytest.raises(ValueError):
         apply_radial_kernel(g, lambda d2: 1.0 / d2, 0.1, np.ones(g.node_count + 1))
+
+
+@pytest.mark.parametrize("n, degree", [(2, 48), (2, 100), (1, 2000)])
+def test_radial_kernel_bytes_bounds_the_cross_check_peak(n, degree):
+    # S^2 at verify's default degree and above it, and a circle grid where the
+    # cosine matrix, not the squared-chord table, dominates
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grid = build_grid(n, degree)
+        f = grid.sample(lambda x: 1.0 + x[:, 0] + x[:, -1] ** 2)
+        energy_direct_extrapolated(f, f)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # a bound, and not so loose that the budget refuses degrees that fit
+    assert peak <= radial_kernel_bytes(n, degree) <= 1.5 * peak
