@@ -32,9 +32,9 @@ from . import sphere as sp
 
 SCHEMA_VERSION = 5
 
-# A band limit whose largest transform table (`_table_bytes`), or a grid
-# degree whose pair-kernel cross-check peaks (`sp.radial_kernel_bytes`) above
-# this, is refused before anything is allocated.
+# A band limit whose largest transform table (`hm.transform_table_bytes`), or
+# a grid degree whose pair-kernel cross-check peaks (`sp.radial_kernel_bytes`)
+# above this, is refused before anything is allocated.
 TABLE_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -137,13 +137,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _table_bytes(n: int, L: int, grid_degree: int) -> int:
-    """Bytes of a transform table at band limit L on a grid of the given
-    degree: one float per harmonic per polar ring (n = 2) or node (n = 1)."""
-    nodes = grid_degree + 1 if n == 2 else 2 * (grid_degree + 1)
-    return 8 * hm.harmonic_count(n, L) * nodes
-
-
 def _energyharmonics_degree(cfg: RunConfig) -> int:
     return cfg.grid_degree or (48 if cfg.n == 2 else 64)
 
@@ -159,10 +152,11 @@ def _check_table_budget(cfg: RunConfig, command: str):
     L = cfg.band_limit
     if command == "verify":
         degree = _energyharmonics_degree(cfg)
-        needs = {f"band limit {L}": _table_bytes(cfg.n, max(32, 2 * L), max(32, 2 * L)),
+        L_work = max(32, 2 * L)
+        needs = {f"band limit {L}": hm.transform_table_bytes(cfg.n, L_work, L_work),
                  f"grid degree {degree}": sp.radial_kernel_bytes(cfg.n, degree)}
     else:
-        needs = {f"band limit {L}": _table_bytes(cfg.n, L, max(2 * L, 4))}
+        needs = {f"band limit {L}": hm.transform_table_bytes(cfg.n, L, max(2 * L, 4))}
     for what, need in needs.items():
         if need > TABLE_BUDGET_BYTES:
             raise SystemExit(f"{what} needs about {need / 1024**3:.3g} GiB of tables "

@@ -211,13 +211,13 @@ class FitResult:
         }
 
 
-def fit_extremizer(u: HarmonicCoeffs, grid: QuadratureGrid | None = None,
-                   max_iter: int = 60) -> FitResult:
+def fit_extremizer(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> FitResult:
     """Least-squares fit of the family c (sqrt(1-|z|^2)/(1-z.w))^{n/2}.
 
     Initialization: amplitude from the mean, direction from the degree-1
     coefficient vector (zeta = 0 when the degree-1 energy is negligible).
-    The residual is the relative L2 misfit on the working grid.
+    The residual is the relative L2 misfit on the working grid; Gauss-Newton
+    takes at most 60 steps.
     """
     if not np.any(u.coeffs):
         raise ValueError("cannot fit the zero function")
@@ -255,7 +255,7 @@ def fit_extremizer(u: HarmonicCoeffs, grid: QuadratureGrid | None = None,
     r = resid(p)
     converged, message = False, "max iterations reached"
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 61):
         J = np.empty((r.size, p.size))
         h = 1e-6
         for k in range(p.size):
@@ -440,8 +440,9 @@ class _CapProbe:
         )
 
 
-def _sup_abs_u(u, n: int, rng: np.random.Generator, count: int = 4096) -> float:
-    pts = rng.standard_normal((count, n + 1))
+def _sup_abs_u(u, n: int, rng: np.random.Generator) -> float:
+    """max |u| over 4096 random points."""
+    pts = rng.standard_normal((4096, n + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return float(np.abs(np.atleast_1d(u(pts))).max())
 
@@ -466,10 +467,9 @@ def moving_sphere_profile(u, values, xi0=None, e=None,
     return probe.profile(values)
 
 
-def _critical_search(probe: _CapProbe, scan: np.ndarray, mean, tol: float,
-                     bisect_iters: int = 48) -> MovingSphereReport:
+def _critical_search(probe: _CapProbe, scan: np.ndarray, mean, tol: float) -> MovingSphereReport:
     """Profile over `scan`, which runs from the safe end toward the unsafe
-    end, then bisect the first failing step with `mean`."""
+    end, then bisect the first failing step with `mean`, 48 times."""
     threshold = -tol * _sup_abs_u(probe.u, probe.n, probe.rng)
     report = probe.profile(scan)
     fails = report.min_w < threshold
@@ -487,7 +487,7 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, mean, tol: float,
     else:
         k = int(np.argmax(fails))
         good, bad = float(scan[k - 1]), float(scan[k])
-        for _ in range(bisect_iters):
+        for _ in range(48):
             mid = mean(good, bad)
             if probe.min_w(mid) < threshold:
                 bad = mid

@@ -29,7 +29,7 @@ from .harmonics import (
     synthesize,
 )
 from .specfun import ln_gamma
-from .sphere import GridFunction, QuadratureGrid, apply_radial_kernel, build_grid, sphere_area
+from .sphere import GridFunction, QuadratureGrid, build_grid, sphere_area, weighted_kernel_products
 
 
 def constant_Cn(n: int) -> float:
@@ -52,19 +52,6 @@ def energy_spectral(u: HarmonicCoeffs, v: HarmonicCoeffs,
     return float(np.sum(table.per_slot(u.L) * (u.coeffs * v.coeffs)))
 
 
-def min_internode_distance(grid: QuadratureGrid) -> float:
-    """Smallest chordal gap between distinct nodes (closed form per grid type)."""
-    if grid.n == 1:
-        return 2.0 * math.sin(math.pi / grid.node_count)
-    t = grid.polar_t
-    nphi = grid.az_phi.size
-    s = np.sqrt(1.0 - t * t)
-    ring = 2.0 * s * math.sin(math.pi / nphi)
-    theta = np.sort(np.arccos(t))
-    polar = 2.0 * np.sin(np.diff(theta) / 2.0)
-    return float(min(ring.min(), polar.min()))
-
-
 def _pair_energy_sums(grid: QuadratureGrid, V: np.ndarray, eps_list) -> np.ndarray:
     """sum_{|xi_i - xi_j| >= eps} w_i w_j (V_i - V_j)^2 / |xi_i - xi_j|^n
     for each eps and each column of V.
@@ -72,14 +59,12 @@ def _pair_energy_sums(grid: QuadratureGrid, V: np.ndarray, eps_list) -> np.ndarr
     K being symmetric, the sum is 2 sum w V^2 (K w) - 2 sum w V K(w V); one
     kernel product per eps serves every column.
     """
-    w, n = grid.weights, grid.n
     V = np.atleast_2d(V.T).T  # (N, k)
-    wV = w[:, None] * V
-    X = np.column_stack([w, wV])
+    wV = grid.weights[:, None] * V
     out = np.empty((len(eps_list), V.shape[1]))
     for ei, eps in enumerate(eps_list):
-        KX = apply_radial_kernel(grid, lambda d2: d2 ** (-0.5 * n), eps, X)
-        out[ei] = 2.0 * (wV * V).T @ KX[:, 0] - 2.0 * np.sum(wV * KX[:, 1:], axis=0)
+        Kw, KwV = weighted_kernel_products(grid, 0.5 * grid.n, eps, V)
+        out[ei] = 2.0 * (wV * V).T @ Kw - 2.0 * np.sum(wV * KwV, axis=0)
     return out
 
 
@@ -89,11 +74,6 @@ def _cutoff_energies(u: GridFunction, v: GridFunction, eps_list) -> np.ndarray:
     grid = u.grid
     if v.grid is not grid:
         raise ValueError("grid mismatch: both functions must live on one grid")
-    if eps_list[0] < 2.0 * min_internode_distance(grid):
-        raise ValueError(
-            f"eps={eps_list[0]} below twice the minimum internode distance; "
-            "the near-diagonal sum would be unresolved"
-        )
     if u is v or u.values is v.values:
         return 0.5 * _pair_energy_sums(grid, u.values[:, None], eps_list)[:, 0]
     # polarization: 4 E[u,v] = E[u+v,u+v] - E[u-v,u-v]
@@ -108,9 +88,8 @@ def energy_direct(u: GridFunction, v: GridFunction, eps: float) -> float:
 
 
 def default_energy_eps(grid: QuadratureGrid) -> float:
-    """Twice the mean node spacing; safe for the pair-sum resolution."""
-    if grid.n == 1:
-        return 2.0 * (2.0 * math.pi / grid.node_count)
+    """2 pi / (degree + 1): twice the mean node spacing along a meridian of
+    S^2, or along the circle; safe for the pair-sum resolution."""
     return 2.0 * math.pi / (grid.degree + 1)
 
 
@@ -129,8 +108,6 @@ def energy_direct_extrapolated_many(grid: QuadratureGrid, values: np.ndarray,
     (columns of `values`); one kernel product per cutoff serves all."""
     if eps is None:
         eps = default_energy_eps(grid)
-    if eps < 2.0 * min_internode_distance(grid):
-        raise ValueError(f"eps={eps} below twice the minimum internode distance")
     s = _pair_energy_sums(grid, values, [eps, 2.0 * eps])
     return 0.5 * (4.0 * s[0] - s[1]) / 3.0
 
@@ -158,7 +135,6 @@ class DeficitReport:
     n: int
     L: int
     grid_degree: int
-    eps: float | None = None
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -225,25 +201,28 @@ class ELResidual:
         }
 
 
+_EL_FLOOR = 1e-12  # el_residual takes ln max(u, _EL_FLOOR)
+
+
 def el_residual(u: HarmonicCoeffs, L_test: int, grid: QuadratureGrid | None = None,
-                floor: float = 1e-12, allow_floor: bool = True) -> ELResidual:
+                allow_floor: bool = True) -> ELResidual:
     if L_test > u.L:
         raise ValueError(f"L_test={L_test} exceeds the band limit L={u.L}")
     if grid is None:
         grid = default_entropy_grid(u.n, u.L)
     vals = synthesize(u, grid).values
-    if np.any(vals < floor):
+    if np.any(vals < _EL_FLOOR):
         if not allow_floor:
             raise ValueError("synthesized u is not positive at all nodes")
         floored = True
     else:
         floored = False
-    logs = np.log(np.maximum(vals, floor))
+    logs = np.log(np.maximum(vals, _EL_FLOOR))
     rhs = analyze(GridFunction(grid, vals * logs), L_test)
     res = apply_H(u.with_band_limit(L_test)).coeffs - constant_Cn(u.n) * rhs.coeffs
     return ELResidual(
         n=u.n, L=u.L, L_test=L_test, grid_degree=grid.degree,
-        residuals=res, floored=floored, floor=floor,
+        residuals=res, floored=floored, floor=_EL_FLOOR,
     )
 
 
@@ -293,12 +272,13 @@ def verify_conf_H(u: HarmonicCoeffs, phi: ConformalMap, L_work: int = 32,
     return float(np.abs(lhs - rhs).max())
 
 
-def _check_projection_tail(c: HarmonicCoeffs, fraction: float = 1e-3):
-    """Reject pullbacks whose top degrees still carry visible energy."""
+def _check_projection_tail(c: HarmonicCoeffs):
+    """Reject pullbacks whose top two degrees carry more than 1e-3 of the
+    energy."""
     ls = degree_of_index(c.n, c.L)
     tail = float(np.sum(c.coeffs[ls >= c.L - 1] ** 2))
     total = c.norm_sq()
-    if total > 0.0 and tail > fraction * total:
+    if total > 0.0 and tail > 1e-3 * total:
         raise ValueError(
             "pullback projection overflow: map parameter too extreme for the "
             f"working band limit L={c.L} (top-degree energy fraction {tail/total:.2e})"

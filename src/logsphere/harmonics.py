@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import assoc_legendre_norm, digamma, fourier_basis, ln_gamma, tri_index
-from .sphere import GridFunction, QuadratureGrid, apply_radial_kernel, sphere_area
+from .sphere import GridFunction, QuadratureGrid, grid_shape, sphere_area, weighted_kernel_products
 
 def harmonic_count(n: int, L: int) -> int:
     if n == 1:
@@ -180,7 +180,7 @@ def _grid_tables(grid: QuadratureGrid, L: int) -> dict:
     if tables is not None:
         return tables
     if grid.n == 1:
-        B = fourier_basis(L, grid.thetas)
+        B = fourier_basis(L, grid.az_phi)
         tables = {"fourier": B}
     else:
         phi = grid.az_phi
@@ -195,6 +195,15 @@ def _grid_tables(grid: QuadratureGrid, L: int) -> dict:
         }
     per_grid[L] = tables
     return tables
+
+
+def transform_table_bytes(n: int, L: int, grid_degree: int) -> int:
+    """Bound on the bytes of the largest `_grid_tables` table at band limit L
+    on the grid of the given degree: one float per harmonic per polar ring
+    on S^2 (the Legendre table has about half that), per node on the
+    one-ring circle (the Fourier table)."""
+    rings, azimuths = grid_shape(n, grid_degree)
+    return 8 * harmonic_count(n, L) * (rings if n == 2 else azimuths)
 
 
 def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
@@ -461,23 +470,14 @@ def apply_P2s(c: HarmonicCoeffs, s: float) -> HarmonicCoeffs:
 # ---------------------------------------------------------------------------
 # quadrature oracles for the integral definitions
 
-def _kernel_products(f: GridFunction, exponent: float, eps: float):
-    """(K w, K (w f)) for K_ij = |xi_i - xi_j|^{-2 exponent}, cut off below eps."""
-    grid = f.grid
-    w = grid.weights
-    KX = apply_radial_kernel(grid, lambda d2: d2 ** -exponent, eps,
-                             np.column_stack([w, w * f.values]))
-    return KX[:, 0], KX[:, 1]
-
-
 def pv_apply_H_direct(f: GridFunction, eps: float) -> np.ndarray:
     """One-cutoff quadrature of the principal-value integral at every node.
 
     Excludes chordal distances below eps symmetrically; error is O(eps^2)
     plus quadrature error, so callers should Richardson-extrapolate.
     """
-    kw, kwf = _kernel_products(f, 0.5 * f.grid.n, eps)
-    return f.values * kw - kwf
+    kw, kwf = weighted_kernel_products(f.grid, 0.5 * f.grid.n, eps, f.values[:, None])
+    return f.values * kw - kwf[:, 0]
 
 
 def pv_apply_H(f: GridFunction, eps: float) -> np.ndarray:
@@ -503,5 +503,5 @@ def apply_P2s_direct(f: GridFunction, s: float, eps: float) -> np.ndarray:
         - 0.5 * n * math.log(math.pi)
         - ln_gamma(s)
     )
-    kw, kwf = _kernel_products(f, 0.5 * (n - 2.0 * s), eps)
-    return pref * (kwf - f.values * kw) + f.values * multiplier_P2s(n, 0, s)
+    kw, kwf = weighted_kernel_products(f.grid, 0.5 * (n - 2.0 * s), eps, f.values[:, None])
+    return pref * (kwf[:, 0] - f.values * kw) + f.values * multiplier_P2s(n, 0, s)

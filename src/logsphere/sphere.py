@@ -1,7 +1,7 @@
 """Geometry of the unit n-sphere in R^{n+1}: points, quadrature, integration.
 
-Grids exist for n = 1 (uniform circle rule) and n = 2 (Gauss-Legendre in the
-polar cosine times a uniform azimuth rule); closed-form quantities such as
+Grids exist for n = 1 (one ring) and n = 2 (Gauss-Legendre rings in the polar
+cosine), each ring a uniform azimuth rule; closed-form quantities such as
 surface areas work for every n >= 1.  A grid built with parameter `degree`
 integrates all spherical polynomials of degree <= 2*degree exactly.
 """
@@ -45,22 +45,21 @@ def chordal_distance(xi, eta) -> float | np.ndarray:
 
 @dataclass(eq=False)
 class QuadratureGrid:
-    """Nodes and surface-measure weights on S^n.
-
-    For n = 2 the grid is a product rule and keeps its polar/azimuth factor
-    structure so that harmonic transforms can run separably.  Instances are
-    immutable by convention and hash by identity, which lets transform
-    caches key on the grid object.
+    """Nodes and surface-measure weights on S^n: polar rings (cosines
+    `polar_t`, weights `polar_w`) times one uniform azimuth rule (`az_phi`),
+    polar index outer, so transforms and kernel products run separably.  The
+    circle is the one ring t = 0 of weight 1.  Instances are immutable by
+    convention and hash by identity, which lets transform caches key on the
+    grid object.
     """
 
     n: int
     degree: int
     nodes: np.ndarray  # (N, n+1), unit rows
     weights: np.ndarray  # (N,), positive, summing to |S^n|
-    polar_t: np.ndarray | None = field(default=None, repr=False)
-    polar_w: np.ndarray | None = field(default=None, repr=False)
-    az_phi: np.ndarray | None = field(default=None, repr=False)
-    thetas: np.ndarray | None = field(default=None, repr=False)
+    polar_t: np.ndarray = field(repr=False)
+    polar_w: np.ndarray = field(repr=False)
+    az_phi: np.ndarray = field(repr=False)
 
     @property
     def node_count(self) -> int:
@@ -90,37 +89,39 @@ class GridFunction:
             )
 
 
+def grid_shape(n: int, degree: int) -> tuple[int, int]:
+    """(polar rings, azimuths) of `build_grid(n, degree)`."""
+    if n == 1:
+        return 1, 2 * (degree + 1)
+    if n == 2:
+        return degree + 1, 2 * degree + 1
+    raise ValueError(f"grids are implemented only for n in {{1, 2}}, got n={n}")
+
+
 def build_grid(n: int, degree: int) -> QuadratureGrid:
     """Quadrature rule on S^n exact for spherical polynomials <= 2*degree.
 
-    n = 1: 2*(degree+1) equally weighted, half-step-offset circle nodes.
+    n = 1: one ring of 2*(degree+1) equally weighted azimuths.
     n = 2: (degree+1) Gauss-Legendre polar nodes x (2*degree+1) uniform
     azimuth nodes.  The offsets keep nodes away from the poles and from the
     coordinate axes, so conformal-map poles never coincide with nodes.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if n == 1:
-        count = 2 * (degree + 1)
-        # phase keeps nodes off the coordinate semi-axes for every count, so
-        # the stereographic pole (0, -1) is never a node
-        thetas = 2.0 * math.pi * (np.arange(count) + 0.618033988749895) / count
-        nodes = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        weights = np.full(count, 2.0 * math.pi / count)
-        return QuadratureGrid(1, degree, nodes, weights, thetas=thetas)
-    if n == 2:
-        t, wt = np.polynomial.legendre.leggauss(degree + 1)
-        m = 2 * degree + 1
-        phi = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        s = np.sqrt(1.0 - t * t)
-        # outer index polar, inner azimuth
-        x = np.outer(s, np.cos(phi)).ravel()
-        y = np.outer(s, np.sin(phi)).ravel()
-        z = np.outer(t, np.ones(m)).ravel()
-        nodes = np.column_stack([x, y, z])
-        weights = np.outer(wt, np.full(m, 2.0 * math.pi / m)).ravel()
-        return QuadratureGrid(2, degree, nodes, weights, polar_t=t, polar_w=wt, az_phi=phi)
-    raise ValueError(f"grids are implemented only for n in {{1, 2}}, got n={n}")
+    nt, nphi = grid_shape(n, degree)
+    t, wt = np.polynomial.legendre.leggauss(nt) if n == 2 else (np.zeros(1), np.ones(1))
+    # on the circle this phase keeps nodes off the coordinate semi-axes for
+    # every count, so the stereographic pole (0, -1) is never a node
+    phase = 0.5 if n == 2 else 0.618033988749895
+    phi = 2.0 * math.pi * (np.arange(nphi) + phase) / nphi
+    s = np.sqrt(1.0 - t * t)
+    # outer index polar, inner azimuth
+    x = np.outer(s, np.cos(phi)).ravel()
+    y = np.outer(s, np.sin(phi)).ravel()
+    z = np.outer(t, np.ones(nphi)).ravel()
+    nodes = np.column_stack([x, y, z][:n + 1])
+    weights = np.outer(wt, np.full(nphi, 2.0 * math.pi / nphi)).ravel()
+    return QuadratureGrid(n, degree, nodes, weights, polar_t=t, polar_w=wt, az_phi=phi)
 
 
 def integrate(grid: QuadratureGrid, f: GridFunction) -> float:
@@ -130,62 +131,84 @@ def integrate(grid: QuadratureGrid, f: GridFunction) -> float:
     return float(np.sum(grid.weights * f.values))
 
 
-def apply_radial_kernel(grid: QuadratureGrid, kernel, eps: float, X) -> np.ndarray:
-    """K @ X for the radial kernel K_ij = kernel(|xi_i - xi_j|^2), with
+def min_internode_distance(grid: QuadratureGrid) -> float:
+    """Smallest chordal gap between distinct nodes: along the smallest ring,
+    or between neighbouring rings."""
+    t = grid.polar_t
+    s = np.sqrt(1.0 - t * t)
+    ring = 2.0 * s * math.sin(math.pi / grid.az_phi.size)
+    polar = 2.0 * np.sin(np.diff(np.sort(np.arccos(t))) / 2.0)
+    return float(np.concatenate([ring, polar]).min())
+
+
+def apply_radial_kernel(grid: QuadratureGrid, power: float, eps: float, X) -> np.ndarray:
+    """K @ X for the radial kernel K_ij = |xi_i - xi_j|^(-2 power), with
     K_ij = 0 on the diagonal and wherever |xi_i - xi_j| < eps.
 
-    On a product grid the chordal distance depends only on the two polar
-    rings and the azimuth difference, so K is block-circulant in azimuth: a
-    Fourier transform along azimuth turns K @ X into one ring-by-ring
-    product per azimuthal frequency.  The kernel table has nt^2 (nphi/2 + 1)
-    entries instead of the N^2 = nt^2 nphi^2 of a dense matrix, and each
-    column of X costs O(nt^2 nphi).  The circle grid is the single-ring
-    case, a plain circulant.
-    `kernel` maps an array of squared distances to kernel values; it is
-    called only on the retained pairs.  X has shape (N,) or (N, k).
+    The chordal distance depends only on the two polar rings and the
+    azimuth difference, so K is block-circulant in azimuth: a Fourier
+    transform along azimuth turns K @ X into one ring-by-ring product per
+    azimuthal frequency.  The kernel table has nt^2 (nphi/2 + 1) entries
+    instead of the N^2 = nt^2 nphi^2 of a dense matrix, and each column of
+    X costs O(nt^2 nphi); on the one-ring circle grid K is a plain
+    circulant.  The table is built in one buffer, squared chords first and
+    kernel values in place.  X has shape (N,) or (N, k).
     """
-    if grid.n == 1:
-        t, s, nphi = np.zeros(1), np.ones(1), grid.node_count
-    elif grid.n == 2 and grid.polar_t is not None:
-        t, nphi = grid.polar_t, grid.az_phi.size
-        s = np.sqrt(1.0 - t * t)
-    else:
-        raise ValueError("radial kernels need a circle grid or an n = 2 product grid")
     X = np.asarray(X, dtype=float)
     if X.shape[0] != grid.node_count:
         raise ValueError(f"X has {X.shape[0]} rows, the grid {grid.node_count} nodes")
+    t, nphi = grid.polar_t, grid.az_phi.size
+    s = np.sqrt(1.0 - t * t)
     nt, half = t.size, nphi // 2 + 1
     lags = np.arange(half)
     # squared chord from ring i at azimuth 0 to ring j at azimuth lag k, as a
     # sum of nonnegative terms so that near pairs do not cancel; lags past
     # nphi/2 repeat the distances of nphi - k
-    rings = (t[:, None] - t[None, :]) ** 2 + (s[:, None] - s[None, :]) ** 2
-    d2 = rings + 4.0 * np.outer(s, s) * np.sin(math.pi * lags / nphi)[:, None, None] ** 2
-    keep = d2 >= eps * eps
-    keep[0, np.arange(nt), np.arange(nt)] = False
-    table = np.zeros_like(d2)
-    table[keep] = kernel(d2[keep])
+    table = np.multiply(4.0 * np.outer(s, s),
+                        np.sin(math.pi * lags / nphi)[:, None, None] ** 2)
+    table += (t[:, None] - t[None, :]) ** 2 + (s[:, None] - s[None, :]) ** 2
+    cut = table < eps * eps
+    cut[0, np.arange(nt), np.arange(nt)] = True
+    np.power(table, -power, out=table, where=~cut)
+    table[cut] = 0.0
+    del cut  # the table and its transform are the only large arrays alive at once
     # the DFT of an even lag row is a real cosine sum over its first half; a
     # small matrix does it many times faster than an FFT of the row, whose
     # length 2*degree + 1 is often prime
     fold = np.where((lags == 0) | (2 * lags == nphi), 1.0, 2.0)
     cos = np.cos(2.0 * math.pi * (np.outer(lags, lags) % nphi) / nphi) * fold
     khat = (cos @ table.reshape(half, -1)).reshape(half, nt, nt)  # (freq, ring i, ring j)
+    del table
     xhat = np.fft.rfft(X.reshape(nt, nphi, -1), axis=1).transpose(1, 0, 2)  # (freq, ring j, col)
     yhat = khat @ xhat.real + 1j * (khat @ xhat.imag)
     return np.fft.irfft(yhat, n=nphi, axis=0).transpose(1, 0, 2).reshape(X.shape)
 
 
+def weighted_kernel_products(grid: QuadratureGrid, power: float, eps: float,
+                             V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K w, K (w V)) for the kernel K of `apply_radial_kernel`, the grid
+    weights w and the columns of V.  A cutoff below twice the minimum node
+    gap is refused: the near-diagonal part of a pair sum is unresolved."""
+    if eps < 2.0 * min_internode_distance(grid):
+        raise ValueError(
+            f"eps={eps} below twice the minimum internode distance; "
+            "the near-diagonal sum would be unresolved"
+        )
+    w = grid.weights
+    KX = apply_radial_kernel(grid, power, eps, np.column_stack([w, w[:, None] * V]))
+    return KX[:, 0], KX[:, 1:]
+
+
 def radial_kernel_bytes(n: int, degree: int) -> int:
     """Upper bound on the peak bytes of `build_grid(n, degree)` plus one
     `apply_radial_kernel` call on it with up to three columns, in doubles:
-    five arrays of the nt^2 (nphi/2 + 1) squared-chord table's shape
-    (distances, keep mask, table, retained distances, kernel values), two
-    of the (nphi/2 + 1)^2 cosine matrix's while it is built, 16 node-length
-    arrays, and 256 KiB of casting buffers and small arrays."""
-    nt, nphi = (degree + 1, 2 * degree + 1) if n == 2 else (1, 2 * (degree + 1))
+    two arrays of the nt^2 (nphi/2 + 1) kernel table's shape (the table and
+    its cosine transform), two of the (nphi/2 + 1)^2 cosine matrix's while
+    it is built, 16 node-length arrays, and 256 KiB of casting buffers and
+    small arrays."""
+    nt, nphi = grid_shape(n, degree)
     half = nphi // 2 + 1
-    return 8 * (5 * half * nt * nt + 2 * half * half + 16 * nt * nphi) + 256 * 1024
+    return 8 * (2 * half * nt * nt + 2 * half * half + 16 * nt * nphi) + 256 * 1024
 
 
 def north_pole(n: int) -> np.ndarray:

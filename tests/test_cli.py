@@ -311,10 +311,10 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     assert capsys.readouterr().out == ""  # refused before any work is reported
 
 
-@pytest.mark.parametrize("n, largest_ok", [(2, 373), (1, 11573)])
+@pytest.mark.parametrize("n, largest_ok", [(2, 505), (1, 11574)])
 def test_grid_degree_budget_boundary(n, largest_ok):
-    # the pair-kernel peak: about 5 (degree + 1)^3 doubles on S^2, dominated by
-    # the squared-chord tables, and 2 (degree + 2)^2 on S^1, the cosine matrix
+    # the pair-kernel peak: about 2 (degree + 1)^3 doubles on S^2, the kernel
+    # table and its transform, and 2 (degree + 2)^2 on S^1, the cosine matrix
     _check_table_budget(RunConfig(n=n, grid_degree=largest_ok), "verify")
     with pytest.raises(SystemExit, match=f"grid degree {largest_ok + 1} "):
         _check_table_budget(RunConfig(n=n, grid_degree=largest_ok + 1), "verify")

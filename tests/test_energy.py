@@ -27,8 +27,9 @@ from logsphere import (
     verify_conf_E,
     verify_conf_H,
 )
-from logsphere.energy import min_internode_distance
+from logsphere.energy import energy_direct_extrapolated_many
 from logsphere.harmonics import flat_index, harmonic_indices
+from logsphere.sphere import min_internode_distance
 
 
 def family_coeffs(grids, zeta, c=1.0, L=32):
@@ -99,8 +100,11 @@ def test_energy_direct_cross_check_at_degree_96(grids, rng):
 def test_energy_direct_eps_guard(grids):
     g = grids(2, 16)
     f = GridFunction(g, np.ones(g.node_count))
+    eps = 0.5 * min_internode_distance(g)
     with pytest.raises(ValueError):
-        energy_direct(f, f, 0.5 * min_internode_distance(g))
+        energy_direct(f, f, eps)
+    with pytest.raises(ValueError):
+        energy_direct_extrapolated_many(g, f.values[:, None], eps)
 
 
 def test_beckner_rhs_cases(grids, rng):

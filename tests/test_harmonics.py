@@ -26,6 +26,7 @@ from logsphere import (
 )
 from logsphere.harmonics import (
     _evaluation_plan,
+    _grid_tables,
     apply_P2s_direct,
     degree_of_index,
     flat_index,
@@ -33,9 +34,17 @@ from logsphere.harmonics import (
     harmonic_count,
     harmonic_indices,
     log_operator_scale,
+    transform_table_bytes,
 )
 from logsphere.specfun import assoc_legendre_norm, digamma, tri_index
-from logsphere.sphere import sphere_area, sphere_point
+from logsphere.sphere import build_grid, min_internode_distance, sphere_area, sphere_point
+
+
+@pytest.mark.parametrize("n, L, degree", [(1, 8, 8), (1, 5, 40), (2, 8, 8), (2, 5, 40)])
+def test_transform_table_bytes_bounds_the_tables(n, L, degree):
+    tables = _grid_tables(build_grid(n, degree), L)
+    largest = max(table.nbytes for table in tables.values())
+    assert largest <= transform_table_bytes(n, L, degree) <= 2 * largest
 
 
 def test_analyze_constant(grids):
@@ -318,6 +327,18 @@ def test_apply_P2s_direct_quadrature_oracle(grids, rng):
     eps = 2.0 * math.pi / 49.0
     approx = apply_P2s_direct(f, 0.5, eps)
     assert np.abs(approx - exact).max() / np.abs(exact).max() < 1e-3
+
+
+def test_quadrature_oracles_refuse_unresolved_cutoff(grids, rng):
+    # the cutoff rule of the direct energy: below twice the smallest node gap
+    # the pairs just outside the cutoff are too sparse to resolve
+    g = grids(2, 24)
+    f = synthesize(random_coeffs(2, 4, rng), g)
+    eps = 0.5 * min_internode_distance(g)
+    with pytest.raises(ValueError, match="unresolved"):
+        pv_apply_H(f, eps)
+    with pytest.raises(ValueError, match="unresolved"):
+        apply_P2s_direct(f, 0.5, eps)
 
 
 def test_apply_P2s_conformal_covariance(grids, rng):

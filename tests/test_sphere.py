@@ -15,8 +15,12 @@ from logsphere import (
     sphere_point,
     zonal_basis,
 )
-from logsphere.energy import energy_direct_extrapolated, min_internode_distance
-from logsphere.sphere import apply_radial_kernel, radial_kernel_bytes
+from logsphere.energy import default_energy_eps, energy_direct_extrapolated
+from logsphere.sphere import (
+    apply_radial_kernel,
+    min_internode_distance,
+    radial_kernel_bytes,
+)
 
 
 def test_sphere_area_values():
@@ -35,6 +39,25 @@ def test_build_grid_circle_rule():
     assert g.node_count == 8
     np.testing.assert_allclose(g.weights, 2.0 * math.pi / 8.0)
     np.testing.assert_allclose(np.linalg.norm(g.nodes, axis=1), 1.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, degree", [(1, 1), (1, 7), (1, 64), (1, 2000),
+                                       (2, 1), (2, 8), (2, 24), (2, 48)])
+def test_grid_is_rings_times_azimuths(n, degree):
+    g = build_grid(n, degree)
+    nphi = g.az_phi.size
+    s = np.sqrt(1.0 - g.polar_t ** 2)
+    rings = [np.column_stack([si * np.cos(g.az_phi), si * np.sin(g.az_phi),
+                              np.full(nphi, ti)])[:, :n + 1]
+             for ti, si in zip(g.polar_t, s)]
+    assert np.array_equal(g.nodes, np.concatenate(rings))
+    azimuth_w = np.full(nphi, 2.0 * math.pi / nphi)
+    assert np.array_equal(g.weights, np.outer(g.polar_w, azimuth_w).ravel())
+    if n == 1:
+        assert g.polar_t.tolist() == [0.0] and g.polar_w.tolist() == [1.0]
+        N = g.node_count
+        assert min_internode_distance(g) == 2.0 * math.sin(math.pi / N)
+        assert default_energy_eps(g) == 4.0 * math.pi / N
 
 
 @pytest.mark.parametrize("n,degree", [(1, 3), (1, 16), (2, 8), (2, 24)])
@@ -133,15 +156,14 @@ def test_apply_radial_kernel_matches_dense(n, degree, eps_spacings, s_frac):
     grid = build_grid(n, degree)
     eps = eps_spacings * min_internode_distance(grid)
     exponent = 0.5 * n * (1.0 - s_frac)
-    kernel = lambda d2: d2 ** -exponent
     X = np.random.default_rng(degree).standard_normal((grid.node_count, 2))
-    want, dists = dense_radial_kernel(grid, kernel, eps, X)
+    want, dists = dense_radial_kernel(grid, lambda d2: d2 ** -exponent, eps, X)
     # a cutoff on a node distance is decided by rounding; skip those ties
     assume(np.abs(dists - eps).min() > 1e-9)
     scale = np.abs(want).max()
-    got = apply_radial_kernel(grid, kernel, eps, X)
+    got = apply_radial_kernel(grid, exponent, eps, X)
     assert np.abs(got - want).max() <= 1e-12 * scale
-    column = apply_radial_kernel(grid, kernel, eps, X[:, 0])
+    column = apply_radial_kernel(grid, exponent, eps, X[:, 0])
     assert column.shape == (grid.node_count,)
     assert np.abs(column - want[:, 0]).max() <= 1e-12 * scale
 
@@ -149,22 +171,45 @@ def test_apply_radial_kernel_matches_dense(n, degree, eps_spacings, s_frac):
 def test_apply_radial_kernel_rejects_bad_shapes():
     g = build_grid(2, 4)
     with pytest.raises(ValueError):
-        apply_radial_kernel(g, lambda d2: 1.0 / d2, 0.1, np.ones(g.node_count + 1))
+        apply_radial_kernel(g, 1.0, 0.1, np.ones(g.node_count + 1))
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees while `run()` executes, above what
+    was live before it.  A first, untraced run keeps numpy's first-use
+    imports out of the count."""
+    run()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("degree", [48, 100])
+def test_apply_radial_kernel_peaks_at_two_tables(degree):
+    # the squared chords turn into kernel values in their own buffer, so
+    # only the table and its cosine transform are ever alive together
+    grid = build_grid(2, degree)
+    X = np.column_stack([grid.weights, grid.weights])
+    eps = 2.0 * min_internode_distance(grid)
+    table_bytes = 8 * (degree + 1) ** 2 * (degree + 1)  # nt^2 (nphi/2 + 1)
+    peak = traced_peak(lambda: apply_radial_kernel(grid, 1.0, eps, X))
+    assert peak <= 2.25 * table_bytes
 
 
 @pytest.mark.parametrize("n, degree", [(2, 48), (2, 100), (1, 2000)])
 def test_radial_kernel_bytes_bounds_the_cross_check_peak(n, degree):
     # S^2 at verify's default degree and above it, and a circle grid where the
-    # cosine matrix, not the squared-chord table, dominates
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+    # cosine matrix, not the kernel table, dominates
+    def run():
         grid = build_grid(n, degree)
         f = grid.sample(lambda x: 1.0 + x[:, 0] + x[:, -1] ** 2)
         energy_direct_extrapolated(f, f)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(run)
     # a bound, and not so loose that the budget refuses degrees that fit
     assert peak <= radial_kernel_bytes(n, degree) <= 1.5 * peak
