@@ -141,22 +141,30 @@ def _energyharmonics_degree(cfg: RunConfig) -> int:
     return cfg.grid_degree or (48 if cfg.n == 2 else 64)
 
 
-def _check_table_budget(cfg: RunConfig, command: str):
-    """Refuse a band limit whose largest table, or a grid degree whose
-    pair-kernel peak, exceeds TABLE_BUDGET_BYTES.
+def _work_band_limit(cfg: RunConfig) -> int:
+    """Band limit and grid degree of the conformal-identity suites."""
+    return max(32, 2 * cfg.band_limit)
 
-    verify works at band limit max(32, 2L) on a grid of that degree and sums
-    the pair kernel on the `energyharmonics` grid; the flow and the probe
-    work at L on the degree-2L entropy grid.
+
+def _check_table_budget(cfg: RunConfig, command: str):
+    """Refuse a band limit whose tables, or a grid degree whose pair-kernel
+    cross-check, would peak above TABLE_BUDGET_BYTES.
+
+    verify builds transform tables at the work band limit on a grid of that
+    degree and sums the pair kernel on the `energyharmonics` grid; the flow
+    and the probe build them at L on the entropy grid, the probe on S^2 also
+    the off-grid evaluation plan.
     """
     L = cfg.band_limit
     if command == "verify":
-        degree = _energyharmonics_degree(cfg)
-        L_work = max(32, 2 * L)
+        degree, L_work = _energyharmonics_degree(cfg), _work_band_limit(cfg)
         needs = {f"band limit {L}": hm.transform_table_bytes(cfg.n, L_work, L_work),
                  f"grid degree {degree}": sp.radial_kernel_bytes(cfg.n, degree)}
     else:
-        needs = {f"band limit {L}": hm.transform_table_bytes(cfg.n, L, max(2 * L, 4))}
+        tables = hm.transform_table_bytes(cfg.n, L, en.entropy_degree(L))
+        if command == "movespheres" and cfg.n == 2:
+            tables = max(tables, hm.evaluation_plan_bytes(L))
+        needs = {f"band limit {L}": tables}
     for what, need in needs.items():
         if need > TABLE_BUDGET_BYTES:
             raise SystemExit(f"{what} needs about {need / 1024**3:.3g} GiB of tables "
@@ -194,7 +202,8 @@ def _report_config(cfg: RunConfig, command: str) -> dict:
 
 
 def _write_json(report: dict, path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_np_default) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_np_default,
+                      allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -272,14 +281,13 @@ def _suite_kernel_sign(cfg: RunConfig, rng) -> dict:
 def _suite_conf_transf_E(cfg: RunConfig, rng) -> dict:
     n = cfg.n
     L_in = max(4, cfg.band_limit // 2)
-    L_work = max(32, 2 * cfg.band_limit)
-    grid = sp.build_grid(n, L_work)
+    grid = sp.build_grid(n, _work_band_limit(cfg))
     worst_ratio = 0.0
     for _ in range(3):
         u = hm.random_coeffs(n, L_in, rng)
         v = hm.random_coeffs(n, L_in, rng)
         phi = cf.Moebius(_random_zeta(n, rng, 0.1, 0.5))
-        res = en.verify_conf_E(u, v, phi, L_work, grid)
+        res = en.verify_conf_E(u, v, phi, grid)
         allowed = 1e-3 * (1.0 + abs(en.energy_spectral(u, v))) * cfg.tol
         worst_ratio = max(worst_ratio, res / allowed)
     return {"name": "conf_transf_E", "metric": worst_ratio, "tolerance": 1.0,
@@ -289,13 +297,12 @@ def _suite_conf_transf_E(cfg: RunConfig, rng) -> dict:
 def _suite_conf_transf_H(cfg: RunConfig, rng) -> dict:
     n = cfg.n
     L_in = max(4, cfg.band_limit // 2)
-    L_work = max(32, 2 * cfg.band_limit)
-    grid = sp.build_grid(n, L_work)
+    grid = sp.build_grid(n, _work_band_limit(cfg))
     worst_ratio = 0.0
     for _ in range(3):
         u = hm.random_coeffs(n, L_in, rng)
         phi = cf.Moebius(_random_zeta(n, rng, 0.1, 0.4))
-        res = en.verify_conf_H(u, phi, L_work, grid)
+        res = en.verify_conf_H(u, phi, grid)
         hu = hm.synthesize(hm.apply_H(u), grid).values
         allowed = 1e-3 * max(1.0, float(np.abs(hu).max())) * cfg.tol
         worst_ratio = max(worst_ratio, res / allowed)
@@ -511,9 +518,12 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
     if kind == "coeffs":
         data = _read_json_file(payload, "coeffs")
         try:
-            return hm.HarmonicCoeffs.from_json_dict(data)
+            coeffs = hm.HarmonicCoeffs.from_json_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise SystemExit(f"coeffs file {payload!r} is malformed: {exc!r}") from None
+        if coeffs.n != n:
+            raise SystemExit(f"coeffs file {payload!r} holds n={coeffs.n}, but --n is {n}")
+        return coeffs.with_band_limit(L)
     raise SystemExit(f"unknown init spec {spec!r}")
 
 
@@ -583,21 +593,20 @@ def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
     else:
         u = hm.as_evaluable(_parse_init(u_spec, cfg))
     rng = np.random.default_rng(cfg.seed)
-    if (xi0 is None) == (e is None):
-        raise SystemExit("pass exactly one of --xi0 or --e")
     point = _parse_point(xi0, n) if xi0 is not None else None
     normal = _parse_normal(e, n) if e is not None else None
-    if values != "auto":
-        vals = _numbers(values, "--values").tolist()
-        if len(set(vals)) != len(vals):
-            raise SystemExit("--values: each scale value may appear once")
-        if point is not None and min(vals) <= 0:
-            raise SystemExit("--values: inversion radii must be positive")
-        report = dy.moving_sphere_profile(u, vals, xi0=point, e=normal, rng=rng)
-    elif point is not None:
-        report = dy.critical_lambda(u, point, tol=tol, rng=rng)
-    else:
-        report = dy.critical_alpha(u, normal, tol=tol, rng=rng)
+    try:  # the probe's ValueError (a PoleError is one) becomes one line
+        if values != "auto":
+            vals = _numbers(values, "--values").tolist()
+            if len(set(vals)) != len(vals):
+                raise SystemExit("--values: each scale value may appear once")
+            report = dy.moving_sphere_profile(u, vals, xi0=point, e=normal, rng=rng)
+        elif point is not None:
+            report = dy.critical_lambda(u, point, tol=tol, rng=rng)
+        else:
+            report = dy.critical_alpha(u, normal, tol=tol, rng=rng)
+    except ValueError as exc:
+        raise SystemExit(f"movespheres: {exc}") from None
     if report.critical is not None:
         bound = " (lower bound)" if report.critical_is_bound else ""
         print(f"critical {report.parameter_name} = {report.critical:.6f}{bound}, "

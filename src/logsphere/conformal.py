@@ -93,10 +93,13 @@ def _planar_lift(pts: np.ndarray, what: str):
 
 
 def _unit(v) -> np.ndarray:
-    """A copy of v scaled to unit length.  A vector already unit to within
-    a few ulp is kept bit for bit, so a map rebuilt from its JSON is the map
-    that wrote it (normalizing again can move a component by an ulp)."""
+    """A copy of the finite v scaled to unit length.  A vector already unit
+    to within a few ulp is kept bit for bit, so a map rebuilt from its JSON
+    is the map that wrote it (normalizing again can move a component by an
+    ulp)."""
     v = np.array(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"map geometry must be finite, got {v.tolist()}")
     if abs(float(v @ v) - 1.0) <= 8.0 * np.finfo(float).eps:
         return v
     return sphere_point(v)
@@ -120,8 +123,8 @@ class LiftedInversion:
 
     def __post_init__(self):
         object.__setattr__(self, "xi0", _unit(self.xi0))
-        if self.lam <= 0:
-            raise ValueError(f"inversion radius must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"inversion radius must be positive and finite, got {self.lam}")
         if 1.0 + self.xi0[-1] < 1e-12:
             raise ValueError("xi0 must differ from the south pole")
         object.__setattr__(self, "x0", inverse_stereographic(self.xi0))
@@ -140,6 +143,8 @@ class LiftedReflection:
     e: np.ndarray
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"reflection offset must be finite, got {self.alpha}")
         if np.linalg.norm(self.e) < 1e-12:
             raise ValueError("reflection normal must be a nonzero vector")
         object.__setattr__(self, "e", _unit(self.e))
@@ -159,7 +164,7 @@ class Moebius:
     def __post_init__(self):
         zeta = np.asarray(self.zeta, dtype=float)
         z2 = float(np.dot(zeta, zeta))
-        if z2 >= 1.0:
+        if not z2 < 1.0:  # NaN too
             raise ValueError(f"|zeta| must be < 1, got |zeta|={math.sqrt(z2)}")
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "mu", zeta / (1.0 + math.sqrt(1.0 - z2)))
@@ -359,19 +364,22 @@ class SigmaRegion:
 
 
 def region_of(phi: ConformalMap) -> SigmaRegion:
+    """The comparison cap; one that overflows double precision is refused."""
     if isinstance(phi, LiftedInversion):
         x0, lam = phi.x0, phi.lam
         x0sq = float(np.dot(x0, x0))
-        p = np.concatenate([2.0 * x0, [1.0 + lam * lam - x0sq]])
+        p, c = np.concatenate([2.0 * x0, [1.0 + lam * lam - x0sq]]), 1.0 + x0sq - lam * lam
+        kind, geometry = "inversion", {"lam": lam, "x0": x0}
+    elif isinstance(phi, LiftedReflection):
+        p, c = np.concatenate([phi.e, [-phi.alpha]]), phi.alpha
+        kind, geometry = "reflection", {"alpha": phi.alpha, "e": phi.e}
+    else:
+        raise ValueError("comparison regions exist for inversion and reflection maps only")
+    with np.errstate(over="ignore"):
         scale = np.linalg.norm(p)
-        return SigmaRegion("inversion", p / scale, (1.0 + x0sq - lam * lam) / scale,
-                           lam=lam, x0=x0)
-    if isinstance(phi, LiftedReflection):
-        p = np.concatenate([phi.e, [-phi.alpha]])
-        scale = np.linalg.norm(p)
-        return SigmaRegion("reflection", p / scale, phi.alpha / scale,
-                           alpha=phi.alpha, e=phi.e)
-    raise ValueError("comparison regions exist for inversion and reflection maps only")
+    if not math.isfinite(scale):
+        raise ValueError("the comparison region is not finite in double precision")
+    return SigmaRegion(kind, p / scale, c / scale, **geometry)
 
 
 def in_sigma(region: SigmaRegion, xi) -> bool | np.ndarray:
@@ -440,11 +448,6 @@ def sample_region(region: SigmaRegion, count: int, rng: np.random.Generator) -> 
     return cap_points(region, u, phi)
 
 
-def grid_nodes_in(region: SigmaRegion, grid) -> np.ndarray:
-    """Indices of grid nodes strictly inside the region."""
-    return np.nonzero(grid.nodes @ region.axis > region.cos_threshold)[0]
-
-
 def kernel_l(phi: ConformalMap, xi, eta) -> float | np.ndarray:
     """Difference kernel 1/|xi-eta|^n - J^{1/2}(eta)/|xi-phi(eta)|^n.
 
@@ -464,20 +467,15 @@ def kernel_l(phi: ConformalMap, xi, eta) -> float | np.ndarray:
     return _unrows(vals, single_a and single_b)
 
 
-def antisymmetry_defect(w, phi: ConformalMap, region: SigmaRegion,
-                        points=None, grid=None) -> float:
-    """max over region points of |w(eta) + J^{1/2}(eta) w(phi(eta))|.
+def antisymmetry_defect(w, phi: ConformalMap, points) -> float:
+    """max over the points of |w(eta) + J^{1/2}(eta) w(phi(eta))|.
 
-    `w` is a callable points -> values.  Points default to the nodes of
-    `grid` inside the region.
+    `w` is a callable points -> values; the points are typically a sample of
+    the comparison region (`sample_region`).
     """
-    if points is None:
-        if grid is None:
-            raise ValueError("need explicit points or a grid to take nodes from")
-        points = grid.nodes[grid_nodes_in(region, grid)]
     points = np.atleast_2d(points)
     if points.shape[0] == 0:
-        raise ValueError("no evaluation points inside the region")
+        raise ValueError("no evaluation points")
     mapped, jac = map_with_jacobian(phi, points)
     vals = np.atleast_1d(w(points)) + np.sqrt(jac) * np.atleast_1d(w(mapped))
     return float(np.abs(vals).max())

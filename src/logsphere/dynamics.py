@@ -5,9 +5,9 @@ of a candidate solution.
 The flow is projected gradient descent on the deficit over the sphere
 ||u||_2 = const in coefficient space, with a backtracking line search, so
 the recorded deficit sequence is nonincreasing by construction.  The
-moving-spheres probe evaluates w = u_Phi - u on sample nodes of the
-comparison cap; the sample templates deform continuously with the scale
-parameter, which keeps the bisection predicate stable.
+moving-spheres probe evaluates w = u_Phi - u on DEFAULT_SAMPLES nodes of the
+comparison cap; the templates deform continuously with the scale parameter,
+which keeps the bisection predicate stable.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .harmonics import (
     random_coeffs,
     synthesize,
 )
-from .sphere import GridFunction, QuadratureGrid, sphere_area
+from .sphere import GridFunction, sphere_area
 
-DEFAULT_SAMPLES = 2048
+DEFAULT_SAMPLES = 2048  # probe nodes per template
 
 
 # ---------------------------------------------------------------------------
@@ -40,13 +40,11 @@ DEFAULT_SAMPLES = 2048
 class FlowConfig:
     step_size: float = 0.05
     max_iter: int = 2000
-    stop_tol: float = 1e-13  # stop once a step decreases the deficit less than this
     band_limit: int = 16
 
     def __post_init__(self):
-        # the chained comparisons are false for NaN and infinities too
-        if not (0 < self.step_size < math.inf and self.max_iter > 0
-                and 0 < self.stop_tol < math.inf):
+        # the chained comparison is false for NaN and infinities too
+        if not (0 < self.step_size < math.inf and self.max_iter > 0):
             raise ValueError("flow parameters must be positive and finite")
         if self.band_limit < 1:
             raise ValueError("band limit must be >= 1")
@@ -81,9 +79,9 @@ class _Deficit:
     what every evaluation shares set up once: the entropy grid, h_l at each
     slot, |S^n| and C_n."""
 
-    def __init__(self, n: int, L: int, grid: QuadratureGrid | None = None):
+    def __init__(self, n: int, L: int):
         self.n, self.L = n, L
-        self.grid = grid if grid is not None else default_entropy_grid(n, L)
+        self.grid = default_entropy_grid(n, L)
         self.hvec = h_multiplier_table(n, L).per_slot(L)
         self.area, self.cn = sphere_area(n), constant_Cn(n)
 
@@ -105,18 +103,18 @@ class _Deficit:
         return deficit, grad
 
 
-def deficit_gradient(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> np.ndarray:
+def deficit_gradient(u: HarmonicCoeffs) -> np.ndarray:
     """Gradient of the (unconstrained) deficit in coefficient space."""
-    return _Deficit(u.n, u.L, grid)(u.coeffs)[1]
+    return _Deficit(u.n, u.L)(u.coeffs)[1]
 
 
-def deficit_value(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> float:
-    return _Deficit(u.n, u.L, grid)(u.coeffs)[0]
+def deficit_value(u: HarmonicCoeffs) -> float:
+    return _Deficit(u.n, u.L)(u.coeffs)[0]
 
 
-def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig,
-                     grid: QuadratureGrid | None = None) -> FlowResult:
-    """Projected gradient descent on the deficit over ||u||_2 = ||init||_2.
+def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig) -> FlowResult:
+    """Projected gradient descent on the deficit over ||u||_2 = ||init||_2,
+    on the entropy grid of the flow's band limit.
 
     The deficit is 2-homogeneous, D(tu) = t^2 D(u), so the flow keeps the
     initial norm; scale `init` to flow on another sphere.
@@ -126,7 +124,7 @@ def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig,
     n, L = init.n, cfg.band_limit
     c = init.with_band_limit(L).coeffs
     target = math.sqrt(float(np.dot(c, c)))
-    deficit_parts = _Deficit(n, L, grid)
+    deficit_parts = _Deficit(n, L)
     deficit, grad = deficit_parts(c)
     deficits = [deficit]
     step = cfg.step_size
@@ -154,7 +152,7 @@ def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig,
         c, deficit, grad = cand, d_new, g_new
         deficits.append(deficit)
         step *= 1.3
-        if decrease < cfg.stop_tol:
+        if decrease < 1e-13:  # the stop tolerance
             converged, message = True, "deficit decrease below stop tolerance"
             break
     return FlowResult(HarmonicCoeffs(n, L, c), deficits, it, converged, message)
@@ -211,19 +209,18 @@ class FitResult:
         }
 
 
-def fit_extremizer(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> FitResult:
+def fit_extremizer(u: HarmonicCoeffs) -> FitResult:
     """Least-squares fit of the family c (sqrt(1-|z|^2)/(1-z.w))^{n/2}.
 
     Initialization: amplitude from the mean, direction from the degree-1
     coefficient vector (zeta = 0 when the degree-1 energy is negligible).
-    The residual is the relative L2 misfit on the working grid; Gauss-Newton
-    takes at most 60 steps.
+    The residual is the relative L2 misfit on the entropy grid of u's band
+    limit; Gauss-Newton takes at most 60 steps.
     """
     if not np.any(u.coeffs):
         raise ValueError("cannot fit the zero function")
     n, L = u.n, u.L
-    if grid is None:
-        grid = default_entropy_grid(n, L)
+    grid = default_entropy_grid(n, L)
     u_vals = synthesize(u, grid).values
     area = sphere_area(n)
     norm = math.sqrt(float(np.sum(grid.weights * u_vals**2)))
@@ -308,14 +305,15 @@ class MovingSphereReport:
     critical: float | None = None
     sup_w_at_critical: float | None = None
     critical_is_bound: bool = False
-    samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("scan values must be strictly increasing")
-        if not (np.all(np.isfinite(self.min_w)) and np.all(np.isfinite(self.sup_abs_w))):
-            raise ValueError("non-finite comparison minima in the report")
+        finite = np.isfinite(self.min_w) & np.isfinite(self.sup_abs_w) & np.isfinite(self.defect)
+        if not finite.all():
+            raise ValueError(f"non-finite comparison values at {self.parameter_name} = "
+                             f"{self.values[~finite][0]:g}")
 
     @property
     def parameter_name(self) -> str:
@@ -335,7 +333,7 @@ class MovingSphereReport:
             "critical": self.critical,
             "sup_w_at_critical": self.sup_w_at_critical,
             "critical_is_bound": self.critical_is_bound,
-            "samples": self.samples,
+            "samples": DEFAULT_SAMPLES,
         }
 
     def csv_rows(self) -> list[tuple]:
@@ -348,16 +346,11 @@ class MovingSphereReport:
         return rows
 
 
-def _map_for(kind: str, center, direction, value: float) -> cf.ConformalMap:
-    if kind == "inversion":
-        return cf.LiftedInversion(value, center)
-    return cf.LiftedReflection(value, direction)
-
-
 class _CapProbe:
-    """w = u_Phi - u over one map family, on sample nodes from a template that
-    deforms continuously with the scale parameter: half planar-ball nodes
-    (inversions only), half cap nodes.
+    """w = u_Phi - u over the inversions about xi0 or the reflections along e,
+    on sample nodes from a template that deforms continuously with the scale
+    parameter: DEFAULT_SAMPLES / 2 planar-ball nodes (inversions only) and as
+    many cap nodes.
 
     A value whose map has a pole at a node is retried once on a fresh
     template from the probe's generator; other values keep the first one.
@@ -366,19 +359,22 @@ class _CapProbe:
     retried there.
     """
 
-    def __init__(self, u, kind: str, center, direction, samples: int,
-                 rng: np.random.Generator):
+    def __init__(self, u, xi0, e, rng: np.random.Generator | None):
+        if (xi0 is None) == (e is None):
+            raise ValueError("pass exactly one of xi0 (inversion) or e (reflection)")
         if isinstance(u, HarmonicCoeffs):
             u = as_evaluable(u)
         elif not callable(u):
             raise TypeError("u must be callable on points or a HarmonicCoeffs")
-        self.u, self.kind, self.center, self.direction = u, kind, center, direction
-        self.n = (center.size - 1) if kind == "inversion" else direction.size
-        self.samples, self.rng = samples, rng
+        self.u, self.kind = u, "inversion" if e is None else "reflection"
+        self.center = None if xi0 is None else np.asarray(xi0, float)
+        self.direction = None if e is None else np.asarray(e, float)
+        self.n = self.center.size - 1 if e is None else self.direction.size
+        self.rng = rng if rng is not None else np.random.default_rng(0)
         self.template = self._draw_template()
 
     def _draw_template(self):
-        half, n, rng = max(self.samples // 2, 8), self.n, self.rng
+        half, n, rng = DEFAULT_SAMPLES // 2, self.n, self.rng
         # planar ball template (used by the inversion variant)
         ball_dirs = rng.standard_normal((half, n))
         ball_dirs /= np.linalg.norm(ball_dirs, axis=1, keepdims=True)
@@ -414,12 +410,17 @@ class _CapProbe:
         return float(self._w(phi, template)[0].min())
 
     def _at(self, stats, value: float):
-        """stats(phi, template) for the value's map, under the retry policy."""
-        phi = _map_for(self.kind, self.center, self.direction, value)
+        """stats(phi, template) under the retry policy; an error names the value."""
         try:
-            return stats(phi, self.template)
-        except cf.PoleError:
-            return stats(phi, self._draw_template())
+            phi = (cf.LiftedInversion(value, self.center) if self.direction is None
+                   else cf.LiftedReflection(value, self.direction))
+            try:
+                return stats(phi, self.template)
+            except cf.PoleError:
+                return stats(phi, self._draw_template())
+        except ValueError as exc:
+            name = "lambda" if self.direction is None else "alpha"
+            raise type(exc)(f"at {name} = {value:g}: {exc}") from None
 
     def w_stats(self, value: float) -> tuple[float, float, float]:
         """(min w, sup |w|, antisymmetry defect) at one scale value."""
@@ -436,7 +437,7 @@ class _CapProbe:
         return MovingSphereReport(
             kind=self.kind, n=self.n, center=self.center, direction=self.direction,
             values=values, min_w=stats[:, 0], sup_abs_w=stats[:, 1],
-            defect=stats[:, 2], samples=self.samples,
+            defect=stats[:, 2],
         )
 
 
@@ -448,23 +449,13 @@ def _sup_abs_u(u, n: int, rng: np.random.Generator) -> float:
 
 
 def moving_sphere_profile(u, values, xi0=None, e=None,
-                          samples: int = DEFAULT_SAMPLES,
                           rng: np.random.Generator | None = None) -> MovingSphereReport:
     """Scan w = u_Phi - u over the comparison region for each scale value.
 
     Pass `xi0` for the inversion family (values are radii lambda) or `e`
     for the reflection family (values are offsets alpha).
     """
-    if (xi0 is None) == (e is None):
-        raise ValueError("pass exactly one of xi0 (inversion) or e (reflection)")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if xi0 is not None:
-        if np.any(np.asarray(values) <= 0):
-            raise ValueError("inversion radii must be positive")
-        probe = _CapProbe(u, "inversion", np.asarray(xi0, float), None, samples, rng)
-    else:
-        probe = _CapProbe(u, "reflection", None, np.asarray(e, float), samples, rng)
-    return probe.profile(values)
+    return _CapProbe(u, xi0, e, rng).profile(values)
 
 
 def _critical_search(probe: _CapProbe, scan: np.ndarray, mean, tol: float) -> MovingSphereReport:
@@ -476,10 +467,8 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, mean, tol: float) -> Mo
     if scan[0] > scan[-1]:  # the report is in increasing order
         fails = fails[::-1]
     if fails[0]:
-        raise ValueError(
-            f"comparison already fails at the safe end {scan[0]}: "
-            "enlarge the search interval"
-        )
+        raise ValueError(f"comparison already fails at the safe end {scan[0]:g} of the fixed "
+                         f"scan: the critical {report.parameter_name} lies beyond it")
     if not fails.any():
         # no sign change: the critical value is at least the end of the scan
         report.critical = float(scan[-1])
@@ -498,29 +487,26 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, mean, tol: float) -> Mo
     return report
 
 
-def critical_lambda(u, xi0, lo: float = 0.02, hi: float = 50.0, tol: float = 1e-9,
-                    samples: int = DEFAULT_SAMPLES,
+def critical_lambda(u, xi0, tol: float = 1e-9,
                     rng: np.random.Generator | None = None) -> MovingSphereReport:
-    """Bisection for the critical inversion radius at base point xi0.
+    """Bisection for the critical inversion radius at base point xi0, from a
+    scan of 32 radii from 0.02 to 50 in geometric steps.
 
     The comparison minimum must be clean at the small-radius end; if no sign
-    change occurs up to `hi` the report carries critical_is_bound = True
-    (read: the critical scale is >= hi).
+    change occurs up to 50 the report carries critical_is_bound = True
+    (read: the critical scale is >= 50).
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    probe = _CapProbe(u, "inversion", np.asarray(xi0, float), None, samples, rng)
-    return _critical_search(probe, np.geomspace(lo, hi, 32),
+    return _critical_search(_CapProbe(u, xi0, None, rng), np.geomspace(0.02, 50.0, 32),
                             lambda a, b: math.sqrt(a * b), tol)
 
 
-def critical_alpha(u, e, lo: float = -6.0, hi: float = 6.0, tol: float = 1e-9,
-                   samples: int = DEFAULT_SAMPLES,
+def critical_alpha(u, e, tol: float = 1e-9,
                    rng: np.random.Generator | None = None) -> MovingSphereReport:
-    """Reflection analogue: bisection for the critical offset along e.
+    """Reflection analogue: bisection for the critical offset along e, from
+    a scan of 32 offsets from 6 down to -6.
 
     Large offsets (small caps) are the safe end; the offset decreases until
     the comparison fails.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    probe = _CapProbe(u, "reflection", None, np.asarray(e, float), samples, rng)
-    return _critical_search(probe, np.linspace(hi, lo, 32), lambda a, b: 0.5 * (a + b), tol)
+    return _critical_search(_CapProbe(u, None, e, rng), np.linspace(6.0, -6.0, 32),
+                            lambda a, b: 0.5 * (a + b), tol)

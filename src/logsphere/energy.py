@@ -5,9 +5,9 @@ entropy duality (Gibbs) inequality.
 The spectral route is primary: for band-limited u, v the energy is the
 exactly representable sum E[u,v] = sum_l h_l u_{l,m} v_{l,m}.  The direct
 double-quadrature of the difference kernel is a cross-check path with a
-chordal exclusion |xi-eta| >= eps and Richardson extrapolation in eps (the
-excluded mass scales like eps^2 because the squared difference vanishes
-quadratically on the diagonal).
+chordal exclusion |xi-eta| >= eps and Richardson extrapolation in eps, eps
+set by the grid (the excluded mass scales like eps^2 because the squared
+difference vanishes quadratically on the diagonal).
 """
 
 from __future__ import annotations
@@ -93,21 +93,17 @@ def default_energy_eps(grid: QuadratureGrid) -> float:
     return 2.0 * math.pi / (grid.degree + 1)
 
 
-def energy_direct_extrapolated(u: GridFunction, v: GridFunction,
-                               eps: float | None = None) -> float:
-    """Richardson extrapolation over (eps, 2 eps) of the cutoff quadrature."""
-    if eps is None:
-        eps = default_energy_eps(u.grid)
+def energy_direct_extrapolated(u: GridFunction, v: GridFunction) -> float:
+    """Richardson extrapolation over (eps, 2 eps), eps = default_energy_eps."""
+    eps = default_energy_eps(u.grid)
     e1, e2 = _cutoff_energies(u, v, [eps, 2.0 * eps])
     return float((4.0 * e1 - e2) / 3.0)
 
 
-def energy_direct_extrapolated_many(grid: QuadratureGrid, values: np.ndarray,
-                                    eps: float | None = None) -> np.ndarray:
-    """Extrapolated quadratic-form energies for several functions at once
-    (columns of `values`); one kernel product per cutoff serves all."""
-    if eps is None:
-        eps = default_energy_eps(grid)
+def energy_direct_extrapolated_many(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
+    """`energy_direct_extrapolated` of several functions at once (columns of
+    `values`); one kernel product per cutoff serves all."""
+    eps = default_energy_eps(grid)
     s = _pair_energy_sums(grid, values, [eps, 2.0 * eps])
     return 0.5 * (4.0 * s[0] - s[1]) / 3.0
 
@@ -140,9 +136,13 @@ class DeficitReport:
         return asdict(self)
 
 
+def entropy_degree(L: int) -> int:
+    """Exact to degree 4L, enough to suppress aliasing in u^2 ln u^2."""
+    return max(2 * L, 4)
+
+
 def default_entropy_grid(n: int, L: int) -> QuadratureGrid:
-    """Grid exact to degree 4L, enough to suppress aliasing in u^2 ln u^2."""
-    return build_grid(n, max(2 * L, 4))
+    return build_grid(n, entropy_degree(L))
 
 
 def beckner_deficit(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> DeficitReport:
@@ -164,6 +164,9 @@ def beckner_deficit(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> De
     )
 
 
+_EL_FLOOR = 1e-12  # el_residual takes ln max(u, _EL_FLOOR)
+
+
 @dataclass
 class ELResidual:
     """Weak-equation residuals r_{l,m} = E[Y_{l,m}, u] - C_n int Y_{l,m} u ln u
@@ -175,7 +178,6 @@ class ELResidual:
     grid_degree: int
     residuals: np.ndarray
     floored: bool
-    floor: float
     max_abs: float = field(init=False)
 
     def __post_init__(self):
@@ -195,45 +197,34 @@ class ELResidual:
             "L_test": self.L_test,
             "grid_degree": self.grid_degree,
             "floored": self.floored,
-            "floor": self.floor,
+            "floor": _EL_FLOOR,
             "max_abs": self.max_abs,
             "residuals": self._coeffs().triplets(),
         }
 
 
-_EL_FLOOR = 1e-12  # el_residual takes ln max(u, _EL_FLOOR)
-
-
-def el_residual(u: HarmonicCoeffs, L_test: int, grid: QuadratureGrid | None = None,
-                allow_floor: bool = True) -> ELResidual:
+def el_residual(u: HarmonicCoeffs, L_test: int) -> ELResidual:
+    """Residuals on the entropy grid, with ln u floored at _EL_FLOOR."""
     if L_test > u.L:
         raise ValueError(f"L_test={L_test} exceeds the band limit L={u.L}")
-    if grid is None:
-        grid = default_entropy_grid(u.n, u.L)
+    grid = default_entropy_grid(u.n, u.L)
     vals = synthesize(u, grid).values
-    if np.any(vals < _EL_FLOOR):
-        if not allow_floor:
-            raise ValueError("synthesized u is not positive at all nodes")
-        floored = True
-    else:
-        floored = False
+    floored = bool(np.any(vals < _EL_FLOOR))
     logs = np.log(np.maximum(vals, _EL_FLOOR))
     rhs = analyze(GridFunction(grid, vals * logs), L_test)
     res = apply_H(u.with_band_limit(L_test)).coeffs - constant_Cn(u.n) * rhs.coeffs
-    return ELResidual(
-        n=u.n, L=u.L, L_test=L_test, grid_degree=grid.degree,
-        residuals=res, floored=floored, floor=_EL_FLOOR,
-    )
+    return ELResidual(n=u.n, L=u.L, L_test=L_test, grid_degree=grid.degree,
+                      residuals=res, floored=floored)
 
 
 # ---------------------------------------------------------------------------
 # conformal transformation identities as numerical residuals
 
 def verify_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: ConformalMap,
-                  L_work: int = 32, grid: QuadratureGrid | None = None) -> float:
+                  grid: QuadratureGrid) -> float:
     """Residual |E[u_phi, v_phi] - (E[u,v] + C_n int u v ln J_{phi^{-1}}^{-1/2})|.
 
-    Pullbacks are re-projected to the working band limit before the spectral
+    Pullbacks are re-projected to band limit grid.degree before the spectral
     energy; the tolerance owns the truncation error.
     """
     if not isinstance(phi, Moebius):
@@ -241,10 +232,8 @@ def verify_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: ConformalMap,
                          "use a globally smooth Moebius map")
     if u.n != v.n:
         raise ValueError("dimension mismatch between u and v")
-    if grid is None:
-        grid = build_grid(u.n, L_work)
-    u_pb = analyze(grid.sample(pullback(as_evaluable(u), phi)), L_work)
-    v_pb = analyze(grid.sample(pullback(as_evaluable(v), phi)), L_work)
+    u_pb = analyze(grid.sample(pullback(as_evaluable(u), phi)), grid.degree)
+    v_pb = analyze(grid.sample(pullback(as_evaluable(v), phi)), grid.degree)
     _check_projection_tail(u_pb)
     lhs = energy_spectral(u_pb, v_pb)
     uv = synthesize(u, grid).values * synthesize(v, grid).values
@@ -254,16 +243,13 @@ def verify_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: ConformalMap,
     return abs(lhs - rhs)
 
 
-def verify_conf_H(u: HarmonicCoeffs, phi: ConformalMap, L_work: int = 32,
-                  grid: QuadratureGrid | None = None) -> float:
+def verify_conf_H(u: HarmonicCoeffs, phi: ConformalMap, grid: QuadratureGrid) -> float:
     """Max node residual of H(u_phi) = (Hu)_phi + C_n u_phi ln J_phi^{1/2}."""
     if not isinstance(phi, Moebius):
         raise ValueError("the identity check projects pullbacks spectrally; "
                          "use a globally smooth Moebius map")
-    if grid is None:
-        grid = build_grid(u.n, L_work)
     u_pb_vals = grid.sample(pullback(as_evaluable(u), phi))
-    c_pb = analyze(u_pb_vals, L_work)
+    c_pb = analyze(u_pb_vals, grid.degree)
     _check_projection_tail(c_pb)
     lhs = synthesize(apply_H(c_pb), grid).values
     hu_pb = pullback(as_evaluable(apply_H(u)), phi)(grid.nodes)

@@ -198,12 +198,15 @@ def _grid_tables(grid: QuadratureGrid, L: int) -> dict:
 
 
 def transform_table_bytes(n: int, L: int, grid_degree: int) -> int:
-    """Bound on the bytes of the largest `_grid_tables` table at band limit L
-    on the grid of the given degree: one float per harmonic per polar ring
-    on S^2 (the Legendre table has about half that), per node on the
-    one-ring circle (the Fourier table)."""
+    """Upper bound on the peak bytes of building `_grid_tables(grid, L)`: the
+    tables (on S^2, (L + 1)(L + 2)/2 Legendre rows per ring) and the
+    temporaries of building them."""
     rings, azimuths = grid_shape(n, grid_degree)
-    return 8 * harmonic_count(n, L) * (rings if n == 2 else azimuths)
+    if n == 1:
+        return 8 * (harmonic_count(1, L) + 4) * azimuths + 4096
+    rows = (L + 1) * (L + 2) // 2
+    return 8 * ((rows + 3 * (L + 1)) * rings + 4 * (L + 1) * azimuths
+                + 8 * (L + 1) ** 2) + 4096
 
 
 def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
@@ -302,6 +305,12 @@ def _evaluation_plan(L: int) -> tuple[np.ndarray, np.ndarray]:
     return cheb, gather
 
 
+def evaluation_plan_bytes(L: int) -> int:
+    """Upper bound on the peak bytes of building `_evaluation_plan(L)`: the
+    (L + 1)^3 Chebyshev array and as much again while it is filled."""
+    return 8 * (2 * (L + 1) ** 3 + 8 * (L + 1) ** 2) + 4096
+
+
 def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[j] = base**j for the rows of a complex (count, k) array: one
     multiply per row, in doubling blocks (rows k + i are rows i times
@@ -316,8 +325,11 @@ def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_at(c: HarmonicCoeffs, points: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Evaluate the expansion at arbitrary points (needed by pullbacks).
+EVALUATION_CHUNK = 4096  # points per evaluate_at workspace pass
+
+
+def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
+    """Evaluate the expansion at arbitrary points of S^n (needed by pullbacks).
 
     On S^2 a call contracts the coefficients with the cached per-L Chebyshev
     plan (`_evaluation_plan`, O(L^3) and independent of the point count).
@@ -325,12 +337,15 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray, chunk: int = 4096) -> np.
     their real parts T_j(t) = cos(j theta) and imaginary parts
     sin((j+1) theta) = sin(theta) U_j(t) feed one matrix product per parity
     of m.  The azimuth sum is one contraction of the products with the powers
-    of e^{i phi}.  One workspace of O(L * chunk) floats holds all of it.
+    of e^{i phi}.  One workspace of O(L * EVALUATION_CHUNK) floats holds it.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != c.n + 1:
+        raise ValueError(f"points of S^{c.n} need {c.n + 1} coordinates, "
+                         f"got shape {np.shape(points)}")
     if c.n == 1:
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         vals = fourier_basis(c.L, theta) @ c.coeffs
@@ -346,9 +361,9 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray, chunk: int = 4096) -> np.
     # the real table and then the powers of e^{i phi}.  At most two tables of
     # the chunk are alive at once, and no megabyte-size temporary is freed
     # and faulted in again on every call.
-    work = np.empty((2, (M + 1) * min(chunk, pts.shape[0])), dtype=complex)
-    for start in range(0, pts.shape[0], chunk):
-        sl = slice(start, min(start + chunk, pts.shape[0]))
+    work = np.empty((2, (M + 1) * min(EVALUATION_CHUNK, pts.shape[0])), dtype=complex)
+    for start in range(0, pts.shape[0], EVALUATION_CHUNK):
+        sl = slice(start, min(start + EVALUATION_CHUNK, pts.shape[0]))
         x, y = pts[sl, 0], pts[sl, 1]
         t = np.clip(pts[sl, 2], -1.0, 1.0)
         npts = t.size

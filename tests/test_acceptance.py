@@ -107,7 +107,7 @@ def test_criterion_3_conformal_invariance_of_energy():
         v = random_coeffs(2, 8, rng)
         direction = rng.standard_normal(3)
         direction *= rng.uniform(0.05, 0.5) / np.linalg.norm(direction)
-        residual = verify_conf_E(u, v, Moebius(direction), 32, grid)
+        residual = verify_conf_E(u, v, Moebius(direction), grid)
         allowed = 1e-3 * (1.0 + abs(energy_spectral(u, v)))
         worst_ratio = max(worst_ratio, residual / allowed)
     elapsed = time.time() - t0
@@ -228,7 +228,7 @@ def test_criterion_7_gibbs_inequality():
 def test_criterion_8_moving_spheres_critical_scale():
     t0 = time.time()
     one = lambda pts: np.ones(np.atleast_2d(pts).shape[0])
-    rep = critical_lambda(one, north_pole(2), 0.3, 3.0, rng=np.random.default_rng(8))
+    rep = critical_lambda(one, north_pole(2), rng=np.random.default_rng(8))
     const_ok = abs(rep.critical - 1.0) <= 1e-2 and rep.sup_w_at_critical <= 1e-6
     worst_family = 0.0
     rng = np.random.default_rng(88)
@@ -280,19 +280,18 @@ def test_criterion_10_gradient_correctness():
     t0 = time.time()
     rng = np.random.default_rng(1010)
     n, L = 2, 8
-    grid = default_entropy_grid(n, L)
     h = 1e-6
     worst = 0.0
     for _ in range(20):
         c = random_coeffs(n, L, rng, decay=1.5)
         c.coeffs[0] += math.sqrt(sphere_area(n))  # keep u away from zero
-        grad = deficit_gradient(c, grid)
+        grad = deficit_gradient(c)
         for idx in rng.choice(c.coeffs.size, 8, replace=False):
             e = np.zeros_like(c.coeffs)
             e[idx] = h
             fd = (
-                deficit_value(c.copy_with(c.coeffs + e), grid)
-                - deficit_value(c.copy_with(c.coeffs - e), grid)
+                deficit_value(c.copy_with(c.coeffs + e))
+                - deficit_value(c.copy_with(c.coeffs - e))
             ) / (2.0 * h)
             worst = max(worst, abs(fd - grad[idx]) / max(1.0, abs(grad[idx])))
     elapsed = time.time() - t0

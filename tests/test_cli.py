@@ -14,8 +14,10 @@ from logsphere.cli import (
     _suite_conformal_distance,
     _suite_deficit,
     _suite_gibbs,
+    _write_json,
     main,
 )
+from logsphere.harmonics import HarmonicCoeffs, random_coeffs
 
 
 def read_json(path):
@@ -193,6 +195,27 @@ def test_movespheres_non_solution_from_coeff_file(tmp_path):
     assert rep["sup_w_at_critical"] > 1e-1
 
 
+def test_coeffs_file_is_evaluated_at_the_band_limit(tmp_path):
+    # degrees above --band-limit are dropped, as if the file stopped there
+    rng = np.random.default_rng(12)
+    c = HarmonicCoeffs.constant(2, 12, 1.0)
+    c.coeffs += 0.02 * random_coeffs(2, 12, rng).coeffs
+    path, out = tmp_path / "u.json", tmp_path / "ms.json"
+    argv = ["movespheres", "--band-limit", "8", "--u", f"coeffs:{path}",
+            "--xi0", "north", "--values", "0.5,1.0,2.0", "--out", str(out)]
+    reports = []
+    for coeffs in (c, c.with_band_limit(8)):
+        path.write_text(coeffs.dumps())
+        assert main(argv) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_reports_refuse_nan(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json({"defect": math.nan}, str(tmp_path / "rep.json"))
+
+
 def test_movespheres_requires_one_geometry():
     with pytest.raises(SystemExit):
         main(["movespheres", "--u", "constant:1"])
@@ -265,6 +288,15 @@ def test_unknown_config_key_rejected(tmp_path):
     ["minimize", "--n", "x"],
     ["minimize", "--config", "{tmp}/grid_degree.json"],
     ["movespheres", "--xi0", "north", "--config", "{tmp}/fault_suite_ok.json"],
+    ["minimize", "--n", "2", "--band-limit", "8", "--init", "coeffs:{tmp}/coeffs_n1.json"],
+    ["movespheres", "--n", "2", "--u", "coeffs:{tmp}/coeffs_n1.json", "--xi0", "north",
+     "--values", "0.5,1.0"],
+    ["movespheres", "--xi0", "north", "--values", "1e200"],
+    ["movespheres", "--xi0", "north", "--values", "1e-200"],
+    ["movespheres", "--xi0", "north", "--values", "1e6"],
+    ["movespheres", "--e", "1,0", "--values", "1e8"],
+    ["movespheres", "--e", "1,0", "--values", "1e200"],
+    ["movespheres", "--u", "extremizer:zeta=0.9999e3", "--xi0", "north"],
 ], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
         "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
@@ -279,7 +311,9 @@ def test_unknown_config_key_rejected(tmp_path):
         "band-limit-huge", "spectrum-lmax-negative", "grid-degree-huge",
         "spectrum-band-limit", "spectrum-seed", "minimize-tol", "minimize-grid-degree",
         "movespheres-tol", "minimize-n-type", "minimize-config-grid-degree",
-        "movespheres-config-fault"])
+        "movespheres-config-fault", "minimize-coeffs-n", "movespheres-coeffs-n",
+        "radius-overflow", "radius-tiny", "radius-huge", "offset-huge", "offset-overflow",
+        "critical-radius-below-scan"])
 def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not_json.txt").write_text("not json")
     files = {
@@ -301,6 +335,7 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
         "tol_huge.json": {"tol": 10**400},
         "grid_degree.json": {"grid_degree": 5},
         "fault_suite_ok.json": {"fault": {"suite": "energyharmonics"}},
+        "coeffs_n1.json": {"n": 1, "L": 2, "coeffs": [[0, 0, 1.0], [1, 1, 0.1]]},
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))  # NaN and Infinity tokens

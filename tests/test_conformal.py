@@ -113,6 +113,22 @@ def test_pole_inputs_rejected():
         jacobian(phi, np.array([0.0, 0.0, -1.0]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LiftedInversion(math.inf, sphere_point([0.0, 0.0, 1.0])),
+    lambda: LiftedInversion(math.nan, sphere_point([0.0, 0.0, 1.0])),
+    lambda: LiftedInversion(1.0, np.array([0.0, math.nan, 1.0])),
+    lambda: LiftedReflection(math.inf, np.array([1.0, 0.0])),
+    lambda: LiftedReflection(0.5, np.array([math.inf, 0.0])),
+    lambda: Moebius(np.array([0.0, math.nan, 0.1])),
+    lambda: region_of(LiftedInversion(1e200, sphere_point([0.0, 0.0, 1.0]))),
+    lambda: region_of(LiftedReflection(1e200, np.array([1.0, 0.0]))),
+], ids=["lam-inf", "lam-nan", "xi0-nan", "alpha-inf", "e-inf", "zeta-nan",
+        "region-radius-overflow", "region-offset-overflow"])
+def test_non_finite_geometry_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_conformal_distance_identity(rng, n):
     pts = random_points(rng, n, 200)
@@ -326,15 +342,15 @@ def test_antisymmetry_defect_cases(grids, rng):
     pts = sample_region(region, 500, rng)
     u = as_evaluable(random_coeffs(2, 6, rng))
     w = lambda q: pullback(u, phi)(q) - np.atleast_1d(u(q))
-    assert antisymmetry_defect(w, phi, region, points=pts) < 1e-8
+    assert antisymmetry_defect(w, phi, pts) < 1e-8
     one = lambda q: np.ones(np.atleast_2d(q).shape[0])
     expected = float((1.0 + np.sqrt(jacobian(phi, pts))).max())
-    assert antisymmetry_defect(one, phi, region, points=pts) == pytest.approx(expected, rel=1e-12)
+    assert antisymmetry_defect(one, phi, pts) == pytest.approx(expected, rel=1e-12)
     zero = lambda q: np.zeros(np.atleast_2d(q).shape[0])
-    assert antisymmetry_defect(zero, phi, region, points=pts) == 0.0
+    assert antisymmetry_defect(zero, phi, pts) == 0.0
     # a grid function is evaluated off the grid through its expansion
     f = GridFunction(g, np.ones(g.node_count))
-    assert antisymmetry_defect(as_evaluable(analyze(f, g.degree)), phi, region, grid=g) > 1.0
+    assert antisymmetry_defect(as_evaluable(analyze(f, g.degree)), phi, pts) > 1.0
 
 
 def test_map_json_roundtrip():

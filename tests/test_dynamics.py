@@ -10,6 +10,7 @@ from logsphere import (
     ExtremizerParams,
     FlowConfig,
     HarmonicCoeffs,
+    MovingSphereReport,
     analyze,
     critical_alpha,
     critical_lambda,
@@ -28,7 +29,6 @@ from logsphere import (
 )
 from logsphere import harmonics as hm
 from logsphere.dynamics import _CapProbe, random_positive_init
-from logsphere.energy import default_entropy_grid
 from logsphere.harmonics import flat_index, harmonic_count, harmonic_indices
 
 
@@ -45,8 +45,7 @@ def test_flow_config_validation():
         FlowConfig(step_size=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(max_iter=0)
-    for bad in ({"step_size": math.nan}, {"step_size": math.inf},
-                {"stop_tol": math.nan}):
+    for bad in ({"step_size": math.nan}, {"step_size": math.inf}):
         with pytest.raises(ValueError):
             FlowConfig(**bad)
 
@@ -105,18 +104,17 @@ def test_flow_rejects_zero_init():
 
 
 def test_gradient_matches_finite_differences(rng):
-    grid = default_entropy_grid(2, 8)
     for _ in range(4):
         c = random_coeffs(2, 8, rng, decay=1.5)
         c.coeffs[0] += math.sqrt(sphere_area(2))
-        grad = deficit_gradient(c, grid)
+        grad = deficit_gradient(c)
         h = 1e-6
         for idx in rng.choice(c.coeffs.size, 5, replace=False):
             e = np.zeros_like(c.coeffs)
             e[idx] = h
             fd = (
-                deficit_value(c.copy_with(c.coeffs + e), grid)
-                - deficit_value(c.copy_with(c.coeffs - e), grid)
+                deficit_value(c.copy_with(c.coeffs + e))
+                - deficit_value(c.copy_with(c.coeffs - e))
             ) / (2.0 * h)
             assert abs(fd - grad[idx]) <= 1e-5 * max(1.0, abs(grad[idx]))
 
@@ -185,7 +183,7 @@ def test_profile_argument_validation(rng):
 
 
 def test_critical_lambda_constant():
-    rep = critical_lambda(ONE, north_pole(2), 0.3, 3.0, rng=np.random.default_rng(5))
+    rep = critical_lambda(ONE, north_pole(2), rng=np.random.default_rng(5))
     assert rep.critical == pytest.approx(1.0, abs=1e-2)
     assert rep.sup_w_at_critical <= 1e-6
     assert not rep.critical_is_bound
@@ -222,23 +220,24 @@ def test_critical_lambda_non_solution_flagged(grids):
     c.coeffs[flat_index(2, 2, 0)] = 0.5 * math.sqrt(sphere_area(2))
     from logsphere.harmonics import as_evaluable
 
-    rep = critical_lambda(as_evaluable(c), north_pole(2), 0.05, 20.0,
-                          rng=np.random.default_rng(9))
+    rep = critical_lambda(as_evaluable(c), north_pole(2), rng=np.random.default_rng(9))
     # a sign change exists, but w does not vanish there: not a solution
     assert rep.sup_w_at_critical > 1e-1
 
 
 def test_critical_lambda_bad_interval_raises():
-    zeta = np.array([0.0, 0.0, 0.3])
-    u = extremizer(ExtremizerParams(zeta))
-    with pytest.raises(ValueError):
-        critical_lambda(u, north_pole(2), 10.0, 20.0, rng=np.random.default_rng(3))
+    # a bubble concentrated at the north pole: lambda_0 = b ~ 0.007 < 0.02
+    u = extremizer(ExtremizerParams(np.array([0.0, 0.0, 0.9999])))
+    with pytest.raises(ValueError, match="safe end 0.02 of the fixed scan: the critical lambda"):
+        critical_lambda(u, north_pole(2), rng=np.random.default_rng(3))
 
 
 def test_critical_lambda_reports_lower_bound():
-    rep = critical_lambda(ONE, north_pole(2), 0.05, 0.5, rng=np.random.default_rng(4))
+    # a bubble concentrated at the south pole: lambda_0 = b ~ 141 > 50
+    u = extremizer(ExtremizerParams(np.array([0.0, 0.0, -0.9999])))
+    rep = critical_lambda(u, north_pole(2), rng=np.random.default_rng(4))
     assert rep.critical_is_bound
-    assert rep.critical == pytest.approx(0.5)
+    assert rep.critical == 50.0
 
 
 def test_report_serialization(rng):
@@ -324,9 +323,24 @@ def test_second_pole_collision_at_one_value_raises(monkeypatch):
 def test_min_w_is_the_first_of_w_stats(kind):
     center = sphere_point([0.6, 0.3, 0.9]) if kind == "inversion" else None
     direction = np.array([0.6, 0.8]) if kind == "reflection" else None
-    probe = _CapProbe(FAMILY, kind, center, direction, 512, np.random.default_rng(3))
+    probe = _CapProbe(FAMILY, center, direction, np.random.default_rng(3))
     for value in (0.3, 0.7, 1.1, 1.9):
         assert probe.min_w(value) == probe.w_stats(value)[0]
+
+
+def test_probe_names_a_value_it_cannot_resolve():
+    probe = _CapProbe(FAMILY, None, np.array([1.0, 0.0]), np.random.default_rng(3))
+    with pytest.raises(cf.PoleError, match=r"at alpha = 1e\+08: .* south pole"):
+        probe.min_w(1e8)
+    with pytest.raises(ValueError, match=r"at alpha = 1e\+200: the comparison region"):
+        probe.profile([0.5, 1e200])
+
+
+def test_report_refuses_a_non_finite_defect():
+    with pytest.raises(ValueError, match="non-finite comparison values at alpha = 0.5"):
+        MovingSphereReport(kind="reflection", n=2, center=None, direction=np.array([1.0, 0.0]),
+                           values=[0.5, 1.0], min_w=np.zeros(2), sup_abs_w=np.zeros(2),
+                           defect=np.array([math.nan, 0.0]))
 
 
 def count_evaluations(monkeypatch):
@@ -344,14 +358,14 @@ def count_evaluations(monkeypatch):
 def test_bisection_evaluates_u_once_per_step(monkeypatch):
     u = random_positive_init(2, 8, np.random.default_rng(11), amplitude=0.5)
     xi0 = sphere_point([0.3, -0.2, 0.9])
-    probe = _CapProbe(u, "inversion", xi0, None, 256, np.random.default_rng(2))
+    probe = _CapProbe(u, xi0, None, np.random.default_rng(2))
     calls = count_evaluations(monkeypatch)
     probe.min_w(0.7)
-    assert calls == [512]  # the 256 images and 256 nodes together
+    assert calls == [4096]  # the 2048 images and 2048 nodes together
     probe.w_stats(0.7)
-    assert calls == [512, 512, 256]  # then the images mapped back
+    assert calls == [4096, 4096, 2048]  # then the images mapped back
     del calls[:]
-    rep = critical_lambda(u, xi0, samples=256, rng=np.random.default_rng(2))
+    rep = critical_lambda(u, xi0, rng=np.random.default_rng(2))
     assert not rep.critical_is_bound
     # sup |u|, two per scan value, one per bisection step, two at the critical value
     assert len(calls) == 1 + 2 * 32 + 48 + 2

@@ -27,9 +27,9 @@ from logsphere import (
     verify_conf_E,
     verify_conf_H,
 )
-from logsphere.energy import energy_direct_extrapolated_many
+from logsphere.energy import default_energy_eps
 from logsphere.harmonics import flat_index, harmonic_indices
-from logsphere.sphere import min_internode_distance
+from logsphere.sphere import build_grid, min_internode_distance
 
 
 def family_coeffs(grids, zeta, c=1.0, L=32):
@@ -103,8 +103,15 @@ def test_energy_direct_eps_guard(grids):
     eps = 0.5 * min_internode_distance(g)
     with pytest.raises(ValueError):
         energy_direct(f, f, eps)
-    with pytest.raises(ValueError):
-        energy_direct_extrapolated_many(g, f.values[:, None], eps)
+
+
+@pytest.mark.parametrize("n, least_ratio", [(2, 1.36), (1, 1.0)])
+def test_default_energy_eps_clears_the_cutoff_guard(n, least_ratio):
+    # the extrapolated energies always cut at default_energy_eps, so it must
+    # pass the guard of energy_direct on every grid the budget admits
+    for degree in [*range(1, 41), 64, 128, 256, 505]:
+        g = build_grid(n, degree)
+        assert default_energy_eps(g) >= least_ratio * 2.0 * min_internode_distance(g)
 
 
 def test_beckner_rhs_cases(grids, rng):
@@ -167,8 +174,6 @@ def test_el_residual_flooring_flag(grids, rng):
     r = el_residual(signed, 4)
     assert r.floored
     with pytest.raises(ValueError):
-        el_residual(signed, 4, allow_floor=False)
-    with pytest.raises(ValueError):
         el_residual(signed, 10)  # L_test beyond band limit
     d = r.to_json_dict()
     assert d["floored"] and len(d["residuals"]) == 25
@@ -190,37 +195,37 @@ def test_verify_conf_E(grids, rng):
     u = random_coeffs(2, 8, rng)
     v = random_coeffs(2, 8, rng)
     ident = Moebius(np.zeros(3))
-    assert verify_conf_E(u, v, ident, 16, grids(2, 16)) < 1e-10
+    assert verify_conf_E(u, v, ident, grids(2, 16)) < 1e-10
     phi = Moebius(np.array([0.3, 0.0, 0.0]))
-    res = verify_conf_E(u, v, phi, 32, grids(2, 32))
+    res = verify_conf_E(u, v, phi, grids(2, 32))
     assert res <= 1e-3 * (1.0 + abs(energy_spectral(u, v)))
     # specialization u = v = 1: E[J^{1/2}, J^{1/2}] equals the correction term
     one = constant_coeffs(2, 8)
-    assert verify_conf_E(one, one, phi, 32, grids(2, 32)) <= 1e-3 * (
+    assert verify_conf_E(one, one, phi, grids(2, 32)) <= 1e-3 * (
         1.0 + abs(energy_spectral(one, one))
     )
     from logsphere import LiftedInversion, sphere_point
 
     with pytest.raises(ValueError):
-        verify_conf_E(u, v, LiftedInversion(1.0, sphere_point([0, 0, 1.0])), 16)
+        verify_conf_E(u, v, LiftedInversion(1.0, sphere_point([0, 0, 1.0])), grids(2, 16))
 
 
 def test_verify_conf_E_rejects_extreme_zeta(grids, rng):
     u = random_coeffs(2, 8, rng)
     with pytest.raises(ValueError):
-        verify_conf_E(u, u, Moebius(np.array([0.0, 0.0, 0.97])), 16, grids(2, 16))
+        verify_conf_E(u, u, Moebius(np.array([0.0, 0.0, 0.97])), grids(2, 16))
 
 
 def test_verify_conf_H(grids, rng):
     u = random_coeffs(2, 8, rng)
     ident = Moebius(np.zeros(3))
-    assert verify_conf_H(u, ident, 16, grids(2, 16)) < 1e-9
+    assert verify_conf_H(u, ident, grids(2, 16)) < 1e-9
     phi = Moebius(np.array([0.0, 0.25, 0.1]))
     hu = synthesize(apply_H(u), grids(2, 32)).values
-    assert verify_conf_H(u, phi, 32, grids(2, 32)) <= 1e-3 * max(1.0, np.abs(hu).max())
+    assert verify_conf_H(u, phi, grids(2, 32)) <= 1e-3 * max(1.0, np.abs(hu).max())
     # u = 1: the identity reduces to the equation satisfied by J^{1/2}
     one = constant_coeffs(2, 4)
-    assert verify_conf_H(one, phi, 32, grids(2, 32)) <= 1e-3
+    assert verify_conf_H(one, phi, grids(2, 32)) <= 1e-3
 
 
 def test_gibbs_gap(grids, rng):

@@ -28,7 +28,9 @@ from logsphere.harmonics import (
     _evaluation_plan,
     _grid_tables,
     apply_P2s_direct,
+    EVALUATION_CHUNK,
     degree_of_index,
+    evaluation_plan_bytes,
     flat_index,
     h_multiplier_table,
     harmonic_count,
@@ -40,11 +42,31 @@ from logsphere.specfun import assoc_legendre_norm, digamma, tri_index
 from logsphere.sphere import build_grid, min_internode_distance, sphere_area, sphere_point
 
 
-@pytest.mark.parametrize("n, L, degree", [(1, 8, 8), (1, 5, 40), (2, 8, 8), (2, 5, 40)])
+def traced_peak(build) -> int:
+    """Peak bytes that tracemalloc sees while `build()` runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the work grid of verify (degree L) and the entropy grid (degree 2L)
+@pytest.mark.parametrize("n, L, degree", [(n, L, d * L) for n in (1, 2)
+                                          for L in (16, 64, 128) for d in (1, 2)])
 def test_transform_table_bytes_bounds_the_tables(n, L, degree):
-    tables = _grid_tables(build_grid(n, degree), L)
-    largest = max(table.nbytes for table in tables.values())
-    assert largest <= transform_table_bytes(n, L, degree) <= 2 * largest
+    grid = build_grid(n, degree)
+    peak = traced_peak(lambda: _grid_tables(grid, L))
+    # a bound, and not so loose that the budget refuses band limits that fit
+    assert peak <= transform_table_bytes(n, L, degree) <= 1.5 * peak
+
+
+@pytest.mark.parametrize("L", [16, 64, 128])
+def test_evaluation_plan_bytes_bounds_the_plan(L):
+    _evaluation_plan.cache_clear()
+    peak = traced_peak(lambda: _evaluation_plan(L))
+    assert peak <= evaluation_plan_bytes(L) <= 1.5 * peak
 
 
 def test_analyze_constant(grids):
@@ -148,23 +170,23 @@ AXIS_POINTS = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 
 
 
 @given(L=st.integers(0, 24), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40),
-       chunk=st.integers(1, 64),
        extra=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
                       .filter(lambda v: np.linalg.norm(v) > 0.1), max_size=4))
-@example(L=24, seed=0, count=16, chunk=7, extra=[])  # 20 points: 7 + 7 + 6
-@example(L=0, seed=1, count=1, chunk=4096, extra=[])
-def test_evaluate_at_matches_dense_table(L, seed, count, chunk, extra):
+# 4 axis points + 4116 more: a full chunk and a short one
+@example(L=24, seed=0, count=EVALUATION_CHUNK + 20, extra=[])
+@example(L=0, seed=1, count=1, extra=[])
+def test_evaluate_at_matches_dense_table(L, seed, count, extra):
     rng = np.random.default_rng(seed)
     c = HarmonicCoeffs(2, L, rng.standard_normal(harmonic_count(2, L)))
     pts = np.vstack([AXIS_POINTS, sphere_point(rng.standard_normal((count, 3))),
                      sphere_point(np.reshape(extra, (-1, 3)))])
     want = dense_evaluate_at(c, pts)
     tol = 1e-12 * np.abs(want).max()
-    got = evaluate_at(c, pts, chunk=chunk)
+    got = evaluate_at(c, pts)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= tol
     for k in (0, 1, pts.shape[0] - 1):
-        single = evaluate_at(c, pts[k], chunk=chunk)
+        single = evaluate_at(c, pts[k])
         assert isinstance(single, float)
         assert abs(single - want[k]) <= tol
 
@@ -185,13 +207,17 @@ def test_evaluate_at_memory_is_bounded_at_high_band_limit():
     c = random_coeffs(2, 128, rng)
     pts = sphere_point(rng.standard_normal((4096, 3)))
     _evaluation_plan.cache_clear()  # count building the per-L plan too
-    tracemalloc.start()
-    try:
-        evaluate_at(c, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: evaluate_at(c, pts))
     assert peak < 50e6
+
+
+@pytest.mark.parametrize("n, width", [(1, 3), (2, 2), (2, 4)])
+def test_evaluate_at_rejects_points_of_another_sphere(n, width):
+    c = HarmonicCoeffs.constant(n, 4, 1.0)
+    with pytest.raises(ValueError, match=f"need {n + 1} coordinates"):
+        evaluate_at(c, np.ones((3, width)) / math.sqrt(width))
+    with pytest.raises(ValueError, match=f"need {n + 1} coordinates"):
+        evaluate_at(c, np.ones(width) / math.sqrt(width))
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -106,3 +106,98 @@ def names_referenced() -> set[str]:
 
 def test_no_dead_public_names():
     assert sorted(public_definitions() - names_referenced()) == []
+
+
+# Defaulted parameters that no call in src/logsphere sets, each with why it
+# stays settable.
+UNSET_DEFAULTS_ALLOWED = {
+    "cli.main(argv)": "the console entry calls main() with no arguments; tests pass argv",
+    "dynamics.MovingSphereReport(critical)": "a profile has none; _critical_search fills it in",
+    "dynamics.MovingSphereReport(sup_w_at_critical)": "filled in with `critical`",
+    "dynamics.MovingSphereReport(critical_is_bound)": "filled in with `critical`",
+}
+
+
+def is_dataclass_def(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")) == "dataclass":
+            return True
+    return False
+
+
+def callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
+    """'module.function(param)' -> (callee name, param, positional index) for
+    each defaulted parameter of a public function or method, and each
+    defaulted `init=True` field of a public dataclass."""
+    out = {}
+
+    def add(label, name, fn: ast.FunctionDef, method: bool):
+        args = fn.args.posonlyargs + fn.args.args
+        positional = [a.arg for a in args[1 if method else 0:]]
+        for a in args[len(args) - len(fn.args.defaults):]:
+            out[f"{label}({a.arg})"] = (name, a.arg, positional.index(a.arg))
+        for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                out[f"{label}({a.arg})"] = (name, a.arg, None)
+
+    for module in MODULES:
+        for node in tree(module).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                add(f"{module}.{node.name}", node.name, node, False)
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        static = any(getattr(d, "id", "") == "staticmethod"
+                                     for d in sub.decorator_list)
+                        add(f"{module}.{node.name}.{sub.name}", sub.name, sub, not static)
+                if not is_dataclass_def(node):
+                    continue
+                index = 0
+                for sub in node.body:
+                    if not (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)):
+                        continue
+                    value, has_default = sub.value, sub.value is not None
+                    if isinstance(value, ast.Call) and callee(value) == "field":
+                        kw = {k.arg: k.value for k in value.keywords}
+                        if getattr(kw.get("init"), "value", True) is False:
+                            continue
+                        has_default = "default" in kw or "default_factory" in kw
+                    if has_default:
+                        out[f"{module}.{node.name}({sub.target.id})"] = (
+                            node.name, sub.target.id, index)
+                    index += 1
+    return out
+
+
+def arguments_passed() -> tuple[set[tuple[str, str]], dict[str, int]]:
+    """For the calls in src/logsphere: the (callee name, keyword) pairs, with
+    (callee name, '**') where a call unpacks a mapping or a sequence and so
+    may pass anything, and the most positional arguments each name gets."""
+    keywords, positional = set(), {}
+    for module in MODULES:
+        for call in ast.walk(tree(module)):
+            name = callee(call) if isinstance(call, ast.Call) else None
+            if name is None:
+                continue
+            keywords.update((name, k.arg or "**") for k in call.keywords)
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                keywords.add((name, "**"))
+            positional[name] = max(positional.get(name, 0), len(call.args))
+    return keywords, positional
+
+
+def test_every_default_is_set_by_a_caller():
+    # a default that no caller changes is a constant with extra configurations to test
+    keywords, positional = arguments_passed()
+    unset = {label for label, (name, param, index) in defaulted_parameters().items()
+             if not ((index is not None and positional.get(name, 0) > index)
+                     or (name, param) in keywords or (name, "**") in keywords)}
+    assert sorted(unset) == sorted(UNSET_DEFAULTS_ALLOWED)
