@@ -30,7 +30,7 @@ from . import energy as en
 from . import harmonics as hm
 from . import sphere as sp
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # A band limit whose largest transform table (`hm.transform_table_bytes`), or
 # a grid degree whose pair-kernel cross-check peaks (`sp.radial_kernel_bytes`)
@@ -528,12 +528,11 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
 
 
 def cmd_minimize(cfg: RunConfig, init_spec: str, max_iter: int, step: float) -> int:
-    try:
+    try:  # a bad flow setting or a zero initial state becomes one line
         flow_cfg = dy.FlowConfig(step_size=step, max_iter=max_iter, band_limit=cfg.band_limit)
+        result = dy.minimize_deficit(_parse_init(init_spec, cfg), flow_cfg)
     except ValueError as exc:
         raise SystemExit(f"minimize: {exc}") from None
-    init = _parse_init(init_spec, cfg)
-    result = dy.minimize_deficit(init, flow_cfg)
     fit = dy.fit_extremizer(result.coeffs)
     print(f"flow: {result.iterations} iterations, final deficit {result.final_deficit:.3e} "
           f"({result.message})")

@@ -29,7 +29,16 @@ from .harmonics import (
     synthesize,
 )
 from .specfun import ln_gamma
-from .sphere import GridFunction, QuadratureGrid, build_grid, sphere_area, weighted_kernel_products
+from .sphere import (
+    GridFunction,
+    QuadratureGrid,
+    build_grid,
+    min_internode_distance,
+    sphere_area,
+    weighted_kernel_products,
+)
+
+CUTOFF_MARGIN = 1.25  # least ratio of default_energy_eps to the pair-sum guard
 
 
 def constant_Cn(n: int) -> float:
@@ -88,9 +97,12 @@ def energy_direct(u: GridFunction, v: GridFunction, eps: float) -> float:
 
 
 def default_energy_eps(grid: QuadratureGrid) -> float:
-    """2 pi / (degree + 1): twice the mean node spacing along a meridian of
-    S^2, or along the circle; safe for the pair-sum resolution."""
-    return 2.0 * math.pi / (grid.degree + 1)
+    """2 pi / (degree + 1), twice the mean node spacing along a meridian, but
+    at least CUTOFF_MARGIN times the pair-sum guard, twice the minimum node
+    gap.  The first is the larger on S^2 (1.36x the guard or more); on the
+    circle the two tend to each other, so there the margin sets the cutoff."""
+    return max(2.0 * math.pi / (grid.degree + 1),
+               CUTOFF_MARGIN * 2.0 * min_internode_distance(grid))
 
 
 def energy_direct_extrapolated(u: GridFunction, v: GridFunction) -> float:

@@ -35,7 +35,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 5
+    assert report["schema"] == 6
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -131,6 +131,29 @@ def test_minimize_random_converges(tmp_path):
     assert rep["flow"]["final_deficit"] <= 1e-4
     assert rep["fit"]["residual"] <= 1e-2
     assert "final_coeffs" in rep and rep["final_coeffs"]["L"] == 12
+
+
+def test_minimize_negative_state_is_not_in_the_family(tmp_path):
+    # -1 has the deficit of 1, but no positive family member fits it
+    out = tmp_path / "min.json"
+    assert main(["minimize", "--band-limit", "8", "--init", "constant:-1",
+                 "--out", str(out)]) == 0
+    fit = read_json(out)["fit"]
+    assert fit["in_family"] is False
+    assert fit["residual"] == 1.0 and fit["c"] == 0.0
+    assert "not positive" in fit["message"]
+
+
+def test_minimize_report_has_the_keys_the_benchmark_reads(tmp_path):
+    # perfbench/workloads.py checks and compares these, and perfbench/layers.py
+    # reads the iteration counts of traced runs
+    out = tmp_path / "min.json"
+    assert main(["minimize", "--band-limit", "4", "--init", "random:seed=3",
+                 "--max-iter", "3", "--out", str(out)]) == 0
+    rep = read_json(out)
+    assert {"deficits", "converged", "message", "iterations",
+            "final_deficit"} <= set(rep["flow"])
+    assert {"in_family", "c", "residual", "zeta", "iterations"} <= set(rep["fit"])
 
 
 def test_movespheres_constant(tmp_path):
@@ -297,6 +320,9 @@ def test_unknown_config_key_rejected(tmp_path):
     ["movespheres", "--e", "1,0", "--values", "1e8"],
     ["movespheres", "--e", "1,0", "--values", "1e200"],
     ["movespheres", "--u", "extremizer:zeta=0.9999e3", "--xi0", "north"],
+    ["minimize", "--band-limit", "8", "--init", "constant:0"],
+    ["minimize", "--init", "extremizer:zeta=0.3e3;c=0"],
+    ["minimize", "--init", "coeffs:{tmp}/coeffs_empty.json"],
 ], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
         "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
@@ -313,7 +339,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "movespheres-tol", "minimize-n-type", "minimize-config-grid-degree",
         "movespheres-config-fault", "minimize-coeffs-n", "movespheres-coeffs-n",
         "radius-overflow", "radius-tiny", "radius-huge", "offset-huge", "offset-overflow",
-        "critical-radius-below-scan"])
+        "critical-radius-below-scan", "init-constant-zero", "init-extremizer-zero",
+        "init-coeffs-empty"])
 def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not_json.txt").write_text("not json")
     files = {
@@ -336,6 +363,7 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
         "grid_degree.json": {"grid_degree": 5},
         "fault_suite_ok.json": {"fault": {"suite": "energyharmonics"}},
         "coeffs_n1.json": {"n": 1, "L": 2, "coeffs": [[0, 0, 1.0], [1, 1, 0.1]]},
+        "coeffs_empty.json": {"n": 2, "L": 2, "coeffs": []},
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))  # NaN and Infinity tokens

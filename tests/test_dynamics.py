@@ -143,6 +143,20 @@ def test_fit_rejects_non_family(grids):
     fit = fit_extremizer(c)
     assert fit.residual > 0.1
     assert not fit.in_family
+    assert "not positive" in fit.message  # Y_20 changes sign
+
+
+def test_fit_refuses_an_affine_fit_that_changes_sign(grids):
+    # two bumps on the polar axis: u^{-1} is smallest on the ring z = 0.5 and
+    # next smallest at the pole, so its weighted affine fit is negative at
+    # the south pole
+    g = grids(2, 64)
+    u = analyze(g.sample(lambda p: np.exp(-20.0 * (p[:, 2] - 0.5) ** 2)
+                         + 0.5 * np.exp(-20.0 * (p[:, 2] - 1.0) ** 2) + 1e-3), 32)
+    fit = fit_extremizer(u)
+    assert fit.params.c == 0.0 and fit.residual == 1.0
+    assert not fit.in_family
+    assert "a0 > |a|" in fit.message
 
 
 def test_fit_idempotent(grids):

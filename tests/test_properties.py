@@ -1,27 +1,36 @@
 """Property-based checks: the cap sampler, Moebius inverses, the conformal
-distance identity and the JSON round trips of maps and coefficients."""
+distance identity, the JSON round trips of maps and coefficients, the
+extremizer fit, the sign of the deficit and the Euler-Lagrange residual of
+the family."""
 
 import json
 import math
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsphere import (
+    ExtremizerParams,
     HarmonicCoeffs,
     LiftedInversion,
     LiftedReflection,
     Moebius,
     analyze,
     apply_map,
+    beckner_deficit,
     build_grid,
     cap_points,
+    el_residual,
+    extremizer,
+    fit_extremizer,
     in_sigma,
     inverse,
     jacobian,
     map_from_json,
     map_to_json,
+    random_positive_init,
     region_of,
     sample_region,
     sphere_point,
@@ -149,3 +158,34 @@ def test_analyze_inverts_synthesize(n, L, seed):
     grid = build_grid(n, max(L, 1))
     back = analyze(synthesize(HarmonicCoeffs(n, L, c), grid), L)
     assert np.abs(back.coeffs - c).max() <= 1e-12 * max(1.0, np.abs(c).max())
+
+
+def family_coeffs(n, L, zeta, c=1.0):
+    grid = build_grid(n, L)
+    return analyze(grid.sample(extremizer(ExtremizerParams(zeta, c))), L)
+
+
+@settings(max_examples=20)
+@given(n=DIMS, data=st.data(), size=st.floats(0.0, 0.85), c=st.floats(0.1, 10.0))
+def test_fit_recovers_family_members(n, data, size, c):
+    zeta = size * data.draw(directions(n + 1))
+    fit = fit_extremizer(family_coeffs(n, 32, zeta, c))
+    assert np.abs(fit.params.zeta - zeta).max() <= 1e-12
+    assert fit.params.c == pytest.approx(c, rel=1e-12)
+    assert fit.in_family
+
+
+@settings(max_examples=30)
+@given(n=DIMS, L=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       amp=st.floats(0.05, 0.9))
+def test_deficit_is_nonnegative_on_positive_states(n, L, seed, amp):
+    rep = beckner_deficit(random_positive_init(n, L, np.random.default_rng(seed), amp))
+    assert rep.deficit >= -1e-9 * rep.energy_term
+
+
+@settings(max_examples=20)
+@given(n=DIMS, data=st.data(), size=st.floats(0.0, 0.4))
+def test_el_residual_vanishes_on_family_members(n, data, size):
+    # the equation fixes the amplitude: c = 2 leaves a residual of about 31
+    zeta = size * data.draw(directions(n + 1))
+    assert el_residual(family_coeffs(n, 16, zeta), 8).max_abs <= 1e-9

@@ -57,7 +57,7 @@ def test_grid_is_rings_times_azimuths(n, degree):
         assert g.polar_t.tolist() == [0.0] and g.polar_w.tolist() == [1.0]
         N = g.node_count
         assert min_internode_distance(g) == 2.0 * math.sin(math.pi / N)
-        assert default_energy_eps(g) == 4.0 * math.pi / N
+        assert default_energy_eps(g) == 1.25 * 2.0 * min_internode_distance(g)
 
 
 @pytest.mark.parametrize("n,degree", [(1, 3), (1, 16), (2, 8), (2, 24)])
