@@ -204,8 +204,9 @@ def fit_extremizer(u: HarmonicCoeffs) -> FitResult:
     (a0, a) on the entropy grid of u's band limit.  Its rows carry the
     weights sqrt(w_i) u_i^{1+2/n}, which make it the linearization of the
     misfit in u.  The residual is the relative L2 misfit of the fitted
-    member.  A u that is not positive on the grid, or a solve that gives no
-    a0 > |a|, fits the zero model: c = 0 with residual 1.
+    member.  A u that is not positive on the grid, a solve that gives no
+    a0 > |a|, or a member that misfits u by more than u itself fits the zero
+    model: c = 0 with residual 1.
     """
     n, L = u.n, u.L
     grid = default_entropy_grid(n, L)
@@ -227,6 +228,9 @@ def fit_extremizer(u: HarmonicCoeffs) -> FitResult:
     params = cf.ExtremizerParams(zeta, float(c))
     misfit = sqrt_w * (u_vals - cf.extremizer(params)(grid.nodes))
     residual = float(np.linalg.norm(misfit) / np.linalg.norm(sqrt_w * u_vals))
+    if residual > 1.0:
+        return FitResult(zero_model, 1.0, f"the solved member misfits u by {residual:.3g}, "
+                                          "more than the zero model, so no family member fits")
     message = "one weighted least-squares solve"
     if float(np.linalg.norm(zeta)) > 0.9:
         message = (

@@ -74,6 +74,7 @@ def _pair_energy_sums(grid: QuadratureGrid, V: np.ndarray, eps_list) -> np.ndarr
     for ei, eps in enumerate(eps_list):
         Kw, KwV = weighted_kernel_products(grid, 0.5 * grid.n, eps, V)
         out[ei] = 2.0 * (wV * V).T @ Kw - 2.0 * np.sum(wV * KwV, axis=0)
+        del Kw, KwV  # not alive during the next cutoff's kernel pass
     return out
 
 
@@ -283,19 +284,20 @@ def _check_projection_tail(c: HarmonicCoeffs):
         )
 
 
-def gibbs_gap(f: GridFunction, g: GridFunction) -> float:
-    """Gap int f ln f + ln int e^g - int f g >= 0 for densities f."""
-    grid = f.grid
-    if g.grid is not grid:
-        raise ValueError("grid mismatch between density and exponent")
-    fv, gv = f.values, g.values
+def gibbs_gap(grid: QuadratureGrid, fv: np.ndarray, gv: np.ndarray) -> float | np.ndarray:
+    """Gap int f ln f + ln int e^g - int f g >= 0 for densities f, from node
+    values along the last axis: a float for one pair of (N,) rows, an array
+    over the leading axes for stacks of them."""
+    fv, gv = np.asarray(fv, dtype=float), np.asarray(gv, dtype=float)
+    w = grid.weights
     if np.any(fv < 0.0):
         raise ValueError("density must be nonnegative")
-    mass = float(np.sum(grid.weights * fv))
-    if abs(mass - 1.0) > 1e-10:
-        raise ValueError(f"density must integrate to 1, got {mass}")
-    flogf = float(np.sum(grid.weights * np.where(fv > 0.0, fv * np.log(np.maximum(fv, 1e-300)), 0.0)))
-    gmax = float(gv.max())
-    log_int_eg = gmax + math.log(float(np.sum(grid.weights * np.exp(gv - gmax))))
-    fg = float(np.sum(grid.weights * fv * gv))
-    return flogf + log_int_eg - fg
+    mass = np.sum(w * fv, axis=-1)
+    if np.any(np.abs(mass - 1.0) > 1e-10):
+        raise ValueError(f"density must integrate to 1, got masses {mass.min()} to {mass.max()}")
+    flogf = np.sum(w * np.where(fv > 0.0, fv * np.log(np.maximum(fv, 1e-300)), 0.0), axis=-1)
+    gmax = gv.max(axis=-1, keepdims=True)
+    log_int_eg = gmax[..., 0] + np.log(np.sum(w * np.exp(gv - gmax), axis=-1))
+    fg = np.sum(w * fv * gv, axis=-1)
+    gap = flogf + log_int_eg - fg
+    return float(gap) if gap.ndim == 0 else gap

@@ -240,27 +240,35 @@ def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
     return HarmonicCoeffs(2, L, vec)
 
 
-def synthesize(c: HarmonicCoeffs, grid: QuadratureGrid) -> GridFunction:
-    """Pointwise sum of the expansion at the grid nodes."""
-    if grid.n != c.n:
-        raise ValueError(f"grid dimension {grid.n} does not match coefficients n={c.n}")
-    tables = _grid_tables(grid, c.L)
-    if grid.n == 1:
-        return GridFunction(grid, tables["fourier"] @ c.coeffs)
-    nt, nphi = grid.polar_t.size, grid.az_phi.size
+def synthesize_values(n: int, L: int, coeffs: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Pointwise sums at the grid nodes of the expansions whose coefficients
+    are the last axis of `coeffs`: shape (..., count) gives (..., N), so a
+    stack of k states costs one pass over the orders."""
+    C = np.asarray(coeffs, dtype=float)
+    if grid.n != n:
+        raise ValueError(f"grid dimension {grid.n} does not match coefficients n={n}")
+    if C.shape[-1:] != (harmonic_count(n, L),):
+        raise ValueError(f"coefficients have shape {C.shape}, expected (..., "
+                         f"{harmonic_count(n, L)}) for n={n}, L={L}")
+    tables = _grid_tables(grid, L)
+    if n == 1:
+        return C @ tables["fourier"].T
+    nt = grid.polar_t.size
     leg = tables["legendre"]
-    L = c.L
-    Hc = np.zeros((nt, L + 1))
-    Hs = np.zeros((nt, L + 1))
+    Hc = np.zeros(C.shape[:-1] + (nt, L + 1))
+    Hs = np.zeros(C.shape[:-1] + (nt, L + 1))
     for m in range(L + 1):
         rows = np.array([tri_index(l, m) for l in range(m, L + 1)])
-        ac = np.array([c.coeffs[flat_index(2, l, m)] for l in range(m, L + 1)])
-        Hc[:, m] = ac @ leg[rows]
+        Hc[..., m] = C[..., [flat_index(2, l, m) for l in range(m, L + 1)]] @ leg[rows]
         if m > 0:
-            as_ = np.array([c.coeffs[flat_index(2, l, -m)] for l in range(m, L + 1)])
-            Hs[:, m] = as_ @ leg[rows]
+            Hs[..., m] = C[..., [flat_index(2, l, -m) for l in range(m, L + 1)]] @ leg[rows]
     F = Hc @ tables["cos"].T + Hs @ tables["sin"].T
-    return GridFunction(grid, F.ravel())
+    return F.reshape(C.shape[:-1] + (-1,))
+
+
+def synthesize(c: HarmonicCoeffs, grid: QuadratureGrid) -> GridFunction:
+    """Pointwise sum of the expansion at the grid nodes."""
+    return GridFunction(grid, synthesize_values(c.n, c.L, c.coeffs, grid))
 
 
 @functools.lru_cache(maxsize=8)
@@ -460,8 +468,12 @@ class MultiplierTable:
         return self.values[degree_of_index(self.n, L)]
 
 
+@functools.lru_cache(maxsize=64)
 def h_multiplier_table(n: int, L: int) -> MultiplierTable:
-    return MultiplierTable(n, np.array([multiplier_H(n, l) for l in range(L + 1)]))
+    """h_l for l = 0..L, built once per (n, L); its values are read-only."""
+    values = np.array([multiplier_H(n, l) for l in range(L + 1)])
+    values.flags.writeable = False
+    return MultiplierTable(n, values)
 
 
 def apply_multiplier(c: HarmonicCoeffs, table: MultiplierTable) -> HarmonicCoeffs:

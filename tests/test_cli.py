@@ -13,10 +13,14 @@ from logsphere.cli import (
     _parse_vector_spec,
     _suite_conformal_distance,
     _suite_deficit,
+    _suite_energyharmonics,
     _suite_gibbs,
     _write_json,
     main,
 )
+from logsphere import energy as en
+from logsphere import harmonics as hm
+from logsphere import sphere as sp
 from logsphere.harmonics import HarmonicCoeffs, random_coeffs
 
 
@@ -426,3 +430,43 @@ def test_report_carries_the_bounds_it_applies(suite, tolerance, detail, bound, a
     assert res["tolerance"] == tolerance
     assert res["details"][detail] == bound
     assert res["passed"] == applied(res)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gibbs_suite_synthesizes_its_states_in_one_stack(monkeypatch, n):
+    calls = counting(monkeypatch, hm, "synthesize_values")
+    res = _suite_gibbs(RunConfig(n=n), np.random.default_rng(3))
+    assert len(calls) <= 2
+    monkeypatch.undo()
+    # the same states as drawing and checking one state at a time
+    rng, grid = np.random.default_rng(3), sp.build_grid(n, 16)
+    gaps = []
+    for _ in range(300):
+        fv = np.abs(hm.synthesize(random_coeffs(n, 6, rng), grid).values) + 0.05
+        fv /= np.sum(grid.weights * fv)
+        gv = hm.synthesize(random_coeffs(n, 6, rng), grid).values
+        gaps.append(en.gibbs_gap(grid, fv, gv))
+        rng.normal()  # the shift of the equality case
+    assert res["metric"] == pytest.approx(min(gaps), rel=1e-11)
+    assert res["details"]["max_equality_gap"] <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_energyharmonics_suite_takes_one_kernel_pass_per_cutoff(monkeypatch, n):
+    calls = counting(monkeypatch, sp, "apply_radial_kernel")
+    synth = counting(monkeypatch, hm, "synthesize_values")
+    assert _suite_energyharmonics(RunConfig(n=n), np.random.default_rng(0))["passed"]
+    assert len(calls) == 2 and len(synth) == 1

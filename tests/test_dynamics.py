@@ -159,6 +159,17 @@ def test_fit_refuses_an_affine_fit_that_changes_sign(grids):
     assert "a0 > |a|" in fit.message
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_fit_far_from_the_family_is_no_worse_than_the_zero_model(grids, n):
+    # positive, but a sharp bump at each pole: the solved member misfits u
+    # by 1.6 (S^1) and 2.7 (S^2), more than c = 0 does
+    u = analyze(grids(n, 32).sample(lambda x: 0.01 + x[:, -1] ** 8), 16)
+    fit = fit_extremizer(u)
+    assert fit.params.c == 0.0 and fit.residual == 1.0
+    assert not fit.in_family
+    assert "zero model" in fit.message
+
+
 def test_fit_idempotent(grids):
     first = fit_extremizer(family_coeffs(grids, [0.1, 0.2, -0.15]))
     refit_input = analyze(grids(2, 32).sample(extremizer(first.params)), 32)

@@ -1,7 +1,8 @@
 """Property-based checks: the cap sampler, Moebius inverses, the conformal
 distance identity, the JSON round trips of maps and coefficients, the
-extremizer fit, the sign of the deficit and the Euler-Lagrange residual of
-the family."""
+extremizer fit, the sign of the deficit, the Euler-Lagrange residual of
+the family, and the batch axes of synthesis, the Gibbs gap and the direct
+energy."""
 
 import json
 import math
@@ -37,7 +38,16 @@ from logsphere import (
     synthesize,
 )
 from logsphere.conformal import _orthonormal_frame
-from logsphere.harmonics import harmonic_count
+from logsphere.energy import energy_direct_extrapolated, energy_direct_extrapolated_many, gibbs_gap
+from logsphere.harmonics import (
+    _grid_tables,
+    flat_index,
+    h_multiplier_table,
+    harmonic_count,
+    synthesize_values,
+)
+from logsphere.specfun import tri_index
+from logsphere.sphere import GridFunction
 
 DIMS = st.sampled_from([1, 2])
 
@@ -189,3 +199,75 @@ def test_el_residual_vanishes_on_family_members(n, data, size):
     # the equation fixes the amplitude: c = 2 leaves a residual of about 31
     zeta = size * data.draw(directions(n + 1))
     assert el_residual(family_coeffs(n, 16, zeta), 8).max_abs <= 1e-9
+
+
+def synthesize_per_element(c, grid):
+    """Synthesis with one gather per coefficient, the form that took one
+    state per call before the batch axis."""
+    tables = _grid_tables(grid, c.L)
+    if c.n == 1:
+        return tables["fourier"] @ c.coeffs
+    nt, L, leg = grid.polar_t.size, c.L, tables["legendre"]
+    Hc, Hs = np.zeros((nt, L + 1)), np.zeros((nt, L + 1))
+    for m in range(L + 1):
+        rows = np.array([tri_index(l, m) for l in range(m, L + 1)])
+        Hc[:, m] = np.array([c.coeffs[flat_index(2, l, m)] for l in range(m, L + 1)]) @ leg[rows]
+        if m > 0:
+            Hs[:, m] = np.array([c.coeffs[flat_index(2, l, -m)]
+                                 for l in range(m, L + 1)]) @ leg[rows]
+    return (Hc @ tables["cos"].T + Hs @ tables["sin"].T).ravel()
+
+
+@settings(max_examples=40)
+@given(n=DIMS, L=st.integers(0, 12), k=st.integers(1, 5), extra=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_synthesis_matches_one_state_at_a_time(n, L, k, extra, seed):
+    grid = build_grid(n, max(L, 1) + extra)
+    C = np.random.default_rng(seed).standard_normal((k, harmonic_count(n, L)))
+    stacked = synthesize_values(n, L, C, grid)
+    rows = np.array([synthesize(HarmonicCoeffs(n, L, c), grid).values for c in C])
+    assert stacked.shape == (k, grid.node_count)
+    assert np.abs(stacked - rows).max() <= 1e-13 * max(1.0, np.abs(rows).max())
+    # one state is the per-element synthesis bit for bit
+    for c in C:
+        assert np.array_equal(synthesize(HarmonicCoeffs(n, L, c), grid).values,
+                              synthesize_per_element(HarmonicCoeffs(n, L, c), grid))
+
+
+@settings(max_examples=30)
+@given(n=DIMS, k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_stacked_gibbs_gap_matches_each_row(n, k, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_grid(n, 8)
+    fv = np.abs(rng.standard_normal((k, grid.node_count))) + 0.05
+    fv /= np.sum(grid.weights * fv, axis=1, keepdims=True)
+    gv = rng.standard_normal((k, grid.node_count))
+    stacked = gibbs_gap(grid, fv, gv)
+    rows = [gibbs_gap(grid, f, g) for f, g in zip(fv, gv)]
+    assert isinstance(rows[0], float) and stacked.shape == (k,)
+    np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-15)
+    assert np.all(stacked >= -1e-12)
+    # each row is checked: one row of mass 2 spoils the stack
+    fv[-1] *= 2.0
+    with pytest.raises(ValueError, match="integrate to 1"):
+        gibbs_gap(grid, fv, gv)
+
+
+@settings(max_examples=10)
+@given(n=DIMS, degree=st.integers(4, 16), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_energy_many_matches_each_column(n, degree, k, seed):
+    grid = build_grid(n, degree)
+    V = np.random.default_rng(seed).standard_normal((grid.node_count, k))
+    many = energy_direct_extrapolated_many(grid, V)
+    for j in range(k):
+        f = GridFunction(grid, V[:, j])
+        one = energy_direct_extrapolated(f, f)
+        assert abs(many[j] - one) <= 1e-12 * abs(one)
+
+
+@given(n=DIMS, L=st.integers(0, 16))
+def test_memoized_h_table_is_read_only(n, L):
+    table = h_multiplier_table(n, L)
+    assert h_multiplier_table(n, L) is table
+    with pytest.raises(ValueError):
+        table.values[0] = 1.0
