@@ -20,8 +20,6 @@ from .conformal import (
     inverse_stereographic,
     jacobian,
     kernel_l,
-    map_from_json,
-    map_to_json,
     map_with_jacobian,
     pullback,
     pullback_to_plane,
@@ -79,7 +77,6 @@ from .sphere import (
     GridFunction,
     QuadratureGrid,
     build_grid,
-    chordal_distance,
     integrate,
     north_pole,
     sphere_area,

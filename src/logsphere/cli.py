@@ -30,6 +30,7 @@ from . import dynamics as dy
 from . import energy as en
 from . import harmonics as hm
 from . import sphere as sp
+from . import verify as vf
 
 SCHEMA_VERSION = 6
 
@@ -138,29 +139,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _energyharmonics_degree(cfg: RunConfig) -> int:
-    return cfg.grid_degree or (48 if cfg.n == 2 else 64)
-
-
-def _work_band_limit(cfg: RunConfig) -> int:
-    """Band limit and grid degree of the conformal-identity suites."""
-    return max(32, 2 * cfg.band_limit)
-
-
 def _check_table_budget(cfg: RunConfig, command: str):
     """Refuse a band limit whose tables, or a grid degree whose pair-kernel
-    cross-check, would peak above TABLE_BUDGET_BYTES.
-
-    verify builds transform tables at the work band limit on a grid of that
-    degree and sums the pair kernel on the `energyharmonics` grid; the flow
-    and the probe build them at L on the entropy grid, the probe on S^2 also
-    the off-grid evaluation plan.
-    """
+    cross-check, would peak above TABLE_BUDGET_BYTES: `verify.table_needs`, or
+    the transform tables at L on the entropy grid of the flow and the probe,
+    which on S^2 also builds the off-grid evaluation plan."""
     L = cfg.band_limit
     if command == "verify":
-        degree, L_work = _energyharmonics_degree(cfg), _work_band_limit(cfg)
-        needs = {f"band limit {L}": hm.transform_table_bytes(cfg.n, L_work, L_work),
-                 f"grid degree {degree}": sp.radial_kernel_bytes(cfg.n, degree)}
+        needs = vf.table_needs(cfg)
     else:
         tables = hm.transform_table_bytes(cfg.n, L, en.entropy_degree(L))
         if command == "movespheres" and cfg.n == 2:
@@ -183,10 +169,10 @@ def _check_fault(fault: dict):
     unknown = set(fault) - {"suite", "scale"}
     if unknown:
         raise SystemExit(f"unknown fault keys: {sorted(unknown)}")
-    if fault.get("suite") not in _FAULT_SUITES:
-        raise SystemExit(f"fault suite must be one of {list(_FAULT_SUITES)}, "
-                         f"got {fault.get('suite')!r}")
-    scale = fault.get("scale", 1.0)
+    names = [suite.name for suite in vf.SUITES if suite.fault]
+    if fault.get("suite") not in names:
+        raise SystemExit(f"fault suite must be one of {names}, got {fault.get('suite')!r}")
+    scale = fault.get("scale", vf.FAULT_SCALE)
     if not _finite(scale):
         raise SystemExit(f"fault scale must be a finite number, got {scale!r}")
 
@@ -220,216 +206,20 @@ def _write_csv(rows: list[tuple], path: str):
 # ---------------------------------------------------------------------------
 # verify subcommand
 
-def _random_zeta(n: int, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
-    """A uniformly directed vector in R^{n+1} with length drawn from [lo, hi)."""
-    zdir = rng.standard_normal(n + 1)
-    zdir *= rng.uniform(lo, hi) / np.linalg.norm(zdir)
-    return zdir
-
-
-def _random_inversion(n: int, rng: np.random.Generator) -> cf.LiftedInversion:
-    xi0 = sp.sphere_point(rng.standard_normal(n + 1))
-    if 1.0 + xi0[-1] < 0.2:  # keep the base point away from the south pole
-        xi0 = -xi0
-    return cf.LiftedInversion(float(rng.uniform(0.3, 2.0)), xi0)
-
-
-def _random_maps(n: int, rng: np.random.Generator, count: int):
-    maps = []
-    for _ in range(count):
-        maps.append(_random_inversion(n, rng))
-        e = rng.standard_normal(n)
-        maps.append(cf.LiftedReflection(float(rng.uniform(-1.0, 1.0)), e))
-        maps.append(cf.Moebius(_random_zeta(n, rng, 0.1, 0.6)))
-    return maps
-
-
-def _suite_conformal_distance(cfg: RunConfig, rng) -> dict:
-    n = cfg.n
-    tol = 1e-9 * cfg.tol
-    worst = 0.0
-    for phi in _random_maps(n, rng, 5):
-        pts = sp.sphere_point(rng.standard_normal((200, n + 1)))
-        a, b = pts[:100], pts[100:]
-        (ma, ja), (mb, jb) = cf.map_with_jacobian(phi, a), cf.map_with_jacobian(phi, b)
-        lhs = ja ** (1.0 / n) * np.sum((a - b) ** 2, axis=1) * jb ** (1.0 / n)
-        rhs = np.sum((np.atleast_2d(ma) - np.atleast_2d(mb)) ** 2, axis=1)
-        worst = max(worst, float(np.abs(lhs / rhs - 1.0).max()))
-    return {"name": "conformal_distance", "metric": worst, "tolerance": tol,
-            "passed": worst <= tol}
-
-
-def _suite_kernel_sign(cfg: RunConfig, rng) -> dict:
-    n = cfg.n
-    violations, pairs = 0, 0
-    worst = math.inf
-    for _ in range(20):
-        for phi in (_random_inversion(n, rng),
-                    cf.LiftedReflection(float(rng.uniform(-1.0, 1.0)), rng.standard_normal(n))):
-            region = cf.region_of(phi)
-            a = cf.sample_region(region, 2500, rng)
-            b = cf.sample_region(region, 2500, rng)
-            ok = np.sum((a - b) ** 2, axis=1) > 1e-12
-            vals = cf.kernel_l(phi, a[ok], b[ok])
-            pairs += int(ok.sum())
-            violations += int(np.sum(vals <= 0.0))
-            worst = min(worst, float(vals.min()))
-    return {"name": "kernel_sign", "metric": violations, "tolerance": 0,
-            "passed": violations == 0,
-            "details": {"pairs": pairs, "min_kernel": worst}}
-
-
-def _suite_conf_transf_E(cfg: RunConfig, rng) -> dict:
-    n = cfg.n
-    L_in = max(4, cfg.band_limit // 2)
-    grid = sp.build_grid(n, _work_band_limit(cfg))
-    worst_ratio = 0.0
-    for _ in range(3):
-        u = hm.random_coeffs(n, L_in, rng)
-        v = hm.random_coeffs(n, L_in, rng)
-        phi = cf.Moebius(_random_zeta(n, rng, 0.1, 0.5))
-        res = en.verify_conf_E(u, v, phi, grid)
-        allowed = 1e-3 * (1.0 + abs(en.energy_spectral(u, v))) * cfg.tol
-        worst_ratio = max(worst_ratio, res / allowed)
-    return {"name": "conf_transf_E", "metric": worst_ratio, "tolerance": 1.0,
-            "passed": worst_ratio <= 1.0}
-
-
-def _suite_conf_transf_H(cfg: RunConfig, rng) -> dict:
-    n = cfg.n
-    L_in = max(4, cfg.band_limit // 2)
-    grid = sp.build_grid(n, _work_band_limit(cfg))
-    worst_ratio = 0.0
-    for _ in range(3):
-        u = hm.random_coeffs(n, L_in, rng)
-        phi = cf.Moebius(_random_zeta(n, rng, 0.1, 0.4))
-        res = en.verify_conf_H(u, phi, grid)
-        hu = hm.synthesize(hm.apply_H(u), grid).values
-        allowed = 1e-3 * max(1.0, float(np.abs(hu).max())) * cfg.tol
-        worst_ratio = max(worst_ratio, res / allowed)
-    return {"name": "conf_transf_H", "metric": worst_ratio, "tolerance": 1.0,
-            "passed": worst_ratio <= 1.0}
-
-
-def _suite_energyharmonics(cfg: RunConfig, rng) -> dict:
-    n = cfg.n
-    L = 8
-    grid = sp.build_grid(n, _energyharmonics_degree(cfg))
-    table = hm.h_multiplier_table(n, L)
-    fault = cfg.fault or {}
-    if fault.get("suite") == "energyharmonics":
-        table = hm.MultiplierTable(n, table.values * float(fault.get("scale", 1.05)))
-    cs = [hm.random_coeffs(n, L, rng) for _ in range(3)]
-    # one synthesis and one kernel pass per cutoff serve the three states
-    values = hm.synthesize_values(n, L, np.stack([c.coeffs for c in cs]), grid)
-    direct = 2.0 * en.energy_direct_extrapolated_many(grid, values.T)
-    worst = 0.0
-    for c, d in zip(cs, direct):
-        spectral = 2.0 * en.energy_spectral(c, c, table=table)
-        worst = max(worst, abs(float(d) - spectral) / abs(spectral))
-    tol = 2e-2 * cfg.tol
-    return {"name": "energyharmonics", "metric": worst, "tolerance": tol,
-            "passed": worst <= tol}
-
-
-def _suite_gibbs(cfg: RunConfig, rng) -> dict:
-    n, L, count = cfg.n, 6, 300
-    grid = sp.build_grid(n, 16)
-    # drawn in the order of one state at a time: f, g, then the shift
-    f_coeffs, g_coeffs, shifts = [], [], []
-    for _ in range(count):
-        f_coeffs.append(hm.random_coeffs(n, L, rng).coeffs)
-        g_coeffs.append(hm.random_coeffs(n, L, rng).coeffs)
-        shifts.append(rng.normal())
-    fv = np.abs(hm.synthesize_values(n, L, np.stack(f_coeffs), grid)) + 0.05
-    fv /= np.sum(grid.weights * fv, axis=1, keepdims=True)
-    gv = hm.synthesize_values(n, L, np.stack(g_coeffs), grid)
-    worst_gap = float(en.gibbs_gap(grid, fv, gv).min())
-    eq = en.gibbs_gap(grid, fv, np.log(fv) + np.array(shifts)[:, None])
-    worst_eq = float(np.abs(eq).max())
-    tol, eq_tol = -1e-10 * cfg.tol, 1e-9 * cfg.tol
-    passed = worst_gap >= tol and worst_eq <= eq_tol
-    return {"name": "gibbs", "metric": worst_gap, "tolerance": tol,
-            "passed": passed,
-            "details": {"max_equality_gap": worst_eq, "equality_tolerance": eq_tol}}
-
-
-def _family_coeffs(n: int, L: int, zeta: np.ndarray, c: float = 1.0) -> hm.HarmonicCoeffs:
-    grid = sp.build_grid(n, L)
-    return hm.analyze(grid.sample(cf.extremizer(cf.ExtremizerParams(zeta, c))), L)
-
-
-def _suite_deficit(cfg: RunConfig, rng) -> dict:
-    n, L = cfg.n, max(8, cfg.band_limit // 2)
-    grid = en.default_entropy_grid(n, L)
-    worst_rel = math.inf
-    for _ in range(20):
-        c = hm.random_coeffs(n, L, rng)
-        rep = en.beckner_deficit(c, grid)
-        worst_rel = min(worst_rel, rep.deficit / rep.energy_term)
-    worst_family = 0.0
-    for _ in range(5):
-        zeta = _random_zeta(n, rng, 0.1, 0.5)
-        crep = en.beckner_deficit(_family_coeffs(n, L, zeta), grid)
-        worst_family = max(worst_family, abs(crep.deficit) / crep.energy_term)
-    tol, random_tol = 1e-3 * cfg.tol, -1e-6 * cfg.tol
-    passed = worst_rel >= random_tol and worst_family <= tol
-    return {"name": "deficit_nonneg", "metric": worst_family, "tolerance": tol,
-            "passed": passed, "details": {"min_random_relative_deficit": worst_rel,
-                                          "random_tolerance": random_tol}}
-
-
-def _suite_el_residual(cfg: RunConfig, rng) -> dict:
-    n, L = cfg.n, cfg.band_limit
-    L_test = min(8, L // 2)
-    worst = 0.0
-    for mag in (0.0, 0.2, 0.4):
-        zdir = rng.standard_normal(n + 1)
-        zdir *= mag / np.linalg.norm(zdir)
-        res = en.el_residual(_family_coeffs(n, L, zdir), L_test)
-        worst = max(worst, res.max_abs)
-    tol = 1e-3 * cfg.tol
-    return {"name": "el_residual_family", "metric": worst, "tolerance": tol,
-            "passed": worst <= tol}
-
-
-# suites that honour the config's fault hook
-_FAULT_SUITES = ("energyharmonics",)
-
-_SUITES = (
-    _suite_conformal_distance,
-    _suite_kernel_sign,
-    _suite_conf_transf_E,
-    _suite_conf_transf_H,
-    _suite_energyharmonics,
-    _suite_gibbs,
-    _suite_deficit,
-    _suite_el_residual,
-)
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    results = []
-    for k, suite in enumerate(_SUITES):
-        rng = np.random.default_rng(cfg.seed + 1000 * k)
-        res = suite(cfg, rng)
-        results.append(res)
-        print(f"{'PASS' if res['passed'] else 'FAIL'}  {res['name']:<22} "
-              f"metric={res['metric']:.3e}")
-    all_pass = all(r["passed"] for r in results)
+    results = vf.run_suites(cfg)
+    failed = [r["name"] for r in results if not r["passed"]]
     report = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
         "config": _report_config(cfg, "verify"),
         "suites": results,
-        "all_pass": all_pass,
+        "all_pass": not failed,
     }
     _write_json(report, cfg.out)
-    if not all_pass:
-        first = next(r["name"] for r in results if not r["passed"])
-        print(f"FAIL: suite '{first}'", file=sys.stderr)
-        return 1
-    return 0
+    if failed:
+        print(f"FAIL: suite '{failed[0]}'", file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +307,7 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
                 raise SystemExit(f"unknown random-init option {key!r}")
         return dy.random_positive_init(n, L, np.random.default_rng(seed), amp)
     if kind == "extremizer":
-        params = _parse_extremizer(payload, n)
-        return _family_coeffs(n, L, params.zeta, params.c)
+        return dy.family_coeffs(_parse_extremizer(payload, n), L)
     if kind == "coeffs":
         data = _read_json_file(payload, "coeffs")
         try:

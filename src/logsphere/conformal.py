@@ -93,15 +93,10 @@ def _planar_lift(pts: np.ndarray, what: str):
 
 
 def _unit(v) -> np.ndarray:
-    """A copy of the finite v scaled to unit length.  A vector already unit
-    to within a few ulp is kept bit for bit, so a map rebuilt from its JSON
-    is the map that wrote it (normalizing again can move a component by an
-    ulp)."""
-    v = np.array(v, dtype=float)
+    """The finite v scaled to unit length."""
+    v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"map geometry must be finite, got {v.tolist()}")
-    if abs(float(v @ v) - 1.0) <= 8.0 * np.finfo(float).eps:
-        return v
     return sphere_point(v)
 
 
@@ -255,27 +250,6 @@ def pullback(u, phi: ConformalMap):
         return np.sqrt(jac) * u(image)
 
     return u_phi
-
-
-def map_to_json(phi: ConformalMap) -> dict:
-    if isinstance(phi, LiftedInversion):
-        return {"variant": "inversion", "lambda": phi.lam, "xi0": phi.xi0.tolist()}
-    if isinstance(phi, LiftedReflection):
-        return {"variant": "reflection", "alpha": phi.alpha, "e": phi.e.tolist()}
-    if isinstance(phi, Moebius):
-        return {"variant": "moebius", "zeta": phi.zeta.tolist()}
-    raise TypeError(f"not a conformal map: {phi!r}")
-
-
-def map_from_json(data: dict) -> ConformalMap:
-    variant = data["variant"]
-    if variant == "inversion":
-        return LiftedInversion(float(data["lambda"]), np.asarray(data["xi0"], float))
-    if variant == "reflection":
-        return LiftedReflection(float(data["alpha"]), np.asarray(data["e"], float))
-    if variant == "moebius":
-        return Moebius(np.asarray(data["zeta"], float))
-    raise ValueError(f"unknown map variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------

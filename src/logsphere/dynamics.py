@@ -28,7 +28,7 @@ from .harmonics import (
     random_coeffs,
     synthesize,
 )
-from .sphere import GridFunction, sphere_area
+from .sphere import GridFunction, build_grid, sphere_area
 
 DEFAULT_SAMPLES = 2048  # probe nodes per template
 
@@ -169,6 +169,11 @@ def random_positive_init(n: int, L: int, rng: np.random.Generator,
     u = HarmonicCoeffs.constant(n, L, 1.0)
     u.coeffs += pert * scale
     return u
+
+
+def family_coeffs(params: cf.ExtremizerParams, L: int) -> HarmonicCoeffs:
+    """The family member of `params`, analyzed on the degree-L grid."""
+    return analyze(build_grid(params.n, L).sample(cf.extremizer(params)), L)
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,6 @@ def sphere_point(coords) -> np.ndarray:
     return v / r
 
 
-def chordal_distance(xi, eta) -> float | np.ndarray:
-    """Euclidean distance in the ambient space; ranges over [0, 2]."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if xi.shape[-1] != eta.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {xi.shape[-1]} vs {eta.shape[-1]} coordinates"
-        )
-    return np.linalg.norm(xi - eta, axis=-1)
-
-
 @dataclass(eq=False)
 class QuadratureGrid:
     """Nodes and surface-measure weights on S^n: polar rings (cosines

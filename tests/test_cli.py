@@ -11,10 +11,6 @@ from logsphere.cli import (
     RunConfig,
     _check_table_budget,
     _parse_vector_spec,
-    _suite_conformal_distance,
-    _suite_deficit,
-    _suite_energyharmonics,
-    _suite_gibbs,
     _write_json,
     main,
 )
@@ -22,6 +18,9 @@ from logsphere import energy as en
 from logsphere import harmonics as hm
 from logsphere import sphere as sp
 from logsphere.harmonics import HarmonicCoeffs, random_coeffs
+from logsphere.verify import SUITES, _suite_gibbs
+
+SUITE = {suite.name: suite for suite in SUITES}
 
 
 def read_json(path):
@@ -62,18 +61,25 @@ def test_verify_seed_changes_report(verify_report, tmp_path):
     assert read_json(out2)["suites"] != report["suites"]
 
 
-def test_verify_fault_injection(tmp_path, capsys):
+def test_report_lists_the_suites_in_table_order(verify_report):
+    _, report, _ = verify_report
+    assert [s["name"] for s in report["suites"]] == [suite.name for suite in SUITES]
+
+
+@pytest.mark.parametrize("suite", [suite.name for suite in SUITES if suite.fault])
+def test_verify_fault_injection(suite, tmp_path, capsys):
+    # at the default scale, the fault fails its own suite and no other
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"fault": {"suite": "energyharmonics", "scale": 1.05}}))
+    cfg.write_text(json.dumps({"fault": {"suite": suite}}))
     out = tmp_path / "rep.json"
     code = main(["verify", "--config", str(cfg), "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
-    assert "energyharmonics" in captured.err
+    assert suite in captured.err
     report = read_json(out)
     assert not report["all_pass"]
     failing = [s["name"] for s in report["suites"] if not s["passed"]]
-    assert failing == ["energyharmonics"]
+    assert failing == [suite]
 
 
 def test_verify_circle_pipeline(tmp_path):
@@ -285,6 +291,7 @@ def test_unknown_config_key_rejected(tmp_path):
     ["verify", "--config", "{tmp}/fault_scale_huge.json"],
     ["verify", "--config", "{tmp}/fault_suite_unknown.json"],
     ["verify", "--config", "{tmp}/fault_suite_missing.json"],
+    ["verify", "--config", "{tmp}/fault_suite_without_fault.json"],
     ["verify", "--config", "{tmp}/fault_extra_key.json"],
     ["verify", "--seed", "-1"],
     ["verify", "--grid-degree", "-3"],
@@ -333,7 +340,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "config-band-limit-type", "config-seed-type", "coeffs-nan", "coeffs-inf",
         "coeffs-duplicate", "coeffs-above-band", "coeffs-negative-degree",
         "u-constant", "u-extremizer-outside-ball", "fault-scale-str", "fault-scale-nan",
-        "fault-scale-huge", "fault-suite-unknown", "fault-suite-missing", "fault-extra-key",
+        "fault-scale-huge", "fault-suite-unknown", "fault-suite-missing",
+        "fault-suite-without-fault", "fault-extra-key",
         "seed-negative", "grid-degree-negative", "max-iter-zero", "step-nan", "step-inf",
         "random-seed-negative", "values-repeated", "values-nan", "values-negative-radius",
         "xi0-nan", "u-constant-inf", "tol-nan", "tol-negative", "config-tol-nan",
@@ -360,6 +368,7 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
         "fault_scale_huge.json": {"fault": {"suite": "energyharmonics", "scale": 10**400}},
         "fault_suite_unknown.json": {"fault": {"suite": "nosuch"}},
         "fault_suite_missing.json": {"fault": {"scale": 1.05}},
+        "fault_suite_without_fault.json": {"fault": {"suite": "gibbs"}},
         "fault_extra_key.json": {"fault": {"suite": "energyharmonics", "bogus": 1}},
         "tol_nan.json": {"tol": math.nan},
         "tol_negative.json": {"tol": -1.0},
@@ -408,7 +417,8 @@ def test_zeta_spec_magnitude_may_carry_an_exponent():
 def test_conformal_distance_suite_passes_over_seeds(n):
     # near the south pole 1 + xi_{n+1} used to cancel in the planar lift
     for seed in range(40):
-        res = _suite_conformal_distance(RunConfig(n=n, seed=seed), np.random.default_rng(seed))
+        res = SUITE["conformal_distance"].check(RunConfig(n=n, seed=seed),
+                                                np.random.default_rng(seed))
         assert res["passed"], (seed, res["metric"])
 
 
@@ -420,13 +430,13 @@ def test_workers_config_key_is_unknown(tmp_path):
 
 
 @pytest.mark.parametrize("suite, tolerance, detail, bound, applied", [
-    (_suite_gibbs, -2e-10, "equality_tolerance", 2e-9,
+    ("gibbs", -2e-10, "equality_tolerance", 2e-9,
      lambda r: r["metric"] >= -2e-10 and r["details"]["max_equality_gap"] <= 2e-9),
-    (_suite_deficit, 2e-3, "random_tolerance", -2e-6,
+    ("deficit_nonneg", 2e-3, "random_tolerance", -2e-6,
      lambda r: r["metric"] <= 2e-3 and r["details"]["min_random_relative_deficit"] >= -2e-6),
 ], ids=["gibbs", "deficit_nonneg"])
 def test_report_carries_the_bounds_it_applies(suite, tolerance, detail, bound, applied):
-    res = suite(RunConfig(tol=2.0), np.random.default_rng(0))
+    res = SUITE[suite].check(RunConfig(tol=2.0), np.random.default_rng(0))
     assert res["tolerance"] == tolerance
     assert res["details"][detail] == bound
     assert res["passed"] == applied(res)
@@ -448,7 +458,7 @@ def counting(monkeypatch, module, name):
 @pytest.mark.parametrize("n", [1, 2])
 def test_gibbs_suite_synthesizes_its_states_in_one_stack(monkeypatch, n):
     calls = counting(monkeypatch, hm, "synthesize_values")
-    res = _suite_gibbs(RunConfig(n=n), np.random.default_rng(3))
+    metric, details = _suite_gibbs(RunConfig(n=n), np.random.default_rng(3))
     assert len(calls) <= 2
     monkeypatch.undo()
     # the same states as drawing and checking one state at a time
@@ -460,13 +470,13 @@ def test_gibbs_suite_synthesizes_its_states_in_one_stack(monkeypatch, n):
         gv = hm.synthesize(random_coeffs(n, 6, rng), grid).values
         gaps.append(en.gibbs_gap(grid, fv, gv))
         rng.normal()  # the shift of the equality case
-    assert res["metric"] == pytest.approx(min(gaps), rel=1e-11)
-    assert res["details"]["max_equality_gap"] <= 1e-13
+    assert metric == pytest.approx(min(gaps), rel=1e-11)
+    assert details["max_equality_gap"] <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_energyharmonics_suite_takes_one_kernel_pass_per_cutoff(monkeypatch, n):
     calls = counting(monkeypatch, sp, "apply_radial_kernel")
     synth = counting(monkeypatch, hm, "synthesize_values")
-    assert _suite_energyharmonics(RunConfig(n=n), np.random.default_rng(0))["passed"]
+    assert SUITE["energyharmonics"].check(RunConfig(n=n), np.random.default_rng(0))["passed"]
     assert len(calls) == 2 and len(synth) == 1

@@ -24,9 +24,7 @@ from logsphere import (
     inverse_stereographic,
     jacobian,
     kernel_l,
-    map_from_json,
     map_with_jacobian,
-    map_to_json,
     pullback,
     pullback_to_plane,
     random_coeffs,
@@ -351,17 +349,6 @@ def test_antisymmetry_defect_cases(grids, rng):
     # a grid function is evaluated off the grid through its expansion
     f = GridFunction(g, np.ones(g.node_count))
     assert antisymmetry_defect(as_evaluable(analyze(f, g.degree)), phi, pts) > 1.0
-
-
-def test_map_json_roundtrip():
-    for phi in example_maps(2):
-        data = map_to_json(phi)
-        back = map_from_json(data)
-        assert type(back) is type(phi)
-        if isinstance(phi, Moebius):
-            np.testing.assert_allclose(back.zeta, phi.zeta)
-    with pytest.raises(ValueError):
-        map_from_json({"variant": "spiral"})
 
 
 def test_map_constructor_validation():

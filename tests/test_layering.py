@@ -4,8 +4,9 @@ The flat (l, m) -> slot order of the coefficient vector is decided in
 `harmonics` alone: other modules reach coefficients through
 `HarmonicCoeffs` and `MultiplierTable`, never through the label-to-slot
 functions or a hard-coded slot.  `conformal` is geometry only and depends on
-`sphere`, not on the transforms.  Every public name is used somewhere
-besides its definition and the package's re-exports.
+`sphere`, not on the transforms.  `verify` holds the suites `cli` runs and
+imports nothing from `cli`.  Every public name is used somewhere besides its
+definition and the package's re-exports.
 """
 
 import ast
@@ -36,7 +37,7 @@ def names_used(node: ast.AST) -> set[str]:
 
 
 def test_modules_found():
-    assert {"harmonics", "energy", "dynamics", "cli", "conformal"} <= set(MODULES)
+    assert {"harmonics", "energy", "dynamics", "cli", "conformal", "verify"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "harmonics"])
@@ -44,7 +45,7 @@ def test_layout_functions_stay_in_harmonics(module):
     assert not names_used(tree(module)) & LAYOUT_NAMES
 
 
-@pytest.mark.parametrize("module", ["energy", "dynamics", "cli"])
+@pytest.mark.parametrize("module", ["energy", "dynamics", "cli", "verify"])
 def test_no_coefficient_slot_by_position(module):
     # `x.coeffs[0]` or `x.coeffs[:count]` would hard-code the slot order
     bad = [ast.unparse(node) for node in ast.walk(tree(module))
@@ -54,17 +55,27 @@ def test_no_coefficient_slot_by_position(module):
     assert bad == []
 
 
-def test_conformal_does_not_import_harmonics():
-    imported = set()
-    for node in ast.walk(tree("conformal")):
+def imports(module: str) -> set[str]:
+    """The last dotted part of every module that `module` imports from."""
+    out = set()
+    for node in ast.walk(tree(module)):
         if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
+            out.add(node.module or "")
             if node.module is None:
-                imported.update(alias.name for alias in node.names)
+                out.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert not {name for name in imported if name.split(".")[-1] == "harmonics"}
-    assert imported & {"sphere"}
+            out.update(alias.name for alias in node.names)
+    return {name.split(".")[-1] for name in out}
+
+
+def test_conformal_does_not_import_harmonics():
+    assert "harmonics" not in imports("conformal")
+    assert "sphere" in imports("conformal")
+
+
+def test_verify_does_not_import_cli():
+    assert "cli" not in imports("verify")
+    assert "verify" in imports("cli")
 
 
 ROOT = SRC.parent.parent

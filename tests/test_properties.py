@@ -1,10 +1,9 @@
 """Property-based checks: the cap sampler, Moebius inverses, the conformal
-distance identity, the JSON round trips of maps and coefficients, the
+distance identity, the JSON round trip of coefficients, the
 extremizer fit, the sign of the deficit, the Euler-Lagrange residual of
 the family, and the batch axes of synthesis, the Gibbs gap and the direct
 energy."""
 
-import json
 import math
 
 import numpy as np
@@ -29,8 +28,6 @@ from logsphere import (
     in_sigma,
     inverse,
     jacobian,
-    map_from_json,
-    map_to_json,
     random_positive_init,
     region_of,
     sample_region,
@@ -140,15 +137,6 @@ def test_conformal_distance_identity(n, data, seed):
     # points within 1e-8 of each other
     apart = (lhs > 1e-6) & (d2 > 1e-6)
     assert np.abs(rhs / lhs - 1.0)[apart].max(initial=0.0) <= 1e-9
-
-
-@given(n=DIMS, data=st.data())
-def test_map_json_roundtrip(n, data):
-    phi = data.draw(st.one_of(cap_maps(n), moebius_maps(n)))
-    data_in = map_to_json(phi)
-    back = map_from_json(json.loads(json.dumps(data_in)))
-    assert type(back) is type(phi)
-    assert map_to_json(back) == data_in
 
 
 @given(n=DIMS, L=st.integers(0, 6), data=st.data())

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from logsphere import (
     GridFunction,
     build_grid,
-    chordal_distance,
     integrate,
     sphere_area,
     sphere_point,
@@ -117,26 +116,6 @@ def test_sphere_point_normalizes():
     assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         sphere_point([0.0, 0.0])
-
-
-def test_chordal_distance_cases():
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    assert chordal_distance(e1, e1) == 0.0
-    assert chordal_distance(e1, -e1) == pytest.approx(2.0)
-    assert chordal_distance(e1, e2) == pytest.approx(math.sqrt(2.0))
-    with pytest.raises(ValueError):
-        chordal_distance(e1, np.array([1.0, 0.0]))
-
-
-def test_chordal_distance_metric_properties(rng):
-    pts = sphere_point(rng.standard_normal((60, 3)))
-    a, b, c = pts[:20], pts[20:40], pts[40:]
-    dab = chordal_distance(a, b)
-    assert np.allclose(dab, chordal_distance(b, a))
-    assert np.all(dab <= chordal_distance(a, c) + chordal_distance(c, b) + 1e-14)
-    assert np.all(dab >= 0.0)
-    assert np.all(dab <= 2.0 + 1e-14)
 
 
 def dense_radial_kernel(grid, kernel, eps, X):
