@@ -12,21 +12,17 @@ from .conformal import (
     SigmaRegion,
     antisymmetry_defect,
     apply_map,
-    bubble_to_zeta,
     cap_points,
     extremizer,
-    in_sigma,
     inverse,
     inverse_stereographic,
     jacobian,
     kernel_l,
     map_with_jacobian,
     pullback,
-    pullback_to_plane,
     region_of,
     sample_region,
     stereographic,
-    zeta_to_bubble,
 )
 from .dynamics import (
     FitResult,
@@ -65,14 +61,13 @@ from .harmonics import (
     as_evaluable,
     evaluate_at,
     h_multiplier_table,
-    multiplier_A2s,
     multiplier_H,
     multiplier_P2s,
     pv_apply_H,
     random_coeffs,
     synthesize,
 )
-from .specfun import digamma, ln_gamma, zonal_basis
+from .specfun import digamma, ln_gamma
 from .sphere import (
     GridFunction,
     QuadratureGrid,

@@ -32,7 +32,7 @@ from . import harmonics as hm
 from . import sphere as sp
 from . import verify as vf
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 # A band limit whose largest transform table (`hm.transform_table_bytes`), or
 # a grid degree whose pair-kernel cross-check peaks (`sp.radial_kernel_bytes`)
@@ -322,7 +322,7 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
 
 def cmd_minimize(cfg: RunConfig, init_spec: str, max_iter: int, step: float) -> int:
     try:  # a bad flow setting or a zero initial state becomes one line
-        flow_cfg = dy.FlowConfig(step_size=step, max_iter=max_iter, band_limit=cfg.band_limit)
+        flow_cfg = dy.FlowConfig(step_size=step, max_iter=max_iter)
         result = dy.minimize_deficit(_parse_init(init_spec, cfg), flow_cfg)
     except ValueError as exc:
         raise SystemExit(f"minimize: {exc}") from None

@@ -253,7 +253,7 @@ def pullback(u, phi: ConformalMap):
 
 
 # ---------------------------------------------------------------------------
-# the classified solution family and its planar form
+# the classified solution family
 
 @dataclass(frozen=True)
 class ExtremizerParams:
@@ -286,51 +286,16 @@ def extremizer(p: ExtremizerParams):
     return u
 
 
-def zeta_to_bubble(zeta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Planar bubble parameters (a, b) matching the family member."""
-    zeta = np.asarray(zeta, dtype=float)
-    denom = 1.0 + zeta[-1]
-    a = zeta[:-1] / denom
-    b = math.sqrt(1.0 - float(np.dot(zeta, zeta))) / denom
-    return a, b
-
-
-def bubble_to_zeta(a: np.ndarray, b: float) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    s = float(np.dot(a, a)) + b * b
-    return np.concatenate([2.0 * a, [1.0 - s]]) / (1.0 + s)
-
-
-def pullback_to_plane(u, n: int):
-    """Planar form v(x) = (2/(1+|x|^2))^{n/2} u(S(x))."""
-
-    def v(x):
-        xp, single = _as_rows(x)
-        s2 = np.sum(xp * xp, axis=1)
-        vals = (2.0 / (1.0 + s2)) ** (0.5 * n) * np.atleast_1d(u(stereographic(xp)))
-        return _unrows(vals, single)
-
-    return v
-
-
 # ---------------------------------------------------------------------------
 # comparison regions and the kernel of the difference estimate
 
 @dataclass(frozen=True)
 class SigmaRegion:
-    """Stereographic image of the inversion ball B_lambda(x0) (or of the
-    halfspace {x.e > alpha}); geometrically the spherical cap
-    {xi . axis > cos_threshold}.  Membership tests use the planar definition,
-    which is exact on constructed boundary points; the cap form drives
-    sampling."""
+    """The spherical cap {xi . axis > cos_threshold}: the stereographic image
+    of the inversion ball B_lambda(x0), or of the halfspace {x.e > alpha}."""
 
-    kind: str
     axis: np.ndarray
     cos_threshold: float
-    lam: float | None = None
-    x0: np.ndarray | None = None
-    alpha: float | None = None
-    e: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -343,30 +308,15 @@ def region_of(phi: ConformalMap) -> SigmaRegion:
         x0, lam = phi.x0, phi.lam
         x0sq = float(np.dot(x0, x0))
         p, c = np.concatenate([2.0 * x0, [1.0 + lam * lam - x0sq]]), 1.0 + x0sq - lam * lam
-        kind, geometry = "inversion", {"lam": lam, "x0": x0}
     elif isinstance(phi, LiftedReflection):
         p, c = np.concatenate([phi.e, [-phi.alpha]]), phi.alpha
-        kind, geometry = "reflection", {"alpha": phi.alpha, "e": phi.e}
     else:
         raise ValueError("comparison regions exist for inversion and reflection maps only")
     with np.errstate(over="ignore"):
         scale = np.linalg.norm(p)
     if not math.isfinite(scale):
         raise ValueError("the comparison region is not finite in double precision")
-    return SigmaRegion(kind, p / scale, c / scale, **geometry)
-
-
-def in_sigma(region: SigmaRegion, xi) -> bool | np.ndarray:
-    """Strict membership test; the boundary has measure zero."""
-    pts, single = _as_rows(xi)
-    x, _ = _planar_lift(pts, "membership test")
-    # strict inequality with a few-ulp inward slack, so points constructed on
-    # the boundary through the stereographic roundtrip classify as outside
-    if region.kind == "inversion":
-        res = np.sqrt(_col_sq(x - region.x0[:, None])) < region.lam * (1.0 - 1e-13)
-    else:
-        res = region.e @ x > region.alpha + 1e-13 * (1.0 + abs(region.alpha))
-    return _unrows(res, single)
+    return SigmaRegion(p / scale, c / scale)
 
 
 def _orthonormal_frame(axis: np.ndarray) -> np.ndarray:

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conformal as cf
-from .energy import constant_Cn, default_entropy_grid
+from .energy import _entropy_log_factor, constant_Cn, default_entropy_grid
 from .harmonics import (
     HarmonicCoeffs,
     analyze,
-    as_evaluable,
     degree_of_index,
     h_multiplier_table,
     random_coeffs,
@@ -40,14 +39,11 @@ DEFAULT_SAMPLES = 2048  # probe nodes per template
 class FlowConfig:
     step_size: float = 0.05
     max_iter: int = 2000
-    band_limit: int = 16
 
     def __post_init__(self):
         # the chained comparison is false for NaN and infinities too
         if not (0 < self.step_size < math.inf and self.max_iter > 0):
             raise ValueError("flow parameters must be positive and finite")
-        if self.band_limit < 1:
-            raise ValueError("band limit must be >= 1")
 
 
 @dataclass
@@ -90,11 +86,7 @@ class _Deficit:
         vals = synthesize(HarmonicCoeffs(self.n, self.L, coefs), grid).values
         norm_sq = float(np.dot(coefs, coefs))
         usq = vals * vals
-        logfac = np.where(
-            usq > 0.0,
-            np.log(np.maximum(usq, 1e-300)) + math.log(self.area / norm_sq),
-            0.0,
-        )
+        logfac = _entropy_log_factor(usq, norm_sq, self.area)
         deficit = 2.0 * float(np.sum(hvec * coefs * coefs)) - cn * float(
             np.sum(grid.weights * usq * logfac)
         )
@@ -114,15 +106,15 @@ def deficit_value(u: HarmonicCoeffs) -> float:
 
 def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig) -> FlowResult:
     """Projected gradient descent on the deficit over ||u||_2 = ||init||_2,
-    on the entropy grid of the flow's band limit.
+    at init's band limit and on its entropy grid.
 
     The deficit is 2-homogeneous, D(tu) = t^2 D(u), so the flow keeps the
     initial norm; scale `init` to flow on another sphere.
     """
     if not np.any(init.coeffs):
         raise ValueError("flow needs a nonzero initial state")
-    n, L = init.n, cfg.band_limit
-    c = init.with_band_limit(L).coeffs
+    n, L = init.n, init.L
+    c = init.coeffs.copy()
     target = math.sqrt(float(np.dot(c, c)))
     deficit_parts = _Deficit(n, L)
     deficit, grad = deficit_parts(c)
@@ -303,10 +295,10 @@ class MovingSphereReport:
 
 
 class _CapProbe:
-    """w = u_Phi - u over the inversions about xi0 or the reflections along e,
-    on sample nodes from a template that deforms continuously with the scale
-    parameter: DEFAULT_SAMPLES / 2 planar-ball nodes (inversions only) and as
-    many cap nodes.
+    """w = u_Phi - u, for a callable u on points, over the inversions about
+    xi0 or the reflections along e, on sample nodes from a template that
+    deforms continuously with the scale parameter: DEFAULT_SAMPLES / 2
+    planar-ball nodes (inversions only) and as many cap nodes.
 
     A value whose map has a pole at a node is retried once on a fresh
     template from the probe's generator; other values keep the first one.
@@ -318,10 +310,6 @@ class _CapProbe:
     def __init__(self, u, xi0, e, rng: np.random.Generator | None):
         if (xi0 is None) == (e is None):
             raise ValueError("pass exactly one of xi0 (inversion) or e (reflection)")
-        if isinstance(u, HarmonicCoeffs):
-            u = as_evaluable(u)
-        elif not callable(u):
-            raise TypeError("u must be callable on points or a HarmonicCoeffs")
         self.u, self.kind = u, "inversion" if e is None else "reflection"
         self.center = None if xi0 is None else np.asarray(xi0, float)
         self.direction = None if e is None else np.asarray(e, float)

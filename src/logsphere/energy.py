@@ -13,7 +13,7 @@ difference vanishes quadratically on the diagonal).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,19 +121,21 @@ def energy_direct_extrapolated_many(grid: QuadratureGrid, values: np.ndarray) ->
     return 0.5 * (4.0 * s[0] - s[1]) / 3.0
 
 
+def _entropy_log_factor(usq: np.ndarray, norm_sq: float, area: float) -> np.ndarray:
+    """ln(u^2 |S^n| / ||u||^2) at the nodes where u^2 > 0, and 0 elsewhere, so
+    that u^2 times it is the entropy density with 0 ln 0 := 0."""
+    return np.where(usq > 0.0, np.log(np.maximum(usq, 1e-300)) + math.log(area / norm_sq), 0.0)
+
+
 def beckner_rhs(u: GridFunction) -> float:
     """C_n int u^2 ln(u^2 |S^n| / ||u||^2), with 0 ln 0 := 0."""
     grid = u.grid
-    vals = u.values
-    usq = vals * vals
+    usq = u.values * u.values
     norm_sq = float(np.sum(grid.weights * usq))
     if norm_sq <= 0.0:
         raise ValueError("the zero function has no entropy term")
-    area = sphere_area(grid.n)
-    logs = np.where(usq > 0.0, np.log(np.maximum(usq, 1e-300)), 0.0)
-    entropy = float(np.sum(grid.weights * usq * logs))
-    entropy += norm_sq * math.log(area / norm_sq)
-    return constant_Cn(grid.n) * entropy
+    logfac = _entropy_log_factor(usq, norm_sq, sphere_area(grid.n))
+    return constant_Cn(grid.n) * float(np.sum(grid.weights * usq * logfac))
 
 
 @dataclass
@@ -144,9 +146,6 @@ class DeficitReport:
     n: int
     L: int
     grid_degree: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def entropy_degree(L: int) -> int:
@@ -183,37 +182,16 @@ _EL_FLOOR = 1e-12  # el_residual takes ln max(u, _EL_FLOOR)
 @dataclass
 class ELResidual:
     """Weak-equation residuals r_{l,m} = E[Y_{l,m}, u] - C_n int Y_{l,m} u ln u
-    against test harmonics of degree <= L_test."""
+    against the test harmonics of degree <= residuals.L."""
 
-    n: int
     L: int
-    L_test: int
     grid_degree: int
-    residuals: np.ndarray
+    residuals: HarmonicCoeffs
     floored: bool
     max_abs: float = field(init=False)
 
     def __post_init__(self):
-        self.residuals = np.asarray(self.residuals, dtype=float)
-        self.max_abs = float(np.abs(self.residuals).max())
-
-    def _coeffs(self) -> HarmonicCoeffs:
-        return HarmonicCoeffs(self.n, self.L_test, self.residuals)
-
-    def get(self, l: int, m: int) -> float:
-        return self._coeffs().get(l, m)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "L": self.L,
-            "L_test": self.L_test,
-            "grid_degree": self.grid_degree,
-            "floored": self.floored,
-            "floor": _EL_FLOOR,
-            "max_abs": self.max_abs,
-            "residuals": self._coeffs().triplets(),
-        }
+        self.max_abs = float(np.abs(self.residuals.coeffs).max())
 
 
 def el_residual(u: HarmonicCoeffs, L_test: int) -> ELResidual:
@@ -226,8 +204,8 @@ def el_residual(u: HarmonicCoeffs, L_test: int) -> ELResidual:
     logs = np.log(np.maximum(vals, _EL_FLOOR))
     rhs = analyze(GridFunction(grid, vals * logs), L_test)
     res = apply_H(u.with_band_limit(L_test)).coeffs - constant_Cn(u.n) * rhs.coeffs
-    return ELResidual(n=u.n, L=u.L, L_test=L_test, grid_degree=grid.degree,
-                      residuals=res, floored=floored)
+    return ELResidual(L=u.L, grid_degree=grid.degree,
+                      residuals=HarmonicCoeffs(u.n, L_test, res), floored=floored)
 
 
 # ---------------------------------------------------------------------------

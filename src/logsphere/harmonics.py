@@ -425,17 +425,6 @@ def multiplier_P2s(n: int, l: int, s: float) -> float:
     return math.exp(ln_gamma(a - s) - ln_gamma(a + s))
 
 
-def multiplier_A2s(n: int, l: int, s: float) -> float:
-    """Eigenvalue of the inverse family, Gamma(l+n/2+s)/Gamma(l+n/2-s);
-    defined for 0 <= s < l+n/2."""
-    a = l + 0.5 * n
-    if not 0.0 <= s < a:
-        raise ValueError(f"s must lie in [0, l+n/2), got s={s} for (n={n}, l={l})")
-    if l < 0:
-        raise ValueError(f"degree must be nonnegative, got l={l}")
-    return math.exp(ln_gamma(a + s) - ln_gamma(a - s))
-
-
 def log_operator_scale(n: int) -> float:
     """The constant 2 pi^{n/2} / Gamma(n/2) in front of the digamma difference."""
     return 2.0 * math.exp(0.5 * n * math.log(math.pi) - ln_gamma(0.5 * n))

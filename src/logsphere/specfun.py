@@ -3,9 +3,9 @@
 Log-gamma and digamma are computed by argument shifting followed by the
 asymptotic (Bernoulli) series, which keeps the absolute error near machine
 precision over the whole range this package uses without pulling in an
-external special-function dependency.  The basis routines evaluate real
-orthonormal harmonics: Fourier modes on the circle and normalized
-associated-Legendre times trigonometric factors on the 2-sphere.
+external special-function dependency.  The basis routines tabulate the
+factors of the real orthonormal harmonics: Fourier modes on the circle and
+normalized associated-Legendre functions on the 2-sphere.
 """
 
 from __future__ import annotations
@@ -153,44 +153,3 @@ def assoc_legendre_norm(L: int, t: np.ndarray) -> np.ndarray:
         prev, cur, nxt = cur, nxt, prev
     return tab
 
-
-def zonal_basis(n: int, l: int, m: int, xi: np.ndarray) -> float | np.ndarray:
-    """Real orthonormal harmonic Y_{l,m} at point(s) xi on S^n, n in {1, 2}.
-
-    Circle labels: m = 0 for l = 0; m = +1 the cosine branch and m = -1 the
-    sine branch for l >= 1.  Sphere labels: -l <= m <= l with m > 0 cosine,
-    m < 0 sine.
-    """
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
-    if n == 1:
-        if pts.shape[-1] != 2:
-            raise ValueError("points on the circle must have 2 coordinates")
-        if l < 0 or (l == 0 and m != 0) or (l > 0 and m not in (-1, 1)):
-            raise ValueError(f"invalid circle harmonic index (l={l}, m={m})")
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        if l == 0:
-            vals = np.full(theta.shape, 1.0 / math.sqrt(2.0 * math.pi))
-        elif m == 1:
-            vals = np.cos(l * theta) / math.sqrt(math.pi)
-        else:
-            vals = np.sin(l * theta) / math.sqrt(math.pi)
-    elif n == 2:
-        if pts.shape[-1] != 3:
-            raise ValueError("points on the 2-sphere must have 3 coordinates")
-        if l < 0 or abs(m) > l:
-            raise ValueError(f"invalid sphere harmonic index (l={l}, m={m})")
-        t = np.clip(pts[:, 2], -1.0, 1.0)
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        tab = assoc_legendre_norm(l, t)
-        leg = tab[tri_index(l, abs(m))]
-        if m == 0:
-            vals = leg
-        elif m > 0:
-            vals = math.sqrt(2.0) * leg * np.cos(m * phi)
-        else:
-            vals = math.sqrt(2.0) * leg * np.sin(-m * phi)
-    else:
-        raise ValueError(f"basis evaluation supports n in {{1, 2}}, got n={n}")
-    return float(vals[0]) if single else vals

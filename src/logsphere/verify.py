@@ -1,8 +1,8 @@
 """The `verify` suites, one ordered table of `Suite` records that check the
 paper's identities on random inputs against bounds that scale with `--tol`.
 The suite at position k draws from a generator seeded with seed + 1000 k.
-Suites read `n`, `band_limit`, `grid_degree`, `tol` and `fault` from the
-config they are given."""
+Suites read `n`, `band_limit`, `grid_degree` and `fault` from the config
+they are given; `Suite.check` scales each bound by the config's `tol`."""
 
 from __future__ import annotations
 
@@ -93,34 +93,32 @@ def _suite_kernel_sign(cfg, rng):
     return violations, {"pairs": pairs, "min_kernel": worst}
 
 
-# The two conformal-identity suites report their worst error in units of
-# 1e-3 x tol times the size of the state, so their bound is 1.
+# The two conformal-identity suites report their worst error relative to the
+# size of the state.
 
 def _suite_conf_transf_E(cfg, rng):
     n, L_in = cfg.n, max(4, cfg.band_limit // 2)
     grid = sp.build_grid(n, _work_band_limit(cfg))
-    worst_ratio = 0.0
+    worst = 0.0
     for _ in range(3):
         u, v = hm.random_coeffs(n, L_in, rng), hm.random_coeffs(n, L_in, rng)
         phi = cf.Moebius(_random_zeta(n, rng, 0.1, 0.5))
         res = en.verify_conf_E(u, v, phi, grid)
-        allowed = 1e-3 * (1.0 + abs(en.energy_spectral(u, v))) * cfg.tol
-        worst_ratio = max(worst_ratio, res / allowed)
-    return worst_ratio, {}
+        worst = max(worst, res / (1.0 + abs(en.energy_spectral(u, v))))
+    return worst, {}
 
 
 def _suite_conf_transf_H(cfg, rng):
     n, L_in = cfg.n, max(4, cfg.band_limit // 2)
     grid = sp.build_grid(n, _work_band_limit(cfg))
-    worst_ratio = 0.0
+    worst = 0.0
     for _ in range(3):
         u = hm.random_coeffs(n, L_in, rng)
         phi = cf.Moebius(_random_zeta(n, rng, 0.1, 0.4))
         res = en.verify_conf_H(u, phi, grid)
         hu = hm.synthesize(hm.apply_H(u), grid).values
-        allowed = 1e-3 * max(1.0, float(np.abs(hu).max())) * cfg.tol
-        worst_ratio = max(worst_ratio, res / allowed)
-    return worst_ratio, {}
+        worst = max(worst, res / max(1.0, float(np.abs(hu).max())))
+    return worst, {}
 
 
 def _suite_energyharmonics(cfg, rng):
@@ -177,10 +175,10 @@ _OPS = {"<=": operator.le, ">=": operator.ge}
 
 @dataclass(frozen=True)
 class Bound:
-    """`value op limit(tol)`: the metric, with the limit reported as its
+    """`value op limit x tol`: the metric, with the limit reported as its
     "tolerance", or the detail `value`, with the limit as detail `reported`."""
     op: str  # "<=" or ">="
-    limit: Callable[[float], float]
+    limit: float  # the bound at --tol 1
     value: str = "metric"
     reported: str = "tolerance"
 
@@ -198,7 +196,7 @@ class Suite:
         values = {"metric": metric, **details}
         result, checks = {"name": self.name, "metric": metric}, []
         for b in self.bounds:
-            limit = b.limit(cfg.tol)
+            limit = b.limit * cfg.tol
             (result if b.value == "metric" else details)[b.reported] = limit
             checks.append(_OPS[b.op](values[b.value], limit))
         result["passed"] = all(checks)
@@ -206,20 +204,19 @@ class Suite:
 
 
 SUITES = (
-    Suite("conformal_distance", _suite_conformal_distance, (Bound("<=", lambda tol: 1e-9 * tol),)),
-    Suite("kernel_sign", _suite_kernel_sign, (Bound("<=", lambda tol: 0),)),
-    Suite("conf_transf_E", _suite_conf_transf_E, (Bound("<=", lambda tol: 1.0),)),
-    Suite("conf_transf_H", _suite_conf_transf_H, (Bound("<=", lambda tol: 1.0),)),
-    Suite("energyharmonics", _suite_energyharmonics, (Bound("<=", lambda tol: 2e-2 * tol),),
+    Suite("conformal_distance", _suite_conformal_distance, (Bound("<=", 1e-9),)),
+    Suite("kernel_sign", _suite_kernel_sign, (Bound("<=", 0.0),)),
+    Suite("conf_transf_E", _suite_conf_transf_E, (Bound("<=", 1e-3),)),
+    Suite("conf_transf_H", _suite_conf_transf_H, (Bound("<=", 1e-3),)),
+    Suite("energyharmonics", _suite_energyharmonics, (Bound("<=", 2e-2),),
           fault=lambda table, scale: hm.MultiplierTable(table.n, table.values * scale)),
     Suite("gibbs", _suite_gibbs,
-          (Bound(">=", lambda tol: -1e-10 * tol),
-           Bound("<=", lambda tol: 1e-9 * tol, "max_equality_gap", "equality_tolerance"))),
+          (Bound(">=", -1e-10),
+           Bound("<=", 1e-9, "max_equality_gap", "equality_tolerance"))),
     Suite("deficit_nonneg", _suite_deficit,
-          (Bound("<=", lambda tol: 1e-3 * tol),
-           Bound(">=", lambda tol: -1e-6 * tol, "min_random_relative_deficit",
-                 "random_tolerance"))),
-    Suite("el_residual_family", _suite_el_residual, (Bound("<=", lambda tol: 1e-3 * tol),)),
+          (Bound("<=", 1e-3),
+           Bound(">=", -1e-6, "min_random_relative_deficit", "random_tolerance"))),
+    Suite("el_residual_family", _suite_el_residual, (Bound("<=", 1e-3),)),
 )
 
 

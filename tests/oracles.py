@@ -1,0 +1,95 @@
+"""Reference code the tests compare the package against, on its public API:
+the orthonormal harmonics one label at a time, the planar membership test of
+a comparison region, and the planar (bubble) form of the classified family.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from logsphere.conformal import LiftedInversion, inverse_stereographic, stereographic
+from logsphere.specfun import assoc_legendre_norm, tri_index
+
+
+def zonal_basis(n: int, l: int, m: int, xi: np.ndarray) -> float | np.ndarray:
+    """Real orthonormal harmonic Y_{l,m} at point(s) xi on S^n, n in {1, 2}.
+
+    Circle labels: m = 0 for l = 0; m = +1 the cosine branch and m = -1 the
+    sine branch for l >= 1.  Sphere labels: -l <= m <= l with m > 0 cosine,
+    m < 0 sine.
+    """
+    xi = np.asarray(xi, dtype=float)
+    single = xi.ndim == 1
+    pts = xi[None, :] if single else xi
+    if n == 1:
+        if pts.shape[-1] != 2:
+            raise ValueError("points on the circle must have 2 coordinates")
+        if l < 0 or (l == 0 and m != 0) or (l > 0 and m not in (-1, 1)):
+            raise ValueError(f"invalid circle harmonic index (l={l}, m={m})")
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        if l == 0:
+            vals = np.full(theta.shape, 1.0 / math.sqrt(2.0 * math.pi))
+        elif m == 1:
+            vals = np.cos(l * theta) / math.sqrt(math.pi)
+        else:
+            vals = np.sin(l * theta) / math.sqrt(math.pi)
+    elif n == 2:
+        if pts.shape[-1] != 3:
+            raise ValueError("points on the 2-sphere must have 3 coordinates")
+        if l < 0 or abs(m) > l:
+            raise ValueError(f"invalid sphere harmonic index (l={l}, m={m})")
+        t = np.clip(pts[:, 2], -1.0, 1.0)
+        phi = np.arctan2(pts[:, 1], pts[:, 0])
+        leg = assoc_legendre_norm(l, t)[tri_index(l, abs(m))]
+        if m == 0:
+            vals = leg
+        elif m > 0:
+            vals = math.sqrt(2.0) * leg * np.cos(m * phi)
+        else:
+            vals = math.sqrt(2.0) * leg * np.sin(-m * phi)
+    else:
+        raise ValueError(f"basis evaluation supports n in {{1, 2}}, got n={n}")
+    return float(vals[0]) if single else vals
+
+
+def in_sigma(phi, xi) -> bool | np.ndarray:
+    """Strict membership of point(s) xi in the comparison region of a lifted
+    inversion (the planar ball |x - x0| < lam) or reflection (the halfspace
+    x.e > alpha), tested on the stereographic preimages x.
+
+    A few-ulp inward slack makes points constructed on the boundary through
+    the stereographic round trip classify as outside; the south pole has no
+    preimage and raises PoleError.
+    """
+    x = inverse_stereographic(xi)
+    if isinstance(phi, LiftedInversion):
+        return np.linalg.norm(x - phi.x0, axis=-1) < phi.lam * (1.0 - 1e-13)
+    return x @ phi.e > phi.alpha + 1e-13 * (1.0 + abs(phi.alpha))
+
+
+def zeta_to_bubble(zeta: np.ndarray) -> tuple[np.ndarray, float]:
+    """Planar bubble parameters (a, b) matching the family member of zeta."""
+    zeta = np.asarray(zeta, dtype=float)
+    denom = 1.0 + zeta[-1]
+    a = zeta[:-1] / denom
+    b = math.sqrt(1.0 - float(np.dot(zeta, zeta))) / denom
+    return a, b
+
+
+def bubble_to_zeta(a: np.ndarray, b: float) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    s = float(np.dot(a, a)) + b * b
+    return np.concatenate([2.0 * a, [1.0 - s]]) / (1.0 + s)
+
+
+def pullback_to_plane(u, n: int):
+    """Planar form v(x) = (2/(1+|x|^2))^{n/2} u(S(x)) of u, for rows x."""
+
+    def v(x):
+        x = np.asarray(x, dtype=float)
+        s2 = np.sum(x * x, axis=-1)
+        return (2.0 / (1.0 + s2)) ** (0.5 * n) * u(stereographic(x))
+
+    return v

@@ -38,7 +38,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 6
+    assert report["schema"] == 7
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -434,11 +434,15 @@ def test_workers_config_key_is_unknown(tmp_path):
      lambda r: r["metric"] >= -2e-10 and r["details"]["max_equality_gap"] <= 2e-9),
     ("deficit_nonneg", 2e-3, "random_tolerance", -2e-6,
      lambda r: r["metric"] <= 2e-3 and r["details"]["min_random_relative_deficit"] >= -2e-6),
-], ids=["gibbs", "deficit_nonneg"])
+    ("conf_transf_E", 2e-3, None, None, lambda r: r["metric"] <= 2e-3),
+    ("conf_transf_H", 2e-3, None, None, lambda r: r["metric"] <= 2e-3),
+    ("kernel_sign", 0.0, None, None, lambda r: r["metric"] <= 0.0),
+], ids=["gibbs", "deficit_nonneg", "conf_transf_E", "conf_transf_H", "kernel_sign"])
 def test_report_carries_the_bounds_it_applies(suite, tolerance, detail, bound, applied):
     res = SUITE[suite].check(RunConfig(tol=2.0), np.random.default_rng(0))
-    assert res["tolerance"] == tolerance
-    assert res["details"][detail] == bound
+    assert res["tolerance"] == tolerance and isinstance(res["tolerance"], float)
+    if detail is not None:
+        assert res["details"][detail] == bound
     assert res["passed"] == applied(res)
 
 

@@ -25,11 +25,11 @@ from logsphere import (
     random_coeffs,
     sphere_area,
     sphere_point,
-    zeta_to_bubble,
 )
 from logsphere import harmonics as hm
 from logsphere.dynamics import _CapProbe, random_positive_init
-from logsphere.harmonics import flat_index, harmonic_count, harmonic_indices
+from logsphere.harmonics import as_evaluable, flat_index, harmonic_count, harmonic_indices
+from oracles import zeta_to_bubble
 
 
 def family_coeffs(grids, zeta, L=32):
@@ -52,7 +52,7 @@ def test_flow_config_validation():
 
 def test_flow_near_fixed_point(grids):
     init = family_coeffs(grids, [0.0, 0.0, 0.3], L=16)
-    res = minimize_deficit(init, FlowConfig(band_limit=16))
+    res = minimize_deficit(init, FlowConfig())
     assert res.final_deficit <= 1e-3
     moved = math.sqrt(float(np.sum((res.coeffs.coeffs - init.coeffs) ** 2)))
     assert moved <= 1e-2
@@ -65,7 +65,7 @@ def test_flow_from_perturbed_constant(grids):
     init = HarmonicCoeffs.zeros(2, L)
     init.coeffs[0] = math.sqrt(sphere_area(2))
     init.coeffs[flat_index(2, 1, 0)] = 0.5
-    res = minimize_deficit(init, FlowConfig(band_limit=L))
+    res = minimize_deficit(init, FlowConfig())
     assert res.final_deficit <= 1e-4
     fit = fit_extremizer(res.coeffs)
     assert fit.residual <= 1e-2
@@ -75,7 +75,7 @@ def test_flow_from_perturbed_constant(grids):
 def test_flow_monotone_and_norm_conserving(rng):
     init = random_positive_init(2, 12, rng)
     target = math.sqrt(init.norm_sq())
-    res = minimize_deficit(init, FlowConfig(band_limit=12, max_iter=200))
+    res = minimize_deficit(init, FlowConfig(max_iter=200))
     diffs = np.diff(res.deficits)
     assert np.all(diffs <= 1e-14)
     assert math.sqrt(res.coeffs.norm_sq()) == pytest.approx(target, abs=1e-10 * target)
@@ -83,24 +83,27 @@ def test_flow_monotone_and_norm_conserving(rng):
 
 @pytest.mark.parametrize("n, init_L, band_limit", [(2, 6, 8), (2, 10, 8), (1, 5, 9), (1, 12, 9)])
 def test_flow_changes_the_band_of_its_init(n, init_L, band_limit):
-    # oracle: the per-label copy the flow made before `with_band_limit`
+    # the flow runs at its init's band, so a caller moves the init there, as
+    # `minimize` does; oracle: the per-label copy of the init at that band
     rng = np.random.default_rng(init_L)
     init = random_coeffs(n, init_L, rng, decay=1.5)
     init.coeffs[0] += math.sqrt(sphere_area(n))
     vec = np.zeros(harmonic_count(n, band_limit))
     for (l, m) in harmonic_indices(n, min(band_limit, init_L)):
         vec[flat_index(n, l, m)] = init.get(l, m)
-    cfg = FlowConfig(band_limit=band_limit, max_iter=5)
-    got = minimize_deficit(init, cfg)
+    cfg = FlowConfig(max_iter=5)
+    moved = init.with_band_limit(band_limit)
+    got = minimize_deficit(moved, cfg)
     want = minimize_deficit(HarmonicCoeffs(n, band_limit, vec), cfg)
     assert got.coeffs.L == band_limit
     np.testing.assert_array_equal(got.coeffs.coeffs, want.coeffs.coeffs)
     assert got.deficits == want.deficits
+    assert got.coeffs.coeffs is not moved.coeffs  # the flow does not write into its init
 
 
 def test_flow_rejects_zero_init():
     with pytest.raises(ValueError):
-        minimize_deficit(HarmonicCoeffs.zeros(2, 8), FlowConfig(band_limit=8))
+        minimize_deficit(HarmonicCoeffs.zeros(2, 8), FlowConfig())
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -243,7 +246,6 @@ def test_critical_lambda_non_solution_flagged(grids):
     c = HarmonicCoeffs.zeros(2, 8)
     c.coeffs[0] = math.sqrt(sphere_area(2))
     c.coeffs[flat_index(2, 2, 0)] = 0.5 * math.sqrt(sphere_area(2))
-    from logsphere.harmonics import as_evaluable
 
     rep = critical_lambda(as_evaluable(c), north_pole(2), rng=np.random.default_rng(9))
     # a sign change exists, but w does not vanish there: not a solution
@@ -383,14 +385,14 @@ def count_evaluations(monkeypatch):
 def test_bisection_evaluates_u_once_per_step(monkeypatch):
     u = random_positive_init(2, 8, np.random.default_rng(11), amplitude=0.5)
     xi0 = sphere_point([0.3, -0.2, 0.9])
-    probe = _CapProbe(u, xi0, None, np.random.default_rng(2))
+    probe = _CapProbe(as_evaluable(u), xi0, None, np.random.default_rng(2))
     calls = count_evaluations(monkeypatch)
     probe.min_w(0.7)
     assert calls == [4096]  # the 2048 images and 2048 nodes together
     probe.w_stats(0.7)
     assert calls == [4096, 4096, 2048]  # then the images mapped back
     del calls[:]
-    rep = critical_lambda(u, xi0, rng=np.random.default_rng(2))
+    rep = critical_lambda(as_evaluable(u), xi0, rng=np.random.default_rng(2))
     assert not rep.critical_is_bound
     # sup |u|, two per scan value, one per bisection step, two at the critical value
     assert len(calls) == 1 + 2 * 32 + 48 + 2

@@ -28,7 +28,7 @@ from logsphere import (
     verify_conf_H,
 )
 from logsphere.energy import default_energy_eps
-from logsphere.harmonics import flat_index, harmonic_indices
+from logsphere.harmonics import flat_index
 from logsphere.sphere import build_grid, min_internode_distance
 
 
@@ -149,8 +149,6 @@ def test_beckner_deficit_cases(grids, rng):
         assert r.deficit == r.energy_term - r.entropy_term
     with pytest.raises(ValueError):
         beckner_deficit(HarmonicCoeffs.zeros(2, 8))
-    d = fam.to_json_dict()
-    assert {"energy_term", "entropy_term", "deficit", "n", "L", "grid_degree"} <= set(d)
 
 
 def test_el_residual_constant_and_family(grids):
@@ -168,7 +166,7 @@ def test_el_residual_amplitude_offset(grids):
     fam = family_coeffs(grids, [0.24, -0.32, 0.0], c=c_amp)
     r = el_residual(fam, 2)
     predicted = -constant_Cn(2) * math.log(c_amp) * fam.get(0, 0)
-    assert r.get(0, 0) == pytest.approx(predicted, rel=1e-6)
+    assert r.residuals.get(0, 0) == pytest.approx(predicted, rel=1e-6)
 
 
 def test_el_residual_flooring_flag(grids, rng):
@@ -177,20 +175,7 @@ def test_el_residual_flooring_flag(grids, rng):
     assert r.floored
     with pytest.raises(ValueError):
         el_residual(signed, 10)  # L_test beyond band limit
-    d = r.to_json_dict()
-    assert d["floored"] and len(d["residuals"]) == 25
-
-
-def test_el_residual_json_matches_per_label_writer(grids):
-    # oracle: the triplet writer ELResidual had before it delegated to HarmonicCoeffs
-    fam = family_coeffs(grids, [0.1, -0.2, 0.15], L=16)
-    for L_test in (0, 3, 8):
-        r = el_residual(fam, L_test)
-        want = [[l, m, float(r.residuals[flat_index(2, l, m)])]
-                for (l, m) in harmonic_indices(2, L_test)]
-        d = r.to_json_dict()
-        assert d["residuals"] == want
-        assert all(r.get(l, m) == v for l, m, v in want)
+    assert (r.residuals.n, r.residuals.L, r.L) == (2, 4, 8)
 
 
 def test_verify_conf_E(grids, rng):

@@ -6,7 +6,8 @@ The flat (l, m) -> slot order of the coefficient vector is decided in
 functions or a hard-coded slot.  `conformal` is geometry only and depends on
 `sphere`, not on the transforms.  `verify` holds the suites `cli` runs and
 imports nothing from `cli`.  Every public name is used somewhere besides its
-definition and the package's re-exports.
+definition and the package's re-exports, and every public module-level
+function or class is used by src itself unless it is listed as library API.
 """
 
 import ast
@@ -117,6 +118,33 @@ def names_referenced() -> set[str]:
 
 def test_no_dead_public_names():
     assert sorted(public_definitions() - names_referenced()) == []
+
+
+WRAPPED = "wrapped by perfbench/layers.py TARGETS; leaves with ROADMAP item 1"
+
+# Public module-level functions and classes that no src module besides
+# `__init__` references, each with why it stays in src.
+LIBRARY_API = {
+    "sphere.integrate": WRAPPED,
+    "conformal.apply_map": WRAPPED,
+    "conformal.antisymmetry_defect": WRAPPED,
+    "harmonics.apply_P2s": WRAPPED,
+    "harmonics.pv_apply_H": WRAPPED,
+    "harmonics.apply_P2s_direct": WRAPPED,
+    "energy.energy_direct": WRAPPED,
+    "energy.energy_direct_extrapolated": WRAPPED,
+    "dynamics.deficit_value": WRAPPED,
+    "dynamics.deficit_gradient": WRAPPED,
+}
+
+
+def test_src_keeps_what_src_uses():
+    # reference code that only the tests run belongs in tests/oracles.py
+    used = set().union(*(names_used(tree(m)) for m in MODULES if m != "__init__"))
+    unused = {f"{module}.{node.name}" for module in MODULES for node in tree(module).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used}
+    assert sorted(unused) == sorted(LIBRARY_API)
 
 
 # Defaulted parameters that no call in src/logsphere sets, each with why it

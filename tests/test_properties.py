@@ -1,8 +1,8 @@
-"""Property-based checks: the cap sampler, Moebius inverses, the conformal
-distance identity, the JSON round trip of coefficients, the
-extremizer fit, the sign of the deficit, the Euler-Lagrange residual of
-the family, and the batch axes of synthesis, the Gibbs gap and the direct
-energy."""
+"""Property-based checks: the cap sampler and the cap as the planar region,
+Moebius inverses, the conformal distance identity, the JSON round trip of
+coefficients, the extremizer fit, the sign of the deficit and its two
+routes, the Euler-Lagrange residual of the family, and the batch axes of
+synthesis, the Gibbs gap and the direct energy."""
 
 import math
 
@@ -22,12 +22,13 @@ from logsphere import (
     beckner_deficit,
     build_grid,
     cap_points,
+    deficit_value,
     el_residual,
     extremizer,
     fit_extremizer,
-    in_sigma,
     inverse,
     jacobian,
+    random_coeffs,
     random_positive_init,
     region_of,
     sample_region,
@@ -45,6 +46,7 @@ from logsphere.harmonics import (
 )
 from logsphere.specfun import tri_index
 from logsphere.sphere import GridFunction
+from oracles import in_sigma
 
 DIMS = st.sampled_from([1, 2])
 
@@ -89,7 +91,26 @@ def test_cap_points_lie_in_the_region(n, data):
     region = region_of(phi)
     pts = cap_points(region, u, az)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-14)
-    assert np.all(in_sigma(region, pts))
+    assert np.all(in_sigma(phi, pts))
+
+
+@given(n=DIMS, data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_cap_is_the_planar_region(n, data, seed):
+    # the cap test that SigmaRegion keeps classifies points as the planar
+    # ball or halfspace of the map does, away from the boundary; half of the
+    # points are moved to heights 1e-8 to 1e-2 above or below it
+    phi = data.draw(cap_maps(n))
+    region = region_of(phi)
+    rng = np.random.default_rng(seed)
+    pts = sphere_point(rng.standard_normal((64, n + 1)))
+    side = sphere_point(pts[32:] - np.outer(pts[32:] @ region.axis, region.axis))
+    t = region.cos_threshold + rng.choice([-1.0, 1.0], 32) * np.geomspace(1e-8, 1e-2, 32)
+    t = np.clip(t, -1.0, 1.0)
+    pts[32:] = t[:, None] * region.axis + np.sqrt(1.0 - t * t)[:, None] * side
+    pts = pts[pts[:, -1] > -1.0 + 1e-6]  # the south pole has no planar preimage
+    height = pts @ region.axis - region.cos_threshold
+    clear = np.abs(height) > 1e-9
+    assert np.array_equal((height > 0.0)[clear], in_sigma(phi, pts)[clear])
 
 
 @given(phi=cap_maps(2), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 64))
@@ -177,8 +198,19 @@ def test_fit_recovers_family_members(n, data, size, c):
 @given(n=DIMS, L=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        amp=st.floats(0.05, 0.9))
 def test_deficit_is_nonnegative_on_positive_states(n, L, seed, amp):
-    rep = beckner_deficit(random_positive_init(n, L, np.random.default_rng(seed), amp))
+    u = random_positive_init(n, L, np.random.default_rng(seed), amp)
+    rep = beckner_deficit(u)
     assert rep.deficit >= -1e-9 * rep.energy_term
+    # the flow's deficit (Parseval norm) shares beckner_deficit's entropy density
+    assert abs(rep.deficit - deficit_value(u)) <= 1e-11 * rep.energy_term
+
+
+@settings(max_examples=30)
+@given(n=DIMS, L=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_deficit_is_nonnegative_on_signed_states(n, L, seed):
+    # the random-state bound of the deficit_nonneg suite at --tol 1
+    rep = beckner_deficit(random_coeffs(n, L, np.random.default_rng(seed)))
+    assert rep.deficit >= -1e-6 * rep.energy_term
 
 
 @settings(max_examples=20)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from logsphere import sphere_point, zonal_basis
+from logsphere import sphere_point
 from logsphere.specfun import (
     EULER_GAMMA,
     assoc_legendre_norm,
@@ -17,6 +17,7 @@ from logsphere.specfun import (
     ln_gamma,
     tri_index,
 )
+from oracles import zonal_basis
 
 mp.mp.dps = 40
 

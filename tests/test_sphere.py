@@ -12,7 +12,6 @@ from logsphere import (
     integrate,
     sphere_area,
     sphere_point,
-    zonal_basis,
 )
 from logsphere.energy import (
     default_energy_eps,
@@ -24,6 +23,7 @@ from logsphere.sphere import (
     min_internode_distance,
     radial_kernel_bytes,
 )
+from oracles import zonal_basis
 
 
 def test_sphere_area_values():
