@@ -143,14 +143,14 @@ def _check_table_budget(cfg: RunConfig, command: str):
     """Refuse a band limit whose tables, or a grid degree whose pair-kernel
     cross-check, would peak above TABLE_BUDGET_BYTES: `verify.table_needs`, or
     the transform tables at L on the entropy grid of the flow and the probe,
-    which on S^2 also builds the off-grid evaluation plan."""
+    or one `evaluate_at` call of the probe on its 2 DEFAULT_SAMPLES points."""
     L = cfg.band_limit
     if command == "verify":
         needs = vf.table_needs(cfg)
     else:
         tables = hm.transform_table_bytes(cfg.n, L, en.entropy_degree(L))
-        if command == "movespheres" and cfg.n == 2:
-            tables = max(tables, hm.evaluation_plan_bytes(L))
+        if command == "movespheres":
+            tables = max(tables, hm.evaluate_at_bytes(cfg.n, L, 2 * dy.DEFAULT_SAMPLES))
         needs = {f"band limit {L}": tables}
     for what, need in needs.items():
         if need > TABLE_BUDGET_BYTES:
@@ -379,7 +379,7 @@ def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
     kind, _, payload = u_spec.partition(":")
     if kind == "constant":
         value = _parse_constant(payload)
-        u = lambda pts: np.full(np.atleast_2d(pts).shape[0], value)
+        u = lambda pts: np.full(len(pts), value)
     elif kind == "extremizer":
         u = cf.extremizer(_parse_extremizer(payload, n))
     else:

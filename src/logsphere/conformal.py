@@ -1,8 +1,8 @@
 """Conformal maps of S^n: stereographic lifts of planar inversions and
 reflections, Moebius maps, Jacobians, pullbacks, and the comparison kernel.
 
-Maps act on points given as rows of an (k, n+1) array (or a single 1-d
-point).  Jacobians come from the chain rule on closed-form factors:
+Points are the rows of a (k, n+1) array ((k, n) in the plane) and values are
+arrays over the rows.  Jacobians come from the chain rule on closed-form factors:
 
     J_{S}(x)      = (2/(1+|x|^2))^n          (inverse stereographic)
     J_{S^{-1}}(xi) = (1+xi_{n+1})^{-n}
@@ -38,17 +38,12 @@ class PoleError(ValueError):
     """Input point coincides (within tolerance) with a pole of the map."""
 
 
-def _as_rows(pts):
+def _rows(pts) -> np.ndarray:
+    """`pts` as a float array of rows; anything but a 2-d array is refused."""
     pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        return pts[None, :], True
-    return pts, False
-
-
-def _unrows(vals, single):
-    if single:
-        return vals[0] if vals.ndim > 0 else vals
-    return vals
+    if pts.ndim != 2:
+        raise ValueError(f"points must be the rows of a 2-d array, got shape {pts.shape}")
+    return pts
 
 
 def _col_sq(a: np.ndarray) -> np.ndarray:
@@ -72,8 +67,7 @@ def _stereographic_columns(y: np.ndarray):
 
 def stereographic(x) -> np.ndarray:
     """Inverse stereographic projection R^n -> S^n minus the south pole."""
-    xp, single = _as_rows(x)
-    return _unrows(_stereographic_columns(xp.T)[0].T, single)
+    return _stereographic_columns(_rows(x).T)[0].T
 
 
 def _planar_lift(pts: np.ndarray, what: str):
@@ -102,9 +96,8 @@ def _unit(v) -> np.ndarray:
 
 def inverse_stereographic(xi) -> np.ndarray:
     """Stereographic projection S^n minus south pole -> R^n."""
-    pts, single = _as_rows(xi)
-    x, _ = _planar_lift(pts, "stereographic projection")
-    return _unrows(x.T, single)
+    x, _ = _planar_lift(_rows(xi), "stereographic projection")
+    return x.T
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ class LiftedInversion:
             raise ValueError(f"inversion radius must be positive and finite, got {self.lam}")
         if 1.0 + self.xi0[-1] < 1e-12:
             raise ValueError("xi0 must differ from the south pole")
-        object.__setattr__(self, "x0", inverse_stereographic(self.xi0))
+        object.__setattr__(self, "x0", inverse_stereographic(self.xi0[None])[0])
 
     @property
     def n(self) -> int:
@@ -204,10 +197,10 @@ def _lifted(phi: LiftedInversion | LiftedReflection, pts):
     return image.T, (2.0 / (s2p1 * denom)) ** phi.n * jac_plane
 
 
-def map_with_jacobian(phi: ConformalMap, xi):
+def map_with_jacobian(phi: ConformalMap, xi) -> tuple[np.ndarray, np.ndarray]:
     """(apply_map(phi, xi), jacobian(phi, xi)), the same values bit for bit;
     a lifted inversion or reflection takes one planar step for both."""
-    pts, single = _as_rows(xi)
+    pts = _rows(xi)
     if isinstance(phi, (LiftedInversion, LiftedReflection)):
         image, jac = _lifted(phi, pts)
     elif isinstance(phi, Moebius):
@@ -219,16 +212,16 @@ def map_with_jacobian(phi: ConformalMap, xi):
         jac = (math.sqrt(1.0 - z2) / (1.0 - pts @ phi.zeta)) ** phi.n
     else:
         raise TypeError(f"not a conformal map: {phi!r}")
-    return _unrows(image, single), _unrows(jac, single)
+    return image, jac
 
 
 def apply_map(phi: ConformalMap, xi) -> np.ndarray:
-    """Image of point(s) under the map; result re-normalized onto the sphere."""
+    """Images of the rows under the map, re-normalized onto the sphere."""
     return map_with_jacobian(phi, xi)[0]
 
 
-def jacobian(phi: ConformalMap, xi) -> float | np.ndarray:
-    """|det D phi| at point(s), by the chain rule on closed-form factors."""
+def jacobian(phi: ConformalMap, xi) -> np.ndarray:
+    """|det D phi| at the rows, by the chain rule on closed-form factors."""
     return map_with_jacobian(phi, xi)[1]
 
 
@@ -279,9 +272,7 @@ def extremizer(p: ExtremizerParams):
     root = math.sqrt(1.0 - float(np.dot(zeta, zeta)))
 
     def u(pts):
-        pts_, single = _as_rows(pts)
-        vals = c * (root / (1.0 - pts_ @ zeta)) ** (0.5 * n)
-        return _unrows(vals, single)
+        return c * (root / (1.0 - _rows(pts) @ zeta)) ** (0.5 * n)
 
     return u
 
@@ -372,34 +363,32 @@ def sample_region(region: SigmaRegion, count: int, rng: np.random.Generator) -> 
     return cap_points(region, u, phi)
 
 
-def kernel_l(phi: ConformalMap, xi, eta) -> float | np.ndarray:
-    """Difference kernel 1/|xi-eta|^n - J^{1/2}(eta)/|xi-phi(eta)|^n.
+def kernel_l(phi: ConformalMap, xi, eta) -> np.ndarray:
+    """Difference kernel 1/|xi-eta|^n - J^{1/2}(eta)/|xi-phi(eta)|^n, row by row.
 
     Strictly positive when both arguments lie in the comparison region of an
     inversion or reflection map; no sign guarantee outside.
     """
-    xis, single_a = _as_rows(xi)
-    etas, single_b = _as_rows(eta)
+    xis, etas = _rows(xi), _rows(eta)
     n = phi.n
     d2 = np.sum((xis - etas) ** 2, axis=1)
     if np.any(d2 < POLE_TOL):
         raise ValueError("kernel is singular at coincident points")
     image, jac = map_with_jacobian(phi, etas)
     jr = np.sqrt(jac)
-    d2m = np.sum((xis - np.atleast_2d(image)) ** 2, axis=1)
-    vals = d2 ** (-0.5 * n) - jr * d2m ** (-0.5 * n)
-    return _unrows(vals, single_a and single_b)
+    d2m = np.sum((xis - image) ** 2, axis=1)
+    return d2 ** (-0.5 * n) - jr * d2m ** (-0.5 * n)
 
 
 def antisymmetry_defect(w, phi: ConformalMap, points) -> float:
     """max over the points of |w(eta) + J^{1/2}(eta) w(phi(eta))|.
 
-    `w` is a callable points -> values; the points are typically a sample of
+    `w` is a callable rows -> values; the points are typically a sample of
     the comparison region (`sample_region`).
     """
-    points = np.atleast_2d(points)
+    points = _rows(points)
     if points.shape[0] == 0:
         raise ValueError("no evaluation points")
     mapped, jac = map_with_jacobian(phi, points)
-    vals = np.atleast_1d(w(points)) + np.sqrt(jac) * np.atleast_1d(w(mapped))
+    vals = w(points) + np.sqrt(jac) * w(mapped)
     return float(np.abs(vals).max())

@@ -334,11 +334,11 @@ class _CapProbe:
         pts = cf.cap_points(cf.region_of(phi), cap_u, cap_phi)
         if isinstance(phi, cf.LiftedInversion):
             x = phi.x0 + phi.lam * ball_radii[:, None] * ball_dirs
-            pts = np.vstack([pts, np.atleast_2d(cf.stereographic(x))])
+            pts = np.vstack([pts, cf.stereographic(x)])
         mapped, jac = cf.map_with_jacobian(phi, pts)
-        jr, mapped = np.sqrt(jac), np.atleast_2d(mapped)
+        jr = np.sqrt(jac)
         # one evaluation of u for the images and the nodes together
-        both = np.atleast_1d(self.u(np.vstack([mapped, pts])))
+        both = self.u(np.vstack([mapped, pts]))
         u_mapped = both[:len(mapped)]
         w = jr * u_mapped - both[len(mapped):]
         return w, jr, mapped, u_mapped
@@ -346,7 +346,7 @@ class _CapProbe:
     def _stats(self, phi: cf.ConformalMap, template) -> tuple[float, float, float]:
         w, jr, mapped, u_mapped = self._w(phi, template)
         back, jac_m = cf.map_with_jacobian(phi, mapped)
-        w_m = np.sqrt(jac_m) * np.atleast_1d(self.u(np.atleast_2d(back))) - u_mapped
+        w_m = np.sqrt(jac_m) * self.u(back) - u_mapped
         defect = float(np.abs(w + jr * w_m).max())
         return float(w.min()), float(np.abs(w).max()), defect
 
@@ -389,7 +389,7 @@ def _sup_abs_u(u, n: int, rng: np.random.Generator) -> float:
     """max |u| over 4096 random points."""
     pts = rng.standard_normal((4096, n + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return float(np.abs(np.atleast_1d(u(pts))).max())
+    return float(np.abs(u(pts)).max())
 
 
 def moving_sphere_profile(u, values, xi0=None, e=None,

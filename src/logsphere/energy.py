@@ -63,12 +63,11 @@ def energy_spectral(u: HarmonicCoeffs, v: HarmonicCoeffs,
 
 def _pair_energy_sums(grid: QuadratureGrid, V: np.ndarray, eps_list) -> np.ndarray:
     """sum_{|xi_i - xi_j| >= eps} w_i w_j (V_i - V_j)^2 / |xi_i - xi_j|^n
-    for each eps and each column of V.
+    for each eps and each column of the (N, k) array V.
 
     K being symmetric, the sum is 2 sum w V^2 (K w) - 2 sum w V K(w V); one
     kernel product per eps serves every column.
     """
-    V = np.atleast_2d(V.T).T  # (N, k)
     wV = grid.weights[:, None] * V
     out = np.empty((len(eps_list), V.shape[1]))
     for ei, eps in enumerate(eps_list):
@@ -143,9 +142,6 @@ class DeficitReport:
     energy_term: float
     entropy_term: float
     deficit: float
-    n: int
-    L: int
-    grid_degree: int
 
 
 def entropy_degree(L: int) -> int:
@@ -170,9 +166,6 @@ def beckner_deficit(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> De
         energy_term=energy_term,
         entropy_term=entropy_term,
         deficit=energy_term - entropy_term,
-        n=u.n,
-        L=u.L,
-        grid_degree=grid.degree,
     )
 
 
@@ -184,8 +177,6 @@ class ELResidual:
     """Weak-equation residuals r_{l,m} = E[Y_{l,m}, u] - C_n int Y_{l,m} u ln u
     against the test harmonics of degree <= residuals.L."""
 
-    L: int
-    grid_degree: int
     residuals: HarmonicCoeffs
     floored: bool
     max_abs: float = field(init=False)
@@ -204,8 +195,7 @@ def el_residual(u: HarmonicCoeffs, L_test: int) -> ELResidual:
     logs = np.log(np.maximum(vals, _EL_FLOOR))
     rhs = analyze(GridFunction(grid, vals * logs), L_test)
     res = apply_H(u.with_band_limit(L_test)).coeffs - constant_Cn(u.n) * rhs.coeffs
-    return ELResidual(L=u.L, grid_degree=grid.degree,
-                      residuals=HarmonicCoeffs(u.n, L_test, res), floored=floored)
+    return ELResidual(residuals=HarmonicCoeffs(u.n, L_test, res), floored=floored)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +252,10 @@ def _check_projection_tail(c: HarmonicCoeffs):
         )
 
 
-def gibbs_gap(grid: QuadratureGrid, fv: np.ndarray, gv: np.ndarray) -> float | np.ndarray:
+def gibbs_gap(grid: QuadratureGrid, fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
     """Gap int f ln f + ln int e^g - int f g >= 0 for densities f, from node
-    values along the last axis: a float for one pair of (N,) rows, an array
-    over the leading axes for stacks of them."""
+    values along the last axis: an array over the leading axes (0-d for one
+    pair of (N,) rows)."""
     fv, gv = np.asarray(fv, dtype=float), np.asarray(gv, dtype=float)
     w = grid.weights
     if np.any(fv < 0.0):
@@ -277,5 +267,4 @@ def gibbs_gap(grid: QuadratureGrid, fv: np.ndarray, gv: np.ndarray) -> float | n
     gmax = gv.max(axis=-1, keepdims=True)
     log_int_eg = gmax[..., 0] + np.log(np.sum(w * np.exp(gv - gmax), axis=-1))
     fg = np.sum(w * fv * gv, axis=-1)
-    gap = flogf + log_int_eg - fg
-    return float(gap) if gap.ndim == 0 else gap
+    return flogf + log_int_eg - fg

@@ -302,10 +302,8 @@ def _evaluation_plan(L: int) -> tuple[np.ndarray, np.ndarray]:
     cheb[ms[~odd], ls[~odd]] = leg[~odd] @ dct.T
     cheb[ms[odd], ls[odd]] = leg[odd] @ dst.T
     cheb[1:] *= math.sqrt(2.0)
-    # the gather inverts the degree-major slot order: slot k has degree l_k,
-    # and m runs from -l_k up through the block of slots of that degree
-    slot_l = degree_of_index(2, L)
-    slot_m = np.arange(slot_l.size) - np.searchsorted(slot_l, slot_l) - slot_l
+    # the gather inverts the slot order: slot k holds harmonic_indices(2, L)[k]
+    slot_l, slot_m = np.array(harmonic_indices(2, L)).T
     gather = np.full((L + 1, 2, L + 1), slot_l.size)
     gather[np.abs(slot_m), (slot_m < 0).astype(int), slot_l] = np.arange(slot_l.size)
     cheb.flags.writeable = False
@@ -337,7 +335,7 @@ EVALUATION_CHUNK = 4096  # points per evaluate_at workspace pass
 
 
 def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
-    """Evaluate the expansion at arbitrary points of S^n (needed by pullbacks).
+    """Values of the expansion at the rows of `points` on S^n (for pullbacks).
 
     On S^2 a call contracts the coefficients with the cached per-L Chebyshev
     plan (`_evaluation_plan`, O(L^3) and independent of the point count).
@@ -348,16 +346,12 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     of e^{i phi}.  One workspace of O(L * EVALUATION_CHUNK) floats holds it.
     """
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != c.n + 1:
-        raise ValueError(f"points of S^{c.n} need {c.n + 1} coordinates, "
-                         f"got shape {np.shape(points)}")
+        raise ValueError(f"points of S^{c.n} need {c.n + 1} coordinates in each row "
+                         f"of a 2-d array, got shape {pts.shape}")
     if c.n == 1:
         theta = np.arctan2(pts[:, 1], pts[:, 0])
-        vals = fourier_basis(c.L, theta) @ c.coeffs
-        return float(vals[0]) if single else vals
+        return fourier_basis(c.L, theta) @ c.coeffs
     M = c.L + 1
     cheb, gather = _evaluation_plan(c.L)
     # Chebyshev coefficients of the (m, cos) and (m, sin) rows of u, by parity of m
@@ -395,7 +389,19 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
                    + np.einsum("mn,mn->n", V_even[1::2], azimuth[0::2].imag)
                    + np.einsum("mn,mn->n", V_odd[0::2], azimuth[1::2].real)
                    + np.einsum("mn,mn->n", V_odd[1::2], azimuth[1::2].imag))
-    return float(out[0]) if single else out
+    return out
+
+
+def evaluate_at_bytes(n: int, L: int, count: int) -> int:
+    """Upper bound on the peak bytes of `evaluate_at` at band limit L on
+    `count` points: on the circle the (count, 2L + 1) Fourier table and four
+    point arrays; on S^2 the larger of building the plan and the plan with
+    one chunk's workspace, 16 chunk-length temporaries and the output."""
+    if n == 1:
+        return 8 * (2 * L + 5) * count + 4096
+    chunk = min(count, EVALUATION_CHUNK)
+    call = 8 * ((L + 1) ** 3 + 8 * (L + 1) ** 2 + 4 * (L + 2) * chunk + 16 * chunk + count)
+    return max(evaluation_plan_bytes(L), call) + 4096
 
 
 def as_evaluable(c: HarmonicCoeffs):
@@ -486,19 +492,15 @@ def apply_P2s(c: HarmonicCoeffs, s: float) -> HarmonicCoeffs:
 # ---------------------------------------------------------------------------
 # quadrature oracles for the integral definitions
 
-def pv_apply_H_direct(f: GridFunction, eps: float) -> np.ndarray:
-    """One-cutoff quadrature of the principal-value integral at every node.
-
-    Excludes chordal distances below eps symmetrically; error is O(eps^2)
-    plus quadrature error, so callers should Richardson-extrapolate.
-    """
-    kw, kwf = weighted_kernel_products(f.grid, 0.5 * f.grid.n, eps, f.values[:, None])
-    return f.values * kw - kwf[:, 0]
-
-
 def pv_apply_H(f: GridFunction, eps: float) -> np.ndarray:
-    """Richardson extrapolation over (eps, 2*eps) of the cutoff quadrature."""
-    return (4.0 * pv_apply_H_direct(f, eps) - pv_apply_H_direct(f, 2.0 * eps)) / 3.0
+    """Quadrature of the principal-value integral at every node: each cutoff
+    excludes chordal distances below it symmetrically, with error O(cutoff^2)
+    plus quadrature error, and (eps, 2*eps) are Richardson-extrapolated."""
+    cut = []
+    for e in (eps, 2.0 * eps):
+        kw, kwf = weighted_kernel_products(f.grid, 0.5 * f.grid.n, e, f.values[:, None])
+        cut.append(f.values * kw - kwf[:, 0])
+    return (4.0 * cut[0] - cut[1]) / 3.0
 
 
 def apply_P2s_direct(f: GridFunction, s: float, eps: float) -> np.ndarray:

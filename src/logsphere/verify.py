@@ -32,12 +32,31 @@ def _work_band_limit(cfg) -> int:
     return max(32, 2 * cfg.band_limit)
 
 
+def _state_band_limit(cfg) -> int:
+    """Band limit of the random states of the conformal-identity suites."""
+    return max(4, cfg.band_limit // 2)
+
+
+GIBBS_L, GIBBS_DEGREE, GIBBS_STATES = 6, 16, 300  # gibbs' band limit, grid, states
+
+
 def table_needs(cfg) -> dict[str, int]:
-    """Peak bytes, by the input that sets them, of the transform tables at the
-    work band limit and of the pair-kernel cross-check of `energyharmonics`."""
-    degree, L_work = _energyharmonics_degree(cfg), _work_band_limit(cfg)
-    return {f"band limit {cfg.band_limit}": hm.transform_table_bytes(cfg.n, L_work, L_work),
-            f"grid degree {degree}": sp.radial_kernel_bytes(cfg.n, degree)}
+    """Peak bytes of the suites, by the input that sets them.  The band limit
+    sets the conformal-identity suites': on the work grid, the transform
+    tables at the work and the states' band limits, one `evaluate_at` at its
+    nodes and 16 node arrays; on small grids `gibbs` (six arrays of its node
+    values, three of its coefficients, 256 KiB) needs more, and the other
+    suites always less.  The grid degree sets `energyharmonics`' kernel pass."""
+    n, L_work, L_state = cfg.n, _work_band_limit(cfg), _state_band_limit(cfg)
+    nodes = math.prod(sp.grid_shape(n, L_work))
+    conformal = (hm.transform_table_bytes(n, L_work, L_work)
+                 + hm.transform_table_bytes(n, L_state, L_work)
+                 + hm.evaluate_at_bytes(n, L_state, nodes) + 8 * 16 * nodes)
+    gibbs = 8 * GIBBS_STATES * (6 * math.prod(sp.grid_shape(n, GIBBS_DEGREE))
+                                + 3 * hm.harmonic_count(n, GIBBS_L))
+    degree = _energyharmonics_degree(cfg)
+    return {f"band limit {cfg.band_limit}": max(conformal, gibbs + 256 * 1024),
+            f"grid degree {degree}": sp.radial_kernel_bytes(n, degree)}
 
 
 def _random_zeta(n: int, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
@@ -71,7 +90,7 @@ def _suite_conformal_distance(cfg, rng):
         a, b = pts[:100], pts[100:]
         (ma, ja), (mb, jb) = cf.map_with_jacobian(phi, a), cf.map_with_jacobian(phi, b)
         lhs = ja ** (1.0 / n) * np.sum((a - b) ** 2, axis=1) * jb ** (1.0 / n)
-        rhs = np.sum((np.atleast_2d(ma) - np.atleast_2d(mb)) ** 2, axis=1)
+        rhs = np.sum((ma - mb) ** 2, axis=1)
         worst = max(worst, float(np.abs(lhs / rhs - 1.0).max()))
     return worst, {}
 
@@ -97,7 +116,7 @@ def _suite_kernel_sign(cfg, rng):
 # size of the state.
 
 def _suite_conf_transf_E(cfg, rng):
-    n, L_in = cfg.n, max(4, cfg.band_limit // 2)
+    n, L_in = cfg.n, _state_band_limit(cfg)
     grid = sp.build_grid(n, _work_band_limit(cfg))
     worst = 0.0
     for _ in range(3):
@@ -109,7 +128,7 @@ def _suite_conf_transf_E(cfg, rng):
 
 
 def _suite_conf_transf_H(cfg, rng):
-    n, L_in = cfg.n, max(4, cfg.band_limit // 2)
+    n, L_in = cfg.n, _state_band_limit(cfg)
     grid = sp.build_grid(n, _work_band_limit(cfg))
     worst = 0.0
     for _ in range(3):
@@ -134,8 +153,8 @@ def _suite_energyharmonics(cfg, rng):
 
 
 def _suite_gibbs(cfg, rng):
-    n, L, count = cfg.n, 6, 300
-    grid = sp.build_grid(n, 16)
+    n, L, count = cfg.n, GIBBS_L, GIBBS_STATES
+    grid = sp.build_grid(n, GIBBS_DEGREE)
     # drawn in the order of one state at a time: f, g, then the shift
     f_coeffs, g_coeffs, shifts = zip(*[
         (hm.random_coeffs(n, L, rng).coeffs, hm.random_coeffs(n, L, rng).coeffs, rng.normal())

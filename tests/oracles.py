@@ -54,10 +54,10 @@ def zonal_basis(n: int, l: int, m: int, xi: np.ndarray) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def in_sigma(phi, xi) -> bool | np.ndarray:
-    """Strict membership of point(s) xi in the comparison region of a lifted
-    inversion (the planar ball |x - x0| < lam) or reflection (the halfspace
-    x.e > alpha), tested on the stereographic preimages x.
+def in_sigma(phi, xi) -> np.ndarray:
+    """Strict membership of the rows of xi in the comparison region of a
+    lifted inversion (the planar ball |x - x0| < lam) or reflection (the
+    halfspace x.e > alpha), tested on the stereographic preimages x.
 
     A few-ulp inward slack makes points constructed on the boundary through
     the stereographic round trip classify as outside; the south pole has no
@@ -65,7 +65,7 @@ def in_sigma(phi, xi) -> bool | np.ndarray:
     """
     x = inverse_stereographic(xi)
     if isinstance(phi, LiftedInversion):
-        return np.linalg.norm(x - phi.x0, axis=-1) < phi.lam * (1.0 - 1e-13)
+        return np.linalg.norm(x - phi.x0, axis=1) < phi.lam * (1.0 - 1e-13)
     return x @ phi.e > phi.alpha + 1e-13 * (1.0 + abs(phi.alpha))
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from logsphere import energy as en
 from logsphere import harmonics as hm
 from logsphere import sphere as sp
 from logsphere.harmonics import HarmonicCoeffs, random_coeffs
-from logsphere.verify import SUITES, _suite_gibbs
+from logsphere.verify import SUITES, _suite_gibbs, table_needs
 
 SUITE = {suite.name: suite for suite in SUITES}
 
@@ -394,6 +395,34 @@ def test_grid_degree_budget_boundary(n, largest_ok):
     _check_table_budget(RunConfig(n=n, grid_degree=largest_ok), "verify")
     with pytest.raises(SystemExit, match=f"grid degree {largest_ok + 1} "):
         _check_table_budget(RunConfig(n=n, grid_degree=largest_ok + 1), "verify")
+
+
+@pytest.mark.parametrize("n, largest_ok", [(2, 374), (1, 3341)])
+def test_verify_band_limit_budget_boundary(n, largest_ok):
+    # the conformal-identity suites: the transform tables at 2L and L/2 on the
+    # degree-2L work grid, and evaluating the states at its mapped nodes
+    _check_table_budget(RunConfig(n=n, band_limit=largest_ok), "verify")
+    with pytest.raises(SystemExit, match=f"band limit {largest_ok + 1} "):
+        _check_table_budget(RunConfig(n=n, band_limit=largest_ok + 1), "verify")
+
+
+@pytest.mark.parametrize("n, band_limit", [(1, 256), (2, 32)])
+def test_table_needs_bound_every_suite_peak(n, band_limit):
+    # on S^1 the conformal-identity suites hold a second transform table and
+    # the off-grid Fourier table; on a small S^2 grid gibbs' stacks are largest
+    cfg = RunConfig(n=n, band_limit=band_limit)
+    need = max(table_needs(cfg).values())
+    for k, suite in enumerate(SUITES):
+        suite.run(cfg, np.random.default_rng(k))  # first-use allocations stay out
+        hm._evaluation_plan.cache_clear()
+        hm.h_multiplier_table.cache_clear()
+        tracemalloc.start()
+        try:
+            suite.run(cfg, np.random.default_rng(cfg.seed + 1000 * k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (suite.name, peak, need)
 
 
 @pytest.mark.parametrize("argv, echoed", [

@@ -31,7 +31,7 @@ from logsphere import (
     sphere_point,
     stereographic,
 )
-from logsphere.harmonics import analyze, as_evaluable
+from logsphere.harmonics import HarmonicCoeffs, analyze, as_evaluable, evaluate_at
 from oracles import bubble_to_zeta, in_sigma, pullback_to_plane, zeta_to_bubble
 
 
@@ -51,11 +51,13 @@ def example_maps(n):
 
 
 def test_stereographic_special_points():
-    np.testing.assert_allclose(stereographic(np.zeros(2)), [0.0, 0.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(stereographic(np.array([1.0])), [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(inverse_stereographic(np.array([0.0, 0.0, 1.0])), 0.0, atol=1e-15)
+    np.testing.assert_allclose(stereographic(np.zeros((1, 2))), [[0.0, 0.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(stereographic(np.array([[1.0]])), [[1.0, 0.0]], atol=1e-15)
     np.testing.assert_allclose(
-        inverse_stereographic(np.array([1.0, 0.0, 0.0])), [1.0, 0.0], atol=1e-15
+        inverse_stereographic(np.array([[0.0, 0.0, 1.0]])), [[0.0, 0.0]], atol=1e-15
+    )
+    np.testing.assert_allclose(
+        inverse_stereographic(np.array([[1.0, 0.0, 0.0]])), [[1.0, 0.0]], atol=1e-15
     )
 
 
@@ -66,16 +68,16 @@ def test_stereographic_roundtrip(rng):
 
 
 def test_south_pole_rejected():
-    south = np.array([0.0, 0.0, -1.0])
+    south = np.array([[0.0, 0.0, -1.0]])
     with pytest.raises(PoleError):
         inverse_stereographic(south)
     with pytest.raises(PoleError):
-        inverse_stereographic(np.array([1e-8, 0.0, -1.0 + 1e-15]))
+        inverse_stereographic(np.array([[1e-8, 0.0, -1.0 + 1e-15]]))
 
 
 def test_reflection_fixes_its_plane():
     psi = LiftedReflection(0.0, np.array([0.0, 1.0]))
-    fixed = stereographic(np.array([0.7, 0.0]))  # x.e = 0
+    fixed = stereographic(np.array([[0.7, 0.0]]))  # x.e = 0
     np.testing.assert_allclose(apply_map(psi, fixed), fixed, atol=1e-12)
 
 
@@ -83,7 +85,7 @@ def test_inversion_fixes_its_sphere():
     xi0 = sphere_point([0.3, 0.1, 0.95])
     lam = 0.85
     phi = LiftedInversion(lam, xi0)
-    x0 = inverse_stereographic(xi0)
+    x0 = inverse_stereographic(xi0[None])
     on_sphere = stereographic(x0 + lam * np.array([1.0, 0.0]))
     np.testing.assert_allclose(apply_map(phi, on_sphere), on_sphere, atol=1e-12)
 
@@ -101,11 +103,11 @@ def test_involution(rng, n):
 def test_pole_inputs_rejected():
     phi = LiftedInversion(0.8, sphere_point([0.5, -0.2, 0.9]))
     with pytest.raises(PoleError):
-        apply_map(phi, np.array([0.0, 0.0, -1.0]))
+        apply_map(phi, np.array([[0.0, 0.0, -1.0]]))
     with pytest.raises(PoleError):
-        apply_map(phi, phi.xi0)
+        apply_map(phi, phi.xi0[None])
     with pytest.raises(PoleError):
-        jacobian(phi, np.array([0.0, 0.0, -1.0]))
+        jacobian(phi, np.array([[0.0, 0.0, -1.0]]))
 
 
 @pytest.mark.parametrize("make", [
@@ -196,11 +198,10 @@ def test_extremizer_values_and_errors(grids):
     n = 2
     zeta = np.array([0.0, 0.0, 0.6])
     u = extremizer(ExtremizerParams(zeta, 2.0))
-    assert u(np.array([0.0, 0.0, 1.0])) == pytest.approx(
-        2.0 * ((1.0 + 0.6) / (1.0 - 0.6)) ** (n / 4.0), rel=1e-12
-    )
+    np.testing.assert_allclose(u(np.array([[0.0, 0.0, 1.0]])),
+                               [2.0 * ((1.0 + 0.6) / (1.0 - 0.6)) ** (n / 4.0)], rtol=1e-12)
     const = extremizer(ExtremizerParams(np.zeros(3), 3.0))
-    assert const(np.array([1.0, 0.0, 0.0])) == pytest.approx(3.0)
+    np.testing.assert_allclose(const(np.array([[1.0, 0.0, 0.0]])), [3.0], rtol=1e-12)
     g = grids(2, 32)
     vals = extremizer(ExtremizerParams(zeta, 1.0))(g.nodes)
     assert integrate(g, GridFunction(g, vals * vals)) == pytest.approx(
@@ -310,16 +311,16 @@ def test_in_sigma_geometry(rng):
     xi0 = sphere_point([0.4, 0.2, 0.8])
     phi = LiftedInversion(0.7, xi0)
     region = region_of(phi)
-    assert in_sigma(phi, xi0)
-    x0 = inverse_stereographic(xi0)
+    assert in_sigma(phi, xi0[None]).all()
+    x0 = inverse_stereographic(xi0[None])
     boundary = stereographic(x0 + 0.7 * np.array([0.0, 1.0]))
-    assert not in_sigma(phi, boundary)  # strict inequality
+    assert not in_sigma(phi, boundary).any()  # strict inequality
     inside = sample_region(region, 400, rng)
     assert np.all(in_sigma(phi, inside))
-    mapped = np.atleast_2d(apply_map(phi, inside))
+    mapped = apply_map(phi, inside)
     assert not np.any(in_sigma(phi, mapped))
     with pytest.raises(PoleError):
-        in_sigma(phi, np.array([0.0, 0.0, -1.0]))
+        in_sigma(phi, np.array([[0.0, 0.0, -1.0]]))
 
 
 def test_reflection_region_is_halfspace_image(rng):
@@ -443,6 +444,29 @@ def test_map_entry_points_agree_bit_for_bit(rng, n):
         image, jac = map_with_jacobian(phi, pts)
         np.testing.assert_array_equal(apply_map(phi, pts), image)
         np.testing.assert_array_equal(jacobian(phi, pts), jac)
-        single_image, single_jac = map_with_jacobian(phi, pts[5])
-        np.testing.assert_array_equal(apply_map(phi, pts[5]), single_image)
-        assert jacobian(phi, pts[5]) == single_jac == jac[5]
+
+
+ROW_MAP = LiftedInversion(0.8, sphere_point([0.5, -0.2, 0.9]))
+
+
+# Each entry point takes points as the rows of a 2-d array; planar points
+# are the first two coordinates of the same point.
+@pytest.mark.parametrize("call", [
+    lambda p: stereographic(p[..., :2]),
+    lambda p: inverse_stereographic(p),
+    lambda p: map_with_jacobian(ROW_MAP, p),
+    lambda p: apply_map(ROW_MAP, p),
+    lambda p: jacobian(ROW_MAP, p),
+    lambda p: extremizer(ExtremizerParams(np.array([0.1, 0.0, 0.2])))(p),
+    lambda p: kernel_l(ROW_MAP, p, -p),
+    lambda p: antisymmetry_defect(lambda q: np.zeros(len(q)), ROW_MAP, p),
+    lambda p: evaluate_at(HarmonicCoeffs.constant(2, 4, 1.0), p),
+], ids=["stereographic", "inverse_stereographic", "map_with_jacobian", "apply_map",
+        "jacobian", "extremizer", "kernel_l", "antisymmetry_defect", "evaluate_at"])
+def test_a_single_point_is_refused(call):
+    point = sphere_point([0.0, 0.6, 0.8])
+    call(point[None])  # one row is fine
+    with pytest.raises(ValueError, match=r"got shape \(\d,\)") as info:
+        call(point)
+    assert not isinstance(info.value, PoleError)
+    assert "\n" not in str(info.value)

@@ -225,7 +225,7 @@ def test_critical_lambda_family_matches_planar_geometry():
     a, b = zeta_to_bubble(zeta)
     for raw in ([0.0, 0.0, 1.0], [1.0, 0.5, 0.3], [-0.2, 0.9, -0.6]):
         xi0 = sphere_point(raw)
-        x0 = inverse_stereographic(xi0)
+        x0 = inverse_stereographic(xi0[None])[0]
         oracle = math.sqrt(float(np.sum((x0 - a) ** 2)) + b * b)
         rep = critical_lambda(u, xi0, rng=np.random.default_rng(7))
         assert rep.critical == pytest.approx(oracle, rel=1e-4)

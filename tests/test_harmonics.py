@@ -29,6 +29,7 @@ from logsphere.harmonics import (
     apply_P2s_direct,
     EVALUATION_CHUNK,
     degree_of_index,
+    evaluate_at_bytes,
     evaluation_plan_bytes,
     flat_index,
     h_multiplier_table,
@@ -116,8 +117,9 @@ def test_off_grid_evaluation_matches_nodes(grids, rng):
         on_grid = synthesize(c, g).values
         off = evaluate_at(c, g.nodes)
         assert np.abs(on_grid - off).max() < 1e-10
-        single = evaluate_at(c, g.nodes[3])
-        assert single == pytest.approx(on_grid[3], abs=1e-12)
+        one_row = evaluate_at(c, g.nodes[3:4])
+        assert one_row.shape == (1,)
+        assert one_row[0] == pytest.approx(on_grid[3], abs=1e-12)
 
 
 def dense_evaluate_at(c, points):
@@ -185,9 +187,9 @@ def test_evaluate_at_matches_dense_table(L, seed, count, extra):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= tol
     for k in (0, 1, pts.shape[0] - 1):
-        single = evaluate_at(c, pts[k])
-        assert isinstance(single, float)
-        assert abs(single - want[k]) <= tol
+        one_row = evaluate_at(c, pts[k:k + 1])
+        assert one_row.shape == (1,)
+        assert abs(one_row[0] - want[k]) <= tol
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -199,6 +201,19 @@ def test_evaluate_at_high_band_limit_matches_extended_precision():
     want = longdouble_evaluate_at(c, pts)
     scale = float(np.abs(want).max())
     assert float(np.abs(evaluate_at(c, pts) - want).max()) <= 1e-13 * scale
+
+
+# the circle's Fourier table, and on S^2 the plan, one chunk or a grid's worth
+@pytest.mark.parametrize("n, L, count", [(1, 64, 1000), (1, 512, 4098), (2, 16, 8385),
+                                         (2, 64, 5000), (2, 128, 100)])
+def test_evaluate_at_bytes_bounds_a_call(n, L, count):
+    rng = np.random.default_rng(L)
+    c = random_coeffs(n, L, rng)
+    pts = sphere_point(rng.standard_normal((count, n + 1)))
+    evaluate_at(c, pts)  # first-use allocations stay out of the count
+    _evaluation_plan.cache_clear()  # count building the per-L plan too
+    peak = traced_peak(lambda: evaluate_at(c, pts))
+    assert peak <= evaluate_at_bytes(n, L, count) <= 1.5 * peak
 
 
 def test_evaluate_at_memory_is_bounded_at_high_band_limit():

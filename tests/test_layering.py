@@ -8,6 +8,7 @@ functions or a hard-coded slot.  `conformal` is geometry only and depends on
 imports nothing from `cli`.  Every public name is used somewhere besides its
 definition and the package's re-exports, and every public module-level
 function or class is used by src itself unless it is listed as library API.
+No public function returns a scalar for some inputs and an array for others.
 """
 
 import ast
@@ -240,3 +241,27 @@ def test_every_default_is_set_by_a_caller():
              if not ((index is not None and positional.get(name, 0) > index)
                      or (name, param) in keywords or (name, "**") in keywords)}
     assert sorted(unset) == sorted(UNSET_DEFAULTS_ALLOWED)
+
+
+def union_members(node: ast.expr) -> list[ast.expr]:
+    """The members of an `A | B` or `Union[A, B]` annotation, else [node]."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return union_members(node.left) + union_members(node.right)
+    if isinstance(node, ast.Subscript) and ast.unparse(node.value) in {"Union", "typing.Union"}:
+        elts = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return [m for e in elts for m in union_members(e)]
+    return [node]
+
+
+def test_no_scalar_or_array_returns():
+    # points go in as rows and values come back as arrays, so no caller has
+    # to re-wrap a result whose type depends on the input's shape
+    bad = []
+    for module in MODULES:
+        for node in ast.walk(tree(module)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_") and node.returns is not None):
+                members = {ast.unparse(m) for m in union_members(node.returns)}
+                if members & {"float", "bool"} and members & {"np.ndarray", "numpy.ndarray"}:
+                    bad.append(f"{module}.{node.name} -> {ast.unparse(node.returns)}")
+    assert bad == []
