@@ -1,11 +1,11 @@
 """Gamma-family special functions and orthonormal basis evaluation.
 
-Log-gamma and digamma are computed by argument shifting followed by the
+Log-gamma is the standard library's `math.lgamma` for x > 0.  Digamma, which
+the standard library lacks, is computed by argument shifting followed by the
 asymptotic (Bernoulli) series, which keeps the absolute error near machine
-precision over the whole range this package uses without pulling in an
-external special-function dependency.  The basis routines tabulate the
-factors of the real orthonormal harmonics: Fourier modes on the circle and
-normalized associated-Legendre functions on the 2-sphere.
+precision over the whole range this package uses.  The basis routines
+tabulate the factors of the real orthonormal harmonics: Fourier modes on the
+circle and normalized associated-Legendre functions on the 2-sphere.
 """
 
 from __future__ import annotations
@@ -15,17 +15,6 @@ import math
 import numpy as np
 
 EULER_GAMMA = 0.57721566490153286061
-
-# B_{2k} / (2k (2k-1)) for k = 1..7, the Stirling-series tail of ln Gamma.
-_LNGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
 
 # B_{2k} / (2k) for k = 1..7, the asymptotic tail of psi.
 _DIGAMMA_TAIL = (
@@ -38,25 +27,13 @@ _DIGAMMA_TAIL = (
     1.0 / 12.0,
 )
 
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def ln_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    # Shift into the regime where 7 Bernoulli terms are below 1e-16.
-    shift = 0.0
-    while x < 12.0:
-        shift += math.log(x)
-        x += 1.0
-    z = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_LNGAMMA_TAIL):
-        tail = (tail + c) * z
-    tail /= x * z  # undo one z factor: series is sum c_k / x^{2k-1}
-    return (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + tail - shift
+    return math.lgamma(x)
 
 
 def digamma(x: float) -> float:

@@ -28,7 +28,7 @@ PSI_HALF = -1.9635100260214234794409763
 
 
 def test_ln_gamma_classic_values():
-    assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
+    assert ln_gamma(1.0) == ln_gamma(2.0) == 0.0
     assert ln_gamma(0.5) == pytest.approx(LN_SQRT_PI, abs=1e-13)
     assert ln_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-13)
 
