@@ -224,7 +224,7 @@ def test_criterion_7_gibbs_inequality():
 
 def test_criterion_8_moving_spheres_critical_scale():
     t0 = time.time()
-    one = lambda pts: np.ones(np.atleast_2d(pts).shape[0])
+    one = lambda pts: np.ones(len(pts))
     rep = critical_lambda(one, north_pole(2), rng=np.random.default_rng(8))
     const_ok = abs(rep.critical - 1.0) <= 1e-2 and rep.sup_w_at_critical <= 1e-6
     worst_family = 0.0

@@ -133,10 +133,7 @@ def test_conformal_distance_identity(rng, n):
     for phi in example_maps(n):
         ja, jb = jacobian(phi, a), jacobian(phi, b)
         lhs = ja ** (1.0 / n) * np.sum((a - b) ** 2, axis=1) * jb ** (1.0 / n)
-        rhs = np.sum(
-            (np.atleast_2d(apply_map(phi, a)) - np.atleast_2d(apply_map(phi, b))) ** 2,
-            axis=1,
-        )
+        rhs = np.sum((apply_map(phi, a) - apply_map(phi, b)) ** 2, axis=1)
         assert np.abs(lhs / rhs - 1.0).max() < 1e-9
 
 
@@ -154,7 +151,7 @@ def test_moebius_jacobian_closed_form(rng):
 def test_jacobian_chain_inverse(rng):
     pts = random_points(rng, 2, 30)
     for phi in example_maps(2):
-        mapped = np.atleast_2d(apply_map(phi, pts))
+        mapped = apply_map(phi, pts)
         assert np.abs(jacobian(phi, pts) * jacobian(inverse(phi), mapped) - 1.0).max() < 1e-10
 
 
@@ -162,10 +159,10 @@ def test_pullback_identity_and_jacobian_root(grids, rng):
     u = as_evaluable(random_coeffs(2, 6, rng))
     pts = random_points(rng, 2, 40)
     np.testing.assert_allclose(
-        pullback(u, Moebius(np.zeros(3)))(pts), np.atleast_1d(u(pts)), atol=1e-12
+        pullback(u, Moebius(np.zeros(3)))(pts), u(pts), atol=1e-12
     )
     phi = Moebius(np.array([0.2, 0.1, -0.3]))
-    one = lambda q: np.ones(np.atleast_2d(q).shape[0])
+    one = lambda q: np.ones(len(q))
     np.testing.assert_allclose(
         pullback(one, phi)(pts), np.sqrt(jacobian(phi, pts)), atol=1e-13
     )
@@ -189,8 +186,8 @@ def test_pullback_composes(rng):
     m2 = Moebius(np.array([-0.1, 0.3, 0.0]))
     pts = random_points(rng, 2, 60)
     lhs = pullback(pullback(u, m1), m2)(pts)
-    comp_jac = jacobian(m2, pts) * jacobian(m1, np.atleast_2d(apply_map(m2, pts)))
-    rhs = np.sqrt(comp_jac) * np.atleast_1d(u(apply_map(m1, apply_map(m2, pts))))
+    comp_jac = jacobian(m2, pts) * jacobian(m1, apply_map(m2, pts))
+    rhs = np.sqrt(comp_jac) * u(apply_map(m1, apply_map(m2, pts)))
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -216,13 +213,13 @@ def test_extremizer_values_and_errors(grids):
 def test_extremizer_is_conformal_orbit_of_constant(rng):
     zeta = np.array([0.25, 0.1, -0.35])
     u = extremizer(ExtremizerParams(zeta, 1.0))
-    one = lambda q: np.ones(np.atleast_2d(q).shape[0])
+    one = lambda q: np.ones(len(q))
     pts = random_points(rng, 2, 80)
     assert np.abs(u(pts) - pullback(one, Moebius(zeta))(pts)).max() < 1e-10
 
 
 def test_pullback_to_plane_standard_bubble(rng):
-    one = lambda q: np.ones(np.atleast_2d(q).shape[0])
+    one = lambda q: np.ones(len(q))
     v = pullback_to_plane(one, 2)
     x = rng.standard_normal((30, 2))
     expected = (2.0 / (1.0 + np.sum(x * x, axis=1))) ** 1.0
@@ -337,12 +334,12 @@ def test_antisymmetry_defect_cases(grids, rng):
     region = region_of(phi)
     pts = sample_region(region, 500, rng)
     u = as_evaluable(random_coeffs(2, 6, rng))
-    w = lambda q: pullback(u, phi)(q) - np.atleast_1d(u(q))
+    w = lambda q: pullback(u, phi)(q) - u(q)
     assert antisymmetry_defect(w, phi, pts) < 1e-8
-    one = lambda q: np.ones(np.atleast_2d(q).shape[0])
+    one = lambda q: np.ones(len(q))
     expected = float((1.0 + np.sqrt(jacobian(phi, pts))).max())
     assert antisymmetry_defect(one, phi, pts) == pytest.approx(expected, rel=1e-12)
-    zero = lambda q: np.zeros(np.atleast_2d(q).shape[0])
+    zero = lambda q: np.zeros(len(q))
     assert antisymmetry_defect(zero, phi, pts) == 0.0
     # a grid function is evaluated off the grid through its expansion
     f = GridFunction(g, np.ones(g.node_count))

@@ -37,7 +37,7 @@ def family_coeffs(grids, zeta, L=32):
     return analyze(g.sample(extremizer(ExtremizerParams(np.asarray(zeta, float)))), L)
 
 
-ONE = lambda pts: np.ones(np.atleast_2d(pts).shape[0])
+ONE = lambda pts: np.ones(len(pts))
 
 
 def test_flow_config_validation():
@@ -375,7 +375,7 @@ def count_evaluations(monkeypatch):
     real, calls = hm.evaluate_at, []
 
     def evaluate_at(c, points, *args, **kwargs):
-        calls.append(np.atleast_2d(points).shape[0])
+        calls.append(len(points))
         return real(c, points, *args, **kwargs)
 
     monkeypatch.setattr(hm, "evaluate_at", evaluate_at)

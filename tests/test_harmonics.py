@@ -385,7 +385,7 @@ def test_apply_P2s_conformal_covariance(grids, rng):
     u = random_coeffs(n, L, rng)
     phi = Moebius(np.array([0.2, -0.1, 0.2]))
     j = jacobian(phi, g.nodes)
-    mapped = np.atleast_2d(apply_map(phi, g.nodes))
+    mapped = apply_map(phi, g.nodes)
     lhs_in = j ** ((n + 2 * s) / (2 * n)) * evaluate_at(u, mapped)
     lhs = synthesize(apply_P2s(analyze(GridFunction(g, lhs_in), L_work), s), g).values
     rhs = j ** ((n - 2 * s) / (2 * n)) * evaluate_at(apply_P2s(u, s), mapped)
