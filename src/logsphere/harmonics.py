@@ -4,12 +4,17 @@ A band-limited expansion sum_{l<=L} u_{l,m} Y_{l,m} stands in for the finite
 energy space.  This module alone decides where (l, m) lives in the flat
 coefficient vector: in degree-major order, as `harmonic_indices` lists it,
 so a lower band is a prefix.  Other modules go through `HarmonicCoeffs`
-(`get`, `constant`, `with_band_limit`, the JSON triplets) and
-`MultiplierTable.per_slot`.
+(`get`, `constant`, `with_band_limit`, the JSON form, which is the dense
+vector in slot order) and `MultiplierTable.per_slot`.
 
 On product grids the forward/backward transforms factor into
 an azimuth contraction followed by per-order polar contractions, so no large
-design matrix is ever materialized.  Off-grid synthesis re-expands each
+design matrix is ever materialized.  The S^2 Legendre table runs by order m
+and then by degree l, so each order's polar functions are one contiguous
+slice of it; `_slot_maps(L)`, built once per band limit, holds where each
+order's slice starts and the flat slots of each row's cosine and sine
+coefficients, so a transform is one matrix product per order plus one
+gather or scatter of the whole vector.  Off-grid synthesis re-expands each
 order's polar functions once per band limit in Chebyshev polynomials of
 cos(theta), exactly, so evaluating at a chunk of points takes whole-array
 steps: the powers of e^{i theta} (real parts T_j(cos theta), imaginary parts
@@ -35,12 +40,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import assoc_legendre_norm, digamma, fourier_basis, ln_gamma, tri_index
+from .specfun import assoc_legendre_norm, digamma, fourier_basis, ln_gamma
 from .sphere import GridFunction, QuadratureGrid, grid_shape, sphere_area, weighted_kernel_products
 
 def harmonic_count(n: int, L: int) -> int:
@@ -119,38 +125,31 @@ class HarmonicCoeffs:
         vec[:self.coeffs.size] = self.coeffs[:vec.size]
         return HarmonicCoeffs(self.n, L, vec)
 
-    def triplets(self) -> list[list]:
-        """[l, m, u_{l,m}] for every slot, in slot order."""
-        labels = harmonic_indices(self.n, self.L)
-        return [[l, m, value] for (l, m), value in zip(labels, self.coeffs.tolist())]
-
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "L": self.L, "coeffs": self.triplets()}
+        """{"n", "L", "coeffs"}: the dense vector, in slot order."""
+        return {"n": self.n, "L": self.L, "coeffs": self.coeffs.tolist()}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HarmonicCoeffs":
-        """Inverse of to_json_dict; missing triplets are zero.  Non-integer
-        labels, non-finite values, repeated (l, m) and degrees outside 0..L
-        are rejected."""
+        """Inverse of to_json_dict.  A negative L, a vector of another length
+        than the band's slot count, and an entry that is not a finite number
+        (a bool is not a number) are rejected."""
         n, L = int(data["n"]), int(data["L"])
-        vec = np.zeros(harmonic_count(n, L))
-        seen = set()
-        for l, m, value in data["coeffs"]:
-            if (int(l), int(m)) != (l, m):
-                raise ValueError(f"labels must be integers, got (l={l!r}, m={m!r})")
-            l, m, value = int(l), int(m), float(value)
-            if not 0 <= l <= L:
-                raise ValueError(f"degree l={l} is outside the band 0..{L}")
-            if (l, m) in seen:
-                raise ValueError(f"duplicate coefficient (l={l}, m={m})")
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite coefficient {value} at (l={l}, m={m})")
-            seen.add((l, m))
-            vec[flat_index(n, l, m)] = value
-        return cls(n, L, vec)
+        if L < 0:
+            raise ValueError(f"band limit must be >= 0, got L={L}")
+        values, count = data["coeffs"], harmonic_count(n, L)
+        if not isinstance(values, list) or len(values) != count:
+            raise ValueError(f"coeffs must be a list of {count} numbers for n={n}, L={L}")
+        for k, value in enumerate(values):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"coefficient {k} is not a number: {value!r}")
+            # false for NaN and +-inf, and for an integer beyond the float range
+            if not abs(value) <= sys.float_info.max:
+                raise ValueError(f"non-finite coefficient {value} in slot {k}")
+        return cls(n, L, np.array(values, dtype=float))
 
     @classmethod
     def loads(cls, text: str) -> "HarmonicCoeffs":
@@ -225,18 +224,21 @@ def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
     wphi = 2.0 * math.pi / nphi
     Gc = F @ tables["cos"] * wphi  # (nt, L+1)
     Gs = F @ tables["sin"] * wphi
-    leg = tables["legendre"]
-    wt = grid.polar_w
-    vec = np.zeros(harmonic_count(2, L))
+    leg, maps = tables["legendre"], _slot_maps(L)
+    # weighted polar columns, one contiguous row per order
+    Wc = np.ascontiguousarray((Gc * grid.polar_w[:, None]).T)
+    Ws = np.ascontiguousarray((Gs * grid.polar_w[:, None]).T)
+    pc = np.empty(maps.cos_slot.size)
+    ps = np.empty(maps.sin_slot.size)
+    starts, sin_starts = maps.starts, maps.starts - (L + 1)
     for m in range(L + 1):
-        rows = np.array([tri_index(l, m) for l in range(m, L + 1)])
-        pc = leg[rows] @ (wt * Gc[:, m])
-        for j, l in enumerate(range(m, L + 1)):
-            vec[flat_index(2, l, m)] = pc[j]
+        a, b = starts[m], starts[m + 1]
+        pc[a:b] = leg[a:b] @ Wc[m]
         if m > 0:
-            ps = leg[rows] @ (wt * Gs[:, m])
-            for j, l in enumerate(range(m, L + 1)):
-                vec[flat_index(2, l, -m)] = ps[j]
+            ps[sin_starts[m]:sin_starts[m + 1]] = leg[a:b] @ Ws[m]
+    vec = np.empty(harmonic_count(2, L))
+    vec[maps.cos_slot] = pc
+    vec[maps.sin_slot] = ps
     return HarmonicCoeffs(2, L, vec)
 
 
@@ -254,14 +256,16 @@ def synthesize_values(n: int, L: int, coeffs: np.ndarray, grid: QuadratureGrid) 
     if n == 1:
         return C @ tables["fourier"].T
     nt = grid.polar_t.size
-    leg = tables["legendre"]
+    leg, maps = tables["legendre"], _slot_maps(L)
+    Cc, Cs = C[..., maps.cos_slot], C[..., maps.sin_slot]
     Hc = np.zeros(C.shape[:-1] + (nt, L + 1))
     Hs = np.zeros(C.shape[:-1] + (nt, L + 1))
+    starts, sin_starts = maps.starts, maps.starts - (L + 1)
     for m in range(L + 1):
-        rows = np.array([tri_index(l, m) for l in range(m, L + 1)])
-        Hc[..., m] = C[..., [flat_index(2, l, m) for l in range(m, L + 1)]] @ leg[rows]
+        a, b = starts[m], starts[m + 1]
+        Hc[..., m] = Cc[..., a:b] @ leg[a:b]
         if m > 0:
-            Hs[..., m] = C[..., [flat_index(2, l, -m) for l in range(m, L + 1)]] @ leg[rows]
+            Hs[..., m] = Cs[..., sin_starts[m]:sin_starts[m + 1]] @ leg[a:b]
     F = Hc @ tables["cos"].T + Hs @ tables["sin"].T
     return F.reshape(C.shape[:-1] + (-1,))
 
@@ -269,6 +273,41 @@ def synthesize_values(n: int, L: int, coeffs: np.ndarray, grid: QuadratureGrid) 
 def synthesize(c: HarmonicCoeffs, grid: QuadratureGrid) -> GridFunction:
     """Pointwise sum of the expansion at the grid nodes."""
     return GridFunction(grid, synthesize_values(c.n, c.L, c.coeffs, grid))
+
+
+@dataclass(frozen=True)
+class _SlotMaps:
+    """Where the rows of the S^2 Legendre table at band limit L meet the flat
+    coefficient vector.  The table's rows run by order m, then degree l;
+    order m's rows are starts[m]:starts[m + 1] (starts has L + 2 entries),
+    and row r holds (degree[r], order[r]).  cos_slot[r] is the flat slot of
+    (l, m), and sin_slot[r - (L + 1)] that of (l, -m) for the rows of
+    m >= 1, which are the rows from L + 1 on."""
+    starts: np.ndarray
+    degree: np.ndarray
+    order: np.ndarray
+    cos_slot: np.ndarray
+    sin_slot: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _slot_maps(L: int) -> _SlotMaps:
+    """The row maps of band limit L, built once; the arrays are read-only."""
+    sizes = np.arange(L + 1, 0, -1)  # order m has degrees m..L
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    order = np.repeat(np.arange(L + 1), sizes)
+    degree = order + np.arange(starts[-1]) - starts[order]
+    # invert the slot order: slot k holds harmonic_indices(2, L)[k]
+    slot_l, slot_m = np.array(harmonic_indices(2, L)).T
+    row = starts[np.abs(slot_m)] + slot_l - np.abs(slot_m)
+    cos_slot = np.empty(starts[-1], dtype=np.intp)
+    cos_slot[row[slot_m >= 0]] = np.flatnonzero(slot_m >= 0)
+    sin_slot = np.empty(starts[-1] - (L + 1), dtype=np.intp)
+    sin_slot[row[slot_m < 0] - (L + 1)] = np.flatnonzero(slot_m < 0)
+    maps = _SlotMaps(starts, degree, order, cos_slot, sin_slot)
+    for array in vars(maps).values():
+        array.flags.writeable = False
+    return maps
 
 
 @functools.lru_cache(maxsize=8)
@@ -288,6 +327,7 @@ def _evaluation_plan(L: int) -> tuple[np.ndarray, np.ndarray]:
     slot of the (l, m) cosine (k = 0) and (l, -m) sine (k = 1) coefficient,
     or harmonic_count(2, L), a zero pad, where there is none.
     """
+    maps = _slot_maps(L)
     K = L + 1
     angle = (2 * np.arange(K) + 1) * math.pi / (2 * K)
     j = np.arange(K)[:, None]
@@ -296,16 +336,15 @@ def _evaluation_plan(L: int) -> tuple[np.ndarray, np.ndarray]:
     dct[0] *= 0.5
     dst = np.sin((j + 1) * angle) * (2.0 / K)
     leg = assoc_legendre_norm(L, np.cos(angle))
-    ls, ms = np.tril_indices(L + 1)  # (l, m) of each row, in tri_index order
+    ls, ms = maps.degree, maps.order
     odd = ms % 2 == 1
     cheb = np.zeros((L + 1, L + 1, K))
     cheb[ms[~odd], ls[~odd]] = leg[~odd] @ dct.T
     cheb[ms[odd], ls[odd]] = leg[odd] @ dst.T
     cheb[1:] *= math.sqrt(2.0)
-    # the gather inverts the slot order: slot k holds harmonic_indices(2, L)[k]
-    slot_l, slot_m = np.array(harmonic_indices(2, L)).T
-    gather = np.full((L + 1, 2, L + 1), slot_l.size)
-    gather[np.abs(slot_m), (slot_m < 0).astype(int), slot_l] = np.arange(slot_l.size)
+    gather = np.full((L + 1, 2, L + 1), harmonic_count(2, L))
+    gather[ms, 0, ls] = maps.cos_slot
+    gather[ms[L + 1:], 1, ls[L + 1:]] = maps.sin_slot
     cheb.flags.writeable = False
     gather.flags.writeable = False
     return cheb, gather
@@ -313,8 +352,9 @@ def _evaluation_plan(L: int) -> tuple[np.ndarray, np.ndarray]:
 
 def evaluation_plan_bytes(L: int) -> int:
     """Upper bound on the peak bytes of building `_evaluation_plan(L)`: the
-    (L + 1)^3 Chebyshev array and as much again while it is filled."""
-    return 8 * (2 * (L + 1) ** 3 + 8 * (L + 1) ** 2) + 4096
+    (L + 1)^3 Chebyshev array and as much again while it is filled, and
+    building the slot maps from the label list if they are not cached."""
+    return 8 * (2 * (L + 1) ** 3 + 16 * (L + 1) ** 2) + 4096
 
 
 def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -69,18 +69,22 @@ def fourier_basis(L: int, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def tri_index(l: int, m: int) -> int:
-    """Position of (l, m), 0 <= m <= l, in the packed Legendre table."""
-    return l * (l + 1) // 2 + m
+def legendre_row(L: int, l, m):
+    """Row of (l, m), 0 <= m <= l <= L, in `assoc_legendre_norm(L, t)`: the
+    rows run by order m and then by degree l, so order m's rows l = m..L are
+    the contiguous run from legendre_row(L, m, m).  Integers or integer
+    arrays."""
+    return m * (2 * L + 3 - m) // 2 + l - m
 
 
 def assoc_legendre_norm(L: int, t: np.ndarray) -> np.ndarray:
     """Fully normalized associated Legendre values for all 0 <= m <= l <= L.
 
-    Output shape is ((L+1)(L+2)/2, len(t)), row tri_index(l, m) holding
-    Nbar_{l,m}(t) with the normalization int_{S^2} (Nbar_{l,m} trig_m)^2 = 1
-    once combined with the sqrt(2) cos/sin azimuth factors; no
-    Condon-Shortley phase.
+    Output shape is ((L+1)(L+2)/2, len(t)), row legendre_row(L, l, m)
+    holding Nbar_{l,m}(t) with the normalization
+    int_{S^2} (Nbar_{l,m} trig_m)^2 = 1 once combined with the sqrt(2)
+    cos/sin azimuth factors; no Condon-Shortley phase.  The rows are in
+    (m, l) order, so each order's rows l = m..L are one contiguous slice.
 
     Upward three-term recurrence in l at fixed m,
 
@@ -101,7 +105,7 @@ def assoc_legendre_norm(L: int, t: np.ndarray) -> np.ndarray:
     # only the entries with l <= L are used
     order = np.arange(L + 1)
     deg = order[:, None] + order
-    target = deg * (deg + 1) // 2 + order  # tri_index(l, m)
+    target = legendre_row(L, deg, order)
     # recurrence coefficients for k >= 2, in exact integers up to the division
     l, msq = deg[2:], order**2
     a = np.sqrt((4 * l * l - 1) / (l * l - msq))

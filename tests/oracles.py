@@ -1,5 +1,6 @@
 """Reference code the tests compare the package against, on its public API:
-the orthonormal harmonics one label at a time, the planar membership test of
+the normalized Legendre table one recurrence step per (l, m), the
+orthonormal harmonics one label at a time, the planar membership test of
 a comparison region, and the planar (bubble) form of the classified family.
 """
 
@@ -10,7 +11,35 @@ import math
 import numpy as np
 
 from logsphere.conformal import LiftedInversion, inverse_stereographic, stereographic
-from logsphere.specfun import assoc_legendre_norm, tri_index
+from logsphere.specfun import assoc_legendre_norm, legendre_row
+
+
+def loop_assoc_legendre_norm(L, t):
+    """Reference table: one scalar recurrence step per (l, m), upward in l."""
+    t = np.asarray(t, dtype=float)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    tab = np.zeros(((L + 1) * (L + 2) // 2, t.size))
+    diag = 1.0 / math.sqrt(4.0 * math.pi)
+    smp = np.ones_like(t)
+    for m in range(L + 1):
+        tab[legendre_row(L, m, m)] = diag * smp
+        if m < L:
+            smp = smp * s
+            diag *= math.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0))
+    for m in range(L + 1):
+        if m + 1 <= L:
+            a = math.sqrt(2.0 * m + 3.0)
+            tab[legendre_row(L, m + 1, m)] = a * t * tab[legendre_row(L, m, m)]
+        for l in range(m + 2, L + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(
+                (2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
+                / ((2.0 * l - 3.0) * (l * l - m * m))
+            )
+            tab[legendre_row(L, l, m)] = (
+                a * t * tab[legendre_row(L, l - 1, m)] - b * tab[legendre_row(L, l - 2, m)]
+            )
+    return tab
 
 
 def zonal_basis(n: int, l: int, m: int, xi: np.ndarray) -> float | np.ndarray:
@@ -42,7 +71,7 @@ def zonal_basis(n: int, l: int, m: int, xi: np.ndarray) -> float | np.ndarray:
             raise ValueError(f"invalid sphere harmonic index (l={l}, m={m})")
         t = np.clip(pts[:, 2], -1.0, 1.0)
         phi = np.arctan2(pts[:, 1], pts[:, 0])
-        leg = assoc_legendre_norm(l, t)[tri_index(l, abs(m))]
+        leg = assoc_legendre_norm(l, t)[legendre_row(l, l, abs(m))]
         if m == 0:
             vals = leg
         elif m > 0:

@@ -11,6 +11,7 @@ import pytest
 from logsphere.cli import (
     RunConfig,
     _check_table_budget,
+    _parse_init,
     _parse_vector_spec,
     _write_json,
     main,
@@ -39,7 +40,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 7
+    assert report["schema"] == 8
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -245,6 +246,23 @@ def test_coeffs_file_is_evaluated_at_the_band_limit(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_minimize_report_coeffs_are_an_init_file(tmp_path):
+    # the report's final_coeffs object is a coefficient file as it stands
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert main(["minimize", "--band-limit", "6", "--init", "random:seed=3",
+                 "--out", str(first)]) == 0
+    final = read_json(first)["final_coeffs"]
+    assert set(final) == {"n", "L", "coeffs"} and len(final["coeffs"]) == 49
+    path = tmp_path / "final.json"
+    path.write_text(json.dumps(final))
+    assert main(["minimize", "--band-limit", "6", "--init", f"coeffs:{path}",
+                 "--max-iter", "1", "--out", str(again)]) == 0
+    # the same vector, bit for bit, and the flow starts from its deficit
+    init = _parse_init(f"coeffs:{path}", RunConfig(band_limit=6))
+    assert init.coeffs.tolist() == final["coeffs"]
+    assert read_json(again)["flow"]["deficits"][0] == read_json(first)["flow"]["final_deficit"]
+
+
 def test_reports_refuse_nan(tmp_path):
     with pytest.raises(ValueError):
         _write_json({"defect": math.nan}, str(tmp_path / "rep.json"))
@@ -285,6 +303,8 @@ def test_unknown_config_key_rejected(tmp_path):
     ["minimize", "--init", "coeffs:{tmp}/coeffs_duplicate.json"],
     ["minimize", "--init", "coeffs:{tmp}/coeffs_above_band.json"],
     ["minimize", "--init", "coeffs:{tmp}/coeffs_negative_degree.json"],
+    ["minimize", "--init", "coeffs:{tmp}/coeffs_string.json"],
+    ["minimize", "--init", "coeffs:{tmp}/coeffs_bool.json"],
     ["movespheres", "--xi0", "north", "--u", "constant:x"],
     ["movespheres", "--xi0", "north", "--u", "extremizer:zeta=2e3"],
     ["verify", "--config", "{tmp}/fault_scale_str.json"],
@@ -339,7 +359,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
         "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
         "config-band-limit-type", "config-seed-type", "coeffs-nan", "coeffs-inf",
-        "coeffs-duplicate", "coeffs-above-band", "coeffs-negative-degree",
+        "coeffs-duplicate", "coeffs-above-band", "coeffs-negative-degree", "coeffs-string",
+        "coeffs-bool",
         "u-constant", "u-extremizer-outside-ball", "fault-scale-str", "fault-scale-nan",
         "fault-scale-huge", "fault-suite-unknown", "fault-suite-missing",
         "fault-suite-without-fault", "fault-extra-key",
@@ -359,11 +380,15 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     files = {
         "band_limit_str.json": {"band_limit": "x"},
         "seed_str.json": {"seed": "abc"},
-        "coeffs_nan.json": {"n": 1, "L": 2, "coeffs": [[0, 0, 1.0], [1, 1, math.nan]]},
-        "coeffs_inf.json": {"n": 2, "L": 2, "coeffs": [[0, 0, math.inf]]},
+        # dense coefficient vectors: 5 slots at (n, L) = (1, 2), 9 at (2, 2)
+        "coeffs_nan.json": {"n": 1, "L": 2, "coeffs": [1.0, math.nan, 0.0, 0.0, 0.0]},
+        "coeffs_inf.json": {"n": 2, "L": 2, "coeffs": [math.inf] + [0.0] * 8},
+        # the old [l, m, value] triplet form, here with a repeated label
         "coeffs_duplicate.json": {"n": 2, "L": 2, "coeffs": [[1, 0, 1.0], [1, 0, 2.0]]},
-        "coeffs_above_band.json": {"n": 2, "L": 2, "coeffs": [[3, 0, 1.0]]},
-        "coeffs_negative_degree.json": {"n": 1, "L": 2, "coeffs": [[-1, 1, 1.0]]},
+        "coeffs_above_band.json": {"n": 2, "L": 2, "coeffs": [1.0] * 16},
+        "coeffs_negative_degree.json": {"n": 1, "L": -1, "coeffs": []},
+        "coeffs_string.json": {"n": 1, "L": 2, "coeffs": [1.0, "0.5", 0.0, 0.0, 0.0]},
+        "coeffs_bool.json": {"n": 1, "L": 2, "coeffs": [1.0, True, 0.0, 0.0, 0.0]},
         "fault_scale_str.json": {"fault": {"suite": "energyharmonics", "scale": "abc"}},
         "fault_scale_nan.json": {"fault": {"suite": "energyharmonics", "scale": math.nan}},
         "fault_scale_huge.json": {"fault": {"suite": "energyharmonics", "scale": 10**400}},
@@ -376,7 +401,7 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
         "tol_huge.json": {"tol": 10**400},
         "grid_degree.json": {"grid_degree": 5},
         "fault_suite_ok.json": {"fault": {"suite": "energyharmonics"}},
-        "coeffs_n1.json": {"n": 1, "L": 2, "coeffs": [[0, 0, 1.0], [1, 1, 0.1]]},
+        "coeffs_n1.json": {"n": 1, "L": 2, "coeffs": [1.0, 0.1, 0.0, 0.0, 0.0]},
         "coeffs_empty.json": {"n": 2, "L": 2, "coeffs": []},
     }
     for name, data in files.items():

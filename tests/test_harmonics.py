@@ -26,6 +26,7 @@ from logsphere import (
 from logsphere.harmonics import (
     _evaluation_plan,
     _grid_tables,
+    _slot_maps,
     apply_P2s_direct,
     EVALUATION_CHUNK,
     degree_of_index,
@@ -38,7 +39,7 @@ from logsphere.harmonics import (
     log_operator_scale,
     transform_table_bytes,
 )
-from logsphere.specfun import assoc_legendre_norm, digamma, tri_index
+from logsphere.specfun import assoc_legendre_norm, digamma, legendre_row
 from logsphere.sphere import build_grid, min_internode_distance, sphere_area, sphere_point
 
 
@@ -65,6 +66,7 @@ def test_transform_table_bytes_bounds_the_tables(n, L, degree):
 @pytest.mark.parametrize("L", [16, 64, 128])
 def test_evaluation_plan_bytes_bounds_the_plan(L):
     _evaluation_plan.cache_clear()
+    _slot_maps.cache_clear()
     peak = traced_peak(lambda: _evaluation_plan(L))
     assert peak <= evaluation_plan_bytes(L) <= 1.5 * peak
 
@@ -131,9 +133,9 @@ def dense_evaluate_at(c, points):
     leg = assoc_legendre_norm(c.L, t)
     out = np.zeros(t.size)
     for l in range(c.L + 1):
-        out += c.get(l, 0) * leg[tri_index(l, 0)]
+        out += c.get(l, 0) * leg[legendre_row(c.L, l, 0)]
         for m in range(1, l + 1):
-            out += math.sqrt(2.0) * leg[tri_index(l, m)] * (
+            out += math.sqrt(2.0) * leg[legendre_row(c.L, l, m)] * (
                 c.get(l, m) * np.cos(m * phi) + c.get(l, -m) * np.sin(m * phi))
     return out
 
@@ -395,26 +397,34 @@ def test_apply_P2s_conformal_covariance(grids, rng):
 def test_json_roundtrip(rng):
     c = random_coeffs(2, 6, rng)
     data = json.loads(c.dumps())
-    assert data["n"] == 2 and data["L"] == 6
+    # the dense vector in slot order
+    assert data == {"n": 2, "L": 6, "coeffs": c.coeffs.tolist()}
     back = HarmonicCoeffs.loads(c.dumps())
-    np.testing.assert_allclose(back.coeffs, c.coeffs, atol=0.0)
-    # sparse input fills missing entries with zero
-    sparse = HarmonicCoeffs.from_json_dict({"n": 2, "L": 2, "coeffs": [[1, 0, 3.5]]})
-    assert sparse.get(1, 0) == 3.5
-    assert sparse.norm_sq() == pytest.approx(3.5**2)
+    np.testing.assert_array_equal(back.coeffs, c.coeffs)
+    # JSON integers are numbers too
+    ints = HarmonicCoeffs.from_json_dict({"n": 1, "L": 1, "coeffs": [1, 0, -2]})
+    assert ints.coeffs.tolist() == [1.0, 0.0, -2.0]
 
 
-@pytest.mark.parametrize("n, triplets, match", [
-    (2, [[1, 0, math.nan]], "non-finite"),
-    (2, [[1, 0, -math.inf]], "non-finite"),
-    (1, [[1, -1, 1.0], [1, -1, 1.0]], "duplicate"),
-    (2, [[3, 0, 1.0]], "outside the band"),
-    (1, [[-1, 1, 1.0]], "outside the band"),
-    (2, [[1.7, 0.9, 1.0]], "integers"),
+# the slot counts at L = 2 are 5 (n = 1) and 9 (n = 2)
+@pytest.mark.parametrize("n, L, coeffs, match", [
+    (2, 2, [0.0] * 8, "list of 9 numbers"),
+    (1, 2, [0.0] * 6, "list of 5 numbers"),
+    (2, 2, [], "list of 9 numbers"),
+    (2, 2, {"0": 1.0}, "list of 9 numbers"),
+    (1, 2, [[0, 0, 1.0]] * 5, "not a number"),
+    (2, 2, [math.nan] + [0.0] * 8, "non-finite"),
+    (2, 2, [0.0] * 8 + [math.inf], "non-finite"),
+    (1, 2, [0.0, -math.inf, 0.0, 0.0, 0.0], "non-finite"),
+    (1, 2, [0.0, 10**400, 0.0, 0.0, 0.0], "non-finite"),
+    (1, 2, [0.0, "1.5", 0.0, 0.0, 0.0], "not a number"),
+    (1, 2, [0.0, True, 0.0, 0.0, 0.0], "not a number"),
+    (1, 2, [0.0, None, 0.0, 0.0, 0.0], "not a number"),
+    (2, -1, [], "band limit"),
 ])
-def test_coeff_json_rejects_bad_triplets(n, triplets, match):
+def test_coeff_json_rejects_bad_vectors(n, L, coeffs, match):
     with pytest.raises(ValueError, match=match):
-        HarmonicCoeffs.from_json_dict({"n": n, "L": 2, "coeffs": triplets})
+        HarmonicCoeffs.from_json_dict({"n": n, "L": L, "coeffs": coeffs})
 
 
 def test_coefficient_layout():

@@ -3,7 +3,9 @@
 The flat (l, m) -> slot order of the coefficient vector is decided in
 `harmonics` alone: other modules reach coefficients through
 `HarmonicCoeffs` and `MultiplierTable`, never through the label-to-slot
-functions or a hard-coded slot.  `conformal` is geometry only and depends on
+functions or a hard-coded slot, and inside `harmonics` only
+`HarmonicCoeffs.get` looks up one label's slot.  The row order of the
+Legendre table is `specfun`'s alone.  `conformal` is geometry only and depends on
 `sphere`, not on the transforms.  `verify` holds the suites `cli` runs and
 imports nothing from `cli`.  Every public name is used somewhere besides its
 definition and the package's re-exports, and every public module-level
@@ -45,6 +47,27 @@ def test_modules_found():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "harmonics"])
 def test_layout_functions_stay_in_harmonics(module):
     assert not names_used(tree(module)) & LAYOUT_NAMES
+
+
+def test_flat_index_serves_only_get():
+    # the transforms reach slots through the precomputed maps, not per label
+    users = []
+    for node in ast.walk(tree("harmonics")):
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                      if isinstance(sub, ast.FunctionDef)]
+        elif isinstance(node, ast.Module):
+            scopes = [(sub.name, sub) for sub in node.body if isinstance(sub, ast.FunctionDef)
+                      and sub.name != "flat_index"]
+        else:
+            continue
+        users += [name for name, scope in scopes if "flat_index" in names_used(scope)]
+    assert users == ["HarmonicCoeffs.get"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "specfun"])
+def test_legendre_row_order_stays_in_specfun(module):
+    assert not names_used(tree(module)) & {"legendre_row", "tri_index"}
 
 
 @pytest.mark.parametrize("module", ["energy", "dynamics", "cli", "verify"])

@@ -39,14 +39,14 @@ from logsphere.conformal import _orthonormal_frame
 from logsphere.energy import energy_direct_extrapolated, energy_direct_extrapolated_many, gibbs_gap
 from logsphere.harmonics import (
     _grid_tables,
-    flat_index,
     h_multiplier_table,
     harmonic_count,
+    harmonic_indices,
     synthesize_values,
 )
-from logsphere.specfun import tri_index
+from logsphere.specfun import fourier_basis, legendre_row
 from logsphere.sphere import GridFunction
-from oracles import in_sigma
+from oracles import in_sigma, loop_assoc_legendre_norm
 
 DIMS = st.sampled_from([1, 2])
 
@@ -222,20 +222,49 @@ def test_el_residual_vanishes_on_family_members(n, data, size):
 
 
 def synthesize_per_element(c, grid):
-    """Synthesis with one gather per coefficient, the form that took one
-    state per call before the batch axis."""
-    tables = _grid_tables(grid, c.L)
+    """Synthesis with one gather per coefficient and one Legendre row per
+    (l, m), on the per-pair loop table: the form before the slot maps."""
     if c.n == 1:
-        return tables["fourier"] @ c.coeffs
-    nt, L, leg = grid.polar_t.size, c.L, tables["legendre"]
+        return fourier_basis(c.L, grid.az_phi) @ c.coeffs
+    tables = _grid_tables(grid, c.L)  # the azimuth tables
+    nt, L = grid.polar_t.size, c.L
+    leg = loop_assoc_legendre_norm(L, grid.polar_t)
     Hc, Hs = np.zeros((nt, L + 1)), np.zeros((nt, L + 1))
     for m in range(L + 1):
-        rows = np.array([tri_index(l, m) for l in range(m, L + 1)])
-        Hc[:, m] = np.array([c.coeffs[flat_index(2, l, m)] for l in range(m, L + 1)]) @ leg[rows]
+        rows = [legendre_row(L, l, m) for l in range(m, L + 1)]
+        Hc[:, m] = np.array([c.get(l, m) for l in range(m, L + 1)]) @ leg[rows]
         if m > 0:
-            Hs[:, m] = np.array([c.coeffs[flat_index(2, l, -m)]
-                                 for l in range(m, L + 1)]) @ leg[rows]
+            Hs[:, m] = np.array([c.get(l, -m) for l in range(m, L + 1)]) @ leg[rows]
     return (Hc @ tables["cos"].T + Hs @ tables["sin"].T).ravel()
+
+
+def analyze_per_element(f, L):
+    """Quadrature one coefficient at a time on the per-pair loop table, each
+    (l, m) one dot product over the polar nodes."""
+    grid, n = f.grid, f.grid.n
+    if n == 1:
+        return fourier_basis(L, grid.az_phi).T @ (grid.weights * f.values)
+    tables = _grid_tables(grid, L)
+    F = f.values.reshape(grid.polar_t.size, grid.az_phi.size)
+    wphi = 2.0 * math.pi / grid.az_phi.size
+    G = {1: F @ tables["cos"] * wphi, -1: F @ tables["sin"] * wphi}
+    leg = loop_assoc_legendre_norm(L, grid.polar_t)
+    return np.array([
+        np.dot(leg[legendre_row(L, l, abs(m))], grid.polar_w * G[1 if m >= 0 else -1][:, abs(m)])
+        for l, m in harmonic_indices(2, L)])
+
+
+@settings(max_examples=60)
+@given(n=DIMS, L=st.integers(0, 12), extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_transforms_match_the_per_element_loops(n, L, extra, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_grid(n, max(L, 1) + extra)
+    c = HarmonicCoeffs(n, L, rng.standard_normal(harmonic_count(n, L)))
+    assert np.array_equal(synthesize_values(n, L, c.coeffs, grid),
+                          synthesize_per_element(c, grid))
+    f = GridFunction(grid, rng.standard_normal(grid.node_count))
+    got, want = analyze(f, L).coeffs, analyze_per_element(f, L)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @settings(max_examples=40)
@@ -248,10 +277,6 @@ def test_stacked_synthesis_matches_one_state_at_a_time(n, L, k, extra, seed):
     rows = np.array([synthesize(HarmonicCoeffs(n, L, c), grid).values for c in C])
     assert stacked.shape == (k, grid.node_count)
     assert np.abs(stacked - rows).max() <= 1e-13 * max(1.0, np.abs(rows).max())
-    # one state is the per-element synthesis bit for bit
-    for c in C:
-        assert np.array_equal(synthesize(HarmonicCoeffs(n, L, c), grid).values,
-                              synthesize_per_element(HarmonicCoeffs(n, L, c), grid))
 
 
 @settings(max_examples=30)

@@ -14,10 +14,10 @@ from logsphere.specfun import (
     assoc_legendre_norm,
     digamma,
     fourier_basis,
+    legendre_row,
     ln_gamma,
-    tri_index,
 )
-from oracles import zonal_basis
+from oracles import loop_assoc_legendre_norm, zonal_basis
 
 mp.mp.dps = 40
 
@@ -114,32 +114,10 @@ def test_fourier_basis_shape_and_normalization():
     np.testing.assert_allclose(gram, np.eye(7), atol=1e-12)
 
 
-def loop_assoc_legendre_norm(L, t):
-    """Reference table: one scalar recurrence step per (l, m), upward in l."""
-    t = np.asarray(t, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    tab = np.zeros(((L + 1) * (L + 2) // 2, t.size))
-    diag = 1.0 / math.sqrt(4.0 * math.pi)
-    smp = np.ones_like(t)
-    for m in range(L + 1):
-        tab[tri_index(m, m)] = diag * smp
-        if m < L:
-            smp = smp * s
-            diag *= math.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0))
-    for m in range(L + 1):
-        if m + 1 <= L:
-            a = math.sqrt(2.0 * m + 3.0)
-            tab[tri_index(m + 1, m)] = a * t * tab[tri_index(m, m)]
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(
-                (2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
-                / ((2.0 * l - 3.0) * (l * l - m * m))
-            )
-            tab[tri_index(l, m)] = (
-                a * t * tab[tri_index(l - 1, m)] - b * tab[tri_index(l - 2, m)]
-            )
-    return tab
+def test_legendre_rows_run_by_order_then_degree():
+    for L in range(12):
+        labels = [(l, m) for m in range(L + 1) for l in range(m, L + 1)]
+        assert [legendre_row(L, l, m) for l, m in labels] == list(range(len(labels)))
 
 
 EDGE_T = [1.0, -1.0, 0.0, -0.0]
