@@ -411,8 +411,11 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
         npts = t.size
         first = work[0, :(M + 1) * npts].reshape(M + 1, npts)
         second = work[1, :(M + 1) * npts].reshape(M + 1, npts)
-        # the powers of e^{i theta}, copied to real rows table[j] = (cos, sin)(j theta)
-        polar = _powers(t + 1j * np.sqrt(np.maximum(0.0, 1.0 - t * t)), second)
+        # the powers of e^{i theta}, copied to real rows table[j] = (cos, sin)(j theta);
+        # sin(theta) is |(x, y)|, which unlike sqrt(1 - t^2) keeps its relative
+        # precision near the poles
+        rho = np.hypot(x, y)
+        polar = _powers(t + 1j * rho, second)
         table = first.view(float).reshape(M + 1, 2, npts)
         table[...] = polar.view(float).reshape(M + 1, npts, 2).transpose(0, 2, 1)
         # rows (m, cos) and (m, sin), by parity of m, over the points
@@ -421,7 +424,6 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
         np.matmul(even, table[:M, 0], out=V_even)
         np.matmul(odd, table[1:, 1], out=V_odd)
         # e^{i phi} = (x + i y) / rho, taken as 1 on the z-axis
-        rho = np.hypot(x, y)
         axis = rho == 0.0
         rho[axis] = 1.0
         azimuth = _powers(np.where(axis, 1.0, x / rho) + 1j * (y / rho), first[:M])

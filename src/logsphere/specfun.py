@@ -98,7 +98,7 @@ def assoc_legendre_norm(L: int, t: np.ndarray) -> np.ndarray:
     working memory is three (L+1) x len(t) blocks.
     """
     t = np.asarray(t, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))  # sin(theta)
+    s = np.sqrt(np.maximum(0.0, (1.0 - t) * (1.0 + t)))  # sin(theta)
     rows = (L + 1) * (L + 2) // 2
     tab = np.empty((rows, t.size))
     # entry (k, m) of these (L+1) x (L+1) arrays belongs to degree l = k + m;

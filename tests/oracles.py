@@ -14,10 +14,13 @@ from logsphere.conformal import LiftedInversion, inverse_stereographic, stereogr
 from logsphere.specfun import assoc_legendre_norm, legendre_row
 
 
-def loop_assoc_legendre_norm(L, t):
-    """Reference table: one scalar recurrence step per (l, m), upward in l."""
+def loop_assoc_legendre_norm(L, t, s=None):
+    """Reference table: one scalar recurrence step per (l, m), upward in l.
+    `s` is sin(theta) at each node, sqrt((1 - t)(1 + t)) unless given: near
+    a pole a point's |(x, y)| holds it more precisely than its t does."""
     t = np.asarray(t, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    if s is None:
+        s = np.sqrt(np.maximum(0.0, (1.0 - t) * (1.0 + t)))
     tab = np.zeros(((L + 1) * (L + 2) // 2, t.size))
     diag = 1.0 / math.sqrt(4.0 * math.pi)
     smp = np.ones_like(t)

@@ -39,8 +39,9 @@ from logsphere.harmonics import (
     log_operator_scale,
     transform_table_bytes,
 )
-from logsphere.specfun import assoc_legendre_norm, digamma, legendre_row
+from logsphere.specfun import digamma, legendre_row
 from logsphere.sphere import build_grid, min_internode_distance, sphere_area, sphere_point
+from oracles import loop_assoc_legendre_norm
 
 
 def traced_peak(build) -> int:
@@ -126,11 +127,12 @@ def test_off_grid_evaluation_matches_nodes(grids, rng):
 
 def dense_evaluate_at(c, points):
     """Reference for evaluate_at on S^2: the table of every normalized
-    Legendre value at every point, summed term by term."""
+    Legendre value at every point, with sin(theta) = |(x, y)|, summed term by
+    term."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.clip(pts[:, 2], -1.0, 1.0)
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    leg = assoc_legendre_norm(c.L, t)
+    leg = loop_assoc_legendre_norm(c.L, t, np.hypot(pts[:, 0], pts[:, 1]))
     out = np.zeros(t.size)
     for l in range(c.L + 1):
         out += c.get(l, 0) * leg[legendre_row(c.L, l, 0)]
@@ -142,11 +144,13 @@ def dense_evaluate_at(c, points):
 
 def longdouble_evaluate_at(c, points):
     """evaluate_at on S^2 in extended precision: the same normalized-Legendre
-    recurrence, with t = z, sin(theta) = sqrt(1 - t^2) and phi = atan2(y, x)."""
+    recurrence, with t = z, sin(theta) = |(x, y)| and phi = atan2(y, x).
+    Near a pole sqrt(1 - t^2) would be no reference: a last-bit error in z
+    moves it by about 1e-16 / sin(theta)."""
     ld = np.longdouble
     pts = np.asarray(points, dtype=ld)
     t = np.clip(pts[:, 2], ld(-1), ld(1))
-    s = np.sqrt(ld(1) - t * t)
+    s = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     out = np.zeros(t.size, dtype=ld)
     pmm = np.full(t.size, ld(1) / np.sqrt(ld(4) * ld(np.pi)))
@@ -178,6 +182,8 @@ AXIS_POINTS = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 
 # 4 axis points + 4116 more: a full chunk and a short one
 @example(L=24, seed=0, count=EVALUATION_CHUNK + 20, extra=[])
 @example(L=0, seed=1, count=1, extra=[])
+# near the poles, where sin(theta) is |(x, y)| and not sqrt(1 - t^2)
+@example(L=24, seed=2, count=1, extra=[[0.0, 1e-8, 1.0], [3e-7, 2e-7, -1.0], [1e-5, 0.0, 1.0]])
 def test_evaluate_at_matches_dense_table(L, seed, count, extra):
     rng = np.random.default_rng(seed)
     c = HarmonicCoeffs(2, L, rng.standard_normal(harmonic_count(2, L)))
@@ -203,6 +209,15 @@ def test_evaluate_at_high_band_limit_matches_extended_precision():
     want = longdouble_evaluate_at(c, pts)
     scale = float(np.abs(want).max())
     assert float(np.abs(evaluate_at(c, pts) - want).max()) <= 1e-13 * scale
+    # 64 points within 1e-3 of a pole, where sin(theta) taken as sqrt(1 - t^2)
+    # was 1e-10 of max|u| off; u itself varies by about L^2 eps there
+    theta, phi = rng.uniform(0.0, 1e-3, 64), rng.uniform(0.0, 2.0 * math.pi, 64)
+    sign = rng.choice([-1.0, 1.0], 64)
+    near = np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                            sign * np.cos(theta)])
+    want = longdouble_evaluate_at(c, near)
+    scale = float(np.abs(want).max())
+    assert float(np.abs(evaluate_at(c, near) - want).max()) <= 1e-12 * scale
 
 
 # the circle's Fourier table, and on S^2 the plan, one chunk or a grid's worth
