@@ -213,11 +213,16 @@ def verify_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: ConformalMap,
                          "use a globally smooth Moebius map")
     if u.n != v.n:
         raise ValueError("dimension mismatch between u and v")
+    if max(u.L, v.L) > grid.degree:
+        raise ValueError(f"states of band limit {max(u.L, v.L)} exceed the grid's "
+                         f"band limit {grid.degree}")
     u_pb = analyze(grid.sample(pullback(as_evaluable(u), phi)), grid.degree)
     v_pb = analyze(grid.sample(pullback(as_evaluable(v), phi)), grid.degree)
     _check_projection_tail(u_pb)
     lhs = energy_spectral(u_pb, v_pb)
-    uv = synthesize(u, grid).values * synthesize(v, grid).values
+    # at the grid's own band limit, whose transform table the analyses cached
+    uv = (synthesize(u.with_band_limit(grid.degree), grid).values
+          * synthesize(v.with_band_limit(grid.degree), grid).values)
     log_jinv = np.log(jacobian(inverse(phi), grid.nodes))
     correction = constant_Cn(u.n) * float(np.sum(grid.weights * uv * (-0.5) * log_jinv))
     rhs = energy_spectral(u, v) + correction

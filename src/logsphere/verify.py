@@ -43,14 +43,14 @@ GIBBS_L, GIBBS_DEGREE, GIBBS_STATES = 6, 16, 300  # gibbs' band limit, grid, sta
 def table_needs(cfg) -> dict[str, int]:
     """Peak bytes of the suites, by the input that sets them.  The band limit
     sets the conformal-identity suites': on the work grid, the transform
-    tables at the work and the states' band limits, one `evaluate_at` at its
-    nodes and 16 node arrays; on small grids `gibbs` (six arrays of its node
-    values, three of its coefficients, 256 KiB) needs more, and the other
-    suites always less.  The grid degree sets `energyharmonics`' kernel pass."""
+    table at the work band limit (the states are synthesized there too), one
+    `evaluate_at` at its nodes and 16 node arrays; on small grids `gibbs`
+    (six arrays of its node values, three of its coefficients, 256 KiB)
+    needs more, and the other suites always less.  The grid degree sets
+    `energyharmonics`' kernel pass."""
     n, L_work, L_state = cfg.n, _work_band_limit(cfg), _state_band_limit(cfg)
     nodes = math.prod(sp.grid_shape(n, L_work))
     conformal = (hm.transform_table_bytes(n, L_work, L_work)
-                 + hm.transform_table_bytes(n, L_state, L_work)
                  + hm.evaluate_at_bytes(n, L_state, nodes) + 8 * 16 * nodes)
     gibbs = 8 * GIBBS_STATES * (6 * math.prod(sp.grid_shape(n, GIBBS_DEGREE))
                                 + 3 * hm.harmonic_count(n, GIBBS_L))
@@ -135,7 +135,7 @@ def _suite_conf_transf_H(cfg, rng):
         u = hm.random_coeffs(n, L_in, rng)
         phi = cf.Moebius(_random_zeta(n, rng, 0.1, 0.4))
         res = en.verify_conf_H(u, phi, grid)
-        hu = hm.synthesize(hm.apply_H(u), grid).values
+        hu = hm.synthesize(hm.apply_H(u).with_band_limit(grid.degree), grid).values
         worst = max(worst, res / max(1.0, float(np.abs(hu).max())))
     return worst, {}
 

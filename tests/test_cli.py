@@ -422,9 +422,9 @@ def test_grid_degree_budget_boundary(n, largest_ok):
         _check_table_budget(RunConfig(n=n, grid_degree=largest_ok + 1), "verify")
 
 
-@pytest.mark.parametrize("n, largest_ok", [(2, 374), (1, 3341)])
+@pytest.mark.parametrize("n, largest_ok", [(2, 381), (1, 3660)])
 def test_verify_band_limit_budget_boundary(n, largest_ok):
-    # the conformal-identity suites: the transform tables at 2L and L/2 on the
+    # the conformal-identity suites: the transform table at 2L on the
     # degree-2L work grid, and evaluating the states at its mapped nodes
     _check_table_budget(RunConfig(n=n, band_limit=largest_ok), "verify")
     with pytest.raises(SystemExit, match=f"band limit {largest_ok + 1} "):
@@ -433,8 +433,8 @@ def test_verify_band_limit_budget_boundary(n, largest_ok):
 
 @pytest.mark.parametrize("n, band_limit", [(1, 256), (2, 32)])
 def test_table_needs_bound_every_suite_peak(n, band_limit):
-    # on S^1 the conformal-identity suites hold a second transform table and
-    # the off-grid Fourier table; on a small S^2 grid gibbs' stacks are largest
+    # on S^1 the conformal-identity suites hold the transform table and the
+    # off-grid Fourier table; on a small S^2 grid gibbs' stacks are largest
     cfg = RunConfig(n=n, band_limit=band_limit)
     need = max(table_needs(cfg).values())
     for k, suite in enumerate(SUITES):

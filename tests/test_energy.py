@@ -195,6 +195,9 @@ def test_verify_conf_E(grids, rng):
 
     with pytest.raises(ValueError):
         verify_conf_E(u, v, LiftedInversion(1.0, sphere_point([0, 0, 1.0])), grids(2, 16))
+    # the states are synthesized at the grid's band limit, never cut to it
+    with pytest.raises(ValueError, match="exceed the grid's band limit 6"):
+        verify_conf_E(u, v, ident, grids(2, 6))
 
 
 def test_verify_conf_E_rejects_extreme_zeta(grids, rng):
