@@ -384,6 +384,7 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     sin((j+1) theta) = sin(theta) U_j(t) feed one matrix product per parity
     of m.  The azimuth sum is one contraction of the products with the powers
     of e^{i phi}.  One workspace of O(L * EVALUATION_CHUNK) floats holds it.
+    On the circle each chunk of points takes one Fourier table.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != c.n + 1:
@@ -391,7 +392,11 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
                          f"of a 2-d array, got shape {pts.shape}")
     if c.n == 1:
         theta = np.arctan2(pts[:, 1], pts[:, 0])
-        return fourier_basis(c.L, theta) @ c.coeffs
+        out = np.empty(theta.size)
+        for start in range(0, theta.size, EVALUATION_CHUNK):
+            sl = slice(start, start + EVALUATION_CHUNK)
+            out[sl] = fourier_basis(c.L, theta[sl]) @ c.coeffs
+        return out
     M = c.L + 1
     cheb, gather = _evaluation_plan(c.L)
     # Chebyshev coefficients of the (m, cos) and (m, sin) rows of u, by parity of m
@@ -436,12 +441,13 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
 
 def evaluate_at_bytes(n: int, L: int, count: int) -> int:
     """Upper bound on the peak bytes of `evaluate_at` at band limit L on
-    `count` points: on the circle the (count, 2L + 1) Fourier table and four
-    point arrays; on S^2 the larger of building the plan and the plan with
-    one chunk's workspace, 16 chunk-length temporaries and the output."""
-    if n == 1:
-        return 8 * (2 * L + 5) * count + 4096
+    `count` points: on the circle one chunk's (chunk, 2L + 1) Fourier table
+    with three chunk-length temporaries, and the angles and the output; on
+    S^2 the larger of building the plan and the plan with one chunk's
+    workspace, 16 chunk-length temporaries and the output."""
     chunk = min(count, EVALUATION_CHUNK)
+    if n == 1:
+        return 8 * ((2 * L + 4) * chunk + 2 * count) + 4096
     call = 8 * ((L + 1) ** 3 + 8 * (L + 1) ** 2 + 4 * (L + 2) * chunk + 16 * chunk + count)
     return max(evaluation_plan_bytes(L), call) + 4096
 

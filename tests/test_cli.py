@@ -422,7 +422,7 @@ def test_grid_degree_budget_boundary(n, largest_ok):
         _check_table_budget(RunConfig(n=n, grid_degree=largest_ok + 1), "verify")
 
 
-@pytest.mark.parametrize("n, largest_ok", [(2, 381), (1, 3660)])
+@pytest.mark.parametrize("n, largest_ok", [(2, 381), (1, 3966)])
 def test_verify_band_limit_budget_boundary(n, largest_ok):
     # the conformal-identity suites: the transform table at 2L on the
     # degree-2L work grid, and evaluating the states at its mapped nodes

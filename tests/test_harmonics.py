@@ -220,9 +220,10 @@ def test_evaluate_at_high_band_limit_matches_extended_precision():
     assert float(np.abs(evaluate_at(c, near) - want).max()) <= 1e-12 * scale
 
 
-# the circle's Fourier table, and on S^2 the plan, one chunk or a grid's worth
-@pytest.mark.parametrize("n, L, count", [(1, 64, 1000), (1, 512, 4098), (2, 16, 8385),
-                                         (2, 64, 5000), (2, 128, 100)])
+# the circle's Fourier table, one chunk's worth, and on S^2 the plan, one
+# chunk or a grid's worth
+@pytest.mark.parametrize("n, L, count", [(1, 64, 1000), (1, 512, 4098), (1, 256, 20000),
+                                         (2, 16, 8385), (2, 64, 5000), (2, 128, 100)])
 def test_evaluate_at_bytes_bounds_a_call(n, L, count):
     rng = np.random.default_rng(L)
     c = random_coeffs(n, L, rng)
