@@ -134,10 +134,13 @@ class HarmonicCoeffs:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HarmonicCoeffs":
-        """Inverse of to_json_dict.  A negative L, a vector of another length
-        than the band's slot count, and an entry that is not a finite number
-        (a bool is not a number) are rejected."""
-        n, L = int(data["n"]), int(data["L"])
+        """Inverse of to_json_dict.  An n or L that is not an integer, a
+        negative L, a vector of another length than the band's slot count,
+        and an entry that is not a finite number are rejected; a bool is not
+        a number."""
+        n, L = data["n"], data["L"]
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, L)):
+            raise ValueError(f"n and L must be integers, got n={n!r}, L={L!r}")
         if L < 0:
             raise ValueError(f"band limit must be >= 0, got L={L}")
         values, count = data["coeffs"], harmonic_count(n, L)

@@ -437,6 +437,9 @@ def test_json_roundtrip(rng):
     (1, 2, [0.0, True, 0.0, 0.0, 0.0], "not a number"),
     (1, 2, [0.0, None, 0.0, 0.0, 0.0], "not a number"),
     (2, -1, [], "band limit"),
+    (2.9, 1, [0.0] * 4, "must be integers"),
+    (2, 1.5, [0.0] * 4, "must be integers"),
+    (True, 1, [0.0] * 3, "must be integers"),
 ])
 def test_coeff_json_rejects_bad_vectors(n, L, coeffs, match):
     with pytest.raises(ValueError, match=match):
