@@ -1,8 +1,9 @@
 """Property-based checks: the cap sampler and the cap as the planar region,
 Moebius inverses, the conformal distance identity, the JSON round trip of
 coefficients, the extremizer fit, the sign of the deficit and its two
-routes, the Euler-Lagrange residual of the family, and the batch axes of
-synthesis, the Gibbs gap and the direct energy."""
+routes, the Euler-Lagrange residual of the family, the transforms against
+their per-element loops, and the batch axes of synthesis, the Gibbs gap and
+the direct energy."""
 
 import math
 
