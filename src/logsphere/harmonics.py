@@ -9,12 +9,14 @@ vector in slot order) and `MultiplierTable.per_slot`.
 
 On product grids the forward/backward transforms factor into
 an azimuth contraction followed by per-order polar contractions, so no large
-design matrix is ever materialized.  The S^2 Legendre table runs by order m
-and then by degree l, so each order's polar functions are one contiguous
-slice of it; `_slot_maps(L)`, built once per band limit, holds where each
-order's slice starts and the flat slots of each row's cosine and sine
-coefficients, so a transform is one matrix product per order plus one
-gather or scatter of the whole vector.  Off-grid synthesis re-expands each
+design matrix is ever materialized.  The circle is the one-ring product
+grid, so both spheres run one transform: the polar table runs by order m and
+then by degree l (on S^2 the Legendre table, on the circle one row
+1/sqrt(2 pi) per order), and `_slot_maps(n, L)`, built once per band limit,
+holds where each order's rows start, the flat slots of each row's cosine and
+sine coefficients, and the groups of consecutive orders with one row count.
+A transform is one batched matrix product per group plus one gather or
+scatter of the whole vector.  Off-grid synthesis re-expands each
 order's polar functions once per band limit in Chebyshev polynomials of
 cos(theta), exactly, so evaluating at a chunk of points takes whole-array
 steps: the powers of e^{i theta} (real parts T_j(cos theta), imaginary parts
@@ -38,7 +40,6 @@ extrapolation, built on the azimuthal-FFT kernel product
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 import weakref
@@ -86,11 +87,11 @@ def harmonic_indices(n: int, L: int) -> list[tuple[int, int]]:
 def degree_of_index(n: int, L: int) -> np.ndarray:
     """Degree l of each flat coefficient slot k: (k + 1) // 2 on the circle,
     isqrt(k) on the 2-sphere."""
-    count = harmonic_count(n, L)
-    if n == 1:
-        return (np.arange(count) + 1) // 2
-    ls = np.arange(L + 1)
-    return np.repeat(ls, 2 * ls + 1)
+    maps = _slot_maps(n, L)
+    out = np.empty(harmonic_count(n, L), dtype=np.intp)
+    out[maps.cos_slot] = maps.degree
+    out[maps.sin_slot] = maps.degree[maps.starts[1]:]
+    return out
 
 
 @dataclass(eq=False)
@@ -129,9 +130,6 @@ class HarmonicCoeffs:
         """{"n", "L", "coeffs"}: the dense vector, in slot order."""
         return {"n": self.n, "L": self.L, "coeffs": self.coeffs.tolist()}
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "HarmonicCoeffs":
         """Inverse of to_json_dict.  An n or L that is not an integer, a
@@ -155,10 +153,6 @@ class HarmonicCoeffs:
         return cls(n, L, np.array(values, dtype=float))
 
     @classmethod
-    def loads(cls, text: str) -> "HarmonicCoeffs":
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
     def zeros(cls, n: int, L: int) -> "HarmonicCoeffs":
         return cls(n, L, np.zeros(harmonic_count(n, L)))
 
@@ -173,144 +167,150 @@ class HarmonicCoeffs:
 # ---------------------------------------------------------------------------
 # transform tables, cached per (grid, L)
 
+@dataclass(frozen=True)
+class _SlotMaps:
+    """Where the rows of the polar table at band limit L meet the flat
+    coefficient vector.  Rows run by order m, then degree l (m..L on S^2,
+    only m on the circle): order m's rows are starts[m]:starts[m + 1], and
+    row r holds (degree[r], order[r]).  cos_slot[r] is the flat slot of its
+    cosine coefficient and sin_slot[r - starts[1]] that of its sine one
+    (orders m >= 1 only).  Group g is the orders groups[g]:groups[g + 1], a
+    run with one row count; order 0 is a group of its own."""
+    starts: np.ndarray
+    degree: np.ndarray
+    order: np.ndarray
+    cos_slot: np.ndarray
+    sin_slot: np.ndarray
+    groups: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _slot_maps(n: int, L: int) -> _SlotMaps:
+    """The row maps of band limit L on S^n, built once, as read-only arrays."""
+    slot_l, slot_m = np.array(harmonic_indices(n, L)).T
+    # the circle labels its degree-l pair m = +1 (cosine) and -1 (sine)
+    slot_order = np.abs(slot_m) if n == 2 else slot_l
+    cos = slot_m >= 0
+    sizes = np.bincount(slot_order[cos], minlength=L + 1)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    order = np.repeat(np.arange(L + 1), sizes)
+    degree = order + np.arange(starts[-1]) - starts[order]
+    row = starts[slot_order] + slot_l - slot_order
+    # the cosine and the sine slots, each sorted by row
+    cos_slot, sin_slot = (np.flatnonzero(kind)[np.argsort(row[kind])] for kind in (cos, ~cos))
+    # a group ends where the row count changes, and after order 0
+    edge = np.diff(sizes, prepend=0, append=0) != 0
+    edge[1] = True
+    maps = _SlotMaps(starts, degree, order, cos_slot, sin_slot, np.flatnonzero(edge))
+    for array in vars(maps).values():
+        array.flags.writeable = False
+    return maps
+
+
 _TABLE_CACHE: "weakref.WeakKeyDictionary[QuadratureGrid, dict]" = weakref.WeakKeyDictionary()
 
 
 def _grid_tables(grid: QuadratureGrid, L: int) -> dict:
+    """The azimuth tables `cos` and `sin`, (azimuths, L + 1) with the sqrt(2)
+    of m > 0 folded in, and the `polar` table, one row per `_slot_maps` row
+    and one column per ring."""
     per_grid = _TABLE_CACHE.setdefault(grid, {})
     tables = per_grid.get(L)
     if tables is not None:
         return tables
-    if grid.n == 1:
-        B = fourier_basis(L, grid.az_phi)
-        tables = {"fourier": B}
-    else:
-        phi = grid.az_phi
-        mm = np.arange(L + 1)
-        ccos = np.cos(np.outer(phi, mm)) * math.sqrt(2.0)
-        ccos[:, 0] = 1.0
-        csin = np.sin(np.outer(phi, mm)) * math.sqrt(2.0)
-        tables = {
-            "legendre": assoc_legendre_norm(L, grid.polar_t),
-            "cos": ccos,
-            "sin": csin,
-        }
+    # built in place, so the peak is the two tables; the angles are a matmul
+    # because a broadcasting multiply would allocate ufunc buffers too
+    csin = grid.az_phi[:, None] @ np.arange(L + 1.0)[None, :]
+    ccos = np.cos(csin)
+    np.sin(csin, out=csin)
+    ccos *= math.sqrt(2.0)
+    csin *= math.sqrt(2.0)
+    ccos[:, 0] = 1.0
+    polar = (assoc_legendre_norm(L, grid.polar_t) if grid.n == 2
+             else np.full((L + 1, 1), 1.0 / math.sqrt(2.0 * math.pi)))
+    tables = {"cos": ccos, "sin": csin, "polar": polar}
     per_grid[L] = tables
     return tables
 
 
+def _transform_tables(grid: QuadratureGrid, L: int) -> tuple[dict, _SlotMaps]:
+    """`_grid_tables` and `_slot_maps`; from the first transform on, the tables
+    hold `groups`: per group of orders its order and row slices, its kinds (1
+    for order 0, which has no sine rows) and its (orders, 1, rows, rings) block."""
+    tables, maps = _grid_tables(grid, L), _slot_maps(grid.n, L)
+    if "groups" not in tables:
+        polar, starts, edges = tables["polar"], maps.starts, maps.groups
+        tables["groups"] = [
+            (slice(a, b), slice(starts[a], starts[b]), 1 if a == 0 else 2,
+             polar[starts[a]:starts[b]].reshape(b - a, -1, polar.shape[1])[:, None])
+            for a, b in zip(edges[:-1], edges[1:])]
+    return tables, maps
+
+
 def transform_table_bytes(n: int, L: int, grid_degree: int) -> int:
     """Upper bound on the peak bytes of building `_grid_tables(grid, L)`: the
-    tables (on S^2, (L + 1)(L + 2)/2 Legendre rows per ring) and the
-    temporaries of building them."""
+    polar table, the Legendre recurrence's three working blocks and its
+    coefficients (16 floats per row it fills; the circle's one row per order
+    needs none), the two azimuth tables, and two ufunc buffers."""
     rings, azimuths = grid_shape(n, grid_degree)
-    if n == 1:
-        return 8 * (harmonic_count(1, L) + 4) * azimuths + 4096
-    rows = (L + 1) * (L + 2) // 2
-    return 8 * ((rows + 3 * (L + 1)) * rings + 4 * (L + 1) * azimuths
-                + 8 * (L + 1) ** 2) + 4096
+    # rows of orders m > 0 hold two slots; order 0 has a row per ring of the degree-L grid
+    rows = (harmonic_count(n, L) + grid_shape(n, L)[0]) // 2
+    return 8 * ((rows + 3 * (L + 1)) * rings + 2 * (L + 1) * azimuths
+                + 16 * (rows - L - 1) + 2 * min((L + 1) * rings, np.getbufsize())) + 4096
 
 
 def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
     """Project a grid function onto harmonics up to degree L by quadrature."""
     grid = f.grid
     if grid.exact_to < 2 * L:
-        raise ValueError(
-            f"grid exact to degree {grid.exact_to} is too coarse for band limit {L}"
-        )
-    tables = _grid_tables(grid, L)
-    if grid.n == 1:
-        vec = tables["fourier"].T @ (grid.weights * f.values)
-        return HarmonicCoeffs(1, L, vec)
-    nt, nphi = grid.polar_t.size, grid.az_phi.size
-    F = f.values.reshape(nt, nphi)
-    wphi = 2.0 * math.pi / nphi
-    Gc = F @ tables["cos"] * wphi  # (nt, L+1)
-    Gs = F @ tables["sin"] * wphi
-    leg, maps = tables["legendre"], _slot_maps(L)
-    # weighted polar columns, one contiguous row per order
-    Wc = np.ascontiguousarray((Gc * grid.polar_w[:, None]).T)
-    Ws = np.ascontiguousarray((Gs * grid.polar_w[:, None]).T)
-    pc = np.empty(maps.cos_slot.size)
-    ps = np.empty(maps.sin_slot.size)
-    starts, sin_starts = maps.starts, maps.starts - (L + 1)
-    for m in range(L + 1):
-        a, b = starts[m], starts[m + 1]
-        pc[a:b] = leg[a:b] @ Wc[m]
-        if m > 0:
-            ps[sin_starts[m]:sin_starts[m + 1]] = leg[a:b] @ Ws[m]
-    vec = np.empty(harmonic_count(2, L))
-    vec[maps.cos_slot] = pc
-    vec[maps.sin_slot] = ps
-    return HarmonicCoeffs(2, L, vec)
+        raise ValueError(f"grid exact to degree {grid.exact_to} is too coarse for band limit {L}")
+    tables, maps = _transform_tables(grid, L)
+    F = f.values.reshape(grid.polar_t.size, grid.az_phi.size)
+    wphi = 2.0 * math.pi / grid.az_phi.size
+    # W[m, kind]: order m's weighted polar column of the cosine (0) or sine (1) projection
+    W = np.empty((L + 1, 2, grid.polar_t.size))
+    W[:, 0] = (F @ tables["cos"] * wphi * grid.polar_w[:, None]).T
+    W[:, 1] = (F @ tables["sin"] * wphi * grid.polar_w[:, None]).T
+    P = np.empty((2, maps.starts[-1]))
+    for orders, rows, kinds, block in tables["groups"]:
+        product = np.matmul(block, W[orders, :kinds, :, None])  # (orders, kinds, rows, 1)
+        P[:kinds, rows] = product.transpose(1, 0, 2, 3).reshape(kinds, -1)
+    vec = np.empty(harmonic_count(grid.n, L))
+    vec[maps.cos_slot] = P[0]
+    vec[maps.sin_slot] = P[1, maps.starts[1]:]
+    return HarmonicCoeffs(grid.n, L, vec)
 
 
-def synthesize_values(n: int, L: int, coeffs: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+def synthesize_values(L: int, coeffs: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     """Pointwise sums at the grid nodes of the expansions whose coefficients
     are the last axis of `coeffs`: shape (..., count) gives (..., N), so a
     stack of k states costs one pass over the orders."""
     C = np.asarray(coeffs, dtype=float)
-    if grid.n != n:
-        raise ValueError(f"grid dimension {grid.n} does not match coefficients n={n}")
-    if C.shape[-1:] != (harmonic_count(n, L),):
+    count = harmonic_count(grid.n, L)
+    if C.shape[-1:] != (count,):
         raise ValueError(f"coefficients have shape {C.shape}, expected (..., "
-                         f"{harmonic_count(n, L)}) for n={n}, L={L}")
-    tables = _grid_tables(grid, L)
-    if n == 1:
-        return C @ tables["fourier"].T
-    nt = grid.polar_t.size
-    leg, maps = tables["legendre"], _slot_maps(L)
-    Cc, Cs = C[..., maps.cos_slot], C[..., maps.sin_slot]
-    Hc = np.zeros(C.shape[:-1] + (nt, L + 1))
-    Hs = np.zeros(C.shape[:-1] + (nt, L + 1))
-    starts, sin_starts = maps.starts, maps.starts - (L + 1)
-    for m in range(L + 1):
-        a, b = starts[m], starts[m + 1]
-        Hc[..., m] = Cc[..., a:b] @ leg[a:b]
-        if m > 0:
-            Hs[..., m] = Cs[..., sin_starts[m]:sin_starts[m + 1]] @ leg[a:b]
-    F = Hc @ tables["cos"].T + Hs @ tables["sin"].T
+                         f"{count}) for n={grid.n}, L={L}")
+    tables, maps = _transform_tables(grid, L)
+    states = C.reshape(-1, count)
+    k = states.shape[0]
+    # X[kind, row, state]: states innermost, the layout a gather gives
+    X = np.zeros((2, maps.starts[-1], k))
+    X[0] = states.T[maps.cos_slot]
+    X[1, maps.starts[1]:] = states.T[maps.sin_slot]
+    H = np.zeros((2, k, grid.polar_t.size, L + 1))
+    for orders, rows, kinds, block in tables["groups"]:
+        # the group axis outermost: (orders, kinds, states, rows per order)
+        x = X[:kinds, rows].reshape(kinds, block.shape[0], -1, k).transpose(1, 0, 3, 2)
+        H[:kinds, ..., orders] = np.matmul(x, block).transpose(1, 2, 3, 0)
+    F = H[0] @ tables["cos"].T + H[1] @ tables["sin"].T
     return F.reshape(C.shape[:-1] + (-1,))
 
 
 def synthesize(c: HarmonicCoeffs, grid: QuadratureGrid) -> GridFunction:
     """Pointwise sum of the expansion at the grid nodes."""
-    return GridFunction(grid, synthesize_values(c.n, c.L, c.coeffs, grid))
-
-
-@dataclass(frozen=True)
-class _SlotMaps:
-    """Where the rows of the S^2 Legendre table at band limit L meet the flat
-    coefficient vector.  The table's rows run by order m, then degree l;
-    order m's rows are starts[m]:starts[m + 1] (starts has L + 2 entries),
-    and row r holds (degree[r], order[r]).  cos_slot[r] is the flat slot of
-    (l, m), and sin_slot[r - (L + 1)] that of (l, -m) for the rows of
-    m >= 1, which are the rows from L + 1 on."""
-    starts: np.ndarray
-    degree: np.ndarray
-    order: np.ndarray
-    cos_slot: np.ndarray
-    sin_slot: np.ndarray
-
-
-@functools.lru_cache(maxsize=16)
-def _slot_maps(L: int) -> _SlotMaps:
-    """The row maps of band limit L, built once; the arrays are read-only."""
-    sizes = np.arange(L + 1, 0, -1)  # order m has degrees m..L
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    order = np.repeat(np.arange(L + 1), sizes)
-    degree = order + np.arange(starts[-1]) - starts[order]
-    # invert the slot order: slot k holds harmonic_indices(2, L)[k]
-    slot_l, slot_m = np.array(harmonic_indices(2, L)).T
-    row = starts[np.abs(slot_m)] + slot_l - np.abs(slot_m)
-    cos_slot = np.empty(starts[-1], dtype=np.intp)
-    cos_slot[row[slot_m >= 0]] = np.flatnonzero(slot_m >= 0)
-    sin_slot = np.empty(starts[-1] - (L + 1), dtype=np.intp)
-    sin_slot[row[slot_m < 0] - (L + 1)] = np.flatnonzero(slot_m < 0)
-    maps = _SlotMaps(starts, degree, order, cos_slot, sin_slot)
-    for array in vars(maps).values():
-        array.flags.writeable = False
-    return maps
+    if grid.n != c.n:
+        raise ValueError(f"grid dimension {grid.n} does not match coefficients n={c.n}")
+    return GridFunction(grid, synthesize_values(c.L, c.coeffs, grid))
 
 
 @functools.lru_cache(maxsize=8)
@@ -330,7 +330,7 @@ def _evaluation_plan(L: int) -> tuple[np.ndarray, np.ndarray]:
     slot of the (l, m) cosine (k = 0) and (l, -m) sine (k = 1) coefficient,
     or harmonic_count(2, L), a zero pad, where there is none.
     """
-    maps = _slot_maps(L)
+    maps = _slot_maps(2, L)
     K = L + 1
     angle = (2 * np.arange(K) + 1) * math.pi / (2 * K)
     j = np.arange(K)[:, None]

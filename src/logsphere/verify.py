@@ -146,7 +146,7 @@ def _suite_energyharmonics(cfg, rng):
     table = _faulted(cfg, "energyharmonics", hm.h_multiplier_table(n, L))
     cs = [hm.random_coeffs(n, L, rng) for _ in range(3)]
     # one synthesis and one kernel pass per cutoff serve the three states
-    values = hm.synthesize_values(n, L, np.stack([c.coeffs for c in cs]), grid)
+    values = hm.synthesize_values(L, np.stack([c.coeffs for c in cs]), grid)
     direct = 2.0 * en.energy_direct_extrapolated_many(grid, values.T)
     spectral = [2.0 * en.energy_spectral(c, c, table=table) for c in cs]
     return max(abs(float(d) - s) / abs(s) for d, s in zip(direct, spectral)), {}
@@ -159,9 +159,9 @@ def _suite_gibbs(cfg, rng):
     f_coeffs, g_coeffs, shifts = zip(*[
         (hm.random_coeffs(n, L, rng).coeffs, hm.random_coeffs(n, L, rng).coeffs, rng.normal())
         for _ in range(count)])
-    fv = np.abs(hm.synthesize_values(n, L, np.stack(f_coeffs), grid)) + 0.05
+    fv = np.abs(hm.synthesize_values(L, np.stack(f_coeffs), grid)) + 0.05
     fv /= np.sum(grid.weights * fv, axis=1, keepdims=True)
-    gv = hm.synthesize_values(n, L, np.stack(g_coeffs), grid)
+    gv = hm.synthesize_values(L, np.stack(g_coeffs), grid)
     worst_gap = float(en.gibbs_gap(grid, fv, gv).min())
     eq = en.gibbs_gap(grid, fv, np.log(fv) + np.array(shifts)[:, None])
     return worst_gap, {"max_equality_gap": float(np.abs(eq).max())}

@@ -65,6 +65,24 @@ def test_flat_index_serves_only_get():
     assert users == ["HarmonicCoeffs.get"]
 
 
+def reads_dimension(node: ast.expr) -> bool:
+    """`n`, or the `n` of an object, such as `grid.n` or `c.n`."""
+    return ((isinstance(node, ast.Name) and node.id == "n")
+            or (isinstance(node, ast.Attribute) and node.attr == "n"))
+
+
+@pytest.mark.parametrize("name", ["analyze", "synthesize_values", "transform_table_bytes",
+                                  "degree_of_index"])
+def test_transforms_do_not_branch_on_the_dimension(name):
+    # the circle is the one-ring product grid: the transforms run one path for
+    # both spheres, and only the polar table tells them apart
+    fn = next(node for node in tree("harmonics").body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    compares = [ast.unparse(node) for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                and any(map(reads_dimension, [node.left, *node.comparators]))]
+    assert compares == []
+
+
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "specfun"])
 def test_legendre_row_order_stays_in_specfun(module):
     assert not names_used(tree(module)) & {"legendre_row", "tri_index"}

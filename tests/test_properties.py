@@ -2,9 +2,10 @@
 Moebius inverses, the conformal distance identity, the JSON round trip of
 coefficients, the extremizer fit, the sign of the deficit and its two
 routes, the Euler-Lagrange residual of the family, the transforms against
-their per-element loops, and the batch axes of synthesis, the Gibbs gap and
-the direct energy."""
+their per-element loops and, on the circle, against the Fourier basis, and
+the batch axes of synthesis, the Gibbs gap and the direct energy."""
 
+import json
 import math
 
 import numpy as np
@@ -167,7 +168,7 @@ def test_coefficient_json_roundtrip(n, L, data):
     values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                 min_size=count, max_size=count))
     c = HarmonicCoeffs(n, L, np.array(values))
-    back = HarmonicCoeffs.loads(c.dumps())
+    back = HarmonicCoeffs.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
     assert (back.n, back.L) == (n, L)
     np.testing.assert_array_equal(back.coeffs, c.coeffs)
 
@@ -222,37 +223,46 @@ def test_el_residual_vanishes_on_family_members(n, data, size):
     assert el_residual(family_coeffs(n, 16, zeta), 8).max_abs <= 1e-9
 
 
+def per_order_rows(n, L, grid):
+    """Per order m: the cosine and the sine labels of its polar rows, and the
+    rows.  On S^2 they come from the per-pair loop table, one Legendre row
+    per (l, m); on the circle's one ring order m has the one degree m and
+    the row 1/sqrt(2 pi)."""
+    if n == 1:
+        row = np.full((1, 1), 1.0 / math.sqrt(2.0 * math.pi))
+        return [([(m, 1 if m else 0)], [(m, -1)], row) for m in range(L + 1)]
+    leg = loop_assoc_legendre_norm(L, grid.polar_t)
+    return [([(l, m) for l in range(m, L + 1)], [(l, -m) for l in range(m, L + 1)],
+             leg[[legendre_row(L, l, m) for l in range(m, L + 1)]]) for m in range(L + 1)]
+
+
 def synthesize_per_element(c, grid):
-    """Synthesis with one gather per coefficient and one Legendre row per
-    (l, m), on the per-pair loop table: the form before the slot maps."""
-    if c.n == 1:
-        return fourier_basis(c.L, grid.az_phi) @ c.coeffs
+    """Synthesis with one gather per coefficient and one product per order
+    and kind: the form before the slot maps and the groups of orders."""
     tables = _grid_tables(grid, c.L)  # the azimuth tables
     nt, L = grid.polar_t.size, c.L
-    leg = loop_assoc_legendre_norm(L, grid.polar_t)
     Hc, Hs = np.zeros((nt, L + 1)), np.zeros((nt, L + 1))
-    for m in range(L + 1):
-        rows = [legendre_row(L, l, m) for l in range(m, L + 1)]
-        Hc[:, m] = np.array([c.get(l, m) for l in range(m, L + 1)]) @ leg[rows]
+    for m, (cos_labels, sin_labels, rows) in enumerate(per_order_rows(c.n, L, grid)):
+        Hc[:, m] = np.array([c.get(l, k) for l, k in cos_labels]) @ rows
         if m > 0:
-            Hs[:, m] = np.array([c.get(l, -m) for l in range(m, L + 1)]) @ leg[rows]
+            Hs[:, m] = np.array([c.get(l, k) for l, k in sin_labels]) @ rows
     return (Hc @ tables["cos"].T + Hs @ tables["sin"].T).ravel()
 
 
 def analyze_per_element(f, L):
-    """Quadrature one coefficient at a time on the per-pair loop table, each
-    (l, m) one dot product over the polar nodes."""
-    grid, n = f.grid, f.grid.n
-    if n == 1:
-        return fourier_basis(L, grid.az_phi).T @ (grid.weights * f.values)
+    """Quadrature one coefficient at a time, each (l, m) one dot product of
+    its polar row with the weighted azimuth projection over the rings."""
+    grid = f.grid
     tables = _grid_tables(grid, L)
     F = f.values.reshape(grid.polar_t.size, grid.az_phi.size)
     wphi = 2.0 * math.pi / grid.az_phi.size
-    G = {1: F @ tables["cos"] * wphi, -1: F @ tables["sin"] * wphi}
-    leg = loop_assoc_legendre_norm(L, grid.polar_t)
-    return np.array([
-        np.dot(leg[legendre_row(L, l, abs(m))], grid.polar_w * G[1 if m >= 0 else -1][:, abs(m)])
-        for l, m in harmonic_indices(2, L)])
+    Gc, Gs = F @ tables["cos"] * wphi, F @ tables["sin"] * wphi
+    coeffs = {}
+    for m, (cos_labels, sin_labels, rows) in enumerate(per_order_rows(grid.n, L, grid)):
+        for G, labels in ((Gc, cos_labels), (Gs, sin_labels if m > 0 else [])):
+            for label, row in zip(labels, rows):
+                coeffs[label] = np.dot(row, grid.polar_w * G[:, m])
+    return np.array([coeffs[label] for label in harmonic_indices(grid.n, L)])
 
 
 @settings(max_examples=60)
@@ -261,11 +271,28 @@ def test_transforms_match_the_per_element_loops(n, L, extra, seed):
     rng = np.random.default_rng(seed)
     grid = build_grid(n, max(L, 1) + extra)
     c = HarmonicCoeffs(n, L, rng.standard_normal(harmonic_count(n, L)))
-    assert np.array_equal(synthesize_values(n, L, c.coeffs, grid),
+    assert np.array_equal(synthesize_values(L, c.coeffs, grid),
                           synthesize_per_element(c, grid))
     f = GridFunction(grid, rng.standard_normal(grid.node_count))
     got, want = analyze(f, L).coeffs, analyze_per_element(f, L)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@settings(max_examples=60)
+@given(L=st.integers(0, 12), extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_circle_transforms_match_the_fourier_basis(L, extra, seed):
+    # an independent reference: the orthonormal Fourier modes at the nodes.
+    # The bound is relative to the sum of the terms' magnitudes, which a
+    # one-coefficient band cannot cancel.
+    rng = np.random.default_rng(seed)
+    grid = build_grid(1, max(L, 1) + extra)
+    basis = fourier_basis(L, grid.az_phi)
+    c = rng.standard_normal(harmonic_count(1, L))
+    got = synthesize_values(L, c, grid)
+    assert np.all(np.abs(got - basis @ c) <= 1e-15 * (np.abs(basis) @ np.abs(c)))
+    f = GridFunction(grid, rng.standard_normal(grid.node_count))
+    got, wf = analyze(f, L).coeffs, grid.weights * f.values
+    assert np.all(np.abs(got - basis.T @ wf) <= 1e-15 * (np.abs(basis).T @ np.abs(wf)))
 
 
 @settings(max_examples=40)
@@ -274,7 +301,7 @@ def test_transforms_match_the_per_element_loops(n, L, extra, seed):
 def test_stacked_synthesis_matches_one_state_at_a_time(n, L, k, extra, seed):
     grid = build_grid(n, max(L, 1) + extra)
     C = np.random.default_rng(seed).standard_normal((k, harmonic_count(n, L)))
-    stacked = synthesize_values(n, L, C, grid)
+    stacked = synthesize_values(L, C, grid)
     rows = np.array([synthesize(HarmonicCoeffs(n, L, c), grid).values for c in C])
     assert stacked.shape == (k, grid.node_count)
     assert np.abs(stacked - rows).max() <= 1e-13 * max(1.0, np.abs(rows).max())
