@@ -300,7 +300,7 @@ def synthesize_values(L: int, coeffs: np.ndarray, grid: QuadratureGrid) -> np.nd
     H = np.zeros((2, k, grid.polar_t.size, L + 1))
     for orders, rows, kinds, block in tables["groups"]:
         # the group axis outermost: (orders, kinds, states, rows per order)
-        x = X[:kinds, rows].reshape(kinds, block.shape[0], -1, k).transpose(1, 0, 3, 2)
+        x = X[:kinds, rows].reshape(kinds, block.shape[0], block.shape[2], k).transpose(1, 0, 3, 2)
         H[:kinds, ..., orders] = np.matmul(x, block).transpose(1, 2, 3, 0)
     F = H[0] @ tables["cos"].T + H[1] @ tables["sin"].T
     return F.reshape(C.shape[:-1] + (-1,))
