@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -198,7 +199,7 @@ def _write_json(report: dict, path: str | None):
         sys.stdout.write(text)
 
 
-def _write_csv(rows: list[tuple], path: str):
+def _write_csv(rows: typing.Iterable[tuple], path: str):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
 
@@ -230,14 +231,14 @@ def cmd_spectrum(cfg: RunConfig, lmax: int) -> int:
         raise SystemExit(f"--lmax must be >= 0, got {lmax}")
     n = cfg.n
     s_values = [0.25 * n / 2, 0.5 * n / 2, 0.75 * n / 2]
-    rows: list[tuple] = [("l", "h", *(f"p2s@s={s:g}" for s in s_values))]
-    for l in [*range(lmax + 1), 10_000]:
-        rows.append((l, hm.multiplier_H(n, l), *(hm.multiplier_P2s(n, l, s) for s in s_values)))
+    # each row is written as it is computed, so memory does not grow with lmax
+    rows = itertools.chain([("l", "h", *(f"p2s@s={s:g}" for s in s_values))], (
+        (l, hm.multiplier_H(n, l), *(hm.multiplier_P2s(n, l, s) for s in s_values))
+        for l in itertools.chain(range(lmax + 1), [10_000])))
     if cfg.out:
         _write_csv(rows, cfg.out)
     else:
-        for row in rows:
-            print(",".join(str(x) for x in row))
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     ratio = hm.multiplier_H(n, 10_000) / (math.log(10_000.0) * hm.log_operator_scale(n))
     print(f"# sanity: h_l/ln(l) at l=10^4 is {ratio:.4f} x (2 pi^(n/2)/Gamma(n/2))")
     return 0

@@ -7,22 +7,19 @@ so a lower band is a prefix.  Other modules go through `HarmonicCoeffs`
 (`get`, `constant`, `with_band_limit`, the JSON form, which is the dense
 vector in slot order) and `MultiplierTable.per_slot`.
 
-On product grids the forward/backward transforms factor into
-an azimuth contraction followed by per-order polar contractions, so no large
-design matrix is ever materialized.  The circle is the one-ring product
-grid, so both spheres run one transform: the polar table runs by order m and
-then by degree l (on S^2 the Legendre table, on the circle one row
-1/sqrt(2 pi) per order), and `_slot_maps(n, L)`, built once per band limit,
-holds where each order's rows start, the flat slots of each row's cosine and
-sine coefficients, and the groups of consecutive orders with one row count.
-A transform is one batched matrix product per group plus one gather or
-scatter of the whole vector.  Off-grid synthesis re-expands each
-order's polar functions once per band limit in Chebyshev polynomials of
-cos(theta), exactly, so evaluating at a chunk of points takes whole-array
-steps: the powers of e^{i theta} (real parts T_j(cos theta), imaginary parts
-sin((j+1) theta)) feed one matrix product per parity of the order, and the
-azimuth sum is one contraction with the powers of e^{i phi}.  No Legendre
-table of the points is built and no Python loop runs per order.
+The circle is the equator t = cos(theta) = 0 of S^2, with a one-ring
+product grid, so both spheres run one transform and one off-grid evaluation,
+which tell them apart in one place, the polar rule `_polar_rows`: by order
+m and then degree l, the Legendre table on S^2 and one row 1/sqrt(2 pi)
+per order on the circle.  `_slot_maps(n, L)`, built once per
+band limit, holds where each order's rows start, the flat slots of their
+cosine and sine coefficients, and the groups of orders with one row count.
+On a product grid a transform is an azimuth contraction, one batched matrix
+product per group, and one gather or scatter.  Off the grid, the polar
+functions are re-expanded once per band limit in Chebyshev polynomials of t,
+so a chunk of points takes whole-array steps: the powers of e^{i theta} feed
+one matrix product per parity of the order, and those of e^{i phi} the
+azimuth sum.
 
 Multipliers: the fractional integral family acts on degree-l harmonics as
 Gamma(l+n/2-s)/Gamma(l+n/2+s), its inverse as the reciprocal, and the
@@ -47,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import assoc_legendre_norm, digamma, fourier_basis, ln_gamma
+from .specfun import assoc_legendre_norm, digamma, ln_gamma
 from .sphere import GridFunction, QuadratureGrid, grid_shape, sphere_area, weighted_kernel_products
 
 def harmonic_count(n: int, L: int) -> int:
@@ -77,21 +74,21 @@ def flat_index(n: int, l: int, m: int) -> int:
     raise ValueError(f"unsupported dimension n={n}")
 
 
-def harmonic_indices(n: int, L: int) -> list[tuple[int, int]]:
-    """(l, m) of each flat slot, in slot order."""
+def harmonic_indices(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree l and label m of each flat slot, in slot order: two int arrays."""
     if n == 1:
-        return [(0, 0)] + [(l, m) for l in range(1, L + 1) for m in (1, -1)]
-    return [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
+        slot = np.arange(2 * L + 1)
+        return (slot + 1) // 2, np.sign(slot) * (-1) ** (slot + 1)
+    l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    return l, np.arange(l.size) - l * (l + 1)
 
 
+@functools.lru_cache(maxsize=16)
 def degree_of_index(n: int, L: int) -> np.ndarray:
-    """Degree l of each flat coefficient slot k: (k + 1) // 2 on the circle,
-    isqrt(k) on the 2-sphere."""
-    maps = _slot_maps(n, L)
-    out = np.empty(harmonic_count(n, L), dtype=np.intp)
-    out[maps.cos_slot] = maps.degree
-    out[maps.sin_slot] = maps.degree[maps.starts[1]:]
-    return out
+    """Degree l of each flat coefficient slot, built once, read-only."""
+    degree = harmonic_indices(n, L)[0]
+    degree.flags.writeable = False
+    return degree
 
 
 @dataclass(eq=False)
@@ -187,7 +184,7 @@ class _SlotMaps:
 @functools.lru_cache(maxsize=16)
 def _slot_maps(n: int, L: int) -> _SlotMaps:
     """The row maps of band limit L on S^n, built once, as read-only arrays."""
-    slot_l, slot_m = np.array(harmonic_indices(n, L)).T
+    slot_l, slot_m = harmonic_indices(n, L)
     # the circle labels its degree-l pair m = +1 (cosine) and -1 (sine)
     slot_order = np.abs(slot_m) if n == 2 else slot_l
     cos = slot_m >= 0
@@ -196,8 +193,11 @@ def _slot_maps(n: int, L: int) -> _SlotMaps:
     order = np.repeat(np.arange(L + 1), sizes)
     degree = order + np.arange(starts[-1]) - starts[order]
     row = starts[slot_order] + slot_l - slot_order
-    # the cosine and the sine slots, each sorted by row
-    cos_slot, sin_slot = (np.flatnonzero(kind)[np.argsort(row[kind])] for kind in (cos, ~cos))
+    del slot_l, slot_m, slot_order  # freed before the scatters
+    # the cosine and the sine slots by row, scattered to their distinct rows
+    cos_slot, sin_slot = np.empty(starts[-1], np.intp), np.empty(starts[-1] - starts[1], np.intp)
+    cos_slot[row[cos]] = np.flatnonzero(cos)
+    sin_slot[row[~cos] - starts[1]] = np.flatnonzero(~cos)
     # a group ends where the row count changes, and after order 0
     edge = np.diff(sizes, prepend=0, append=0) != 0
     edge[1] = True
@@ -205,6 +205,18 @@ def _slot_maps(n: int, L: int) -> _SlotMaps:
     for array in vars(maps).values():
         array.flags.writeable = False
     return maps
+
+
+_SLOT_MAP_BYTES = 57  # per slot, building `_slot_maps`: 5 ints, 4 per row (~half), a mask
+
+
+def _polar_rows(n: int, L: int, t: np.ndarray) -> np.ndarray:
+    """The polar functions of band limit L at heights t, one row per
+    `_slot_maps` row: the one place the transforms and the off-grid evaluation
+    branch on n.  The circle, t = 0, has one row 1/sqrt(2 pi) per order."""
+    if n == 2:
+        return assoc_legendre_norm(L, t)
+    return np.full((L + 1, t.size), 1.0 / math.sqrt(2.0 * math.pi))
 
 
 _TABLE_CACHE: "weakref.WeakKeyDictionary[QuadratureGrid, dict]" = weakref.WeakKeyDictionary()
@@ -226,9 +238,7 @@ def _grid_tables(grid: QuadratureGrid, L: int) -> dict:
     ccos *= math.sqrt(2.0)
     csin *= math.sqrt(2.0)
     ccos[:, 0] = 1.0
-    polar = (assoc_legendre_norm(L, grid.polar_t) if grid.n == 2
-             else np.full((L + 1, 1), 1.0 / math.sqrt(2.0 * math.pi)))
-    tables = {"cos": ccos, "sin": csin, "polar": polar}
+    tables = {"cos": ccos, "sin": csin, "polar": _polar_rows(grid.n, L, grid.polar_t)}
     per_grid[L] = tables
     return tables
 
@@ -248,15 +258,16 @@ def _transform_tables(grid: QuadratureGrid, L: int) -> tuple[dict, _SlotMaps]:
 
 
 def transform_table_bytes(n: int, L: int, grid_degree: int) -> int:
-    """Upper bound on the peak bytes of building `_grid_tables(grid, L)`: the
-    polar table, the Legendre recurrence's three working blocks and its
+    """Upper bound on the peak bytes of building `_transform_tables(grid, L)`:
+    the polar table, the Legendre recurrence's three working blocks and its
     coefficients (16 floats per row it fills; the circle's one row per order
-    needs none), the two azimuth tables, and two ufunc buffers."""
+    needs none), the two azimuth tables, two ufunc buffers, and the slot maps."""
     rings, azimuths = grid_shape(n, grid_degree)
     # rows of orders m > 0 hold two slots; order 0 has a row per ring of the degree-L grid
     rows = (harmonic_count(n, L) + grid_shape(n, L)[0]) // 2
-    return 8 * ((rows + 3 * (L + 1)) * rings + 2 * (L + 1) * azimuths
-                + 16 * (rows - L - 1) + 2 * min((L + 1) * rings, np.getbufsize())) + 4096
+    return (8 * ((rows + 3 * (L + 1)) * rings + 2 * (L + 1) * azimuths
+                 + 16 * (rows - L - 1) + 2 * min((L + 1) * rings, np.getbufsize()))
+            + _SLOT_MAP_BYTES * harmonic_count(n, L) + 4096)
 
 
 def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
@@ -314,50 +325,45 @@ def synthesize(c: HarmonicCoeffs, grid: QuadratureGrid) -> GridFunction:
 
 
 @functools.lru_cache(maxsize=8)
-def _evaluation_plan(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-order polar basis re-expanded in Chebyshev polynomials of t = cos(theta).
+def _evaluation_plan(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-order polar functions re-expanded in Chebyshev polynomials of t = cos(theta).
 
-    For even m, Pbar_lm is a polynomial of degree l in t; for odd m it is
-    sin(theta) times one of degree l - 1, i.e. a sum of sin(j theta) =
-    sin(theta) U_{j-1}(t), j <= l.  So the K = L + 1 Gauss-Chebyshev nodes
-    interpolate every row exactly.  The odd rows are expanded by a DST of
-    their values rather than a DCT of the values over sin(theta), which
+    With K the row count of order 0, a row of even order is a polynomial of
+    degree below K in t, one of odd order sin(theta) times one of degree
+    below K - 1: a sum of sin(j theta) = sin(theta) U_{j-1}(t), j < K.  So K
+    Gauss-Chebyshev nodes interpolate every row exactly: K = L + 1 on S^2, and
+    1 on the circle, whose rows are needed at the equator only.  Odd rows take
+    a DST of their values, not a DCT of the values over sin(theta), which
     would amplify the rounding near the poles.
 
-    Returns `cheb[m, l, j]`, the coefficient of T_j(t) (even m) or of
-    U_j(t) sin(theta) (odd m) in row (l, m), with the sqrt(2) azimuth factor
-    folded in for m > 0 and zero for l < m; and `gather[m, k, l]`, the flat
-    slot of the (l, m) cosine (k = 0) and (l, -m) sine (k = 1) coefficient,
-    or harmonic_count(2, L), a zero pad, where there is none.
-    """
-    maps = _slot_maps(2, L)
-    K = L + 1
+    Returns `cheb[m, i, j]`, the coefficient of T_j(t) (even m) or of
+    U_j(t) sin(theta) (odd m) in order m's row i, with the sqrt(2) azimuth
+    factor folded in for m > 0, zero past the order's rows; and
+    `gather[m, k, i]`, the flat slot of that row's cosine (k = 0) or sine
+    (k = 1) coefficient, or harmonic_count(n, L), a zero pad, if none."""
+    maps = _slot_maps(n, L)
+    K = int(maps.starts[1])
     angle = (2 * np.arange(K) + 1) * math.pi / (2 * K)
     j = np.arange(K)[:, None]
-    # node values -> coefficients: a DCT-II for T_j, a DST-II for sin((j+1) theta)
+    # node values -> coefficients: a DCT-II for T_j, a DST-II for sin((j+1) theta),
+    # whose first and last term, respectively, take half the weight
     dct = np.cos(j * angle) * (2.0 / K)
     dct[0] *= 0.5
     dst = np.sin((j + 1) * angle) * (2.0 / K)
-    leg = assoc_legendre_norm(L, np.cos(angle))
-    ls, ms = maps.degree, maps.order
-    odd = ms % 2 == 1
-    cheb = np.zeros((L + 1, L + 1, K))
-    cheb[ms[~odd], ls[~odd]] = leg[~odd] @ dct.T
-    cheb[ms[odd], ls[odd]] = leg[odd] @ dst.T
+    dst[-1] *= 0.5
+    values = _polar_rows(n, L, np.cos(angle))
+    order, index = maps.order, maps.degree - maps.order
+    odd = order % 2 == 1
+    cheb = np.zeros((L + 1, K, K))
+    cheb[order[~odd], index[~odd]] = values[~odd] @ dct.T
+    cheb[order[odd], index[odd]] = values[odd] @ dst.T
     cheb[1:] *= math.sqrt(2.0)
-    gather = np.full((L + 1, 2, L + 1), harmonic_count(2, L))
-    gather[ms, 0, ls] = maps.cos_slot
-    gather[ms[L + 1:], 1, ls[L + 1:]] = maps.sin_slot
+    gather = np.full((L + 1, 2, K), harmonic_count(n, L))
+    gather[order, 0, index] = maps.cos_slot
+    gather[order[K:], 1, index[K:]] = maps.sin_slot
     cheb.flags.writeable = False
     gather.flags.writeable = False
     return cheb, gather
-
-
-def evaluation_plan_bytes(L: int) -> int:
-    """Upper bound on the peak bytes of building `_evaluation_plan(L)`: the
-    (L + 1)^3 Chebyshev array and as much again while it is filled, and
-    building the slot maps from the label list if they are not cached."""
-    return 8 * (2 * (L + 1) ** 3 + 16 * (L + 1) ** 2) + 4096
 
 
 def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -374,48 +380,40 @@ def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-EVALUATION_CHUNK = 4096  # points per evaluate_at workspace pass
+EVALUATION_CELLS = 130 * 4096  # (row, point) cells per workspace half: 4096 points at L = 128
 
 
 def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Values of the expansion at the rows of `points` on S^n (for pullbacks).
 
-    On S^2 a call contracts the coefficients with the cached per-L Chebyshev
-    plan (`_evaluation_plan`, O(L^3) and independent of the point count).
-    Per chunk of points it takes the powers of e^{i theta} = t + i sin(theta):
-    their real parts T_j(t) = cos(j theta) and imaginary parts
-    sin((j+1) theta) = sin(theta) U_j(t) feed one matrix product per parity
-    of m.  The azimuth sum is one contraction of the products with the powers
-    of e^{i phi}.  One workspace of O(L * EVALUATION_CHUNK) floats holds it.
-    On the circle each chunk of points takes one Fourier table.
-    """
+    A call contracts the coefficients with the cached Chebyshev plan.  Per
+    chunk of points the powers of e^{i theta} = t + i sin(theta), with real
+    parts T_j(t) and imaginary parts sin((j+1) theta) = sin(theta) U_j(t),
+    feed one matrix product per parity of m, and the azimuth sum is one
+    contraction with the powers of e^{i phi}.  Points of the circle are the
+    equator t = 0.  One workspace of 2 EVALUATION_CELLS complex numbers,
+    whatever L, holds a chunk."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != c.n + 1:
         raise ValueError(f"points of S^{c.n} need {c.n + 1} coordinates in each row "
                          f"of a 2-d array, got shape {pts.shape}")
-    if c.n == 1:
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        out = np.empty(theta.size)
-        for start in range(0, theta.size, EVALUATION_CHUNK):
-            sl = slice(start, start + EVALUATION_CHUNK)
-            out[sl] = fourier_basis(c.L, theta[sl]) @ c.coeffs
-        return out
-    M = c.L + 1
-    cheb, gather = _evaluation_plan(c.L)
+    cheb, gather = _evaluation_plan(c.n, c.L)
+    M, K = cheb.shape[:2]
     # Chebyshev coefficients of the (m, cos) and (m, sin) rows of u, by parity of m
     C = np.append(c.coeffs, 0.0)[gather] @ cheb
-    even, odd = C[0::2].reshape(-1, M), C[1::2].reshape(-1, M)
+    even, odd = C[0::2].reshape(-1, K), C[1::2].reshape(-1, K)
     out = np.empty(pts.shape[0])
     # One workspace for every chunk, two halves of M + 1 complex rows each:
     # `second` holds the powers of e^{i theta} and then the products, `first`
-    # the real table and then the powers of e^{i phi}.  At most two tables of
-    # the chunk are alive at once, and no megabyte-size temporary is freed
-    # and faulted in again on every call.
-    work = np.empty((2, (M + 1) * min(EVALUATION_CHUNK, pts.shape[0])), dtype=complex)
-    for start in range(0, pts.shape[0], EVALUATION_CHUNK):
-        sl = slice(start, min(start + EVALUATION_CHUNK, pts.shape[0]))
+    # the real table and then the powers of e^{i phi}, so no megabyte-size
+    # temporary is freed and faulted in again on every chunk.
+    chunk = max(1, EVALUATION_CELLS // (M + 1))
+    work = np.empty((2, (M + 1) * min(chunk, pts.shape[0])), dtype=complex)
+    for start in range(0, pts.shape[0], chunk):
+        sl = slice(start, start + chunk)
         x, y = pts[sl, 0], pts[sl, 1]
-        t = np.clip(pts[sl, 2], -1.0, 1.0)
+        # the height t = cos(theta), z on S^2 and 0 on the circle, needs no clip:
+        t = pts[sl, 2:].sum(axis=1)  # sin(theta) is taken from (x, y)
         npts = t.size
         first = work[0, :(M + 1) * npts].reshape(M + 1, npts)
         second = work[1, :(M + 1) * npts].reshape(M + 1, npts)
@@ -423,13 +421,13 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
         # sin(theta) is |(x, y)|, which unlike sqrt(1 - t^2) keeps its relative
         # precision near the poles
         rho = np.hypot(x, y)
-        polar = _powers(t + 1j * rho, second)
-        table = first.view(float).reshape(M + 1, 2, npts)
-        table[...] = polar.view(float).reshape(M + 1, npts, 2).transpose(0, 2, 1)
+        polar = _powers(t + 1j * rho, second[:K + 1])
+        table = first[:K + 1].view(float).reshape(K + 1, 2, npts)
+        table[...] = polar.view(float).reshape(K + 1, npts, 2).transpose(0, 2, 1)
         # rows (m, cos) and (m, sin), by parity of m, over the points
         V = second.view(float).reshape(-1, npts)
         V_even, V_odd = V[:even.shape[0]], V[even.shape[0]:2 * M]
-        np.matmul(even, table[:M, 0], out=V_even)
+        np.matmul(even, table[:K, 0], out=V_even)
         np.matmul(odd, table[1:, 1], out=V_odd)
         # e^{i phi} = (x + i y) / rho, taken as 1 on the z-axis
         axis = rho == 0.0
@@ -444,15 +442,16 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
 
 def evaluate_at_bytes(n: int, L: int, count: int) -> int:
     """Upper bound on the peak bytes of `evaluate_at` at band limit L on
-    `count` points: on the circle one chunk's (chunk, 2L + 1) Fourier table
-    with three chunk-length temporaries, and the angles and the output; on
-    S^2 the larger of building the plan and the plan with one chunk's
-    workspace, 16 chunk-length temporaries and the output."""
-    chunk = min(count, EVALUATION_CHUNK)
-    if n == 1:
-        return 8 * ((2 * L + 4) * chunk + 2 * count) + 4096
-    call = 8 * ((L + 1) ** 3 + 8 * (L + 1) ** 2 + 4 * (L + 2) * chunk + 16 * chunk + count)
-    return max(evaluation_plan_bytes(L), call) + 4096
+    `count` points, building the slot maps and the plan included: with K =
+    L + 1 on S^2 and 1 on the circle, 8 KiB of Python objects, the kept maps
+    (four arrays of at most (L + 1) K rows) and the (L + 1, K, K) plan with as
+    much again while it is filled, or with the per-call coefficient arrays, one
+    chunk's workspace, 32 chunk-length temporaries and the output."""
+    M, K = L + 1, grid_shape(n, L)[0]
+    chunk = min(count, max(1, EVALUATION_CELLS // (M + 1)))
+    call = max(M * K * K, 4 * (M + 1) * chunk + 32 * chunk + count)
+    maps = _SLOT_MAP_BYTES * harmonic_count(n, L)
+    return max(maps, 8 * (M * K * K + 12 * M * K + call)) + 8192
 
 
 def as_evaluable(c: HarmonicCoeffs):

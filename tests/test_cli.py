@@ -1,6 +1,7 @@
 """CLI contracts: exit codes, report schema, reproducibility, fault hook."""
 
 import csv
+import io
 import json
 import math
 import tracemalloc
@@ -114,6 +115,45 @@ def test_spectrum_table(tmp_path):
     sanity = by_l[10_000]
     ratio = float(sanity[1]) / (math.log(10_000.0) * 2.0 * math.pi)
     assert ratio == pytest.approx(1.0, abs=0.1)
+
+
+def spectrum_csv_at_once(n, lmax, lineterminator):
+    """The spectrum table as one list of rows, written with one `writerows`:
+    the form before the rows were streamed."""
+    s_values = [0.25 * n / 2, 0.5 * n / 2, 0.75 * n / 2]
+    rows = [("l", "h", *(f"p2s@s={s:g}" for s in s_values))]
+    rows += [(l, hm.multiplier_H(n, l), *(hm.multiplier_P2s(n, l, s) for s in s_values))
+             for l in [*range(lmax + 1), 10_000]]
+    text = io.StringIO(newline="")
+    csv.writer(text, lineterminator=lineterminator).writerows(rows)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_spectrum_bytes_match_the_table_written_at_once(tmp_path, capsys, n):
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--n", str(n), "--lmax", "2000", "--out", str(out)]) == 0
+    assert out.read_bytes() == spectrum_csv_at_once(n, 2000, "\r\n").encode()
+    capsys.readouterr()
+    assert main(["spectrum", "--n", str(n), "--lmax", "2000"]) == 0
+    table = capsys.readouterr().out.rsplit("# sanity", 1)[0]
+    assert table == spectrum_csv_at_once(n, 2000, "\n")
+
+
+def test_spectrum_memory_does_not_grow_with_lmax(tmp_path, capsys):
+    # every row is written when it is computed; keeping them took 21 MiB here
+    out = tmp_path / "spec.csv"
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", "--lmax", "100000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024**2
+    lines = out.read_bytes().split(b"\r\n")
+    assert len(lines) == 100_004 and lines[-1] == b""  # header, 100001 + 1 rows
+    want = spectrum_csv_at_once(2, 100, "\r\n").encode().split(b"\r\n")
+    assert lines[:102] == want[:102] and lines[-2] == want[-2]
 
 
 def test_minimize_constant_terminates(tmp_path):
@@ -422,7 +462,7 @@ def test_grid_degree_budget_boundary(n, largest_ok):
         _check_table_budget(RunConfig(n=n, grid_degree=largest_ok + 1), "verify")
 
 
-@pytest.mark.parametrize("n, largest_ok", [(2, 383), (1, 3966)])
+@pytest.mark.parametrize("n, largest_ok", [(2, 381), (1, 4075)])
 def test_verify_band_limit_budget_boundary(n, largest_ok):
     # the conformal-identity suites: the transform table at 2L on the
     # degree-2L work grid, and evaluating the states at its mapped nodes
@@ -434,7 +474,7 @@ def test_verify_band_limit_budget_boundary(n, largest_ok):
 @pytest.mark.parametrize("n, band_limit", [(1, 256), (2, 32)])
 def test_table_needs_bound_every_suite_peak(n, band_limit):
     # on S^1 the conformal-identity suites hold the transform table and the
-    # off-grid Fourier table; on a small S^2 grid gibbs' stacks are largest
+    # off-grid evaluation's workspace; on a small S^2 grid gibbs' stacks are largest
     cfg = RunConfig(n=n, band_limit=band_limit)
     need = max(table_needs(cfg).values())
     for k, suite in enumerate(SUITES):

@@ -89,7 +89,7 @@ def test_flow_changes_the_band_of_its_init(n, init_L, band_limit):
     init = random_coeffs(n, init_L, rng, decay=1.5)
     init.coeffs[0] += math.sqrt(sphere_area(n))
     vec = np.zeros(harmonic_count(n, band_limit))
-    for (l, m) in harmonic_indices(n, min(band_limit, init_L)):
+    for l, m in zip(*harmonic_indices(n, min(band_limit, init_L))):
         vec[flat_index(n, l, m)] = init.get(l, m)
     cfg = FlowConfig(max_iter=5)
     moved = init.with_band_limit(band_limit)

@@ -25,13 +25,12 @@ from logsphere import (
 )
 from logsphere.harmonics import (
     _evaluation_plan,
-    _grid_tables,
     _slot_maps,
+    _transform_tables,
     apply_P2s_direct,
-    EVALUATION_CHUNK,
+    EVALUATION_CELLS,
     degree_of_index,
     evaluate_at_bytes,
-    evaluation_plan_bytes,
     flat_index,
     h_multiplier_table,
     harmonic_count,
@@ -59,17 +58,22 @@ def traced_peak(build) -> int:
                                           for L in (16, 64, 128) for d in (1, 2)])
 def test_transform_table_bytes_bounds_the_tables(n, L, degree):
     grid = build_grid(n, degree)
-    peak = traced_peak(lambda: _grid_tables(grid, L))
+    _slot_maps.cache_clear()  # count building the slot maps too
+    peak = traced_peak(lambda: _transform_tables(grid, L))
     # a bound, and not so loose that the budget refuses band limits that fit
     assert peak <= transform_table_bytes(n, L, degree) <= 1.5 * peak
 
 
 @pytest.mark.parametrize("L", [16, 64, 128])
 def test_evaluation_plan_bytes_bounds_the_plan(L):
-    _evaluation_plan.cache_clear()
-    _slot_maps.cache_clear()
-    peak = traced_peak(lambda: _evaluation_plan(L))
-    assert peak <= evaluation_plan_bytes(L) <= 1.5 * peak
+    # at one point a cold call is building the slot maps and the plan
+    for n in (1, 2):
+        c = random_coeffs(n, L, np.random.default_rng(L))
+        point = sphere_point(np.ones((1, n + 1)))
+        _evaluation_plan.cache_clear()
+        _slot_maps.cache_clear()
+        peak = traced_peak(lambda: evaluate_at(c, point))
+        assert peak <= evaluate_at_bytes(n, L, 1) <= 1.5 * peak
 
 
 def test_analyze_constant(grids):
@@ -179,8 +183,8 @@ AXIS_POINTS = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 
 @given(L=st.integers(0, 24), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40),
        extra=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
                       .filter(lambda v: np.linalg.norm(v) > 0.1), max_size=4))
-# 4 axis points + 4116 more: a full chunk and a short one
-@example(L=24, seed=0, count=EVALUATION_CHUNK + 20, extra=[])
+# 4 axis points + 20500 more: a full chunk and a short one
+@example(L=24, seed=0, count=EVALUATION_CELLS // 26 + 20, extra=[])
 @example(L=0, seed=1, count=1, extra=[])
 # near the poles, where sin(theta) is |(x, y)| and not sqrt(1 - t^2)
 @example(L=24, seed=2, count=1, extra=[[0.0, 1e-8, 1.0], [3e-7, 2e-7, -1.0], [1e-5, 0.0, 1.0]])
@@ -220,10 +224,38 @@ def test_evaluate_at_high_band_limit_matches_extended_precision():
     assert float(np.abs(evaluate_at(c, near) - want).max()) <= 1e-12 * scale
 
 
-# the circle's Fourier table, one chunk's worth, and on S^2 the plan, one
-# chunk or a grid's worth
+def longdouble_fourier_terms(c, points):
+    """The terms of the circle's expansion at the points, (slots, points), in
+    extended precision, with phi = atan2(y, x)."""
+    ld = np.longdouble
+    phi = np.arctan2(points[:, 1].astype(ld), points[:, 0].astype(ld))
+    terms = np.empty((c.coeffs.size, phi.size), dtype=ld)
+    terms[0] = ld(c.coeffs[0]) / np.sqrt(2 * ld(np.pi))
+    for l in range(1, c.L + 1):
+        terms[2 * l - 1] = ld(c.coeffs[2 * l - 1]) * np.cos(l * phi) / np.sqrt(ld(np.pi))
+        terms[2 * l] = ld(c.coeffs[2 * l]) * np.sin(l * phi) / np.sqrt(ld(np.pi))
+    return terms
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="numpy long double is not extended precision here")
+@pytest.mark.parametrize("L", [16, 256, 4096])
+def test_circle_evaluate_at_matches_extended_precision(L):
+    # the circle as the equator of S^2, against the Fourier sum, relative to
+    # the sum of the terms' magnitudes at each point
+    rng = np.random.default_rng(L)
+    c = random_coeffs(1, L, rng)
+    pts = sphere_point(rng.standard_normal((512, 2)))
+    terms = longdouble_fourier_terms(c, pts)
+    err = np.abs(evaluate_at(c, pts) - terms.sum(axis=0)) / np.abs(terms).sum(axis=0)
+    assert float(err.max()) <= 5e-15
+
+
+# one chunk or several, whose workspace does not grow with L, and on S^2 the
+# plan, of a few points or a grid's worth
 @pytest.mark.parametrize("n, L, count", [(1, 64, 1000), (1, 512, 4098), (1, 256, 20000),
-                                         (2, 16, 8385), (2, 64, 5000), (2, 128, 100)])
+                                         (1, 4096, 20000), (2, 16, 8385), (2, 64, 5000),
+                                         (2, 128, 100)])
 def test_evaluate_at_bytes_bounds_a_call(n, L, count):
     rng = np.random.default_rng(L)
     c = random_coeffs(n, L, rng)
@@ -254,9 +286,11 @@ def test_evaluate_at_rejects_points_of_another_sphere(n, width):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_degree_of_index_matches_harmonic_indices(n):
+    # slot k has degree (k + 1) // 2 on the circle and isqrt(k) on S^2
     for L in range(41):
-        want = [l for l, _m in harmonic_indices(n, L)]
+        want = [(k + 1) // 2 if n == 1 else math.isqrt(k) for k in range(harmonic_count(n, L))]
         assert degree_of_index(n, L).tolist() == want
+        assert harmonic_indices(n, L)[0].tolist() == want
 
 
 def test_parseval(grids, rng):
@@ -462,15 +496,17 @@ def test_slot_order_is_degree_major(n):
     # harmonic_indices lists the slots in order, so a lower band is a prefix
     for L in range(12):
         labels = harmonic_indices(n, L)
-        assert [flat_index(n, l, m) for l, m in labels] == list(range(harmonic_count(n, L)))
+        assert [flat_index(n, l, m) for l, m in zip(*labels)] == list(range(harmonic_count(n, L)))
         if L:
-            assert labels[:harmonic_count(n, L - 1)] == harmonic_indices(n, L - 1)
+            count = harmonic_count(n, L - 1)
+            for got, want in zip(labels, harmonic_indices(n, L - 1)):
+                assert np.array_equal(got[:count], want)
 
 
 def per_label_band_change(c: HarmonicCoeffs, L: int) -> HarmonicCoeffs:
     """The per-(l, m) copy that changed a band limit before `with_band_limit`."""
     vec = np.zeros(harmonic_count(c.n, L))
-    for (l, m) in harmonic_indices(c.n, min(L, c.L)):
+    for l, m in zip(*harmonic_indices(c.n, min(L, c.L))):
         vec[flat_index(c.n, l, m)] = c.get(l, m)
     return HarmonicCoeffs(c.n, L, vec)
 

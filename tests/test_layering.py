@@ -14,6 +14,7 @@ No public function returns a scalar for some inputs and an array for others.
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -28,16 +29,40 @@ def tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
 
 
-def names_used(node: ast.AST) -> set[str]:
+def names_used(node: ast.AST, modules: frozenset[str] = frozenset()) -> set[str]:
+    """Every name, attribute and imported name in `node`, less the attributes
+    read from one of the module names `modules` (`json.loads`)."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            if not (isinstance(sub.value, ast.Name) and sub.value.id in modules):
+                out.add(sub.attr)
         elif isinstance(sub, ast.alias):
             out.add(sub.name)
     return out
+
+
+def is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except (ImportError, ValueError):  # a parent that is no package, or none
+        return False
+
+
+def imported_modules(node: ast.AST) -> frozenset[str]:
+    """The names that the imports in `node` bind to modules; a relative
+    import is one of src/logsphere's."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            out.update(alias.asname or alias.name.split(".")[0] for alias in sub.names)
+        elif isinstance(sub, ast.ImportFrom):
+            base = ".".join(filter(None, ["logsphere" if sub.level else "", sub.module]))
+            out.update(alias.asname or alias.name for alias in sub.names
+                       if is_module(f"{base}.{alias.name}"))
+    return frozenset(out)
 
 
 def test_modules_found():
@@ -71,16 +96,35 @@ def reads_dimension(node: ast.expr) -> bool:
             or (isinstance(node, ast.Attribute) and node.attr == "n"))
 
 
+def takes_dimension_first() -> set[str]:
+    """The functions of src/logsphere whose first parameter is `n`."""
+    return {node.name for module in MODULES for node in ast.walk(tree(module))
+            if isinstance(node, ast.FunctionDef) and node.args.args
+            and node.args.args[0].arg == "n"}
+
+
+ONE_SPHERE_BASES = {"assoc_legendre_norm", "fourier_basis"}
+
+
 @pytest.mark.parametrize("name", ["analyze", "synthesize_values", "transform_table_bytes",
-                                  "degree_of_index"])
+                                  "degree_of_index", "evaluate_at", "_evaluation_plan",
+                                  "evaluate_at_bytes"])
 def test_transforms_do_not_branch_on_the_dimension(name):
-    # the circle is the one-ring product grid: the transforms run one path for
-    # both spheres, and only the polar table tells them apart
+    # the circle is the one-ring product grid and, off the grid, the equator
+    # of S^2: the transforms and the off-grid evaluation run one path for both
+    # spheres, and only the polar rule tells them apart.  So they compare
+    # nothing against the dimension, pass no literal one (`_slot_maps(2, L)`)
+    # and call no one sphere's basis.
     fn = next(node for node in tree("harmonics").body
               if isinstance(node, ast.FunctionDef) and node.name == name)
-    compares = [ast.unparse(node) for node in ast.walk(fn) if isinstance(node, ast.Compare)
-                and any(map(reads_dimension, [node.left, *node.comparators]))]
-    assert compares == []
+    first_n = takes_dimension_first()
+    found = [ast.unparse(node) for node in ast.walk(fn)
+             if (isinstance(node, ast.Compare)
+                 and any(map(reads_dimension, [node.left, *node.comparators])))
+             or (isinstance(node, ast.Call) and callee(node) in first_n and node.args
+                 and isinstance(node.args[0], ast.Constant))
+             or (isinstance(node, ast.Call) and callee(node) in ONE_SPHERE_BASES)]
+    assert found == []
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "specfun"])
@@ -124,42 +168,50 @@ def test_verify_does_not_import_cli():
 ROOT = SRC.parent.parent
 
 
-def public_definitions() -> set[str]:
-    """Public module-level functions and classes of src/logsphere, and the
-    public methods of those classes."""
-    out = set()
+def public_definitions() -> tuple[set[str], set[str]]:
+    """The public module-level functions and classes of src/logsphere, and
+    the public methods of those classes."""
+    top, methods = set(), set()
     for module in MODULES:
         for node in tree(module).body:
             if isinstance(node, ast.ClassDef):
-                out.update(sub.name for sub in node.body
-                           if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
+                methods.update(sub.name for sub in node.body
+                               if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                out.add(node.name)
-    return {name for name in out if not name.startswith("_")}
+                top.add(node.name)
+    return ({name for name in top if not name.startswith("_")},
+            {name for name in methods if not name.startswith("_")})
 
 
-def names_referenced() -> set[str]:
+def names_referenced() -> tuple[set[str], set[str]]:
     """Every name used by src/logsphere (its `__init__` re-exports aside), the
     tests and the benchmark, plus the benchmark's traced function names and
-    the console entry point."""
+    the console entry point; and the same less the attributes of imported
+    modules, which name no method (`json.loads` does not use a `loads`
+    method)."""
     files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    out = set()
+    out, methods = set(), set()
     for path in files:
-        out |= names_used(ast.parse(path.read_text(encoding="utf-8")))
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        out |= names_used(module)
+        methods |= names_used(module, imported_modules(module))
     layers = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    extra = set()
     for node in layers.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
-            out.update(sub.value for sub in ast.walk(node.value)
-                       if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+            extra.update(sub.value for sub in ast.walk(node.value)
+                         if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
     # a "package.module:function" entry point
-    out.update(re.findall(r'"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
-    return out
+    extra.update(re.findall(r'"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    return out | extra, methods | extra
 
 
 def test_no_dead_public_names():
-    assert sorted(public_definitions() - names_referenced()) == []
+    top, methods = public_definitions()
+    names, method_names = names_referenced()
+    assert sorted((top - names) | (methods - method_names)) == []
 
 
 WRAPPED = "wrapped by perfbench/layers.py TARGETS; leaves with ROADMAP item 1"
@@ -168,6 +220,7 @@ WRAPPED = "wrapped by perfbench/layers.py TARGETS; leaves with ROADMAP item 1"
 # `__init__` references, each with why it stays in src.
 LIBRARY_API = {
     "sphere.integrate": WRAPPED,
+    "specfun.fourier_basis": WRAPPED,
     "conformal.apply_map": WRAPPED,
     "conformal.antisymmetry_defect": WRAPPED,
     "harmonics.apply_P2s": WRAPPED,

@@ -2,15 +2,15 @@
 Moebius inverses, the conformal distance identity, the JSON round trip of
 coefficients, the extremizer fit, the sign of the deficit and its two
 routes, the Euler-Lagrange residual of the family, the transforms against
-their per-element loops and, on the circle, against the Fourier basis, and
-the batch axes of synthesis, the Gibbs gap and the direct energy."""
+their per-element loops and, on the circle, the transforms and the off-grid
+evaluation against the Fourier basis, and the batch axes of synthesis, the Gibbs gap and the direct energy."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logsphere import (
@@ -40,7 +40,9 @@ from logsphere import (
 from logsphere.conformal import _orthonormal_frame
 from logsphere.energy import energy_direct_extrapolated, energy_direct_extrapolated_many, gibbs_gap
 from logsphere.harmonics import (
+    EVALUATION_CELLS,
     _grid_tables,
+    evaluate_at,
     h_multiplier_table,
     harmonic_count,
     harmonic_indices,
@@ -262,7 +264,7 @@ def analyze_per_element(f, L):
         for G, labels in ((Gc, cos_labels), (Gs, sin_labels if m > 0 else [])):
             for label, row in zip(labels, rows):
                 coeffs[label] = np.dot(row, grid.polar_w * G[:, m])
-    return np.array([coeffs[label] for label in harmonic_indices(grid.n, L)])
+    return np.array([coeffs[label] for label in zip(*harmonic_indices(grid.n, L))])
 
 
 @settings(max_examples=60)
@@ -293,6 +295,27 @@ def test_circle_transforms_match_the_fourier_basis(L, extra, seed):
     f = GridFunction(grid, rng.standard_normal(grid.node_count))
     got, wf = analyze(f, L).coeffs, grid.weights * f.values
     assert np.all(np.abs(got - basis.T @ wf) <= 1e-15 * (np.abs(basis).T @ np.abs(wf)))
+
+
+@settings(max_examples=20)
+@given(L=st.integers(0, 300), chunks=st.integers(1, 3), extra=st.integers(-20, 20),
+       seed=st.integers(0, 2**32 - 1))
+@example(L=300, chunks=3, extra=7, seed=0)
+def test_circle_evaluate_at_matches_the_fourier_basis(L, chunks, extra, seed):
+    # points of the circle are the equator of S^2, in chunks of
+    # EVALUATION_CELLS // (L + 2).  The reference's angle is atan2(y, x), so
+    # its term of degree l is about l eps off; the bound is relative to the sum
+    # of the terms' largest magnitudes and grows with L.
+    rng = np.random.default_rng(seed)
+    count = max(1, chunks * (EVALUATION_CELLS // (L + 2)) + extra)
+    pts = sphere_point(rng.standard_normal((count, 2)))
+    c = rng.standard_normal(harmonic_count(1, L))
+    want = fourier_basis(L, np.arctan2(pts[:, 1], pts[:, 0])) @ c
+    amplitude = np.full(c.size, 1.0 / math.sqrt(math.pi))
+    amplitude[0] = 1.0 / math.sqrt(2.0 * math.pi)
+    got = evaluate_at(HarmonicCoeffs(1, L, c), pts)
+    assert got.shape == (count,)
+    assert np.abs(got - want).max() <= (1e-15 + 1e-16 * L) * (amplitude @ np.abs(c))
 
 
 @settings(max_examples=40)
