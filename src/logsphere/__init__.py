@@ -26,7 +26,6 @@ from .conformal import (
 )
 from .dynamics import (
     FitResult,
-    FlowConfig,
     FlowResult,
     MovingSphereReport,
     critical_alpha,

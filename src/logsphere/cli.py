@@ -323,8 +323,7 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
 
 def cmd_minimize(cfg: RunConfig, init_spec: str, max_iter: int, step: float) -> int:
     try:  # a bad flow setting or a zero initial state becomes one line
-        flow_cfg = dy.FlowConfig(step_size=step, max_iter=max_iter)
-        result = dy.minimize_deficit(_parse_init(init_spec, cfg), flow_cfg)
+        result = dy.minimize_deficit(_parse_init(init_spec, cfg), step, max_iter)
     except ValueError as exc:
         raise SystemExit(f"minimize: {exc}") from None
     fit = dy.fit_extremizer(result.coeffs)

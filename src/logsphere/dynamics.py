@@ -18,33 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conformal as cf
-from .energy import _entropy_log_factor, constant_Cn, default_entropy_grid
-from .harmonics import (
-    HarmonicCoeffs,
-    analyze,
-    degree_of_index,
-    h_multiplier_table,
-    random_coeffs,
-    synthesize,
-)
-from .sphere import GridFunction, build_grid, sphere_area
+from .energy import beckner_deficit, default_entropy_grid, deficit_gradient_at, deficit_terms
+from .harmonics import HarmonicCoeffs, analyze, degree_of_index, random_coeffs, synthesize
+from .sphere import build_grid
 
 DEFAULT_SAMPLES = 2048  # probe nodes per template
 
 
 # ---------------------------------------------------------------------------
 # deficit flow
-
-@dataclass
-class FlowConfig:
-    step_size: float = 0.05
-    max_iter: int = 2000
-
-    def __post_init__(self):
-        # the chained comparison is false for NaN and infinities too
-        if not (0 < self.step_size < math.inf and self.max_iter > 0):
-            raise ValueError("flow parameters must be positive and finite")
-
 
 @dataclass
 class FlowResult:
@@ -70,59 +52,41 @@ class FlowResult:
         }
 
 
-class _Deficit:
-    """The deficit and its coefficient-space gradient at one (n, L), with
-    what every evaluation shares set up once: the entropy grid, h_l at each
-    slot, |S^n| and C_n."""
-
-    def __init__(self, n: int, L: int):
-        self.n, self.L = n, L
-        self.grid = default_entropy_grid(n, L)
-        self.hvec = h_multiplier_table(n, L).per_slot(L)
-        self.area, self.cn = sphere_area(n), constant_Cn(n)
-
-    def __call__(self, coefs: np.ndarray) -> tuple[float, np.ndarray]:
-        grid, hvec, cn = self.grid, self.hvec, self.cn
-        vals = synthesize(HarmonicCoeffs(self.n, self.L, coefs), grid).values
-        norm_sq = float(np.dot(coefs, coefs))
-        usq = vals * vals
-        logfac = _entropy_log_factor(usq, norm_sq, self.area)
-        deficit = 2.0 * float(np.sum(hvec * coefs * coefs)) - cn * float(
-            np.sum(grid.weights * usq * logfac)
-        )
-        grad_entropy = 2.0 * cn * analyze(GridFunction(grid, vals * logfac), self.L).coeffs
-        grad = 4.0 * hvec * coefs - grad_entropy
-        return deficit, grad
-
-
 def deficit_gradient(u: HarmonicCoeffs) -> np.ndarray:
     """Gradient of the (unconstrained) deficit in coefficient space."""
-    return _Deficit(u.n, u.L)(u.coeffs)[1]
+    grid = default_entropy_grid(u.n, u.L)
+    return deficit_gradient_at(u, grid, deficit_terms(u, grid)[1])
 
 
 def deficit_value(u: HarmonicCoeffs) -> float:
-    return _Deficit(u.n, u.L)(u.coeffs)[0]
+    return beckner_deficit(u).deficit
 
 
-def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig) -> FlowResult:
+def minimize_deficit(init: HarmonicCoeffs, step: float, max_iter: int) -> FlowResult:
     """Projected gradient descent on the deficit over ||u||_2 = ||init||_2,
-    at init's band limit and on its entropy grid.
+    at init's band limit and on its entropy grid, from line-search step
+    `step` for at most `max_iter` iterations.  Each trial point costs one
+    deficit evaluation; the gradient is taken at accepted points only.
 
     The deficit is 2-homogeneous, D(tu) = t^2 D(u), so the flow keeps the
     initial norm; scale `init` to flow on another sphere.
     """
+    # the chained comparison is false for NaN and infinities too
+    if not (0 < step < math.inf and max_iter > 0):
+        raise ValueError("flow parameters must be positive and finite")
     if not np.any(init.coeffs):
         raise ValueError("flow needs a nonzero initial state")
     n, L = init.n, init.L
-    c = init.coeffs.copy()
-    target = math.sqrt(float(np.dot(c, c)))
-    deficit_parts = _Deficit(n, L)
-    deficit, grad = deficit_parts(c)
+    grid = default_entropy_grid(n, L)
+    u = init.copy_with(init.coeffs.copy())
+    target = math.sqrt(u.norm_sq())
+    report, density = deficit_terms(u, grid)
+    deficit, grad = report.deficit, deficit_gradient_at(u, grid, density)
     deficits = [deficit]
-    step = cfg.step_size
     converged, message = False, "max iterations reached"
     it = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, max_iter + 1):
+        c = u.coeffs
         tangent = grad - (np.dot(grad, c) / np.dot(c, c)) * c
         gnorm = float(np.linalg.norm(tangent))
         if gnorm < 1e-13:
@@ -132,22 +96,24 @@ def minimize_deficit(init: HarmonicCoeffs, cfg: FlowConfig) -> FlowResult:
         for _ in range(50):
             cand = c - step * tangent
             cand *= target / np.linalg.norm(cand)
-            d_new, g_new = deficit_parts(cand)
-            if d_new <= deficit - 1e-4 * step * gnorm * gnorm:
+            trial = HarmonicCoeffs(n, L, cand)
+            report, density = deficit_terms(trial, grid)
+            if report.deficit <= deficit - 1e-4 * step * gnorm * gnorm:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             converged, message = False, "line search stalled: deficit no longer decreases"
             break
-        decrease = deficit - d_new
-        c, deficit, grad = cand, d_new, g_new
+        decrease = deficit - report.deficit
+        u, deficit = trial, report.deficit
+        grad = deficit_gradient_at(u, grid, density)
         deficits.append(deficit)
         step *= 1.3
         if decrease < 1e-13:  # the stop tolerance
             converged, message = True, "deficit decrease below stop tolerance"
             break
-    return FlowResult(HarmonicCoeffs(n, L, c), deficits, it, converged, message)
+    return FlowResult(u, deficits, it, converged, message)
 
 
 def random_positive_init(n: int, L: int, rng: np.random.Generator,

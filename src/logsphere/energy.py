@@ -26,9 +26,9 @@ from .harmonics import (
     as_evaluable,
     degree_of_index,
     h_multiplier_table,
+    log_operator_scale,
     synthesize,
 )
-from .specfun import ln_gamma
 from .sphere import (
     GridFunction,
     QuadratureGrid,
@@ -45,7 +45,7 @@ def constant_Cn(n: int) -> float:
     """Sharp constant (4/n) pi^{n/2} / Gamma(n/2) of the log-Sobolev bound."""
     if n < 1:
         raise ValueError(f"invalid dimension n={n}")
-    return (4.0 / n) * math.exp(0.5 * n * math.log(math.pi) - ln_gamma(0.5 * n))
+    return 2.0 / n * log_operator_scale(n)
 
 
 def energy_spectral(u: HarmonicCoeffs, v: HarmonicCoeffs,
@@ -153,20 +153,38 @@ def default_entropy_grid(n: int, L: int) -> QuadratureGrid:
     return build_grid(n, entropy_degree(L))
 
 
+def deficit_terms(u: HarmonicCoeffs, grid: QuadratureGrid) -> tuple[DeficitReport, np.ndarray]:
+    """The deficit 2 E[u,u] - C_n int u^2 ln(u^2 |S^n|/||u||^2) with the
+    Parseval norm, and the node values u ln(u^2 |S^n|/||u||^2) that its
+    gradient projects (`deficit_gradient_at`)."""
+    c = u.coeffs
+    norm_sq = u.norm_sq()
+    if norm_sq <= 0.0:
+        raise ValueError("the zero function has no deficit")
+    vals = synthesize(u, grid).values
+    usq = vals * vals
+    logfac = _entropy_log_factor(usq, norm_sq, sphere_area(u.n))
+    energy_term = 2.0 * float(np.sum(h_multiplier_table(u.n, u.L).per_slot(u.L) * c * c))
+    entropy_term = constant_Cn(u.n) * float(np.sum(grid.weights * usq * logfac))
+    report = DeficitReport(energy_term, entropy_term, energy_term - entropy_term)
+    return report, vals * logfac
+
+
+def deficit_gradient_at(u: HarmonicCoeffs, grid: QuadratureGrid,
+                        density: np.ndarray) -> np.ndarray:
+    """Coefficient-space gradient 4 h u - 2 C_n analyze(density) of the
+    unconstrained deficit, from `deficit_terms(u, grid)`'s density."""
+    entropy = analyze(GridFunction(grid, density), u.L).coeffs
+    hvec = h_multiplier_table(u.n, u.L).per_slot(u.L)
+    return 4.0 * hvec * u.coeffs - 2.0 * constant_Cn(u.n) * entropy
+
+
 def beckner_deficit(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> DeficitReport:
     """Deficit 2 E[u,u] - C_n int u^2 ln(u^2 |S^n|/||u||^2); nonnegative,
     and zero exactly on the conformal orbit of constants."""
-    if not np.any(u.coeffs):
-        raise ValueError("the zero function has no deficit")
     if grid is None:
         grid = default_entropy_grid(u.n, u.L)
-    energy_term = 2.0 * energy_spectral(u, u)
-    entropy_term = beckner_rhs(synthesize(u, grid))
-    return DeficitReport(
-        energy_term=energy_term,
-        entropy_term=entropy_term,
-        deficit=energy_term - entropy_term,
-    )
+    return deficit_terms(u, grid)[0]
 
 
 _EL_FLOOR = 1e-12  # el_residual takes ln max(u, _EL_FLOOR)

@@ -222,14 +222,18 @@ def _polar_rows(n: int, L: int, t: np.ndarray) -> np.ndarray:
 _TABLE_CACHE: "weakref.WeakKeyDictionary[QuadratureGrid, dict]" = weakref.WeakKeyDictionary()
 
 
-def _grid_tables(grid: QuadratureGrid, L: int) -> dict:
-    """The azimuth tables `cos` and `sin`, (azimuths, L + 1) with the sqrt(2)
-    of m > 0 folded in, and the `polar` table, one row per `_slot_maps` row
-    and one column per ring."""
+def _transform_tables(grid: QuadratureGrid, L: int) -> tuple[dict, _SlotMaps]:
+    """The transform tables of (grid, L), built once, and `_slot_maps`.  The
+    tables are the azimuth tables `cos` and `sin`, (azimuths, L + 1) with the
+    sqrt(2) of m > 0 folded in, and `groups`: per group of orders its order
+    and row slices, its kinds (1 for order 0, which has no sine rows) and its
+    (orders, 1, rows, rings) block of the polar table, which has one row per
+    `_slot_maps` row and one column per ring."""
+    maps = _slot_maps(grid.n, L)
     per_grid = _TABLE_CACHE.setdefault(grid, {})
     tables = per_grid.get(L)
     if tables is not None:
-        return tables
+        return tables, maps
     # built in place, so the peak is the two tables; the angles are a matmul
     # because a broadcasting multiply would allocate ufunc buffers too
     csin = grid.az_phi[:, None] @ np.arange(L + 1.0)[None, :]
@@ -238,22 +242,11 @@ def _grid_tables(grid: QuadratureGrid, L: int) -> dict:
     ccos *= math.sqrt(2.0)
     csin *= math.sqrt(2.0)
     ccos[:, 0] = 1.0
-    tables = {"cos": ccos, "sin": csin, "polar": _polar_rows(grid.n, L, grid.polar_t)}
-    per_grid[L] = tables
-    return tables
-
-
-def _transform_tables(grid: QuadratureGrid, L: int) -> tuple[dict, _SlotMaps]:
-    """`_grid_tables` and `_slot_maps`; from the first transform on, the tables
-    hold `groups`: per group of orders its order and row slices, its kinds (1
-    for order 0, which has no sine rows) and its (orders, 1, rows, rings) block."""
-    tables, maps = _grid_tables(grid, L), _slot_maps(grid.n, L)
-    if "groups" not in tables:
-        polar, starts, edges = tables["polar"], maps.starts, maps.groups
-        tables["groups"] = [
-            (slice(a, b), slice(starts[a], starts[b]), 1 if a == 0 else 2,
-             polar[starts[a]:starts[b]].reshape(b - a, -1, polar.shape[1])[:, None])
-            for a, b in zip(edges[:-1], edges[1:])]
+    polar, starts, edges = _polar_rows(grid.n, L, grid.polar_t), maps.starts, maps.groups
+    groups = [(slice(a, b), slice(starts[a], starts[b]), 1 if a == 0 else 2,
+               polar[starts[a]:starts[b]].reshape(b - a, -1, polar.shape[1])[:, None])
+              for a, b in zip(edges[:-1], edges[1:])]
+    tables = per_grid[L] = {"cos": ccos, "sin": csin, "groups": groups}
     return tables, maps
 
 

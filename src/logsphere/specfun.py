@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-EULER_GAMMA = 0.57721566490153286061
-
 # B_{2k} / (2k) for k = 1..7, the asymptotic tail of psi.
 _DIGAMMA_TAIL = (
     1.0 / 12.0,

@@ -11,7 +11,6 @@ import numpy as np
 
 from logsphere import (
     ExtremizerParams,
-    FlowConfig,
     Moebius,
     analyze,
     beckner_deficit,
@@ -259,7 +258,7 @@ def test_criterion_9_classification_by_flow():
     for seed in range(5):
         rng = np.random.default_rng(900 + seed)
         init = random_positive_init(2, 16, rng, amplitude=0.35)
-        res = minimize_deficit(init, FlowConfig(max_iter=2000))
+        res = minimize_deficit(init, 0.05, 2000)
         fit = fit_extremizer(res.coeffs)
         worst_deficit = max(worst_deficit, res.final_deficit)
         worst_fit = max(worst_fit, fit.residual)

@@ -17,6 +17,7 @@ from logsphere.cli import (
     _write_json,
     main,
 )
+from logsphere import dynamics as dy
 from logsphere import energy as en
 from logsphere import harmonics as hm
 from logsphere import sphere as sp
@@ -551,6 +552,18 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flow_takes_the_gradient_at_accepted_points_only(monkeypatch, n):
+    # a rejected line-search trial costs one deficit value and no gradient
+    init = dy.random_positive_init(n, 12, np.random.default_rng(5), 0.5)
+    values = counting(monkeypatch, en, "synthesize")
+    analyses = counting(monkeypatch, en, "analyze")
+    res = dy.minimize_deficit(init, 0.05, 10)
+    assert res.message == "max iterations reached"
+    assert len(analyses) == res.iterations + 1
+    assert len(values) > len(analyses)  # some trials were rejected
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -8,7 +8,6 @@ import pytest
 from logsphere import conformal as cf
 from logsphere import (
     ExtremizerParams,
-    FlowConfig,
     HarmonicCoeffs,
     MovingSphereReport,
     analyze,
@@ -40,19 +39,17 @@ def family_coeffs(grids, zeta, L=32):
 ONE = lambda pts: np.ones(len(pts))
 
 
-def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(step_size=-1.0)
-    with pytest.raises(ValueError):
-        FlowConfig(max_iter=0)
-    for bad in ({"step_size": math.nan}, {"step_size": math.inf}):
-        with pytest.raises(ValueError):
-            FlowConfig(**bad)
+def test_flow_parameter_validation():
+    init = HarmonicCoeffs.constant(2, 4, 1.0)
+    for step, max_iter in [(-1.0, 10), (0.0, 10), (math.nan, 10), (math.inf, 10),
+                           (0.05, 0), (0.05, -1)]:
+        with pytest.raises(ValueError, match="flow parameters must be positive and finite"):
+            minimize_deficit(init, step, max_iter)
 
 
 def test_flow_near_fixed_point(grids):
     init = family_coeffs(grids, [0.0, 0.0, 0.3], L=16)
-    res = minimize_deficit(init, FlowConfig())
+    res = minimize_deficit(init, 0.05, 2000)
     assert res.final_deficit <= 1e-3
     moved = math.sqrt(float(np.sum((res.coeffs.coeffs - init.coeffs) ** 2)))
     assert moved <= 1e-2
@@ -65,7 +62,7 @@ def test_flow_from_perturbed_constant(grids):
     init = HarmonicCoeffs.zeros(2, L)
     init.coeffs[0] = math.sqrt(sphere_area(2))
     init.coeffs[flat_index(2, 1, 0)] = 0.5
-    res = minimize_deficit(init, FlowConfig())
+    res = minimize_deficit(init, 0.05, 2000)
     assert res.final_deficit <= 1e-4
     fit = fit_extremizer(res.coeffs)
     assert fit.residual <= 1e-2
@@ -75,7 +72,7 @@ def test_flow_from_perturbed_constant(grids):
 def test_flow_monotone_and_norm_conserving(rng):
     init = random_positive_init(2, 12, rng)
     target = math.sqrt(init.norm_sq())
-    res = minimize_deficit(init, FlowConfig(max_iter=200))
+    res = minimize_deficit(init, 0.05, 200)
     diffs = np.diff(res.deficits)
     assert np.all(diffs <= 1e-14)
     assert math.sqrt(res.coeffs.norm_sq()) == pytest.approx(target, abs=1e-10 * target)
@@ -91,10 +88,9 @@ def test_flow_changes_the_band_of_its_init(n, init_L, band_limit):
     vec = np.zeros(harmonic_count(n, band_limit))
     for l, m in zip(*harmonic_indices(n, min(band_limit, init_L))):
         vec[flat_index(n, l, m)] = init.get(l, m)
-    cfg = FlowConfig(max_iter=5)
     moved = init.with_band_limit(band_limit)
-    got = minimize_deficit(moved, cfg)
-    want = minimize_deficit(HarmonicCoeffs(n, band_limit, vec), cfg)
+    got = minimize_deficit(moved, 0.05, 5)
+    want = minimize_deficit(HarmonicCoeffs(n, band_limit, vec), 0.05, 5)
     assert got.coeffs.L == band_limit
     np.testing.assert_array_equal(got.coeffs.coeffs, want.coeffs.coeffs)
     assert got.deficits == want.deficits
@@ -103,7 +99,7 @@ def test_flow_changes_the_band_of_its_init(n, init_L, band_limit):
 
 def test_flow_rejects_zero_init():
     with pytest.raises(ValueError):
-        minimize_deficit(HarmonicCoeffs.zeros(2, 8), FlowConfig())
+        minimize_deficit(HarmonicCoeffs.zeros(2, 8), 0.05, 2000)
 
 
 def test_gradient_matches_finite_differences(rng):

@@ -7,10 +7,12 @@ functions or a hard-coded slot, and inside `harmonics` only
 `HarmonicCoeffs.get` looks up one label's slot.  The row order of the
 Legendre table is `specfun`'s alone.  `conformal` is geometry only and depends on
 `sphere`, not on the transforms.  `verify` holds the suites `cli` runs and
-imports nothing from `cli`.  Every public name is used somewhere besides its
-definition and the package's re-exports, and every public module-level
-function or class is used by src itself unless it is listed as library API.
-No public function returns a scalar for some inputs and an array for others.
+imports nothing from `cli`.  No module imports or reads another's underscore
+names.  Every public name is used somewhere besides its definition and the
+package's re-exports, every public module-level function or class is used by
+src itself unless it is listed as library API, and so is every public
+module-level constant.  No public function returns a scalar for some inputs
+and an array for others.
 """
 
 import ast
@@ -30,11 +32,11 @@ def tree(module: str) -> ast.Module:
 
 
 def names_used(node: ast.AST, modules: frozenset[str] = frozenset()) -> set[str]:
-    """Every name, attribute and imported name in `node`, less the attributes
-    read from one of the module names `modules` (`json.loads`)."""
+    """Every name read, attribute and imported name in `node`, less the
+    attributes read from one of the module names `modules` (`json.loads`)."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             if not (isinstance(sub.value, ast.Name) and sub.value.id in modules):
@@ -165,6 +167,34 @@ def test_verify_does_not_import_cli():
     assert "verify" in imports("cli")
 
 
+def src_module_aliases(node: ast.AST) -> set[str]:
+    """The names that the imports in `node` bind to src/logsphere modules
+    (`from . import conformal as cf` binds `cf`)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom) and sub.level and sub.module is None:
+            out.update(alias.asname or alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Import):
+            out.update(alias.asname or alias.name for alias in sub.names
+                       if alias.name.startswith("logsphere."))
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_crosses_a_module_boundary(module):
+    # an underscore name is its module's own; another module that needs it
+    # needs a public function
+    node = tree(module)
+    aliases = src_module_aliases(node)
+    found = [ast.unparse(sub) for sub in ast.walk(node)
+             if (isinstance(sub, ast.ImportFrom)
+                 and (sub.level or (sub.module or "").startswith("logsphere"))
+                 and any(alias.name.startswith("_") for alias in sub.names))
+             or (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                 and sub.value.id in aliases and sub.attr.startswith("_"))]
+    assert found == []
+
+
 ROOT = SRC.parent.parent
 
 
@@ -230,16 +260,30 @@ LIBRARY_API = {
     "energy.energy_direct_extrapolated": WRAPPED,
     "dynamics.deficit_value": WRAPPED,
     "dynamics.deficit_gradient": WRAPPED,
+    "energy.beckner_rhs": WRAPPED,
 }
 
 
+def assigned_names(node: ast.stmt) -> list[str]:
+    """The names a module-level assignment binds (`A = ...`, `A: int = ...`)."""
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_src_keeps_what_src_uses():
-    # reference code that only the tests run belongs in tests/oracles.py
+    # reference code and constants that only the tests read belong in the tests
     used = set().union(*(names_used(tree(m)) for m in MODULES if m != "__init__"))
     unused = {f"{module}.{node.name}" for module in MODULES for node in tree(module).body
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used}
     assert sorted(unused) == sorted(LIBRARY_API)
+    unread = [f"{module}.{name}" for module in MODULES if module != "__init__"
+              for node in tree(module).body for name in assigned_names(node)
+              if not name.startswith("_") and name not in used]
+    assert unread == []
 
 
 # Defaulted parameters that no call in src/logsphere sets, each with why it

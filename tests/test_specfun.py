@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from logsphere import sphere_point
 from logsphere.specfun import (
-    EULER_GAMMA,
     assoc_legendre_norm,
     digamma,
     fourier_basis,
@@ -25,6 +24,7 @@ mp.mp.dps = 40
 LN_SQRT_PI = 0.5723649429247000870717137
 PSI_ONE = -0.5772156649015328606065121
 PSI_HALF = -1.9635100260214234794409763
+EULER_GAMMA = 0.57721566490153286061  # to 20 digits
 
 
 def test_ln_gamma_classic_values():
