@@ -9,13 +9,15 @@ vector in slot order) and `MultiplierTable.per_slot`.
 
 The circle is the equator t = cos(theta) = 0 of S^2, with a one-ring
 product grid, so both spheres run one transform and one off-grid evaluation,
-which tell them apart in one place, the polar rule `_polar_rows`: by order
-m and then degree l, the Legendre table on S^2 and one row 1/sqrt(2 pi)
-per order on the circle.  `_slot_maps(n, L)`, built once per
-band limit, holds where each order's rows start, the flat slots of their
-cosine and sine coefficients, and the groups of orders with one row count.
-On a product grid a transform is an azimuth contraction, one batched matrix
-product per group, and one gather or scatter.  Off the grid, the polar
+which tell them apart in one place, the polar rule `_polar_rows`: the
+Legendre table on S^2 and one row 1/sqrt(2 pi) per order on the circle.
+Its rows are in rectangular packed order: orders m and L - m share one
+batch of rows (L + 2 on S^2, 2 on the circle), and for even L the middle
+order L/2 is a second, smaller block.  `_slot_maps(n, L)`, built once per
+band limit, holds the rows' labels and where each coefficient's polar
+product lies.  On a product grid a transform is one azimuth product, one
+batched polar product over the pairs (and one for the middle order), and
+one gather or scatter.  Off the grid, the polar
 functions are re-expanded once per band limit in Chebyshev polynomials of t,
 so a chunk of points takes whole-array steps: the powers of e^{i theta} feed
 one matrix product per parity of the order, and those of e^{i phi} the
@@ -167,18 +169,24 @@ class HarmonicCoeffs:
 @dataclass(frozen=True)
 class _SlotMaps:
     """Where the rows of the polar table at band limit L meet the flat
-    coefficient vector.  Rows run by order m, then degree l (m..L on S^2,
-    only m on the circle): order m's rows are starts[m]:starts[m + 1], and
-    row r holds (degree[r], order[r]).  cos_slot[r] is the flat slot of its
-    cosine coefficient and sin_slot[r - starts[1]] that of its sine one
-    (orders m >= 1 only).  Group g is the orders groups[g]:groups[g + 1], a
-    run with one row count; order 0 is a group of its own."""
-    starts: np.ndarray
+    coefficient vector.  The rows are in rectangular packed order: `packed`
+    lists the orders 0, L, 1, L - 1, ..., each pair (m, L - m), m < L/2,
+    sharing one batch of rows, order m first, and for even L the middle
+    order L/2 comes last; within an order the rows run by degree (m..L on
+    S^2, only m on the circle).  Row r holds (degree[r], order[r]).
+
+    `blocks` lists the (batches, columns, rows) of the transforms' polar
+    products: the pairs, whose columns are cos m, sin m, cos (L - m) and
+    sin (L - m), and then the middle order, cos and sin.  Slot s lies on
+    row[s], is a sine coefficient if sine[s], and index[s] is its place in
+    the products laid end to end, each in C order."""
+    packed: np.ndarray
     degree: np.ndarray
     order: np.ndarray
-    cos_slot: np.ndarray
-    sin_slot: np.ndarray
-    groups: np.ndarray
+    row: np.ndarray
+    sine: np.ndarray
+    index: np.ndarray
+    blocks: tuple
 
 
 @functools.lru_cache(maxsize=16)
@@ -187,27 +195,49 @@ def _slot_maps(n: int, L: int) -> _SlotMaps:
     slot_l, slot_m = harmonic_indices(n, L)
     # the circle labels its degree-l pair m = +1 (cosine) and -1 (sine)
     slot_order = np.abs(slot_m) if n == 2 else slot_l
-    cos = slot_m >= 0
-    sizes = np.bincount(slot_order[cos], minlength=L + 1)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    order = np.repeat(np.arange(L + 1), sizes)
-    degree = order + np.arange(starts[-1]) - starts[order]
-    row = starts[slot_order] + slot_l - slot_order
-    del slot_l, slot_m, slot_order  # freed before the scatters
-    # the cosine and the sine slots by row, scattered to their distinct rows
-    cos_slot, sin_slot = np.empty(starts[-1], np.intp), np.empty(starts[-1] - starts[1], np.intp)
-    cos_slot[row[cos]] = np.flatnonzero(cos)
-    sin_slot[row[~cos] - starts[1]] = np.flatnonzero(~cos)
-    # a group ends where the row count changes, and after order 0
-    edge = np.diff(sizes, prepend=0, append=0) != 0
-    edge[1] = True
-    maps = _SlotMaps(starts, degree, order, cos_slot, sin_slot, np.flatnonzero(edge))
-    for array in vars(maps).values():
+    sine = slot_m < 0
+    del slot_m  # each slot array is freed, or updated in place, once it is used
+    sizes = np.bincount(slot_order[~sine], minlength=L + 1)
+    # the orders in packed order and the first row of each
+    packed = np.empty(L + 1, np.intp)
+    packed[0::2] = np.arange(L // 2 + 1)
+    packed[1::2] = L - np.arange((L + 1) // 2)
+    first = np.empty(L + 1, np.intp)
+    first[packed] = np.cumsum(sizes[packed]) - sizes[packed]
+    row = first[slot_order]
+    row += slot_l
+    row -= slot_order
+    del slot_l
+    order = np.repeat(packed, sizes[packed])
+    degree = np.arange(order.size)
+    degree -= first[order]
+    degree += order
+    # a batch of the pairs is `width` rows, and the middle order the rest
+    pairs = (L + 1) // 2
+    width = int(sizes[0] + sizes[L]) if pairs else 0
+    middle = order.size - pairs * width
+    blocks = tuple(block for block in ((pairs, 4, width), (1, 2, middle)) if block[0] * block[2])
+    del sizes, first
+    # in column c, the product of row r is at (4 b + c) width + r - b width in
+    # batch b of the pairs, and at 4 pairs width + c middle + r - pairs width
+    # in the middle block; the second order of a pair, m > L/2, has c >= 2
+    index = row // max(width, 1)
+    np.minimum(index, pairs, out=index)
+    index *= 3 * width
+    index += row
+    index += (slot_order > L // 2) * (2 * width)
+    index += sine * width
+    in_middle = row >= pairs * width
+    index[in_middle] += sine[in_middle] * (middle - width)
+    maps = _SlotMaps(packed, degree, order, row, sine, index, blocks)
+    for array in (packed, degree, order, row, sine, index):
         array.flags.writeable = False
     return maps
 
 
-_SLOT_MAP_BYTES = 57  # per slot, building `_slot_maps`: 5 ints, 4 per row (~half), a mask
+# per slot, building `_slot_maps`: about 42 on S^2 and 55 on the circle, whose
+# per-order arrays are half as long as its slot arrays
+_SLOT_MAP_BYTES = 57
 
 
 def _polar_rows(n: int, L: int, t: np.ndarray) -> np.ndarray:
@@ -224,29 +254,34 @@ _TABLE_CACHE: "weakref.WeakKeyDictionary[QuadratureGrid, dict]" = weakref.WeakKe
 
 def _transform_tables(grid: QuadratureGrid, L: int) -> tuple[dict, _SlotMaps]:
     """The transform tables of (grid, L), built once, and `_slot_maps`.  The
-    tables are the azimuth tables `cos` and `sin`, (azimuths, L + 1) with the
-    sqrt(2) of m > 0 folded in, and `groups`: per group of orders its order
-    and row slices, its kinds (1 for order 0, which has no sine rows) and its
-    (orders, 1, rows, rings) block of the polar table, which has one row per
-    `_slot_maps` row and one column per ring."""
+    tables are `azimuth`, (azimuths, 2L + 2), whose columns are cos and sin
+    of m phi for the orders m in packed order, with the sqrt(2) of m > 0
+    folded in; `polar`, per `blocks` entry its (batches, rows, rings) view of
+    the polar table (one row per `_slot_maps` row, one column per ring) with
+    its slices of the azimuth columns and of the products; and `products`,
+    the products' total length."""
     maps = _slot_maps(grid.n, L)
     per_grid = _TABLE_CACHE.setdefault(grid, {})
     tables = per_grid.get(L)
     if tables is not None:
         return tables, maps
-    # built in place, so the peak is the two tables; the angles are a matmul
-    # because a broadcasting multiply would allocate ufunc buffers too
-    csin = grid.az_phi[:, None] @ np.arange(L + 1.0)[None, :]
-    ccos = np.cos(csin)
-    np.sin(csin, out=csin)
-    ccos *= math.sqrt(2.0)
-    csin *= math.sqrt(2.0)
-    ccos[:, 0] = 1.0
-    polar, starts, edges = _polar_rows(grid.n, L, grid.polar_t), maps.starts, maps.groups
-    groups = [(slice(a, b), slice(starts[a], starts[b]), 1 if a == 0 else 2,
-               polar[starts[a]:starts[b]].reshape(b - a, -1, polar.shape[1])[:, None])
-              for a, b in zip(edges[:-1], edges[1:])]
-    tables = per_grid[L] = {"cos": ccos, "sin": csin, "groups": groups}
+    # built in place, so the peak is the table: each column first holds its
+    # angle, a matmul because a broadcasting multiply would allocate a copy,
+    # and a cosine from a sine column would copy the overlapping input
+    azimuth = grid.az_phi[:, None] @ np.repeat(maps.packed, 2).astype(float)[None, :]
+    np.cos(azimuth[:, 0::2], out=azimuth[:, 0::2])
+    np.sin(azimuth[:, 1::2], out=azimuth[:, 1::2])
+    azimuth *= math.sqrt(2.0)
+    azimuth[:, 0] = 1.0  # order 0 comes first; its sine column is zero
+    polar = _polar_rows(grid.n, L, grid.polar_t)
+    blocks, row, column, product = [], 0, 0, 0
+    for batches, columns, rows in maps.blocks:
+        block = polar[row:row + batches * rows].reshape(batches, rows, -1)
+        size = batches * columns * rows
+        blocks.append((block, slice(column, column + batches * columns),
+                       slice(product, product + size)))
+        row, column, product = row + batches * rows, column + batches * columns, product + size
+    tables = per_grid[L] = {"azimuth": azimuth, "polar": blocks, "products": product}
     return tables, maps
 
 
@@ -254,7 +289,7 @@ def transform_table_bytes(n: int, L: int, grid_degree: int) -> int:
     """Upper bound on the peak bytes of building `_transform_tables(grid, L)`:
     the polar table, the Legendre recurrence's three working blocks and its
     coefficients (16 floats per row it fills; the circle's one row per order
-    needs none), the two azimuth tables, two ufunc buffers, and the slot maps."""
+    needs none), the azimuth table, two ufunc buffers, and the slot maps."""
     rings, azimuths = grid_shape(n, grid_degree)
     # rows of orders m > 0 hold two slots; order 0 has a row per ring of the degree-L grid
     rows = (harmonic_count(n, L) + grid_shape(n, L)[0]) // 2
@@ -264,31 +299,30 @@ def transform_table_bytes(n: int, L: int, grid_degree: int) -> int:
 
 
 def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
-    """Project a grid function onto harmonics up to degree L by quadrature."""
+    """Project a grid function onto harmonics up to degree L by quadrature:
+    one azimuth product, one batched polar product per `blocks` entry and
+    one gather."""
     grid = f.grid
     if grid.exact_to < 2 * L:
         raise ValueError(f"grid exact to degree {grid.exact_to} is too coarse for band limit {L}")
     tables, maps = _transform_tables(grid, L)
     F = f.values.reshape(grid.polar_t.size, grid.az_phi.size)
-    wphi = 2.0 * math.pi / grid.az_phi.size
-    # W[m, kind]: order m's weighted polar column of the cosine (0) or sine (1) projection
-    W = np.empty((L + 1, 2, grid.polar_t.size))
-    W[:, 0] = (F @ tables["cos"] * wphi * grid.polar_w[:, None]).T
-    W[:, 1] = (F @ tables["sin"] * wphi * grid.polar_w[:, None]).T
-    P = np.empty((2, maps.starts[-1]))
-    for orders, rows, kinds, block in tables["groups"]:
-        product = np.matmul(block, W[orders, :kinds, :, None])  # (orders, kinds, rows, 1)
-        P[:kinds, rows] = product.transpose(1, 0, 2, 3).reshape(kinds, -1)
-    vec = np.empty(harmonic_count(grid.n, L))
-    vec[maps.cos_slot] = P[0]
-    vec[maps.sin_slot] = P[1, maps.starts[1]:]
-    return HarmonicCoeffs(grid.n, L, vec)
+    # G[column, ring]: the weighted azimuth projections, one per order and kind
+    G = tables["azimuth"].T @ F.T
+    G *= (2.0 * math.pi / grid.az_phi.size) * grid.polar_w
+    P = np.empty(tables["products"])
+    for block, columns, products in tables["polar"]:
+        batches, rows, rings = block.shape
+        np.matmul(G[columns].reshape(batches, -1, rings), block.transpose(0, 2, 1),
+                  out=P[products].reshape(batches, -1, rows))
+    return HarmonicCoeffs(grid.n, L, P[maps.index])
 
 
 def synthesize_values(L: int, coeffs: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     """Pointwise sums at the grid nodes of the expansions whose coefficients
     are the last axis of `coeffs`: shape (..., count) gives (..., N), so a
-    stack of k states costs one pass over the orders."""
+    stack of k states costs one scatter, one batched polar product per
+    `blocks` entry and one azimuth product."""
     C = np.asarray(coeffs, dtype=float)
     count = harmonic_count(grid.n, L)
     if C.shape[-1:] != (count,):
@@ -297,16 +331,17 @@ def synthesize_values(L: int, coeffs: np.ndarray, grid: QuadratureGrid) -> np.nd
     tables, maps = _transform_tables(grid, L)
     states = C.reshape(-1, count)
     k = states.shape[0]
-    # X[kind, row, state]: states innermost, the layout a gather gives
-    X = np.zeros((2, maps.starts[-1], k))
-    X[0] = states.T[maps.cos_slot]
-    X[1, maps.starts[1]:] = states.T[maps.sin_slot]
-    H = np.zeros((2, k, grid.polar_t.size, L + 1))
-    for orders, rows, kinds, block in tables["groups"]:
-        # the group axis outermost: (orders, kinds, states, rows per order)
-        x = X[:kinds, rows].reshape(kinds, block.shape[0], block.shape[2], k).transpose(1, 0, 3, 2)
-        H[:kinds, ..., orders] = np.matmul(x, block).transpose(1, 2, 3, 0)
-    F = H[0] @ tables["cos"].T + H[1] @ tables["sin"].T
+    # X[state, product]: in each batch, zero off the rows of its column's order
+    X = np.zeros((k, tables["products"]))
+    X[:, maps.index] = states
+    # H[state, ring, column]: the polar sums, one per order and kind
+    H = np.empty((k, grid.polar_t.size, 2 * L + 2))
+    for block, columns, products in tables["polar"]:
+        batches, rows, rings = block.shape
+        x = X[:, products].reshape(k, batches, -1, rows)
+        h = H[..., columns].reshape(k, rings, batches, -1)
+        np.matmul(block.transpose(0, 2, 1), x.transpose(0, 1, 3, 2), out=h.transpose(0, 2, 1, 3))
+    F = H.reshape(-1, 2 * L + 2) @ tables["azimuth"].T
     return F.reshape(C.shape[:-1] + (-1,))
 
 
@@ -335,7 +370,7 @@ def _evaluation_plan(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     `gather[m, k, i]`, the flat slot of that row's cosine (k = 0) or sine
     (k = 1) coefficient, or harmonic_count(n, L), a zero pad, if none."""
     maps = _slot_maps(n, L)
-    K = int(maps.starts[1])
+    K = np.count_nonzero(maps.order == 0)
     angle = (2 * np.arange(K) + 1) * math.pi / (2 * K)
     j = np.arange(K)[:, None]
     # node values -> coefficients: a DCT-II for T_j, a DST-II for sin((j+1) theta),
@@ -345,15 +380,20 @@ def _evaluation_plan(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     dst = np.sin((j + 1) * angle) * (2.0 / K)
     dst[-1] *= 0.5
     values = _polar_rows(n, L, np.cos(angle))
-    order, index = maps.order, maps.degree - maps.order
+    order, within = maps.order, maps.degree - maps.order
     odd = order % 2 == 1
     cheb = np.zeros((L + 1, K, K))
-    cheb[order[~odd], index[~odd]] = values[~odd] @ dct.T
-    cheb[order[odd], index[odd]] = values[odd] @ dst.T
+    cheb[order[~odd], within[~odd]] = values[~odd] @ dct.T
+    cheb[order[odd], within[odd]] = values[odd] @ dst.T
     cheb[1:] *= math.sqrt(2.0)
+    del values, within, odd
+    # slot s goes to [order, sine, degree - order] of its row
     gather = np.full((L + 1, 2, K), harmonic_count(n, L))
-    gather[order, 0, index] = maps.cos_slot
-    gather[order[K:], 1, index[K:]] = maps.sin_slot
+    place = order[maps.row]
+    place *= 2 * K - 1
+    place += maps.degree[maps.row]
+    place[maps.sine] += K
+    gather.reshape(-1)[place] = np.arange(place.size)
     cheb.flags.writeable = False
     gather.flags.writeable = False
     return cheb, gather
@@ -437,14 +477,15 @@ def evaluate_at_bytes(n: int, L: int, count: int) -> int:
     """Upper bound on the peak bytes of `evaluate_at` at band limit L on
     `count` points, building the slot maps and the plan included: with K =
     L + 1 on S^2 and 1 on the circle, 8 KiB of Python objects, the kept maps
-    (four arrays of at most (L + 1) K rows) and the (L + 1, K, K) plan with as
-    much again while it is filled, or with the per-call coefficient arrays, one
-    chunk's workspace, 32 chunk-length temporaries and the output."""
-    M, K = L + 1, grid_shape(n, L)[0]
+    (at most four words per coefficient slot), eight (L + 1) K arrays and
+    the (L + 1, K, K) plan with as much again while it is filled, or with the
+    per-call coefficient arrays, one chunk's workspace, 32 chunk-length
+    temporaries and the output."""
+    M, K, slots = L + 1, grid_shape(n, L)[0], harmonic_count(n, L)
     chunk = min(count, max(1, EVALUATION_CELLS // (M + 1)))
     call = max(M * K * K, 4 * (M + 1) * chunk + 32 * chunk + count)
-    maps = _SLOT_MAP_BYTES * harmonic_count(n, L)
-    return max(maps, 8 * (M * K * K + 12 * M * K + call)) + 8192
+    maps = _SLOT_MAP_BYTES * slots
+    return max(maps, 8 * (M * K * K + 8 * M * K + 4 * slots + call)) + 8192
 
 
 def as_evaluable(c: HarmonicCoeffs):

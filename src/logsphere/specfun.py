@@ -68,11 +68,14 @@ def fourier_basis(L: int, theta: np.ndarray) -> np.ndarray:
 
 
 def legendre_row(L: int, l, m):
-    """Row of (l, m), 0 <= m <= l <= L, in `assoc_legendre_norm(L, t)`: the
-    rows run by order m and then by degree l, so order m's rows l = m..L are
-    the contiguous run from legendre_row(L, m, m).  Integers or integer
+    """Row of (l, m), 0 <= m <= l <= L, in `assoc_legendre_norm(L, t)`, in
+    rectangular packed order: orders m and L - m, with L + 1 - m and m + 1
+    rows, share the block of L + 2 rows from row m (L + 2), order m first;
+    for even L the middle order L/2 follows the (L/2) (L + 2) pair rows.
+    Within an order the rows run by degree l = m..L.  Integers or integer
     arrays."""
-    return m * (2 * L + 3 - m) // 2 + l - m
+    high = 2 * m > L  # order m is the second of its pair
+    return m * (L + 1) + l + high * ((L - m) * (L + 2) + 1 - m * (L + 1))
 
 
 def assoc_legendre_norm(L: int, t: np.ndarray) -> np.ndarray:
@@ -81,8 +84,9 @@ def assoc_legendre_norm(L: int, t: np.ndarray) -> np.ndarray:
     Output shape is ((L+1)(L+2)/2, len(t)), row legendre_row(L, l, m)
     holding Nbar_{l,m}(t) with the normalization
     int_{S^2} (Nbar_{l,m} trig_m)^2 = 1 once combined with the sqrt(2)
-    cos/sin azimuth factors; no Condon-Shortley phase.  The rows are in
-    (m, l) order, so each order's rows l = m..L are one contiguous slice.
+    cos/sin azimuth factors; no Condon-Shortley phase.  The rows are packed
+    by pairs of orders (m, L - m), so rows :(L + 1) // 2 * (L + 2) reshape
+    to one (pairs, L + 2, len(t)) block and any rest is the middle order.
 
     Upward three-term recurrence in l at fixed m,
 

@@ -8,6 +8,7 @@ integrates all spherical polynomials of degree <= 2*degree exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -87,6 +88,17 @@ def grid_shape(n: int, degree: int) -> tuple[int, int]:
     raise ValueError(f"grids are implemented only for n in {{1, 2}}, got n={n}")
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights of `count` points on [-1, 1],
+    built once per count, as read-only arrays: a rule of 129 nodes takes
+    milliseconds, and the grids of one degree share it."""
+    rule = np.polynomial.legendre.leggauss(count)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def build_grid(n: int, degree: int) -> QuadratureGrid:
     """Quadrature rule on S^n exact for spherical polynomials <= 2*degree.
 
@@ -98,7 +110,7 @@ def build_grid(n: int, degree: int) -> QuadratureGrid:
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     nt, nphi = grid_shape(n, degree)
-    t, wt = np.polynomial.legendre.leggauss(nt) if n == 2 else (np.zeros(1), np.ones(1))
+    t, wt = _gauss_legendre(nt) if n == 2 else (np.zeros(1), np.ones(1))
     # on the circle this phase keeps nodes off the coordinate semi-axes for
     # every count, so the stereographic pole (0, -1) is never a node
     phase = 0.5 if n == 2 else 0.618033988749895

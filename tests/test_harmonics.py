@@ -53,15 +53,25 @@ def traced_peak(build) -> int:
         tracemalloc.stop()
 
 
-# the work grid of verify (degree L) and the entropy grid (degree 2L)
+# the work grid of verify (degree L) and the entropy grid (degree 2L); an
+# odd L has no middle order, so its polar table is the pairs' block alone
 @pytest.mark.parametrize("n, L, degree", [(n, L, d * L) for n in (1, 2)
-                                          for L in (16, 64, 128) for d in (1, 2)])
+                                          for L in (16, 17, 63, 64, 128) for d in (1, 2)])
 def test_transform_table_bytes_bounds_the_tables(n, L, degree):
     grid = build_grid(n, degree)
     _slot_maps.cache_clear()  # count building the slot maps too
     peak = traced_peak(lambda: _transform_tables(grid, L))
     # a bound, and not so loose that the budget refuses band limits that fit
     assert peak <= transform_table_bytes(n, L, degree) <= 1.5 * peak
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_transform_tables_hold_at_most_two_polar_blocks(n):
+    # one batched product for the pairs of orders and one for the middle
+    # order of an even L, whatever L: never a product per order
+    for L in range(0, 40):
+        tables, maps = _transform_tables(build_grid(n, max(L, 1)), L)
+        assert len(maps.blocks) == len(tables["polar"]) == 1 + (L % 2 == 0 and L > 0)
 
 
 @pytest.mark.parametrize("L", [16, 64, 128])

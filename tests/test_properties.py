@@ -2,7 +2,7 @@
 Moebius inverses, the conformal distance identity, the JSON round trip of
 coefficients, the extremizer fit, the sign of the deficit and its two
 routes, the Euler-Lagrange residual of the family, the transforms against
-their per-element loops and, on the circle, the transforms and the off-grid
+their per-element loops and against each other and, on the circle, the transforms and the off-grid
 evaluation against the Fourier basis, and the batch axes of synthesis, the Gibbs gap and the direct energy."""
 
 import json
@@ -41,7 +41,6 @@ from logsphere.conformal import _orthonormal_frame
 from logsphere.energy import energy_direct_extrapolated, energy_direct_extrapolated_many, gibbs_gap
 from logsphere.harmonics import (
     EVALUATION_CELLS,
-    _transform_tables,
     evaluate_at,
     h_multiplier_table,
     harmonic_count,
@@ -238,46 +237,69 @@ def per_order_rows(n, L, grid):
              leg[[legendre_row(L, l, m) for l in range(m, L + 1)]]) for m in range(L + 1)]
 
 
-def synthesize_per_element(c, grid):
+def azimuth_columns(grid, L):
+    """cos(m phi) and sin(m phi) for m = 0..L at the grid's azimuths, with
+    the sqrt(2) of m > 0: two (azimuths, L + 1) arrays."""
+    angle = np.outer(grid.az_phi, np.arange(L + 1))
+    scale = np.where(np.arange(L + 1) > 0, math.sqrt(2.0), 1.0)
+    return np.cos(angle) * scale, np.sin(angle) * scale
+
+
+def synthesize_per_element(c, grid, size=lambda x: x):
     """Synthesis with one gather per coefficient and one product per order
-    and kind: the form before the slot maps and the groups of orders."""
-    tables = _transform_tables(grid, c.L)[0]  # the azimuth tables
+    and kind.  `size=np.abs` sums the magnitudes of the terms instead."""
+    cos, sin = (size(col) for col in azimuth_columns(grid, c.L))
     nt, L = grid.polar_t.size, c.L
     Hc, Hs = np.zeros((nt, L + 1)), np.zeros((nt, L + 1))
     for m, (cos_labels, sin_labels, rows) in enumerate(per_order_rows(c.n, L, grid)):
-        Hc[:, m] = np.array([c.get(l, k) for l, k in cos_labels]) @ rows
+        Hc[:, m] = size(np.array([c.get(l, k) for l, k in cos_labels])) @ size(rows)
         if m > 0:
-            Hs[:, m] = np.array([c.get(l, k) for l, k in sin_labels]) @ rows
-    return (Hc @ tables["cos"].T + Hs @ tables["sin"].T).ravel()
+            Hs[:, m] = size(np.array([c.get(l, k) for l, k in sin_labels])) @ size(rows)
+    return (Hc @ cos.T + Hs @ sin.T).ravel()
 
 
-def analyze_per_element(f, L):
+def analyze_per_element(f, L, size=lambda x: x):
     """Quadrature one coefficient at a time, each (l, m) one dot product of
-    its polar row with the weighted azimuth projection over the rings."""
+    its polar row with the weighted azimuth projection over the rings.
+    `size=np.abs` sums the magnitudes of the terms instead."""
     grid = f.grid
-    tables = _transform_tables(grid, L)[0]
-    F = f.values.reshape(grid.polar_t.size, grid.az_phi.size)
+    cos, sin = (size(col) for col in azimuth_columns(grid, L))
+    F = size(f.values).reshape(grid.polar_t.size, grid.az_phi.size)
     wphi = 2.0 * math.pi / grid.az_phi.size
-    Gc, Gs = F @ tables["cos"] * wphi, F @ tables["sin"] * wphi
+    Gc, Gs = F @ cos * wphi, F @ sin * wphi
     coeffs = {}
     for m, (cos_labels, sin_labels, rows) in enumerate(per_order_rows(grid.n, L, grid)):
         for G, labels in ((Gc, cos_labels), (Gs, sin_labels if m > 0 else [])):
             for label, row in zip(labels, rows):
-                coeffs[label] = np.dot(row, grid.polar_w * G[:, m])
+                coeffs[label] = np.dot(size(row), grid.polar_w * G[:, m])
     return np.array([coeffs[label] for label in zip(*harmonic_indices(grid.n, L))])
 
 
 @settings(max_examples=60)
 @given(n=DIMS, L=st.integers(0, 12), extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_transforms_match_the_per_element_loops(n, L, extra, seed):
+    # the transforms sum in another order than the loops, so each value is
+    # bounded relative to the sum of its terms' magnitudes
     rng = np.random.default_rng(seed)
     grid = build_grid(n, max(L, 1) + extra)
     c = HarmonicCoeffs(n, L, rng.standard_normal(harmonic_count(n, L)))
-    assert np.array_equal(synthesize_values(L, c.coeffs, grid),
-                          synthesize_per_element(c, grid))
+    got, want = synthesize_values(L, c.coeffs, grid), synthesize_per_element(c, grid)
+    assert np.all(np.abs(got - want) <= 1e-15 * synthesize_per_element(c, grid, np.abs))
     f = GridFunction(grid, rng.standard_normal(grid.node_count))
     got, want = analyze(f, L).coeffs, analyze_per_element(f, L)
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.all(np.abs(got - want) <= 1e-15 * analyze_per_element(f, L, np.abs))
+
+
+@settings(max_examples=60)
+@given(n=DIMS, L=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@example(n=2, L=0, seed=0)
+@example(n=1, L=1, seed=0)
+def test_analysis_inverts_synthesis(n, L, seed):
+    grid = build_grid(n, max(L, 1))
+    c = np.random.default_rng(seed).standard_normal(harmonic_count(n, L))
+    back = analyze(GridFunction(grid, synthesize_values(L, c, grid)), L).coeffs
+    # relative to the L2 norm of the function, which sets its rounding
+    assert np.abs(back - c).max() <= 1e-13 * np.linalg.norm(c)
 
 
 @settings(max_examples=60)

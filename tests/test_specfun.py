@@ -114,10 +114,20 @@ def test_fourier_basis_shape_and_normalization():
     np.testing.assert_allclose(gram, np.eye(7), atol=1e-12)
 
 
-def test_legendre_rows_run_by_order_then_degree():
+def test_legendre_rows_pack_pairs_of_orders():
     for L in range(12):
-        labels = [(l, m) for m in range(L + 1) for l in range(m, L + 1)]
-        assert [legendre_row(L, l, m) for l, m in labels] == list(range(len(labels)))
+        rows = {m: [legendre_row(L, l, m) for l in range(m, L + 1)] for m in range(L + 1)}
+        # each (l, m) has exactly one row
+        assert sorted(sum(rows.values(), [])) == list(range((L + 1) * (L + 2) // 2))
+        # orders m and L - m fill one block of L + 2 rows, m first and each
+        # by degree; the middle order of an even L follows the pairs
+        for m in range((L + 1) // 2):
+            assert rows[m] + rows[L - m] == list(range(m * (L + 2), (m + 1) * (L + 2)))
+        if L % 2 == 0:
+            start = L // 2 * (L + 2)
+            assert rows[L // 2] == list(range(start, start + L // 2 + 1))
+        # order 0 comes first
+        assert rows[0] == list(range(L + 1))
 
 
 EDGE_T = [1.0, -1.0, 0.0, -0.0]
