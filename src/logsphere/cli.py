@@ -373,6 +373,8 @@ def _parse_normal(text: str, n: int) -> np.ndarray:
 def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
                     values: str, csv_path: str | None, tol: float) -> int:
     n = cfg.n
+    if (xi0 is None) == (e is None):
+        raise SystemExit("movespheres: pass exactly one of --xi0 (inversion) or --e (reflection)")
     if not (_finite(tol) and tol >= 0):
         raise SystemExit(f"--scan-tol must be a nonnegative finite number, got {tol!r}")
     # the constant and the family member are evaluated in closed form

@@ -7,7 +7,8 @@ The flow is projected gradient descent on the deficit over the sphere
 the recorded deficit sequence is nonincreasing by construction.  The
 moving-spheres probe evaluates w = u_Phi - u on DEFAULT_SAMPLES nodes of the
 comparison cap; the templates deform continuously with the scale parameter,
-which keeps the bisection predicate stable.
+so min w is continuous in it and a bracketing root-finder (Brent's zeroin)
+locates the critical value.
 """
 
 from __future__ import annotations
@@ -268,9 +269,9 @@ class _CapProbe:
 
     A value whose map has a pole at a node is retried once on a fresh
     template from the probe's generator; other values keep the first one.
-    The bisection needs only min w, which skips the second map pass of the
-    antisymmetry defect, so a pole that only that pass would hit is not
-    retried there.
+    The root-finder and the critical value need only min w and sup |w|,
+    which skip the second map pass of the antisymmetry defect, so a pole
+    that only that pass would hit is not retried there.
     """
 
     def __init__(self, u, xi0, e, rng: np.random.Generator | None):
@@ -316,8 +317,9 @@ class _CapProbe:
         defect = float(np.abs(w + jr * w_m).max())
         return float(w.min()), float(np.abs(w).max()), defect
 
-    def _min_w(self, phi: cf.ConformalMap, template) -> float:
-        return float(self._w(phi, template)[0].min())
+    def _one_pass(self, phi: cf.ConformalMap, template) -> tuple[float, float]:
+        w = self._w(phi, template)[0]
+        return float(w.min()), float(np.abs(w).max())
 
     def _at(self, stats, value: float):
         """stats(phi, template) under the retry policy; an error names the value."""
@@ -336,9 +338,14 @@ class _CapProbe:
         """(min w, sup |w|, antisymmetry defect) at one scale value."""
         return self._at(self._stats, value)
 
+    def w_range(self, value: float) -> tuple[float, float]:
+        """(min w, sup |w|) at one scale value from one map pass: the first
+        two entries of `w_stats`, without the defect."""
+        return self._at(self._one_pass, value)
+
     def min_w(self, value: float) -> float:
         """min w at one scale value, the first entry of `w_stats`."""
-        return self._at(self._min_w, value)
+        return self.w_range(value)[0]
 
     def profile(self, values) -> MovingSphereReport:
         """Report of the stats at each value, in increasing order."""
@@ -368,14 +375,61 @@ def moving_sphere_profile(u, values, xi0=None, e=None,
     return _CapProbe(u, xi0, e, rng).profile(values)
 
 
-def _critical_search(probe: _CapProbe, scan: np.ndarray, mean, tol: float) -> MovingSphereReport:
+def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """A zero of f between a and b, given f(a) = fa and f(b) = fb of opposite
+    signs (or one of them zero), to within xtol + 4 eps |x|: the Dekker-Brent
+    "zeroin" (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4).  Each step evaluates f once, inside the bracket, by inverse
+    quadratic or linear interpolation when that shrinks the bracket fast
+    enough, and by bisection otherwise.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if fb * fc > 0:  # keep the zero between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best estimate
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * xtol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # linear interpolation
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+
+
+def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
+                     tol: float) -> MovingSphereReport:
     """Profile over `scan`, which runs from the safe end toward the unsafe
-    end, then bisect the first failing step with `mean`, 48 times."""
+    end, then find where min w crosses the threshold in the first failing
+    step by zeroin in the coordinate x = to_x(value), value = from_x(x).
+    The step's ends reuse the scan's min w."""
     threshold = -tol * _sup_abs_u(probe.u, probe.n, probe.rng)
     report = probe.profile(scan)
-    fails = report.min_w < threshold
+    f_scan = report.min_w - threshold
     if scan[0] > scan[-1]:  # the report is in increasing order
-        fails = fails[::-1]
+        f_scan = f_scan[::-1]
+    fails = f_scan < 0
     if fails[0]:
         raise ValueError(f"comparison already fails at the safe end {scan[0]:g} of the fixed "
                          f"scan: the critical {report.parameter_name} lies beyond it")
@@ -385,38 +439,36 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, mean, tol: float) -> Mo
         report.critical_is_bound = True
     else:
         k = int(np.argmax(fails))
-        good, bad = float(scan[k - 1]), float(scan[k])
-        for _ in range(48):
-            mid = mean(good, bad)
-            if probe.min_w(mid) < threshold:
-                bad = mid
-            else:
-                good = mid
-        report.critical = float(mean(good, bad))
-    report.sup_w_at_critical = probe.w_stats(report.critical)[1]
+        # 48 bisection steps of a scan step reach about 1e-15 in x
+        x = _zeroin(lambda x: probe.min_w(from_x(x)) - threshold,
+                    to_x(float(scan[k - 1])), to_x(float(scan[k])),
+                    float(f_scan[k - 1]), float(f_scan[k]), 1e-15)
+        report.critical = float(from_x(x))
+    report.sup_w_at_critical = probe.w_range(report.critical)[1]
     return report
 
 
 def critical_lambda(u, xi0, tol: float = 1e-9,
                     rng: np.random.Generator | None = None) -> MovingSphereReport:
-    """Bisection for the critical inversion radius at base point xi0, from a
-    scan of 32 radii from 0.02 to 50 in geometric steps.
+    """The critical inversion radius at base point xi0, by zeroin in ln lambda
+    on the first failing step of a scan of 32 radii from 0.02 to 50 in
+    geometric steps.
 
     The comparison minimum must be clean at the small-radius end; if no sign
     change occurs up to 50 the report carries critical_is_bound = True
     (read: the critical scale is >= 50).
     """
     return _critical_search(_CapProbe(u, xi0, None, rng), np.geomspace(0.02, 50.0, 32),
-                            lambda a, b: math.sqrt(a * b), tol)
+                            math.log, math.exp, tol)
 
 
 def critical_alpha(u, e, tol: float = 1e-9,
                    rng: np.random.Generator | None = None) -> MovingSphereReport:
-    """Reflection analogue: bisection for the critical offset along e, from
-    a scan of 32 offsets from 6 down to -6.
+    """Reflection analogue: the critical offset along e, by zeroin in alpha
+    on the first failing step of a scan of 32 offsets from 6 down to -6.
 
     Large offsets (small caps) are the safe end; the offset decreases until
     the comparison fails.
     """
     return _critical_search(_CapProbe(u, None, e, rng), np.linspace(6.0, -6.0, 32),
-                            lambda a, b: 0.5 * (a + b), tol)
+                            float, float, tol)

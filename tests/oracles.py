@@ -1,7 +1,8 @@
-"""Reference code the tests compare the package against, on its public API:
-the normalized Legendre table one recurrence step per (l, m), the
-orthonormal harmonics one label at a time, the planar membership test of
-a comparison region, and the planar (bubble) form of the classified family.
+"""Reference code the tests compare the package against: the normalized
+Legendre table one recurrence step per (l, m), the orthonormal harmonics one
+label at a time, the planar membership test of a comparison region, the
+planar (bubble) form of the classified family, and the critical scale of the
+moving-spheres probe by plain bisection.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 import numpy as np
 
 from logsphere.conformal import LiftedInversion, inverse_stereographic, stereographic
+from logsphere.dynamics import _CapProbe
 from logsphere.specfun import assoc_legendre_norm, legendre_row
 
 
@@ -125,3 +127,31 @@ def pullback_to_plane(u, n: int):
         return (2.0 / (1.0 + s2)) ** (0.5 * n) * u(stereographic(x))
 
     return v
+
+
+def bisection_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float:
+    """The critical radius (pass xi0) or offset (pass e) that `critical_lambda`
+    or `critical_alpha` locates, by 48 bisection steps of the first failing
+    step of the same fixed scan: geometric means of radii, arithmetic means
+    of offsets.  It draws the probe's nodes and the threshold's points from
+    `rng` in the package's order, so a generator seeded alike gives the same
+    min w at every value.  The scan must change sign after its first value.
+    """
+    probe = _CapProbe(u, xi0, e, rng)
+    pts = rng.standard_normal((4096, probe.n + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    threshold = -tol * float(np.abs(u(pts)).max())
+    if xi0 is not None:
+        scan, mean = np.geomspace(0.02, 50.0, 32), lambda a, b: math.sqrt(a * b)
+    else:
+        scan, mean = np.linspace(6.0, -6.0, 32), lambda a, b: 0.5 * (a + b)
+    k = next(i for i, v in enumerate(scan) if probe.min_w(float(v)) < threshold)
+    assert k > 0, "the comparison fails at the safe end of the scan"
+    good, bad = float(scan[k - 1]), float(scan[k])
+    for _ in range(48):
+        mid = mean(good, bad)
+        if probe.min_w(mid) < threshold:
+            bad = mid
+        else:
+            good = mid
+    return mean(good, bad)

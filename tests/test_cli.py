@@ -454,6 +454,17 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     assert capsys.readouterr().out == ""  # refused before any work is reported
 
 
+@pytest.mark.parametrize("values", ["auto", "0.5,1.0"], ids=["critical-search", "profile"])
+@pytest.mark.parametrize("flags", [["--xi0", "north", "--e", "1,0"], []], ids=["both", "neither"])
+def test_movespheres_takes_exactly_one_of_xi0_and_e(flags, values, capsys):
+    # the critical search used to run the inversion and drop --e
+    with pytest.raises(SystemExit) as exc:
+        main(["movespheres", *flags, "--values", values])
+    assert exc.value.code == ("movespheres: pass exactly one of --xi0 (inversion) "
+                              "or --e (reflection)")
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("n, largest_ok", [(2, 505), (1, 11574)])
 def test_grid_degree_budget_boundary(n, largest_ok):
     # the pair-kernel peak: about 2 (degree + 1)^3 doubles on S^2, the kernel

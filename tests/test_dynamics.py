@@ -28,7 +28,7 @@ from logsphere import (
 from logsphere import harmonics as hm
 from logsphere.dynamics import _CapProbe, random_positive_init
 from logsphere.harmonics import as_evaluable, flat_index, harmonic_count, harmonic_indices
-from oracles import zeta_to_bubble
+from oracles import bisection_critical, zeta_to_bubble
 
 
 def family_coeffs(grids, zeta, L=32):
@@ -298,6 +298,7 @@ def assert_same_stats_except(rep, ref, index):
 
 
 FAMILY = extremizer(ExtremizerParams(np.array([0.2, -0.1, 0.25])))
+RANDOM_STATE = as_evaluable(random_positive_init(2, 8, np.random.default_rng(11), amplitude=0.5))
 
 
 def test_profile_retries_a_pole_collision_on_that_value_only(monkeypatch):
@@ -323,8 +324,8 @@ def test_critical_search_retries_a_pole_collision(monkeypatch):
     assert rep.sup_w_at_critical == ref.sup_w_at_critical
 
 
-def test_bisection_retries_a_pole_collision(monkeypatch):
-    # 32 scan values take 64 planar steps; each bisection step takes one
+def test_root_finder_retries_a_pole_collision(monkeypatch):
+    # 32 scan values take 64 planar steps; each root-finder step takes one
     ref = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
     raised = force_pole_errors(monkeypatch, 65)
     rep = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
@@ -378,17 +379,49 @@ def count_evaluations(monkeypatch):
     return calls
 
 
-def test_bisection_evaluates_u_once_per_step(monkeypatch):
-    u = random_positive_init(2, 8, np.random.default_rng(11), amplitude=0.5)
+def count_root_finder_steps(monkeypatch):
+    """Count the calls of `_CapProbe.min_w`, one per root-finder step."""
+    real, steps = _CapProbe.min_w, [0]
+
+    def min_w(self, value):
+        steps[0] += 1
+        return real(self, value)
+
+    monkeypatch.setattr(_CapProbe, "min_w", min_w)
+    return steps
+
+
+def test_critical_search_evaluates_u_once_per_step(monkeypatch):
     xi0 = sphere_point([0.3, -0.2, 0.9])
-    probe = _CapProbe(as_evaluable(u), xi0, None, np.random.default_rng(2))
+    probe = _CapProbe(RANDOM_STATE, xi0, None, np.random.default_rng(2))
     calls = count_evaluations(monkeypatch)
     probe.min_w(0.7)
     assert calls == [4096]  # the 2048 images and 2048 nodes together
-    probe.w_stats(0.7)
+    stats = probe.w_stats(0.7)
     assert calls == [4096, 4096, 2048]  # then the images mapped back
+    assert probe.w_range(0.7) == stats[:2]
+    assert calls == [4096, 4096, 2048, 4096]
     del calls[:]
-    rep = critical_lambda(as_evaluable(u), xi0, rng=np.random.default_rng(2))
+    steps = count_root_finder_steps(monkeypatch)
+    rep = critical_lambda(RANDOM_STATE, xi0, rng=np.random.default_rng(2))
     assert not rep.critical_is_bound
-    # sup |u|, two per scan value, one per bisection step, two at the critical value
-    assert len(calls) == 1 + 2 * 32 + 48 + 2
+    # sup |u|, two per scan value, one per root-finder step, one at the critical value
+    assert 0 < steps[0] < 48
+    assert len(calls) == 1 + 2 * 32 + steps[0] + 1
+
+
+@pytest.mark.parametrize("u", [RANDOM_STATE, FAMILY], ids=["random", "family"])
+@pytest.mark.parametrize("xi0, e", [
+    (sphere_point([0.3, -0.2, 0.9]), None),
+    (sphere_point([-0.7, 0.4, 0.2]), None),
+    (None, np.array([0.6, 0.8])),
+    (None, np.array([-1.0, 0.3])),
+], ids=["inversion-1", "inversion-2", "reflection-1", "reflection-2"])
+def test_critical_matches_the_bisection_oracle(u, xi0, e):
+    if e is None:
+        rep = critical_lambda(u, xi0, rng=np.random.default_rng(5))
+    else:
+        rep = critical_alpha(u, e, rng=np.random.default_rng(5))
+    assert not rep.critical_is_bound
+    want = bisection_critical(u, xi0, e, 1e-9, np.random.default_rng(5))
+    assert abs(rep.critical - want) <= 1e-12 * abs(want)

@@ -7,17 +7,19 @@ functions or a hard-coded slot, and inside `harmonics` only
 `HarmonicCoeffs.get` looks up one label's slot.  The row order of the
 Legendre table is `specfun`'s alone.  `conformal` is geometry only and depends on
 `sphere`, not on the transforms.  `verify` holds the suites `cli` runs and
-imports nothing from `cli`.  No module imports or reads another's underscore
-names.  Every public name is used somewhere besides its definition and the
-package's re-exports, every public module-level function or class is used by
-src itself unless it is listed as library API, and so is every public
-module-level constant.  No public function returns a scalar for some inputs
-and an array for others.
+imports nothing from `cli`.  Besides its own modules, src imports only the
+standard library and numpy, the one dependency `pyproject.toml` declares.
+No module imports or reads another's underscore names.  Every public name
+is used somewhere besides its definition and the package's re-exports, every
+public module-level function or class is used by src itself unless it is
+listed as library API, and so is every public module-level constant.  No
+public function returns a scalar for some inputs and an array for others.
 """
 
 import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,6 +167,17 @@ def test_conformal_does_not_import_harmonics():
 def test_verify_does_not_import_cli():
     assert "cli" not in imports("verify")
     assert "verify" in imports("cli")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_src_imports_only_the_standard_library_and_numpy(module):
+    allowed = sys.stdlib_module_names | {"numpy", "logsphere"}
+    found = [ast.unparse(sub) for sub in ast.walk(tree(module))
+             if (isinstance(sub, ast.Import)
+                 and any(alias.name.split(".")[0] not in allowed for alias in sub.names))
+             or (isinstance(sub, ast.ImportFrom) and not sub.level
+                 and sub.module.split(".")[0] not in allowed)]
+    assert found == []
 
 
 def src_module_aliases(node: ast.AST) -> set[str]:

@@ -3,14 +3,15 @@ Moebius inverses, the conformal distance identity, the JSON round trip of
 coefficients, the extremizer fit, the sign of the deficit and its two
 routes, the Euler-Lagrange residual of the family, the transforms against
 their per-element loops and against each other and, on the circle, the transforms and the off-grid
-evaluation against the Fourier basis, and the batch axes of synthesis, the Gibbs gap and the direct energy."""
+evaluation against the Fourier basis, the batch axes of synthesis, the Gibbs gap and the direct energy,
+and the probe's root-finder on smooth and step functions."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logsphere import (
@@ -38,6 +39,7 @@ from logsphere import (
     synthesize,
 )
 from logsphere.conformal import _orthonormal_frame
+from logsphere.dynamics import _zeroin
 from logsphere.energy import energy_direct_extrapolated, energy_direct_extrapolated_many, gibbs_gap
 from logsphere.harmonics import (
     EVALUATION_CELLS,
@@ -389,3 +391,62 @@ def test_memoized_h_table_is_read_only(n, L):
     assert h_multiplier_table(n, L) is table
     with pytest.raises(ValueError):
         table.values[0] = 1.0
+
+
+# odd, increasing shapes g(y) of the offset y = x - root, whose sign is
+# exactly that of y, with a steepness k
+ROOT_SHAPES = {
+    "cubic": lambda y, k: y * (1.0 + k * y * y),
+    "tanh": lambda y, k: math.tanh(k * y),
+    "sinh": lambda y, k: math.sinh(k * y),
+    "expm1": lambda y, k: math.expm1(k * y),
+}
+
+
+def zeroin_from(f, a, b):
+    """_zeroin on [a, b] to 1e-15, the probe's resolution, and the points it
+    evaluates f at."""
+    seen = []
+
+    def traced(x):
+        seen.append(x)
+        return f(x)
+
+    return _zeroin(traced, a, b, f(a), f(b), 1e-15), seen
+
+
+def bracket(lo, width, frac, flip):
+    """(a, b, root): the root a fraction of the way across [lo, lo + width],
+    with a the upper end when flip is set."""
+    hi = lo + width
+    root = min(lo + frac * width, hi)
+    return (hi, lo, root) if flip else (lo, hi, root)
+
+
+# a scan step is 0.25 wide in ln lambda and 0.39 in alpha
+BRACKETS = dict(lo=st.floats(-6.0, 6.0), width=st.floats(1e-3, 0.4),
+                frac=st.floats(0.0, 1.0), flip=st.booleans())
+
+
+@settings(max_examples=200)
+@given(shape=st.sampled_from(sorted(ROOT_SHAPES)), k=st.floats(0.1, 1000.0),
+       sign=st.sampled_from([-1.0, 1.0]), **BRACKETS)
+def test_zeroin_finds_the_root_of_a_smooth_monotone_function(shape, k, sign, lo, width,
+                                                             frac, flip):
+    a, b, root = bracket(lo, width, frac, flip)
+    x, seen = zeroin_from(lambda x: sign * ROOT_SHAPES[shape](x - root, k), a, b)
+    assert all(min(a, b) <= v <= max(a, b) for v in seen + [x])
+    assert len(seen) <= 48  # the bisection it replaces took 48
+    assert abs(x - root) <= 1e-15 + 4.0 * math.ulp(1.0) * abs(x)
+
+
+@settings(max_examples=200)
+@given(left=st.floats(1e-3, 1e3), right=st.floats(1e-3, 1e3), **BRACKETS)
+def test_zeroin_converges_to_the_jump_of_a_step_function(left, right, lo, width, frac, flip):
+    # a pole retry evaluates one value on other nodes, so min w can jump
+    a, b, jump = bracket(lo, width, frac, flip)
+    assume(jump > lo)  # f(lo) is left > 0
+    x, seen = zeroin_from(lambda x: left if x < jump else -right, a, b)
+    assert all(min(a, b) <= v <= max(a, b) for v in seen + [x])
+    assert len(seen) <= 2 * 48  # interpolation gains nothing on a jump
+    assert abs(x - jump) <= 1e-15 + 4.0 * math.ulp(1.0) * abs(x)
