@@ -439,7 +439,7 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
         report.critical_is_bound = True
     else:
         k = int(np.argmax(fails))
-        # 48 bisection steps of a scan step reach about 1e-15 in x
+        # refined within the failing scan step to 1e-15 + 4 eps |x| in x
         x = _zeroin(lambda x: probe.min_w(from_x(x)) - threshold,
                     to_x(float(scan[k - 1])), to_x(float(scan[k])),
                     float(f_scan[k - 1]), float(f_scan[k]), 1e-15)

@@ -4,8 +4,9 @@ A band-limited expansion sum_{l<=L} u_{l,m} Y_{l,m} stands in for the finite
 energy space.  This module alone decides where (l, m) lives in the flat
 coefficient vector: in degree-major order, as `harmonic_indices` lists it,
 so a lower band is a prefix.  Other modules go through `HarmonicCoeffs`
-(`get`, `constant`, `with_band_limit`, the JSON form, which is the dense
-vector in slot order) and `MultiplierTable.per_slot`.
+(`constant`, `with_band_limit`, the JSON form, which is the dense vector in
+slot order) and `MultiplierTable.per_slot`; no code here looks up one
+label's slot.
 
 The circle is the equator t = cos(theta) = 0 of S^2, with a one-ring
 product grid, so both spheres run one transform and one off-grid evaluation,
@@ -17,11 +18,13 @@ order L/2 is a second, smaller block.  `_slot_maps(n, L)`, built once per
 band limit, holds the rows' labels and where each coefficient's polar
 product lies.  On a product grid a transform is one azimuth product, one
 batched polar product over the pairs (and one for the middle order), and
-one gather or scatter.  Off the grid, the polar
-functions are re-expanded once per band limit in Chebyshev polynomials of t,
-so a chunk of points takes whole-array steps: the powers of e^{i theta} feed
-one matrix product per parity of the order, and those of e^{i phi} the
-azimuth sum.
+one gather or scatter.  Off the grid, the polar table is re-expanded once
+per band limit in Chebyshev polynomials of t, row by row, so the
+coefficients' Chebyshev sums are the scatter and batched products of a
+synthesis, with the Chebyshev index where the rings were.  A chunk of
+points then takes whole-array steps: the powers of e^{i theta} feed one
+matrix product per parity of the order, and those of e^{i phi} the azimuth
+sum.
 
 Multipliers: the fractional integral family acts on degree-l harmonics as
 Gamma(l+n/2-s)/Gamma(l+n/2+s), its inverse as the reciprocal, and the
@@ -57,25 +60,6 @@ def harmonic_count(n: int, L: int) -> int:
     raise ValueError(f"harmonic transforms support n in {{1, 2}}, got n={n}")
 
 
-def flat_index(n: int, l: int, m: int) -> int:
-    """Position of (l, m) in the flat coefficient vector."""
-    if n == 1:
-        if l == 0:
-            if m != 0:
-                raise ValueError("l=0 has only m=0 on the circle")
-            return 0
-        if m == 1:
-            return 2 * l - 1
-        if m == -1:
-            return 2 * l
-        raise ValueError(f"invalid circle label m={m} (use +1 cos, -1 sin)")
-    if n == 2:
-        if abs(m) > l:
-            raise ValueError(f"|m| <= l required, got (l={l}, m={m})")
-        return l * l + (m + l)
-    raise ValueError(f"unsupported dimension n={n}")
-
-
 def harmonic_indices(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Degree l and label m of each flat slot, in slot order: two int arrays."""
     if n == 1:
@@ -107,9 +91,6 @@ class HarmonicCoeffs:
                 f"coefficient vector has shape {self.coeffs.shape}, "
                 f"expected ({expected},) for n={self.n}, L={self.L}"
             )
-
-    def get(self, l: int, m: int) -> float:
-        return float(self.coeffs[flat_index(self.n, l, m)])
 
     def norm_sq(self) -> float:
         """Parseval L2 norm squared."""
@@ -173,18 +154,14 @@ class _SlotMaps:
     lists the orders 0, L, 1, L - 1, ..., each pair (m, L - m), m < L/2,
     sharing one batch of rows, order m first, and for even L the middle
     order L/2 comes last; within an order the rows run by degree (m..L on
-    S^2, only m on the circle).  Row r holds (degree[r], order[r]).
+    S^2, only m on the circle).  Row r is of order[r].
 
-    `blocks` lists the (batches, columns, rows) of the transforms' polar
-    products: the pairs, whose columns are cos m, sin m, cos (L - m) and
-    sin (L - m), and then the middle order, cos and sin.  Slot s lies on
-    row[s], is a sine coefficient if sine[s], and index[s] is its place in
+    `blocks` lists the (batches, columns, rows) of the polar products: the
+    pairs, whose columns are cos m, sin m, cos (L - m) and sin (L - m), and
+    then the middle order, cos and sin.  index[s] is the place of slot s in
     the products laid end to end, each in C order."""
     packed: np.ndarray
-    degree: np.ndarray
     order: np.ndarray
-    row: np.ndarray
-    sine: np.ndarray
     index: np.ndarray
     blocks: tuple
 
@@ -209,9 +186,6 @@ def _slot_maps(n: int, L: int) -> _SlotMaps:
     row -= slot_order
     del slot_l
     order = np.repeat(packed, sizes[packed])
-    degree = np.arange(order.size)
-    degree -= first[order]
-    degree += order
     # a batch of the pairs is `width` rows, and the middle order the rest
     pairs = (L + 1) // 2
     width = int(sizes[0] + sizes[L]) if pairs else 0
@@ -229,13 +203,13 @@ def _slot_maps(n: int, L: int) -> _SlotMaps:
     index += sine * width
     in_middle = row >= pairs * width
     index[in_middle] += sine[in_middle] * (middle - width)
-    maps = _SlotMaps(packed, degree, order, row, sine, index, blocks)
-    for array in (packed, degree, order, row, sine, index):
+    maps = _SlotMaps(packed, order, index, blocks)
+    for array in (packed, order, index):
         array.flags.writeable = False
     return maps
 
 
-# per slot, building `_slot_maps`: about 42 on S^2 and 55 on the circle, whose
+# per slot, building `_slot_maps`: about 42 on S^2 and 51 on the circle, whose
 # per-order arrays are half as long as its slot arrays
 _SLOT_MAP_BYTES = 57
 
@@ -252,14 +226,27 @@ def _polar_rows(n: int, L: int, t: np.ndarray) -> np.ndarray:
 _TABLE_CACHE: "weakref.WeakKeyDictionary[QuadratureGrid, dict]" = weakref.WeakKeyDictionary()
 
 
+def _polar_blocks(polar: np.ndarray, maps: _SlotMaps) -> tuple[list, int]:
+    """Per `blocks` entry, the (batches, rows, rings) view of the polar table
+    `polar` (one row per `_slot_maps` row, one column per ring, or per
+    Chebyshev index off the grid) with its slices of the azimuth columns and
+    of the products; and the products' total length."""
+    blocks, row, column, product = [], 0, 0, 0
+    for batches, columns, rows in maps.blocks:
+        block = polar[row:row + batches * rows].reshape(batches, rows, -1)
+        size = batches * columns * rows
+        blocks.append((block, slice(column, column + batches * columns),
+                       slice(product, product + size)))
+        row, column, product = row + batches * rows, column + batches * columns, product + size
+    return blocks, product
+
+
 def _transform_tables(grid: QuadratureGrid, L: int) -> tuple[dict, _SlotMaps]:
     """The transform tables of (grid, L), built once, and `_slot_maps`.  The
     tables are `azimuth`, (azimuths, 2L + 2), whose columns are cos and sin
     of m phi for the orders m in packed order, with the sqrt(2) of m > 0
-    folded in; `polar`, per `blocks` entry its (batches, rows, rings) view of
-    the polar table (one row per `_slot_maps` row, one column per ring) with
-    its slices of the azimuth columns and of the products; and `products`,
-    the products' total length."""
+    folded in; and `polar`, the `_polar_blocks` of the polar table, one
+    column per ring."""
     maps = _slot_maps(grid.n, L)
     per_grid = _TABLE_CACHE.setdefault(grid, {})
     tables = per_grid.get(L)
@@ -273,28 +260,27 @@ def _transform_tables(grid: QuadratureGrid, L: int) -> tuple[dict, _SlotMaps]:
     np.sin(azimuth[:, 1::2], out=azimuth[:, 1::2])
     azimuth *= math.sqrt(2.0)
     azimuth[:, 0] = 1.0  # order 0 comes first; its sine column is zero
-    polar = _polar_rows(grid.n, L, grid.polar_t)
-    blocks, row, column, product = [], 0, 0, 0
-    for batches, columns, rows in maps.blocks:
-        block = polar[row:row + batches * rows].reshape(batches, rows, -1)
-        size = batches * columns * rows
-        blocks.append((block, slice(column, column + batches * columns),
-                       slice(product, product + size)))
-        row, column, product = row + batches * rows, column + batches * columns, product + size
-    tables = per_grid[L] = {"azimuth": azimuth, "polar": blocks, "products": product}
+    polar = _polar_blocks(_polar_rows(grid.n, L, grid.polar_t), maps)
+    tables = per_grid[L] = {"azimuth": azimuth, "polar": polar}
     return tables, maps
+
+
+def _polar_table_bytes(n: int, L: int, rings: int) -> int:
+    """Upper bound on the peak bytes of `_polar_rows` at `rings` heights: the
+    polar table, the Legendre recurrence's three working blocks and its
+    coefficients (16 floats per row it fills; the circle's one row per order
+    needs none) and two ufunc buffers."""
+    # rows of orders m > 0 hold two slots; order 0 has a row per ring of the degree-L grid
+    rows = (harmonic_count(n, L) + grid_shape(n, L)[0]) // 2
+    return 8 * ((rows + 3 * (L + 1)) * rings + 16 * (rows - L - 1)
+                + 2 * min((L + 1) * rings, np.getbufsize()))
 
 
 def transform_table_bytes(n: int, L: int, grid_degree: int) -> int:
     """Upper bound on the peak bytes of building `_transform_tables(grid, L)`:
-    the polar table, the Legendre recurrence's three working blocks and its
-    coefficients (16 floats per row it fills; the circle's one row per order
-    needs none), the azimuth table, two ufunc buffers, and the slot maps."""
+    the polar table at the grid's rings, the azimuth table and the slot maps."""
     rings, azimuths = grid_shape(n, grid_degree)
-    # rows of orders m > 0 hold two slots; order 0 has a row per ring of the degree-L grid
-    rows = (harmonic_count(n, L) + grid_shape(n, L)[0]) // 2
-    return (8 * ((rows + 3 * (L + 1)) * rings + 2 * (L + 1) * azimuths
-                 + 16 * (rows - L - 1) + 2 * min((L + 1) * rings, np.getbufsize()))
+    return (_polar_table_bytes(n, L, rings) + 16 * (L + 1) * azimuths
             + _SLOT_MAP_BYTES * harmonic_count(n, L) + 4096)
 
 
@@ -310,12 +296,32 @@ def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
     # G[column, ring]: the weighted azimuth projections, one per order and kind
     G = tables["azimuth"].T @ F.T
     G *= (2.0 * math.pi / grid.az_phi.size) * grid.polar_w
-    P = np.empty(tables["products"])
-    for block, columns, products in tables["polar"]:
+    blocks, size = tables["polar"]
+    P = np.empty(size)
+    for block, columns, products in blocks:
         batches, rows, rings = block.shape
         np.matmul(G[columns].reshape(batches, -1, rings), block.transpose(0, 2, 1),
                   out=P[products].reshape(batches, -1, rows))
     return HarmonicCoeffs(grid.n, L, P[maps.index])
+
+
+def _polar_sums(polar: tuple[list, int], maps: _SlotMaps, states: np.ndarray) -> np.ndarray:
+    """H[state, ring, column]: the sums over the rows of the `_polar_blocks`
+    `polar` of the coefficient vectors `states`, (k, count), one per ring (or
+    Chebyshev index) and azimuth column: one scatter and one batched polar
+    product per `blocks` entry."""
+    blocks, size = polar
+    k = states.shape[0]
+    # X[state, product]: in each batch, zero off the rows of its column's order
+    X = np.zeros((k, size))
+    X[:, maps.index] = states
+    H = np.empty((k, blocks[0][0].shape[2], 2 * maps.packed.size))
+    for block, columns, products in blocks:
+        batches, rows, rings = block.shape
+        x = X[:, products].reshape(k, batches, -1, rows)
+        h = H[..., columns].reshape(k, rings, batches, -1)
+        np.matmul(block.transpose(0, 2, 1), x.transpose(0, 1, 3, 2), out=h.transpose(0, 2, 1, 3))
+    return H
 
 
 def synthesize_values(L: int, coeffs: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
@@ -329,18 +335,7 @@ def synthesize_values(L: int, coeffs: np.ndarray, grid: QuadratureGrid) -> np.nd
         raise ValueError(f"coefficients have shape {C.shape}, expected (..., "
                          f"{count}) for n={grid.n}, L={L}")
     tables, maps = _transform_tables(grid, L)
-    states = C.reshape(-1, count)
-    k = states.shape[0]
-    # X[state, product]: in each batch, zero off the rows of its column's order
-    X = np.zeros((k, tables["products"]))
-    X[:, maps.index] = states
-    # H[state, ring, column]: the polar sums, one per order and kind
-    H = np.empty((k, grid.polar_t.size, 2 * L + 2))
-    for block, columns, products in tables["polar"]:
-        batches, rows, rings = block.shape
-        x = X[:, products].reshape(k, batches, -1, rows)
-        h = H[..., columns].reshape(k, rings, batches, -1)
-        np.matmul(block.transpose(0, 2, 1), x.transpose(0, 1, 3, 2), out=h.transpose(0, 2, 1, 3))
+    H = _polar_sums(tables["polar"], maps, C.reshape(-1, count))
     F = H.reshape(-1, 2 * L + 2) @ tables["azimuth"].T
     return F.reshape(C.shape[:-1] + (-1,))
 
@@ -353,8 +348,8 @@ def synthesize(c: HarmonicCoeffs, grid: QuadratureGrid) -> GridFunction:
 
 
 @functools.lru_cache(maxsize=8)
-def _evaluation_plan(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-order polar functions re-expanded in Chebyshev polynomials of t = cos(theta).
+def _evaluation_plan(n: int, L: int) -> tuple[tuple[list, int], np.ndarray]:
+    """The polar table re-expanded in Chebyshev polynomials of t = cos(theta).
 
     With K the row count of order 0, a row of even order is a polynomial of
     degree below K in t, one of odd order sin(theta) times one of degree
@@ -364,11 +359,11 @@ def _evaluation_plan(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     a DST of their values, not a DCT of the values over sin(theta), which
     would amplify the rounding near the poles.
 
-    Returns `cheb[m, i, j]`, the coefficient of T_j(t) (even m) or of
-    U_j(t) sin(theta) (odd m) in order m's row i, with the sqrt(2) azimuth
-    factor folded in for m > 0, zero past the order's rows; and
-    `gather[m, k, i]`, the flat slot of that row's cosine (k = 0) or sine
-    (k = 1) coefficient, or harmonic_count(n, L), a zero pad, if none."""
+    Returns the `_polar_blocks` of the table, whose column j in a row of even
+    order is its coefficient of T_j(t), in one of odd order that of
+    U_j(t) sin(theta), with the sqrt(2) azimuth factor folded in for m > 0;
+    and `parity`, the azimuth columns in parity order: the even orders and
+    then the odd ones, each by order, cos before sin."""
     maps = _slot_maps(n, L)
     K = np.count_nonzero(maps.order == 0)
     angle = (2 * np.arange(K) + 1) * math.pi / (2 * K)
@@ -379,24 +374,18 @@ def _evaluation_plan(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     dct[0] *= 0.5
     dst = np.sin((j + 1) * angle) * (2.0 / K)
     dst[-1] *= 0.5
-    values = _polar_rows(n, L, np.cos(angle))
-    order, within = maps.order, maps.degree - maps.order
-    odd = order % 2 == 1
-    cheb = np.zeros((L + 1, K, K))
-    cheb[order[~odd], within[~odd]] = values[~odd] @ dct.T
-    cheb[order[odd], within[odd]] = values[odd] @ dst.T
-    cheb[1:] *= math.sqrt(2.0)
-    del values, within, odd
-    # slot s goes to [order, sine, degree - order] of its row
-    gather = np.full((L + 1, 2, K), harmonic_count(n, L))
-    place = order[maps.row]
-    place *= 2 * K - 1
-    place += maps.degree[maps.row]
-    place[maps.sine] += K
-    gather.reshape(-1)[place] = np.arange(place.size)
-    cheb.flags.writeable = False
-    gather.flags.writeable = False
-    return cheb, gather
+    # transformed within the table, one parity's rows at a time, so the build
+    # holds about two tables
+    table = _polar_rows(n, L, np.cos(angle))
+    odd = maps.order % 2 == 1
+    table[~odd] = table[~odd] @ dct.T
+    table[odd] = table[odd] @ dst.T
+    table[K:] *= math.sqrt(2.0)  # order 0 comes first
+    table.flags.writeable = False
+    # order m's columns are 2 p and 2 p + 1, p its place in packed order
+    place = np.argsort(maps.packed)
+    parity = 2 * np.concatenate([place[0::2], place[1::2]])[:, None] + np.arange(2)
+    return _polar_blocks(table, maps), parity.ravel()
 
 
 def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -419,7 +408,8 @@ EVALUATION_CELLS = 130 * 4096  # (row, point) cells per workspace half: 4096 poi
 def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     """Values of the expansion at the rows of `points` on S^n (for pullbacks).
 
-    A call contracts the coefficients with the cached Chebyshev plan.  Per
+    A call sums the coefficients over the rows of the cached Chebyshev
+    plan, as a synthesis sums them over the rings of a grid.  Per
     chunk of points the powers of e^{i theta} = t + i sin(theta), with real
     parts T_j(t) and imaginary parts sin((j+1) theta) = sin(theta) U_j(t),
     feed one matrix product per parity of m, and the azimuth sum is one
@@ -430,11 +420,12 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != c.n + 1:
         raise ValueError(f"points of S^{c.n} need {c.n + 1} coordinates in each row "
                          f"of a 2-d array, got shape {pts.shape}")
-    cheb, gather = _evaluation_plan(c.n, c.L)
-    M, K = cheb.shape[:2]
-    # Chebyshev coefficients of the (m, cos) and (m, sin) rows of u, by parity of m
-    C = np.append(c.coeffs, 0.0)[gather] @ cheb
-    even, odd = C[0::2].reshape(-1, K), C[1::2].reshape(-1, K)
+    plan, parity = _evaluation_plan(c.n, c.L)
+    # C[column, j]: the Chebyshev coefficients of the (m, cos) and (m, sin)
+    # rows of u, the even orders first
+    C = _polar_sums(plan, _slot_maps(c.n, c.L), c.coeffs[None])[0][:, parity].T
+    M, K = c.L + 1, C.shape[1]
+    even, odd = C[:M + M % 2], C[M + M % 2:]
     out = np.empty(pts.shape[0])
     # One workspace for every chunk, two halves of M + 1 complex rows each:
     # `second` holds the powers of e^{i theta} and then the products, `first`
@@ -477,15 +468,20 @@ def evaluate_at_bytes(n: int, L: int, count: int) -> int:
     """Upper bound on the peak bytes of `evaluate_at` at band limit L on
     `count` points, building the slot maps and the plan included: with K =
     L + 1 on S^2 and 1 on the circle, 8 KiB of Python objects, the kept maps
-    (at most four words per coefficient slot), eight (L + 1) K arrays and
-    the (L + 1, K, K) plan with as much again while it is filled, or with the
-    per-call coefficient arrays, one chunk's workspace, 32 chunk-length
+    (a word per coefficient slot, per polar row and per order) and the
+    largest of three phases: building the polar table at K heights;
+    transforming it, with one parity's rows (at most half the rows and K)
+    twice more, the two K x K transforms and the parity masks; and a call
+    with the plan kept, the scattered coefficients (four per row), the
+    (K, 2L + 2) polar sums twice, one chunk's workspace, 32 chunk-length
     temporaries and the output."""
     M, K, slots = L + 1, grid_shape(n, L)[0], harmonic_count(n, L)
+    rows = (slots + K) // 2
     chunk = min(count, max(1, EVALUATION_CELLS // (M + 1)))
-    call = max(M * K * K, 4 * (M + 1) * chunk + 32 * chunk + count)
-    maps = _SLOT_MAP_BYTES * slots
-    return max(maps, 8 * (M * K * K + 8 * M * K + 4 * slots + call)) + 8192
+    transform = 8 * (rows + 2 * ((rows + K) // 2) + 2 * K) * K + 10 * rows
+    call = 8 * ((rows + 4 * M) * K + 4 * rows + 4 * (M + 1) * chunk + 32 * chunk + count)
+    phases = max(_polar_table_bytes(n, L, K), transform, call)
+    return max(_SLOT_MAP_BYTES * slots, 8 * (slots + rows + M) + phases) + 8192
 
 
 def as_evaluable(c: HarmonicCoeffs):

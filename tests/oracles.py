@@ -1,8 +1,9 @@
-"""Reference code the tests compare the package against: the normalized
-Legendre table one recurrence step per (l, m), the orthonormal harmonics one
-label at a time, the planar membership test of a comparison region, the
-planar (bubble) form of the classified family, and the critical scale of the
-moving-spheres probe by plain bisection.
+"""Reference code the tests compare the package against: the slot of one
+(l, m) label in the coefficient vector, the normalized Legendre table one
+recurrence step per (l, m), the orthonormal harmonics one label at a time,
+the planar membership test of a comparison region, the planar (bubble) form
+of the classified family, and the critical scale of the moving-spheres probe
+by plain bisection.
 """
 
 from __future__ import annotations
@@ -13,7 +14,34 @@ import numpy as np
 
 from logsphere.conformal import LiftedInversion, inverse_stereographic, stereographic
 from logsphere.dynamics import _CapProbe
+from logsphere.harmonics import HarmonicCoeffs
 from logsphere.specfun import assoc_legendre_norm, legendre_row
+
+
+def flat_index(n: int, l: int, m: int) -> int:
+    """Position of (l, m) in the flat coefficient vector, one label at a
+    time: (0, 0), then (l, +1), (l, -1) for each l on the circle, and
+    (l, -l), ..., (l, l) for each l on S^2."""
+    if n == 1:
+        if l == 0:
+            if m != 0:
+                raise ValueError("l=0 has only m=0 on the circle")
+            return 0
+        if m == 1:
+            return 2 * l - 1
+        if m == -1:
+            return 2 * l
+        raise ValueError(f"invalid circle label m={m} (use +1 cos, -1 sin)")
+    if n == 2:
+        if abs(m) > l:
+            raise ValueError(f"|m| <= l required, got (l={l}, m={m})")
+        return l * l + (m + l)
+    raise ValueError(f"unsupported dimension n={n}")
+
+
+def coeff(c: HarmonicCoeffs, l: int, m: int) -> float:
+    """The coefficient of Y_{l,m} in c."""
+    return float(c.coeffs[flat_index(c.n, l, m)])
 
 
 def loop_assoc_legendre_norm(L, t, s=None):

@@ -42,6 +42,7 @@ from logsphere.dynamics import random_positive_init
 from logsphere.energy import default_entropy_grid, energy_direct_extrapolated_many
 from logsphere.harmonics import degree_of_index, h_multiplier_table, log_operator_scale
 from logsphere import LiftedInversion, LiftedReflection
+from oracles import coeff
 
 
 def report(num, name, ok, detail, budget, elapsed):
@@ -162,8 +163,8 @@ def test_criterion_5_euler_lagrange_on_family():
     c_amp = 2.0
     zeta = np.array([0.24, -0.32, 0.0])
     u = analyze(grid32.sample(extremizer(ExtremizerParams(zeta, c_amp))), 32)
-    r0 = el_residual(u, 2).residuals.get(0, 0)
-    predicted = -constant_Cn(2) * math.log(c_amp) * u.get(0, 0)
+    r0 = coeff(el_residual(u, 2).residuals, 0, 0)
+    predicted = -constant_Cn(2) * math.log(c_amp) * coeff(u, 0, 0)
     offset_rel = abs(r0 - predicted) / abs(predicted)
     elapsed = time.time() - t0
     ok = worst <= 1e-3 and offset_rel <= 1e-6 and elapsed < 60.0

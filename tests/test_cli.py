@@ -257,7 +257,7 @@ def test_movespheres_non_solution_from_coeff_file(tmp_path):
     import math
 
     from logsphere import HarmonicCoeffs, sphere_area
-    from logsphere.harmonics import flat_index
+    from oracles import flat_index
 
     c = HarmonicCoeffs.zeros(2, 8)
     c.coeffs[0] = math.sqrt(sphere_area(2))
@@ -474,13 +474,25 @@ def test_grid_degree_budget_boundary(n, largest_ok):
         _check_table_budget(RunConfig(n=n, grid_degree=largest_ok + 1), "verify")
 
 
-@pytest.mark.parametrize("n, largest_ok", [(2, 381), (1, 4075)])
+@pytest.mark.parametrize("n, largest_ok", [(2, 384), (1, 4075)])
 def test_verify_band_limit_budget_boundary(n, largest_ok):
     # the conformal-identity suites: the transform table at 2L on the
     # degree-2L work grid, and evaluating the states at its mapped nodes
     _check_table_budget(RunConfig(n=n, band_limit=largest_ok), "verify")
     with pytest.raises(SystemExit, match=f"band limit {largest_ok + 1} "):
         _check_table_budget(RunConfig(n=n, band_limit=largest_ok + 1), "verify")
+
+
+@pytest.mark.parametrize("n, command, largest_ok", [
+    (2, "minimize", 634), (2, "movespheres", 634), (1, "minimize", 5790),
+    (1, "movespheres", 5790)])
+def test_flow_and_probe_band_limit_budget_boundary(n, command, largest_ok):
+    # the transform tables at L on the degree-2L entropy grid; the probe's
+    # off-grid plan, the polar table at L + 1 Chebyshev nodes on S^2 (one on
+    # S^1), stays below them, so both commands stop at the same band limit
+    _check_table_budget(RunConfig(n=n, band_limit=largest_ok), command)
+    with pytest.raises(SystemExit, match=f"band limit {largest_ok + 1} "):
+        _check_table_budget(RunConfig(n=n, band_limit=largest_ok + 1), command)
 
 
 @pytest.mark.parametrize("n, band_limit", [(1, 256), (2, 32)])

@@ -27,8 +27,8 @@ from logsphere import (
 )
 from logsphere import harmonics as hm
 from logsphere.dynamics import _CapProbe, random_positive_init
-from logsphere.harmonics import as_evaluable, flat_index, harmonic_count, harmonic_indices
-from oracles import bisection_critical, zeta_to_bubble
+from logsphere.harmonics import as_evaluable, harmonic_count, harmonic_indices
+from oracles import bisection_critical, coeff, flat_index, zeta_to_bubble
 
 
 def family_coeffs(grids, zeta, L=32):
@@ -87,7 +87,7 @@ def test_flow_changes_the_band_of_its_init(n, init_L, band_limit):
     init.coeffs[0] += math.sqrt(sphere_area(n))
     vec = np.zeros(harmonic_count(n, band_limit))
     for l, m in zip(*harmonic_indices(n, min(band_limit, init_L))):
-        vec[flat_index(n, l, m)] = init.get(l, m)
+        vec[flat_index(n, l, m)] = coeff(init, l, m)
     moved = init.with_band_limit(band_limit)
     got = minimize_deficit(moved, 0.05, 5)
     want = minimize_deficit(HarmonicCoeffs(n, band_limit, vec), 0.05, 5)

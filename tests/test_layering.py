@@ -3,8 +3,9 @@
 The flat (l, m) -> slot order of the coefficient vector is decided in
 `harmonics` alone: other modules reach coefficients through
 `HarmonicCoeffs` and `MultiplierTable`, never through the label-to-slot
-functions or a hard-coded slot, and inside `harmonics` only
-`HarmonicCoeffs.get` looks up one label's slot.  The row order of the
+functions or a hard-coded slot; no src code looks up one label's slot
+(`flat_index` is a test oracle), and in `harmonics` the slot -> product map
+is read by `analyze` and the polar sums alone.  The row order of the
 Legendre table is `specfun`'s alone.  `conformal` is geometry only and depends on
 `sphere`, not on the transforms.  `verify` holds the suites `cli` runs and
 imports nothing from `cli`.  Besides its own modules, src imports only the
@@ -26,7 +27,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "logsphere"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
-LAYOUT_NAMES = {"flat_index", "harmonic_indices"}
+LAYOUT_NAMES = {"harmonic_indices"}
 
 
 def tree(module: str) -> ast.Module:
@@ -78,20 +79,24 @@ def test_layout_functions_stay_in_harmonics(module):
     assert not names_used(tree(module)) & LAYOUT_NAMES
 
 
-def test_flat_index_serves_only_get():
-    # the transforms reach slots through the precomputed maps, not per label
-    users = []
-    for node in ast.walk(tree("harmonics")):
-        if isinstance(node, ast.ClassDef):
-            scopes = [(f"{node.name}.{sub.name}", sub) for sub in node.body
-                      if isinstance(sub, ast.FunctionDef)]
-        elif isinstance(node, ast.Module):
-            scopes = [(sub.name, sub) for sub in node.body if isinstance(sub, ast.FunctionDef)
-                      and sub.name != "flat_index"]
-        else:
-            continue
-        users += [name for name, scope in scopes if "flat_index" in names_used(scope)]
-    assert users == ["HarmonicCoeffs.get"]
+def test_no_flat_index_in_src():
+    # the transforms reach slots through the precomputed maps; one label's
+    # slot is looked up by the tests' oracles `flat_index` and `coeff` alone
+    named = [m for m in MODULES if "flat_index" in (SRC / f"{m}.py").read_text(encoding="utf-8")]
+    assert named == []
+    coeffs = next(node for node in tree("harmonics").body
+                  if isinstance(node, ast.ClassDef) and node.name == "HarmonicCoeffs")
+    assert "get" not in {sub.name for sub in coeffs.body if isinstance(sub, ast.FunctionDef)}
+
+
+def test_slot_index_serves_analyze_and_the_polar_sums():
+    # one slot -> product map, `_SlotMaps.index`: analyze gathers through it,
+    # and synthesis and the off-grid evaluation scatter through the polar sums
+    readers = sorted(node.name for node in tree("harmonics").body
+                     if isinstance(node, ast.FunctionDef)
+                     and any(isinstance(sub, ast.Attribute) and sub.attr == "index"
+                             for sub in ast.walk(node)))
+    assert readers == ["_polar_sums", "analyze"]
 
 
 def reads_dimension(node: ast.expr) -> bool:
@@ -112,7 +117,8 @@ ONE_SPHERE_BASES = {"assoc_legendre_norm", "fourier_basis"}
 
 @pytest.mark.parametrize("name", ["analyze", "synthesize_values", "transform_table_bytes",
                                   "degree_of_index", "evaluate_at", "_evaluation_plan",
-                                  "evaluate_at_bytes"])
+                                  "evaluate_at_bytes", "_polar_blocks", "_polar_sums",
+                                  "_polar_table_bytes"])
 def test_transforms_do_not_branch_on_the_dimension(name):
     # the circle is the one-ring product grid and, off the grid, the equator
     # of S^2: the transforms and the off-grid evaluation run one path for both

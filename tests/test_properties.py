@@ -51,7 +51,7 @@ from logsphere.harmonics import (
 )
 from logsphere.specfun import fourier_basis, legendre_row
 from logsphere.sphere import GridFunction
-from oracles import in_sigma, loop_assoc_legendre_norm
+from oracles import coeff, in_sigma, loop_assoc_legendre_norm
 
 DIMS = st.sampled_from([1, 2])
 
@@ -254,9 +254,9 @@ def synthesize_per_element(c, grid, size=lambda x: x):
     nt, L = grid.polar_t.size, c.L
     Hc, Hs = np.zeros((nt, L + 1)), np.zeros((nt, L + 1))
     for m, (cos_labels, sin_labels, rows) in enumerate(per_order_rows(c.n, L, grid)):
-        Hc[:, m] = size(np.array([c.get(l, k) for l, k in cos_labels])) @ size(rows)
+        Hc[:, m] = size(np.array([coeff(c, l, k) for l, k in cos_labels])) @ size(rows)
         if m > 0:
-            Hs[:, m] = size(np.array([c.get(l, k) for l, k in sin_labels])) @ size(rows)
+            Hs[:, m] = size(np.array([coeff(c, l, k) for l, k in sin_labels])) @ size(rows)
     return (Hc @ cos.T + Hs @ sin.T).ravel()
 
 
