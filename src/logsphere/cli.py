@@ -402,7 +402,10 @@ def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
     except ValueError as exc:
         raise SystemExit(f"movespheres: {exc}") from None
     if report.critical is not None:
-        bound = " (lower bound)" if report.critical_is_bound else ""
+        # the scan runs up in the radius and down in the offset, so its end
+        # bounds a critical radius below and a critical offset above
+        side = "lower" if report.kind == "inversion" else "upper"
+        bound = f" ({side} bound)" if report.critical_is_bound else ""
         print(f"critical {report.parameter_name} = {report.critical:.6f}{bound}, "
               f"sup|w| there = {report.sup_w_at_critical:.3e}")
     out = {

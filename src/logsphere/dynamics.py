@@ -434,7 +434,7 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
         raise ValueError(f"comparison already fails at the safe end {scan[0]:g} of the fixed "
                          f"scan: the critical {report.parameter_name} lies beyond it")
     if not fails.any():
-        # no sign change: the critical value is at least the end of the scan
+        # no sign change: the critical value lies past the end of the scan
         report.critical = float(scan[-1])
         report.critical_is_bound = True
     else:
@@ -468,7 +468,8 @@ def critical_alpha(u, e, tol: float = 1e-9,
     on the first failing step of a scan of 32 offsets from 6 down to -6.
 
     Large offsets (small caps) are the safe end; the offset decreases until
-    the comparison fails.
+    the comparison fails.  If no sign change occurs down to -6 the report
+    carries critical_is_bound = True (read: the critical offset is <= -6).
     """
     return _critical_search(_CapProbe(u, None, e, rng), np.linspace(6.0, -6.0, 32),
                             float, float, tol)

@@ -10,21 +10,21 @@ label's slot.
 
 The circle is the equator t = cos(theta) = 0 of S^2, with a one-ring
 product grid, so both spheres run one transform and one off-grid evaluation,
-which tell them apart in one place, the polar rule `_polar_rows`: the
-Legendre table on S^2 and one row 1/sqrt(2 pi) per order on the circle.
-Its rows are in rectangular packed order: orders m and L - m share one
-batch of rows (L + 2 on S^2, 2 on the circle), and for even L the middle
-order L/2 is a second, smaller block.  `_slot_maps(n, L)`, built once per
-band limit, holds the rows' labels and where each coefficient's polar
-product lies.  On a product grid a transform is one azimuth product, one
-batched polar product over the pairs (and one for the middle order), and
-one gather or scatter.  Off the grid, the polar table is re-expanded once
-per band limit in Chebyshev polynomials of t, row by row, so the
-coefficients' Chebyshev sums are the scatter and batched products of a
-synthesis, with the Chebyshev index where the rings were.  A chunk of
-points then takes whole-array steps: the powers of e^{i theta} feed one
-matrix product per parity of the order, and those of e^{i phi} the azimuth
-sum.
+which tell them apart in one place, the polar rule `_polar_rows` with its
+`_batch_width`: the Legendre table on S^2 and one row 1/sqrt(2 pi) per order
+on the circle.  Its rows are in rectangular packed order: with P = L | 1,
+the least odd number >= L, orders m and P - m share one batch of rows
+(2L + 2 - P on S^2, 2 on the circle), so for even L order 0 pairs with the
+empty order L + 1, and every batch has the same width.  `_slot_maps(n, L)`,
+built once per band limit, holds the rows' labels and where each
+coefficient's polar product lies.  On a product grid a transform is one
+azimuth product, one batched polar product and one gather or scatter.  Off
+the grid, the polar table is re-expanded once per band limit in Chebyshev
+polynomials of t, row by row, so the coefficients' Chebyshev sums are the
+scatter and batched product of a synthesis, with the Chebyshev index where
+the rings were.  A chunk of points then takes whole-array steps: the powers
+of e^{i theta} feed one matrix product per parity of the order, and those of
+e^{i phi} the azimuth sum.
 
 Multipliers: the fractional integral family acts on degree-l harmonics as
 Gamma(l+n/2-s)/Gamma(l+n/2+s), its inverse as the reciprocal, and the
@@ -150,20 +150,27 @@ class HarmonicCoeffs:
 @dataclass(frozen=True)
 class _SlotMaps:
     """Where the rows of the polar table at band limit L meet the flat
-    coefficient vector.  The rows are in rectangular packed order: `packed`
-    lists the orders 0, L, 1, L - 1, ..., each pair (m, L - m), m < L/2,
-    sharing one batch of rows, order m first, and for even L the middle
-    order L/2 comes last; within an order the rows run by degree (m..L on
-    S^2, only m on the circle).  Row r is of order[r].
+    coefficient vector.  The rows are in rectangular packed order: with P =
+    L | 1, `packed` lists the orders 0, P, 1, P - 1, ..., L // 2, L // 2 + 1,
+    batch b holding orders b and P - b in `width` rows, order b first; for
+    even L, order 0 pairs with the empty order L + 1.  Within an order the
+    rows run by degree (m..L on S^2, only m on the circle).  Row r is of
+    order[r].
 
-    `blocks` lists the (batches, columns, rows) of the polar products: the
-    pairs, whose columns are cos m, sin m, cos (L - m) and sin (L - m), and
-    then the middle order, cos and sin.  index[s] is the place of slot s in
-    the products laid end to end, each in C order."""
+    The polar product is one (L // 2 + 1, 4, width) array, whose columns in
+    batch b are cos b, sin b, cos (P - b) and sin (P - b); index[s] is the
+    place of slot s in it, in C order."""
     packed: np.ndarray
     order: np.ndarray
     index: np.ndarray
-    blocks: tuple
+    width: int
+
+
+def _batch_width(n: int, L: int) -> int:
+    """Rows of one batch of the polar table: orders m and P - m, P = L | 1,
+    have L + 1 - m and m + L + 1 - P rows on S^2, and one row each on the
+    circle, where the empty order L + 1 of an even L keeps an unused row."""
+    return 2 * L + 2 - (L | 1) if n == 2 else 2
 
 
 @functools.lru_cache(maxsize=16)
@@ -174,84 +181,63 @@ def _slot_maps(n: int, L: int) -> _SlotMaps:
     slot_order = np.abs(slot_m) if n == 2 else slot_l
     sine = slot_m < 0
     del slot_m  # each slot array is freed, or updated in place, once it is used
-    sizes = np.bincount(slot_order[~sine], minlength=L + 1)
-    # the orders in packed order and the first row of each
-    packed = np.empty(L + 1, np.intp)
+    P, width = L | 1, _batch_width(n, L)
+    # the rows of the first order of each batch, and the orders in packed order
+    sizes = np.bincount(slot_order[~sine], minlength=L + 1)[:L // 2 + 1]
+    packed = np.empty(P + 1, np.intp)
     packed[0::2] = np.arange(L // 2 + 1)
-    packed[1::2] = L - np.arange((L + 1) // 2)
-    first = np.empty(L + 1, np.intp)
-    first[packed] = np.cumsum(sizes[packed]) - sizes[packed]
-    row = first[slot_order]
-    row += slot_l
-    row -= slot_order
-    del slot_l
-    order = np.repeat(packed, sizes[packed])
-    # a batch of the pairs is `width` rows, and the middle order the rest
-    pairs = (L + 1) // 2
-    width = int(sizes[0] + sizes[L]) if pairs else 0
-    middle = order.size - pairs * width
-    blocks = tuple(block for block in ((pairs, 4, width), (1, 2, middle)) if block[0] * block[2])
-    del sizes, first
-    # in column c, the product of row r is at (4 b + c) width + r - b width in
-    # batch b of the pairs, and at 4 pairs width + c middle + r - pairs width
-    # in the middle block; the second order of a pair, m > L/2, has c >= 2
-    index = row // max(width, 1)
-    np.minimum(index, pairs, out=index)
-    index *= 3 * width
-    index += row
-    index += (slot_order > L // 2) * (2 * width)
-    index += sine * width
-    in_middle = row >= pairs * width
-    index[in_middle] += sine[in_middle] * (middle - width)
-    maps = _SlotMaps(packed, order, index, blocks)
+    packed[1::2] = P - packed[0::2]
+    order = np.repeat(packed, np.column_stack([sizes, width - sizes]).ravel())
+    # in column c of batch b, the product of the row of degree l of order m
+    # is at (4 b + c) width + l - m, plus the first order's rows if m > L/2,
+    # the second order of its batch, whose columns are c = 2 and 3
+    high = 2 * slot_order > L
+    batch = np.where(high, P - slot_order, slot_order)
+    index = sizes[batch]
+    index *= high
+    index += slot_l
+    index -= slot_order
+    del slot_l, slot_order, sizes
+    batch *= 4
+    batch += 2 * high
+    batch += sine
+    batch *= width
+    index += batch
+    maps = _SlotMaps(packed, order, index, width)
     for array in (packed, order, index):
         array.flags.writeable = False
     return maps
 
 
-# per slot, building `_slot_maps`: about 42 on S^2 and 51 on the circle, whose
+# per slot, building `_slot_maps`: about 42 on S^2 and 46 on the circle, whose
 # per-order arrays are half as long as its slot arrays
-_SLOT_MAP_BYTES = 57
+_SLOT_MAP_BYTES = 52
 
 
 def _polar_rows(n: int, L: int, t: np.ndarray) -> np.ndarray:
     """The polar functions of band limit L at heights t, one row per
-    `_slot_maps` row: the one place the transforms and the off-grid evaluation
-    branch on n.  The circle, t = 0, has one row 1/sqrt(2 pi) per order."""
+    `_slot_maps` row: with `_batch_width`, the one place the transforms and
+    the off-grid evaluation branch on n.  The circle, t = 0, has one row
+    1/sqrt(2 pi) per order 0..L | 1."""
     if n == 2:
         return assoc_legendre_norm(L, t)
-    return np.full((L + 1, t.size), 1.0 / math.sqrt(2.0 * math.pi))
+    return np.full(((L | 1) + 1, t.size), 1.0 / math.sqrt(2.0 * math.pi))
 
 
 _TABLE_CACHE: "weakref.WeakKeyDictionary[QuadratureGrid, dict]" = weakref.WeakKeyDictionary()
 
 
-def _polar_blocks(polar: np.ndarray, maps: _SlotMaps) -> tuple[list, int]:
-    """Per `blocks` entry, the (batches, rows, rings) view of the polar table
-    `polar` (one row per `_slot_maps` row, one column per ring, or per
-    Chebyshev index off the grid) with its slices of the azimuth columns and
-    of the products; and the products' total length."""
-    blocks, row, column, product = [], 0, 0, 0
-    for batches, columns, rows in maps.blocks:
-        block = polar[row:row + batches * rows].reshape(batches, rows, -1)
-        size = batches * columns * rows
-        blocks.append((block, slice(column, column + batches * columns),
-                       slice(product, product + size)))
-        row, column, product = row + batches * rows, column + batches * columns, product + size
-    return blocks, product
-
-
-def _transform_tables(grid: QuadratureGrid, L: int) -> tuple[dict, _SlotMaps]:
-    """The transform tables of (grid, L), built once, and `_slot_maps`.  The
-    tables are `azimuth`, (azimuths, 2L + 2), whose columns are cos and sin
-    of m phi for the orders m in packed order, with the sqrt(2) of m > 0
-    folded in; and `polar`, the `_polar_blocks` of the polar table, one
-    column per ring."""
+def _transform_tables(grid: QuadratureGrid, L: int) -> tuple[np.ndarray, np.ndarray, _SlotMaps]:
+    """The transform tables of (grid, L), built once, and `_slot_maps`: the
+    azimuth table, (azimuths, 2P + 2), P = L | 1, whose columns are cos and
+    sin of m phi for the orders m in packed order, with the sqrt(2) of m > 0
+    folded in; and the polar table as one (L // 2 + 1, width, rings) array
+    of batches."""
     maps = _slot_maps(grid.n, L)
     per_grid = _TABLE_CACHE.setdefault(grid, {})
     tables = per_grid.get(L)
     if tables is not None:
-        return tables, maps
+        return *tables, maps
     # built in place, so the peak is the table: each column first holds its
     # angle, a matmul because a broadcasting multiply would allocate a copy,
     # and a cosine from a sine column would copy the overlapping input
@@ -260,9 +246,9 @@ def _transform_tables(grid: QuadratureGrid, L: int) -> tuple[dict, _SlotMaps]:
     np.sin(azimuth[:, 1::2], out=azimuth[:, 1::2])
     azimuth *= math.sqrt(2.0)
     azimuth[:, 0] = 1.0  # order 0 comes first; its sine column is zero
-    polar = _polar_blocks(_polar_rows(grid.n, L, grid.polar_t), maps)
-    tables = per_grid[L] = {"azimuth": azimuth, "polar": polar}
-    return tables, maps
+    polar = _polar_rows(grid.n, L, grid.polar_t).reshape(-1, maps.width, grid.polar_t.size)
+    tables = per_grid[L] = (azimuth, polar)
+    return *tables, maps
 
 
 def _polar_table_bytes(n: int, L: int, rings: int) -> int:
@@ -270,8 +256,7 @@ def _polar_table_bytes(n: int, L: int, rings: int) -> int:
     polar table, the Legendre recurrence's three working blocks and its
     coefficients (16 floats per row it fills; the circle's one row per order
     needs none) and two ufunc buffers."""
-    # rows of orders m > 0 hold two slots; order 0 has a row per ring of the degree-L grid
-    rows = (harmonic_count(n, L) + grid_shape(n, L)[0]) // 2
+    rows = (L // 2 + 1) * _batch_width(n, L)
     return 8 * ((rows + 3 * (L + 1)) * rings + 16 * (rows - L - 1)
                 + 2 * min((L + 1) * rings, np.getbufsize()))
 
@@ -280,63 +265,55 @@ def transform_table_bytes(n: int, L: int, grid_degree: int) -> int:
     """Upper bound on the peak bytes of building `_transform_tables(grid, L)`:
     the polar table at the grid's rings, the azimuth table and the slot maps."""
     rings, azimuths = grid_shape(n, grid_degree)
-    return (_polar_table_bytes(n, L, rings) + 16 * (L + 1) * azimuths
+    return (_polar_table_bytes(n, L, rings) + 16 * ((L | 1) + 1) * azimuths
             + _SLOT_MAP_BYTES * harmonic_count(n, L) + 4096)
 
 
 def analyze(f: GridFunction, L: int) -> HarmonicCoeffs:
     """Project a grid function onto harmonics up to degree L by quadrature:
-    one azimuth product, one batched polar product per `blocks` entry and
-    one gather."""
+    one azimuth product, one batched polar product and one gather."""
     grid = f.grid
     if grid.exact_to < 2 * L:
         raise ValueError(f"grid exact to degree {grid.exact_to} is too coarse for band limit {L}")
-    tables, maps = _transform_tables(grid, L)
+    azimuth, polar, maps = _transform_tables(grid, L)
     F = f.values.reshape(grid.polar_t.size, grid.az_phi.size)
     # G[column, ring]: the weighted azimuth projections, one per order and kind
-    G = tables["azimuth"].T @ F.T
+    G = azimuth.T @ F.T
     G *= (2.0 * math.pi / grid.az_phi.size) * grid.polar_w
-    blocks, size = tables["polar"]
-    P = np.empty(size)
-    for block, columns, products in blocks:
-        batches, rows, rings = block.shape
-        np.matmul(G[columns].reshape(batches, -1, rings), block.transpose(0, 2, 1),
-                  out=P[products].reshape(batches, -1, rows))
-    return HarmonicCoeffs(grid.n, L, P[maps.index])
+    batches, _, rings = polar.shape
+    products = np.matmul(G.reshape(batches, 4, rings), polar.transpose(0, 2, 1))
+    return HarmonicCoeffs(grid.n, L, products.ravel()[maps.index])
 
 
-def _polar_sums(polar: tuple[list, int], maps: _SlotMaps, states: np.ndarray) -> np.ndarray:
-    """H[state, ring, column]: the sums over the rows of the `_polar_blocks`
-    `polar` of the coefficient vectors `states`, (k, count), one per ring (or
-    Chebyshev index) and azimuth column: one scatter and one batched polar
-    product per `blocks` entry."""
-    blocks, size = polar
+def _polar_sums(polar: np.ndarray, maps: _SlotMaps, states: np.ndarray) -> np.ndarray:
+    """H[state, ring, column]: the sums over the rows of the polar table
+    `polar`, (batches, width, rings), of the coefficient vectors `states`,
+    (k, count), one per ring (or Chebyshev index) and azimuth column: one
+    scatter and one batched polar product."""
+    batches, width, rings = polar.shape
     k = states.shape[0]
     # X[state, product]: in each batch, zero off the rows of its column's order
-    X = np.zeros((k, size))
+    X = np.zeros((k, batches * 4 * width))
     X[:, maps.index] = states
-    H = np.empty((k, blocks[0][0].shape[2], 2 * maps.packed.size))
-    for block, columns, products in blocks:
-        batches, rows, rings = block.shape
-        x = X[:, products].reshape(k, batches, -1, rows)
-        h = H[..., columns].reshape(k, rings, batches, -1)
-        np.matmul(block.transpose(0, 2, 1), x.transpose(0, 1, 3, 2), out=h.transpose(0, 2, 1, 3))
-    return H
+    H = np.empty((k, rings, batches, 4))
+    np.matmul(polar.transpose(0, 2, 1), X.reshape(k, batches, 4, width).transpose(0, 1, 3, 2),
+              out=H.transpose(0, 2, 1, 3))
+    return H.reshape(k, rings, -1)
 
 
 def synthesize_values(L: int, coeffs: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     """Pointwise sums at the grid nodes of the expansions whose coefficients
     are the last axis of `coeffs`: shape (..., count) gives (..., N), so a
-    stack of k states costs one scatter, one batched polar product per
-    `blocks` entry and one azimuth product."""
+    stack of k states costs one scatter, one batched polar product and one
+    azimuth product."""
     C = np.asarray(coeffs, dtype=float)
     count = harmonic_count(grid.n, L)
     if C.shape[-1:] != (count,):
         raise ValueError(f"coefficients have shape {C.shape}, expected (..., "
                          f"{count}) for n={grid.n}, L={L}")
-    tables, maps = _transform_tables(grid, L)
-    H = _polar_sums(tables["polar"], maps, C.reshape(-1, count))
-    F = H.reshape(-1, 2 * L + 2) @ tables["azimuth"].T
+    azimuth, polar, maps = _transform_tables(grid, L)
+    H = _polar_sums(polar, maps, C.reshape(-1, count))
+    F = H.reshape(-1, azimuth.shape[1]) @ azimuth.T
     return F.reshape(C.shape[:-1] + (-1,))
 
 
@@ -348,7 +325,7 @@ def synthesize(c: HarmonicCoeffs, grid: QuadratureGrid) -> GridFunction:
 
 
 @functools.lru_cache(maxsize=8)
-def _evaluation_plan(n: int, L: int) -> tuple[tuple[list, int], np.ndarray]:
+def _evaluation_plan(n: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """The polar table re-expanded in Chebyshev polynomials of t = cos(theta).
 
     With K the row count of order 0, a row of even order is a polynomial of
@@ -359,11 +336,12 @@ def _evaluation_plan(n: int, L: int) -> tuple[tuple[list, int], np.ndarray]:
     a DST of their values, not a DCT of the values over sin(theta), which
     would amplify the rounding near the poles.
 
-    Returns the `_polar_blocks` of the table, whose column j in a row of even
-    order is its coefficient of T_j(t), in one of odd order that of
-    U_j(t) sin(theta), with the sqrt(2) azimuth factor folded in for m > 0;
-    and `parity`, the azimuth columns in parity order: the even orders and
-    then the odd ones, each by order, cos before sin."""
+    Returns the table as one (L // 2 + 1, width, K) array of batches, whose
+    column j in a row of even order is its coefficient of T_j(t), in one of
+    odd order that of U_j(t) sin(theta), with the sqrt(2) azimuth factor
+    folded in for m > 0; and `parity`, the azimuth columns of the orders
+    0..L in parity order: the even orders and then the odd ones, each by
+    order, cos before sin."""
     maps = _slot_maps(n, L)
     K = np.count_nonzero(maps.order == 0)
     angle = (2 * np.arange(K) + 1) * math.pi / (2 * K)
@@ -384,8 +362,8 @@ def _evaluation_plan(n: int, L: int) -> tuple[tuple[list, int], np.ndarray]:
     table.flags.writeable = False
     # order m's columns are 2 p and 2 p + 1, p its place in packed order
     place = np.argsort(maps.packed)
-    parity = 2 * np.concatenate([place[0::2], place[1::2]])[:, None] + np.arange(2)
-    return _polar_blocks(table, maps), parity.ravel()
+    parity = 2 * np.concatenate([place[0:L + 1:2], place[1:L + 1:2]])[:, None] + np.arange(2)
+    return table.reshape(-1, maps.width, K), parity.ravel()
 
 
 def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -467,21 +445,21 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
 def evaluate_at_bytes(n: int, L: int, count: int) -> int:
     """Upper bound on the peak bytes of `evaluate_at` at band limit L on
     `count` points, building the slot maps and the plan included: with K =
-    L + 1 on S^2 and 1 on the circle, 8 KiB of Python objects, the kept maps
-    (a word per coefficient slot, per polar row and per order) and the
-    largest of three phases: building the polar table at K heights;
+    L + 1 on S^2 and 1 on the circle and P = L | 1, 8 KiB of Python objects,
+    the kept maps (a word per coefficient slot, per polar row and per order)
+    and the largest of three phases: building the polar table at K heights;
     transforming it, with one parity's rows (at most half the rows and K)
     twice more, the two K x K transforms and the parity masks; and a call
     with the plan kept, the scattered coefficients (four per row), the
-    (K, 2L + 2) polar sums twice, one chunk's workspace, 32 chunk-length
+    (K, 2P + 2) polar sums twice, one chunk's workspace, 32 chunk-length
     temporaries and the output."""
     M, K, slots = L + 1, grid_shape(n, L)[0], harmonic_count(n, L)
-    rows = (slots + K) // 2
+    rows, orders = (L // 2 + 1) * _batch_width(n, L), (L | 1) + 1
     chunk = min(count, max(1, EVALUATION_CELLS // (M + 1)))
     transform = 8 * (rows + 2 * ((rows + K) // 2) + 2 * K) * K + 10 * rows
-    call = 8 * ((rows + 4 * M) * K + 4 * rows + 4 * (M + 1) * chunk + 32 * chunk + count)
+    call = 8 * ((rows + 4 * orders) * K + 4 * rows + 4 * (M + 1) * chunk + 32 * chunk + count)
     phases = max(_polar_table_bytes(n, L, K), transform, call)
-    return max(_SLOT_MAP_BYTES * slots, 8 * (slots + rows + M) + phases) + 8192
+    return max(_SLOT_MAP_BYTES * slots, 8 * (slots + rows + orders) + phases) + 8192
 
 
 def as_evaluable(c: HarmonicCoeffs):

@@ -69,13 +69,15 @@ def fourier_basis(L: int, theta: np.ndarray) -> np.ndarray:
 
 def legendre_row(L: int, l, m):
     """Row of (l, m), 0 <= m <= l <= L, in `assoc_legendre_norm(L, t)`, in
-    rectangular packed order: orders m and L - m, with L + 1 - m and m + 1
-    rows, share the block of L + 2 rows from row m (L + 2), order m first;
-    for even L the middle order L/2 follows the (L/2) (L + 2) pair rows.
-    Within an order the rows run by degree l = m..L.  Integers or integer
-    arrays."""
-    high = 2 * m > L  # order m is the second of its pair
-    return m * (L + 1) + l + high * ((L - m) * (L + 2) + 1 - m * (L + 1))
+    rectangular packed order: with P = L | 1, the least odd number >= L,
+    batch b = 0..L // 2 holds orders b and P - b, with L + 1 - b and
+    b + L + 1 - P rows, in 2L + 2 - P rows from row b (2L + 2 - P), order b
+    first; for even L, order 0 pairs with the empty order L + 1.  Within an
+    order the rows run by degree l = m..L.  Integers or integer arrays."""
+    P = L | 1
+    high = 2 * m > L  # order m is the second of its batch
+    batch = m + high * (P - 2 * m)
+    return batch * (2 * L + 2 - P) + l - m + high * (L + 1 - batch)
 
 
 def assoc_legendre_norm(L: int, t: np.ndarray) -> np.ndarray:
@@ -85,8 +87,8 @@ def assoc_legendre_norm(L: int, t: np.ndarray) -> np.ndarray:
     holding Nbar_{l,m}(t) with the normalization
     int_{S^2} (Nbar_{l,m} trig_m)^2 = 1 once combined with the sqrt(2)
     cos/sin azimuth factors; no Condon-Shortley phase.  The rows are packed
-    by pairs of orders (m, L - m), so rows :(L + 1) // 2 * (L + 2) reshape
-    to one (pairs, L + 2, len(t)) block and any rest is the middle order.
+    by pairs of orders (m, P - m), P = L | 1, so the table reshapes to one
+    (L // 2 + 1, 2L + 2 - P, len(t)) block.
 
     Upward three-term recurrence in l at fixed m,
 

@@ -232,6 +232,21 @@ def test_movespheres_family_reflection(tmp_path):
     assert rep["sup_w_at_critical"] <= 1e-3
 
 
+@pytest.mark.parametrize("argv, printed", [
+    (["--e", "1,0", "--u", "constant:1", "--scan-tol", "1"],
+     "critical alpha = -6.000000 (upper bound)"),
+    (["--xi0", "north", "--u", "extremizer:zeta=-0.9999e3"],
+     "critical lambda = 50.000000 (lower bound)"),
+], ids=["offset", "radius"])
+def test_movespheres_names_the_side_of_a_bound(argv, printed, tmp_path, capsys):
+    # the offsets are scanned down to -6 and the radii up to 50: a scan that
+    # never fails (here, for the constant, under a loose tolerance) bounds
+    # the critical offset above and the radius below
+    assert main(["movespheres", *argv, "--out", str(tmp_path / "ms.json")]) == 0
+    assert read_json(tmp_path / "ms.json")["report"]["critical_is_bound"] is True
+    assert capsys.readouterr().out.startswith(printed + ", ")
+
+
 def test_movespheres_evaluates_the_requested_extremizer(tmp_path):
     # the family member is probed in closed form, not through a band-limited refit
     out = tmp_path / "ms.json"

@@ -52,8 +52,8 @@ def traced_peak(build) -> int:
         tracemalloc.stop()
 
 
-# the work grid of verify (degree L) and the entropy grid (degree 2L); an
-# odd L has no middle order, so its polar table is the pairs' block alone
+# the work grid of verify (degree L) and the entropy grid (degree 2L), at
+# even and odd L
 @pytest.mark.parametrize("n, L, degree", [(n, L, d * L) for n in (1, 2)
                                           for L in (16, 17, 63, 64, 128) for d in (1, 2)])
 def test_transform_table_bytes_bounds_the_tables(n, L, degree):
@@ -65,14 +65,44 @@ def test_transform_table_bytes_bounds_the_tables(n, L, degree):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_transform_tables_hold_at_most_two_polar_blocks(n):
-    # on and off the grid, one batched product for the pairs of orders and
-    # one for the middle order of an even L, whatever L: never one per order
+def test_transform_tables_hold_one_polar_block(n):
+    # on and off the grid, one batched product over the pairs of orders
+    # (m, (L | 1) - m), whatever the parity of L: never one per order
     for L in range(0, 40):
-        tables, maps = _transform_tables(build_grid(n, max(L, 1)), L)
+        grid = build_grid(n, max(L, 1))
+        azimuth, polar, maps = _transform_tables(grid, L)
         plan = _evaluation_plan(n, L)[0]
-        assert (len(maps.blocks) == len(tables["polar"][0]) == len(plan[0])
-                == 1 + (L % 2 == 0 and L > 0))
+        width = 2 * L + 2 - (L | 1) if n == 2 else 2
+        batches = L // 2 + 1
+        assert maps.width == width
+        assert azimuth.shape == (grid.az_phi.size, 4 * batches)
+        assert polar.shape == (batches, width, grid.polar_t.size)
+        assert plan.shape == (batches, width, L + 1 if n == 2 else 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_slot_index_decodes_to_its_row_and_column(n):
+    # every slot's polar product is a row of its own order and degree, in the
+    # column of its kind (cos or sin) and of its half of the batch, and no
+    # two slots share one
+    for L in range(65):
+        maps = _slot_maps(n, L)
+        l, m = harmonic_indices(n, L)
+        order = np.abs(m) if n == 2 else l
+        width = maps.width
+        size = maps.packed.size // 2 * 4 * width
+        assert np.unique(maps.index).size == maps.index.size
+        assert 0 <= maps.index.min() and maps.index.max() < size
+        batch, column = maps.index // (4 * width), maps.index // width % 4
+        row = batch * width + maps.index % width
+        assert np.array_equal(maps.order[row], order)
+        assert np.array_equal(column % 2 == 1, m < 0)
+        assert np.array_equal(maps.packed[2 * batch + column // 2], order)
+        # an order's rows run by degree from its first
+        first = np.zeros(maps.packed.size, int)
+        labels, at = np.unique(maps.order, return_index=True)
+        first[labels] = at
+        assert np.array_equal(row - first[order], l - order)
 
 
 @pytest.mark.parametrize("L", [16, 17, 64, 127, 128])

@@ -115,17 +115,15 @@ def test_fourier_basis_shape_and_normalization():
 
 
 def test_legendre_rows_pack_pairs_of_orders():
-    for L in range(12):
-        rows = {m: [legendre_row(L, l, m) for l in range(m, L + 1)] for m in range(L + 1)}
+    for L in range(41):
+        P, width = L | 1, 2 * L + 2 - (L | 1)
+        rows = {m: [legendre_row(L, l, m) for l in range(m, L + 1)] for m in range(P + 1)}
         # each (l, m) has exactly one row
         assert sorted(sum(rows.values(), [])) == list(range((L + 1) * (L + 2) // 2))
-        # orders m and L - m fill one block of L + 2 rows, m first and each
-        # by degree; the middle order of an even L follows the pairs
-        for m in range((L + 1) // 2):
-            assert rows[m] + rows[L - m] == list(range(m * (L + 2), (m + 1) * (L + 2)))
-        if L % 2 == 0:
-            start = L // 2 * (L + 2)
-            assert rows[L // 2] == list(range(start, start + L // 2 + 1))
+        # batch b holds orders b and P - b in one run of 2L + 2 - P rows, b
+        # first and each by degree; for even L, order L + 1 has no rows
+        for b in range(L // 2 + 1):
+            assert rows[b] + rows[P - b] == list(range(b * width, (b + 1) * width))
         # order 0 comes first
         assert rows[0] == list(range(L + 1))
 
