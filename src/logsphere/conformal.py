@@ -2,7 +2,10 @@
 reflections, Moebius maps, Jacobians, pullbacks, and the comparison kernel.
 
 Points are the rows of a (k, n+1) array ((k, n) in the plane) and values are
-arrays over the rows.  Jacobians come from the chain rule on closed-form factors:
+arrays over the rows.  Inside, point sets are built and reduced as (n+1, k)
+coordinate columns, one coordinate at a time, and rows are handed out as
+transposed column blocks: with n + 1 <= 3 coordinates, work along the short
+axis of the rows costs more than the arithmetic.  Jacobians come from the chain rule on closed-form factors:
 
     J_{S}(x)      = (2/(1+|x|^2))^n          (inverse stereographic)
     J_{S^{-1}}(xi) = (1+xi_{n+1})^{-n}
@@ -204,10 +207,11 @@ def map_with_jacobian(phi: ConformalMap, xi) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(phi, (LiftedInversion, LiftedReflection)):
         image, jac = _lifted(phi, pts)
     elif isinstance(phi, Moebius):
-        mu = phi.mu
-        xm = pts - mu
-        d2 = np.sum(xm * xm, axis=1, keepdims=True)
-        image = sphere_point(((1.0 - float(np.dot(mu, mu))) * xm - d2 * mu) / d2)
+        mu = phi.mu[:, None]
+        xm = np.ascontiguousarray(pts.T) - mu
+        d2 = _col_sq(xm)
+        image = ((1.0 - float(np.dot(phi.mu, phi.mu))) * xm - d2 * mu) / d2
+        image = sphere_point(image.T)
         z2 = float(np.dot(phi.zeta, phi.zeta))
         jac = (math.sqrt(1.0 - z2) / (1.0 - pts @ phi.zeta)) ** phi.n
     else:
@@ -334,25 +338,24 @@ def cap_points(region: SigmaRegion, u: np.ndarray, phi: np.ndarray | None = None
     For n = 1 the signed angle from the axis is (2u - 1) times the cap's
     half-width; for n = 2 the height along the axis is c + (1 - c) u and
     `phi` is the azimuth about it.  Uniform variates give a surface-uniform
-    sample, and fixed ones deform continuously with the region.
+    sample, and fixed ones deform continuously with the region.  The rows
+    are the transpose of (n + 1, k) columns.
     """
     n = region.n
     c = region.cos_threshold
     frame = _orthonormal_frame(region.axis)
     if n == 1:
         beta = (2.0 * u - 1.0) * math.acos(max(-1.0, min(1.0, c)))
-        return (
-            np.cos(beta)[:, None] * region.axis[None, :]
-            + np.sin(beta)[:, None] * frame[0][None, :]
-        )
+        cols = np.outer(region.axis, np.cos(beta))
+        cols += np.outer(frame[0], np.sin(beta))
+        return cols.T
     if n == 2:
         t = c + (1.0 - c) * u
         s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        return (
-            t[:, None] * region.axis[None, :]
-            + (s * np.cos(phi))[:, None] * frame[0][None, :]
-            + (s * np.sin(phi))[:, None] * frame[1][None, :]
-        )
+        cols = np.outer(region.axis, t)
+        cols += np.outer(frame[0], s * np.cos(phi))
+        cols += np.outer(frame[1], s * np.sin(phi))
+        return cols.T
     raise ValueError(f"cap sampling supports n in {{1, 2}}, got n={n}")
 
 
@@ -371,12 +374,12 @@ def kernel_l(phi: ConformalMap, xi, eta) -> np.ndarray:
     """
     xis, etas = _rows(xi), _rows(eta)
     n = phi.n
-    d2 = np.sum((xis - etas) ** 2, axis=1)
+    d2 = _col_sq(xis.T - etas.T)
     if np.any(d2 < POLE_TOL):
         raise ValueError("kernel is singular at coincident points")
     image, jac = map_with_jacobian(phi, etas)
     jr = np.sqrt(jac)
-    d2m = np.sum((xis - image) ** 2, axis=1)
+    d2m = _col_sq(xis.T - image.T)
     return d2 ** (-0.5 * n) - jr * d2m ** (-0.5 * n)
 
 

@@ -289,6 +289,7 @@ class _CapProbe:
         # planar ball template (used by the inversion variant)
         ball_dirs = rng.standard_normal((half, n))
         ball_dirs /= np.linalg.norm(ball_dirs, axis=1, keepdims=True)
+        ball_dirs = np.ascontiguousarray(ball_dirs.T)  # coordinate columns
         ball_radii = np.maximum(rng.uniform(0.0, 1.0, half) ** (1.0 / n), 1e-6)
         # cap template in the frame of the cap axis
         cap_u = rng.uniform(0.0, 1.0, half)
@@ -300,12 +301,15 @@ class _CapProbe:
         ball_dirs, ball_radii, cap_u, cap_phi = template
         pts = cf.cap_points(cf.region_of(phi), cap_u, cap_phi)
         if isinstance(phi, cf.LiftedInversion):
-            x = phi.x0 + phi.lam * ball_radii[:, None] * ball_dirs
-            pts = np.vstack([pts, cf.stereographic(x)])
+            x = phi.x0[:, None] + phi.lam * ball_radii * ball_dirs
+            pts = np.vstack([pts, cf.stereographic(x.T)])
         mapped, jac = cf.map_with_jacobian(phi, pts)
         jr = np.sqrt(jac)
-        # one evaluation of u for the images and the nodes together
-        both = self.u(np.vstack([mapped, pts]))
+        # one evaluation of u for the images and the nodes together, as C-order
+        # rows: the last bits of the closed-form family's matrix product with
+        # them depend on their layout
+        nodes = np.concatenate([mapped, pts], out=np.empty((2 * len(pts), self.n + 1)))
+        both = self.u(nodes)
         u_mapped = both[:len(mapped)]
         w = jr * u_mapped - both[len(mapped):]
         return w, jr, mapped, u_mapped

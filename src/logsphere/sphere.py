@@ -104,8 +104,10 @@ def build_grid(n: int, degree: int) -> QuadratureGrid:
 
     n = 1: one ring of 2*(degree+1) equally weighted azimuths.
     n = 2: (degree+1) Gauss-Legendre polar nodes x (2*degree+1) uniform
-    azimuth nodes.  The offsets keep nodes away from the poles and from the
-    coordinate axes, so conformal-map poles never coincide with nodes.
+    azimuth nodes.  No node is at either pole, so the stereographic pole
+    (0, 0, -1) is never a node; other points of the coordinate axes can be
+    (at even degrees the equator ring holds -e1).  On the circle the golden
+    phase keeps nodes off the coordinate semi-axes.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")

@@ -105,7 +105,9 @@ def _suite_kernel_sign(cfg, rng):
             a = cf.sample_region(region, 2500, rng)
             b = cf.sample_region(region, 2500, rng)
             ok = np.sum((a - b) ** 2, axis=1) > 1e-12
-            vals = cf.kernel_l(phi, a[ok], b[ok])
+            if not ok.all():
+                a, b = a[ok], b[ok]
+            vals = cf.kernel_l(phi, a, b)
             pairs += int(ok.sum())
             violations += int(np.sum(vals <= 0.0))
             worst = min(worst, float(vals.min()))
@@ -155,15 +157,16 @@ def _suite_energyharmonics(cfg, rng):
 def _suite_gibbs(cfg, rng):
     n, L, count = cfg.n, GIBBS_L, GIBBS_STATES
     grid = sp.build_grid(n, GIBBS_DEGREE)
-    # drawn in the order of one state at a time: f, g, then the shift
-    f_coeffs, g_coeffs, shifts = zip(*[
-        (hm.random_coeffs(n, L, rng).coeffs, hm.random_coeffs(n, L, rng).coeffs, rng.normal())
-        for _ in range(count)])
-    fv = np.abs(hm.synthesize_values(L, np.stack(f_coeffs), grid)) + 0.05
+    # one row per state: the Gaussians of f, of g, then the shift; f and g
+    # damped as `random_coeffs` damps them at decay 1
+    slots = hm.harmonic_count(n, L)
+    draws = rng.standard_normal((count, 2 * slots + 1))
+    damping = 1.0 + hm.degree_of_index(n, L)
+    fv = np.abs(hm.synthesize_values(L, draws[:, :slots] / damping, grid)) + 0.05
     fv /= np.sum(grid.weights * fv, axis=1, keepdims=True)
-    gv = hm.synthesize_values(L, np.stack(g_coeffs), grid)
+    gv = hm.synthesize_values(L, draws[:, slots:-1] / damping, grid)
     worst_gap = float(en.gibbs_gap(grid, fv, gv).min())
-    eq = en.gibbs_gap(grid, fv, np.log(fv) + np.array(shifts)[:, None])
+    eq = en.gibbs_gap(grid, fv, np.log(fv) + draws[:, -1:])
     return worst_gap, {"max_equality_gap": float(np.abs(eq).max())}
 
 

@@ -2,8 +2,10 @@
 (l, m) label in the coefficient vector, the normalized Legendre table one
 recurrence step per (l, m), the orthonormal harmonics one label at a time,
 the planar membership test of a comparison region, the planar (bubble) form
-of the classified family, and the critical scale of the moving-spheres probe
-by plain bisection.
+of the classified family, the critical scale of the moving-spheres probe
+by plain bisection, and the conformal layer's cap points, difference kernel
+and Moebius images computed on rows of points, with the `kernel_sign` suite's
+loop over them.
 """
 
 from __future__ import annotations
@@ -12,10 +14,21 @@ import math
 
 import numpy as np
 
-from logsphere.conformal import LiftedInversion, inverse_stereographic, stereographic
+from logsphere.conformal import (
+    POLE_TOL,
+    LiftedInversion,
+    LiftedReflection,
+    Moebius,
+    _orthonormal_frame,
+    inverse_stereographic,
+    map_with_jacobian,
+    region_of,
+    stereographic,
+)
 from logsphere.dynamics import _CapProbe
 from logsphere.harmonics import HarmonicCoeffs
 from logsphere.specfun import assoc_legendre_norm, legendre_row
+from logsphere.sphere import sphere_point
 
 
 def flat_index(n: int, l: int, m: int) -> int:
@@ -183,3 +196,78 @@ def bisection_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float
         else:
             good = mid
     return mean(good, bad)
+
+
+# The conformal layer on rows of points: each coordinate of a point is a
+# broadcast along the short axis, and each squared chord a sum along it.
+
+def row_cap_points(region, u, phi=None) -> np.ndarray:
+    """Points of the cap from variates u (and azimuths phi on S^2), row by row."""
+    n, c = region.n, region.cos_threshold
+    frame = _orthonormal_frame(region.axis)
+    if n == 1:
+        beta = (2.0 * u - 1.0) * math.acos(max(-1.0, min(1.0, c)))
+        return (
+            np.cos(beta)[:, None] * region.axis[None, :]
+            + np.sin(beta)[:, None] * frame[0][None, :]
+        )
+    t = c + (1.0 - c) * u
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    return (
+        t[:, None] * region.axis[None, :]
+        + (s * np.cos(phi))[:, None] * frame[0][None, :]
+        + (s * np.sin(phi))[:, None] * frame[1][None, :]
+    )
+
+
+def row_moebius_map_with_jacobian(phi: Moebius, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Images and Jacobian of a Moebius map at the rows of pts."""
+    pts = np.asarray(pts, dtype=float)
+    mu = phi.mu
+    xm = pts - mu
+    d2 = np.sum(xm * xm, axis=1, keepdims=True)
+    image = sphere_point(((1.0 - float(np.dot(mu, mu))) * xm - d2 * mu) / d2)
+    z2 = float(np.dot(phi.zeta, phi.zeta))
+    jac = (math.sqrt(1.0 - z2) / (1.0 - pts @ phi.zeta)) ** phi.n
+    return image, jac
+
+
+def row_kernel_l(phi, xis, etas) -> np.ndarray:
+    """1/|xi-eta|^n - J^{1/2}(eta)/|xi-phi(eta)|^n, row by row."""
+    xis, etas = np.asarray(xis, dtype=float), np.asarray(etas, dtype=float)
+    n = phi.n
+    d2 = np.sum((xis - etas) ** 2, axis=1)
+    if np.any(d2 < POLE_TOL):
+        raise ValueError("kernel is singular at coincident points")
+    image, jac = (row_moebius_map_with_jacobian(phi, etas) if isinstance(phi, Moebius)
+                  else map_with_jacobian(phi, etas))
+    d2m = np.sum((xis - image) ** 2, axis=1)
+    return d2 ** (-0.5 * n) - np.sqrt(jac) * d2m ** (-0.5 * n)
+
+
+def kernel_sign_loop(n: int, rng: np.random.Generator):
+    """The `kernel_sign` suite's (metric, details) from the row oracles: 20
+    rounds of an inversion and a reflection, 2500 cap pairs each, drawn
+    from `rng` in the suite's order."""
+
+    def sample(region, count):
+        u = rng.uniform(0.0, 1.0, count)
+        az = rng.uniform(0.0, 2.0 * math.pi, count) if n == 2 else None
+        return row_cap_points(region, u, az)
+
+    violations, pairs, worst = 0, 0, math.inf
+    for _ in range(20):
+        xi0 = rng.standard_normal(n + 1)
+        if 1.0 + sphere_point(xi0)[-1] < 0.2:
+            xi0 = -xi0
+        inversion = LiftedInversion(float(rng.uniform(0.3, 2.0)), xi0)
+        reflection = LiftedReflection(float(rng.uniform(-1.0, 1.0)), rng.standard_normal(n))
+        for phi in (inversion, reflection):
+            region = region_of(phi)
+            a, b = sample(region, 2500), sample(region, 2500)
+            ok = np.sum((a - b) ** 2, axis=1) > 1e-12
+            vals = row_kernel_l(phi, a[ok], b[ok])
+            pairs += int(ok.sum())
+            violations += int(np.sum(vals <= 0.0))
+            worst = min(worst, float(vals.min()))
+    return violations, {"pairs": pairs, "min_kernel": worst}

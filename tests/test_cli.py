@@ -23,6 +23,7 @@ from logsphere import harmonics as hm
 from logsphere import sphere as sp
 from logsphere.harmonics import HarmonicCoeffs, random_coeffs
 from logsphere.verify import SUITES, _suite_gibbs, table_needs
+from oracles import kernel_sign_loop
 
 SUITE = {suite.name: suite for suite in SUITES}
 
@@ -621,6 +622,15 @@ def test_gibbs_suite_synthesizes_its_states_in_one_stack(monkeypatch, n):
         rng.normal()  # the shift of the equality case
     assert metric == pytest.approx(min(gaps), rel=1e-11)
     assert details["max_equality_gap"] <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernel_sign_suite_matches_the_row_loop(n, seed):
+    # the column-wise cap points and kernel, which index the pairs only when
+    # one coincides, report what the row-wise oracles report bit for bit
+    got = SUITE["kernel_sign"].run(RunConfig(n=n), np.random.default_rng(seed))
+    assert got == kernel_sign_loop(n, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -301,6 +301,23 @@ FAMILY = extremizer(ExtremizerParams(np.array([0.2, -0.1, 0.25])))
 RANDOM_STATE = as_evaluable(random_positive_init(2, 8, np.random.default_rng(11), amplitude=0.5))
 
 
+@pytest.mark.parametrize("xi0, e", [(north_pole(2), None), (None, np.array([0.6, 0.8]))],
+                         ids=["inversion", "reflection"])
+def test_probe_evaluates_u_at_its_nodes_on_c_order_rows(xi0, e):
+    # the family's matrix product with the rows rounds by their layout, and
+    # the cap points come as column blocks: the one evaluation per value at
+    # the images and nodes takes C-order rows, so its bits do not move with
+    # the cap sampler's layout (the second, at the images' images, follows)
+    layouts = []
+
+    def u(pts):
+        layouts.append(pts.flags.c_contiguous)
+        return FAMILY(pts)
+
+    moving_sphere_profile(u, [0.5, 1.0], xi0=xi0, e=e, rng=np.random.default_rng(3))
+    assert layouts[0::2] == [True, True]
+
+
 def test_profile_retries_a_pole_collision_on_that_value_only(monkeypatch):
     # each scale value takes two planar steps (its nodes, then their images);
     # call 3 is the first of value 1

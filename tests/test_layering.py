@@ -7,7 +7,8 @@ functions or a hard-coded slot; no src code looks up one label's slot
 (`flat_index` is a test oracle), and in `harmonics` the slot -> product map
 is read by `analyze` and the polar sums alone.  The row order of the
 Legendre table is `specfun`'s alone.  `conformal` is geometry only and depends on
-`sphere`, not on the transforms.  `verify` holds the suites `cli` runs and
+`sphere`, not on the transforms, and works on coordinate columns, never
+along the short axis of point rows.  `verify` holds the suites `cli` runs and
 imports nothing from `cli`.  Besides its own modules, src imports only the
 standard library and numpy, the one dependency `pyproject.toml` declares.
 No module imports or reads another's underscore names.  Every public name
@@ -167,6 +168,42 @@ def imports(module: str) -> set[str]:
 def test_conformal_does_not_import_harmonics():
     assert "harmonics" not in imports("conformal")
     assert "sphere" in imports("conformal")
+
+
+def short_axis_work(node: ast.AST) -> list[str]:
+    """Reductions along axis 1 or -1 (`np.sum(d * d, axis=1)`) and row
+    broadcasts (`axis[None, :]`) in `node`."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            for kw in sub.keywords:
+                if kw.arg == "axis" and ast.unparse(kw.value) in {"1", "-1"}:
+                    found.append(ast.unparse(sub))
+        elif (isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Tuple)
+              and len(sub.slice.elts) == 2
+              and isinstance(sub.slice.elts[0], ast.Constant) and sub.slice.elts[0].value is None
+              and isinstance(sub.slice.elts[1], ast.Slice)):
+            found.append(ast.unparse(sub))
+    return found
+
+
+def test_conformal_works_on_coordinate_columns():
+    # with n + 1 <= 3 coordinates, a loop along the short axis of (k, n + 1)
+    # rows costs more than the arithmetic: conformal builds and reduces its
+    # point sets as (n + 1, k) columns; a column such as `x0[:, None]`
+    # broadcast against them is the allowed form
+    assert short_axis_work(tree("conformal")) == []
+
+
+def test_short_axis_patterns_are_seen():
+    # the gate's detector, on the row-wise forms it keeps out
+    sample = ast.parse("d2 = np.sum((a - b) ** 2, axis=1)\n"
+                       "r = np.linalg.norm(v, axis=-1, keepdims=True)\n"
+                       "p = t[:, None] * axis[None, :]\n"
+                       "ok = x0[:, None] + y.sum(axis=0) + xi0[None]\n")
+    assert short_axis_work(sample) == ["np.sum((a - b) ** 2, axis=1)",
+                                       "np.linalg.norm(v, axis=-1, keepdims=True)",
+                                       "axis[None, :]"]
 
 
 def test_verify_does_not_import_cli():

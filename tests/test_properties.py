@@ -1,7 +1,8 @@
 """Property-based checks: the cap sampler and the cap as the planar region,
-Moebius inverses, the conformal distance identity, the JSON round trip of
-coefficients, the extremizer fit, the sign of the deficit and its two
-routes, the Euler-Lagrange residual of the family, the transforms against
+the column-wise cap points, difference kernel and Moebius images against
+their row-wise oracles bit for bit, Moebius inverses, the conformal
+distance identity, the JSON round trip of coefficients, the extremizer
+fit, the sign of the deficit and its two routes, the Euler-Lagrange residual of the family, the transforms against
 their per-element loops and against each other and, on the circle, the transforms and the off-grid
 evaluation against the Fourier basis, the batch axes of synthesis, the Gibbs gap and the direct energy,
 and the probe's root-finder on smooth and step functions."""
@@ -38,7 +39,7 @@ from logsphere import (
     sphere_point,
     synthesize,
 )
-from logsphere.conformal import _orthonormal_frame
+from logsphere.conformal import _orthonormal_frame, kernel_l, map_with_jacobian
 from logsphere.dynamics import _zeroin
 from logsphere.energy import energy_direct_extrapolated, energy_direct_extrapolated_many, gibbs_gap
 from logsphere.harmonics import (
@@ -51,7 +52,14 @@ from logsphere.harmonics import (
 )
 from logsphere.specfun import fourier_basis, legendre_row
 from logsphere.sphere import GridFunction
-from oracles import coeff, in_sigma, loop_assoc_legendre_norm
+from oracles import (
+    coeff,
+    in_sigma,
+    loop_assoc_legendre_norm,
+    row_cap_points,
+    row_kernel_l,
+    row_moebius_map_with_jacobian,
+)
 
 DIMS = st.sampled_from([1, 2])
 
@@ -135,6 +143,59 @@ def test_sample_region_consumes_the_generator_as_before(phi, seed, count):
     )
     got = sample_region(region, count, np.random.default_rng(seed))
     np.testing.assert_array_equal(got, want)
+
+
+def cap_variates(data, n, k):
+    """k heights (or angles) in [0, 1] and, on S^2, k azimuths in [0, 2 pi]."""
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    az = np.array(data.draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=k, max_size=k)))
+    return u, az if n == 2 else None
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@given(n=DIMS, data=st.data())
+def test_cap_points_match_the_row_oracle(n, data):
+    region = region_of(data.draw(cap_maps(n)))
+    u, az = cap_variates(data, n, data.draw(st.integers(1, 64)))
+    np.testing.assert_array_equal(cap_points(region, u, az), row_cap_points(region, u, az))
+
+
+@given(n=DIMS, data=st.data())
+def test_kernel_l_matches_the_row_oracle(n, data):
+    # pairs from the cap of one map, the kernel of it or of a Moebius map;
+    # the cap points come as column blocks and, copied, as C-order rows.  The
+    # Moebius Jacobian's matrix product with the rows rounds by their layout,
+    # so the oracle takes the same rows.
+    cap_map = data.draw(cap_maps(n))
+    phi = data.draw(st.one_of(st.just(cap_map), moebius_maps(n)))
+    region = region_of(cap_map)
+    k = data.draw(st.integers(1, 64))
+    xi = cap_points(region, *cap_variates(data, n, k))
+    eta = cap_points(region, *cap_variates(data, n, k))
+    for a, b in ((xi, eta), (np.ascontiguousarray(xi), np.ascontiguousarray(eta))):
+        want, got = outcome(row_kernel_l, phi, a, b), outcome(kernel_l, phi, a, b)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
+@given(n=DIMS, data=st.data(), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 64))
+def test_moebius_map_matches_the_row_oracle(n, data, seed, count):
+    phi = data.draw(moebius_maps(n))
+    pts = sphere_points(n, seed, count)
+    for rows in (pts, np.asfortranarray(pts)):
+        image, jac = map_with_jacobian(phi, rows)
+        want_image, want_jac = row_moebius_map_with_jacobian(phi, rows)
+        np.testing.assert_array_equal(image, want_image)
+        np.testing.assert_array_equal(jac, want_jac)
 
 
 @given(n=DIMS, data=st.data(), seed=st.integers(0, 2**32 - 1))

@@ -63,6 +63,22 @@ def test_grid_is_rings_times_azimuths(n, degree):
         assert default_energy_eps(g) == 1.25 * 2.0 * min_internode_distance(g)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_no_node_at_a_pole(n):
+    # build_grid's promise: no node at either pole, so the stereographic pole
+    # is never a node; on the circle no node on a coordinate semi-axis.  On
+    # S^2 other axis points can be nodes: at even degrees -e1 is one.
+    for degree in range(1, 65):
+        nodes = build_grid(n, degree).nodes
+        for pole in (1.0, -1.0):
+            chord = np.hypot(np.linalg.norm(nodes[:, :-1], axis=1), nodes[:, -1] - pole)
+            assert chord.min() > 1e-3, (degree, pole)
+        if n == 1:
+            assert np.abs(nodes).min() > 1e-3, degree
+        elif degree % 2 == 0:
+            assert np.abs(nodes - [-1.0, 0.0, 0.0]).max(axis=1).min() < 1e-15, degree
+
+
 @pytest.mark.parametrize("n,degree", [(1, 3), (1, 16), (2, 8), (2, 24)])
 def test_weights_partition_area(n, degree):
     g = build_grid(n, degree)
