@@ -289,7 +289,10 @@ def _parse_extremizer(payload: str, n: int) -> cf.ExtremizerParams:
         raise SystemExit(f"extremizer: {exc}") from None
 
 
-def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
+def _parse_init(spec: str, cfg: RunConfig, grid: sp.QuadratureGrid | None = None
+                ) -> hm.HarmonicCoeffs:
+    """The initial state of `spec`; a random one is scaled on `grid`, by
+    default the entropy grid of (cfg.n, cfg.band_limit)."""
     kind, _, payload = spec.partition(":")
     n, L = cfg.n, cfg.band_limit
     if kind == "constant":
@@ -306,7 +309,7 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
                 amp = _number(val, "random init amp")
             else:
                 raise SystemExit(f"unknown random-init option {key!r}")
-        return dy.random_positive_init(n, L, np.random.default_rng(seed), amp)
+        return dy.random_positive_init(n, L, np.random.default_rng(seed), amp, grid=grid)
     if kind == "extremizer":
         return dy.family_coeffs(_parse_extremizer(payload, n), L)
     if kind == "coeffs":
@@ -322,11 +325,14 @@ def _parse_init(spec: str, cfg: RunConfig) -> hm.HarmonicCoeffs:
 
 
 def cmd_minimize(cfg: RunConfig, init_spec: str, max_iter: int, step: float) -> int:
-    try:  # a bad flow setting or a zero initial state becomes one line
-        result = dy.minimize_deficit(_parse_init(init_spec, cfg), step, max_iter)
+    # one entropy grid, and so one transform table, serves the random init,
+    # the flow and the fit
+    grid = en.default_entropy_grid(cfg.n, cfg.band_limit)
+    try:  # a bad flow setting or an init without a usable norm becomes one line
+        result = dy.minimize_deficit(_parse_init(init_spec, cfg, grid), step, max_iter, grid)
     except ValueError as exc:
         raise SystemExit(f"minimize: {exc}") from None
-    fit = dy.fit_extremizer(result.coeffs)
+    fit = dy.fit_extremizer(result.coeffs, grid)
     print(f"flow: {result.iterations} iterations, final deficit {result.final_deficit:.3e} "
           f"({result.message})")
     print(f"fit: residual {fit.residual:.3e}, |zeta| {np.linalg.norm(fit.params.zeta):.4f}, "

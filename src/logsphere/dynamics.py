@@ -21,7 +21,7 @@ import numpy as np
 from . import conformal as cf
 from .energy import beckner_deficit, default_entropy_grid, deficit_gradient_at, deficit_terms
 from .harmonics import HarmonicCoeffs, analyze, degree_of_index, random_coeffs, synthesize
-from .sphere import build_grid
+from .sphere import QuadratureGrid, build_grid
 
 DEFAULT_SAMPLES = 2048  # probe nodes per template
 
@@ -63,24 +63,34 @@ def deficit_value(u: HarmonicCoeffs) -> float:
     return beckner_deficit(u).deficit
 
 
-def minimize_deficit(init: HarmonicCoeffs, step: float, max_iter: int) -> FlowResult:
+def minimize_deficit(init: HarmonicCoeffs, step: float, max_iter: int,
+                     grid: QuadratureGrid | None = None) -> FlowResult:
     """Projected gradient descent on the deficit over ||u||_2 = ||init||_2,
-    at init's band limit and on its entropy grid, from line-search step
-    `step` for at most `max_iter` iterations.  Each trial point costs one
-    deficit evaluation; the gradient is taken at accepted points only.
+    at init's band limit and on `grid`, by default its entropy grid
+    (`default_entropy_grid(init.n, init.L)`, built here when none is
+    passed), from line-search step `step` for at most `max_iter` iterations.
+    Each trial point costs one deficit evaluation; the gradient is taken at
+    accepted points only.  A trial whose unprojected candidate has no finite
+    norm (a step too large for floats) is rejected, and the step halves.
 
     The deficit is 2-homogeneous, D(tu) = t^2 D(u), so the flow keeps the
-    initial norm; scale `init` to flow on another sphere.
+    initial norm; scale `init` to flow on another sphere.  An init whose
+    squared norm is no positive finite float (zero, or a square that
+    overflows or underflows) is refused.
     """
     # the chained comparison is false for NaN and infinities too
     if not (0 < step < math.inf and max_iter > 0):
         raise ValueError("flow parameters must be positive and finite")
-    if not np.any(init.coeffs):
-        raise ValueError("flow needs a nonzero initial state")
+    with np.errstate(over="ignore"):  # an overflow is refused below, with its cause
+        norm_sq = init.norm_sq()
+    if not 0.0 < norm_sq < math.inf:
+        raise ValueError("the flow needs an initial state whose squared norm is a positive "
+                         f"finite float, got {norm_sq!r}")
     n, L = init.n, init.L
-    grid = default_entropy_grid(n, L)
+    if grid is None:
+        grid = default_entropy_grid(n, L)
     u = init.copy_with(init.coeffs.copy())
-    target = math.sqrt(u.norm_sq())
+    target = math.sqrt(norm_sq)
     report, density = deficit_terms(u, grid)
     deficit, grad = report.deficit, deficit_gradient_at(u, grid, density)
     deficits = [deficit]
@@ -95,8 +105,13 @@ def minimize_deficit(init: HarmonicCoeffs, step: float, max_iter: int) -> FlowRe
             break
         accepted = False
         for _ in range(50):
-            cand = c - step * tangent
-            cand *= target / np.linalg.norm(cand)
+            with np.errstate(over="ignore"):  # an overflowing trial is rejected
+                cand = c - step * tangent
+                cand_norm = np.linalg.norm(cand)
+            if not math.isfinite(cand_norm):
+                step *= 0.5
+                continue
+            cand *= target / cand_norm
             trial = HarmonicCoeffs(n, L, cand)
             report, density = deficit_terms(trial, grid)
             if report.deficit <= deficit - 1e-4 * step * gnorm * gnorm:
@@ -118,11 +133,15 @@ def minimize_deficit(init: HarmonicCoeffs, step: float, max_iter: int) -> FlowRe
 
 
 def random_positive_init(n: int, L: int, rng: np.random.Generator,
-                         amplitude: float = 0.2) -> HarmonicCoeffs:
-    """Constant plus a band-limited perturbation kept safely positive."""
+                         amplitude: float = 0.2,
+                         grid: QuadratureGrid | None = None) -> HarmonicCoeffs:
+    """Constant plus a band-limited perturbation kept safely positive: its
+    largest magnitude on `grid`, by default the entropy grid of (n, L)
+    (built here when none is passed), is `amplitude`."""
     pert = random_coeffs(n, L, rng, decay=1.5).coeffs
     pert[degree_of_index(n, L) == 0] = 0.0
-    grid = default_entropy_grid(n, L)
+    if grid is None:
+        grid = default_entropy_grid(n, L)
     probe = synthesize(HarmonicCoeffs(n, L, pert), grid).values
     scale = amplitude / max(np.abs(probe).max(), 1e-12)
     u = HarmonicCoeffs.constant(n, L, 1.0)
@@ -160,12 +179,13 @@ class FitResult:
         }
 
 
-def fit_extremizer(u: HarmonicCoeffs) -> FitResult:
+def fit_extremizer(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> FitResult:
     """Least-squares fit of the family c (sqrt(1-|z|^2)/(1-z.w))^{n/2}.
 
     On the family u^{-2/n} = a0 - a.w, with zeta = a/a0 and
     c = (a0 sqrt(1-|zeta|^2))^{-n/2}, so the fit is one linear solve for
-    (a0, a) on the entropy grid of u's band limit.  Its rows carry the
+    (a0, a) on `grid`, by default the entropy grid of u's band limit (built
+    here when none is passed).  Its rows carry the
     weights sqrt(w_i) u_i^{1+2/n}, which make it the linearization of the
     misfit in u.  The residual is the relative L2 misfit of the fitted
     member.  A u that is not positive on the grid, a solve that gives no
@@ -173,7 +193,8 @@ def fit_extremizer(u: HarmonicCoeffs) -> FitResult:
     model: c = 0 with residual 1.
     """
     n, L = u.n, u.L
-    grid = default_entropy_grid(n, L)
+    if grid is None:
+        grid = default_entropy_grid(n, L)
     u_vals = synthesize(u, grid).values
     zero_model = cf.ExtremizerParams(np.zeros(n + 1), 0.0)
     if not np.all(u_vals > 0.0):

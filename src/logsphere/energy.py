@@ -121,9 +121,15 @@ def energy_direct_extrapolated_many(grid: QuadratureGrid, values: np.ndarray) ->
 
 
 def _entropy_log_factor(usq: np.ndarray, norm_sq: float, area: float) -> np.ndarray:
-    """ln(u^2 |S^n| / ||u||^2) at the nodes where u^2 > 0, and 0 elsewhere, so
-    that u^2 times it is the entropy density with 0 ln 0 := 0."""
-    return np.where(usq > 0.0, np.log(np.maximum(usq, 1e-300)) + math.log(area / norm_sq), 0.0)
+    """ln(u^2 |S^n| / ||u||^2) at the nodes where u^2 > 0, and 0 elsewhere (NaN
+    nodes included), so that u^2 times it is the entropy density with 0 ln 0
+    := 0.  It is one new array, worked in place; its bits are those of the
+    out-of-place `np.where(usq > 0, ln max(usq, 1e-300) + c, 0)`."""
+    logfac = np.maximum(usq, 1e-300)
+    np.log(logfac, out=logfac)
+    logfac += math.log(area / norm_sq)
+    np.copyto(logfac, 0.0, where=~(usq > 0.0))
+    return logfac
 
 
 def beckner_rhs(u: GridFunction) -> float:
@@ -156,7 +162,11 @@ def default_entropy_grid(n: int, L: int) -> QuadratureGrid:
 def deficit_terms(u: HarmonicCoeffs, grid: QuadratureGrid) -> tuple[DeficitReport, np.ndarray]:
     """The deficit 2 E[u,u] - C_n int u^2 ln(u^2 |S^n|/||u||^2) with the
     Parseval norm, and the node values u ln(u^2 |S^n|/||u||^2) that its
-    gradient projects (`deficit_gradient_at`)."""
+    gradient projects (`deficit_gradient_at`).
+
+    The entropy pass works in place: the integrand w u^2 ln(...) overwrites
+    u^2 and the density the log factor, each product in the order of
+    `grid.weights * usq * logfac` and `vals * logfac`, whose bits it keeps."""
     c = u.coeffs
     norm_sq = u.norm_sq()
     if norm_sq <= 0.0:
@@ -165,9 +175,12 @@ def deficit_terms(u: HarmonicCoeffs, grid: QuadratureGrid) -> tuple[DeficitRepor
     usq = vals * vals
     logfac = _entropy_log_factor(usq, norm_sq, sphere_area(u.n))
     energy_term = 2.0 * float(np.sum(h_multiplier_table(u.n, u.L).per_slot(u.L) * c * c))
-    entropy_term = constant_Cn(u.n) * float(np.sum(grid.weights * usq * logfac))
+    usq *= grid.weights
+    usq *= logfac
+    entropy_term = constant_Cn(u.n) * float(np.sum(usq))
     report = DeficitReport(energy_term, entropy_term, energy_term - entropy_term)
-    return report, vals * logfac
+    logfac *= vals
+    return report, logfac
 
 
 def deficit_gradient_at(u: HarmonicCoeffs, grid: QuadratureGrid,

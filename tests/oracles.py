@@ -5,7 +5,7 @@ the planar membership test of a comparison region, the planar (bubble) form
 of the classified family, the critical scale of the moving-spheres probe
 by plain bisection, and the conformal layer's cap points, difference kernel
 and Moebius images computed on rows of points, with the `kernel_sign` suite's
-loop over them.
+loop over them, and the deficit's entropy pass out of place, one `np.where`.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from logsphere.conformal import (
     stereographic,
 )
 from logsphere.dynamics import _CapProbe
-from logsphere.harmonics import HarmonicCoeffs
+from logsphere.energy import constant_Cn
+from logsphere.harmonics import HarmonicCoeffs, h_multiplier_table
 from logsphere.specfun import assoc_legendre_norm, legendre_row
-from logsphere.sphere import sphere_point
+from logsphere.sphere import QuadratureGrid, sphere_area, sphere_point
 
 
 def flat_index(n: int, l: int, m: int) -> int:
@@ -271,3 +272,22 @@ def kernel_sign_loop(n: int, rng: np.random.Generator):
             violations += int(np.sum(vals <= 0.0))
             worst = min(worst, float(vals.min()))
     return violations, {"pairs": pairs, "min_kernel": worst}
+
+
+def where_entropy_log_factor(usq: np.ndarray, norm_sq: float, area: float) -> np.ndarray:
+    """ln(u^2 |S^n| / ||u||^2) where u^2 > 0, else 0 (NaN nodes too), in one
+    out-of-place `np.where`."""
+    return np.where(usq > 0.0, np.log(np.maximum(usq, 1e-300)) + math.log(area / norm_sq), 0.0)
+
+
+def where_deficit_terms(u: HarmonicCoeffs, grid: QuadratureGrid,
+                        vals: np.ndarray) -> tuple[tuple[float, float, float], np.ndarray]:
+    """The energy term, entropy term and deficit of u, and the density
+    u ln(u^2 |S^n| / ||u||^2), from u's node values `vals` on `grid`, each
+    product a new array."""
+    c = u.coeffs
+    usq = vals * vals
+    logfac = where_entropy_log_factor(usq, u.norm_sq(), sphere_area(u.n))
+    energy_term = 2.0 * float(np.sum(h_multiplier_table(u.n, u.L).per_slot(u.L) * c * c))
+    entropy_term = constant_Cn(u.n) * float(np.sum(grid.weights * usq * logfac))
+    return (energy_term, entropy_term, energy_term - entropy_term), vals * logfac

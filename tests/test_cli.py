@@ -412,6 +412,9 @@ def test_unknown_config_key_rejected(tmp_path):
     ["minimize", "--band-limit", "8", "--init", "constant:0"],
     ["minimize", "--init", "extremizer:zeta=0.3e3;c=0"],
     ["minimize", "--init", "coeffs:{tmp}/coeffs_empty.json"],
+    ["minimize", "--band-limit", "8", "--init", "constant:1e300"],
+    ["minimize", "--band-limit", "8", "--init", "random:amp=1e300"],
+    ["minimize", "--band-limit", "8", "--init", "constant:1e-300"],
 ], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
         "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
@@ -431,7 +434,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "movespheres-config-fault", "minimize-coeffs-n", "movespheres-coeffs-n",
         "radius-overflow", "radius-tiny", "radius-huge", "offset-huge", "offset-overflow",
         "critical-radius-below-scan", "init-constant-zero", "init-extremizer-zero",
-        "init-coeffs-empty"])
+        "init-coeffs-empty", "init-norm-overflow", "init-random-norm-overflow",
+        "init-norm-underflow"])
 def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not_json.txt").write_text("not json")
     files = {
@@ -603,6 +607,19 @@ def test_flow_takes_the_gradient_at_accepted_points_only(monkeypatch, n):
     assert res.message == "max iterations reached"
     assert len(analyses) == res.iterations + 1
     assert len(values) > len(analyses)  # some trials were rejected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_minimize_builds_one_entropy_grid(monkeypatch, tmp_path, n):
+    # the random init, the flow and the fit share the grid and so its
+    # transform table; the Legendre table is S^2's alone
+    grids = counting(monkeypatch, en, "build_grid")
+    tables = counting(monkeypatch, hm, "_polar_rows")
+    legendre = counting(monkeypatch, hm, "assoc_legendre_norm")
+    code = main(["minimize", "--n", str(n), "--band-limit", "8", "--max-iter", "5",
+                 "--init", "random:seed=3,amp=0.4", "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert (len(grids), len(tables), len(legendre)) == (1, 1, 1 if n == 2 else 0)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -27,6 +27,7 @@ from logsphere import (
 )
 from logsphere import harmonics as hm
 from logsphere.dynamics import _CapProbe, random_positive_init
+from logsphere.energy import default_entropy_grid
 from logsphere.harmonics import as_evaluable, harmonic_count, harmonic_indices
 from oracles import bisection_critical, coeff, flat_index, zeta_to_bubble
 
@@ -100,6 +101,38 @@ def test_flow_changes_the_band_of_its_init(n, init_L, band_limit):
 def test_flow_rejects_zero_init():
     with pytest.raises(ValueError):
         minimize_deficit(HarmonicCoeffs.zeros(2, 8), 0.05, 2000)
+
+
+@pytest.mark.parametrize("value, shown", [(1e300, "inf"), (1e-300, "0.0"), (0.0, "0.0")])
+def test_flow_refuses_an_init_whose_squared_norm_is_no_positive_float(value, shown):
+    # at 1e300 and 1e-300 the coefficients are finite and nonzero, but their
+    # squares overflow or underflow
+    with pytest.raises(ValueError, match=f"is a positive finite float, got {shown}$"):
+        minimize_deficit(HarmonicCoeffs.constant(2, 8, value), 0.05, 10)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flow_rejects_a_step_whose_candidate_overflows(n):
+    # at 1e300 every trial's candidate norm overflows; each is rejected as
+    # a too-long trial at 1e150 is, so both stall at the initial state
+    init = random_positive_init(n, 8, np.random.default_rng(2), 0.5)
+    finite, overflowing = (minimize_deficit(init, step, 20) for step in (1e150, 1e300))
+    assert finite.message == overflowing.message == (
+        "line search stalled: deficit no longer decreases")
+    assert finite.deficits == overflowing.deficits
+    np.testing.assert_array_equal(overflowing.coeffs.coeffs, init.coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_passing_the_entropy_grid_changes_no_result(n):
+    grid = default_entropy_grid(n, 8)
+    init = random_positive_init(n, 8, np.random.default_rng(4), 0.5)
+    shared_init = random_positive_init(n, 8, np.random.default_rng(4), 0.5, grid=grid)
+    np.testing.assert_array_equal(shared_init.coeffs, init.coeffs)
+    own, shared = minimize_deficit(init, 0.05, 30), minimize_deficit(init, 0.05, 30, grid)
+    assert shared.to_json_dict() == own.to_json_dict()
+    np.testing.assert_array_equal(shared.coeffs.coeffs, own.coeffs.coeffs)
+    assert fit_extremizer(own.coeffs, grid).to_json_dict() == fit_extremizer(own.coeffs).to_json_dict()
 
 
 def test_gradient_matches_finite_differences(rng):

@@ -11,6 +11,8 @@ Legendre table is `specfun`'s alone.  `conformal` is geometry only and depends o
 along the short axis of point rows.  `verify` holds the suites `cli` runs and
 imports nothing from `cli`.  Besides its own modules, src imports only the
 standard library and numpy, the one dependency `pyproject.toml` declares.
+No process-wide cache wraps the grid builders: a grid keeps its transform
+tables, so callers share one by passing it.
 No module imports or reads another's underscore names.  Every public name
 is used somewhere besides its definition and the package's re-exports, every
 public module-level function or class is used by src itself unless it is
@@ -204,6 +206,42 @@ def test_short_axis_patterns_are_seen():
     assert short_axis_work(sample) == ["np.sum((a - b) ** 2, axis=1)",
                                        "np.linalg.norm(v, axis=-1, keepdims=True)",
                                        "axis[None, :]"]
+
+
+def process_wide_caches(node: ast.AST, names: set[str]) -> list[str]:
+    """`functools.lru_cache`/`functools.cache` decorators on the functions
+    `names` in `node`, and assignments that bind one of `names` to a call
+    of either."""
+    cached = re.compile(r"\b(lru_cache|cache)\b")
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.name in names:
+            found += [f"@{ast.unparse(d)} {sub.name}" for d in sub.decorator_list
+                      if cached.search(ast.unparse(d))]
+        elif (isinstance(sub, ast.Assign) and names & set(assigned_names(sub))
+              and cached.search(ast.unparse(sub.value))):
+            found.append(ast.unparse(sub))
+    return found
+
+
+@pytest.mark.parametrize("module, name", [("sphere", "build_grid"),
+                                          ("energy", "default_entropy_grid")])
+def test_no_process_wide_grid_cache(module, name):
+    # a grid keeps its transform tables alive (`harmonics._TABLE_CACHE`), so a
+    # memoized grid keeps every table it was used with (16 MiB for the S^2
+    # entropy grid at L = 128).  Callers share a grid by passing it, as
+    # `cli.cmd_minimize` does.
+    assert process_wide_caches(tree(module), {name}) == []
+
+
+def test_process_wide_cache_patterns_are_seen():
+    sample = ast.parse("@functools.lru_cache(maxsize=16)\ndef build_grid(n, d): pass\n"
+                       "@cache\ndef default_entropy_grid(n, L): pass\n"
+                       "build_grid = functools.cache(build_grid)\n"
+                       "@functools.lru_cache\ndef other(n): pass\n")
+    assert process_wide_caches(sample, {"build_grid", "default_entropy_grid"}) == [
+        "@functools.lru_cache(maxsize=16) build_grid", "@cache default_entropy_grid",
+        "build_grid = functools.cache(build_grid)"]
 
 
 def test_verify_does_not_import_cli():

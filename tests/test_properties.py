@@ -2,13 +2,15 @@
 the column-wise cap points, difference kernel and Moebius images against
 their row-wise oracles bit for bit, Moebius inverses, the conformal
 distance identity, the JSON round trip of coefficients, the extremizer
-fit, the sign of the deficit and its two routes, the Euler-Lagrange residual of the family, the transforms against
+fit, the sign of the deficit and its two routes, its in-place entropy pass
+against the out-of-place form bit for bit, the Euler-Lagrange residual of the family, the transforms against
 their per-element loops and against each other and, on the circle, the transforms and the off-grid
 evaluation against the Fourier basis, the batch axes of synthesis, the Gibbs gap and the direct energy,
 and the probe's root-finder on smooth and step functions."""
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,12 +38,21 @@ from logsphere import (
     random_positive_init,
     region_of,
     sample_region,
+    sphere_area,
     sphere_point,
     synthesize,
 )
+from logsphere import energy as en
 from logsphere.conformal import _orthonormal_frame, kernel_l, map_with_jacobian
 from logsphere.dynamics import _zeroin
-from logsphere.energy import energy_direct_extrapolated, energy_direct_extrapolated_many, gibbs_gap
+from logsphere.energy import (
+    _entropy_log_factor,
+    deficit_terms,
+    default_entropy_grid,
+    energy_direct_extrapolated,
+    energy_direct_extrapolated_many,
+    gibbs_gap,
+)
 from logsphere.harmonics import (
     EVALUATION_CELLS,
     evaluate_at,
@@ -59,6 +70,8 @@ from oracles import (
     row_cap_points,
     row_kernel_l,
     row_moebius_map_with_jacobian,
+    where_deficit_terms,
+    where_entropy_log_factor,
 )
 
 DIMS = st.sampled_from([1, 2])
@@ -277,6 +290,41 @@ def test_deficit_is_nonnegative_on_signed_states(n, L, seed):
     # the random-state bound of the deficit_nonneg suite at --tol 1
     rep = beckner_deficit(random_coeffs(n, L, np.random.default_rng(seed)))
     assert rep.deficit >= -1e-6 * rep.energy_term
+
+
+# node values the entropy pass sets apart: exact zeros of both signs, squares
+# that underflow to a subnormal (below the 1e-300 log floor) or to 0, and NaN
+ODD_NODE_VALUES = st.sampled_from([0.0, -0.0, 1e-160, -1e-170, 5e-324, math.nan])
+
+
+def same_bits(got, want) -> bool:
+    return np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
+
+
+@given(n=DIMS, norm_sq=st.floats(1e-100, 1e100),
+       vals=st.lists(st.one_of(st.floats(-3.0, 3.0), ODD_NODE_VALUES), min_size=1, max_size=64))
+def test_entropy_log_factor_is_the_where_form_bit_for_bit(n, norm_sq, vals):
+    usq = np.square(vals)
+    want = where_entropy_log_factor(usq, norm_sq, sphere_area(n))
+    assert same_bits(_entropy_log_factor(usq, norm_sq, sphere_area(n)), want)
+
+
+@settings(max_examples=50)
+@given(n=DIMS, L=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_deficit_terms_is_the_where_form_bit_for_bit(n, L, seed, data):
+    # the in-place entropy pass against the out-of-place one, on synthesized
+    # values with some nodes set to odd values
+    u = random_coeffs(n, L, np.random.default_rng(seed))
+    grid = default_entropy_grid(n, L)
+    vals = synthesize(u, grid).values.copy()
+    nodes = st.integers(0, grid.node_count - 1)
+    for node, value in data.draw(st.lists(st.tuples(nodes, ODD_NODE_VALUES), max_size=8)):
+        vals[node] = value
+    with mock.patch.object(en, "synthesize", lambda c, g: GridFunction(g, vals.copy())):
+        report, density = deficit_terms(u, grid)
+    want_floats, want_density = where_deficit_terms(u, grid, vals)
+    assert same_bits([report.energy_term, report.entropy_term, report.deficit], want_floats)
+    assert same_bits(density, want_density)
 
 
 @settings(max_examples=20)
