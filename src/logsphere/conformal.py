@@ -27,6 +27,7 @@ that step and from one |y|^2, so `apply_map`, `jacobian` and
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -103,6 +104,16 @@ def inverse_stereographic(xi) -> np.ndarray:
     return x.T
 
 
+def _check_radius(lam: float):
+    if not 0 < lam < math.inf:
+        raise ValueError(f"inversion radius must be positive and finite, got {lam}")
+
+
+def _check_offset(alpha: float):
+    if not math.isfinite(alpha):
+        raise ValueError(f"reflection offset must be finite, got {alpha}")
+
+
 @dataclass(frozen=True)
 class LiftedInversion:
     """Stereographic lift of the inversion about the sphere of radius
@@ -114,8 +125,7 @@ class LiftedInversion:
 
     def __post_init__(self):
         object.__setattr__(self, "xi0", _unit(self.xi0))
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"inversion radius must be positive and finite, got {self.lam}")
+        _check_radius(self.lam)
         if 1.0 + self.xi0[-1] < 1e-12:
             raise ValueError("xi0 must differ from the south pole")
         object.__setattr__(self, "x0", inverse_stereographic(self.xi0[None])[0])
@@ -123,6 +133,14 @@ class LiftedInversion:
     @property
     def n(self) -> int:
         return self.xi0.size - 1
+
+    def at_scale(self, lam: float) -> "LiftedInversion":
+        """The inversion of radius `lam` about the same centre, sharing this
+        one's xi0 and x0 rather than deriving them again."""
+        _check_radius(lam)
+        other = copy.copy(self)
+        object.__setattr__(other, "lam", lam)
+        return other
 
 
 @dataclass(frozen=True)
@@ -134,15 +152,24 @@ class LiftedReflection:
     e: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"reflection offset must be finite, got {self.alpha}")
-        if np.linalg.norm(self.e) < 1e-12:
+        _check_offset(self.alpha)
+        with np.errstate(over="ignore"):  # an overflowing norm is not small
+            small = np.linalg.norm(self.e) < 1e-12
+        if small:
             raise ValueError("reflection normal must be a nonzero vector")
         object.__setattr__(self, "e", _unit(self.e))
 
     @property
     def n(self) -> int:
         return self.e.size
+
+    def at_scale(self, alpha: float) -> "LiftedReflection":
+        """The reflection at offset `alpha` along the same normal, sharing
+        this one's unit e rather than normalizing it again."""
+        _check_offset(alpha)
+        other = copy.copy(self)
+        object.__setattr__(other, "alpha", alpha)
+        return other
 
 
 @dataclass(frozen=True)

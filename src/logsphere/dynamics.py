@@ -149,9 +149,13 @@ def random_positive_init(n: int, L: int, rng: np.random.Generator,
     return u
 
 
-def family_coeffs(params: cf.ExtremizerParams, L: int) -> HarmonicCoeffs:
-    """The family member of `params`, analyzed on the degree-L grid."""
-    return analyze(build_grid(params.n, L).sample(cf.extremizer(params)), L)
+def family_coeffs(params: cf.ExtremizerParams, L: int,
+                  grid: QuadratureGrid | None = None) -> HarmonicCoeffs:
+    """The family member of `params`, analyzed on `grid`, by default the
+    degree-L grid (built here when none is passed)."""
+    if grid is None:
+        grid = build_grid(params.n, L)
+    return analyze(grid.sample(cf.extremizer(params)), L)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +292,10 @@ class _CapProbe:
     deforms continuously with the scale parameter: DEFAULT_SAMPLES / 2
     planar-ball nodes (inversions only) and as many cap nodes.
 
-    A value whose map has a pole at a node is retried once on a fresh
-    template from the probe's generator; other values keep the first one.
+    The map of each value is `base.at_scale(value)`, so the unit centre (or
+    normal) and the planar base point are derived once per probe.  A value
+    whose map has a pole at a node is retried once on a fresh template from
+    the probe's generator; other values keep the first one.
     The root-finder and the critical value need only min w and sup |w|,
     which skip the second map pass of the antisymmetry defect, so a pole
     that only that pass would hit is not retried there.
@@ -302,6 +308,8 @@ class _CapProbe:
         self.center = None if xi0 is None else np.asarray(xi0, float)
         self.direction = None if e is None else np.asarray(e, float)
         self.n = self.center.size - 1 if e is None else self.direction.size
+        self.base = (cf.LiftedInversion(1.0, self.center) if e is None
+                     else cf.LiftedReflection(0.0, self.direction))
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.template = self._draw_template()
 
@@ -349,8 +357,7 @@ class _CapProbe:
     def _at(self, stats, value: float):
         """stats(phi, template) under the retry policy; an error names the value."""
         try:
-            phi = (cf.LiftedInversion(value, self.center) if self.direction is None
-                   else cf.LiftedReflection(value, self.direction))
+            phi = self.base.at_scale(value)
             try:
                 return stats(phi, self.template)
             except cf.PoleError:

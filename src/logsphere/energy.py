@@ -216,11 +216,14 @@ class ELResidual:
         self.max_abs = float(np.abs(self.residuals.coeffs).max())
 
 
-def el_residual(u: HarmonicCoeffs, L_test: int) -> ELResidual:
-    """Residuals on the entropy grid, with ln u floored at _EL_FLOOR."""
+def el_residual(u: HarmonicCoeffs, L_test: int,
+                grid: QuadratureGrid | None = None) -> ELResidual:
+    """Residuals on `grid`, by default the entropy grid of u's band limit
+    (built here when none is passed), with ln u floored at _EL_FLOOR."""
     if L_test > u.L:
         raise ValueError(f"L_test={L_test} exceeds the band limit L={u.L}")
-    grid = default_entropy_grid(u.n, u.L)
+    if grid is None:
+        grid = default_entropy_grid(u.n, u.L)
     vals = synthesize(u, grid).values
     floored = bool(np.any(vals < _EL_FLOOR))
     logs = np.log(np.maximum(vals, _EL_FLOOR))

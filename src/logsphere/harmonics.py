@@ -383,25 +383,32 @@ def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
 EVALUATION_CELLS = 130 * 4096  # (row, point) cells per workspace half: 4096 points at L = 128
 
 
-def evaluate_at(c: HarmonicCoeffs, points: np.ndarray) -> np.ndarray:
+def _chebyshev_rows(c: HarmonicCoeffs) -> np.ndarray:
+    """C[column, j]: the Chebyshev coefficients of the (m, cos) and (m, sin)
+    rows of the expansion, the even orders first: its sums over the rows of
+    the cached Chebyshev plan, as a synthesis sums it over the rings of a
+    grid."""
+    plan, parity = _evaluation_plan(c.n, c.L)
+    return _polar_sums(plan, _slot_maps(c.n, c.L), c.coeffs[None])[0][:, parity].T
+
+
+def evaluate_at(c: HarmonicCoeffs, points: np.ndarray,
+                rows: np.ndarray | None = None) -> np.ndarray:
     """Values of the expansion at the rows of `points` on S^n (for pullbacks).
 
-    A call sums the coefficients over the rows of the cached Chebyshev
-    plan, as a synthesis sums them over the rings of a grid.  Per
-    chunk of points the powers of e^{i theta} = t + i sin(theta), with real
-    parts T_j(t) and imaginary parts sin((j+1) theta) = sin(theta) U_j(t),
-    feed one matrix product per parity of m, and the azimuth sum is one
-    contraction with the powers of e^{i phi}.  Points of the circle are the
-    equator t = 0.  One workspace of 2 EVALUATION_CELLS complex numbers,
-    whatever L, holds a chunk."""
+    `rows` are the state's Chebyshev rows (`_chebyshev_rows(c)`), derived
+    here when none are passed; `as_evaluable` derives them once per state.
+    Per chunk of points the powers of e^{i theta} = t + i sin(theta), with
+    real parts T_j(t) and imaginary parts sin((j+1) theta) = sin(theta)
+    U_j(t), feed one matrix product per parity of m, and the azimuth sum is
+    one contraction with the powers of e^{i phi}.  Points of the circle are
+    the equator t = 0.  One workspace of 2 EVALUATION_CELLS complex
+    numbers, whatever L, holds a chunk."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != c.n + 1:
         raise ValueError(f"points of S^{c.n} need {c.n + 1} coordinates in each row "
                          f"of a 2-d array, got shape {pts.shape}")
-    plan, parity = _evaluation_plan(c.n, c.L)
-    # C[column, j]: the Chebyshev coefficients of the (m, cos) and (m, sin)
-    # rows of u, the even orders first
-    C = _polar_sums(plan, _slot_maps(c.n, c.L), c.coeffs[None])[0][:, parity].T
+    C = _chebyshev_rows(c) if rows is None else rows
     M, K = c.L + 1, C.shape[1]
     even, odd = C[:M + M % 2], C[M + M % 2:]
     out = np.empty(pts.shape[0])
@@ -463,8 +470,11 @@ def evaluate_at_bytes(n: int, L: int, count: int) -> int:
 
 
 def as_evaluable(c: HarmonicCoeffs):
-    """Wrap coefficients as a callable points -> values."""
-    return lambda pts: evaluate_at(c, pts)
+    """Wrap coefficients as a callable points -> values: `evaluate_at` on
+    the state's Chebyshev rows, derived once, here, from the coefficients
+    as they are now."""
+    rows = _chebyshev_rows(c)
+    return lambda points: evaluate_at(c, points, rows)
 
 
 def random_coeffs(n: int, L: int, rng: np.random.Generator,

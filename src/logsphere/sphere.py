@@ -25,9 +25,16 @@ def sphere_area(n: int) -> float:
 
 
 def sphere_point(coords) -> np.ndarray:
-    """Normalize coords onto the unit sphere (absorbs floating-point drift)."""
+    """Normalize coords onto the unit sphere (absorbs floating-point drift).
+    A finite row whose norm overflows is first divided by its largest
+    magnitude; every other row keeps the bits of v / |v|."""
     v = np.asarray(coords, dtype=float)
-    r = np.linalg.norm(v, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+        r = np.linalg.norm(v, axis=-1, keepdims=True)
+    huge = np.isinf(r) & np.isfinite(v).all(axis=-1, keepdims=True)
+    if huge.any():
+        v = v / np.where(huge, np.abs(v).max(axis=-1, keepdims=True), 1.0)
+        r = np.where(huge, np.linalg.norm(v, axis=-1, keepdims=True), r)
     if np.any(r < 1e-12):
         raise ValueError("cannot normalize a (near-)zero vector onto the sphere")
     return v / r
@@ -38,22 +45,37 @@ class QuadratureGrid:
     """Nodes and surface-measure weights on S^n: polar rings (cosines
     `polar_t`, weights `polar_w`) times one uniform azimuth rule (`az_phi`),
     polar index outer, so transforms and kernel products run separably.  The
-    circle is the one ring t = 0 of weight 1.  Instances are immutable by
-    convention and hash by identity, which lets transform caches key on the
-    grid object.
+    circle is the one ring t = 0 of weight 1.  A grid holds only these
+    factors; `nodes` and `weights` are formed from them on first read and
+    kept, so a grid that is only analyzed on and synthesized on never forms
+    them.  Instances are immutable by convention and hash by identity, which
+    lets transform caches key on the grid object.
     """
 
     n: int
     degree: int
-    nodes: np.ndarray  # (N, n+1), unit rows
-    weights: np.ndarray  # (N,), positive, summing to |S^n|
     polar_t: np.ndarray = field(repr=False)
     polar_w: np.ndarray = field(repr=False)
     az_phi: np.ndarray = field(repr=False)
 
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """(N, n+1) unit rows, polar index outer, azimuth inner."""
+        s = np.sqrt(1.0 - self.polar_t * self.polar_t)
+        x = np.outer(s, np.cos(self.az_phi)).ravel()
+        y = np.outer(s, np.sin(self.az_phi)).ravel()
+        z = np.outer(self.polar_t, np.ones(self.az_phi.size)).ravel()
+        return np.column_stack([x, y, z][:self.n + 1])
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """(N,) positive weights summing to |S^n|, in the order of `nodes`."""
+        nphi = self.az_phi.size
+        return np.outer(self.polar_w, np.full(nphi, 2.0 * math.pi / nphi)).ravel()
+
     @property
     def node_count(self) -> int:
-        return self.nodes.shape[0]
+        return self.polar_t.size * self.az_phi.size
 
     @property
     def exact_to(self) -> int:
@@ -117,14 +139,7 @@ def build_grid(n: int, degree: int) -> QuadratureGrid:
     # every count, so the stereographic pole (0, -1) is never a node
     phase = 0.5 if n == 2 else 0.618033988749895
     phi = 2.0 * math.pi * (np.arange(nphi) + phase) / nphi
-    s = np.sqrt(1.0 - t * t)
-    # outer index polar, inner azimuth
-    x = np.outer(s, np.cos(phi)).ravel()
-    y = np.outer(s, np.sin(phi)).ravel()
-    z = np.outer(t, np.ones(nphi)).ravel()
-    nodes = np.column_stack([x, y, z][:n + 1])
-    weights = np.outer(wt, np.full(nphi, 2.0 * math.pi / nphi)).ravel()
-    return QuadratureGrid(n, degree, nodes, weights, polar_t=t, polar_w=wt, az_phi=phi)
+    return QuadratureGrid(n, degree, polar_t=t, polar_w=wt, az_phi=phi)
 
 
 def integrate(grid: QuadratureGrid, f: GridFunction) -> float:

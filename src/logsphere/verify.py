@@ -172,10 +172,11 @@ def _suite_gibbs(cfg, rng):
 
 def _suite_deficit(cfg, rng):
     n, L = cfg.n, max(8, cfg.band_limit // 2)
-    grid = en.default_entropy_grid(n, L)
+    # one entropy grid serves every deficit, one degree-L grid every member
+    grid, member_grid = en.default_entropy_grid(n, L), sp.build_grid(n, L)
     randoms = [en.beckner_deficit(hm.random_coeffs(n, L, rng), grid) for _ in range(20)]
     family = [en.beckner_deficit(dy.family_coeffs(cf.ExtremizerParams(
-        _random_zeta(n, rng, 0.1, 0.5)), L), grid) for _ in range(5)]
+        _random_zeta(n, rng, 0.1, 0.5)), L, member_grid), grid) for _ in range(5)]
     return (max(abs(r.deficit) / r.energy_term for r in family),
             {"min_random_relative_deficit": min(r.deficit / r.energy_term for r in randoms)})
 
@@ -183,12 +184,14 @@ def _suite_deficit(cfg, rng):
 def _suite_el_residual(cfg, rng):
     n, L = cfg.n, cfg.band_limit
     L_test = min(8, L // 2)
+    # one degree-L grid serves every member, one entropy grid every residual
+    member_grid, grid = sp.build_grid(n, L), en.default_entropy_grid(n, L)
     worst = 0.0
     for mag in (0.0, 0.2, 0.4):
         zdir = rng.standard_normal(n + 1)
         zdir *= mag / np.linalg.norm(zdir)
-        member = dy.family_coeffs(cf.ExtremizerParams(zdir), L)
-        worst = max(worst, en.el_residual(member, L_test).max_abs)
+        member = dy.family_coeffs(cf.ExtremizerParams(zdir), L, member_grid)
+        worst = max(worst, en.el_residual(member, L_test, grid).max_abs)
     return worst, {}
 
 

@@ -5,7 +5,9 @@ the planar membership test of a comparison region, the planar (bubble) form
 of the classified family, the critical scale of the moving-spheres probe
 by plain bisection, and the conformal layer's cap points, difference kernel
 and Moebius images computed on rows of points, with the `kernel_sign` suite's
-loop over them, and the deficit's entropy pass out of place, one `np.where`.
+loop over them, the deficit's entropy pass out of place, one `np.where`, a
+grid's nodes and weights formed eagerly from its factors, and the probe's
+statistics on a map built afresh for each scale value.
 """
 
 from __future__ import annotations
@@ -291,3 +293,27 @@ def where_deficit_terms(u: HarmonicCoeffs, grid: QuadratureGrid,
     energy_term = 2.0 * float(np.sum(h_multiplier_table(u.n, u.L).per_slot(u.L) * c * c))
     entropy_term = constant_Cn(u.n) * float(np.sum(grid.weights * usq * logfac))
     return (energy_term, entropy_term, energy_term - entropy_term), vals * logfac
+
+
+def eager_nodes_and_weights(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of `grid` formed at once from its polar rings
+    and azimuth rule, polar index outer, by the formulas `build_grid` rests
+    on."""
+    t, wt, phi = grid.polar_t, grid.polar_w, grid.az_phi
+    nphi = phi.size
+    s = np.sqrt(1.0 - t * t)
+    x = np.outer(s, np.cos(phi)).ravel()
+    y = np.outer(s, np.sin(phi)).ravel()
+    z = np.outer(t, np.ones(nphi)).ravel()
+    nodes = np.column_stack([x, y, z][:grid.n + 1])
+    weights = np.outer(wt, np.full(nphi, 2.0 * math.pi / nphi)).ravel()
+    return nodes, weights
+
+
+def fresh_map_w_stats(probe: _CapProbe, value: float) -> tuple[float, float, float]:
+    """`probe.w_stats(value)` on the probe's template, with the map built
+    afresh from the probe's centre or normal, `LiftedInversion(value, xi0)`
+    or `LiftedReflection(value, e)`, rather than from its base map."""
+    phi = (LiftedInversion(value, probe.center) if probe.direction is None
+           else LiftedReflection(value, probe.direction))
+    return probe._stats(phi, probe.template)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,58 @@ def test_minimize_report_coeffs_are_an_init_file(tmp_path):
 def test_reports_refuse_nan(tmp_path):
     with pytest.raises(ValueError):
         _write_json({"defect": math.nan}, str(tmp_path / "rep.json"))
+
+
+@pytest.mark.parametrize("big, plain", [
+    (["--e=1e300,1e300"], ["--e=1,1"]),
+    (["--xi0=1e300,0,1"], ["--xi0=1,0,0"]),
+], ids=["e", "xi0"])
+def test_movespheres_takes_geometry_whose_norm_overflows(big, plain, tmp_path):
+    # a finite vector whose squared norm overflows is scaled down before it
+    # is normalized, with no warning; its unit vector is that of the plain
+    # one (to the 1e-300 left of the last coordinate of xi0), so the probe
+    # reports the same numbers
+    reports = []
+    for geometry in (big, plain):
+        out = tmp_path / f"ms{len(reports)}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["movespheres", "--band-limit", "8", "--u", "random:seed=3",
+                         *geometry, "--out", str(out)]) == 0
+        reports.append(read_json(out)["report"])
+    got, want = reports
+    assert got["critical"] is not None and not got["critical_is_bound"]
+    if big[0].startswith("--xi0"):
+        assert got.pop("center") == [1.0, 0.0, 1e-300] and want.pop("center") == [1.0, 0.0, 0.0]
+    else:
+        assert got.pop("direction") == [1e300, 1e300] and want.pop("direction") == [1.0, 1.0]
+    assert got == want
+
+
+def test_movespheres_derives_the_chebyshev_rows_once(monkeypatch, tmp_path):
+    # `as_evaluable` derives the state's rows once; every evaluation of the
+    # critical search reads them
+    rows = counting(monkeypatch, hm, "_chebyshev_rows")
+    evaluations = counting(monkeypatch, hm, "evaluate_at")
+    assert main(["movespheres", "--u", "random:seed=3", "--xi0", "north", "--values", "auto",
+                 "--out", str(tmp_path / "ms.json")]) == 0
+    assert len(rows) == 1 and len(evaluations) > 60
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("suite, tables", [("deficit_nonneg", 2), ("el_residual_family", 3)])
+def test_family_suites_build_one_member_grid_and_one_entropy_grid(monkeypatch, n, suite,
+                                                                  tables):
+    # the members share one degree-L grid and the deficits (or residuals)
+    # one entropy grid: two grids, whose Legendre tables on S^2 are one per
+    # (grid, band limit) -- the residuals analyze at the test band limit too
+    member_grids = counting(monkeypatch, sp, "build_grid")
+    entropy_grids = counting(monkeypatch, en, "build_grid")
+    default_grids = counting(monkeypatch, dy, "build_grid")
+    legendre = counting(monkeypatch, hm, "assoc_legendre_norm")
+    assert SUITE[suite].check(RunConfig(n=n), np.random.default_rng(0))["passed"]
+    assert (len(member_grids), len(entropy_grids), len(default_grids)) == (1, 1, 0)
+    assert len(legendre) == (tables if n == 2 else 0)
 
 
 def test_movespheres_requires_one_geometry():

@@ -357,6 +357,28 @@ def test_map_constructor_validation():
         Moebius(np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LiftedInversion(1.0, sphere_point([0.3, 0.0, 0.9])).at_scale(-1.0),
+    lambda: LiftedInversion(1.0, sphere_point([0.3, 0.0, 0.9])).at_scale(0.0),
+    lambda: LiftedInversion(1.0, sphere_point([0.3, 0.0, 0.9])).at_scale(math.inf),
+    lambda: LiftedInversion(1.0, sphere_point([0.3, 0.0, 0.9])).at_scale(math.nan),
+    lambda: LiftedReflection(0.0, np.array([0.6, 0.8])).at_scale(math.inf),
+    lambda: LiftedReflection(0.0, np.array([0.6, 0.8])).at_scale(math.nan),
+], ids=["lam-negative", "lam-zero", "lam-inf", "lam-nan", "alpha-inf", "alpha-nan"])
+def test_at_scale_validates_the_scale(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_at_scale_shares_the_centre_and_keeps_the_original():
+    phi = LiftedInversion(0.8, np.array([0.6, -0.4, 1.8]))
+    other = phi.at_scale(1.7)
+    assert (phi.lam, other.lam) == (0.8, 1.7)
+    assert other.xi0 is phi.xi0 and other.x0 is phi.x0
+    psi = LiftedReflection(0.5, np.array([3.0, 4.0]))
+    assert psi.at_scale(-1.0).e is psi.e and psi.alpha == 0.5
+
+
 # ---------------------------------------------------------------------------
 # oracle: the row-wise lifted map the column-wise planar step replaced
 

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from logsphere import conformal as cf
+from logsphere import dynamics as dy
 from logsphere import (
     ExtremizerParams,
     HarmonicCoeffs,
     MovingSphereReport,
     analyze,
+    build_grid,
     critical_alpha,
     critical_lambda,
     deficit_gradient,
     deficit_value,
+    el_residual,
     extremizer,
     fit_extremizer,
     inverse_stereographic,
@@ -133,6 +136,31 @@ def test_passing_the_entropy_grid_changes_no_result(n):
     assert shared.to_json_dict() == own.to_json_dict()
     np.testing.assert_array_equal(shared.coeffs.coeffs, own.coeffs.coeffs)
     assert fit_extremizer(own.coeffs, grid).to_json_dict() == fit_extremizer(own.coeffs).to_json_dict()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_init_never_forms_the_grid_nodes(n):
+    # the init is scaled on synthesized values alone, so a fresh grid keeps
+    # only its ring and azimuth factors (the degree-256 entropy grid of
+    # L = 128 has 131 841 nodes)
+    grid = default_entropy_grid(n, 8)
+    random_positive_init(n, 8, np.random.default_rng(4), 0.5, grid=grid)
+    assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_passing_the_member_and_entropy_grids_changes_no_result(n):
+    # the verify family suites share one degree-L grid among the members and
+    # one entropy grid among the residuals
+    member_grid, grid = build_grid(n, 12), default_entropy_grid(n, 12)
+    for mag in (0.0, 0.3):
+        params = ExtremizerParams(mag * sphere_point(np.arange(1.0, n + 2.0)))
+        member = dy.family_coeffs(params, 12)
+        np.testing.assert_array_equal(dy.family_coeffs(params, 12, member_grid).coeffs,
+                                      member.coeffs)
+        own, shared = el_residual(member, 6), el_residual(member, 6, grid)
+        np.testing.assert_array_equal(shared.residuals.coeffs, own.residuals.coeffs)
+        assert (shared.floored, shared.max_abs) == (own.floored, own.max_abs)
 
 
 def test_gradient_matches_finite_differences(rng):

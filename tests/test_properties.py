@@ -6,7 +6,9 @@ fit, the sign of the deficit and its two routes, its in-place entropy pass
 against the out-of-place form bit for bit, the Euler-Lagrange residual of the family, the transforms against
 their per-element loops and against each other and, on the circle, the transforms and the off-grid
 evaluation against the Fourier basis, the batch axes of synthesis, the Gibbs gap and the direct energy,
-and the probe's root-finder on smooth and step functions."""
+the probe's root-finder on smooth and step functions, and, bit for bit, the
+off-grid evaluation on precomputed Chebyshev rows, the lazy grid nodes and
+weights, and the probe's maps from one base map against fresh ones."""
 
 import json
 import math
@@ -44,7 +46,7 @@ from logsphere import (
 )
 from logsphere import energy as en
 from logsphere.conformal import _orthonormal_frame, kernel_l, map_with_jacobian
-from logsphere.dynamics import _zeroin
+from logsphere.dynamics import _CapProbe, _zeroin
 from logsphere.energy import (
     _entropy_log_factor,
     deficit_terms,
@@ -55,6 +57,8 @@ from logsphere.energy import (
 )
 from logsphere.harmonics import (
     EVALUATION_CELLS,
+    _chebyshev_rows,
+    as_evaluable,
     evaluate_at,
     h_multiplier_table,
     harmonic_count,
@@ -65,6 +69,8 @@ from logsphere.specfun import fourier_basis, legendre_row
 from logsphere.sphere import GridFunction
 from oracles import (
     coeff,
+    eager_nodes_and_weights,
+    fresh_map_w_stats,
     in_sigma,
     loop_assoc_legendre_norm,
     row_cap_points,
@@ -449,6 +455,74 @@ def test_circle_evaluate_at_matches_the_fourier_basis(L, chunks, extra, seed):
     got = evaluate_at(HarmonicCoeffs(1, L, c), pts)
     assert got.shape == (count,)
     assert np.abs(got - want).max() <= (1e-15 + 1e-16 * L) * (amplitude @ np.abs(c))
+
+
+def same_bits(a, b) -> bool:
+    """Same shape, dtype and bytes: -0.0 and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40)
+@given(n=DIMS, L=st.integers(0, 40), count=st.integers(1, 300), fortran=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, L=40, count=2 * (EVALUATION_CELLS // 42) + 5, fortran=True, seed=0)  # 3 chunks
+@example(n=1, L=0, count=1, fortran=False, seed=0)
+def test_evaluate_at_on_precomputed_rows_matches_deriving_them(n, L, count, fortran, seed):
+    # `as_evaluable` derives a state's Chebyshev rows once; a call on them
+    # gives the bits of a call that derives them, on C- and F-order points
+    rng = np.random.default_rng(seed)
+    c = HarmonicCoeffs(n, L, rng.standard_normal(harmonic_count(n, L)))
+    pts = sphere_point(rng.standard_normal((count, n + 1)))
+    if n == 2:
+        pts[0] = [0.0, 0.0, 1.0]  # on the z-axis, where e^{i phi} is taken as 1
+    if fortran:
+        pts = np.asfortranarray(pts)
+    want = evaluate_at(c, pts)
+    assert same_bits(evaluate_at(c, pts, _chebyshev_rows(c)), want)
+    assert same_bits(as_evaluable(c)(pts), want)
+
+
+@settings(max_examples=40)
+@given(n=DIMS, degree=st.integers(1, 64))
+@example(n=2, degree=64)
+@example(n=1, degree=1)
+def test_lazy_nodes_and_weights_match_the_eager_formula(n, degree):
+    grid = build_grid(n, degree)
+    assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+    nodes, weights = eager_nodes_and_weights(grid)
+    assert grid.node_count == len(nodes) == len(weights)
+    assert same_bits(grid.nodes, nodes) and same_bits(grid.weights, weights)
+    assert grid.nodes is grid.nodes and grid.weights is grid.weights  # formed once
+
+
+FAMILY_BY_N = {n: extremizer(ExtremizerParams(np.array([0.2, -0.1, 0.25][:n + 1])))
+               for n in (1, 2)}
+
+
+@settings(max_examples=30)
+@given(n=DIMS, data=st.data(), length=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_probe_maps_from_one_base_match_fresh_maps(n, data, length, seed):
+    # the probe derives the unit centre (or normal) and the planar base point
+    # once; each scale value's map and statistics are those of a map built
+    # afresh from the unnormalized geometry
+    inversion = data.draw(st.booleans())
+    if inversion:
+        xi0 = data.draw(directions(n + 1))
+        xi0 = length * (-xi0 if 1.0 + xi0[-1] < 0.2 else xi0)
+        probe, scales = _CapProbe(FAMILY_BY_N[n], xi0, None, None), st.floats(0.05, 5.0)
+    else:
+        e = length * data.draw(directions(n))
+        probe, scales = _CapProbe(FAMILY_BY_N[n], None, e, None), st.floats(-2.0, 2.0)
+    for value in data.draw(st.lists(scales, min_size=1, max_size=3)):
+        phi = probe.base.at_scale(value)
+        fresh = (LiftedInversion(value, xi0) if inversion else LiftedReflection(value, e))
+        assert all(same_bits(getattr(phi, f), getattr(fresh, f)) for f in vars(fresh))
+        try:
+            want = fresh_map_w_stats(probe, value)
+        except ValueError:  # a pole at a template node, or a cap too large to form
+            continue
+        assert probe.w_stats(value) == want
 
 
 @settings(max_examples=40)

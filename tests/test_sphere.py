@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,36 @@ def test_sphere_point_normalizes():
     assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         sphere_point([0.0, 0.0])
+
+
+def test_sphere_point_rescales_rows_whose_norm_overflows():
+    # a finite row whose norm overflows is divided by its largest magnitude
+    # first, with no warning; the other rows keep the bits of v / |v|
+    rows = np.array([[1e300, 0.0, 1.0], [3.0, 4.0, 0.0], [-1e308, 1e308, 1e308],
+                     [1e5, 0.0, -2e5], [0.3, -0.2, 0.9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sphere_point(rows)
+        pair = sphere_point([1e300, 1e300])
+    assert got[0].tolist() == [1.0, 0.0, 1e-300]
+    assert np.array_equal(got[2], sphere_point([-1.0, 1.0, 1.0]))
+    assert np.array_equal(pair, sphere_point([1.0, 1.0]))
+    plain = rows[[1, 3, 4]]
+    assert np.array_equal(got[[1, 3, 4]],
+                          plain / np.linalg.norm(plain, axis=-1, keepdims=True))
+
+
+@given(n=st.sampled_from([1, 2]), exponent=st.integers(150, 308),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, exponent=308, seed=0)
+def test_sphere_point_of_a_huge_row_is_that_of_the_row_scaled_down(n, exponent, seed):
+    v = np.random.default_rng(seed).uniform(-1.0, 1.0, n + 1)
+    assume(np.abs(v).max() > 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sphere_point(v * 10.0 ** exponent)
+    assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(got, sphere_point(v), rtol=1e-15, atol=1e-16)
 
 
 def dense_radial_kernel(grid, kernel, eps, X):
