@@ -8,9 +8,9 @@ take precedence over a JSON config file, which takes precedence over
 defaults; no environment variable is read.  Each subcommand takes a flag
 and a config key for exactly the `RunConfig` fields it reads (`_READS`),
 and its report echoes those.  Bad input (a malformed number or spec, a
-missing file, a flag or config key the subcommand does not read) exits with
-a one-line message, and so does a band limit or grid degree whose tables
-would exceed a fixed memory budget.
+missing file, a flag or config key the subcommand does not read, an output
+path that cannot be written) exits with a one-line message, and so does a
+band limit or grid degree whose tables would exceed a fixed memory budget.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from . import harmonics as hm
 from . import sphere as sp
 from . import verify as vf
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 # A band limit whose largest transform table (`hm.transform_table_bytes`), or
 # a grid degree whose pair-kernel cross-check peaks (`sp.radial_kernel_bytes`)
@@ -189,19 +190,43 @@ def _report_config(cfg: RunConfig, command: str) -> dict:
     return {key: getattr(cfg, key) for key in _READS[command] if key != "out"}
 
 
+def _check_writable(path: str | None, what: str):
+    """Refuse, before any work, a path that cannot be opened for writing (a
+    directory, a missing directory, no permission).  The check appends, so
+    an existing file keeps its bytes; a file it creates is removed again."""
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise SystemExit(f"cannot write {what} file {path!r}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _write_json(report: dict, path: str | None):
     text = json.dumps(report, indent=2, sort_keys=True, default=_np_default,
                       allow_nan=False) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _open_for_writing(path, "report") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _write_csv(rows: typing.Iterable[tuple], path: str):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_for_writing(path, "CSV", newline="") as fh:
         csv.writer(fh).writerows(rows)
+
+
+def _open_for_writing(path: str, what: str, newline: str | None = None):
+    """The file at `path` opened for writing; a failure exits with one line
+    (`_check_writable` has already refused the usual causes)."""
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"cannot write {what} file {path!r}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +501,9 @@ def main(argv=None) -> int:
     cfg = _load_config(args)
     if args.command in ("verify", "minimize", "movespheres"):
         _check_table_budget(cfg, args.command)
+    _check_writable(cfg.out, "report")
+    if args.command == "movespheres":
+        _check_writable(args.csv, "CSV")
     if args.command == "verify":
         return cmd_verify(cfg)
     if args.command == "spectrum":

@@ -241,16 +241,19 @@ class MovingSphereReport:
     values: np.ndarray  # scanned lambda (or alpha) values, increasing
     min_w: np.ndarray
     sup_abs_w: np.ndarray
-    defect: np.ndarray
+    defect: np.ndarray | None  # per value in a profile; None in a critical search
     critical: float | None = None
     sup_w_at_critical: float | None = None
+    defect_at_critical: float | None = None
     critical_is_bound: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("scan values must be strictly increasing")
-        finite = np.isfinite(self.min_w) & np.isfinite(self.sup_abs_w) & np.isfinite(self.defect)
+        finite = np.isfinite(self.min_w) & np.isfinite(self.sup_abs_w)
+        if self.defect is not None:
+            finite &= np.isfinite(self.defect)
         if not finite.all():
             raise ValueError(f"non-finite comparison values at {self.parameter_name} = "
                              f"{self.values[~finite][0]:g}")
@@ -269,20 +272,23 @@ class MovingSphereReport:
             "values": self.values.tolist(),
             "min_w": self.min_w.tolist(),
             "sup_abs_w": self.sup_abs_w.tolist(),
-            "defect": self.defect.tolist(),
+            "defect": None if self.defect is None else self.defect.tolist(),
             "critical": self.critical,
             "sup_w_at_critical": self.sup_w_at_critical,
+            "defect_at_critical": self.defect_at_critical,
             "critical_is_bound": self.critical_is_bound,
             "samples": DEFAULT_SAMPLES,
         }
 
     def csv_rows(self) -> list[tuple]:
-        head = (self.parameter_name, "min_w", "sup_abs_w", "defect")
-        rows = [head]
-        rows += [
-            (float(v), float(a), float(b), float(d))
-            for v, a, b, d in zip(self.values, self.min_w, self.sup_abs_w, self.defect)
-        ]
+        """A header and one row per value; the defect column only when the
+        report has one."""
+        names, cols = ["min_w", "sup_abs_w"], [self.min_w, self.sup_abs_w]
+        if self.defect is not None:
+            names.append("defect")
+            cols.append(self.defect)
+        rows = [(self.parameter_name, *names)]
+        rows += [tuple(float(x) for x in row) for row in zip(self.values, *cols)]
         return rows
 
 
@@ -296,9 +302,10 @@ class _CapProbe:
     normal) and the planar base point are derived once per probe.  A value
     whose map has a pole at a node is retried once on a fresh template from
     the probe's generator; other values keep the first one.
-    The root-finder and the critical value need only min w and sup |w|,
-    which skip the second map pass of the antisymmetry defect, so a pole
-    that only that pass would hit is not retried there.
+    The scan and the root-finder of a critical search need only min w and
+    sup |w|, which skip the second map pass of the antisymmetry defect, so
+    a pole that only that pass would hit is not retried there; the search
+    takes that pass once, at the critical value.
     """
 
     def __init__(self, u, xi0, e, rng: np.random.Generator | None):
@@ -379,14 +386,17 @@ class _CapProbe:
         """min w at one scale value, the first entry of `w_stats`."""
         return self.w_range(value)[0]
 
-    def profile(self, values) -> MovingSphereReport:
-        """Report of the stats at each value, in increasing order."""
+    def profile(self, values, defect: bool = True) -> MovingSphereReport:
+        """Report of the stats at each value, in increasing order: `w_stats`,
+        or the one-pass `w_range` with no defect column when `defect` is
+        false."""
         values = np.sort(np.asarray(values, dtype=float))
-        stats = np.array([self.w_stats(float(v)) for v in values]).reshape(-1, 3)
+        at, width = (self.w_stats, 3) if defect else (self.w_range, 2)
+        stats = np.array([at(float(v)) for v in values]).reshape(-1, width)
         return MovingSphereReport(
             kind=self.kind, n=self.n, center=self.center, direction=self.direction,
             values=values, min_w=stats[:, 0], sup_abs_w=stats[:, 1],
-            defect=stats[:, 2],
+            defect=stats[:, 2] if defect else None,
         )
 
 
@@ -453,11 +463,13 @@ def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
 def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
                      tol: float) -> MovingSphereReport:
     """Profile over `scan`, which runs from the safe end toward the unsafe
-    end, then find where min w crosses the threshold in the first failing
-    step by zeroin in the coordinate x = to_x(value), value = from_x(x).
-    The step's ends reuse the scan's min w."""
+    end, with one map pass per value and no defect column, then find where
+    min w crosses the threshold in the first failing step by zeroin in the
+    coordinate x = to_x(value), value = from_x(x).  The step's ends reuse
+    the scan's min w.  The antisymmetry defect is checked once, at the
+    critical value, whose `w_stats` also give sup |w| there."""
     threshold = -tol * _sup_abs_u(probe.u, probe.n, probe.rng)
-    report = probe.profile(scan)
+    report = probe.profile(scan, defect=False)
     f_scan = report.min_w - threshold
     if scan[0] > scan[-1]:  # the report is in increasing order
         f_scan = f_scan[::-1]
@@ -476,7 +488,7 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
                     to_x(float(scan[k - 1])), to_x(float(scan[k])),
                     float(f_scan[k - 1]), float(f_scan[k]), 1e-15)
         report.critical = float(from_x(x))
-    report.sup_w_at_critical = probe.w_range(report.critical)[1]
+    _, report.sup_w_at_critical, report.defect_at_critical = probe.w_stats(report.critical)
     return report
 
 

@@ -44,7 +44,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 8
+    assert report["schema"] == 9
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -221,8 +221,9 @@ def test_movespheres_constant(tmp_path):
     assert rep["sup_w_at_critical"] <= 1e-6
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["lambda", "min_w", "sup_abs_w", "defect"]
+    assert rows[0] == ["lambda", "min_w", "sup_abs_w"]  # a search has no defect column
     assert len(rows) == len(rep["values"]) + 1
+    assert rep["defect"] is None and rep["defect_at_critical"] <= 1e-8
 
 
 def test_movespheres_family_reflection(tmp_path):
@@ -354,12 +355,13 @@ def test_movespheres_takes_geometry_whose_norm_overflows(big, plain, tmp_path):
 
 def test_movespheres_derives_the_chebyshev_rows_once(monkeypatch, tmp_path):
     # `as_evaluable` derives the state's rows once; every evaluation of the
-    # critical search reads them
+    # critical search reads them: sup |u|, the 32 scan values, at least one
+    # root-finder step and the two passes at the critical value
     rows = counting(monkeypatch, hm, "_chebyshev_rows")
     evaluations = counting(monkeypatch, hm, "evaluate_at")
     assert main(["movespheres", "--u", "random:seed=3", "--xi0", "north", "--values", "auto",
                  "--out", str(tmp_path / "ms.json")]) == 0
-    assert len(rows) == 1 and len(evaluations) > 60
+    assert len(rows) == 1 and len(evaluations) >= 1 + 32 + 1 + 2
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -468,6 +470,11 @@ def test_unknown_config_key_rejected(tmp_path):
     ["minimize", "--band-limit", "8", "--init", "constant:1e300"],
     ["minimize", "--band-limit", "8", "--init", "random:amp=1e300"],
     ["minimize", "--band-limit", "8", "--init", "constant:1e-300"],
+    ["verify", "--out", "{tmp}/missing/x.json"],
+    ["minimize", "--band-limit", "8", "--out", "{tmp}"],
+    ["spectrum", "--out", "{tmp}/missing/s.csv"],
+    ["movespheres", "--xi0=north", "--values", "1", "--csv", "{tmp}"],
+    ["movespheres", "--xi0=north", "--csv", "{tmp}/missing/ms.csv"],
 ], ids=["zeta-axis-range", "zeta-axis", "zeta-magnitude", "coeffs-missing",
         "coeffs-not-json", "config-missing", "config-not-json", "xi0", "e", "values",
         "zeta-outside-ball", "xi0-zero", "xi0-south-pole", "e-zero", "e-size",
@@ -488,7 +495,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "radius-overflow", "radius-tiny", "radius-huge", "offset-huge", "offset-overflow",
         "critical-radius-below-scan", "init-constant-zero", "init-extremizer-zero",
         "init-coeffs-empty", "init-norm-overflow", "init-random-norm-overflow",
-        "init-norm-underflow"])
+        "init-norm-underflow", "out-missing-dir", "out-directory", "spectrum-out-missing-dir",
+        "csv-directory", "csv-missing-dir"])
 def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not_json.txt").write_text("not json")
     files = {
@@ -525,6 +533,23 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     message = exc.value.code
     assert isinstance(message, str) and message and "\n" not in message
     assert capsys.readouterr().out == ""  # refused before any work is reported
+
+
+def test_output_paths_are_checked_without_leaving_files(tmp_path, capsys):
+    # a refused CSV path stops the run before the report path, which the
+    # check created, is written: it is removed again; an existing file keeps
+    # its bytes until the run writes it
+    out, kept = tmp_path / "ms.json", tmp_path / "kept.json"
+    with pytest.raises(SystemExit, match="cannot write CSV file .*: Is a directory"):
+        main(["movespheres", "--xi0=north", "--values", "1", "--out", str(out),
+              "--csv", str(tmp_path)])
+    assert not out.exists()
+    kept.write_text("old")
+    with pytest.raises(SystemExit, match="cannot write CSV file"):
+        main(["movespheres", "--xi0=north", "--values", "1", "--out", str(kept),
+              "--csv", str(tmp_path / "missing" / "ms.csv")])
+    assert kept.read_text() == "old"
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("values", ["auto", "0.5,1.0"], ids=["critical-search", "profile"])

@@ -328,9 +328,20 @@ def test_report_serialization(rng):
     rep = moving_sphere_profile(ONE, [0.5, 1.0], xi0=north_pole(2), rng=rng)
     d = rep.to_json_dict()
     assert d["kind"] == "inversion" and d["parameter"] == "lambda"
+    assert d["defect"] == rep.defect.tolist() and d["defect_at_critical"] is None
     rows = rep.csv_rows()
     assert rows[0] == ("lambda", "min_w", "sup_abs_w", "defect")
     assert len(rows) == 3
+
+
+def test_search_report_has_no_defect_column():
+    rep = critical_alpha(FAMILY, np.array([0.6, 0.8]), rng=np.random.default_rng(8))
+    d = rep.to_json_dict()
+    assert d["defect"] is None and d["defect_at_critical"] == rep.defect_at_critical
+    rows = rep.csv_rows()
+    assert rows[0] == ("alpha", "min_w", "sup_abs_w")
+    assert [row[1:] for row in rows[1:]] == list(zip(rep.min_w.tolist(),
+                                                     rep.sup_abs_w.tolist()))
 
 
 def force_pole_errors(monkeypatch, first_call, count=1):
@@ -351,9 +362,14 @@ def force_pole_errors(monkeypatch, first_call, count=1):
 
 
 def assert_same_stats_except(rep, ref, index):
+    """The same columns at every value but `index`, finite there; a critical
+    search has no defect column in either report."""
     others = np.arange(ref.values.size) != index
     np.testing.assert_array_equal(rep.values, ref.values)
     for col in ("min_w", "sup_abs_w", "defect"):
+        if getattr(ref, col) is None:
+            assert getattr(rep, col) is None
+            continue
         np.testing.assert_array_equal(getattr(rep, col)[others], getattr(ref, col)[others])
         assert np.isfinite(getattr(rep, col)[index])
 
@@ -393,23 +409,27 @@ def test_profile_retries_a_pole_collision_on_that_value_only(monkeypatch):
 
 
 def test_critical_search_retries_a_pole_collision(monkeypatch):
+    # each scan value takes one planar step (its nodes); call 6 is value 5
     ref = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
-    raised = force_pole_errors(monkeypatch, 11)  # scan value 5, far below the critical radius
+    raised = force_pole_errors(monkeypatch, 6)  # scan value 5, far below the critical radius
     rep = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
-    assert raised == [11]
+    assert raised == [6]
+    assert ref.defect is None
     assert_same_stats_except(rep, ref, 5)
     assert rep.critical == ref.critical
     assert rep.sup_w_at_critical == ref.sup_w_at_critical
+    assert rep.defect_at_critical == ref.defect_at_critical
 
 
 def test_root_finder_retries_a_pole_collision(monkeypatch):
-    # 32 scan values take 64 planar steps; each root-finder step takes one
+    # 32 scan values take 32 planar steps; each root-finder step takes one
     ref = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
-    raised = force_pole_errors(monkeypatch, 65)
+    raised = force_pole_errors(monkeypatch, 33)
     rep = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
-    assert raised == [65]
-    for col in ("values", "min_w", "sup_abs_w", "defect"):  # the scan is untouched
+    assert raised == [33]
+    for col in ("values", "min_w", "sup_abs_w"):  # the scan is untouched
         np.testing.assert_array_equal(getattr(rep, col), getattr(ref, col))
+    assert rep.defect is None and ref.defect is None
     assert rep.critical == pytest.approx(ref.critical, rel=1e-6)
 
 
@@ -483,9 +503,12 @@ def test_critical_search_evaluates_u_once_per_step(monkeypatch):
     steps = count_root_finder_steps(monkeypatch)
     rep = critical_lambda(RANDOM_STATE, xi0, rng=np.random.default_rng(2))
     assert not rep.critical_is_bound
-    # sup |u|, two per scan value, one per root-finder step, one at the critical value
+    # sup |u|, one per scan value, one per root-finder step, and at the
+    # critical value the images and nodes, then the images mapped back
     assert 0 < steps[0] < 48
-    assert len(calls) == 1 + 2 * 32 + steps[0] + 1
+    assert len(calls) == 1 + 32 + steps[0] + 2
+    assert calls[1:33] == [4096] * 32 and calls[-2:] == [4096, 2048]
+    assert rep.defect is None and 0.0 <= rep.defect_at_critical < 1e-8
 
 
 @pytest.mark.parametrize("u", [RANDOM_STATE, FAMILY], ids=["random", "family"])

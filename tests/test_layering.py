@@ -385,6 +385,7 @@ UNSET_DEFAULTS_ALLOWED = {
     "cli.main(argv)": "the console entry calls main() with no arguments; tests pass argv",
     "dynamics.MovingSphereReport(critical)": "a profile has none; _critical_search fills it in",
     "dynamics.MovingSphereReport(sup_w_at_critical)": "filled in with `critical`",
+    "dynamics.MovingSphereReport(defect_at_critical)": "filled in with `critical`",
     "dynamics.MovingSphereReport(critical_is_bound)": "filled in with `critical`",
 }
 

@@ -8,7 +8,8 @@ their per-element loops and against each other and, on the circle, the transform
 evaluation against the Fourier basis, the batch axes of synthesis, the Gibbs gap and the direct energy,
 the probe's root-finder on smooth and step functions, and, bit for bit, the
 off-grid evaluation on precomputed Chebyshev rows, the lazy grid nodes and
-weights, and the probe's maps from one base map against fresh ones."""
+weights, the probe's maps from one base map against fresh ones, and the
+critical search's one-pass scan against a profile at the same values."""
 
 import json
 import math
@@ -30,12 +31,15 @@ from logsphere import (
     beckner_deficit,
     build_grid,
     cap_points,
+    critical_alpha,
+    critical_lambda,
     deficit_value,
     el_residual,
     extremizer,
     fit_extremizer,
     inverse,
     jacobian,
+    moving_sphere_profile,
     random_coeffs,
     random_positive_init,
     region_of,
@@ -45,7 +49,7 @@ from logsphere import (
     synthesize,
 )
 from logsphere import energy as en
-from logsphere.conformal import _orthonormal_frame, kernel_l, map_with_jacobian
+from logsphere.conformal import PoleError, _orthonormal_frame, kernel_l, map_with_jacobian
 from logsphere.dynamics import _CapProbe, _zeroin
 from logsphere.energy import (
     _entropy_log_factor,
@@ -307,6 +311,11 @@ def same_bits(got, want) -> bool:
     return np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
 
 
+def same_bits_each(got, want) -> np.ndarray:
+    """Element-wise `same_bits` of two float arrays of one shape."""
+    return np.asarray(got, float).view(np.int64) == np.asarray(want, float).view(np.int64)
+
+
 @given(n=DIMS, norm_sq=st.floats(1e-100, 1e100),
        vals=st.lists(st.one_of(st.floats(-3.0, 3.0), ODD_NODE_VALUES), min_size=1, max_size=64))
 def test_entropy_log_factor_is_the_where_form_bit_for_bit(n, norm_sq, vals):
@@ -523,6 +532,48 @@ def test_probe_maps_from_one_base_match_fresh_maps(n, data, length, seed):
         except ValueError:  # a pole at a template node, or a cap too large to form
             continue
         assert probe.w_stats(value) == want
+
+
+@settings(max_examples=24)
+@given(n=DIMS, inversion=st.booleans(), family=st.booleans(), L=st.integers(2, 8),
+       raw=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, inversion=True, family=True, L=2, raw=[1.0, 1.0, 0.0], seed=4)
+def test_critical_search_scans_the_columns_of_a_profile(n, inversion, family, L, raw, seed):
+    # the search scans with one map pass per value: its columns are those of
+    # a profile at the same values, bit for bit, and its one defect pass is
+    # that of `w_stats` at the critical value.  The one exception is a value
+    # whose defect pass alone meets a pole: the profile retries it on a fresh
+    # template, the search has no such pass.  (On S^1 a ball node at the
+    # 1e-6 radius floor has an image within 1e-7 of the south pole at large
+    # radii.)
+    u = (FAMILY_BY_N[n] if family
+         else as_evaluable(random_positive_init(n, L, np.random.default_rng(seed))))
+    vec = np.array(raw[:n + 1 if inversion else n])
+    assume(np.linalg.norm(vec) > 0.1)
+    vec = sphere_point(vec)
+    if inversion:
+        center, direction = (-vec if 1.0 + vec[-1] < 0.2 else vec), None
+        search, scan = critical_lambda, np.geomspace(0.02, 50.0, 32)
+    else:
+        center, direction = None, vec
+        search, scan = critical_alpha, np.linspace(6.0, -6.0, 32)
+    rep = search(u, center if inversion else direction, rng=np.random.default_rng(seed))
+    profile = moving_sphere_profile(u, scan, xi0=center, e=direction,
+                                    rng=np.random.default_rng(seed))
+    assert rep.defect is None and profile.defect_at_critical is None
+    assert same_bits(rep.values, profile.values)
+    probe = _CapProbe(u, center, direction, np.random.default_rng(seed))
+    same = same_bits_each(rep.min_w, profile.min_w) & same_bits_each(rep.sup_abs_w,
+                                                                      profile.sup_abs_w)
+    for value in profile.values[~same]:
+        with pytest.raises(PoleError):
+            probe._stats(probe.base.at_scale(float(value)), probe.template)
+    stats = probe.w_stats(rep.critical)
+    assert rep.sup_w_at_critical == stats[1]
+    assert rep.defect_at_critical == stats[2]
+    if family:
+        assert rep.defect_at_critical <= 1e-8
 
 
 @settings(max_examples=40)
