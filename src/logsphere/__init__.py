@@ -59,6 +59,7 @@ from .harmonics import (
     apply_P2s,
     as_evaluable,
     evaluate_at,
+    evaluate_on_grid,
     h_multiplier_table,
     multiplier_H,
     multiplier_P2s,

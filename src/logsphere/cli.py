@@ -143,17 +143,19 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _check_table_budget(cfg: RunConfig, command: str):
     """Refuse a band limit whose tables, or a grid degree whose pair-kernel
-    cross-check, would peak above TABLE_BUDGET_BYTES: `verify.table_needs`, or
-    the transform tables at L on the entropy grid of the flow and the probe,
-    or one `evaluate_at` call of the probe on its 2 DEFAULT_SAMPLES points."""
-    L = cfg.band_limit
+    cross-check, would peak above TABLE_BUDGET_BYTES: `verify.table_needs`;
+    for the flow, the transform tables at L on the entropy grid; for the
+    probe, the off-grid plan at L with the larger of one `evaluate_at` call
+    on its 2 DEFAULT_SAMPLES points and the random state's `evaluate_on_grid`
+    on the entropy grid."""
+    n, L = cfg.n, cfg.band_limit
     if command == "verify":
         needs = vf.table_needs(cfg)
+    elif command == "minimize":
+        needs = {f"band limit {L}": hm.transform_table_bytes(n, L, en.entropy_degree(L))}
     else:
-        tables = hm.transform_table_bytes(cfg.n, L, en.entropy_degree(L))
-        if command == "movespheres":
-            tables = max(tables, hm.evaluate_at_bytes(cfg.n, L, 2 * dy.DEFAULT_SAMPLES))
-        needs = {f"band limit {L}": tables}
+        needs = {f"band limit {L}": max(hm.evaluate_at_bytes(n, L, 2 * dy.DEFAULT_SAMPLES),
+                                        hm.evaluate_on_grid_bytes(n, L, en.entropy_degree(L)))}
     for what, need in needs.items():
         if need > TABLE_BUDGET_BYTES:
             raise SystemExit(f"{what} needs about {need / 1024**3:.3g} GiB of tables "

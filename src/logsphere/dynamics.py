@@ -20,7 +20,8 @@ import numpy as np
 
 from . import conformal as cf
 from .energy import beckner_deficit, default_entropy_grid, deficit_gradient_at, deficit_terms
-from .harmonics import HarmonicCoeffs, analyze, degree_of_index, random_coeffs, synthesize
+from .harmonics import (HarmonicCoeffs, analyze, degree_of_index, evaluate_on_grid,
+                        random_coeffs, synthesize)
 from .sphere import QuadratureGrid, build_grid
 
 DEFAULT_SAMPLES = 2048  # probe nodes per template
@@ -136,16 +137,21 @@ def random_positive_init(n: int, L: int, rng: np.random.Generator,
                          amplitude: float = 0.2,
                          grid: QuadratureGrid | None = None) -> HarmonicCoeffs:
     """Constant plus a band-limited perturbation kept safely positive: its
-    largest magnitude on `grid`, by default the entropy grid of (n, L)
-    (built here when none is passed), is `amplitude`."""
-    pert = random_coeffs(n, L, rng, decay=1.5).coeffs
-    pert[degree_of_index(n, L) == 0] = 0.0
+    largest magnitude over the nodes of the entropy grid of (n, L) is
+    `amplitude`.  A caller that holds that grid passes it as `grid`, and the
+    perturbation is synthesized on its transform tables; with none passed,
+    its node values come from `evaluate_on_grid` on the cached Chebyshev
+    plan, which builds no transform table, and agree with a synthesis to
+    rounding."""
+    pert = random_coeffs(n, L, rng, decay=1.5)
+    pert.coeffs[degree_of_index(n, L) == 0] = 0.0
     if grid is None:
-        grid = default_entropy_grid(n, L)
-    probe = synthesize(HarmonicCoeffs(n, L, pert), grid).values
+        probe = evaluate_on_grid(pert, default_entropy_grid(n, L))
+    else:
+        probe = synthesize(pert, grid).values
     scale = amplitude / max(np.abs(probe).max(), 1e-12)
     u = HarmonicCoeffs.constant(n, L, 1.0)
-    u.coeffs += pert * scale
+    u.coeffs += pert.coeffs * scale
     return u
 
 

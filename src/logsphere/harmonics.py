@@ -24,7 +24,9 @@ polynomials of t, row by row, so the coefficients' Chebyshev sums are the
 scatter and batched product of a synthesis, with the Chebyshev index where
 the rings were.  A chunk of points then takes whole-array steps: the powers
 of e^{i theta} feed one matrix product per parity of the order, and those of
-e^{i phi} the azimuth sum.
+e^{i phi} the azimuth sum.  The same polar step serves a product grid's
+rings, whose values then need one matrix product with the powers of
+e^{i phi} at its azimuths: node values with no transform table.
 
 Multipliers: the fractional integral family acts on degree-l harmonics as
 Gamma(l+n/2-s)/Gamma(l+n/2+s), its inverse as the reciprocal, and the
@@ -380,7 +382,7 @@ def _powers(base: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-EVALUATION_CELLS = 130 * 4096  # (row, point) cells per workspace half: 4096 points at L = 128
+EVALUATION_CELLS = 130 * 1024  # (row, point) cells per workspace half: 1024 points at L = 128
 
 
 def _chebyshev_rows(c: HarmonicCoeffs) -> np.ndarray:
@@ -392,56 +394,67 @@ def _chebyshev_rows(c: HarmonicCoeffs) -> np.ndarray:
     return _polar_sums(plan, _slot_maps(c.n, c.L), c.coeffs[None])[0][:, parity].T
 
 
+def _polar_step(C: np.ndarray, t: np.ndarray, rho: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """V[column, point]: the (m, cos) and (m, sin) rows of the expansion whose
+    Chebyshev rows are C, in C's order, at heights t = cos(theta) with rho =
+    sin(theta) >= 0.  The powers of e^{i theta} = t + i rho, with real parts
+    T_j(t) and imaginary parts sin((j+1) theta) = sin(theta) U_j(t), feed one
+    matrix product per parity of m.  `work` is a (2, M + 1, points) complex
+    workspace, M = C.shape[0] // 2: its second half holds the powers and then
+    V, its first the real table."""
+    M, K = C.shape[0] // 2, C.shape[1]
+    first, second = work
+    npts = t.size
+    # the powers, copied to real rows table[j] = (cos, sin)(j theta)
+    polar = _powers(t + 1j * rho, second[:K + 1])
+    table = first[:K + 1].view(float).reshape(K + 1, 2, npts)
+    table[...] = polar.view(float).reshape(K + 1, npts, 2).transpose(0, 2, 1)
+    V = second.view(float).reshape(-1, npts)[:2 * M]
+    evens = M + M % 2
+    np.matmul(C[:evens], table[:K, 0], out=V[:evens])
+    np.matmul(C[evens:], table[1:, 1], out=V[evens:])
+    return V
+
+
 def evaluate_at(c: HarmonicCoeffs, points: np.ndarray,
                 rows: np.ndarray | None = None) -> np.ndarray:
     """Values of the expansion at the rows of `points` on S^n (for pullbacks).
 
     `rows` are the state's Chebyshev rows (`_chebyshev_rows(c)`), derived
     here when none are passed; `as_evaluable` derives them once per state.
-    Per chunk of points the powers of e^{i theta} = t + i sin(theta), with
-    real parts T_j(t) and imaginary parts sin((j+1) theta) = sin(theta)
-    U_j(t), feed one matrix product per parity of m, and the azimuth sum is
-    one contraction with the powers of e^{i phi}.  Points of the circle are
-    the equator t = 0.  One workspace of 2 EVALUATION_CELLS complex
-    numbers, whatever L, holds a chunk."""
+    Per chunk of points `_polar_step` takes the rows to the points' heights,
+    and the azimuth sum is one contraction with the powers of e^{i phi}.
+    Points of the circle are the equator t = 0.  One workspace of 2
+    EVALUATION_CELLS complex numbers, whatever L, holds a chunk."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != c.n + 1:
         raise ValueError(f"points of S^{c.n} need {c.n + 1} coordinates in each row "
                          f"of a 2-d array, got shape {pts.shape}")
     C = _chebyshev_rows(c) if rows is None else rows
-    M, K = c.L + 1, C.shape[1]
-    even, odd = C[:M + M % 2], C[M + M % 2:]
+    M = c.L + 1
+    evens = M + M % 2
     out = np.empty(pts.shape[0])
-    # One workspace for every chunk, two halves of M + 1 complex rows each:
-    # `second` holds the powers of e^{i theta} and then the products, `first`
-    # the real table and then the powers of e^{i phi}, so no megabyte-size
-    # temporary is freed and faulted in again on every chunk.
+    # One workspace for every chunk, so no megabyte-size temporary is freed
+    # and faulted in again on every chunk; its first half ends as the powers
+    # of e^{i phi}.
     chunk = max(1, EVALUATION_CELLS // (M + 1))
     work = np.empty((2, (M + 1) * min(chunk, pts.shape[0])), dtype=complex)
     for start in range(0, pts.shape[0], chunk):
         sl = slice(start, start + chunk)
         x, y = pts[sl, 0], pts[sl, 1]
         # the height t = cos(theta), z on S^2 and 0 on the circle, needs no clip:
-        t = pts[sl, 2:].sum(axis=1)  # sin(theta) is taken from (x, y)
+        t = pts[sl, 2:].sum(axis=1)
         npts = t.size
-        first = work[0, :(M + 1) * npts].reshape(M + 1, npts)
-        second = work[1, :(M + 1) * npts].reshape(M + 1, npts)
-        # the powers of e^{i theta}, copied to real rows table[j] = (cos, sin)(j theta);
+        chunk_work = work[:, :(M + 1) * npts].reshape(2, M + 1, npts)
         # sin(theta) is |(x, y)|, which unlike sqrt(1 - t^2) keeps its relative
         # precision near the poles
         rho = np.hypot(x, y)
-        polar = _powers(t + 1j * rho, second[:K + 1])
-        table = first[:K + 1].view(float).reshape(K + 1, 2, npts)
-        table[...] = polar.view(float).reshape(K + 1, npts, 2).transpose(0, 2, 1)
-        # rows (m, cos) and (m, sin), by parity of m, over the points
-        V = second.view(float).reshape(-1, npts)
-        V_even, V_odd = V[:even.shape[0]], V[even.shape[0]:2 * M]
-        np.matmul(even, table[:K, 0], out=V_even)
-        np.matmul(odd, table[1:, 1], out=V_odd)
+        V = _polar_step(C, t, rho, chunk_work)
+        V_even, V_odd = V[:evens], V[evens:]
         # e^{i phi} = (x + i y) / rho, taken as 1 on the z-axis
         axis = rho == 0.0
         rho[axis] = 1.0
-        azimuth = _powers(np.where(axis, 1.0, x / rho) + 1j * (y / rho), first[:M])
+        azimuth = _powers(np.where(axis, 1.0, x / rho) + 1j * (y / rho), chunk_work[0, :M])
         out[sl] = (np.einsum("mn,mn->n", V_even[0::2], azimuth[0::2].real)
                    + np.einsum("mn,mn->n", V_even[1::2], azimuth[0::2].imag)
                    + np.einsum("mn,mn->n", V_odd[0::2], azimuth[1::2].real)
@@ -449,24 +462,69 @@ def evaluate_at(c: HarmonicCoeffs, points: np.ndarray,
     return out
 
 
-def evaluate_at_bytes(n: int, L: int, count: int) -> int:
-    """Upper bound on the peak bytes of `evaluate_at` at band limit L on
-    `count` points, building the slot maps and the plan included: with K =
-    L + 1 on S^2 and 1 on the circle and P = L | 1, 8 KiB of Python objects,
-    the kept maps (a word per coefficient slot, per polar row and per order)
-    and the largest of three phases: building the polar table at K heights;
-    transforming it, with one parity's rows (at most half the rows and K)
-    twice more, the two K x K transforms and the parity masks; and a call
-    with the plan kept, the scattered coefficients (four per row), the
-    (K, 2P + 2) polar sums twice, one chunk's workspace, 32 chunk-length
-    temporaries and the output."""
-    M, K, slots = L + 1, grid_shape(n, L)[0], harmonic_count(n, L)
+def evaluate_on_grid(c: HarmonicCoeffs, grid: QuadratureGrid) -> np.ndarray:
+    """Values of the expansion at the nodes of `grid`, in node order, from
+    its Chebyshev rows on the cached plan: `_polar_step` at the rings and
+    one matrix product with the powers of e^{i phi} at the azimuths.  It
+    builds no transform table and forms no nodes, and holds one (azimuths,
+    L + 1) complex array; its values agree with `synthesize` to rounding."""
+    if c.coeffs.size != harmonic_count(grid.n, c.L):
+        raise ValueError(f"grid dimension {grid.n} does not match coefficients n={c.n}")
+    M, t = c.L + 1, grid.polar_t
+    V = _polar_step(_chebyshev_rows(c), t, np.sqrt((1.0 - t) * (1.0 + t)),
+                    np.empty((2, M + 1, t.size), dtype=complex))
+    # V's rows from parity order to order, cos before sin: order m's rows
+    place = np.argsort(np.concatenate([np.arange(0, M, 2), np.arange(1, M, 2)]))
+    V = V[(2 * place[:, None] + np.arange(2)).ravel()]
+    # azimuth[k, m] = e^{i m phi_k}: its real view holds cos and sin of m phi
+    # side by side, in the order of V's rows.  The base e^{i phi} is built in
+    # place of its first power (of the zeroth at L = 0, which overwrites it).
+    azimuth = np.empty((grid.az_phi.size, M), dtype=complex)
+    base = np.multiply(grid.az_phi, 1j, out=azimuth[:, min(1, c.L)])
+    _powers(np.exp(base, out=base), azimuth.T)
+    return (V.T @ azimuth.view(float).T).ravel()
+
+
+def _off_grid_bytes(n: int, L: int, work: int) -> int:
+    """Upper bound on the peak bytes of an off-grid evaluation at band limit
+    L, building the slot maps and the plan included, whose own arrays take
+    `work` bytes: with K = L + 1 on S^2 and 1 on the circle and P = L | 1,
+    8 KiB of Python objects, the kept maps (a word per coefficient slot, per
+    polar row and per order) and the largest of three phases: building the
+    polar table at K heights; transforming it, with one parity's rows (at
+    most half the rows and K) twice more, the two K x K transforms and the
+    parity masks; and a call with the plan kept, first deriving the state's
+    rows, with the scattered coefficients (four per row) and the (K, 2P + 2)
+    polar sums twice, and then the rows, as large as one set of sums, and
+    `work`."""
+    K, slots = grid_shape(n, L)[0], harmonic_count(n, L)
     rows, orders = (L // 2 + 1) * _batch_width(n, L), (L | 1) + 1
-    chunk = min(count, max(1, EVALUATION_CELLS // (M + 1)))
     transform = 8 * (rows + 2 * ((rows + K) // 2) + 2 * K) * K + 10 * rows
-    call = 8 * ((rows + 4 * orders) * K + 4 * rows + 4 * (M + 1) * chunk + 32 * chunk + count)
+    call = 8 * rows * K + max(8 * (4 * orders * K + 4 * rows), 16 * orders * K + work)
     phases = max(_polar_table_bytes(n, L, K), transform, call)
     return max(_SLOT_MAP_BYTES * slots, 8 * (slots + rows + orders) + phases) + 8192
+
+
+def evaluate_at_bytes(n: int, L: int, count: int) -> int:
+    """Upper bound on the peak bytes of `evaluate_at` at band limit L on
+    `count` points (`_off_grid_bytes`): one chunk's workspace, 32
+    chunk-length temporaries, two ufunc buffers and the output."""
+    M = L + 1
+    chunk = min(count, max(1, EVALUATION_CELLS // (M + 1)))
+    return _off_grid_bytes(n, L, 8 * (4 * (M + 1) * chunk + 32 * chunk
+                                      + 2 * min((M + 1) * chunk, np.getbufsize()) + count))
+
+
+def evaluate_on_grid_bytes(n: int, L: int, grid_degree: int) -> int:
+    """Upper bound on the peak bytes of `evaluate_on_grid` at band limit L
+    on the grid of `grid_degree` (`_off_grid_bytes`): at the rings the
+    workspace and the reordered rows, at the azimuths the (azimuths, L + 1)
+    powers and the three ufunc buffers of filling their strided columns, and
+    the node values."""
+    M, (rings, azimuths) = L + 1, grid_shape(n, grid_degree)
+    return _off_grid_bytes(n, L, 16 * ((3 * M + 2) * rings + M * azimuths
+                                       + 3 * min(M * azimuths // 2, np.getbufsize()))
+                           + 8 * rings * azimuths)
 
 
 def as_evaluable(c: HarmonicCoeffs):

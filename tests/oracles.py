@@ -7,7 +7,8 @@ by plain bisection, and the conformal layer's cap points, difference kernel
 and Moebius images computed on rows of points, with the `kernel_sign` suite's
 loop over them, the deficit's entropy pass out of place, one `np.where`, a
 grid's nodes and weights formed eagerly from its factors, and the probe's
-statistics on a map built afresh for each scale value.
+statistics on a map built afresh for each scale value, and the random
+initial state scaled on a synthesis.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from logsphere.conformal import (
     stereographic,
 )
 from logsphere.dynamics import _CapProbe
-from logsphere.energy import constant_Cn
-from logsphere.harmonics import HarmonicCoeffs, h_multiplier_table
+from logsphere.energy import constant_Cn, default_entropy_grid
+from logsphere.harmonics import (HarmonicCoeffs, degree_of_index, h_multiplier_table,
+                                 random_coeffs, synthesize)
 from logsphere.specfun import assoc_legendre_norm, legendre_row
 from logsphere.sphere import QuadratureGrid, sphere_area, sphere_point
 
@@ -317,3 +319,16 @@ def fresh_map_w_stats(probe: _CapProbe, value: float) -> tuple[float, float, flo
     phi = (LiftedInversion(value, probe.center) if probe.direction is None
            else LiftedReflection(value, probe.direction))
     return probe._stats(phi, probe.template)
+
+
+def synthesized_random_init(n: int, L: int, rng: np.random.Generator,
+                            amplitude: float) -> HarmonicCoeffs:
+    """`random_positive_init` with its perturbation synthesized on the
+    transform tables of a fresh entropy grid of (n, L), the route of a
+    caller that passes its grid."""
+    pert = random_coeffs(n, L, rng, decay=1.5).coeffs
+    pert[degree_of_index(n, L) == 0] = 0.0
+    probe = synthesize(HarmonicCoeffs(n, L, pert), default_entropy_grid(n, L)).values
+    u = HarmonicCoeffs.constant(n, L, 1.0)
+    u.coeffs += pert * (amplitude / max(np.abs(probe).max(), 1e-12))
+    return u

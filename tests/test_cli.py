@@ -24,7 +24,7 @@ from logsphere import harmonics as hm
 from logsphere import sphere as sp
 from logsphere.harmonics import HarmonicCoeffs, random_coeffs
 from logsphere.verify import SUITES, _suite_gibbs, table_needs
-from oracles import kernel_sign_loop
+from oracles import kernel_sign_loop, synthesized_random_init
 
 SUITE = {suite.name: suite for suite in SUITES}
 
@@ -353,15 +353,62 @@ def test_movespheres_takes_geometry_whose_norm_overflows(big, plain, tmp_path):
     assert got == want
 
 
-def test_movespheres_derives_the_chebyshev_rows_once(monkeypatch, tmp_path):
-    # `as_evaluable` derives the state's rows once; every evaluation of the
-    # critical search reads them: sup |u|, the 32 scan values, at least one
-    # root-finder step and the two passes at the critical value
+def test_movespheres_derives_the_chebyshev_rows_once_per_state(monkeypatch, tmp_path):
+    # the random state's perturbation is scaled on its own rows, by
+    # `evaluate_on_grid`; `as_evaluable` derives the state's rows once, and
+    # every evaluation of the critical search reads them: sup |u|, the 32
+    # scan values, at least one root-finder step and the two passes at the
+    # critical value
     rows = counting(monkeypatch, hm, "_chebyshev_rows")
     evaluations = counting(monkeypatch, hm, "evaluate_at")
     assert main(["movespheres", "--u", "random:seed=3", "--xi0", "north", "--values", "auto",
                  "--out", str(tmp_path / "ms.json")]) == 0
-    assert len(rows) == 1 and len(evaluations) >= 1 + 32 + 1 + 2
+    assert len(rows) == 2 and len(evaluations) >= 1 + 32 + 1 + 2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_movespheres_scales_a_random_state_without_a_transform_table(monkeypatch, tmp_path, n):
+    # the perturbation's values at the entropy grid's nodes come from the
+    # cached Chebyshev plan: the polar rows are taken at the plan's heights
+    # only, no transform table is built and the grid forms no nodes
+    hm._evaluation_plan.cache_clear()
+    heights, grids = [], []
+    polar_rows, entropy_grid = hm._polar_rows, dy.default_entropy_grid
+
+    def counting_polar_rows(n, L, t):
+        heights.append(t.size)
+        return polar_rows(n, L, t)
+
+    def kept_entropy_grid(n, L):
+        grids.append(entropy_grid(n, L))
+        return grids[-1]
+
+    monkeypatch.setattr(hm, "_polar_rows", counting_polar_rows)
+    monkeypatch.setattr(dy, "default_entropy_grid", kept_entropy_grid)
+    tables = counting(monkeypatch, hm, "_transform_tables")
+    assert main(["movespheres", "--n", str(n), "--band-limit", "24", "--u", "random:seed=3",
+                 "--xi0", "north", "--values", "0.5,1.0", "--out", str(tmp_path / "ms.json")]) == 0
+    assert tables == [] and heights == [sp.grid_shape(n, 24)[0]]
+    assert len(grids) == 1 and "nodes" not in vars(grids[0])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_minimize_scales_its_random_init_by_synthesis(monkeypatch, tmp_path, n):
+    # `minimize` passes its entropy grid, so the perturbation is synthesized
+    # on the transform tables the flow reads anyway: the init the flow starts
+    # from has the bits of the synthesis route
+    inits = []
+    flow = dy.minimize_deficit
+
+    def kept_init(init, *args):
+        inits.append(init)
+        return flow(init, *args)
+
+    monkeypatch.setattr(dy, "minimize_deficit", kept_init)
+    assert main(["minimize", "--n", str(n), "--band-limit", "8", "--init", "random:seed=5",
+                 "--max-iter", "2", "--out", str(tmp_path / "min.json")]) == 0
+    want = synthesized_random_init(n, 8, np.random.default_rng(5), 0.2)
+    assert inits[0].coeffs.tobytes() == want.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -572,7 +619,7 @@ def test_grid_degree_budget_boundary(n, largest_ok):
         _check_table_budget(RunConfig(n=n, grid_degree=largest_ok + 1), "verify")
 
 
-@pytest.mark.parametrize("n, largest_ok", [(2, 384), (1, 4075)])
+@pytest.mark.parametrize("n, largest_ok", [(2, 384), (1, 4087)])
 def test_verify_band_limit_budget_boundary(n, largest_ok):
     # the conformal-identity suites: the transform table at 2L on the
     # degree-2L work grid, and evaluating the states at its mapped nodes
@@ -582,12 +629,13 @@ def test_verify_band_limit_budget_boundary(n, largest_ok):
 
 
 @pytest.mark.parametrize("n, command, largest_ok", [
-    (2, "minimize", 634), (2, "movespheres", 634), (1, "minimize", 5790),
+    (2, "minimize", 634), (2, "movespheres", 642), (1, "minimize", 5790),
     (1, "movespheres", 5790)])
 def test_flow_and_probe_band_limit_budget_boundary(n, command, largest_ok):
-    # the transform tables at L on the degree-2L entropy grid; the probe's
-    # off-grid plan, the polar table at L + 1 Chebyshev nodes on S^2 (one on
-    # S^1), stays below them, so both commands stop at the same band limit
+    # the flow: the transform tables at L on the degree-2L entropy grid.  The
+    # probe: the off-grid plan, the polar table at L + 1 Chebyshev nodes on
+    # S^2 (one on S^1), and `evaluate_on_grid` on that grid, whose (azimuths,
+    # L + 1) powers on S^1 take the place of the flow's azimuth table
     _check_table_budget(RunConfig(n=n, band_limit=largest_ok), command)
     with pytest.raises(SystemExit, match=f"band limit {largest_ok + 1} "):
         _check_table_budget(RunConfig(n=n, band_limit=largest_ok + 1), command)

@@ -16,6 +16,7 @@ from logsphere import (
     apply_H,
     apply_P2s,
     evaluate_at,
+    evaluate_on_grid,
     integrate,
     multiplier_H,
     multiplier_P2s,
@@ -31,6 +32,7 @@ from logsphere.harmonics import (
     EVALUATION_CELLS,
     degree_of_index,
     evaluate_at_bytes,
+    evaluate_on_grid_bytes,
     h_multiplier_table,
     harmonic_count,
     harmonic_indices,
@@ -306,6 +308,35 @@ def test_evaluate_at_bytes_bounds_a_call(n, L, count):
     _evaluation_plan.cache_clear()  # count building the per-L plan too
     peak = traced_peak(lambda: evaluate_at(c, pts))
     assert peak <= evaluate_at_bytes(n, L, count) <= 1.5 * peak
+
+
+# the budget's cases: a grid's worth of values at band limits where the plan
+# or the azimuth powers, not the fixed overhead, decide the peak
+@pytest.mark.parametrize("n, L, degree", [(1, 64, 128), (1, 512, 1024), (1, 1024, 2048),
+                                          (2, 64, 128), (2, 127, 254), (2, 128, 256),
+                                          (2, 128, 128)])
+def test_evaluate_on_grid_bytes_bounds_a_call(n, L, degree):
+    c = random_coeffs(n, L, np.random.default_rng(L))
+    grid = build_grid(n, degree)
+    evaluate_on_grid(c, grid)  # first-use allocations stay out of the count
+    _evaluation_plan.cache_clear()  # count building the per-L plan too
+    _slot_maps.cache_clear()
+    peak = traced_peak(lambda: evaluate_on_grid(c, grid))
+    assert peak <= evaluate_on_grid_bytes(n, L, degree) <= 1.5 * peak
+
+
+def test_evaluate_on_grid_matches_synthesis_at_high_band_limit():
+    # the scan_hi state: S^2, L = 128, on its degree-256 entropy grid
+    c = random_coeffs(2, 128, np.random.default_rng(128), decay=1.5)
+    grid = build_grid(2, 256)
+    want = synthesize(c, grid).values
+    assert np.abs(evaluate_on_grid(c, grid) - want).max() <= 1e-13 * np.abs(want).max()
+    assert "nodes" not in vars(grid)
+
+
+def test_evaluate_on_grid_refuses_another_sphere():
+    with pytest.raises(ValueError, match="grid dimension 1 does not match"):
+        evaluate_on_grid(random_coeffs(2, 4, np.random.default_rng(0)), build_grid(1, 8))
 
 
 def test_evaluate_at_memory_is_bounded_at_high_band_limit():

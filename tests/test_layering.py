@@ -120,7 +120,9 @@ ONE_SPHERE_BASES = {"assoc_legendre_norm", "fourier_basis"}
 
 @pytest.mark.parametrize("name", ["analyze", "synthesize_values", "transform_table_bytes",
                                   "degree_of_index", "evaluate_at", "_evaluation_plan",
-                                  "evaluate_at_bytes", "_polar_sums", "_polar_table_bytes"])
+                                  "evaluate_at_bytes", "_polar_sums", "_polar_table_bytes",
+                                  "evaluate_on_grid", "_polar_step", "evaluate_on_grid_bytes",
+                                  "_off_grid_bytes"])
 def test_transforms_do_not_branch_on_the_dimension(name):
     # the circle is the one-ring product grid and, off the grid, the equator
     # of S^2: the transforms and the off-grid evaluation run one path for both

@@ -64,6 +64,7 @@ from logsphere.harmonics import (
     _chebyshev_rows,
     as_evaluable,
     evaluate_at,
+    evaluate_on_grid,
     h_multiplier_table,
     harmonic_count,
     harmonic_indices,
@@ -414,6 +415,21 @@ def test_transforms_match_the_per_element_loops(n, L, extra, seed):
     f = GridFunction(grid, rng.standard_normal(grid.node_count))
     got, want = analyze(f, L).coeffs, analyze_per_element(f, L)
     assert np.all(np.abs(got - want) <= 1e-15 * analyze_per_element(f, L, np.abs))
+
+
+@settings(max_examples=60)
+@given(n=DIMS, L=st.integers(0, 40), degree=st.integers(1, 96), seed=st.integers(0, 2**32 - 1))
+@example(n=2, L=40, degree=80, seed=0)  # the entropy grid
+@example(n=1, L=0, degree=1, seed=0)
+def test_evaluate_on_grid_matches_synthesis(n, L, degree, seed):
+    # through the Chebyshev plan and the powers of e^{i phi}, against the
+    # transform tables, on any product grid: within 1e-13 of max |u|
+    grid = build_grid(n, degree)
+    c = HarmonicCoeffs(n, L, np.random.default_rng(seed).standard_normal(harmonic_count(n, L)))
+    want = synthesize_values(L, c.coeffs, grid)
+    got = evaluate_on_grid(c, grid)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @settings(max_examples=60)
