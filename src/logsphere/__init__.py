@@ -53,7 +53,6 @@ from .energy import (
 )
 from .harmonics import (
     HarmonicCoeffs,
-    MultiplierTable,
     analyze,
     apply_H,
     apply_P2s,

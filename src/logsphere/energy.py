@@ -20,7 +20,6 @@ import numpy as np
 from .conformal import ConformalMap, Moebius, inverse, jacobian, pullback
 from .harmonics import (
     HarmonicCoeffs,
-    MultiplierTable,
     analyze,
     apply_H,
     as_evaluable,
@@ -49,8 +48,9 @@ def constant_Cn(n: int) -> float:
 
 
 def energy_spectral(u: HarmonicCoeffs, v: HarmonicCoeffs,
-                    table: MultiplierTable | None = None) -> float:
-    """E[u,v] = sum h_l u_{l,m} v_{l,m}; exact at the band limit."""
+                    table: np.ndarray | None = None) -> float:
+    """E[u,v] = sum h_l u_{l,m} v_{l,m}; exact at the band limit.  `table`
+    replaces h_l at each slot (`h_multiplier_table`)."""
     if u.n != v.n or u.L != v.L:
         raise ValueError(
             f"coefficient shape mismatch: (n={u.n}, L={u.L}) vs (n={v.n}, L={v.L})"
@@ -58,7 +58,7 @@ def energy_spectral(u: HarmonicCoeffs, v: HarmonicCoeffs,
     if table is None:
         table = h_multiplier_table(u.n, u.L)
     # grouping u*v first makes the form exactly symmetric in its arguments
-    return float(np.sum(table.per_slot(u.L) * (u.coeffs * v.coeffs)))
+    return float(np.sum(table * (u.coeffs * v.coeffs)))
 
 
 def _pair_energy_sums(grid: QuadratureGrid, V: np.ndarray, eps_list) -> np.ndarray:
@@ -174,7 +174,7 @@ def deficit_terms(u: HarmonicCoeffs, grid: QuadratureGrid) -> tuple[DeficitRepor
     vals = synthesize(u, grid).values
     usq = vals * vals
     logfac = _entropy_log_factor(usq, norm_sq, sphere_area(u.n))
-    energy_term = 2.0 * float(np.sum(h_multiplier_table(u.n, u.L).per_slot(u.L) * c * c))
+    energy_term = 2.0 * float(np.sum(h_multiplier_table(u.n, u.L) * c * c))
     usq *= grid.weights
     usq *= logfac
     entropy_term = constant_Cn(u.n) * float(np.sum(usq))
@@ -188,8 +188,7 @@ def deficit_gradient_at(u: HarmonicCoeffs, grid: QuadratureGrid,
     """Coefficient-space gradient 4 h u - 2 C_n analyze(density) of the
     unconstrained deficit, from `deficit_terms(u, grid)`'s density."""
     entropy = analyze(GridFunction(grid, density), u.L).coeffs
-    hvec = h_multiplier_table(u.n, u.L).per_slot(u.L)
-    return 4.0 * hvec * u.coeffs - 2.0 * constant_Cn(u.n) * entropy
+    return 4.0 * h_multiplier_table(u.n, u.L) * u.coeffs - 2.0 * constant_Cn(u.n) * entropy
 
 
 def beckner_deficit(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> DeficitReport:

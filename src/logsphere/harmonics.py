@@ -5,8 +5,8 @@ energy space.  This module alone decides where (l, m) lives in the flat
 coefficient vector: in degree-major order, as `harmonic_indices` lists it,
 so a lower band is a prefix.  Other modules go through `HarmonicCoeffs`
 (`constant`, `with_band_limit`, the JSON form, which is the dense vector in
-slot order) and `MultiplierTable.per_slot`; no code here looks up one
-label's slot.
+slot order) and the per-slot multiplier arrays of `h_multiplier_table`
+and `apply_multiplier`; no code here looks up one label's slot.
 
 The circle is the equator t = cos(theta) = 0 of S^2, with a one-ring
 product grid, so both spheres run one transform and one off-grid evaluation,
@@ -568,39 +568,21 @@ def multiplier_H(n: int, l: int) -> float:
     return log_operator_scale(n) * (digamma(l + 0.5 * n) - digamma(0.5 * n))
 
 
-@dataclass(eq=False)
-class MultiplierTable:
-    """Cached per-degree eigenvalues m_l for l = 0..L."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("multiplier table contains non-finite entries")
-
-    @property
-    def L(self) -> int:
-        return self.values.size - 1
-
-    def per_slot(self, L: int) -> np.ndarray:
-        """m_l at each flat coefficient slot of band limit L."""
-        return self.values[degree_of_index(self.n, L)]
-
-
 @functools.lru_cache(maxsize=64)
-def h_multiplier_table(n: int, L: int) -> MultiplierTable:
-    """h_l for l = 0..L, built once per (n, L); its values are read-only."""
-    values = np.array([multiplier_H(n, l) for l in range(L + 1)])
+def h_multiplier_table(n: int, L: int) -> np.ndarray:
+    """h_l at each flat coefficient slot of band limit L, built once per
+    (n, L), read-only."""
+    values = np.array([multiplier_H(n, l) for l in range(L + 1)])[degree_of_index(n, L)]
     values.flags.writeable = False
-    return MultiplierTable(n, values)
+    return values
 
 
-def apply_multiplier(c: HarmonicCoeffs, table: MultiplierTable) -> HarmonicCoeffs:
-    if table.L < c.L:
-        raise ValueError(f"multiplier table up to degree {table.L} too short for L={c.L}")
-    return c.copy_with(c.coeffs * table.per_slot(c.L))
+def apply_multiplier(c: HarmonicCoeffs, table: np.ndarray) -> HarmonicCoeffs:
+    """(m u)_{l,m} = m_l u_{l,m}, the multiplier given at each slot of c."""
+    if table.shape != c.coeffs.shape:
+        raise ValueError(f"multiplier of shape {table.shape} does not match "
+                         f"coefficients of shape {c.coeffs.shape}")
+    return c.copy_with(c.coeffs * table)
 
 
 def apply_H(c: HarmonicCoeffs) -> HarmonicCoeffs:
@@ -609,10 +591,8 @@ def apply_H(c: HarmonicCoeffs) -> HarmonicCoeffs:
 
 
 def apply_P2s(c: HarmonicCoeffs, s: float) -> HarmonicCoeffs:
-    table = MultiplierTable(
-        c.n, np.array([multiplier_P2s(c.n, l, s) for l in range(c.L + 1)])
-    )
-    return apply_multiplier(c, table)
+    ratios = np.array([multiplier_P2s(c.n, l, s) for l in range(c.L + 1)])
+    return apply_multiplier(c, ratios[degree_of_index(c.n, c.L)])
 
 
 # ---------------------------------------------------------------------------

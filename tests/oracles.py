@@ -292,7 +292,7 @@ def where_deficit_terms(u: HarmonicCoeffs, grid: QuadratureGrid,
     c = u.coeffs
     usq = vals * vals
     logfac = where_entropy_log_factor(usq, u.norm_sq(), sphere_area(u.n))
-    energy_term = 2.0 * float(np.sum(h_multiplier_table(u.n, u.L).per_slot(u.L) * c * c))
+    energy_term = 2.0 * float(np.sum(h_multiplier_table(u.n, u.L) * c * c))
     entropy_term = constant_Cn(u.n) * float(np.sum(grid.weights * usq * logfac))
     return (energy_term, entropy_term, energy_term - entropy_term), vals * logfac
 

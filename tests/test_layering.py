@@ -2,8 +2,9 @@
 
 The flat (l, m) -> slot order of the coefficient vector is decided in
 `harmonics` alone: other modules reach coefficients through
-`HarmonicCoeffs` and `MultiplierTable`, never through the label-to-slot
-functions or a hard-coded slot; no src code looks up one label's slot
+`HarmonicCoeffs` and the per-slot multiplier arrays (`h_multiplier_table`),
+never through the label-to-slot functions or a hard-coded slot; no src code
+looks up one label's slot
 (`flat_index` is a test oracle), and in `harmonics` the slot -> product map
 is read by `analyze` and the polar sums alone.  The row order of the
 Legendre table is `specfun`'s alone.  `conformal` is geometry only and depends on

@@ -640,7 +640,7 @@ def test_memoized_h_table_is_read_only(n, L):
     table = h_multiplier_table(n, L)
     assert h_multiplier_table(n, L) is table
     with pytest.raises(ValueError):
-        table.values[0] = 1.0
+        table[0] = 1.0
 
 
 # odd, increasing shapes g(y) of the offset y = x - root, whose sign is
