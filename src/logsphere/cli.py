@@ -169,7 +169,8 @@ def _check_seed(seed: int):
 
 
 def _check_fault(fault: dict):
-    """The fault hook names a suite that takes one, and any scale is finite."""
+    """The fault hook names a suite that takes one, and any scale is a finite
+    number whose magnitude lies in `verify.FAULT_SCALE_RANGE`."""
     unknown = set(fault) - {"suite", "scale"}
     if unknown:
         raise SystemExit(f"unknown fault keys: {sorted(unknown)}")
@@ -177,8 +178,10 @@ def _check_fault(fault: dict):
     if fault.get("suite") not in names:
         raise SystemExit(f"fault suite must be one of {names}, got {fault.get('suite')!r}")
     scale = fault.get("scale", vf.FAULT_SCALE)
-    if not _finite(scale):
-        raise SystemExit(f"fault scale must be a finite number, got {scale!r}")
+    lo, hi = vf.FAULT_SCALE_RANGE
+    if not (_finite(scale) and lo <= abs(scale) <= hi):
+        raise SystemExit(f"fault scale must be a number with {lo:g} <= |scale| <= {hi:g}, "
+                         f"got {scale!r}")
 
 
 def _np_default(obj):

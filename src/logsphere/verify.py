@@ -19,8 +19,10 @@ from . import energy as en
 from . import harmonics as hm
 from . import sphere as sp
 
-# the scale of a fault that names none
+# the scale of a fault that names none, and the range of |scale| in which a
+# faulted suite's metric stays finite: no zero, underflowed or overflowed energy
 FAULT_SCALE = 1.05
+FAULT_SCALE_RANGE = (1e-300, 1e300)
 
 
 def _energyharmonics_degree(cfg) -> int:

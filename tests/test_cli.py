@@ -88,6 +88,18 @@ def test_verify_fault_injection(suite, tmp_path, capsys):
     assert failing == [suite]
 
 
+@pytest.mark.parametrize("scale", [1e-300, -1.0, 1e300])
+def test_fault_scales_in_range_fail_their_suite_with_a_finite_metric(scale, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fault": {"suite": "energyharmonics", "scale": scale}}))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    capsys.readouterr()
+    suites = read_json(out)["suites"]
+    assert [s["name"] for s in suites if not s["passed"]] == ["energyharmonics"]
+    assert all(math.isfinite(s["metric"]) for s in suites)
+
+
 def test_verify_circle_pipeline(tmp_path):
     out = tmp_path / "n1.json"
     assert main(["verify", "--n", "1", "--seed", "1", "--out", str(out)]) == 0
@@ -469,6 +481,10 @@ def test_unknown_config_key_rejected(tmp_path):
     ["verify", "--config", "{tmp}/fault_scale_str.json"],
     ["verify", "--config", "{tmp}/fault_scale_nan.json"],
     ["verify", "--config", "{tmp}/fault_scale_huge.json"],
+    ["verify", "--config", "{tmp}/fault_scale_zero.json"],
+    ["verify", "--config", "{tmp}/fault_scale_subnormal.json"],
+    ["verify", "--config", "{tmp}/fault_scale_overflow.json"],
+    ["verify", "--config", "{tmp}/fault_scale_negative_overflow.json"],
     ["verify", "--config", "{tmp}/fault_suite_unknown.json"],
     ["verify", "--config", "{tmp}/fault_suite_missing.json"],
     ["verify", "--config", "{tmp}/fault_suite_without_fault.json"],
@@ -529,7 +545,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "coeffs-duplicate", "coeffs-above-band", "coeffs-negative-degree", "coeffs-string",
         "coeffs-bool",
         "u-constant", "u-extremizer-outside-ball", "fault-scale-str", "fault-scale-nan",
-        "fault-scale-huge", "fault-suite-unknown", "fault-suite-missing",
+        "fault-scale-huge", "fault-scale-zero", "fault-scale-subnormal",
+        "fault-scale-overflow", "fault-scale-negative-overflow", "fault-suite-unknown", "fault-suite-missing",
         "fault-suite-without-fault", "fault-extra-key",
         "seed-negative", "grid-degree-negative", "max-iter-zero", "step-nan", "step-inf",
         "random-seed-negative", "values-repeated", "values-nan", "values-negative-radius",
@@ -561,6 +578,11 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
         "fault_scale_str.json": {"fault": {"suite": "energyharmonics", "scale": "abc"}},
         "fault_scale_nan.json": {"fault": {"suite": "energyharmonics", "scale": math.nan}},
         "fault_scale_huge.json": {"fault": {"suite": "energyharmonics", "scale": 10**400}},
+        "fault_scale_zero.json": {"fault": {"suite": "energyharmonics", "scale": 0}},
+        "fault_scale_subnormal.json": {"fault": {"suite": "energyharmonics", "scale": 5e-324}},
+        "fault_scale_overflow.json": {"fault": {"suite": "energyharmonics", "scale": 1e308}},
+        "fault_scale_negative_overflow.json": {"fault": {"suite": "energyharmonics",
+                                                         "scale": -1e308}},
         "fault_suite_unknown.json": {"fault": {"suite": "nosuch"}},
         "fault_suite_missing.json": {"fault": {"scale": 1.05}},
         "fault_suite_without_fault.json": {"fault": {"suite": "gibbs"}},
