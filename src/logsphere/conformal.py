@@ -5,7 +5,10 @@ Points are the rows of a (k, n+1) array ((k, n) in the plane) and values are
 arrays over the rows.  Inside, point sets are built and reduced as (n+1, k)
 coordinate columns, one coordinate at a time, and rows are handed out as
 transposed column blocks: with n + 1 <= 3 coordinates, work along the short
-axis of the rows costs more than the arithmetic.  Jacobians come from the chain rule on closed-form factors:
+axis of the rows costs more than the arithmetic.  A dot product with the rows
+is a sum over the coordinates in order (`_dot_rows`), so no value depends on
+the rows' memory layout.  Jacobians come from the chain rule on closed-form
+factors:
 
     J_{S}(x)      = (2/(1+|x|^2))^n          (inverse stereographic)
     J_{S^{-1}}(xi) = (1+xi_{n+1})^{-n}
@@ -48,6 +51,15 @@ def _rows(pts) -> np.ndarray:
     if pts.ndim != 2:
         raise ValueError(f"points must be the rows of a 2-d array, got shape {pts.shape}")
     return pts
+
+
+def _dot_rows(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """pts @ v for rows pts, summed over the coordinates in order, so its
+    bits do not depend on the rows' memory layout, as a matrix product's do."""
+    out = pts[:, 0] * v[0]
+    for k in range(1, v.size):
+        out += pts[:, k] * v[k]
+    return out
 
 
 def _col_sq(a: np.ndarray) -> np.ndarray:
@@ -240,7 +252,7 @@ def map_with_jacobian(phi: ConformalMap, xi) -> tuple[np.ndarray, np.ndarray]:
         image = ((1.0 - float(np.dot(phi.mu, phi.mu))) * xm - d2 * mu) / d2
         image = sphere_point(image.T)
         z2 = float(np.dot(phi.zeta, phi.zeta))
-        jac = (math.sqrt(1.0 - z2) / (1.0 - pts @ phi.zeta)) ** phi.n
+        jac = (math.sqrt(1.0 - z2) / (1.0 - _dot_rows(pts, phi.zeta))) ** phi.n
     else:
         raise TypeError(f"not a conformal map: {phi!r}")
     return image, jac
@@ -303,7 +315,7 @@ def extremizer(p: ExtremizerParams):
     root = math.sqrt(1.0 - float(np.dot(zeta, zeta)))
 
     def u(pts):
-        return c * (root / (1.0 - _rows(pts) @ zeta)) ** (0.5 * n)
+        return c * (root / (1.0 - _dot_rows(_rows(pts), zeta))) ** (0.5 * n)
 
     return u
 

@@ -347,11 +347,8 @@ class _CapProbe:
             pts = np.vstack([pts, cf.stereographic(x.T)])
         mapped, jac = cf.map_with_jacobian(phi, pts)
         jr = np.sqrt(jac)
-        # one evaluation of u for the images and the nodes together, as C-order
-        # rows: the last bits of the closed-form family's matrix product with
-        # them depend on their layout
-        nodes = np.concatenate([mapped, pts], out=np.empty((2 * len(pts), self.n + 1)))
-        both = self.u(nodes)
+        # one evaluation of u for the images and the nodes together
+        both = self.u(np.concatenate([mapped, pts]))
         u_mapped = both[:len(mapped)]
         w = jr * u_mapped - both[len(mapped):]
         return w, jr, mapped, u_mapped

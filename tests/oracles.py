@@ -233,7 +233,11 @@ def row_moebius_map_with_jacobian(phi: Moebius, pts) -> tuple[np.ndarray, np.nda
     d2 = np.sum(xm * xm, axis=1, keepdims=True)
     image = sphere_point(((1.0 - float(np.dot(mu, mu))) * xm - d2 * mu) / d2)
     z2 = float(np.dot(phi.zeta, phi.zeta))
-    jac = (math.sqrt(1.0 - z2) / (1.0 - pts @ phi.zeta)) ** phi.n
+    # zeta . xi summed over the coordinates in order, as `map_with_jacobian` does
+    dot = pts[:, 0] * phi.zeta[0]
+    for k in range(1, phi.zeta.size):
+        dot += pts[:, k] * phi.zeta[k]
+    jac = (math.sqrt(1.0 - z2) / (1.0 - dot)) ** phi.n
     return image, jac
 
 

@@ -9,7 +9,9 @@ looks up one label's slot
 is read by `analyze` and the polar sums alone.  The row order of the
 Legendre table is `specfun`'s alone.  `conformal` is geometry only and depends on
 `sphere`, not on the transforms, and works on coordinate columns, never
-along the short axis of point rows.  `verify` holds the suites `cli` runs and
+along the short axis of point rows; its dot products with point rows are
+sums over the coordinates in order, never a matrix product, whose bits
+follow the rows' memory layout.  `verify` holds the suites `cli` runs and
 imports nothing from `cli`.  Besides its own modules, src imports only the
 standard library and numpy, the one dependency `pyproject.toml` declares.
 No process-wide cache wraps the grid builders: a grid keeps its transform
@@ -209,6 +211,49 @@ def test_short_axis_patterns_are_seen():
     assert short_axis_work(sample) == ["np.sum((a - b) ** 2, axis=1)",
                                        "np.linalg.norm(v, axis=-1, keepdims=True)",
                                        "axis[None, :]"]
+
+
+# names that conformal gives to point rows
+POINT_ROWS = {"pts", "points", "xi", "xis", "eta", "etas", "nodes", "rows"}
+
+
+def row_products(node: ast.AST) -> list[str]:
+    """Matrix products in `node` whose left operand is point rows: `_rows(...)`
+    or a name in POINT_ROWS, as `x @ v` or as the first argument of
+    `np.dot` or `np.matmul`."""
+    def is_rows(expr: ast.AST) -> bool:
+        return ((isinstance(expr, ast.Call) and ast.unparse(expr.func) == "_rows")
+                or (isinstance(expr, ast.Name) and expr.id in POINT_ROWS))
+
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
+            left = sub.left
+        elif isinstance(sub, ast.Call) and ast.unparse(sub.func) in {"np.dot", "np.matmul"}:
+            left = sub.args[0] if sub.args else None
+        else:
+            continue
+        if left is not None and is_rows(left):
+            found.append(ast.unparse(sub))
+    return found
+
+
+def test_conformal_sums_over_coordinates_in_order():
+    # the rounding of a matrix product with (k, n + 1) rows depends on their
+    # memory layout, so a C- and an F-order copy of the same rows could give
+    # the family and the Moebius Jacobian different bits: conformal sums
+    # zeta . xi over the coordinates in order instead (`_dot_rows`)
+    assert row_products(tree("conformal")) == []
+
+
+def test_row_products_are_seen():
+    # the gate's detector, on the row-wise forms it keeps out
+    sample = ast.parse("a = 1.0 - _rows(pts) @ zeta\n"
+                       "b = pts @ phi.zeta\n"
+                       "c = np.dot(xi, z) + np.matmul(_rows(eta), z)\n"
+                       "ok = phi.e @ x + (v @ axis) * np.dot(zeta, zeta) + cols @ z\n")
+    assert sorted(row_products(sample)) == ["_rows(pts) @ zeta", "np.dot(xi, z)",
+                                            "np.matmul(_rows(eta), z)", "pts @ phi.zeta"]
 
 
 def process_wide_caches(node: ast.AST, names: set[str]) -> list[str]:

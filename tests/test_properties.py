@@ -1,6 +1,7 @@
 """Property-based checks: the cap sampler and the cap as the planar region,
 the column-wise cap points, difference kernel and Moebius images against
-their row-wise oracles bit for bit, Moebius inverses, the conformal
+their row-wise oracles bit for bit, the family and the Moebius Jacobian on
+C- and F-order rows bit for bit, Moebius inverses, the conformal
 distance identity, the JSON round trip of coefficients, the extremizer
 fit, the sign of the deficit and its two routes, its in-place entropy pass
 against the out-of-place form bit for bit, the Euler-Lagrange residual of the family, the transforms against
@@ -194,9 +195,7 @@ def test_cap_points_match_the_row_oracle(n, data):
 @given(n=DIMS, data=st.data())
 def test_kernel_l_matches_the_row_oracle(n, data):
     # pairs from the cap of one map, the kernel of it or of a Moebius map;
-    # the cap points come as column blocks and, copied, as C-order rows.  The
-    # Moebius Jacobian's matrix product with the rows rounds by their layout,
-    # so the oracle takes the same rows.
+    # the cap points come as column blocks and, copied, as C-order rows
     cap_map = data.draw(cap_maps(n))
     phi = data.draw(st.one_of(st.just(cap_map), moebius_maps(n)))
     region = region_of(cap_map)
@@ -220,6 +219,20 @@ def test_moebius_map_matches_the_row_oracle(n, data, seed, count):
         want_image, want_jac = row_moebius_map_with_jacobian(phi, rows)
         np.testing.assert_array_equal(image, want_image)
         np.testing.assert_array_equal(jac, want_jac)
+
+
+@given(n=DIMS, data=st.data(), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 512))
+def test_family_and_moebius_jacobian_ignore_the_rows_layout(n, data, seed, count):
+    # zeta . xi is summed over the coordinates in order, so C- and F-order
+    # copies of the same rows give the same bits; a matrix product need not
+    zeta = data.draw(directions(n + 1)) * data.draw(st.floats(0.0, 0.9))
+    family = extremizer(ExtremizerParams(zeta, data.draw(st.floats(0.1, 10.0))))
+    pts = sphere_points(n, seed, count)
+    c_rows, f_rows = np.ascontiguousarray(pts), np.asfortranarray(pts)
+    np.testing.assert_array_equal(family(f_rows), family(c_rows))
+    for got, want in zip(map_with_jacobian(Moebius(zeta), f_rows),
+                         map_with_jacobian(Moebius(zeta), c_rows)):
+        np.testing.assert_array_equal(got, want)
 
 
 @given(n=DIMS, data=st.data(), seed=st.integers(0, 2**32 - 1))
