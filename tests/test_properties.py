@@ -10,7 +10,8 @@ evaluation against the Fourier basis, the batch axes of synthesis, the Gibbs gap
 the probe's root-finder on smooth and step functions, and, bit for bit, the
 off-grid evaluation on precomputed Chebyshev rows, the lazy grid nodes and
 weights, the probe's maps from one base map against fresh ones, and the
-critical search's one-pass scan against a profile at the same values."""
+critical search's one-pass scan against a profile at the same values, and
+the spectral multipliers as per-slot arrays."""
 
 import json
 import math
@@ -63,12 +64,16 @@ from logsphere.energy import (
 from logsphere.harmonics import (
     EVALUATION_CELLS,
     _chebyshev_rows,
+    apply_multiplier,
+    apply_P2s,
     as_evaluable,
     evaluate_at,
     evaluate_on_grid,
     h_multiplier_table,
     harmonic_count,
     harmonic_indices,
+    multiplier_H,
+    multiplier_P2s,
     synthesize_values,
 )
 from logsphere.specfun import fourier_basis, legendre_row
@@ -319,10 +324,6 @@ def test_deficit_is_nonnegative_on_signed_states(n, L, seed):
 # node values the entropy pass sets apart: exact zeros of both signs, squares
 # that underflow to a subnormal (below the 1e-300 log floor) or to 0, and NaN
 ODD_NODE_VALUES = st.sampled_from([0.0, -0.0, 1e-160, -1e-170, 5e-324, math.nan])
-
-
-def same_bits(got, want) -> bool:
-    return np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
 
 
 def same_bits_each(got, want) -> np.ndarray:
@@ -646,6 +647,24 @@ def test_energy_many_matches_each_column(n, degree, k, seed):
         f = GridFunction(grid, V[:, j])
         one = energy_direct_extrapolated(f, f)
         assert abs(many[j] - one) <= 1e-12 * abs(one)
+
+
+@given(n=DIMS, L=st.integers(0, 40), k=st.integers(1, 8), s=st.floats(0.0, 0.49),
+       seed=st.integers(0, 2**32 - 1))
+def test_multipliers_are_per_slot_arrays(n, L, k, s, seed):
+    # h_l and the fractional family's ratios at each slot of band limit L,
+    # bit for bit the per-degree multipliers at the slot's degree
+    degree = harmonic_indices(n, L)[0]
+    table = h_multiplier_table(n, L)
+    assert same_bits(table, np.array([multiplier_H(n, int(l)) for l in degree]))
+    assert same_bits(h_multiplier_table(n, L + k)[:table.size], table)
+    assert not table.flags.writeable
+    c = random_coeffs(n, L, np.random.default_rng(seed))
+    ratios = np.array([multiplier_P2s(n, int(l), s) for l in degree])
+    assert same_bits(apply_P2s(c, s).coeffs, c.coeffs * ratios)
+    for shape in ((table.size + 1,), (table.size - 1,), (table.size, 1), ()):
+        with pytest.raises(ValueError, match="does not match"):
+            apply_multiplier(c, np.ones(shape))
 
 
 @given(n=DIMS, L=st.integers(0, 16))
