@@ -381,6 +381,32 @@ FAMILY = extremizer(ExtremizerParams(np.array([0.2, -0.1, 0.25])))
 RANDOM_STATE = as_evaluable(random_positive_init(2, 8, np.random.default_rng(11), amplitude=0.5))
 
 
+@pytest.mark.parametrize("xi0, e", [(north_pole(2), None), (None, np.array([0.6, 0.8]))],
+                         ids=["inversion", "reflection"])
+def test_probe_evaluates_u_at_its_nodes_on_c_order_rows(xi0, e):
+    # the cap points come as column blocks, and the probe hands u its images
+    # and nodes in whatever layout they have: the family sums zeta . xi over
+    # the coordinates in order, so u has the same bits at them as at their
+    # C-order copies, and so does the profile (a matrix product with these
+    # rows and this zeta rounds some of them by their layout)
+    family = extremizer(ExtremizerParams(np.array([0.123, 0.456, -0.2])))
+    layouts = []
+
+    def c_order_u(pts):
+        layouts.append(pts.flags.c_contiguous)
+        got = family(np.ascontiguousarray(pts))
+        np.testing.assert_array_equal(family(pts), got)
+        return got
+
+    ref = moving_sphere_profile(family, [0.5, 1.0], xi0=xi0, e=e,
+                                rng=np.random.default_rng(3))
+    rep = moving_sphere_profile(c_order_u, [0.5, 1.0], xi0=xi0, e=e,
+                                rng=np.random.default_rng(3))
+    assert len(layouts) == 4 and not all(layouts)  # u saw other layouts
+    for col in ("values", "min_w", "sup_abs_w", "defect"):
+        np.testing.assert_array_equal(getattr(rep, col), getattr(ref, col))
+
+
 def test_profile_retries_a_pole_collision_on_that_value_only(monkeypatch):
     # each scale value takes two planar steps (its nodes, then their images);
     # call 3 is the first of value 1
