@@ -19,7 +19,6 @@ from .conformal import (
     jacobian,
     kernel_l,
     map_with_jacobian,
-    pullback,
     region_of,
     sample_region,
     stereographic,

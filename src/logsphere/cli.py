@@ -2,8 +2,9 @@
 deficit flows, and moving-spheres diagnostics with machine-readable output.
 
 Reports are JSON (their "schema" field is `SCHEMA_VERSION`) and per-row
-tables are CSV; rerunning with the same config and seed reproduces the
-report byte for byte, so no wall-clock fields go into the files.  Flags
+tables are CSV; rerunning with the same config and seed at a fixed BLAS
+thread count reproduces the report byte for byte (the benchmark pins one
+thread), so no wall-clock fields go into the files.  Flags
 take precedence over a JSON config file, which takes precedence over
 defaults; no environment variable is read.  Each subcommand takes a flag
 and a config key for exactly the `RunConfig` fields it reads (`_READS`),
@@ -339,7 +340,10 @@ def _parse_init(spec: str, cfg: RunConfig, grid: sp.QuadratureGrid | None = None
                 amp = _number(val, "random init amp")
             else:
                 raise SystemExit(f"unknown random-init option {key!r}")
-        return dy.random_positive_init(n, L, np.random.default_rng(seed), amp, grid=grid)
+        try:
+            return dy.random_positive_init(n, L, np.random.default_rng(seed), amp, grid=grid)
+        except ValueError as exc:
+            raise SystemExit(f"random init amp: {exc}") from None
     if kind == "extremizer":
         return dy.family_coeffs(_parse_extremizer(payload, n), L)
     if kind == "coeffs":

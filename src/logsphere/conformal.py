@@ -1,5 +1,5 @@
 """Conformal maps of S^n: stereographic lifts of planar inversions and
-reflections, Moebius maps, Jacobians, pullbacks, and the comparison kernel.
+reflections, Moebius maps, Jacobians, and the comparison kernel.
 
 Points are the rows of a (k, n+1) array ((k, n) in the plane) and values are
 arrays over the rows.  Inside, point sets are built and reduced as (n+1, k)
@@ -276,16 +276,6 @@ def inverse(phi: ConformalMap) -> ConformalMap:
     if isinstance(phi, Moebius):
         return Moebius(-phi.zeta)
     raise TypeError(f"not a conformal map: {phi!r}")
-
-
-def pullback(u, phi: ConformalMap):
-    """L2-isometric pullback u_phi = J_phi^{1/2} (u o phi) as a callable."""
-
-    def u_phi(pts):
-        image, jac = map_with_jacobian(phi, pts)
-        return np.sqrt(jac) * u(image)
-
-    return u_phi
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .harmonics import (HarmonicCoeffs, analyze, degree_of_index, evaluate_on_gr
 from .sphere import QuadratureGrid, build_grid
 
 DEFAULT_SAMPLES = 2048  # probe nodes per template
+MAX_AMPLITUDE = 1e300  # largest |amplitude| of a random initial state
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +143,19 @@ def random_positive_init(n: int, L: int, rng: np.random.Generator,
     perturbation is synthesized on its transform tables; with none passed,
     its node values come from `evaluate_on_grid` on the cached Chebyshev
     plan, which builds no transform table, and agree with a synthesis to
-    rounding."""
+    rounding.  An amplitude above MAX_AMPLITUDE in size, or one whose
+    perturbation scale is not finite, is refused."""
     pert = random_coeffs(n, L, rng, decay=1.5)
     pert.coeffs[degree_of_index(n, L) == 0] = 0.0
     if grid is None:
         probe = evaluate_on_grid(pert, default_entropy_grid(n, L))
     else:
         probe = synthesize(pert, grid).values
-    scale = amplitude / max(np.abs(probe).max(), 1e-12)
+    with np.errstate(over="ignore"):  # an overflowing scale is refused below
+        scale = amplitude / max(np.abs(probe).max(), 1e-12)
+    if not (abs(amplitude) <= MAX_AMPLITUDE and math.isfinite(scale)):
+        raise ValueError(f"amplitude {amplitude:g} is above {MAX_AMPLITUDE:g} in size, or "
+                         "its perturbation scale is not finite")
     u = HarmonicCoeffs.constant(n, L, 1.0)
     u.coeffs += pert.coeffs * scale
     return u
@@ -304,14 +310,14 @@ class _CapProbe:
     deforms continuously with the scale parameter: DEFAULT_SAMPLES / 2
     planar-ball nodes (inversions only) and as many cap nodes.
 
+    `stats(value, defect)` is the one entry point: (min w, sup |w|) from
+    one map pass, and with `defect` the antisymmetry defect from a second.
     The map of each value is `base.at_scale(value)`, so the unit centre (or
     normal) and the planar base point are derived once per probe.  A value
     whose map has a pole at a node is retried once on a fresh template from
-    the probe's generator; other values keep the first one.
-    The scan and the root-finder of a critical search need only min w and
-    sup |w|, which skip the second map pass of the antisymmetry defect, so
-    a pole that only that pass would hit is not retried there; the search
-    takes that pass once, at the critical value.
+    the probe's generator; other values keep the first one.  A pole that
+    only the defect's pass would hit is retried only when `defect` is set;
+    a critical search sets it once, at the critical value.
     """
 
     def __init__(self, u, xi0, e, rng: np.random.Generator | None):
@@ -338,8 +344,10 @@ class _CapProbe:
         cap_phi = rng.uniform(0.0, 2.0 * math.pi, half)
         return ball_dirs, ball_radii, cap_u, cap_phi
 
-    def _w(self, phi: cf.ConformalMap, template):
-        """w at the template's nodes, with J^{1/2}, the images and u there."""
+    def _stats(self, phi: cf.ConformalMap, template, defect: bool) -> tuple[float, ...]:
+        """(min w, sup |w|) at the template's nodes from one map pass, and
+        with `defect` the antisymmetry defect, whose second pass maps the
+        images."""
         ball_dirs, ball_radii, cap_u, cap_phi = template
         pts = cf.cap_points(cf.region_of(phi), cap_u, cap_phi)
         if isinstance(phi, cf.LiftedInversion):
@@ -351,51 +359,32 @@ class _CapProbe:
         both = self.u(np.concatenate([mapped, pts]))
         u_mapped = both[:len(mapped)]
         w = jr * u_mapped - both[len(mapped):]
-        return w, jr, mapped, u_mapped
-
-    def _stats(self, phi: cf.ConformalMap, template) -> tuple[float, float, float]:
-        w, jr, mapped, u_mapped = self._w(phi, template)
+        stats = (float(w.min()), float(np.abs(w).max()))
+        if not defect:
+            return stats
         back, jac_m = cf.map_with_jacobian(phi, mapped)
         w_m = np.sqrt(jac_m) * self.u(back) - u_mapped
-        defect = float(np.abs(w + jr * w_m).max())
-        return float(w.min()), float(np.abs(w).max()), defect
+        return stats + (float(np.abs(w + jr * w_m).max()),)
 
-    def _one_pass(self, phi: cf.ConformalMap, template) -> tuple[float, float]:
-        w = self._w(phi, template)[0]
-        return float(w.min()), float(np.abs(w).max())
-
-    def _at(self, stats, value: float):
-        """stats(phi, template) under the retry policy; an error names the value."""
+    def stats(self, value: float, defect: bool = False) -> tuple[float, ...]:
+        """`_stats` at one scale value under the retry policy; an error
+        names the value."""
         try:
             phi = self.base.at_scale(value)
             try:
-                return stats(phi, self.template)
+                return self._stats(phi, self.template, defect)
             except cf.PoleError:
-                return stats(phi, self._draw_template())
+                return self._stats(phi, self._draw_template(), defect)
         except ValueError as exc:
             name = "lambda" if self.direction is None else "alpha"
             raise type(exc)(f"at {name} = {value:g}: {exc}") from None
 
-    def w_stats(self, value: float) -> tuple[float, float, float]:
-        """(min w, sup |w|, antisymmetry defect) at one scale value."""
-        return self._at(self._stats, value)
-
-    def w_range(self, value: float) -> tuple[float, float]:
-        """(min w, sup |w|) at one scale value from one map pass: the first
-        two entries of `w_stats`, without the defect."""
-        return self._at(self._one_pass, value)
-
-    def min_w(self, value: float) -> float:
-        """min w at one scale value, the first entry of `w_stats`."""
-        return self.w_range(value)[0]
-
     def profile(self, values, defect: bool = True) -> MovingSphereReport:
-        """Report of the stats at each value, in increasing order: `w_stats`,
-        or the one-pass `w_range` with no defect column when `defect` is
-        false."""
+        """Report of the stats at each value, in increasing order, with no
+        defect column when `defect` is false."""
         values = np.sort(np.asarray(values, dtype=float))
-        at, width = (self.w_stats, 3) if defect else (self.w_range, 2)
-        stats = np.array([at(float(v)) for v in values]).reshape(-1, width)
+        stats = np.array([self.stats(float(v), defect) for v in values])
+        stats = stats.reshape(-1, 3 if defect else 2)
         return MovingSphereReport(
             kind=self.kind, n=self.n, center=self.center, direction=self.direction,
             values=values, min_w=stats[:, 0], sup_abs_w=stats[:, 1],
@@ -469,8 +458,8 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
     end, with one map pass per value and no defect column, then find where
     min w crosses the threshold in the first failing step by zeroin in the
     coordinate x = to_x(value), value = from_x(x).  The step's ends reuse
-    the scan's min w.  The antisymmetry defect is checked once, at the
-    critical value, whose `w_stats` also give sup |w| there."""
+    the scan's min w.  Every value takes `probe.stats` without the defect
+    but the critical value, whose stats with it also give sup |w| there."""
     threshold = -tol * _sup_abs_u(probe.u, probe.n, probe.rng)
     report = probe.profile(scan, defect=False)
     f_scan = report.min_w - threshold
@@ -487,11 +476,12 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
     else:
         k = int(np.argmax(fails))
         # refined within the failing scan step to 1e-15 + 4 eps |x| in x
-        x = _zeroin(lambda x: probe.min_w(from_x(x)) - threshold,
+        x = _zeroin(lambda x: probe.stats(from_x(x))[0] - threshold,
                     to_x(float(scan[k - 1])), to_x(float(scan[k])),
                     float(f_scan[k - 1]), float(f_scan[k]), 1e-15)
         report.critical = float(from_x(x))
-    _, report.sup_w_at_critical, report.defect_at_critical = probe.w_stats(report.critical)
+    _, report.sup_w_at_critical, report.defect_at_critical = probe.stats(
+        report.critical, defect=True)
     return report
 
 

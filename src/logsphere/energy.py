@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import ConformalMap, Moebius, inverse, jacobian, pullback
+from .conformal import ConformalMap, Moebius, inverse, jacobian, map_with_jacobian
 from .harmonics import (
     HarmonicCoeffs,
     analyze,
     apply_H,
-    as_evaluable,
     degree_of_index,
+    evaluate_at,
     h_multiplier_table,
     log_operator_scale,
     synthesize,
@@ -234,23 +234,33 @@ def el_residual(u: HarmonicCoeffs, L_test: int,
 # ---------------------------------------------------------------------------
 # conformal transformation identities as numerical residuals
 
+def _check_identity_inputs(phi: ConformalMap, grid: QuadratureGrid, *states: HarmonicCoeffs):
+    """Refuse a map that is not Moebius, and a map or states on another
+    sphere than the grid's or states above its band limit: the grid cannot
+    project their pullbacks."""
+    if not isinstance(phi, Moebius):
+        raise ValueError("the identity check projects pullbacks spectrally; "
+                         "use a globally smooth Moebius map")
+    if any(x.n != grid.n for x in (phi, *states)):
+        raise ValueError(f"the map and the states must act on the grid's S^{grid.n}")
+    L = max(s.L for s in states)
+    if L > grid.degree:
+        raise ValueError(f"states of band limit {L} exceed the grid's band limit {grid.degree}")
+
+
 def verify_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: ConformalMap,
                   grid: QuadratureGrid) -> float:
     """Residual |E[u_phi, v_phi] - (E[u,v] + C_n int u v ln J_{phi^{-1}}^{-1/2})|.
 
-    Pullbacks are re-projected to band limit grid.degree before the spectral
-    energy; the tolerance owns the truncation error.
+    The pullbacks J_phi^{1/2} u o phi share one map pass of the grid's
+    nodes, and are re-projected to band limit grid.degree before the
+    spectral energy; the tolerance owns the truncation error.
     """
-    if not isinstance(phi, Moebius):
-        raise ValueError("the identity check projects pullbacks spectrally; "
-                         "use a globally smooth Moebius map")
-    if u.n != v.n:
-        raise ValueError("dimension mismatch between u and v")
-    if max(u.L, v.L) > grid.degree:
-        raise ValueError(f"states of band limit {max(u.L, v.L)} exceed the grid's "
-                         f"band limit {grid.degree}")
-    u_pb = analyze(grid.sample(pullback(as_evaluable(u), phi)), grid.degree)
-    v_pb = analyze(grid.sample(pullback(as_evaluable(v), phi)), grid.degree)
+    _check_identity_inputs(phi, grid, u, v)
+    image, jac = map_with_jacobian(phi, grid.nodes)
+    jr = np.sqrt(jac)
+    u_pb = analyze(GridFunction(grid, jr * evaluate_at(u, image)), grid.degree)
+    v_pb = analyze(GridFunction(grid, jr * evaluate_at(v, image)), grid.degree)
     _check_projection_tail(u_pb)
     lhs = energy_spectral(u_pb, v_pb)
     # at the grid's own band limit, whose transform table the analyses cached
@@ -263,17 +273,18 @@ def verify_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: ConformalMap,
 
 
 def verify_conf_H(u: HarmonicCoeffs, phi: ConformalMap, grid: QuadratureGrid) -> float:
-    """Max node residual of H(u_phi) = (Hu)_phi + C_n u_phi ln J_phi^{1/2}."""
-    if not isinstance(phi, Moebius):
-        raise ValueError("the identity check projects pullbacks spectrally; "
-                         "use a globally smooth Moebius map")
-    u_pb_vals = grid.sample(pullback(as_evaluable(u), phi))
-    c_pb = analyze(u_pb_vals, grid.degree)
+    """Max node residual of H(u_phi) = (Hu)_phi + C_n u_phi ln J_phi^{1/2}.
+
+    Both pullbacks and ln J_phi come from one map pass of the grid's nodes."""
+    _check_identity_inputs(phi, grid, u)
+    image, jac = map_with_jacobian(phi, grid.nodes)
+    jr = np.sqrt(jac)
+    u_pb = jr * evaluate_at(u, image)
+    c_pb = analyze(GridFunction(grid, u_pb), grid.degree)
     _check_projection_tail(c_pb)
     lhs = synthesize(apply_H(c_pb), grid).values
-    hu_pb = pullback(as_evaluable(apply_H(u)), phi)(grid.nodes)
-    log_j = 0.5 * np.log(jacobian(phi, grid.nodes))
-    rhs = hu_pb + constant_Cn(u.n) * u_pb_vals.values * log_j
+    hu_pb = jr * evaluate_at(apply_H(u), image)
+    rhs = hu_pb + constant_Cn(u.n) * u_pb * (0.5 * np.log(jac))
     return float(np.abs(lhs - rhs).max())
 
 

@@ -89,8 +89,8 @@ def _suite_conformal_distance(cfg, rng):
     n, worst = cfg.n, 0.0
     for phi in _random_maps(n, rng, 5):
         pts = sp.sphere_point(rng.standard_normal((200, n + 1)))
-        a, b = pts[:100], pts[100:]
-        (ma, ja), (mb, jb) = cf.map_with_jacobian(phi, a), cf.map_with_jacobian(phi, b)
+        mapped, jac = cf.map_with_jacobian(phi, pts)
+        (a, b), (ma, mb), (ja, jb) = (np.split(x, 2) for x in (pts, mapped, jac))
         lhs = ja ** (1.0 / n) * np.sum((a - b) ** 2, axis=1) * jb ** (1.0 / n)
         rhs = np.sum((ma - mb) ** 2, axis=1)
         worst = max(worst, float(np.abs(lhs / rhs - 1.0).max()))

@@ -7,8 +7,9 @@ by plain bisection, and the conformal layer's cap points, difference kernel
 and Moebius images computed on rows of points, with the `kernel_sign` suite's
 loop over them, the deficit's entropy pass out of place, one `np.where`, a
 grid's nodes and weights formed eagerly from its factors, and the probe's
-statistics on a map built afresh for each scale value, and the random
-initial state scaled on a synthesis.
+statistics on a map built afresh for each scale value, the random
+initial state scaled on a synthesis, and the L2-isometric pullback as a
+callable, with the conformal identity residuals formed through it.
 """
 
 from __future__ import annotations
@@ -19,19 +20,24 @@ import numpy as np
 
 from logsphere.conformal import (
     POLE_TOL,
+    ConformalMap,
     LiftedInversion,
     LiftedReflection,
     Moebius,
     _orthonormal_frame,
+    inverse,
     inverse_stereographic,
+    jacobian,
     map_with_jacobian,
     region_of,
     stereographic,
 )
 from logsphere.dynamics import _CapProbe
-from logsphere.energy import constant_Cn, default_entropy_grid
-from logsphere.harmonics import (HarmonicCoeffs, degree_of_index, h_multiplier_table,
-                                 random_coeffs, synthesize)
+from logsphere.energy import (_check_projection_tail, constant_Cn, default_entropy_grid,
+                              energy_spectral)
+from logsphere.harmonics import (HarmonicCoeffs, analyze, apply_H, as_evaluable,
+                                 degree_of_index, h_multiplier_table, random_coeffs,
+                                 synthesize)
 from logsphere.specfun import assoc_legendre_norm, legendre_row
 from logsphere.sphere import QuadratureGrid, sphere_area, sphere_point
 
@@ -191,12 +197,12 @@ def bisection_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float
         scan, mean = np.geomspace(0.02, 50.0, 32), lambda a, b: math.sqrt(a * b)
     else:
         scan, mean = np.linspace(6.0, -6.0, 32), lambda a, b: 0.5 * (a + b)
-    k = next(i for i, v in enumerate(scan) if probe.min_w(float(v)) < threshold)
+    k = next(i for i, v in enumerate(scan) if probe.stats(float(v))[0] < threshold)
     assert k > 0, "the comparison fails at the safe end of the scan"
     good, bad = float(scan[k - 1]), float(scan[k])
     for _ in range(48):
         mid = mean(good, bad)
-        if probe.min_w(mid) < threshold:
+        if probe.stats(mid)[0] < threshold:
             bad = mid
         else:
             good = mid
@@ -316,13 +322,14 @@ def eager_nodes_and_weights(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarra
     return nodes, weights
 
 
-def fresh_map_w_stats(probe: _CapProbe, value: float) -> tuple[float, float, float]:
-    """`probe.w_stats(value)` on the probe's template, with the map built
-    afresh from the probe's centre or normal, `LiftedInversion(value, xi0)`
-    or `LiftedReflection(value, e)`, rather than from its base map."""
+def fresh_map_stats(probe: _CapProbe, value: float) -> tuple[float, float, float]:
+    """`probe.stats(value, defect=True)` on the probe's template, with the
+    map built afresh from the probe's centre or normal,
+    `LiftedInversion(value, xi0)` or `LiftedReflection(value, e)`, rather
+    than from its base map."""
     phi = (LiftedInversion(value, probe.center) if probe.direction is None
            else LiftedReflection(value, probe.direction))
-    return probe._stats(phi, probe.template)
+    return probe._stats(phi, probe.template, defect=True)
 
 
 def synthesized_random_init(n: int, L: int, rng: np.random.Generator,
@@ -336,3 +343,42 @@ def synthesized_random_init(n: int, L: int, rng: np.random.Generator,
     u = HarmonicCoeffs.constant(n, L, 1.0)
     u.coeffs += pert * (amplitude / max(np.abs(probe).max(), 1e-12))
     return u
+
+
+def pullback(u, phi: ConformalMap):
+    """L2-isometric pullback u_phi = J_phi^{1/2} (u o phi) as a callable;
+    each call maps its points afresh."""
+
+    def u_phi(pts):
+        image, jac = map_with_jacobian(phi, pts)
+        return np.sqrt(jac) * u(image)
+
+    return u_phi
+
+
+def pullback_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: Moebius,
+                    grid: QuadratureGrid) -> float:
+    """`verify_conf_E`'s residual with each pullback a `pullback` closure
+    sampled on the grid: one map pass per pullback, and one of phi^{-1}."""
+    u_pb = analyze(grid.sample(pullback(as_evaluable(u), phi)), grid.degree)
+    v_pb = analyze(grid.sample(pullback(as_evaluable(v), phi)), grid.degree)
+    _check_projection_tail(u_pb)
+    lhs = energy_spectral(u_pb, v_pb)
+    uv = (synthesize(u.with_band_limit(grid.degree), grid).values
+          * synthesize(v.with_band_limit(grid.degree), grid).values)
+    log_jinv = np.log(jacobian(inverse(phi), grid.nodes))
+    correction = constant_Cn(u.n) * float(np.sum(grid.weights * uv * (-0.5) * log_jinv))
+    return abs(lhs - (energy_spectral(u, v) + correction))
+
+
+def pullback_conf_H(u: HarmonicCoeffs, phi: Moebius, grid: QuadratureGrid) -> float:
+    """`verify_conf_H`'s residual in three map passes: the pullbacks of u
+    and of Hu as `pullback` closures, and the Jacobian on its own."""
+    u_pb_vals = grid.sample(pullback(as_evaluable(u), phi))
+    c_pb = analyze(u_pb_vals, grid.degree)
+    _check_projection_tail(c_pb)
+    lhs = synthesize(apply_H(c_pb), grid).values
+    hu_pb = pullback(as_evaluable(apply_H(u)), phi)(grid.nodes)
+    log_j = 0.5 * np.log(jacobian(phi, grid.nodes))
+    rhs = hu_pb + constant_Cn(u.n) * u_pb_vals.values * log_j
+    return float(np.abs(lhs - rhs).max())

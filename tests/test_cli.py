@@ -532,6 +532,8 @@ def test_unknown_config_key_rejected(tmp_path):
     ["minimize", "--init", "coeffs:{tmp}/coeffs_empty.json"],
     ["minimize", "--band-limit", "8", "--init", "constant:1e300"],
     ["minimize", "--band-limit", "8", "--init", "random:amp=1e300"],
+    ["minimize", "--band-limit", "8", "--init", "random:amp=1e308"],
+    ["movespheres", "--band-limit", "8", "--xi0=0,0,1", "--u", "random:amp=1e308"],
     ["minimize", "--band-limit", "8", "--init", "constant:1e-300"],
     ["verify", "--out", "{tmp}/missing/x.json"],
     ["minimize", "--band-limit", "8", "--out", "{tmp}"],
@@ -559,6 +561,7 @@ def test_unknown_config_key_rejected(tmp_path):
         "radius-overflow", "radius-tiny", "radius-huge", "offset-huge", "offset-overflow",
         "critical-radius-below-scan", "init-constant-zero", "init-extremizer-zero",
         "init-coeffs-empty", "init-norm-overflow", "init-random-norm-overflow",
+        "init-random-amp-overflow", "movespheres-random-amp-overflow",
         "init-norm-underflow", "out-missing-dir", "out-directory", "spectrum-out-missing-dir",
         "csv-directory", "csv-missing-dir"])
 def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):

@@ -23,7 +23,6 @@ from logsphere import (
     jacobian,
     kernel_l,
     map_with_jacobian,
-    pullback,
     random_coeffs,
     region_of,
     sample_region,
@@ -32,7 +31,7 @@ from logsphere import (
     stereographic,
 )
 from logsphere.harmonics import HarmonicCoeffs, analyze, as_evaluable, evaluate_at
-from oracles import bubble_to_zeta, in_sigma, pullback_to_plane, zeta_to_bubble
+from oracles import bubble_to_zeta, in_sigma, pullback, pullback_to_plane, zeta_to_bubble
 
 
 def random_points(rng, n, k):

@@ -459,13 +459,13 @@ def test_min_w_is_the_first_of_w_stats(kind):
     direction = np.array([0.6, 0.8]) if kind == "reflection" else None
     probe = _CapProbe(FAMILY, center, direction, np.random.default_rng(3))
     for value in (0.3, 0.7, 1.1, 1.9):
-        assert probe.min_w(value) == probe.w_stats(value)[0]
+        assert probe.stats(value)[0] == probe.stats(value, defect=True)[0]
 
 
 def test_probe_names_a_value_it_cannot_resolve():
     probe = _CapProbe(FAMILY, None, np.array([1.0, 0.0]), np.random.default_rng(3))
     with pytest.raises(cf.PoleError, match=r"at alpha = 1e\+08: .* south pole"):
-        probe.min_w(1e8)
+        probe.stats(1e8)
     with pytest.raises(ValueError, match=r"at alpha = 1e\+200: the comparison region"):
         probe.profile([0.5, 1e200])
 
@@ -490,14 +490,16 @@ def count_evaluations(monkeypatch):
 
 
 def count_root_finder_steps(monkeypatch):
-    """Count the calls of `_CapProbe.min_w`, one per root-finder step."""
-    real, steps = _CapProbe.min_w, [0]
+    """Count the root-finder's evaluations of its function, one per step."""
+    real, steps = dy._zeroin, [0]
 
-    def min_w(self, value):
-        steps[0] += 1
-        return real(self, value)
+    def zeroin(f, *args):
+        def counted(x):
+            steps[0] += 1
+            return f(x)
+        return real(counted, *args)
 
-    monkeypatch.setattr(_CapProbe, "min_w", min_w)
+    monkeypatch.setattr(dy, "_zeroin", zeroin)
     return steps
 
 
@@ -505,11 +507,11 @@ def test_critical_search_evaluates_u_once_per_step(monkeypatch):
     xi0 = sphere_point([0.3, -0.2, 0.9])
     probe = _CapProbe(RANDOM_STATE, xi0, None, np.random.default_rng(2))
     calls = count_evaluations(monkeypatch)
-    probe.min_w(0.7)
+    probe.stats(0.7)
     assert calls == [4096]  # the 2048 images and 2048 nodes together
-    stats = probe.w_stats(0.7)
+    stats = probe.stats(0.7, defect=True)
     assert calls == [4096, 4096, 2048]  # then the images mapped back
-    assert probe.w_range(0.7) == stats[:2]
+    assert probe.stats(0.7) == stats[:2]
     assert calls == [4096, 4096, 2048, 4096]
     del calls[:]
     steps = count_root_finder_steps(monkeypatch)

@@ -1,6 +1,8 @@
-"""Energy form, deficit, Euler-Lagrange residuals, conformal identities, Gibbs."""
+"""Energy form, deficit, Euler-Lagrange residuals, conformal identities and
+their map passes, Gibbs."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +29,9 @@ from logsphere import (
     verify_conf_E,
     verify_conf_H,
 )
+from logsphere import conformal as cf
+from logsphere import energy as en
+from logsphere import verify as vf
 from logsphere.energy import default_energy_eps
 from logsphere.sphere import build_grid, min_internode_distance
 from oracles import coeff, flat_index
@@ -216,6 +221,57 @@ def test_verify_conf_H(grids, rng):
     # u = 1: the identity reduces to the equation satisfied by J^{1/2}
     one = constant_coeffs(2, 4)
     assert verify_conf_H(one, phi, grids(2, 32)) <= 1e-3
+
+
+@pytest.mark.parametrize("L, decay", [(18, 3.0), (20, 3.0), (18, 2.0)])
+def test_identity_checks_refuse_states_above_the_grid_band_limit(grids, L, decay):
+    # the grid cannot project such a state's pullback: unguarded, H returns a
+    # residual of a few 1e-2 at decay 3 and blames the map at decay 2
+    u = random_coeffs(2, L, np.random.default_rng(0), decay=decay)
+    phi = Moebius(np.array([0.0, 0.0, 0.01]))
+    message = f"states of band limit {L} exceed the grid's band limit 16"
+    with pytest.raises(ValueError, match=message):
+        verify_conf_H(u, phi, grids(2, 16))
+    with pytest.raises(ValueError, match=message):
+        verify_conf_E(u, u, phi, grids(2, 16))
+
+
+def test_identity_checks_refuse_a_map_or_state_off_the_grid_sphere(grids, rng):
+    g = grids(2, 16)
+    u2, u1 = random_coeffs(2, 4, rng), random_coeffs(1, 4, rng)
+    phi2, phi1 = Moebius(np.array([0.0, 0.1, 0.2])), Moebius(np.array([0.1, 0.2]))
+    message = r"the map and the states must act on the grid's S\^2"
+    for u, phi in ((u1, phi2), (u2, phi1)):
+        with pytest.raises(ValueError, match=message):
+            verify_conf_H(u, phi, g)
+        with pytest.raises(ValueError, match=message):
+            verify_conf_E(u, u, phi, g)
+    with pytest.raises(ValueError, match=message):
+        verify_conf_E(u2, u1, phi2, g)
+
+
+def test_each_node_set_is_mapped_once(grids, rng, monkeypatch):
+    # map_with_jacobian as both the conformal and the energy module see it;
+    # `jacobian` and `verify` reach it through the conformal module
+    real, calls = cf.map_with_jacobian, []
+
+    def counted(phi, xi):
+        calls.append(len(xi))
+        return real(phi, xi)
+
+    monkeypatch.setattr(cf, "map_with_jacobian", counted)
+    monkeypatch.setattr(en, "map_with_jacobian", counted, raising=False)
+    g = grids(2, 16)
+    u, v = random_coeffs(2, 6, rng), random_coeffs(2, 6, rng)
+    phi = Moebius(np.array([0.1, -0.2, 0.15]))
+    verify_conf_H(u, phi, g)
+    assert calls == [g.node_count]
+    del calls[:]
+    verify_conf_E(u, v, phi, g)
+    assert calls == [g.node_count] * 2  # phi and phi^{-1}
+    del calls[:]
+    vf._suite_conformal_distance(SimpleNamespace(n=2), rng)
+    assert calls == [200] * 15  # one sample of 200 rows for each of 15 maps
 
 
 def test_gibbs_gap(grids, rng):

@@ -7,7 +7,9 @@ fit, the sign of the deficit and its two routes, its in-place entropy pass
 against the out-of-place form bit for bit, the Euler-Lagrange residual of the family, the transforms against
 their per-element loops and against each other and, on the circle, the transforms and the off-grid
 evaluation against the Fourier basis, the batch axes of synthesis, the Gibbs gap and the direct energy,
-the probe's root-finder on smooth and step functions, and, bit for bit, the
+the probe's root-finder on smooth and step functions, the conformal
+identities over random states and Moebius maps (bit for bit against
+per-pullback map passes too), and, bit for bit, the
 off-grid evaluation on precomputed Chebyshev rows, the lazy grid nodes and
 weights, the probe's maps from one base map against fresh ones, and the
 critical search's one-pass scan against a profile at the same values, and
@@ -64,6 +66,7 @@ from logsphere.energy import (
 from logsphere.harmonics import (
     EVALUATION_CELLS,
     _chebyshev_rows,
+    apply_H,
     apply_multiplier,
     apply_P2s,
     as_evaluable,
@@ -81,9 +84,11 @@ from logsphere.sphere import GridFunction
 from oracles import (
     coeff,
     eager_nodes_and_weights,
-    fresh_map_w_stats,
+    fresh_map_stats,
     in_sigma,
     loop_assoc_legendre_norm,
+    pullback_conf_E,
+    pullback_conf_H,
     row_cap_points,
     row_kernel_l,
     row_moebius_map_with_jacobian,
@@ -266,6 +271,30 @@ def test_conformal_distance_identity(n, data, seed):
     # points within 1e-8 of each other
     apart = (lhs > 1e-6) & (d2 > 1e-6)
     assert np.abs(rhs / lhs - 1.0)[apart].max(initial=0.0) <= 1e-9
+
+
+# Worst residuals, relative to the state as the conformal-identity suites
+# take them, of L = 8 states under |zeta| = 0.4 Moebius maps on the degree-32
+# grid over seeds 2000-2299: E 8.5e-15 (n = 1) and 1.1e-13 (n = 2), H 1.9e-11
+# and 1.2e-10.  The bounds leave a margin of about 9 on S^2.
+CONF_E_BOUND, CONF_H_BOUND = 1e-12, 1e-9
+
+
+@settings(max_examples=30)
+@given(n=DIMS, L=st.integers(0, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_conformal_identities_hold_over_states_and_maps(grids, n, L, data, seed):
+    grid = grids(n, 32)
+    rng = np.random.default_rng(seed)
+    u, v = random_coeffs(n, L, rng), random_coeffs(n, L, rng)
+    phi = data.draw(moebius_maps(n, radius=0.4))
+    res_e = en.verify_conf_E(u, v, phi, grid)
+    assert res_e / (1.0 + abs(en.energy_spectral(u, v))) <= CONF_E_BOUND
+    res_h = en.verify_conf_H(u, phi, grid)
+    hu = synthesize(apply_H(u).with_band_limit(grid.degree), grid).values
+    assert res_h / max(1.0, float(np.abs(hu).max())) <= CONF_H_BOUND
+    # one map pass per node set gives the bits of a map pass per pullback
+    assert same_bits(res_e, pullback_conf_E(u, v, phi, grid))
+    assert same_bits(res_h, pullback_conf_H(u, phi, grid))
 
 
 @given(n=DIMS, L=st.integers(0, 6), data=st.data())
@@ -558,10 +587,10 @@ def test_probe_maps_from_one_base_match_fresh_maps(n, data, length, seed):
         fresh = (LiftedInversion(value, xi0) if inversion else LiftedReflection(value, e))
         assert all(same_bits(getattr(phi, f), getattr(fresh, f)) for f in vars(fresh))
         try:
-            want = fresh_map_w_stats(probe, value)
+            want = fresh_map_stats(probe, value)
         except ValueError:  # a pole at a template node, or a cap too large to form
             continue
-        assert probe.w_stats(value) == want
+        assert probe.stats(value, defect=True) == want
 
 
 @settings(max_examples=24)
@@ -572,7 +601,7 @@ def test_probe_maps_from_one_base_match_fresh_maps(n, data, length, seed):
 def test_critical_search_scans_the_columns_of_a_profile(n, inversion, family, L, raw, seed):
     # the search scans with one map pass per value: its columns are those of
     # a profile at the same values, bit for bit, and its one defect pass is
-    # that of `w_stats` at the critical value.  The one exception is a value
+    # that of `stats` at the critical value.  The one exception is a value
     # whose defect pass alone meets a pole: the profile retries it on a fresh
     # template, the search has no such pass.  (On S^1 a ball node at the
     # 1e-6 radius floor has an image within 1e-7 of the south pole at large
@@ -598,8 +627,8 @@ def test_critical_search_scans_the_columns_of_a_profile(n, inversion, family, L,
                                                                       profile.sup_abs_w)
     for value in profile.values[~same]:
         with pytest.raises(PoleError):
-            probe._stats(probe.base.at_scale(float(value)), probe.template)
-    stats = probe.w_stats(rep.critical)
+            probe._stats(probe.base.at_scale(float(value)), probe.template, defect=True)
+    stats = probe.stats(rep.critical, defect=True)
     assert rep.sup_w_at_critical == stats[1]
     assert rep.defect_at_critical == stats[2]
     if family:
