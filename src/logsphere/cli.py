@@ -35,7 +35,7 @@ from . import harmonics as hm
 from . import sphere as sp
 from . import verify as vf
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 # A band limit whose largest transform table (`hm.transform_table_bytes`), or
 # a grid degree whose pair-kernel cross-check peaks (`sp.radial_kernel_bytes`)

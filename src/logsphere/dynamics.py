@@ -7,12 +7,16 @@ The flow is projected gradient descent on the deficit over the sphere
 the recorded deficit sequence is nonincreasing by construction.  The
 moving-spheres probe evaluates w = u_Phi - u on DEFAULT_SAMPLES nodes of the
 comparison cap; the templates deform continuously with the scale parameter,
-so min w is continuous in it and a bracketing root-finder (Brent's zeroin)
-locates the critical value.
+so w at each node is smooth in it and min w is continuous, with a kink
+wherever its minimizing node changes.  A bracketing root-finder (Brent's
+zeroin on min w, whose interpolation follows the node that crosses first)
+locates the critical value from the vectors of w at the nodes, and the
+defect check there reuses the search's own evaluation of u at that value.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +29,6 @@ from .harmonics import (HarmonicCoeffs, analyze, degree_of_index, evaluate_on_gr
 from .sphere import QuadratureGrid, build_grid
 
 DEFAULT_SAMPLES = 2048  # probe nodes per template
-MAX_AMPLITUDE = 1e300  # largest |amplitude| of a random initial state
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +140,24 @@ def minimize_deficit(init: HarmonicCoeffs, step: float, max_iter: int,
 def random_positive_init(n: int, L: int, rng: np.random.Generator,
                          amplitude: float = 0.2,
                          grid: QuadratureGrid | None = None) -> HarmonicCoeffs:
-    """Constant plus a band-limited perturbation kept safely positive: its
-    largest magnitude over the nodes of the entropy grid of (n, L) is
-    `amplitude`.  A caller that holds that grid passes it as `grid`, and the
-    perturbation is synthesized on its transform tables; with none passed,
-    its node values come from `evaluate_on_grid` on the cached Chebyshev
-    plan, which builds no transform table, and agree with a synthesis to
-    rounding.  An amplitude above MAX_AMPLITUDE in size, or one whose
-    perturbation scale is not finite, is refused."""
+    """Constant 1 plus a band-limited perturbation whose largest magnitude
+    over the nodes of the entropy grid of (n, L) is |amplitude|, so the
+    state is positive there.  An amplitude of size 1 or more, or NaN, is
+    refused: the state could change sign.  A caller that holds that grid
+    passes it as `grid`, and the perturbation is synthesized on its
+    transform tables; with none passed, its node values come from
+    `evaluate_on_grid` on the cached Chebyshev plan, which builds no
+    transform table, and agree with a synthesis to rounding."""
+    if not abs(amplitude) < 1.0:  # false for NaN too
+        raise ValueError(f"amplitude {amplitude:g} is not below 1 in size, so the state "
+                         "could change sign")
     pert = random_coeffs(n, L, rng, decay=1.5)
     pert.coeffs[degree_of_index(n, L) == 0] = 0.0
     if grid is None:
         probe = evaluate_on_grid(pert, default_entropy_grid(n, L))
     else:
         probe = synthesize(pert, grid).values
-    with np.errstate(over="ignore"):  # an overflowing scale is refused below
-        scale = amplitude / max(np.abs(probe).max(), 1e-12)
-    if not (abs(amplitude) <= MAX_AMPLITUDE and math.isfinite(scale)):
-        raise ValueError(f"amplitude {amplitude:g} is above {MAX_AMPLITUDE:g} in size, or "
-                         "its perturbation scale is not finite")
+    scale = amplitude / max(np.abs(probe).max(), 1e-12)
     u = HarmonicCoeffs.constant(n, L, 1.0)
     u.coeffs += pert.coeffs * scale
     return u
@@ -258,6 +260,8 @@ class MovingSphereReport:
     sup_w_at_critical: float | None = None
     defect_at_critical: float | None = None
     critical_is_bound: bool = False
+    refine_evaluations: int = 0  # evaluations of w in a critical search's refinement
+    retried: list[float] = field(default_factory=list)  # values re-drawn after a pole
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -289,6 +293,8 @@ class MovingSphereReport:
             "sup_w_at_critical": self.sup_w_at_critical,
             "defect_at_critical": self.defect_at_critical,
             "critical_is_bound": self.critical_is_bound,
+            "refine_evaluations": self.refine_evaluations,
+            "retried": [float(v) for v in self.retried],
             "samples": DEFAULT_SAMPLES,
         }
 
@@ -304,20 +310,48 @@ class MovingSphereReport:
         return rows
 
 
+@dataclass
+class _Pass:
+    """One map pass of a probe at a scale value: the images of the
+    template's nodes, the square root of the Jacobian there, u at the images
+    and w at the nodes.  `fresh` marks a pass on a template re-drawn after a
+    pole, whose nodes match no other pass's."""
+    value: float
+    phi: cf.ConformalMap
+    mapped: np.ndarray
+    jr: np.ndarray
+    u_mapped: np.ndarray
+    w: np.ndarray
+    fresh: bool
+
+    def stats(self) -> tuple[float, float]:
+        """(min w, sup |w|)."""
+        return float(self.w.min()), float(np.abs(self.w).max())
+
+    def excess(self, threshold: float) -> np.ndarray:
+        """w - threshold at the nodes, or on a fresh template its minimum
+        alone, since its nodes match no other pass's."""
+        excess = self.w - threshold
+        return excess.min(keepdims=True) if self.fresh else excess
+
+
 class _CapProbe:
     """w = u_Phi - u, for a callable u on points, over the inversions about
     xi0 or the reflections along e, on sample nodes from a template that
     deforms continuously with the scale parameter: DEFAULT_SAMPLES / 2
     planar-ball nodes (inversions only) and as many cap nodes.
 
-    `stats(value, defect)` is the one entry point: (min w, sup |w|) from
-    one map pass, and with `defect` the antisymmetry defect from a second.
-    The map of each value is `base.at_scale(value)`, so the unit centre (or
-    normal) and the planar base point are derived once per probe.  A value
-    whose map has a pole at a node is retried once on a fresh template from
-    the probe's generator; other values keep the first one.  A pole that
-    only the defect's pass would hit is retried only when `defect` is set;
-    a critical search sets it once, at the critical value.
+    `map_pass(value)` maps the nodes and evaluates u once on the images and
+    the nodes together; `with_defect(p)` adds the antisymmetry defect of a
+    pass p, whose second map pass takes the images back and evaluates u
+    there, reusing everything else from p; `stats(value, defect)` is the
+    two in turn.  The map of each value is `base.at_scale(value)`, so the
+    unit centre (or normal) and the planar base point are derived once per
+    probe.  A value whose map has a pole at a node is retried once on a
+    fresh template from the probe's generator, and `retried` lists it;
+    other values keep the first template.  A pole that only the defect's
+    pass would hit is retried only in `with_defect`, and there only for a
+    pass on the first template.
     """
 
     def __init__(self, u, xi0, e, rng: np.random.Generator | None):
@@ -331,6 +365,7 @@ class _CapProbe:
                      else cf.LiftedReflection(0.0, self.direction))
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.template = self._draw_template()
+        self.retried: list[float] = []
 
     def _draw_template(self):
         half, n, rng = DEFAULT_SAMPLES // 2, self.n, self.rng
@@ -344,10 +379,9 @@ class _CapProbe:
         cap_phi = rng.uniform(0.0, 2.0 * math.pi, half)
         return ball_dirs, ball_radii, cap_u, cap_phi
 
-    def _stats(self, phi: cf.ConformalMap, template, defect: bool) -> tuple[float, ...]:
-        """(min w, sup |w|) at the template's nodes from one map pass, and
-        with `defect` the antisymmetry defect, whose second pass maps the
-        images."""
+    def _pass(self, value: float, phi: cf.ConformalMap, template,
+              fresh: bool = False) -> _Pass:
+        """The map pass of phi, the map at `value`, on the template's nodes."""
         ball_dirs, ball_radii, cap_u, cap_phi = template
         pts = cf.cap_points(cf.region_of(phi), cap_u, cap_phi)
         if isinstance(phi, cf.LiftedInversion):
@@ -358,37 +392,63 @@ class _CapProbe:
         # one evaluation of u for the images and the nodes together
         both = self.u(np.concatenate([mapped, pts]))
         u_mapped = both[:len(mapped)]
-        w = jr * u_mapped - both[len(mapped):]
-        stats = (float(w.min()), float(np.abs(w).max()))
-        if not defect:
-            return stats
-        back, jac_m = cf.map_with_jacobian(phi, mapped)
-        w_m = np.sqrt(jac_m) * self.u(back) - u_mapped
-        return stats + (float(np.abs(w + jr * w_m).max()),)
+        return _Pass(value, phi, mapped, jr, u_mapped, jr * u_mapped - both[len(mapped):], fresh)
 
-    def stats(self, value: float, defect: bool = False) -> tuple[float, ...]:
-        """`_stats` at one scale value under the retry policy; an error
-        names the value."""
+    def _defect(self, p: _Pass) -> float:
+        """The antisymmetry defect sup |w + J^(1/2) w o Phi| of pass p."""
+        back, jac_m = cf.map_with_jacobian(p.phi, p.mapped)
+        w_m = np.sqrt(jac_m) * self.u(back) - p.u_mapped
+        return float(np.abs(p.w + p.jr * w_m).max())
+
+    def _redraw(self, value: float, phi: cf.ConformalMap) -> _Pass:
+        self.retried.append(value)
+        return self._pass(value, phi, self._draw_template(), fresh=True)
+
+    @contextlib.contextmanager
+    def _naming(self, value: float):
+        """Name the value in the message of a ValueError raised inside."""
         try:
-            phi = self.base.at_scale(value)
-            try:
-                return self._stats(phi, self.template, defect)
-            except cf.PoleError:
-                return self._stats(phi, self._draw_template(), defect)
+            yield
         except ValueError as exc:
             name = "lambda" if self.direction is None else "alpha"
             raise type(exc)(f"at {name} = {value:g}: {exc}") from None
 
-    def profile(self, values, defect: bool = True) -> MovingSphereReport:
-        """Report of the stats at each value, in increasing order, with no
-        defect column when `defect` is false."""
+    def map_pass(self, value: float) -> _Pass:
+        """The map pass at `value` under the retry policy."""
+        with self._naming(value):
+            phi = self.base.at_scale(value)
+            try:
+                return self._pass(value, phi, self.template)
+            except cf.PoleError:
+                return self._redraw(value, phi)
+
+    def with_defect(self, p: _Pass) -> tuple[float, float, float]:
+        """(min w, sup |w|, defect) of pass p; a pole in the defect's pass
+        retries the value on a fresh template, unless p is on one."""
+        with self._naming(p.value):
+            try:
+                return p.stats() + (self._defect(p),)
+            except cf.PoleError:
+                if p.fresh:
+                    raise
+                p = self._redraw(p.value, p.phi)
+                return p.stats() + (self._defect(p),)
+
+    def stats(self, value: float, defect: bool = False) -> tuple[float, ...]:
+        """(min w, sup |w|) at one scale value, and with `defect` the
+        antisymmetry defect; an error names the value."""
+        p = self.map_pass(value)
+        return self.with_defect(p) if defect else p.stats()
+
+    def profile(self, values) -> MovingSphereReport:
+        """Report of the stats with the defect at each value, in increasing
+        order."""
         values = np.sort(np.asarray(values, dtype=float))
-        stats = np.array([self.stats(float(v), defect) for v in values])
-        stats = stats.reshape(-1, 3 if defect else 2)
+        stats = np.array([self.stats(float(v), defect=True) for v in values]).reshape(-1, 3)
         return MovingSphereReport(
             kind=self.kind, n=self.n, center=self.center, direction=self.direction,
-            values=values, min_w=stats[:, 0], sup_abs_w=stats[:, 1],
-            defect=stats[:, 2] if defect else None,
+            values=values, min_w=stats[:, 0], sup_abs_w=stats[:, 1], defect=stats[:, 2],
+            retried=self.retried,
         )
 
 
@@ -409,79 +469,122 @@ def moving_sphere_profile(u, values, xi0=None, e=None,
     return _CapProbe(u, xi0, e, rng).profile(values)
 
 
-def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
-    """A zero of f between a and b, given f(a) = fa and f(b) = fb of opposite
-    signs (or one of them zero), to within xtol + 4 eps |x|: the Dekker-Brent
+def _secant_step(a: float, b: float, fa: np.ndarray, fb: np.ndarray, xm: float,
+                 b_safe: bool) -> float | None:
+    """The step from b to the secant root of one node, through (a, fa) and
+    (b, fb) node by node: of the roots strictly inside the bracket from b to
+    b + 2 xm, the one nearest its safe end (b when `b_safe`, else the far
+    end, where only nodes below zero at b can cross).  None when no node
+    crosses inside.  Vectors of two sizes (a value re-drawn on a fresh
+    template) have no matching nodes, so both reduce to their minima."""
+    if fa.size != fb.size:
+        fa, fb = fa.min(keepdims=True), fb.min(keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat node has no root
+        t = fb * (b - a) / (fa - fb) * math.copysign(1.0, xm)  # root's distance from b
+    inside = (t > 0) & (t < 2.0 * abs(xm))
+    if not b_safe:
+        inside &= fb < 0
+    if not inside.any():
+        return None
+    t = t[inside]
+    return math.copysign(float(t.min() if b_safe else t.max()), xm)
+
+
+def _zeroin(f, a: float, b: float, fa: np.ndarray, fb: np.ndarray, xtol: float) -> float:
+    """A zero of min f between a and b, for f with values in R^k, one entry
+    per node, given f(a) = fa and f(b) = fb whose minima have opposite signs
+    (or one is zero), to within xtol + 4 eps |x|.  This is the Dekker-Brent
     "zeroin" (R. P. Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4).  Each step evaluates f once, inside the bracket, by inverse
-    quadratic or linear interpolation when that shrinks the bracket fast
-    enough, and by bisection otherwise.
+    1973, ch. 4) on min f, whose bracket, acceptance test, minimum step and
+    stop rule it keeps.  Its interpolation follows the nodes: the secant
+    root, through the previous and the current iterate, of the node that
+    crosses nearest the bracket's safe end (`_secant_step`).  Min f has a
+    kink wherever its minimizing node changes, and a node has none.  Each
+    step evaluates f once, inside the bracket, at that root when it shrinks
+    the bracket fast enough, else at the midpoint.  On one node this is the
+    scalar method with secant steps.
     """
-    c, fc = a, fa
+    ya, yb = float(fa.min()), float(fb.min())
+    c, fc, yc = a, fa, ya
     d = e = b - a
     while True:
-        if fb * fc > 0:  # keep the zero between b and c
-            c, fc = a, fa
+        if yb * yc > 0:  # keep the zero between b and c
+            c, fc, yc = a, fa, ya
             d = e = b - a
-        if abs(fc) < abs(fb):  # b is the best estimate
+        if abs(yc) < abs(yb):  # b is the best estimate
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
+            ya, yb, yc = yb, yc, yb
         tol1 = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * xtol
         xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0:
+        if abs(xm) <= tol1 or yb == 0:
             return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # linear interpolation
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
+        step = None
+        if abs(e) >= tol1 and abs(ya) > abs(yb):
+            step = _secant_step(a, b, fa, fb, xm, yb > 0)
+        if step is not None and 2.0 * abs(step) < min(3.0 * abs(xm) - tol1, abs(e)):
+            e, d = d, step
         else:
             d = e = xm
-        a, fa = b, fb
+        a, fa, ya = b, fb, yb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
+        yb = float(fb.min())
 
 
 def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
                      tol: float) -> MovingSphereReport:
-    """Profile over `scan`, which runs from the safe end toward the unsafe
-    end, with one map pass per value and no defect column, then find where
-    min w crosses the threshold in the first failing step by zeroin in the
-    coordinate x = to_x(value), value = from_x(x).  The step's ends reuse
-    the scan's min w.  Every value takes `probe.stats` without the defect
-    but the critical value, whose stats with it also give sup |w| there."""
+    """Scan from the safe end of `scan` toward the unsafe end with one map
+    pass per value, then find where min w crosses the threshold in the
+    first failing step by `_zeroin` in the coordinate x = to_x(value),
+    value = from_x(x), on the vector w - threshold over the probe's nodes.
+    The step's ends reuse the scan's passes, which are kept for that step
+    alone.  The critical value takes the defect on the pass the search made
+    there (`_CapProbe.with_defect`): zeroin returns either its last point or
+    the last one on the other side of the threshold, and the search keeps
+    the last pass on each side.  So a search evaluates u once for the
+    threshold, once per scan value and refinement step, and once on the
+    images mapped back at the critical value."""
     threshold = -tol * _sup_abs_u(probe.u, probe.n, probe.rng)
-    report = probe.profile(scan, defect=False)
-    f_scan = report.min_w - threshold
-    if scan[0] > scan[-1]:  # the report is in increasing order
-        f_scan = f_scan[::-1]
-    fails = f_scan < 0
-    if fails[0]:
-        raise ValueError(f"comparison already fails at the safe end {scan[0]:g} of the fixed "
-                         f"scan: the critical {report.parameter_name} lies beyond it")
-    if not fails.any():
+    stats = np.empty((len(scan), 2))
+    ends = last = None
+    for i, value in enumerate(scan):
+        p = probe.map_pass(float(value))
+        stats[i] = p.stats()
+        if ends is None and stats[i, 0] < threshold:
+            ends = (last, p)  # the first failing step
+        last = p
+    order = slice(None, None, 1 if scan[0] < scan[-1] else -1)  # the report is increasing
+    report = MovingSphereReport(
+        kind=probe.kind, n=probe.n, center=probe.center, direction=probe.direction,
+        values=scan[order], min_w=stats[order, 0], sup_abs_w=stats[order, 1], defect=None,
+        retried=probe.retried,  # the probe's list, which the refinement extends
+    )
+    if ends is None:
         # no sign change: the critical value lies past the end of the scan
         report.critical = float(scan[-1])
         report.critical_is_bound = True
+        kept = [last]
+    elif ends[0] is None:
+        raise ValueError(f"comparison already fails at the safe end {scan[0]:g} of the fixed "
+                         f"scan: the critical {report.parameter_name} lies beyond it")
     else:
-        k = int(np.argmax(fails))
+        latest = {False: ends[0], True: ends[1]}  # the last pass on each side
+
+        def excess(x):
+            p = probe.map_pass(from_x(x))
+            report.refine_evaluations += 1
+            latest[bool(p.w.min() < threshold)] = p
+            return p.excess(threshold)
+
         # refined within the failing scan step to 1e-15 + 4 eps |x| in x
-        x = _zeroin(lambda x: probe.stats(from_x(x))[0] - threshold,
-                    to_x(float(scan[k - 1])), to_x(float(scan[k])),
-                    float(f_scan[k - 1]), float(f_scan[k]), 1e-15)
+        x = _zeroin(excess, to_x(ends[0].value), to_x(ends[1].value),
+                    ends[0].excess(threshold), ends[1].excess(threshold), 1e-15)
         report.critical = float(from_x(x))
-    _, report.sup_w_at_critical, report.defect_at_critical = probe.stats(
-        report.critical, defect=True)
+        kept = latest.values()
+    done = next((p for p in kept if p.value == report.critical), None)
+    _, report.sup_w_at_critical, report.defect_at_critical = probe.with_defect(
+        done or probe.map_pass(report.critical))
     return report
 
 

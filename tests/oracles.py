@@ -3,13 +3,14 @@
 recurrence step per (l, m), the orthonormal harmonics one label at a time,
 the planar membership test of a comparison region, the planar (bubble) form
 of the classified family, the critical scale of the moving-spheres probe
-by plain bisection, and the conformal layer's cap points, difference kernel
-and Moebius images computed on rows of points, with the `kernel_sign` suite's
-loop over them, the deficit's entropy pass out of place, one `np.where`, a
-grid's nodes and weights formed eagerly from its factors, and the probe's
-statistics on a map built afresh for each scale value, the random
-initial state scaled on a synthesis, and the L2-isometric pullback as a
-callable, with the conformal identity residuals formed through it.
+by plain bisection and by the scalar Brent zeroin, and the conformal
+layer's cap points, difference kernel and Moebius images computed on rows
+of points, with the `kernel_sign` suite's loop over them, the deficit's
+entropy pass out of place, one `np.where`, a grid's nodes and weights
+formed eagerly from its factors, and the probe's statistics on a map built
+afresh for each scale value, the random initial state scaled on a
+synthesis, and the L2-isometric pullback as a callable, with the conformal
+identity residuals formed through it.
 """
 
 from __future__ import annotations
@@ -181,25 +182,32 @@ def pullback_to_plane(u, n: int):
     return v
 
 
-def bisection_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float:
-    """The critical radius (pass xi0) or offset (pass e) that `critical_lambda`
-    or `critical_alpha` locates, by 48 bisection steps of the first failing
-    step of the same fixed scan: geometric means of radii, arithmetic means
-    of offsets.  It draws the probe's nodes and the threshold's points from
-    `rng` in the package's order, so a generator seeded alike gives the same
-    min w at every value.  The scan must change sign after its first value.
-    """
+def first_failing_step(u, xi0, e, tol: float, rng: np.random.Generator):
+    """The probe, the threshold and the ends (last clean value, first
+    failing value) of the first failing step of the fixed scan that
+    `critical_lambda` (pass xi0) or `critical_alpha` (pass e) runs.  It
+    draws the probe's nodes and the threshold's points from `rng` in the
+    package's order, so a generator seeded alike gives the same min w at
+    every value.  The scan must change sign after its first value."""
     probe = _CapProbe(u, xi0, e, rng)
     pts = rng.standard_normal((4096, probe.n + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     threshold = -tol * float(np.abs(u(pts)).max())
-    if xi0 is not None:
-        scan, mean = np.geomspace(0.02, 50.0, 32), lambda a, b: math.sqrt(a * b)
-    else:
-        scan, mean = np.linspace(6.0, -6.0, 32), lambda a, b: 0.5 * (a + b)
+    scan = np.geomspace(0.02, 50.0, 32) if xi0 is not None else np.linspace(6.0, -6.0, 32)
     k = next(i for i, v in enumerate(scan) if probe.stats(float(v))[0] < threshold)
     assert k > 0, "the comparison fails at the safe end of the scan"
-    good, bad = float(scan[k - 1]), float(scan[k])
+    return probe, threshold, float(scan[k - 1]), float(scan[k])
+
+
+def bisection_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float:
+    """The critical radius (pass xi0) or offset (pass e) by 48 bisection
+    steps of the first failing step of the fixed scan: geometric means of
+    radii, arithmetic means of offsets."""
+    probe, threshold, good, bad = first_failing_step(u, xi0, e, tol, rng)
+    if xi0 is not None:
+        mean = lambda a, b: math.sqrt(a * b)
+    else:
+        mean = lambda a, b: 0.5 * (a + b)
     for _ in range(48):
         mid = mean(good, bad)
         if probe.stats(mid)[0] < threshold:
@@ -207,6 +215,60 @@ def bisection_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float
         else:
             good = mid
     return mean(good, bad)
+
+
+def brent_zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """A zero of the scalar f between a and b, given f(a) = fa and f(b) = fb
+    of opposite signs (or one of them zero), to within xtol + 4 eps |x|: the
+    Dekker-Brent "zeroin" (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4).  Each step evaluates f once, inside the
+    bracket, by inverse quadratic or linear interpolation when that shrinks
+    the bracket fast enough, and by bisection otherwise.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if fb * fc > 0:  # keep the zero between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best estimate
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * xtol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # linear interpolation
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+
+
+def brent_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float:
+    """The critical radius (pass xi0) or offset (pass e) by the scalar
+    `brent_zeroin` on min w - threshold, in ln lambda or alpha, over the
+    first failing step of the fixed scan, to 1e-15 + 4 eps |x|."""
+    probe, threshold, good, bad = first_failing_step(u, xi0, e, tol, rng)
+    to_x, from_x = (math.log, math.exp) if xi0 is not None else (float, float)
+    x = brent_zeroin(lambda x: probe.stats(from_x(x))[0] - threshold, to_x(good), to_x(bad),
+                     probe.stats(good)[0] - threshold, probe.stats(bad)[0] - threshold, 1e-15)
+    return from_x(x)
 
 
 # The conformal layer on rows of points: each coordinate of a point is a
@@ -329,7 +391,8 @@ def fresh_map_stats(probe: _CapProbe, value: float) -> tuple[float, float, float
     than from its base map."""
     phi = (LiftedInversion(value, probe.center) if probe.direction is None
            else LiftedReflection(value, probe.direction))
-    return probe._stats(phi, probe.template, defect=True)
+    p = probe._pass(value, phi, probe.template)
+    return p.stats() + (probe._defect(p),)
 
 
 def synthesized_random_init(n: int, L: int, rng: np.random.Generator,

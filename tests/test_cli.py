@@ -44,7 +44,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 9
+    assert report["schema"] == 10
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -58,6 +58,23 @@ def test_verify_reproducible(verify_report, tmp_path):
     out2 = tmp_path / "again.json"
     assert main(["verify", "--seed", "0", "--out", str(out2)]) == 0
     assert first_path.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("geometry", [
+    ["--n", "1", "--xi0=0.6,0.8"],
+    ["--n", "1", "--e", "1"],
+    ["--n", "2", "--xi0=0.3,-0.2,0.9"],
+    ["--n", "2", "--e", "0.6,0.8"],
+], ids=["circle-inversion", "circle-reflection", "sphere-inversion", "sphere-reflection"])
+def test_critical_search_reproducible(geometry, tmp_path):
+    # the search's steps and its pole retries come from the seed alone
+    paths = [tmp_path / "first.json", tmp_path / "again.json"]
+    for path in paths:
+        assert main(["movespheres", "--band-limit", "8", "--u", "random:seed=5,amp=0.5",
+                     *geometry, "--values", "auto", "--out", str(path)]) == 0
+    report = read_json(paths[0])
+    assert report["schema"] == 10 and report["report"]["refine_evaluations"] > 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_verify_seed_changes_report(verify_report, tmp_path):
@@ -534,6 +551,9 @@ def test_unknown_config_key_rejected(tmp_path):
     ["minimize", "--band-limit", "8", "--init", "random:amp=1e300"],
     ["minimize", "--band-limit", "8", "--init", "random:amp=1e308"],
     ["movespheres", "--band-limit", "8", "--xi0=0,0,1", "--u", "random:amp=1e308"],
+    ["minimize", "--band-limit", "8", "--init", "random:amp=1"],
+    ["minimize", "--band-limit", "8", "--init", "random:amp=5"],
+    ["movespheres", "--band-limit", "8", "--xi0=0,0,1", "--u", "random:amp=-1"],
     ["minimize", "--band-limit", "8", "--init", "constant:1e-300"],
     ["verify", "--out", "{tmp}/missing/x.json"],
     ["minimize", "--band-limit", "8", "--out", "{tmp}"],
@@ -562,6 +582,7 @@ def test_unknown_config_key_rejected(tmp_path):
         "critical-radius-below-scan", "init-constant-zero", "init-extremizer-zero",
         "init-coeffs-empty", "init-norm-overflow", "init-random-norm-overflow",
         "init-random-amp-overflow", "movespheres-random-amp-overflow",
+        "init-random-amp-one", "init-random-amp-five", "movespheres-random-amp-minus-one",
         "init-norm-underflow", "out-missing-dir", "out-directory", "spectrum-out-missing-dir",
         "csv-directory", "csv-missing-dir"])
 def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):

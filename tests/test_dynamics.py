@@ -32,7 +32,8 @@ from logsphere import harmonics as hm
 from logsphere.dynamics import _CapProbe, random_positive_init
 from logsphere.energy import default_entropy_grid
 from logsphere.harmonics import as_evaluable, harmonic_count, harmonic_indices
-from oracles import bisection_critical, coeff, flat_index, zeta_to_bubble
+from oracles import (bisection_critical, brent_critical, coeff, first_failing_step, flat_index,
+                     zeta_to_bubble)
 
 
 def family_coeffs(grids, zeta, L=32):
@@ -418,6 +419,7 @@ def test_profile_retries_a_pole_collision_on_that_value_only(monkeypatch):
                                 rng=np.random.default_rng(2))
     assert raised == [3]
     assert_same_stats_except(rep, ref, 1)
+    assert rep.retried == [0.9] and ref.retried == []
 
 
 def test_critical_search_retries_a_pole_collision(monkeypatch):
@@ -443,6 +445,33 @@ def test_root_finder_retries_a_pole_collision(monkeypatch):
         np.testing.assert_array_equal(getattr(rep, col), getattr(ref, col))
     assert rep.defect is None and ref.defect is None
     assert rep.critical == pytest.approx(ref.critical, rel=1e-6)
+
+
+def test_root_finder_step_on_a_fresh_template_is_scalar(monkeypatch):
+    # the first root-finder step meets a pole: its value is re-drawn on one
+    # fresh template, whose nodes match none of the others, and the search
+    # still lands on the scalar Brent root of the first template's min w
+    real, draws = _CapProbe._draw_template, []
+
+    def draw_template(self):
+        draws.append(1)
+        return real(self)
+
+    real_step, sizes = dy._secant_step, set()
+
+    def secant_step(a, b, fa, fb, *args):
+        sizes.update((fa.size, fb.size))
+        return real_step(a, b, fa, fb, *args)
+
+    monkeypatch.setattr(_CapProbe, "_draw_template", draw_template)
+    monkeypatch.setattr(dy, "_secant_step", secant_step)
+    raised = force_pole_errors(monkeypatch, 33)
+    rep = critical_lambda(FAMILY, north_pole(2), rng=np.random.default_rng(7))
+    assert raised == [33] and len(draws) == 2  # the probe's template, then one fresh
+    assert sizes == {1, dy.DEFAULT_SAMPLES}  # the fresh value's steps were scalar
+    assert len(rep.retried) == 1 and rep.to_json_dict()["retried"] == rep.retried
+    want = brent_critical(FAMILY, north_pole(2), None, 1e-9, np.random.default_rng(7))
+    assert abs(rep.critical - want) <= 1e-13 * want
 
 
 def test_second_pole_collision_at_one_value_raises(monkeypatch):
@@ -490,7 +519,8 @@ def count_evaluations(monkeypatch):
 
 
 def count_root_finder_steps(monkeypatch):
-    """Count the root-finder's evaluations of its function, one per step."""
+    """Count the root-finder's evaluations of its vector function of the
+    nodes, one per step."""
     real, steps = dy._zeroin, [0]
 
     def zeroin(f, *args):
@@ -518,11 +548,14 @@ def test_critical_search_evaluates_u_once_per_step(monkeypatch):
     rep = critical_lambda(RANDOM_STATE, xi0, rng=np.random.default_rng(2))
     assert not rep.critical_is_bound
     # sup |u|, one per scan value, one per root-finder step, and at the
-    # critical value the images and nodes, then the images mapped back
-    assert 0 < steps[0] < 48
-    assert len(calls) == 1 + 32 + steps[0] + 2
-    assert calls[1:33] == [4096] * 32 and calls[-2:] == [4096, 2048]
+    # critical value only the images mapped back: its images and nodes are
+    # those of the root-finder's step there
+    assert 0 < steps[0] == rep.refine_evaluations < 48
+    assert len(calls) == 1 + 32 + steps[0] + 1
+    assert calls[1:-1] == [4096] * (32 + steps[0]) and calls[-1] == 2048
     assert rep.defect is None and 0.0 <= rep.defect_at_critical < 1e-8
+    assert (rep.sup_w_at_critical, rep.defect_at_critical) == _CapProbe(
+        RANDOM_STATE, xi0, None, np.random.default_rng(2)).stats(rep.critical, defect=True)[1:]
 
 
 @pytest.mark.parametrize("u", [RANDOM_STATE, FAMILY], ids=["random", "family"])
@@ -540,3 +573,50 @@ def test_critical_matches_the_bisection_oracle(u, xi0, e):
     assert not rep.critical_is_bound
     want = bisection_critical(u, xi0, e, 1e-9, np.random.default_rng(5))
     assert abs(rep.critical - want) <= 1e-12 * abs(want)
+
+
+def random_search_case(seed):
+    """A random state at band limit 16 and a base point on S^2, drawn from
+    `seed` the way the benchmark draws its probe jobs."""
+    rng = np.random.default_rng(seed)
+    u = as_evaluable(random_positive_init(2, 16, rng))
+    xi0 = rng.standard_normal(3)
+    xi0 /= np.linalg.norm(xi0)
+    return u, (-xi0 if 1.0 + xi0[-1] < 0.2 else xi0)
+
+
+def test_critical_search_cost_and_accuracy():
+    # the root-finder follows the node active at the root, so it takes few
+    # steps, and it lands on a crossing of min w: the scalar Brent root of
+    # the same scan step, unless min w crosses the threshold again between
+    # the two, when each finder may land on another crossing (seed 3118:
+    # three crossings, 2% apart)
+    steps = []
+    for seed in range(3100, 3120):
+        u, xi0 = random_search_case(seed)
+        rep = critical_lambda(u, xi0, rng=np.random.default_rng(seed))
+        assert not rep.critical_is_bound and rep.retried == []
+        steps.append(rep.refine_evaluations)
+        want = brent_critical(u, xi0, None, 1e-9, np.random.default_rng(seed))
+        if abs(rep.critical - want) <= 1e-13 * want:
+            continue
+        probe, threshold, _, _ = first_failing_step(u, xi0, None, 1e-9,
+                                                    np.random.default_rng(seed))
+        excess = [probe.stats(float(v))[0] - threshold
+                  for v in np.geomspace(rep.critical, want, 64)]
+        assert max(abs(excess[0]), abs(excess[-1])) <= 1e-12, seed  # both are crossings
+        assert min(excess[1:-1]) < 0 < max(excess[1:-1]), seed  # with another between
+    assert np.mean(steps) <= 14
+
+
+@pytest.mark.parametrize("n, xi0, e", [
+    (1, sphere_point([0.6, 0.8]), None),
+    (2, None, np.array([0.3, -0.9])),
+], ids=["circle-inversion", "reflection"])
+def test_critical_search_matches_the_brent_oracle(n, xi0, e):
+    u = as_evaluable(random_positive_init(n, 16, np.random.default_rng(3120), 0.5))
+    search = critical_lambda if e is None else critical_alpha
+    rep = search(u, xi0 if e is None else e, rng=np.random.default_rng(3121))
+    assert not rep.critical_is_bound and 0 < rep.refine_evaluations < 48
+    want = brent_critical(u, xi0, e, 1e-9, np.random.default_rng(3121))
+    assert abs(rep.critical - want) <= 1e-13 * abs(want)

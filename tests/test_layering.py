@@ -435,6 +435,8 @@ UNSET_DEFAULTS_ALLOWED = {
     "dynamics.MovingSphereReport(sup_w_at_critical)": "filled in with `critical`",
     "dynamics.MovingSphereReport(defect_at_critical)": "filled in with `critical`",
     "dynamics.MovingSphereReport(critical_is_bound)": "filled in with `critical`",
+    "dynamics.MovingSphereReport(refine_evaluations)": "a profile refines nothing; "
+                                                       "_critical_search counts its steps",
 }
 
 

@@ -625,9 +625,9 @@ def test_critical_search_scans_the_columns_of_a_profile(n, inversion, family, L,
     probe = _CapProbe(u, center, direction, np.random.default_rng(seed))
     same = same_bits_each(rep.min_w, profile.min_w) & same_bits_each(rep.sup_abs_w,
                                                                       profile.sup_abs_w)
-    for value in profile.values[~same]:
+    for value in map(float, profile.values[~same]):
         with pytest.raises(PoleError):
-            probe._stats(probe.base.at_scale(float(value)), probe.template, defect=True)
+            probe._defect(probe._pass(value, probe.base.at_scale(value), probe.template))
     stats = probe.stats(rep.critical, defect=True)
     assert rep.sup_w_at_critical == stats[1]
     assert rep.defect_at_critical == stats[2]
@@ -715,8 +715,8 @@ ROOT_SHAPES = {
 
 
 def zeroin_from(f, a, b):
-    """_zeroin on [a, b] to 1e-15, the probe's resolution, and the points it
-    evaluates f at."""
+    """_zeroin on [a, b] to 1e-15, the probe's resolution, for f with one
+    value per node, and the points it evaluates f at."""
     seen = []
 
     def traced(x):
@@ -724,6 +724,11 @@ def zeroin_from(f, a, b):
         return f(x)
 
     return _zeroin(traced, a, b, f(a), f(b), 1e-15), seen
+
+
+def one_node(g):
+    """The scalar g as a function with one node."""
+    return lambda x: np.array([g(x)])
 
 
 def bracket(lo, width, frac, flip):
@@ -745,7 +750,7 @@ BRACKETS = dict(lo=st.floats(-6.0, 6.0), width=st.floats(1e-3, 0.4),
 def test_zeroin_finds_the_root_of_a_smooth_monotone_function(shape, k, sign, lo, width,
                                                              frac, flip):
     a, b, root = bracket(lo, width, frac, flip)
-    x, seen = zeroin_from(lambda x: sign * ROOT_SHAPES[shape](x - root, k), a, b)
+    x, seen = zeroin_from(one_node(lambda x: sign * ROOT_SHAPES[shape](x - root, k)), a, b)
     assert all(min(a, b) <= v <= max(a, b) for v in seen + [x])
     assert len(seen) <= 48  # the bisection it replaces took 48
     assert abs(x - root) <= 1e-15 + 4.0 * math.ulp(1.0) * abs(x)
@@ -757,7 +762,26 @@ def test_zeroin_converges_to_the_jump_of_a_step_function(left, right, lo, width,
     # a pole retry evaluates one value on other nodes, so min w can jump
     a, b, jump = bracket(lo, width, frac, flip)
     assume(jump > lo)  # f(lo) is left > 0
-    x, seen = zeroin_from(lambda x: left if x < jump else -right, a, b)
+    x, seen = zeroin_from(one_node(lambda x: left if x < jump else -right), a, b)
     assert all(min(a, b) <= v <= max(a, b) for v in seen + [x])
     assert len(seen) <= 2 * 48  # interpolation gains nothing on a jump
     assert abs(x - jump) <= 1e-15 + 4.0 * math.ulp(1.0) * abs(x)
+
+
+@settings(max_examples=200)
+@given(nodes=st.lists(st.tuples(st.sampled_from(sorted(ROOT_SHAPES)), st.floats(0.1, 1000.0),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=6), **BRACKETS)
+def test_zeroin_finds_the_crossing_nearest_the_safe_end(nodes, lo, width, frac, flip):
+    # min w over the probe's nodes: each node falls from the safe end a
+    # toward b and crosses zero a fraction of the way across, so min f
+    # crosses where the node nearest a does, with a kink wherever another
+    # node takes over the minimum
+    a, b, _ = bracket(lo, width, frac, flip)
+    toward = math.copysign(1.0, b - a)
+    roots = [a + f * (b - a) for _, _, f in nodes]
+    x, seen = zeroin_from(lambda x: np.array([ROOT_SHAPES[shape](toward * (r - x), k)
+                                              for (shape, k, _), r in zip(nodes, roots)]), a, b)
+    root = min(roots, key=lambda r: abs(r - a))
+    assert all(min(a, b) <= v <= max(a, b) for v in seen + [x])
+    assert len(seen) <= 48
+    assert abs(x - root) <= 1e-15 + 4.0 * math.ulp(1.0) * abs(x)
