@@ -16,8 +16,8 @@ defect check there reuses the search's own evaluation of u at that value.
 
 from __future__ import annotations
 
-import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +29,7 @@ from .harmonics import (HarmonicCoeffs, analyze, degree_of_index, evaluate_on_gr
 from .sphere import QuadratureGrid, build_grid
 
 DEFAULT_SAMPLES = 2048  # probe nodes per template
+_PARAMETER = {"inversion": "lambda", "reflection": "alpha"}  # the scale parameter's name
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +81,18 @@ def minimize_deficit(init: HarmonicCoeffs, step: float, max_iter: int,
 
     The deficit is 2-homogeneous, D(tu) = t^2 D(u), so the flow keeps the
     initial norm; scale `init` to flow on another sphere.  An init whose
-    squared norm is no positive finite float (zero, or a square that
-    overflows or underflows) is refused.
+    squared norm is no normal positive finite float (zero, a square that
+    overflows, or one that underflows to zero or to a subnormal, where the
+    deficit's logarithms break down) is refused.
     """
     # the chained comparison is false for NaN and infinities too
     if not (0 < step < math.inf and max_iter > 0):
         raise ValueError("flow parameters must be positive and finite")
     with np.errstate(over="ignore"):  # an overflow is refused below, with its cause
         norm_sq = init.norm_sq()
-    if not 0.0 < norm_sq < math.inf:
-        raise ValueError("the flow needs an initial state whose squared norm is a positive "
-                         f"finite float, got {norm_sq!r}")
+    if not sys.float_info.min <= norm_sq < math.inf:
+        raise ValueError("the flow needs an initial state whose squared norm is a normal "
+                         f"positive finite float, got {norm_sq!r}")
     n, L = init.n, init.L
     if grid is None:
         grid = default_entropy_grid(n, L)
@@ -276,7 +278,7 @@ class MovingSphereReport:
 
     @property
     def parameter_name(self) -> str:
-        return "lambda" if self.kind == "inversion" else "alpha"
+        return _PARAMETER[self.kind]
 
     def to_json_dict(self) -> dict:
         return {
@@ -341,17 +343,18 @@ class _CapProbe:
     deforms continuously with the scale parameter: DEFAULT_SAMPLES / 2
     planar-ball nodes (inversions only) and as many cap nodes.
 
-    `map_pass(value)` maps the nodes and evaluates u once on the images and
-    the nodes together; `with_defect(p)` adds the antisymmetry defect of a
-    pass p, whose second map pass takes the images back and evaluates u
-    there, reusing everything else from p; `stats(value, defect)` is the
-    two in turn.  The map of each value is `base.at_scale(value)`, so the
-    unit centre (or normal) and the planar base point are derived once per
-    probe.  A value whose map has a pole at a node is retried once on a
-    fresh template from the probe's generator, and `retried` lists it;
-    other values keep the first template.  A pole that only the defect's
-    pass would hit is retried only in `with_defect`, and there only for a
-    pass on the first template.
+    `measure(value, p, defect)` is the one measurement.  It makes the map
+    pass at `value`, which maps the nodes and evaluates u once on the images
+    and the nodes together, or takes `p`, a pass already made there; with
+    `defect` it adds the antisymmetry defect, whose second map pass takes
+    the images back and evaluates u there, reusing everything else.  The map
+    of each value is `base.at_scale(value)`, so the unit centre (or normal)
+    and the planar base point are derived once per probe.  Its one pole
+    handler holds the retry policy: a pole at a node, in the forward pass or
+    in the defect's pass of a pass on the probe's template, re-draws that
+    one value once on a fresh template from the probe's generator, and
+    `retried` lists it; other values keep the probe's template.  A pole on
+    a fresh template raises.  Every error names the value.
     """
 
     def __init__(self, u, xi0, e, rng: np.random.Generator | None):
@@ -400,51 +403,34 @@ class _CapProbe:
         w_m = np.sqrt(jac_m) * self.u(back) - p.u_mapped
         return float(np.abs(p.w + p.jr * w_m).max())
 
-    def _redraw(self, value: float, phi: cf.ConformalMap) -> _Pass:
-        self.retried.append(value)
-        return self._pass(value, phi, self._draw_template(), fresh=True)
-
-    @contextlib.contextmanager
-    def _naming(self, value: float):
-        """Name the value in the message of a ValueError raised inside."""
+    def measure(self, value: float, p: _Pass | None = None,
+                defect: bool = False) -> tuple[_Pass, float | None]:
+        """(the map pass at `value`, its defect with `defect`, else None),
+        reusing `p` when it is a pass already made at `value`, under the
+        retry policy."""
+        fresh = p is not None and p.fresh
         try:
-            yield
+            phi = self.base.at_scale(value) if p is None else p.phi
+            while True:
+                try:
+                    if p is None:
+                        template = self._draw_template() if fresh else self.template
+                        p = self._pass(value, phi, template, fresh)
+                    return p, (self._defect(p) if defect else None)
+                except cf.PoleError:
+                    if fresh:
+                        raise
+                    self.retried.append(value)
+                    fresh, p = True, None
         except ValueError as exc:
-            name = "lambda" if self.direction is None else "alpha"
-            raise type(exc)(f"at {name} = {value:g}: {exc}") from None
-
-    def map_pass(self, value: float) -> _Pass:
-        """The map pass at `value` under the retry policy."""
-        with self._naming(value):
-            phi = self.base.at_scale(value)
-            try:
-                return self._pass(value, phi, self.template)
-            except cf.PoleError:
-                return self._redraw(value, phi)
-
-    def with_defect(self, p: _Pass) -> tuple[float, float, float]:
-        """(min w, sup |w|, defect) of pass p; a pole in the defect's pass
-        retries the value on a fresh template, unless p is on one."""
-        with self._naming(p.value):
-            try:
-                return p.stats() + (self._defect(p),)
-            except cf.PoleError:
-                if p.fresh:
-                    raise
-                p = self._redraw(p.value, p.phi)
-                return p.stats() + (self._defect(p),)
-
-    def stats(self, value: float, defect: bool = False) -> tuple[float, ...]:
-        """(min w, sup |w|) at one scale value, and with `defect` the
-        antisymmetry defect; an error names the value."""
-        p = self.map_pass(value)
-        return self.with_defect(p) if defect else p.stats()
+            raise type(exc)(f"at {_PARAMETER[self.kind]} = {value:g}: {exc}") from None
 
     def profile(self, values) -> MovingSphereReport:
-        """Report of the stats with the defect at each value, in increasing
-        order."""
+        """Report of (min w, sup |w|) and the defect at each value, in
+        increasing order."""
         values = np.sort(np.asarray(values, dtype=float))
-        stats = np.array([self.stats(float(v), defect=True) for v in values]).reshape(-1, 3)
+        stats = np.array([p.stats() + (d,) for p, d in
+                          (self.measure(float(v), defect=True) for v in values)]).reshape(-1, 3)
         return MovingSphereReport(
             kind=self.kind, n=self.n, center=self.center, direction=self.direction,
             values=values, min_w=stats[:, 0], sup_abs_w=stats[:, 1], defect=stats[:, 2],
@@ -540,59 +526,60 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
     value = from_x(x), on the vector w - threshold over the probe's nodes.
     The step's ends reuse the scan's passes, which are kept for that step
     alone.  The critical value takes the defect on the pass the search made
-    there (`_CapProbe.with_defect`): zeroin returns either its last point or
-    the last one on the other side of the threshold, and the search keeps
-    the last pass on each side.  So a search evaluates u once for the
-    threshold, once per scan value and refinement step, and once on the
-    images mapped back at the critical value."""
+    there (`_CapProbe.measure` with that pass): zeroin returns either its
+    last point or the last one on the other side of the threshold, and the
+    search keeps the last pass on each side.  So a search evaluates u once
+    for the threshold, once per scan value and refinement step, and once on
+    the images mapped back at the critical value.  The report is built
+    once, after that defect."""
     threshold = -tol * _sup_abs_u(probe.u, probe.n, probe.rng)
     stats = np.empty((len(scan), 2))
     ends = last = None
     for i, value in enumerate(scan):
-        p = probe.map_pass(float(value))
+        p, _ = probe.measure(float(value))
         stats[i] = p.stats()
         if ends is None and stats[i, 0] < threshold:
             ends = (last, p)  # the first failing step
         last = p
-    order = slice(None, None, 1 if scan[0] < scan[-1] else -1)  # the report is increasing
-    report = MovingSphereReport(
-        kind=probe.kind, n=probe.n, center=probe.center, direction=probe.direction,
-        values=scan[order], min_w=stats[order, 0], sup_abs_w=stats[order, 1], defect=None,
-        retried=probe.retried,  # the probe's list, which the refinement extends
-    )
+    steps = 0
     if ends is None:
         # no sign change: the critical value lies past the end of the scan
-        report.critical = float(scan[-1])
-        report.critical_is_bound = True
-        kept = [last]
+        critical, is_bound, kept = float(scan[-1]), True, [last]
     elif ends[0] is None:
         raise ValueError(f"comparison already fails at the safe end {scan[0]:g} of the fixed "
-                         f"scan: the critical {report.parameter_name} lies beyond it")
+                         f"scan: the critical {_PARAMETER[probe.kind]} lies beyond it")
     else:
         latest = {False: ends[0], True: ends[1]}  # the last pass on each side
 
         def excess(x):
-            p = probe.map_pass(from_x(x))
-            report.refine_evaluations += 1
+            nonlocal steps
+            p, _ = probe.measure(from_x(x))
+            steps += 1
             latest[bool(p.w.min() < threshold)] = p
             return p.excess(threshold)
 
         # refined within the failing scan step to 1e-15 + 4 eps |x| in x
         x = _zeroin(excess, to_x(ends[0].value), to_x(ends[1].value),
                     ends[0].excess(threshold), ends[1].excess(threshold), 1e-15)
-        report.critical = float(from_x(x))
-        kept = latest.values()
-    done = next((p for p in kept if p.value == report.critical), None)
-    _, report.sup_w_at_critical, report.defect_at_critical = probe.with_defect(
-        done or probe.map_pass(report.critical))
-    return report
+        critical, is_bound, kept = float(from_x(x)), False, latest.values()
+    done = next((p for p in kept if p.value == critical), None)
+    p, defect = probe.measure(critical, done, defect=True)
+    order = slice(None, None, 1 if scan[0] < scan[-1] else -1)  # the report is increasing
+    return MovingSphereReport(
+        kind=probe.kind, n=probe.n, center=probe.center, direction=probe.direction,
+        values=scan[order], min_w=stats[order, 0], sup_abs_w=stats[order, 1], defect=None,
+        critical=critical, sup_w_at_critical=p.stats()[1], defect_at_critical=defect,
+        critical_is_bound=is_bound, refine_evaluations=steps, retried=probe.retried,
+    )
 
 
 def critical_lambda(u, xi0, tol: float = 1e-9,
                     rng: np.random.Generator | None = None) -> MovingSphereReport:
     """The critical inversion radius at base point xi0, by zeroin in ln lambda
     on the first failing step of a scan of 32 radii from 0.02 to 50 in
-    geometric steps.
+    geometric steps.  `critical` is a crossing of min w in that step, not
+    necessarily the first one there: min w can cross the threshold more
+    than once in one step, and the root-finder may land on a later one.
 
     The comparison minimum must be clean at the small-radius end; if no sign
     change occurs up to 50 the report carries critical_is_bound = True
@@ -606,6 +593,8 @@ def critical_alpha(u, e, tol: float = 1e-9,
                    rng: np.random.Generator | None = None) -> MovingSphereReport:
     """Reflection analogue: the critical offset along e, by zeroin in alpha
     on the first failing step of a scan of 32 offsets from 6 down to -6.
+    As for `critical_lambda`, `critical` is a crossing of min w in that
+    step, not necessarily the first one there.
 
     Large offsets (small caps) are the safe end; the offset decreases until
     the comparison fails.  If no sign change occurs down to -6 the report

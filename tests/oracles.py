@@ -194,7 +194,8 @@ def first_failing_step(u, xi0, e, tol: float, rng: np.random.Generator):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     threshold = -tol * float(np.abs(u(pts)).max())
     scan = np.geomspace(0.02, 50.0, 32) if xi0 is not None else np.linspace(6.0, -6.0, 32)
-    k = next(i for i, v in enumerate(scan) if probe.stats(float(v))[0] < threshold)
+    k = next(i for i, v in enumerate(scan)
+             if probe.measure(float(v))[0].stats()[0] < threshold)
     assert k > 0, "the comparison fails at the safe end of the scan"
     return probe, threshold, float(scan[k - 1]), float(scan[k])
 
@@ -210,7 +211,7 @@ def bisection_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float
         mean = lambda a, b: 0.5 * (a + b)
     for _ in range(48):
         mid = mean(good, bad)
-        if probe.stats(mid)[0] < threshold:
+        if probe.measure(mid)[0].stats()[0] < threshold:
             bad = mid
         else:
             good = mid
@@ -266,8 +267,9 @@ def brent_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float:
     first failing step of the fixed scan, to 1e-15 + 4 eps |x|."""
     probe, threshold, good, bad = first_failing_step(u, xi0, e, tol, rng)
     to_x, from_x = (math.log, math.exp) if xi0 is not None else (float, float)
-    x = brent_zeroin(lambda x: probe.stats(from_x(x))[0] - threshold, to_x(good), to_x(bad),
-                     probe.stats(good)[0] - threshold, probe.stats(bad)[0] - threshold, 1e-15)
+    excess = lambda value: probe.measure(value)[0].stats()[0] - threshold
+    x = brent_zeroin(lambda x: excess(from_x(x)), to_x(good), to_x(bad), excess(good),
+                     excess(bad), 1e-15)
     return from_x(x)
 
 
@@ -385,10 +387,10 @@ def eager_nodes_and_weights(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarra
 
 
 def fresh_map_stats(probe: _CapProbe, value: float) -> tuple[float, float, float]:
-    """`probe.stats(value, defect=True)` on the probe's template, with the
-    map built afresh from the probe's centre or normal,
-    `LiftedInversion(value, xi0)` or `LiftedReflection(value, e)`, rather
-    than from its base map."""
+    """(min w, sup |w|, defect) of `probe.measure(value, defect=True)` on
+    the probe's template, with the map built afresh from the probe's centre
+    or normal, `LiftedInversion(value, xi0)` or `LiftedReflection(value, e)`,
+    rather than from its base map."""
     phi = (LiftedInversion(value, probe.center) if probe.direction is None
            else LiftedReflection(value, probe.direction))
     p = probe._pass(value, phi, probe.template)

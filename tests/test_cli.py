@@ -555,6 +555,9 @@ def test_unknown_config_key_rejected(tmp_path):
     ["minimize", "--band-limit", "8", "--init", "random:amp=5"],
     ["movespheres", "--band-limit", "8", "--xi0=0,0,1", "--u", "random:amp=-1"],
     ["minimize", "--band-limit", "8", "--init", "constant:1e-300"],
+    ["minimize", "--band-limit", "8", "--init", "constant:1e-155"],
+    ["minimize", "--band-limit", "8", "--init", "constant:1e-160"],
+    ["minimize", "--n", "2", "--band-limit", "8", "--init", "coeffs:{tmp}/coeffs_subnormal.json"],
     ["verify", "--out", "{tmp}/missing/x.json"],
     ["minimize", "--band-limit", "8", "--out", "{tmp}"],
     ["spectrum", "--out", "{tmp}/missing/s.csv"],
@@ -583,7 +586,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "init-coeffs-empty", "init-norm-overflow", "init-random-norm-overflow",
         "init-random-amp-overflow", "movespheres-random-amp-overflow",
         "init-random-amp-one", "init-random-amp-five", "movespheres-random-amp-minus-one",
-        "init-norm-underflow", "out-missing-dir", "out-directory", "spectrum-out-missing-dir",
+        "init-norm-underflow", "init-norm-subnormal", "init-norm-subnormal-deep",
+        "init-coeffs-subnormal", "out-missing-dir", "out-directory", "spectrum-out-missing-dir",
         "csv-directory", "csv-missing-dir"])
 def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not_json.txt").write_text("not json")
@@ -618,6 +622,7 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
         "fault_suite_ok.json": {"fault": {"suite": "energyharmonics"}},
         "coeffs_n1.json": {"n": 1, "L": 2, "coeffs": [1.0, 0.1, 0.0, 0.0, 0.0]},
         "coeffs_empty.json": {"n": 2, "L": 2, "coeffs": []},
+        "coeffs_subnormal.json": {"n": 2, "L": 2, "coeffs": [1e-160] + [0.0] * 8},
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))  # NaN and Infinity tokens

@@ -29,6 +29,7 @@ from logsphere import (
     sphere_point,
 )
 from logsphere import harmonics as hm
+from logsphere.cli import main
 from logsphere.dynamics import _CapProbe, random_positive_init
 from logsphere.energy import default_entropy_grid
 from logsphere.harmonics import as_evaluable, harmonic_count, harmonic_indices
@@ -107,11 +108,14 @@ def test_flow_rejects_zero_init():
         minimize_deficit(HarmonicCoeffs.zeros(2, 8), 0.05, 2000)
 
 
-@pytest.mark.parametrize("value, shown", [(1e300, "inf"), (1e-300, "0.0"), (0.0, "0.0")])
+@pytest.mark.parametrize("value, shown", [(1e300, "inf"), (1e-300, "0.0"), (0.0, "0.0"),
+                                          (1e-155, "1.256637061435917e-309"),
+                                          (1e-160, "1.25666e-319")])
 def test_flow_refuses_an_init_whose_squared_norm_is_no_positive_float(value, shown):
     # at 1e300 and 1e-300 the coefficients are finite and nonzero, but their
-    # squares overflow or underflow
-    with pytest.raises(ValueError, match=f"is a positive finite float, got {shown}$"):
+    # squares overflow or underflow; at 1e-155 and 1e-160 (times sqrt(4 pi))
+    # the squares are subnormal
+    with pytest.raises(ValueError, match=f"is a normal positive finite float, got {shown}$"):
         minimize_deficit(HarmonicCoeffs.constant(2, 8, value), 0.05, 10)
 
 
@@ -348,15 +352,15 @@ def test_search_report_has_no_defect_column():
                                                      rep.sup_abs_w.tolist()))
 
 
-def force_pole_errors(monkeypatch, first_call, count=1):
-    """Make calls first_call .. first_call + count - 1 of the planar step that
-    every lifted map and Jacobian takes raise; returns the list of the call
+def force_pole_errors(monkeypatch, *poles):
+    """Make the calls numbered `poles` (from 1) of the planar step that every
+    lifted map and Jacobian takes raise; returns the list of the call
     numbers that raised."""
     real, calls, raised = cf._planar_step, [0], []
 
     def planar_step(phi, pts):
         calls[0] += 1
-        if first_call <= calls[0] < first_call + count:
+        if calls[0] in poles:
             raised.append(calls[0])
             raise cf.PoleError("forced collision with a sample node")
         return real(phi, pts)
@@ -447,6 +451,25 @@ def test_root_finder_retries_a_pole_collision(monkeypatch):
     assert rep.critical == pytest.approx(ref.critical, rel=1e-6)
 
 
+def test_critical_value_retries_a_pole_in_its_defect_pass(monkeypatch):
+    # the defect at the critical value maps back the images of the pass the
+    # search made there; a pole in that map re-draws the value once on a
+    # fresh template, and the critical value stays
+    xi0 = sphere_point([0.3, -0.2, 0.9])
+    ref = critical_lambda(RANDOM_STATE, xi0, rng=np.random.default_rng(2))
+    steps = ref.refine_evaluations
+    calls = count_evaluations(monkeypatch)
+    raised = force_pole_errors(monkeypatch, 32 + steps + 1)  # one per scan value and step
+    rep = critical_lambda(RANDOM_STATE, xi0, rng=np.random.default_rng(2))
+    assert raised == [32 + steps + 1]
+    assert rep.critical == ref.critical and rep.refine_evaluations == steps
+    assert rep.retried == [rep.critical] and ref.retried == []
+    # sup |u|, the scan and the steps, then the fresh template's forward
+    # and defect passes: no second forward pass on the probe's template
+    assert len(calls) == 1 + 32 + steps + 2 and calls[-2:] == [4096, 2048]
+    assert math.isfinite(rep.sup_w_at_critical) and 0.0 <= rep.defect_at_critical < 1e-8
+
+
 def test_root_finder_step_on_a_fresh_template_is_scalar(monkeypatch):
     # the first root-finder step meets a pole: its value is re-drawn on one
     # fresh template, whose nodes match none of the others, and the search
@@ -475,26 +498,56 @@ def test_root_finder_step_on_a_fresh_template_is_scalar(monkeypatch):
 
 
 def test_second_pole_collision_at_one_value_raises(monkeypatch):
-    raised = force_pole_errors(monkeypatch, 3, count=2)
+    raised = force_pole_errors(monkeypatch, 3, 4)
     with pytest.raises(cf.PoleError):
         moving_sphere_profile(FAMILY, [0.4, 0.9], xi0=north_pole(2),
                               rng=np.random.default_rng(2))
     assert raised == [3, 4]
 
 
+def test_pole_in_a_fresh_templates_defect_pass_raises(monkeypatch):
+    # value 0.9 meets a pole in its forward pass (call 3) and is re-drawn;
+    # the defect pass on its fresh template (call 5) meets a second one
+    raised = force_pole_errors(monkeypatch, 3, 5)
+    with pytest.raises(cf.PoleError, match=r"^at lambda = 0\.9: forced collision"):
+        moving_sphere_profile(FAMILY, [0.4, 0.9], xi0=north_pole(2),
+                              rng=np.random.default_rng(2))
+    assert raised == [3, 5]
+    raised = force_pole_errors(monkeypatch, 3, 5)
+    with pytest.raises(SystemExit) as exc:
+        main(["movespheres", "--xi0", "north", "--values", "0.4,0.9"])
+    assert exc.value.code == "movespheres: at lambda = 0.9: forced collision with a sample node"
+    assert raised == [3, 5]
+
+
+def test_a_fresh_pass_handed_back_raises_at_a_defect_pole(monkeypatch):
+    # a pass re-drawn after a pole keeps its fresh template: a pole in its
+    # defect pass raises rather than drawing a third template
+    probe = _CapProbe(FAMILY, north_pole(2), None, np.random.default_rng(2))
+    raised = force_pole_errors(monkeypatch, 1, 3)
+    p, _ = probe.measure(0.9)
+    assert p.fresh and probe.retried == [0.9]
+    with pytest.raises(cf.PoleError, match=r"^at lambda = 0\.9: forced collision"):
+        probe.measure(0.9, p, defect=True)
+    assert raised == [1, 3] and probe.retried == [0.9]
+
+
 @pytest.mark.parametrize("kind", ["inversion", "reflection"])
-def test_min_w_is_the_first_of_w_stats(kind):
+def test_a_defect_measurement_keeps_the_pass_stats(kind):
     center = sphere_point([0.6, 0.3, 0.9]) if kind == "inversion" else None
     direction = np.array([0.6, 0.8]) if kind == "reflection" else None
     probe = _CapProbe(FAMILY, center, direction, np.random.default_rng(3))
     for value in (0.3, 0.7, 1.1, 1.9):
-        assert probe.stats(value)[0] == probe.stats(value, defect=True)[0]
+        p, none = probe.measure(value)
+        q, defect = probe.measure(value, defect=True)
+        assert none is None and math.isfinite(defect)
+        assert p.stats() == q.stats()
 
 
 def test_probe_names_a_value_it_cannot_resolve():
     probe = _CapProbe(FAMILY, None, np.array([1.0, 0.0]), np.random.default_rng(3))
     with pytest.raises(cf.PoleError, match=r"at alpha = 1e\+08: .* south pole"):
-        probe.stats(1e8)
+        probe.measure(1e8)
     with pytest.raises(ValueError, match=r"at alpha = 1e\+200: the comparison region"):
         probe.profile([0.5, 1e200])
 
@@ -537,12 +590,14 @@ def test_critical_search_evaluates_u_once_per_step(monkeypatch):
     xi0 = sphere_point([0.3, -0.2, 0.9])
     probe = _CapProbe(RANDOM_STATE, xi0, None, np.random.default_rng(2))
     calls = count_evaluations(monkeypatch)
-    probe.stats(0.7)
+    p, _ = probe.measure(0.7)
     assert calls == [4096]  # the 2048 images and 2048 nodes together
-    stats = probe.stats(0.7, defect=True)
+    q, defect = probe.measure(0.7, defect=True)
     assert calls == [4096, 4096, 2048]  # then the images mapped back
-    assert probe.stats(0.7) == stats[:2]
-    assert calls == [4096, 4096, 2048, 4096]
+    assert p.stats() == q.stats()
+    reused, again = probe.measure(0.7, p, defect=True)  # p's images mapped back alone
+    assert reused is p and again == defect
+    assert calls == [4096, 4096, 2048, 2048]
     del calls[:]
     steps = count_root_finder_steps(monkeypatch)
     rep = critical_lambda(RANDOM_STATE, xi0, rng=np.random.default_rng(2))
@@ -554,8 +609,9 @@ def test_critical_search_evaluates_u_once_per_step(monkeypatch):
     assert len(calls) == 1 + 32 + steps[0] + 1
     assert calls[1:-1] == [4096] * (32 + steps[0]) and calls[-1] == 2048
     assert rep.defect is None and 0.0 <= rep.defect_at_critical < 1e-8
-    assert (rep.sup_w_at_critical, rep.defect_at_critical) == _CapProbe(
-        RANDOM_STATE, xi0, None, np.random.default_rng(2)).stats(rep.critical, defect=True)[1:]
+    p, defect = _CapProbe(RANDOM_STATE, xi0, None, np.random.default_rng(2)).measure(
+        rep.critical, defect=True)
+    assert (rep.sup_w_at_critical, rep.defect_at_critical) == (p.stats()[1], defect)
 
 
 @pytest.mark.parametrize("u", [RANDOM_STATE, FAMILY], ids=["random", "family"])
@@ -602,7 +658,7 @@ def test_critical_search_cost_and_accuracy():
             continue
         probe, threshold, _, _ = first_failing_step(u, xi0, None, 1e-9,
                                                     np.random.default_rng(seed))
-        excess = [probe.stats(float(v))[0] - threshold
+        excess = [probe.measure(float(v))[0].stats()[0] - threshold
                   for v in np.geomspace(rep.critical, want, 64)]
         assert max(abs(excess[0]), abs(excess[-1])) <= 1e-12, seed  # both are crossings
         assert min(excess[1:-1]) < 0 < max(excess[1:-1]), seed  # with another between

@@ -15,7 +15,8 @@ follow the rows' memory layout.  `verify` holds the suites `cli` runs and
 imports nothing from `cli`.  Besides its own modules, src imports only the
 standard library and numpy, the one dependency `pyproject.toml` declares.
 No process-wide cache wraps the grid builders: a grid keeps its transform
-tables, so callers share one by passing it.
+tables, so callers share one by passing it.  In `dynamics` one function,
+the probe's measurement, handles `PoleError`.
 No module imports or reads another's underscore names.  Every public name
 is used somewhere besides its definition and the package's re-exports, every
 public module-level function or class is used by src itself unless it is
@@ -256,6 +257,43 @@ def test_row_products_are_seen():
                                             "np.matmul(_rows(eta), z)", "pts @ phi.zeta"]
 
 
+def pole_handlers(node: ast.AST, scope: str = "<module>") -> list[str]:
+    """The enclosing function, qualified by its classes, of each `except`
+    clause in `node` whose exception type names PoleError."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+        if (isinstance(child, ast.ExceptHandler) and child.type is not None
+                and re.search(r"\bPoleError\b", ast.unparse(child.type))):
+            found.append(scope)
+        found += pole_handlers(child, inner)
+    return found
+
+
+def test_one_function_holds_the_pole_policy():
+    # the probe's measurement is the one place that retries a value after a
+    # pole or lets the pole through, so every path follows the same policy
+    assert pole_handlers(tree("dynamics")) == ["_CapProbe.measure"]
+
+
+def test_pole_handlers_are_seen():
+    # the gate's detector, on the handler forms it counts
+    sample = ast.parse("class P:\n"
+                       "    def one(self):\n"
+                       "        try: f()\n"
+                       "        except cf.PoleError: pass\n"
+                       "        except ValueError: pass\n"
+                       "def two():\n"
+                       "    def inner():\n"
+                       "        try: f()\n"
+                       "        except (OverflowError, PoleError) as exc: raise\n"
+                       "    try: inner()\n"
+                       "    except Exception: pass\n")
+    assert pole_handlers(sample) == ["P.one", "two.inner"]
+
+
 def process_wide_caches(node: ast.AST, names: set[str]) -> list[str]:
     """`functools.lru_cache`/`functools.cache` decorators on the functions
     `names` in `node`, and assignments that bind one of `names` to a call
@@ -431,12 +469,6 @@ def test_src_keeps_what_src_uses():
 # stays settable.
 UNSET_DEFAULTS_ALLOWED = {
     "cli.main(argv)": "the console entry calls main() with no arguments; tests pass argv",
-    "dynamics.MovingSphereReport(critical)": "a profile has none; _critical_search fills it in",
-    "dynamics.MovingSphereReport(sup_w_at_critical)": "filled in with `critical`",
-    "dynamics.MovingSphereReport(defect_at_critical)": "filled in with `critical`",
-    "dynamics.MovingSphereReport(critical_is_bound)": "filled in with `critical`",
-    "dynamics.MovingSphereReport(refine_evaluations)": "a profile refines nothing; "
-                                                       "_critical_search counts its steps",
 }
 
 

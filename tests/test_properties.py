@@ -590,7 +590,8 @@ def test_probe_maps_from_one_base_match_fresh_maps(n, data, length, seed):
             want = fresh_map_stats(probe, value)
         except ValueError:  # a pole at a template node, or a cap too large to form
             continue
-        assert probe.stats(value, defect=True) == want
+        p, defect = probe.measure(value, defect=True)
+        assert p.stats() + (defect,) == want
 
 
 @settings(max_examples=24)
@@ -601,7 +602,7 @@ def test_probe_maps_from_one_base_match_fresh_maps(n, data, length, seed):
 def test_critical_search_scans_the_columns_of_a_profile(n, inversion, family, L, raw, seed):
     # the search scans with one map pass per value: its columns are those of
     # a profile at the same values, bit for bit, and its one defect pass is
-    # that of `stats` at the critical value.  The one exception is a value
+    # that of `measure` at the critical value.  The one exception is a value
     # whose defect pass alone meets a pole: the profile retries it on a fresh
     # template, the search has no such pass.  (On S^1 a ball node at the
     # 1e-6 radius floor has an image within 1e-7 of the south pole at large
@@ -628,9 +629,9 @@ def test_critical_search_scans_the_columns_of_a_profile(n, inversion, family, L,
     for value in map(float, profile.values[~same]):
         with pytest.raises(PoleError):
             probe._defect(probe._pass(value, probe.base.at_scale(value), probe.template))
-    stats = probe.stats(rep.critical, defect=True)
-    assert rep.sup_w_at_critical == stats[1]
-    assert rep.defect_at_critical == stats[2]
+    p, defect = probe.measure(rep.critical, defect=True)
+    assert rep.sup_w_at_critical == p.stats()[1]
+    assert rep.defect_at_critical == defect
     if family:
         assert rep.defect_at_critical <= 1e-8
 
