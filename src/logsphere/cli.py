@@ -11,7 +11,7 @@ and a config key for exactly the `RunConfig` fields it reads (`_READS`),
 and its report echoes those.  Bad input (a malformed number or spec, a
 missing file, a flag or config key the subcommand does not read, an output
 path that cannot be written) exits with a one-line message, and so does a
-band limit or grid degree whose tables would exceed a fixed memory budget.
+band limit whose tables would exceed a fixed memory budget.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ from . import harmonics as hm
 from . import sphere as sp
 from . import verify as vf
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
-# A band limit whose largest transform table (`hm.transform_table_bytes`), or
-# a grid degree whose pair-kernel cross-check peaks (`sp.radial_kernel_bytes`)
-# above this, is refused before anything is allocated.
+# A band limit whose command's tables (`_check_table_budget`) would peak above
+# this is refused before anything is allocated.
 TABLE_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -47,7 +46,6 @@ TABLE_BUDGET_BYTES = 2 * 1024**3
 class RunConfig:
     n: int = 2
     band_limit: int = 16
-    grid_degree: int | None = None
     tol: float = 1.0
     seed: int = 0
     out: str | None = None
@@ -58,7 +56,7 @@ class RunConfig:
 # for each (`fault` comes from a config file only), accepts no other config
 # key and echoes them, less `out`, in its report.  Others keep their default.
 _READS = {
-    "verify": ("n", "band_limit", "grid_degree", "tol", "seed", "out", "fault"),
+    "verify": ("n", "band_limit", "tol", "seed", "out", "fault"),
     "spectrum": ("n", "out"),
     "minimize": ("n", "band_limit", "seed", "out"),
     "movespheres": ("n", "band_limit", "seed", "out"),
@@ -67,7 +65,6 @@ _READS = {
 _FLAGS = {
     "n": {"type": int, "help": "sphere dimension (1 or 2)"},
     "band_limit": {"type": int},
-    "grid_degree": {"type": int},
     "tol": {"type": float, "help": "global tolerance multiplier (default 1.0)"},
     "seed": {"type": int},
     "out": {"help": "report path (JSON; CSV for spectrum)"},
@@ -134,8 +131,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise SystemExit("the verification pipeline supports n in {1, 2}")
     if cfg.band_limit < 4:
         raise SystemExit("band limit must be >= 4")
-    if cfg.grid_degree is not None and cfg.grid_degree < 1:
-        raise SystemExit(f"grid degree must be >= 1, got {cfg.grid_degree}")
     if not (_finite(cfg.tol) and cfg.tol > 0):
         raise SystemExit(f"tol must be a positive finite number, got {cfg.tol!r}")
     _check_seed(cfg.seed)
@@ -143,25 +138,22 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_table_budget(cfg: RunConfig, command: str):
-    """Refuse a band limit whose tables, or a grid degree whose pair-kernel
-    cross-check, would peak above TABLE_BUDGET_BYTES: `verify.table_needs`;
-    for the flow, the transform tables at L on the entropy grid; for the
-    probe, the off-grid plan at L with the larger of one `evaluate_at` call
-    on its 2 DEFAULT_SAMPLES points and the random state's `evaluate_on_grid`
-    on the entropy grid."""
+    """Refuse a band limit whose tables would peak above TABLE_BUDGET_BYTES:
+    `verify.table_needs`; for the flow, the transform tables at L on the
+    entropy grid; for the probe, the off-grid plan at L with the larger of
+    one `evaluate_at` call on its 2 DEFAULT_SAMPLES points and the random
+    state's `evaluate_on_grid` on the entropy grid."""
     n, L = cfg.n, cfg.band_limit
     if command == "verify":
-        needs = vf.table_needs(cfg)
+        need = vf.table_needs(cfg)
     elif command == "minimize":
-        needs = {f"band limit {L}": hm.transform_table_bytes(n, L, en.entropy_degree(L))}
+        need = hm.transform_table_bytes(n, L, en.entropy_degree(L))
     else:
-        needs = {f"band limit {L}": max(hm.evaluate_at_bytes(n, L, 2 * dy.DEFAULT_SAMPLES),
-                                        hm.evaluate_on_grid_bytes(n, L, en.entropy_degree(L)))}
-    for what, need in needs.items():
-        if need > TABLE_BUDGET_BYTES:
-            raise SystemExit(f"{what} needs about {need / 1024**3:.3g} GiB of tables "
-                             f"for {command}, above the "
-                             f"{TABLE_BUDGET_BYTES / 1024**3:g} GiB budget")
+        need = max(hm.evaluate_at_bytes(n, L, 2 * dy.DEFAULT_SAMPLES),
+                   hm.evaluate_on_grid_bytes(n, L, en.entropy_degree(L)))
+    if need > TABLE_BUDGET_BYTES:
+        raise SystemExit(f"band limit {L} needs about {need / 1024**3:.3g} GiB of tables "
+                         f"for {command}, above the {TABLE_BUDGET_BYTES / 1024**3:g} GiB budget")
 
 
 def _check_seed(seed: int):

@@ -248,6 +248,10 @@ def fit_extremizer(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> Fit
 # ---------------------------------------------------------------------------
 # moving-spheres diagnostics
 
+def _non_finite(kind: str, value: float) -> str:
+    return f"non-finite comparison values at {_PARAMETER[kind]} = {value:g}"
+
+
 @dataclass
 class MovingSphereReport:
     kind: str  # "inversion" or "reflection"
@@ -273,8 +277,7 @@ class MovingSphereReport:
         if self.defect is not None:
             finite &= np.isfinite(self.defect)
         if not finite.all():
-            raise ValueError(f"non-finite comparison values at {self.parameter_name} = "
-                             f"{self.values[~finite][0]:g}")
+            raise ValueError(_non_finite(self.kind, self.values[~finite][0]))
 
     @property
     def parameter_name(self) -> str:
@@ -395,13 +398,16 @@ class _CapProbe:
         # one evaluation of u for the images and the nodes together
         both = self.u(np.concatenate([mapped, pts]))
         u_mapped = both[:len(mapped)]
-        return _Pass(value, phi, mapped, jr, u_mapped, jr * u_mapped - both[len(mapped):], fresh)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite w is refused
+            w = jr * u_mapped - both[len(mapped):]
+        return _Pass(value, phi, mapped, jr, u_mapped, w, fresh)
 
     def _defect(self, p: _Pass) -> float:
         """The antisymmetry defect sup |w + J^(1/2) w o Phi| of pass p."""
         back, jac_m = cf.map_with_jacobian(p.phi, p.mapped)
-        w_m = np.sqrt(jac_m) * self.u(back) - p.u_mapped
-        return float(np.abs(p.w + p.jr * w_m).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect is refused
+            w_m = np.sqrt(jac_m) * self.u(back) - p.u_mapped
+            return float(np.abs(p.w + p.jr * w_m).max())
 
     def measure(self, value: float, p: _Pass | None = None,
                 defect: bool = False) -> tuple[_Pass, float | None]:
@@ -494,7 +500,8 @@ def _zeroin(f, a: float, b: float, fa: np.ndarray, fb: np.ndarray, xtol: float) 
     c, fc, yc = a, fa, ya
     d = e = b - a
     while True:
-        if yb * yc > 0:  # keep the zero between b and c
+        # keep the zero between b and c; the product of two tiny minima underflows
+        if (yb > 0 and yc > 0) or (yb < 0 and yc < 0):
             c, fc, yc = a, fa, ya
             d = e = b - a
         if abs(yc) < abs(yb):  # b is the best estimate
@@ -531,13 +538,24 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
     search keeps the last pass on each side.  So a search evaluates u once
     for the threshold, once per scan value and refinement step, and once on
     the images mapped back at the critical value.  The report is built
-    once, after that defect."""
-    threshold = -tol * _sup_abs_u(probe.u, probe.n, probe.rng)
+    once, after that defect.
+
+    A state whose sampled sup |u| is positive but subnormal is refused,
+    since the threshold -tol sup |u| would underflow, and so is the first
+    scan value whose comparison values are not finite, before any
+    refinement step."""
+    sup_u = _sup_abs_u(probe.u, probe.n, probe.rng)
+    if 0 < sup_u < sys.float_info.min:
+        raise ValueError("the search needs a state whose sampled sup |u| is zero or a "
+                         f"normal float, got {sup_u!r}")
+    threshold = -tol * sup_u
     stats = np.empty((len(scan), 2))
     ends = last = None
     for i, value in enumerate(scan):
         p, _ = probe.measure(float(value))
         stats[i] = p.stats()
+        if not np.isfinite(stats[i]).all():
+            raise ValueError(_non_finite(probe.kind, value))
         if ends is None and stats[i, 0] < threshold:
             ends = (last, p)  # the first failing step
         last = p

@@ -217,19 +217,6 @@ def weighted_kernel_products(grid: QuadratureGrid, power: float, eps: float,
     return KX[:, 0], KX[:, 1:]
 
 
-def radial_kernel_bytes(n: int, degree: int) -> int:
-    """Upper bound on the peak bytes of `build_grid(n, degree)` plus one
-    `weighted_kernel_products` call on it with up to three columns of V, the
-    most that `verify` passes, in doubles: two arrays of the nt^2 (nphi/2 + 1)
-    kernel table's shape (the table and its cosine transform), two of the
-    (nphi/2 + 1)^2 cosine matrix's while it is built, 16 node-length arrays
-    (three for each of the four kernel columns, and the grid's nodes and
-    weights), and 256 KiB of casting buffers and small arrays."""
-    nt, nphi = grid_shape(n, degree)
-    half = nphi // 2 + 1
-    return 8 * (2 * half * nt * nt + 2 * half * half + 16 * nt * nphi) + 256 * 1024
-
-
 def north_pole(n: int) -> np.ndarray:
     e = np.zeros(n + 1)
     e[n] = 1.0

@@ -1,8 +1,9 @@
 """The `verify` suites, one ordered table of `Suite` records that check the
 paper's identities on random inputs against bounds that scale with `--tol`.
 The suite at position k draws from a generator seeded with seed + 1000 k.
-Suites read `n`, `band_limit`, `grid_degree` and `fault` from the config
-they are given; `Suite.check` scales each bound by the config's `tol`."""
+Suites read `n`, `band_limit` and `fault` from the config they are given;
+their grids follow from `n` and `band_limit` alone.  `Suite.check` scales
+each bound by the config's `tol`."""
 
 from __future__ import annotations
 
@@ -25,10 +26,6 @@ FAULT_SCALE = 1.05
 FAULT_SCALE_RANGE = (1e-300, 1e300)
 
 
-def _energyharmonics_degree(cfg) -> int:
-    return cfg.grid_degree or (48 if cfg.n == 2 else 64)
-
-
 def _work_band_limit(cfg) -> int:
     """Band limit and grid degree of the conformal-identity suites."""
     return max(32, 2 * cfg.band_limit)
@@ -40,25 +37,24 @@ def _state_band_limit(cfg) -> int:
 
 
 GIBBS_L, GIBBS_DEGREE, GIBBS_STATES = 6, 16, 300  # gibbs' band limit, grid, states
+ENERGYHARMONICS_DEGREE = {1: 64, 2: 48}  # the pair-sum grid's degree, by n
 
 
-def table_needs(cfg) -> dict[str, int]:
-    """Peak bytes of the suites, by the input that sets them.  The band limit
-    sets the conformal-identity suites': on the work grid, the transform
-    table at the work band limit (the states are synthesized there too), one
-    `evaluate_at` at its nodes and 16 node arrays; on small grids `gibbs`
-    (six arrays of its node values, three of its coefficients, 256 KiB)
-    needs more, and the other suites always less.  The grid degree sets
-    `energyharmonics`' kernel pass."""
+def table_needs(cfg) -> int:
+    """Peak bytes of the suites at the config's band limit: the
+    conformal-identity suites', on the work grid the transform table at the
+    work band limit (the states are synthesized there too), one
+    `evaluate_at` at its nodes and 16 node arrays; on small grids `gibbs`'
+    (six arrays of its node values, three of its coefficients, 256 KiB) is
+    larger.  The other suites, `energyharmonics` on its fixed grid among
+    them, always need less."""
     n, L_work, L_state = cfg.n, _work_band_limit(cfg), _state_band_limit(cfg)
     nodes = math.prod(sp.grid_shape(n, L_work))
     conformal = (hm.transform_table_bytes(n, L_work, L_work)
                  + hm.evaluate_at_bytes(n, L_state, nodes) + 8 * 16 * nodes)
     gibbs = 8 * GIBBS_STATES * (6 * math.prod(sp.grid_shape(n, GIBBS_DEGREE))
                                 + 3 * hm.harmonic_count(n, GIBBS_L))
-    degree = _energyharmonics_degree(cfg)
-    return {f"band limit {cfg.band_limit}": max(conformal, gibbs + 256 * 1024),
-            f"grid degree {degree}": sp.radial_kernel_bytes(n, degree)}
+    return max(conformal, gibbs + 256 * 1024)
 
 
 def _random_zeta(n: int, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
@@ -146,7 +142,7 @@ def _suite_conf_transf_H(cfg, rng):
 
 def _suite_energyharmonics(cfg, rng):
     n, L = cfg.n, 8
-    grid = sp.build_grid(n, _energyharmonics_degree(cfg))
+    grid = sp.build_grid(n, ENERGYHARMONICS_DEGREE[n])
     table = _faulted(cfg, "energyharmonics", hm.h_multiplier_table(n, L))
     cs = [hm.random_coeffs(n, L, rng) for _ in range(3)]
     # one synthesis and one kernel pass per cutoff serve the three states

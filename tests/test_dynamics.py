@@ -1,6 +1,7 @@
 """Flow, fitting, and moving-spheres diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -676,3 +677,51 @@ def test_critical_search_matches_the_brent_oracle(n, xi0, e):
     assert not rep.critical_is_bound and 0 < rep.refine_evaluations < 48
     want = brent_critical(u, xi0, e, 1e-9, np.random.default_rng(3121))
     assert abs(rep.critical - want) <= 1e-13 * abs(want)
+
+
+SEARCHES = [(critical_lambda, north_pole(2)), (critical_alpha, np.array([1.0, 0.0]))]
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600], ids=["tiny", "huge"])
+@pytest.mark.parametrize("search, where", SEARCHES, ids=["inversion", "reflection"])
+def test_critical_search_of_a_scaled_constant_keeps_its_bits(search, where, scale):
+    # a power of two scales w exactly, so the search takes the same steps;
+    # the bracket test compares signs, since the product of two minima of
+    # 2^-600 underflows to zero
+    base = search(ONE, where, rng=np.random.default_rng(0))
+    rep = search(lambda pts: np.full(len(pts), scale), where, rng=np.random.default_rng(0))
+    assert rep.critical == base.critical and not rep.critical_is_bound
+    assert rep.refine_evaluations == base.refine_evaluations > 0
+    np.testing.assert_array_equal(rep.min_w, scale * base.min_w)
+
+
+@pytest.mark.parametrize("search, where", SEARCHES, ids=["inversion", "reflection"])
+def test_critical_search_refuses_a_subnormal_state(search, where):
+    # its threshold -tol sup |u| would underflow; the zero state keeps its bound
+    with pytest.raises(ValueError, match=re.escape("sup |u| is zero or a normal float, "
+                                                   "got 1e-318")):
+        search(lambda pts: np.full(len(pts), 1e-318), where)
+    rep = search(lambda pts: np.zeros(len(pts)), where)
+    assert rep.critical_is_bound and rep.critical in (50.0, -6.0)
+
+
+@pytest.mark.parametrize("u", [lambda pts: np.full(len(pts), 1e307),
+                               extremizer(ExtremizerParams(np.zeros(3), 1e308))],
+                         ids=["constant", "extremizer"])
+@pytest.mark.parametrize("search, where, first", [(*SEARCHES[0], "lambda = 0.02"),
+                                                  (*SEARCHES[1], "alpha = 6")],
+                         ids=["inversion", "reflection"])
+def test_critical_search_refuses_its_first_non_finite_scan_value(monkeypatch, u, search,
+                                                                 where, first):
+    # at once: no further scan value, refinement step or defect pass, and no
+    # overflow warning (an error here)
+    real, calls = _CapProbe.measure, []
+
+    def measure(self, value, *args, **kwargs):
+        calls.append(value)
+        return real(self, value, *args, **kwargs)
+
+    monkeypatch.setattr(_CapProbe, "measure", measure)
+    with pytest.raises(ValueError, match=f"non-finite comparison values at {first}$"):
+        search(u, where)
+    assert len(calls) == 1

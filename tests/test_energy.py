@@ -113,8 +113,9 @@ def test_energy_direct_eps_guard(grids):
 @pytest.mark.parametrize("n, least_ratio", [(2, 1.36), (1, 1.25)])
 def test_default_energy_eps_clears_the_cutoff_guard(n, least_ratio):
     # the extrapolated energies always cut at default_energy_eps, so it must
-    # pass the guard of energy_direct on every grid the budget admits, up to
-    # the largest degrees of test_grid_degree_budget_boundary
+    # pass the guard of energy_direct on any grid: the library's energy_direct*
+    # take every degree, here up to where the pair kernel's tables reach
+    # about 2 GiB (505 on S^2, 11574 on S^1)
     largest = 505 if n == 2 else 11574
     for degree in {*range(1, 41), 64, 128, 256, 505, largest}:
         g = build_grid(n, degree)

@@ -16,7 +16,8 @@ imports nothing from `cli`.  Besides its own modules, src imports only the
 standard library and numpy, the one dependency `pyproject.toml` declares.
 No process-wide cache wraps the grid builders: a grid keeps its transform
 tables, so callers share one by passing it.  In `dynamics` one function,
-the probe's measurement, handles `PoleError`.
+the probe's measurement, handles `PoleError`.  Every `RunConfig` field is
+read somewhere in src besides `cli`'s config plumbing.
 No module imports or reads another's underscore names.  Every public name
 is used somewhere besides its definition and the package's re-exports, every
 public module-level function or class is used by src itself unless it is
@@ -292,6 +293,55 @@ def test_pole_handlers_are_seen():
                        "    try: inner()\n"
                        "    except Exception: pass\n")
     assert pole_handlers(sample) == ["P.one", "two.inner"]
+
+
+# cli's functions that load, check or echo every config field alike
+CONFIG_PLUMBING = frozenset({"_load_config", "_report_config", "_check_table_budget"})
+
+
+def attributes_read(node: ast.Module, skip: frozenset[str] = frozenset()) -> set[str]:
+    """The attribute names read in `node`, outside its module-level functions `skip`."""
+    return {sub.attr for child in node.body
+            if not (isinstance(child, ast.FunctionDef) and child.name in skip)
+            for sub in ast.walk(child)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def unread_config_fields(modules: dict[str, ast.Module]) -> list[str]:
+    """The fields of cli's `RunConfig` that no module reads as an attribute,
+    by name, outside CONFIG_PLUMBING."""
+    config = next(node for node in modules["cli"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    read = set().union(*(attributes_read(node, CONFIG_PLUMBING if name == "cli" else frozenset())
+                         for name, node in modules.items()))
+    return [sub.target.id for sub in config.body
+            if isinstance(sub, ast.AnnAssign) and sub.target.id not in read]
+
+
+def test_every_config_field_is_read():
+    # a field that only the plumbing reads is a flag, a key and a check with
+    # nothing behind them
+    assert unread_config_fields({m: tree(m) for m in MODULES}) == []
+
+
+def test_unread_config_fields_are_seen():
+    # the gate's detector: a field read by the plumbing alone, or only
+    # written, is unread; a read in any other function or module counts
+    cli = ast.parse("@dataclass\n"
+                    "class RunConfig:\n"
+                    "    n: int = 2\n"
+                    "    depth: int = 1\n"
+                    "    width: int | None = None\n"
+                    "    seed: int = 0\n"
+                    "def _load_config(args):\n"
+                    "    if cfg.depth < 1: raise SystemExit\n"
+                    "def _report_config(cfg):\n"
+                    "    return {'width': cfg.width}\n"
+                    "def run(cfg):\n"
+                    "    cfg.width = 3\n"
+                    "    return cfg.n\n")
+    verify = ast.parse("def suite(cfg):\n    return cfg.seed + getattr(cfg, 'depth')\n")
+    assert unread_config_fields({"cli": cli, "verify": verify}) == ["depth", "width"]
 
 
 def process_wide_caches(node: ast.AST, names: set[str]) -> list[str]:

@@ -14,16 +14,8 @@ from logsphere import (
     sphere_area,
     sphere_point,
 )
-from logsphere.energy import (
-    default_energy_eps,
-    energy_direct_extrapolated,
-    energy_direct_extrapolated_many,
-)
-from logsphere.sphere import (
-    apply_radial_kernel,
-    min_internode_distance,
-    radial_kernel_bytes,
-)
+from logsphere.energy import default_energy_eps
+from logsphere.sphere import apply_radial_kernel, min_internode_distance
 from oracles import zonal_basis
 
 
@@ -229,24 +221,3 @@ def test_apply_radial_kernel_peaks_at_two_tables(degree):
     table_bytes = 8 * (degree + 1) ** 2 * (degree + 1)  # nt^2 (nphi/2 + 1)
     peak = traced_peak(lambda: apply_radial_kernel(grid, 1.0, eps, X))
     assert peak <= 2.25 * table_bytes
-
-
-@pytest.mark.parametrize("n, degree, states", [
-    pytest.param(n, degree, states, id=f"{n}-{degree}" + ("" if states == 1 else "-3states"))
-    for n, degree in [(2, 48), (2, 100), (1, 2000)] for states in (1, 3)])
-def test_radial_kernel_bytes_bounds_the_cross_check_peak(n, degree, states):
-    # S^2 at verify's default degree and above it, and a circle grid where the
-    # cosine matrix, not the kernel table, dominates; one state, and the three
-    # that the energyharmonics suite sums in one call
-    def run():
-        grid = build_grid(n, degree)
-        if states == 1:
-            f = grid.sample(lambda x: 1.0 + x[:, 0] + x[:, -1] ** 2)
-            energy_direct_extrapolated(f, f)
-        else:
-            x, z = grid.nodes[:, 0], grid.nodes[:, -1]
-            energy_direct_extrapolated_many(grid, np.column_stack([1.0 + x, z ** 2, x * z]))
-
-    peak = traced_peak(run)
-    # a bound, and not so loose that the budget refuses degrees that fit
-    assert peak <= radial_kernel_bytes(n, degree) <= 1.5 * peak
