@@ -14,7 +14,6 @@ from .conformal import (
     apply_map,
     cap_points,
     extremizer,
-    inverse,
     inverse_stereographic,
     jacobian,
     kernel_l,

@@ -268,16 +268,6 @@ def jacobian(phi: ConformalMap, xi) -> np.ndarray:
     return map_with_jacobian(phi, xi)[1]
 
 
-def inverse(phi: ConformalMap) -> ConformalMap:
-    """Inverse map: inversions and reflections are involutions; the Moebius
-    variant inverts by negating zeta."""
-    if isinstance(phi, (LiftedInversion, LiftedReflection)):
-        return phi
-    if isinstance(phi, Moebius):
-        return Moebius(-phi.zeta)
-    raise TypeError(f"not a conformal map: {phi!r}")
-
-
 # ---------------------------------------------------------------------------
 # the classified solution family
 

@@ -248,10 +248,6 @@ def fit_extremizer(u: HarmonicCoeffs, grid: QuadratureGrid | None = None) -> Fit
 # ---------------------------------------------------------------------------
 # moving-spheres diagnostics
 
-def _non_finite(kind: str, value: float) -> str:
-    return f"non-finite comparison values at {_PARAMETER[kind]} = {value:g}"
-
-
 @dataclass
 class MovingSphereReport:
     kind: str  # "inversion" or "reflection"
@@ -273,11 +269,6 @@ class MovingSphereReport:
         self.values = np.asarray(self.values, dtype=float)
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("scan values must be strictly increasing")
-        finite = np.isfinite(self.min_w) & np.isfinite(self.sup_abs_w)
-        if self.defect is not None:
-            finite &= np.isfinite(self.defect)
-        if not finite.all():
-            raise ValueError(_non_finite(self.kind, self.values[~finite][0]))
 
     @property
     def parameter_name(self) -> str:
@@ -318,20 +309,17 @@ class MovingSphereReport:
 @dataclass
 class _Pass:
     """One map pass of a probe at a scale value: the images of the
-    template's nodes, the square root of the Jacobian there, u at the images
-    and w at the nodes.  `fresh` marks a pass on a template re-drawn after a
-    pole, whose nodes match no other pass's."""
+    template's nodes, the square root of the Jacobian there, u at the images,
+    w at the nodes and its (min w, sup |w|).  `fresh` marks a pass on a
+    template re-drawn after a pole, whose nodes match no other pass's."""
     value: float
     phi: cf.ConformalMap
     mapped: np.ndarray
     jr: np.ndarray
     u_mapped: np.ndarray
     w: np.ndarray
+    stats: tuple[float, float]
     fresh: bool
-
-    def stats(self) -> tuple[float, float]:
-        """(min w, sup |w|)."""
-        return float(self.w.min()), float(np.abs(self.w).max())
 
     def excess(self, threshold: float) -> np.ndarray:
         """w - threshold at the nodes, or on a fresh template its minimum
@@ -400,7 +388,8 @@ class _CapProbe:
         u_mapped = both[:len(mapped)]
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite w is refused
             w = jr * u_mapped - both[len(mapped):]
-        return _Pass(value, phi, mapped, jr, u_mapped, w, fresh)
+        return _Pass(value, phi, mapped, jr, u_mapped, w,
+                     (float(w.min()), float(np.abs(w).max())), fresh)
 
     def _defect(self, p: _Pass) -> float:
         """The antisymmetry defect sup |w + J^(1/2) w o Phi| of pass p."""
@@ -413,7 +402,8 @@ class _CapProbe:
                 defect: bool = False) -> tuple[_Pass, float | None]:
         """(the map pass at `value`, its defect with `defect`, else None),
         reusing `p` when it is a pass already made at `value`, under the
-        retry policy."""
+        retry policy.  A pass whose min w, sup |w| or defect is not finite
+        is refused."""
         fresh = p is not None and p.fresh
         try:
             phi = self.base.at_scale(value) if p is None else p.phi
@@ -422,7 +412,8 @@ class _CapProbe:
                     if p is None:
                         template = self._draw_template() if fresh else self.template
                         p = self._pass(value, phi, template, fresh)
-                    return p, (self._defect(p) if defect else None)
+                    d = self._defect(p) if defect else None
+                    break
                 except cf.PoleError:
                     if fresh:
                         raise
@@ -430,12 +421,15 @@ class _CapProbe:
                     fresh, p = True, None
         except ValueError as exc:
             raise type(exc)(f"at {_PARAMETER[self.kind]} = {value:g}: {exc}") from None
+        if not np.isfinite(p.stats + ((d,) if defect else ())).all():
+            raise ValueError(f"non-finite comparison values at {_PARAMETER[self.kind]} = {value:g}")
+        return p, d
 
     def profile(self, values) -> MovingSphereReport:
         """Report of (min w, sup |w|) and the defect at each value, in
         increasing order."""
         values = np.sort(np.asarray(values, dtype=float))
-        stats = np.array([p.stats() + (d,) for p, d in
+        stats = np.array([p.stats + (d,) for p, d in
                           (self.measure(float(v), defect=True) for v in values)]).reshape(-1, 3)
         return MovingSphereReport(
             kind=self.kind, n=self.n, center=self.center, direction=self.direction,
@@ -541,8 +535,8 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
     once, after that defect.
 
     A state whose sampled sup |u| is positive but subnormal is refused,
-    since the threshold -tol sup |u| would underflow, and so is the first
-    scan value whose comparison values are not finite, before any
+    since the threshold -tol sup |u| would underflow; `measure` refuses the
+    first scan value whose comparison values are not finite, before any
     refinement step."""
     sup_u = _sup_abs_u(probe.u, probe.n, probe.rng)
     if 0 < sup_u < sys.float_info.min:
@@ -553,9 +547,7 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
     ends = last = None
     for i, value in enumerate(scan):
         p, _ = probe.measure(float(value))
-        stats[i] = p.stats()
-        if not np.isfinite(stats[i]).all():
-            raise ValueError(_non_finite(probe.kind, value))
+        stats[i] = p.stats
         if ends is None and stats[i, 0] < threshold:
             ends = (last, p)  # the first failing step
         last = p
@@ -573,7 +565,7 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
             nonlocal steps
             p, _ = probe.measure(from_x(x))
             steps += 1
-            latest[bool(p.w.min() < threshold)] = p
+            latest[bool(p.stats[0] < threshold)] = p
             return p.excess(threshold)
 
         # refined within the failing scan step to 1e-15 + 4 eps |x| in x
@@ -586,7 +578,7 @@ def _critical_search(probe: _CapProbe, scan: np.ndarray, to_x, from_x,
     return MovingSphereReport(
         kind=probe.kind, n=probe.n, center=probe.center, direction=probe.direction,
         values=scan[order], min_w=stats[order, 0], sup_abs_w=stats[order, 1], defect=None,
-        critical=critical, sup_w_at_critical=p.stats()[1], defect_at_critical=defect,
+        critical=critical, sup_w_at_critical=p.stats[1], defect_at_critical=defect,
         critical_is_bound=is_bound, refine_evaluations=steps, retried=probe.retried,
     )
 

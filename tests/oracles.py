@@ -3,14 +3,15 @@
 recurrence step per (l, m), the orthonormal harmonics one label at a time,
 the planar membership test of a comparison region, the planar (bubble) form
 of the classified family, the critical scale of the moving-spheres probe
-by plain bisection and by the scalar Brent zeroin, and the conformal
-layer's cap points, difference kernel and Moebius images computed on rows
-of points, with the `kernel_sign` suite's loop over them, the deficit's
-entropy pass out of place, one `np.where`, a grid's nodes and weights
-formed eagerly from its factors, and the probe's statistics on a map built
-afresh for each scale value, the random initial state scaled on a
-synthesis, and the L2-isometric pullback as a callable, with the conformal
-identity residuals formed through it.
+by plain bisection and by the scalar Brent zeroin, the conformal layer's
+inverse map, and its cap points, difference kernel and Moebius images
+computed on rows of points, with the `kernel_sign` suite's loop over them,
+the deficit's entropy pass out of place, one `np.where`, a grid's nodes and
+weights formed eagerly from its factors, and the probe's statistics on a
+map built afresh for each scale value, the random initial state scaled on
+a synthesis, and the L2-isometric pullback as a callable, with the
+conformal identity residuals formed through it and the energy identity's
+correction formed on the image side through phi^{-1}.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from logsphere.conformal import (
     LiftedReflection,
     Moebius,
     _orthonormal_frame,
-    inverse,
     inverse_stereographic,
     jacobian,
     map_with_jacobian,
@@ -195,7 +195,7 @@ def first_failing_step(u, xi0, e, tol: float, rng: np.random.Generator):
     threshold = -tol * float(np.abs(u(pts)).max())
     scan = np.geomspace(0.02, 50.0, 32) if xi0 is not None else np.linspace(6.0, -6.0, 32)
     k = next(i for i, v in enumerate(scan)
-             if probe.measure(float(v))[0].stats()[0] < threshold)
+             if probe.measure(float(v))[0].stats[0] < threshold)
     assert k > 0, "the comparison fails at the safe end of the scan"
     return probe, threshold, float(scan[k - 1]), float(scan[k])
 
@@ -211,7 +211,7 @@ def bisection_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float
         mean = lambda a, b: 0.5 * (a + b)
     for _ in range(48):
         mid = mean(good, bad)
-        if probe.measure(mid)[0].stats()[0] < threshold:
+        if probe.measure(mid)[0].stats[0] < threshold:
             bad = mid
         else:
             good = mid
@@ -267,7 +267,7 @@ def brent_critical(u, xi0, e, tol: float, rng: np.random.Generator) -> float:
     first failing step of the fixed scan, to 1e-15 + 4 eps |x|."""
     probe, threshold, good, bad = first_failing_step(u, xi0, e, tol, rng)
     to_x, from_x = (math.log, math.exp) if xi0 is not None else (float, float)
-    excess = lambda value: probe.measure(value)[0].stats()[0] - threshold
+    excess = lambda value: probe.measure(value)[0].stats[0] - threshold
     x = brent_zeroin(lambda x: excess(from_x(x)), to_x(good), to_x(bad), excess(good),
                      excess(bad), 1e-15)
     return from_x(x)
@@ -293,6 +293,16 @@ def row_cap_points(region, u, phi=None) -> np.ndarray:
         + (s * np.cos(phi))[:, None] * frame[0][None, :]
         + (s * np.sin(phi))[:, None] * frame[1][None, :]
     )
+
+
+def inverse(phi: ConformalMap) -> ConformalMap:
+    """Inverse map: inversions and reflections are involutions; the Moebius
+    variant inverts by negating zeta."""
+    if isinstance(phi, (LiftedInversion, LiftedReflection)):
+        return phi
+    if isinstance(phi, Moebius):
+        return Moebius(-phi.zeta)
+    raise TypeError(f"not a conformal map: {phi!r}")
 
 
 def row_moebius_map_with_jacobian(phi: Moebius, pts) -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +404,7 @@ def fresh_map_stats(probe: _CapProbe, value: float) -> tuple[float, float, float
     phi = (LiftedInversion(value, probe.center) if probe.direction is None
            else LiftedReflection(value, probe.direction))
     p = probe._pass(value, phi, probe.template)
-    return p.stats() + (probe._defect(p),)
+    return p.stats + (probe._defect(p),)
 
 
 def synthesized_random_init(n: int, L: int, rng: np.random.Generator,
@@ -421,19 +431,40 @@ def pullback(u, phi: ConformalMap):
     return u_phi
 
 
+def _conf_E_pullbacks(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: Moebius,
+                      grid: QuadratureGrid):
+    """The node values of u's and v's `pullback` closures sampled on the
+    grid, and their projections to band limit grid.degree, both tails
+    checked."""
+    samples = [grid.sample(pullback(as_evaluable(x), phi)) for x in (u, v)]
+    coeffs = [analyze(f, grid.degree) for f in samples]
+    for c in coeffs:
+        _check_projection_tail(c)
+    return [f.values for f in samples], coeffs
+
+
 def pullback_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: Moebius,
                     grid: QuadratureGrid) -> float:
     """`verify_conf_E`'s residual with each pullback a `pullback` closure
-    sampled on the grid: one map pass per pullback, and one of phi^{-1}."""
-    u_pb = analyze(grid.sample(pullback(as_evaluable(u), phi)), grid.degree)
-    v_pb = analyze(grid.sample(pullback(as_evaluable(v), phi)), grid.degree)
-    _check_projection_tail(u_pb)
-    lhs = energy_spectral(u_pb, v_pb)
+    sampled on the grid and ln J_phi from a map pass of its own: three map
+    passes."""
+    (u_vals, v_vals), (u_pb, v_pb) = _conf_E_pullbacks(u, v, phi, grid)
+    log_j = np.log(jacobian(phi, grid.nodes))
+    correction = constant_Cn(u.n) * float(np.sum(grid.weights * u_vals * v_vals * 0.5 * log_j))
+    return abs(energy_spectral(u_pb, v_pb) - (energy_spectral(u, v) + correction))
+
+
+def inverse_pass_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: Moebius,
+                        grid: QuadratureGrid) -> float:
+    """The energy identity's residual with its correction on the image side,
+    C_n int u v ln J_{phi^{-1}}^{-1/2}: u and v synthesized at the grid's
+    band limit, and a map pass of phi^{-1}."""
+    _, (u_pb, v_pb) = _conf_E_pullbacks(u, v, phi, grid)
     uv = (synthesize(u.with_band_limit(grid.degree), grid).values
           * synthesize(v.with_band_limit(grid.degree), grid).values)
     log_jinv = np.log(jacobian(inverse(phi), grid.nodes))
     correction = constant_Cn(u.n) * float(np.sum(grid.weights * uv * (-0.5) * log_jinv))
-    return abs(lhs - (energy_spectral(u, v) + correction))
+    return abs(energy_spectral(u_pb, v_pb) - (energy_spectral(u, v) + correction))
 
 
 def pullback_conf_H(u: HarmonicCoeffs, phi: Moebius, grid: QuadratureGrid) -> float:

@@ -18,7 +18,6 @@ from logsphere import (
     apply_map,
     extremizer,
     integrate,
-    inverse,
     inverse_stereographic,
     jacobian,
     kernel_l,
@@ -31,7 +30,8 @@ from logsphere import (
     stereographic,
 )
 from logsphere.harmonics import HarmonicCoeffs, analyze, as_evaluable, evaluate_at
-from oracles import bubble_to_zeta, in_sigma, pullback, pullback_to_plane, zeta_to_bubble
+from oracles import (bubble_to_zeta, in_sigma, inverse, pullback, pullback_to_plane,
+                     zeta_to_bubble)
 
 
 def random_points(rng, n, k):

@@ -11,7 +11,6 @@ from logsphere import dynamics as dy
 from logsphere import (
     ExtremizerParams,
     HarmonicCoeffs,
-    MovingSphereReport,
     analyze,
     build_grid,
     critical_alpha,
@@ -542,7 +541,7 @@ def test_a_defect_measurement_keeps_the_pass_stats(kind):
         p, none = probe.measure(value)
         q, defect = probe.measure(value, defect=True)
         assert none is None and math.isfinite(defect)
-        assert p.stats() == q.stats()
+        assert p.stats == q.stats
 
 
 def test_probe_names_a_value_it_cannot_resolve():
@@ -553,11 +552,16 @@ def test_probe_names_a_value_it_cannot_resolve():
         probe.profile([0.5, 1e200])
 
 
-def test_report_refuses_a_non_finite_defect():
-    with pytest.raises(ValueError, match="non-finite comparison values at alpha = 0.5"):
-        MovingSphereReport(kind="reflection", n=2, center=None, direction=np.array([1.0, 0.0]),
-                           values=[0.5, 1.0], min_w=np.zeros(2), sup_abs_w=np.zeros(2),
-                           defect=np.array([math.nan, 0.0]))
+def test_measure_refuses_a_non_finite_defect(monkeypatch):
+    # the pass itself is finite; its defect alone is refused, and by value
+    probe = _CapProbe(FAMILY, None, np.array([1.0, 0.0]), np.random.default_rng(3))
+    monkeypatch.setattr(_CapProbe, "_defect", lambda self, p: math.nan)
+    p, _ = probe.measure(0.5)
+    assert np.isfinite(p.stats).all()
+    with pytest.raises(ValueError, match=r"^non-finite comparison values at alpha = 0\.5$"):
+        probe.measure(0.5, defect=True)
+    with pytest.raises(ValueError, match=r"^non-finite comparison values at alpha = 0\.5$"):
+        probe.profile([0.5, 1.0])
 
 
 def count_evaluations(monkeypatch):
@@ -595,7 +599,7 @@ def test_critical_search_evaluates_u_once_per_step(monkeypatch):
     assert calls == [4096]  # the 2048 images and 2048 nodes together
     q, defect = probe.measure(0.7, defect=True)
     assert calls == [4096, 4096, 2048]  # then the images mapped back
-    assert p.stats() == q.stats()
+    assert p.stats == q.stats
     reused, again = probe.measure(0.7, p, defect=True)  # p's images mapped back alone
     assert reused is p and again == defect
     assert calls == [4096, 4096, 2048, 2048]
@@ -612,7 +616,7 @@ def test_critical_search_evaluates_u_once_per_step(monkeypatch):
     assert rep.defect is None and 0.0 <= rep.defect_at_critical < 1e-8
     p, defect = _CapProbe(RANDOM_STATE, xi0, None, np.random.default_rng(2)).measure(
         rep.critical, defect=True)
-    assert (rep.sup_w_at_critical, rep.defect_at_critical) == (p.stats()[1], defect)
+    assert (rep.sup_w_at_critical, rep.defect_at_critical) == (p.stats[1], defect)
 
 
 @pytest.mark.parametrize("u", [RANDOM_STATE, FAMILY], ids=["random", "family"])
@@ -659,7 +663,7 @@ def test_critical_search_cost_and_accuracy():
             continue
         probe, threshold, _, _ = first_failing_step(u, xi0, None, 1e-9,
                                                     np.random.default_rng(seed))
-        excess = [probe.measure(float(v))[0].stats()[0] - threshold
+        excess = [probe.measure(float(v))[0].stats[0] - threshold
                   for v in np.geomspace(rep.critical, want, 64)]
         assert max(abs(excess[0]), abs(excess[-1])) <= 1e-12, seed  # both are crossings
         assert min(excess[1:-1]) < 0 < max(excess[1:-1]), seed  # with another between

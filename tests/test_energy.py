@@ -201,7 +201,7 @@ def test_verify_conf_E(grids, rng):
 
     with pytest.raises(ValueError):
         verify_conf_E(u, v, LiftedInversion(1.0, sphere_point([0, 0, 1.0])), grids(2, 16))
-    # the states are synthesized at the grid's band limit, never cut to it
+    # the grid cannot project the pullbacks of states above its band limit
     with pytest.raises(ValueError, match="exceed the grid's band limit 6"):
         verify_conf_E(u, v, ident, grids(2, 6))
 
@@ -210,6 +210,19 @@ def test_verify_conf_E_rejects_extreme_zeta(grids, rng):
     u = random_coeffs(2, 8, rng)
     with pytest.raises(ValueError):
         verify_conf_E(u, u, Moebius(np.array([0.0, 0.0, 0.97])), grids(2, 16))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_conf_E_checks_both_pullback_tails(grids, n):
+    # the constant's pullback fits the degree-16 grid, the flat state's does
+    # not (its residual there is 0.846 on S^2 and 0.0913 on S^1, against 2e-12
+    # and 7e-15 on a degree-64 grid): neither order of the two may pass
+    one = HarmonicCoeffs.constant(n, 16, 1.0)
+    flat = random_coeffs(n, 16, np.random.default_rng(1), decay=0.0)
+    phi = Moebius(np.eye(n + 1)[n] * 0.5)
+    for u, v in ((one, flat), (flat, one)):
+        with pytest.raises(ValueError, match="pullback projection overflow"):
+            verify_conf_E(u, v, phi, grids(n, 16))
 
 
 def test_verify_conf_H(grids, rng):
@@ -255,21 +268,28 @@ def test_each_node_set_is_mapped_once(grids, rng, monkeypatch):
     # map_with_jacobian as both the conformal and the energy module see it;
     # `jacobian` and `verify` reach it through the conformal module
     real, calls = cf.map_with_jacobian, []
+    real_synthesize, synthesized = en.synthesize, []
 
     def counted(phi, xi):
         calls.append(len(xi))
         return real(phi, xi)
 
+    def counted_synthesize(c, grid):
+        synthesized.append(c.L)
+        return real_synthesize(c, grid)
+
     monkeypatch.setattr(cf, "map_with_jacobian", counted)
     monkeypatch.setattr(en, "map_with_jacobian", counted, raising=False)
+    monkeypatch.setattr(en, "synthesize", counted_synthesize)
     g = grids(2, 16)
     u, v = random_coeffs(2, 6, rng), random_coeffs(2, 6, rng)
     phi = Moebius(np.array([0.1, -0.2, 0.15]))
     verify_conf_H(u, phi, g)
     assert calls == [g.node_count]
-    del calls[:]
+    del calls[:], synthesized[:]
     verify_conf_E(u, v, phi, g)
-    assert calls == [g.node_count] * 2  # phi and phi^{-1}
+    # the correction is read off the pullbacks: u and v are not synthesized
+    assert calls == [g.node_count] and synthesized == []
     del calls[:]
     vf._suite_conformal_distance(SimpleNamespace(n=2), rng)
     assert calls == [200] * 15  # one sample of 200 rows for each of 15 maps

@@ -481,6 +481,7 @@ LIBRARY_API = {
     "sphere.integrate": WRAPPED,
     "specfun.fourier_basis": WRAPPED,
     "conformal.apply_map": WRAPPED,
+    "conformal.jacobian": WRAPPED,
     "conformal.antisymmetry_defect": WRAPPED,
     "harmonics.apply_P2s": WRAPPED,
     "harmonics.pv_apply_H": WRAPPED,
