@@ -35,7 +35,7 @@ from . import harmonics as hm
 from . import sphere as sp
 from . import verify as vf
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 # A band limit whose command's tables (`_check_table_budget`) would peak above
 # this is refused before anything is allocated.

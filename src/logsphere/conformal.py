@@ -2,13 +2,13 @@
 reflections, Moebius maps, Jacobians, and the comparison kernel.
 
 Points are the rows of a (k, n+1) array ((k, n) in the plane) and values are
-arrays over the rows.  Inside, point sets are built and reduced as (n+1, k)
-coordinate columns, one coordinate at a time, and rows are handed out as
-transposed column blocks: with n + 1 <= 3 coordinates, work along the short
-axis of the rows costs more than the arithmetic.  A dot product with the rows
-is a sum over the coordinates in order (`_dot_rows`), so no value depends on
-the rows' memory layout.  Jacobians come from the chain rule on closed-form
-factors:
+arrays over the rows (`kernel_l`'s over pairs of rows).  Inside, point sets
+are built and reduced as (n+1, k) coordinate columns, one coordinate at a
+time, and rows are handed out as transposed column blocks: with n + 1 <= 3
+coordinates, work along the short axis of the rows costs more than the
+arithmetic.  A dot product with the rows is a sum over the coordinates in
+order (`_dot_rows`), so no value depends on the rows' memory layout.
+Jacobians come from the chain rule on closed-form factors:
 
     J_{S}(x)      = (2/(1+|x|^2))^n          (inverse stereographic)
     J_{S^{-1}}(xi) = (1+xi_{n+1})^{-n}
@@ -385,21 +385,26 @@ def sample_region(region: SigmaRegion, count: int, rng: np.random.Generator) -> 
     return cap_points(region, u, phi)
 
 
-def kernel_l(phi: ConformalMap, xi, eta) -> np.ndarray:
-    """Difference kernel 1/|xi-eta|^n - J^{1/2}(eta)/|xi-phi(eta)|^n, row by row.
+def _pair_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^2 over every pair of rows, summed over the coordinates in order."""
+    return sum(np.subtract.outer(a[:, k], b[:, k]) ** 2 for k in range(a.shape[1]))
 
-    Strictly positive when both arguments lie in the comparison region of an
-    inversion or reflection map; no sign guarantee outside.
-    """
+
+def kernel_l(phi: ConformalMap, xi, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Difference kernel 1/|xi-eta|^n - J^{1/2}(eta)/|xi-phi(eta)|^n and gap
+    J^{-1/n}(eta)|xi-phi(eta)|^2 - |xi-eta|^2, as (k1, k2) arrays over the
+    pairs of k1 rows xi and k2 rows eta, from one map pass over eta.  For an
+    inversion or reflection the gap is 4 g(xi) g(eta) / (1 - c^2) on S^n,
+    g = xi.axis - c on `region_of(phi)`: the kernel is positive on pairs on
+    one side of the region's boundary and negative on pairs across it."""
     xis, etas = _rows(xi), _rows(eta)
     n = phi.n
-    d2 = _col_sq(xis.T - etas.T)
+    d2 = _pair_sq(xis, etas)
     if np.any(d2 < POLE_TOL):
         raise ValueError("kernel is singular at coincident points")
     image, jac = map_with_jacobian(phi, etas)
-    jr = np.sqrt(jac)
-    d2m = _col_sq(xis.T - image.T)
-    return d2 ** (-0.5 * n) - jr * d2m ** (-0.5 * n)
+    d2m = _pair_sq(xis, image)
+    return d2 ** (-0.5 * n) - np.sqrt(jac) * d2m ** (-0.5 * n), jac ** (-1.0 / n) * d2m - d2
 
 
 def antisymmetry_defect(w, phi: ConformalMap, points) -> float:

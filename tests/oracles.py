@@ -5,7 +5,8 @@ the planar membership test of a comparison region, the planar (bubble) form
 of the classified family, the critical scale of the moving-spheres probe
 by plain bisection and by the scalar Brent zeroin, the conformal layer's
 inverse map, and its cap points, difference kernel and Moebius images
-computed on rows of points, with the `kernel_sign` suite's loop over them,
+computed on rows of points, with the `kernel_sign` suite's loop over them
+and the residual of the kernel gap's factorization,
 the deficit's entropy pass out of place, one `np.where`, a grid's nodes and
 weights formed eagerly from its factors, and the probe's statistics on a
 map built afresh for each scale value, the random initial state scaled on
@@ -29,6 +30,7 @@ from logsphere.conformal import (
     _orthonormal_frame,
     inverse_stereographic,
     jacobian,
+    kernel_l,
     map_with_jacobian,
     region_of,
     stereographic,
@@ -321,30 +323,64 @@ def row_moebius_map_with_jacobian(phi: Moebius, pts) -> tuple[np.ndarray, np.nda
     return image, jac
 
 
-def row_kernel_l(phi, xis, etas) -> np.ndarray:
-    """1/|xi-eta|^n - J^{1/2}(eta)/|xi-phi(eta)|^n, row by row."""
+def row_map_with_jacobian(phi, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Images and Jacobian at the rows, a Moebius map's by its row oracle."""
+    return (row_moebius_map_with_jacobian(phi, pts) if isinstance(phi, Moebius)
+            else map_with_jacobian(phi, pts))
+
+
+def row_kernel_l(phi, xis, etas, mapped=None) -> tuple[np.ndarray, np.ndarray]:
+    """1/|xi-eta|^n - J^{1/2}(eta)/|xi-phi(eta)|^n and the gap
+    J^{-1/n}(eta)|xi-phi(eta)|^2 - |xi-eta|^2, row by row; `mapped()`, if
+    given, returns the images and Jacobian at the etas."""
     xis, etas = np.asarray(xis, dtype=float), np.asarray(etas, dtype=float)
     n = phi.n
     d2 = np.sum((xis - etas) ** 2, axis=1)
     if np.any(d2 < POLE_TOL):
         raise ValueError("kernel is singular at coincident points")
-    image, jac = (row_moebius_map_with_jacobian(phi, etas) if isinstance(phi, Moebius)
-                  else map_with_jacobian(phi, etas))
+    image, jac = mapped() if mapped is not None else row_map_with_jacobian(phi, etas)
     d2m = np.sum((xis - image) ** 2, axis=1)
-    return d2 ** (-0.5 * n) - np.sqrt(jac) * d2m ** (-0.5 * n)
+    return d2 ** (-0.5 * n) - np.sqrt(jac) * d2m ** (-0.5 * n), jac ** (-1.0 / n) * d2m - d2
+
+
+def pair_kernel_l(phi, xis, etas) -> tuple[np.ndarray, np.ndarray]:
+    """`row_kernel_l` at every pair of rows, on the repeated xis and the
+    tiled etas, as (len(xis), len(etas)) arrays.  The etas are mapped once,
+    untiled, as `kernel_l` maps them: the bits of a lifted reflection's
+    image depend on the rows mapped with it."""
+    xis, etas = np.asarray(xis, dtype=float), np.asarray(etas, dtype=float)
+    k1, k2 = len(xis), len(etas)
+
+    def mapped():
+        image, jac = row_map_with_jacobian(phi, etas)
+        return np.tile(image, (k1, 1)), np.tile(jac, k1)
+
+    vals, gap = row_kernel_l(phi, np.repeat(xis, k2, axis=0), np.tile(etas, (k1, 1)), mapped)
+    return vals.reshape(k1, k2), gap.reshape(k1, k2)
+
+
+def factorization_residual(phi, xis, etas) -> float:
+    """max |gap - kappa g(xi) g(eta)| / (1 + max |gap|) over every pair of
+    rows, from `kernel_l`'s gap, g(xi) = xi.axis - c and kappa = 4/(1 - c^2)
+    of `region_of(phi)`."""
+    region = region_of(phi)
+    c = region.cos_threshold
+    gap = kernel_l(phi, xis, etas)[1]
+    want = 4.0 / (1.0 - c * c) * np.outer(xis @ region.axis - c, etas @ region.axis - c)
+    return float(np.abs(gap - want).max() / (1.0 + np.abs(gap).max()))
 
 
 def kernel_sign_loop(n: int, rng: np.random.Generator):
     """The `kernel_sign` suite's (metric, details) from the row oracles: 20
-    rounds of an inversion and a reflection, 2500 cap pairs each, drawn
-    from `rng` in the suite's order."""
+    rounds of an inversion and a reflection, every pair of two 50-point cap
+    samples each, drawn from `rng` in the suite's order."""
 
     def sample(region, count):
         u = rng.uniform(0.0, 1.0, count)
         az = rng.uniform(0.0, 2.0 * math.pi, count) if n == 2 else None
-        return row_cap_points(region, u, az)
+        return sphere_point(row_cap_points(region, u, az))
 
-    violations, pairs, worst = 0, 0, math.inf
+    violations, pairs, worst, residual, min_kappa = 0, 0, math.inf, 0.0, math.inf
     for _ in range(20):
         xi0 = rng.standard_normal(n + 1)
         if 1.0 + sphere_point(xi0)[-1] < 0.2:
@@ -353,13 +389,22 @@ def kernel_sign_loop(n: int, rng: np.random.Generator):
         reflection = LiftedReflection(float(rng.uniform(-1.0, 1.0)), rng.standard_normal(n))
         for phi in (inversion, reflection):
             region = region_of(phi)
-            a, b = sample(region, 2500), sample(region, 2500)
-            ok = np.sum((a - b) ** 2, axis=1) > 1e-12
-            vals = row_kernel_l(phi, a[ok], b[ok])
-            pairs += int(ok.sum())
+            pts = sample(region, 100)
+            a, b = pts[:50], pts[50:]
+            d2 = np.sum((np.repeat(a, 50, axis=0) - np.tile(b, (50, 1))) ** 2, axis=1)
+            b = b[d2.reshape(50, 50).min(axis=0) > 1e-12]
+            vals, gap = pair_kernel_l(phi, a, b)
+            c = region.cos_threshold
+            kappa = 4.0 / (1.0 - c * c)
+            ga, gb = (np.sum(p * region.axis, axis=1) - c for p in (a, b))
+            want = np.repeat(kappa * ga, len(b)).reshape(vals.shape) * gb
+            residual = max(residual, float(np.abs(gap - want).max() / (1.0 + np.abs(gap).max())))
+            pairs += vals.size
             violations += int(np.sum(vals <= 0.0))
             worst = min(worst, float(vals.min()))
-    return violations, {"pairs": pairs, "min_kernel": worst}
+            min_kappa = min(min_kappa, kappa)
+    return violations, {"pairs": pairs, "min_kernel": worst,
+                        "identity_residual": residual, "min_kappa": min_kappa}
 
 
 def where_entropy_log_factor(usq: np.ndarray, norm_sq: float, area: float) -> np.ndarray:

@@ -22,6 +22,7 @@ from logsphere.cli import (
     _write_json,
     main,
 )
+from logsphere import conformal as cf
 from logsphere import dynamics as dy
 from logsphere import energy as en
 from logsphere import harmonics as hm
@@ -48,7 +49,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 11
+    assert report["schema"] == 12
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -77,7 +78,7 @@ def test_critical_search_reproducible(geometry, tmp_path):
         assert main(["movespheres", "--band-limit", "8", "--u", "random:seed=5,amp=0.5",
                      *geometry, "--values", "auto", "--out", str(path)]) == 0
     report = read_json(paths[0])
-    assert report["schema"] == 11 and report["report"]["refine_evaluations"] > 0
+    assert report["schema"] == 12 and report["report"]["refine_evaluations"] > 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -109,16 +110,19 @@ def test_verify_fault_injection(suite, tmp_path, capsys):
     assert failing == [suite]
 
 
+@pytest.mark.parametrize("suite", [suite.name for suite in SUITES if suite.fault])
 @pytest.mark.parametrize("scale", [1e-300, -1.0, 1e300])
-def test_fault_scales_in_range_fail_their_suite_with_a_finite_metric(scale, tmp_path, capsys):
+def test_fault_scales_in_range_fail_their_suite_with_a_finite_metric(suite, scale, tmp_path,
+                                                                     capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"fault": {"suite": "energyharmonics", "scale": scale}}))
+    cfg.write_text(json.dumps({"fault": {"suite": suite, "scale": scale}}))
     out = tmp_path / "rep.json"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
     capsys.readouterr()
     suites = read_json(out)["suites"]
-    assert [s["name"] for s in suites if not s["passed"]] == ["energyharmonics"]
+    assert [s["name"] for s in suites if not s["passed"]] == [suite]
     assert all(math.isfinite(s["metric"]) for s in suites)
+    assert all(math.isfinite(v) for s in suites for v in s.get("details", {}).values())
 
 
 def test_verify_circle_pipeline(tmp_path):
@@ -840,6 +844,22 @@ def test_kernel_sign_suite_matches_the_row_loop(n, seed):
     # one coincides, report what the row-wise oracles report bit for bit
     got = SUITE["kernel_sign"].run(RunConfig(n=n), np.random.default_rng(seed))
     assert got == kernel_sign_loop(n, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_sign_suite_maps_each_cap_sample_once(monkeypatch, n):
+    # one map pass over the 50 eta points of a map prices its 2500 pairs
+    rows = []
+    original = cf.map_with_jacobian
+
+    def wrapper(phi, pts):
+        rows.append(len(pts))
+        return original(phi, pts)
+
+    monkeypatch.setattr(cf, "map_with_jacobian", wrapper)
+    metric, details = SUITE["kernel_sign"].run(RunConfig(n=n), np.random.default_rng(0))
+    assert len(rows) == 40 and max(rows) <= 50
+    assert (metric, details["pairs"]) == (0, 2500 * sum(rows) // 50)
 
 
 @pytest.mark.parametrize("n", [1, 2])

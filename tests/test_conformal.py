@@ -30,8 +30,8 @@ from logsphere import (
     stereographic,
 )
 from logsphere.harmonics import HarmonicCoeffs, analyze, as_evaluable, evaluate_at
-from oracles import (bubble_to_zeta, in_sigma, inverse, pullback, pullback_to_plane,
-                     zeta_to_bubble)
+from oracles import (bubble_to_zeta, factorization_residual, in_sigma, inverse, pullback,
+                     pullback_to_plane, zeta_to_bubble)
 
 
 def random_points(rng, n, k):
@@ -280,14 +280,18 @@ def test_planar_norm_equals_spherical_norm(grids, rng):
     assert abs(total - c.norm_sq()) < 1e-6 * c.norm_sq()
 
 
+def apart(a, b):
+    """The rows of b at least 1e-5 from every row of a."""
+    return b[np.min(np.sum((a[:, None] - b) ** 2, axis=2), axis=0) > 1e-10]
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_kernel_positive_in_region(rng, n):
     for phi in example_maps(n)[:2]:
         region = region_of(phi)
-        a = sample_region(region, 4000, rng)
-        b = sample_region(region, 4000, rng)
-        keep = np.sum((a - b) ** 2, axis=1) > 1e-10
-        vals = kernel_l(phi, a[keep], b[keep])
+        a = sample_region(region, 200, rng)
+        vals, _ = kernel_l(phi, a, apart(a, sample_region(region, 200, rng)))
+        assert vals.shape[0] == 200 and vals.shape[1] > 190
         assert np.all(vals > 0.0)
 
 
@@ -295,12 +299,47 @@ def test_kernel_symmetry_and_errors(rng):
     phi = example_maps(2)[0]
     region = region_of(phi)
     a = sample_region(region, 300, rng)
-    b = sample_region(region, 300, rng)
-    keep = np.sum((a - b) ** 2, axis=1) > 1e-4
-    sym = kernel_l(phi, a[keep], b[keep]) - kernel_l(phi, b[keep], a[keep])
-    assert np.abs(sym).max() < 1e-10
-    with pytest.raises(ValueError):
-        kernel_l(phi, a[0], a[0])
+    b = apart(a, sample_region(region, 200, rng))
+    ab, ba = kernel_l(phi, a, b)[0], kernel_l(phi, b, a)[0]
+    assert ab.shape == ba.T.shape == (300, len(b))
+    # relative to the first term 1/|xi - eta|^2
+    assert np.max(np.abs(ab - ba.T) * np.sum((a[:, None] - b) ** 2, axis=2)) < 1e-12
+    with pytest.raises(ValueError, match="coincident"):
+        kernel_l(phi, a[:3], a[2:5])  # one coincident pair among nine
+
+
+def gap_maps(n):
+    """Inversions and reflections, mild and extreme."""
+    xi0 = sphere_point([-0.6, 0.1] if n == 1 else [0.3, -0.8, -0.5])
+    e = np.array([1.0] if n == 1 else [-0.3, 0.9])
+    return example_maps(n)[:2] + [LiftedInversion(0.1, xi0), LiftedInversion(5.0, xi0),
+                                  LiftedReflection(-2.0, e), LiftedReflection(0.0, e)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_gap_factorizes_over_the_sphere(rng, n):
+    # J^{-1/n}(eta)|xi - phi(eta)|^2 - |xi - eta|^2 = kappa g(xi) g(eta) at
+    # every pair of S^n, with g(xi) = xi.axis - c and kappa = 4/(1 - c^2)
+    xi, eta = random_points(rng, n, 200), random_points(rng, n, 150)
+    for phi in gap_maps(n):
+        assert factorization_residual(phi, xi, eta) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_sign_follows_the_region(rng, n):
+    # by the factorization, l = d^{-n} - (d^2 + kappa g(xi) g(eta))^{-n/2} is
+    # positive when xi and eta lie on one side of the region's boundary and
+    # negative across it
+    for phi in gap_maps(n):
+        region = region_of(phi)
+        pts = np.concatenate([random_points(rng, n, 300), sample_region(region, 100, rng)])
+        c = region.cos_threshold  # the points keep off the boundary
+        pts = rng.permutation(pts[np.abs(pts @ region.axis - c) > 1e-3 * (1.0 - abs(c))])
+        xi, eta = pts[:150], apart(pts[:150], pts[150:])
+        vals, _ = kernel_l(phi, xi, eta)
+        same = np.equal.outer(in_sigma(phi, xi), in_sigma(phi, eta))
+        assert same.any() and not same.all()
+        assert np.all(vals[same] > 0.0) and np.all(vals[~same] < 0.0)
 
 
 def test_in_sigma_geometry(rng):

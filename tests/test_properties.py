@@ -83,15 +83,16 @@ from logsphere.sphere import GridFunction
 from oracles import (
     coeff,
     eager_nodes_and_weights,
+    factorization_residual,
     fresh_map_stats,
     in_sigma,
     inverse,
     inverse_pass_conf_E,
     loop_assoc_legendre_norm,
+    pair_kernel_l,
     pullback_conf_E,
     pullback_conf_H,
     row_cap_points,
-    row_kernel_l,
     row_moebius_map_with_jacobian,
     where_deficit_terms,
     where_entropy_log_factor,
@@ -205,20 +206,31 @@ def test_cap_points_match_the_row_oracle(n, data):
 
 @given(n=DIMS, data=st.data())
 def test_kernel_l_matches_the_row_oracle(n, data):
-    # pairs from the cap of one map, the kernel of it or of a Moebius map;
-    # the cap points come as column blocks and, copied, as C-order rows
+    # every pair of two cap samples of one map, the kernel of it or of a
+    # Moebius map; the cap points come as column blocks and, copied, as
+    # C-order rows
     cap_map = data.draw(cap_maps(n))
     phi = data.draw(st.one_of(st.just(cap_map), moebius_maps(n)))
     region = region_of(cap_map)
-    k = data.draw(st.integers(1, 64))
-    xi = cap_points(region, *cap_variates(data, n, k))
-    eta = cap_points(region, *cap_variates(data, n, k))
+    xi = cap_points(region, *cap_variates(data, n, data.draw(st.integers(1, 24))))
+    eta = cap_points(region, *cap_variates(data, n, data.draw(st.integers(1, 24))))
     for a, b in ((xi, eta), (np.ascontiguousarray(xi), np.ascontiguousarray(eta))):
-        want, got = outcome(row_kernel_l, phi, a, b), outcome(kernel_l, phi, a, b)
+        want, got = outcome(pair_kernel_l, phi, a, b), outcome(kernel_l, phi, a, b)
         if isinstance(want, type):
             assert got is want
         else:
+            assert got[0].shape == (len(a), len(b))
             np.testing.assert_array_equal(got, want)
+
+
+@given(n=DIMS, data=st.data(), seed=st.integers(0, 2**32 - 2))
+def test_kernel_gap_factorizes_for_every_cap_map(n, data, seed):
+    # J^{-1/n}(eta)|xi - phi(eta)|^2 - |xi - eta|^2 = kappa g(xi) g(eta) at
+    # pairs over the whole sphere; a cap threshold c near +-1 is itself
+    # held only to about 1e-16 / (1 - |c|), which kappa = 4/(1 - c^2) carries
+    phi = data.draw(cap_maps(n).filter(lambda m: abs(region_of(m).cos_threshold) < 0.99))
+    xi, eta = sphere_points(n, seed, 24), sphere_points(n, seed + 1, 24)
+    assert factorization_residual(phi, xi, eta) < 1e-12
 
 
 @given(n=DIMS, data=st.data(), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 64))
