@@ -11,7 +11,8 @@ and a config key for exactly the `RunConfig` fields it reads (`_READS`),
 and its report echoes those.  Bad input (a malformed number or spec, a
 missing file, a flag or config key the subcommand does not read, an output
 path that cannot be written) exits with a one-line message, and so does a
-band limit whose tables would exceed a fixed memory budget.
+`minimize` or `movespheres` band limit whose tables would exceed a fixed
+memory budget (`verify` runs one fixed configuration per dimension).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import harmonics as hm
 from . import sphere as sp
 from . import verify as vf
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 # A band limit whose command's tables (`_check_table_budget`) would peak above
 # this is refused before anything is allocated.
@@ -56,7 +57,7 @@ class RunConfig:
 # for each (`fault` comes from a config file only), accepts no other config
 # key and echoes them, less `out`, in its report.  Others keep their default.
 _READS = {
-    "verify": ("n", "band_limit", "tol", "seed", "out", "fault"),
+    "verify": ("n", "tol", "seed", "out", "fault"),
     "spectrum": ("n", "out"),
     "minimize": ("n", "band_limit", "seed", "out"),
     "movespheres": ("n", "band_limit", "seed", "out"),
@@ -139,14 +140,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _check_table_budget(cfg: RunConfig, command: str):
     """Refuse a band limit whose tables would peak above TABLE_BUDGET_BYTES:
-    `verify.table_needs`; for the flow, the transform tables at L on the
-    entropy grid; for the probe, the off-grid plan at L with the larger of
-    one `evaluate_at` call on its 2 DEFAULT_SAMPLES points and the random
-    state's `evaluate_on_grid` on the entropy grid."""
+    for the flow, the transform tables at L on the entropy grid; for the
+    probe, the off-grid plan at L with the larger of one `evaluate_at` call
+    on its 2 DEFAULT_SAMPLES points and the random state's
+    `evaluate_on_grid` on the entropy grid."""
     n, L = cfg.n, cfg.band_limit
-    if command == "verify":
-        need = vf.table_needs(cfg)
-    elif command == "minimize":
+    if command == "minimize":
         need = hm.transform_table_bytes(n, L, en.entropy_degree(L))
     else:
         need = max(hm.evaluate_at_bytes(n, L, 2 * dy.DEFAULT_SAMPLES),
@@ -368,6 +367,8 @@ def cmd_minimize(cfg: RunConfig, init_spec: str, max_iter: int, step: float) -> 
         "command": "minimize",
         "config": _report_config(cfg, "minimize"),
         "init": init_spec,
+        "step": step,
+        "max_iter": max_iter,
         "flow": result.to_json_dict(),
         "fit": fit.to_json_dict(),
         "final_coeffs": result.coeffs.to_json_dict(),
@@ -445,6 +446,7 @@ def cmd_movespheres(cfg: RunConfig, u_spec: str, xi0: str | None, e: str | None,
         "command": "movespheres",
         "config": _report_config(cfg, "movespheres"),
         "u": u_spec,
+        "scan_tol": tol,
         "report": report.to_json_dict(),
     }
     _write_json(out, cfg.out)
@@ -500,7 +502,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     cfg = _load_config(args)
-    if args.command in ("verify", "minimize", "movespheres"):
+    if args.command in ("minimize", "movespheres"):
         _check_table_budget(cfg, args.command)
     _check_writable(cfg.out, "report")
     if args.command == "movespheres":

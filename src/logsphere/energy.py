@@ -124,9 +124,9 @@ def _entropy_log_factor(usq: np.ndarray, norm_sq: float, area: float) -> np.ndar
     """ln(u^2 |S^n| / ||u||^2) at the nodes where u^2 > 0, and 0 elsewhere (NaN
     nodes included), so that u^2 times it is the entropy density with 0 ln 0
     := 0.  It is one new array, worked in place; its bits are those of the
-    out-of-place `np.where(usq > 0, ln max(usq, 1e-300) + c, 0)`."""
-    logfac = np.maximum(usq, 1e-300)
-    np.log(logfac, out=logfac)
+    out-of-place `np.where(usq > 0, ln usq + c, 0)`."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the nodes zeroed below
+        logfac = np.log(usq)
     logfac += math.log(area / norm_sq)
     np.copyto(logfac, 0.0, where=~(usq > 0.0))
     return logfac

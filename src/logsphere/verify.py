@@ -1,9 +1,9 @@
 """The `verify` suites, one ordered table of `Suite` records that check the
 paper's identities on random inputs against bounds that scale with `--tol`.
 The suite at position k draws from a generator seeded with seed + 1000 k.
-Suites read `n`, `band_limit` and `fault` from the config they are given;
-their grids follow from `n` and `band_limit` alone.  `Suite.check` scales
-each bound by the config's `tol`."""
+Suites read `n` and `fault` from the config they are given; their band
+limits and grids are the constants below, and so follow from `n` alone.
+`Suite.check` scales each bound by the config's `tol`."""
 
 from __future__ import annotations
 
@@ -25,36 +25,11 @@ from . import sphere as sp
 FAULT_SCALE = 1.05
 FAULT_SCALE_RANGE = (1e-300, 1e300)
 
-
-def _work_band_limit(cfg) -> int:
-    """Band limit and grid degree of the conformal-identity suites."""
-    return max(32, 2 * cfg.band_limit)
-
-
-def _state_band_limit(cfg) -> int:
-    """Band limit of the random states of the conformal-identity suites."""
-    return max(4, cfg.band_limit // 2)
-
-
+CONFORMAL_L, CONFORMAL_STATE_L = 32, 8  # conformal suites' work band and grid, states
 GIBBS_L, GIBBS_DEGREE, GIBBS_STATES = 6, 16, 300  # gibbs' band limit, grid, states
 ENERGYHARMONICS_DEGREE = {1: 64, 2: 48}  # the pair-sum grid's degree, by n
-
-
-def table_needs(cfg) -> int:
-    """Peak bytes of the suites at the config's band limit: the
-    conformal-identity suites', on the work grid the transform table at the
-    work band limit (the states are synthesized there too), one
-    `evaluate_at` at its nodes and 16 node arrays; on small grids `gibbs`'
-    (six arrays of its node values, three of its coefficients, 256 KiB) is
-    larger.  The other suites, `energyharmonics` on its fixed grid among
-    them, always need less."""
-    n, L_work, L_state = cfg.n, _work_band_limit(cfg), _state_band_limit(cfg)
-    nodes = math.prod(sp.grid_shape(n, L_work))
-    conformal = (hm.transform_table_bytes(n, L_work, L_work)
-                 + hm.evaluate_at_bytes(n, L_state, nodes) + 8 * 16 * nodes)
-    gibbs = 8 * GIBBS_STATES * (6 * math.prod(sp.grid_shape(n, GIBBS_DEGREE))
-                                + 3 * hm.harmonic_count(n, GIBBS_L))
-    return max(conformal, gibbs + 256 * 1024)
+DEFICIT_L = 8  # deficit_nonneg's band limit
+EL_L, EL_TEST_L = 16, 8  # el_residual_family's member and test band limits
 
 
 def _random_zeta(n: int, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
@@ -101,9 +76,8 @@ def _suite_kernel_sign(cfg, rng):
         for phi in (_random_inversion(n, rng),
                     cf.LiftedReflection(float(rng.uniform(-1.0, 1.0)), rng.standard_normal(n))):
             region = cf.region_of(phi)
-            # on the sphere (a cap point may lie ~1e-11 off it), less the eta
-            # points within 1e-6 of a xi point: |xi - eta|^2 = 2 - 2 xi.eta
-            pts = sp.sphere_point(cf.sample_region(region, 100, rng))
+            # less the eta points within 1e-6 of a xi point: |xi - eta|^2 = 2 - 2 xi.eta
+            pts = cf.sample_region(region, 100, rng)
             xi, eta = pts[:50], pts[50:]
             eta = eta[np.min(2.0 - 2.0 * (xi @ eta.T), axis=0) > 1e-12]
             vals, gap = cf.kernel_l(phi, xi, eta)
@@ -122,8 +96,8 @@ def _suite_kernel_sign(cfg, rng):
 # size of the state.
 
 def _suite_conf_transf_E(cfg, rng):
-    n, L_in = cfg.n, _state_band_limit(cfg)
-    grid = sp.build_grid(n, _work_band_limit(cfg))
+    n, L_in = cfg.n, CONFORMAL_STATE_L
+    grid = sp.build_grid(n, CONFORMAL_L)
     worst = 0.0
     for _ in range(3):
         u, v = hm.random_coeffs(n, L_in, rng), hm.random_coeffs(n, L_in, rng)
@@ -134,8 +108,8 @@ def _suite_conf_transf_E(cfg, rng):
 
 
 def _suite_conf_transf_H(cfg, rng):
-    n, L_in = cfg.n, _state_band_limit(cfg)
-    grid = sp.build_grid(n, _work_band_limit(cfg))
+    n, L_in = cfg.n, CONFORMAL_STATE_L
+    grid = sp.build_grid(n, CONFORMAL_L)
     worst = 0.0
     for _ in range(3):
         u = hm.random_coeffs(n, L_in, rng)
@@ -175,7 +149,7 @@ def _suite_gibbs(cfg, rng):
 
 
 def _suite_deficit(cfg, rng):
-    n, L = cfg.n, max(8, cfg.band_limit // 2)
+    n, L = cfg.n, DEFICIT_L
     # one entropy grid serves every deficit, one degree-L grid every member
     grid, member_grid = en.default_entropy_grid(n, L), sp.build_grid(n, L)
     randoms = [en.beckner_deficit(hm.random_coeffs(n, L, rng), grid) for _ in range(20)]
@@ -186,8 +160,7 @@ def _suite_deficit(cfg, rng):
 
 
 def _suite_el_residual(cfg, rng):
-    n, L = cfg.n, cfg.band_limit
-    L_test = min(8, L // 2)
+    n, L, L_test = cfg.n, EL_L, EL_TEST_L
     # one degree-L grid serves every member, one entropy grid every residual
     member_grid, grid = sp.build_grid(n, L), en.default_entropy_grid(n, L)
     worst = 0.0
@@ -234,7 +207,7 @@ class Suite:
 
 SUITES = (
     Suite("conformal_distance", _suite_conformal_distance, (Bound("<=", 1e-9),)),
-    # worst identity_residual at seeds 1000-1299: 1.5e-15 (S^1), 2.5e-15 (S^2)
+    # worst identity_residual at seeds 1000-1299: 1.7e-15 (S^1), 2.6e-15 (S^2)
     Suite("kernel_sign", _suite_kernel_sign,
           (Bound("<=", 0.0), Bound("<=", 1e-11, "identity_residual", "identity_tolerance")),
           fault=lambda kappa, scale: kappa * scale),

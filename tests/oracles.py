@@ -329,33 +329,27 @@ def row_map_with_jacobian(phi, pts) -> tuple[np.ndarray, np.ndarray]:
             else map_with_jacobian(phi, pts))
 
 
-def row_kernel_l(phi, xis, etas, mapped=None) -> tuple[np.ndarray, np.ndarray]:
+def row_kernel_l(phi, xis, etas) -> tuple[np.ndarray, np.ndarray]:
     """1/|xi-eta|^n - J^{1/2}(eta)/|xi-phi(eta)|^n and the gap
-    J^{-1/n}(eta)|xi-phi(eta)|^2 - |xi-eta|^2, row by row; `mapped()`, if
-    given, returns the images and Jacobian at the etas."""
+    J^{-1/n}(eta)|xi-phi(eta)|^2 - |xi-eta|^2, row by row."""
     xis, etas = np.asarray(xis, dtype=float), np.asarray(etas, dtype=float)
     n = phi.n
     d2 = np.sum((xis - etas) ** 2, axis=1)
     if np.any(d2 < POLE_TOL):
         raise ValueError("kernel is singular at coincident points")
-    image, jac = mapped() if mapped is not None else row_map_with_jacobian(phi, etas)
+    image, jac = row_map_with_jacobian(phi, etas)
     d2m = np.sum((xis - image) ** 2, axis=1)
     return d2 ** (-0.5 * n) - np.sqrt(jac) * d2m ** (-0.5 * n), jac ** (-1.0 / n) * d2m - d2
 
 
 def pair_kernel_l(phi, xis, etas) -> tuple[np.ndarray, np.ndarray]:
     """`row_kernel_l` at every pair of rows, on the repeated xis and the
-    tiled etas, as (len(xis), len(etas)) arrays.  The etas are mapped once,
-    untiled, as `kernel_l` maps them: the bits of a lifted reflection's
-    image depend on the rows mapped with it."""
+    tiled etas, as (len(xis), len(etas)) arrays.  A point's image does not
+    depend on the rows mapped with it, so the tiled etas map to the bits
+    that `kernel_l`'s one pass over the etas gives."""
     xis, etas = np.asarray(xis, dtype=float), np.asarray(etas, dtype=float)
     k1, k2 = len(xis), len(etas)
-
-    def mapped():
-        image, jac = row_map_with_jacobian(phi, etas)
-        return np.tile(image, (k1, 1)), np.tile(jac, k1)
-
-    vals, gap = row_kernel_l(phi, np.repeat(xis, k2, axis=0), np.tile(etas, (k1, 1)), mapped)
+    vals, gap = row_kernel_l(phi, np.repeat(xis, k2, axis=0), np.tile(etas, (k1, 1)))
     return vals.reshape(k1, k2), gap.reshape(k1, k2)
 
 
@@ -378,7 +372,7 @@ def kernel_sign_loop(n: int, rng: np.random.Generator):
     def sample(region, count):
         u = rng.uniform(0.0, 1.0, count)
         az = rng.uniform(0.0, 2.0 * math.pi, count) if n == 2 else None
-        return sphere_point(row_cap_points(region, u, az))
+        return row_cap_points(region, u, az)
 
     violations, pairs, worst, residual, min_kappa = 0, 0, math.inf, 0.0, math.inf
     for _ in range(20):
@@ -410,7 +404,8 @@ def kernel_sign_loop(n: int, rng: np.random.Generator):
 def where_entropy_log_factor(usq: np.ndarray, norm_sq: float, area: float) -> np.ndarray:
     """ln(u^2 |S^n| / ||u||^2) where u^2 > 0, else 0 (NaN nodes too), in one
     out-of-place `np.where`."""
-    return np.where(usq > 0.0, np.log(np.maximum(usq, 1e-300)) + math.log(area / norm_sq), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the nodes it drops
+        return np.where(usq > 0.0, np.log(usq) + math.log(area / norm_sq), 0.0)
 
 
 def where_deficit_terms(u: HarmonicCoeffs, grid: QuadratureGrid,

@@ -28,7 +28,7 @@ from logsphere import energy as en
 from logsphere import harmonics as hm
 from logsphere import sphere as sp
 from logsphere.harmonics import HarmonicCoeffs, random_coeffs
-from logsphere.verify import SUITES, _suite_gibbs, table_needs
+from logsphere.verify import SUITES, _suite_gibbs
 from oracles import kernel_sign_loop, synthesized_random_init
 
 SUITE = {suite.name: suite for suite in SUITES}
@@ -49,7 +49,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 12
+    assert report["schema"] == 13
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -78,7 +78,7 @@ def test_critical_search_reproducible(geometry, tmp_path):
         assert main(["movespheres", "--band-limit", "8", "--u", "random:seed=5,amp=0.5",
                      *geometry, "--values", "auto", "--out", str(path)]) == 0
     report = read_json(paths[0])
-    assert report["schema"] == 12 and report["report"]["refine_evaluations"] > 0
+    assert report["schema"] == 13 and report["report"]["refine_evaluations"] > 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -133,12 +133,12 @@ def test_verify_circle_pipeline(tmp_path):
 
 def test_config_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 7, "band_limit": 8}))
+    cfg.write_text(json.dumps({"seed": 7, "tol": 2.0}))
     out = tmp_path / "rep.json"
     assert main(["verify", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
     report = read_json(out)
     assert report["config"]["seed"] == 3  # flag wins
-    assert report["config"]["band_limit"] == 8  # file beats default
+    assert report["config"]["tol"] == 2.0  # file beats default
 
 
 def test_spectrum_table(tmp_path):
@@ -492,7 +492,7 @@ def test_unknown_config_key_rejected(tmp_path):
     ["movespheres", "--xi0=0,0,-1"],
     ["movespheres", "--e", "0,0"],
     ["movespheres", "--e", "1,0,0"],
-    ["verify", "--config", "{tmp}/band_limit_str.json"],
+    ["minimize", "--config", "{tmp}/band_limit_str.json"],
     ["verify", "--config", "{tmp}/seed_str.json"],
     ["minimize", "--init", "coeffs:{tmp}/coeffs_nan.json"],
     ["minimize", "--init", "coeffs:{tmp}/coeffs_inf.json"],
@@ -516,6 +516,8 @@ def test_unknown_config_key_rejected(tmp_path):
     ["verify", "--config", "{tmp}/fault_extra_key.json"],
     ["verify", "--seed", "-1"],
     ["verify", "--grid-degree", "48"],
+    ["verify", "--band-limit", "8"],
+    ["verify", "--config", "{tmp}/band_limit_8.json"],
     ["minimize", "--max-iter", "0"],
     ["minimize", "--step", "nan"],
     ["minimize", "--step", "inf"],
@@ -586,7 +588,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "fault-scale-huge", "fault-scale-zero", "fault-scale-subnormal",
         "fault-scale-overflow", "fault-scale-negative-overflow", "fault-suite-unknown", "fault-suite-missing",
         "fault-suite-without-fault", "fault-extra-key",
-        "seed-negative", "verify-grid-degree-flag", "max-iter-zero", "step-nan", "step-inf",
+        "seed-negative", "verify-grid-degree-flag", "verify-band-limit-flag",
+        "verify-config-band-limit", "max-iter-zero", "step-nan", "step-inf",
         "random-seed-negative", "values-repeated", "values-nan", "values-negative-radius",
         "xi0-nan", "u-constant-inf", "tol-nan", "tol-negative", "config-tol-nan",
         "config-tol-negative", "config-tol-huge", "scan-tol-nan", "scan-tol-negative",
@@ -608,6 +611,7 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "not_json.txt").write_text("not json")
     files = {
         "band_limit_str.json": {"band_limit": "x"},
+        "band_limit_8.json": {"band_limit": 8},
         "seed_str.json": {"seed": "abc"},
         # dense coefficient vectors: 5 slots at (n, L) = (1, 2), 9 at (2, 2)
         "coeffs_nan.json": {"n": 1, "L": 2, "coeffs": [1.0, math.nan, 0.0, 0.0, 0.0]},
@@ -688,15 +692,6 @@ def test_movespheres_takes_exactly_one_of_xi0_and_e(flags, values, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("n, largest_ok", [(2, 384), (1, 4087)])
-def test_verify_band_limit_budget_boundary(n, largest_ok):
-    # the conformal-identity suites: the transform table at 2L on the
-    # degree-2L work grid, and evaluating the states at its mapped nodes
-    _check_table_budget(RunConfig(n=n, band_limit=largest_ok), "verify")
-    with pytest.raises(SystemExit, match=f"band limit {largest_ok + 1} "):
-        _check_table_budget(RunConfig(n=n, band_limit=largest_ok + 1), "verify")
-
-
 @pytest.mark.parametrize("n, command, largest_ok", [
     (2, "minimize", 634), (2, "movespheres", 642), (1, "minimize", 5790),
     (1, "movespheres", 5790)])
@@ -710,36 +705,43 @@ def test_flow_and_probe_band_limit_budget_boundary(n, command, largest_ok):
         _check_table_budget(RunConfig(n=n, band_limit=largest_ok + 1), command)
 
 
-@pytest.mark.parametrize("n, band_limit", [(1, 256), (2, 32)])
-def test_table_needs_bound_every_suite_peak(n, band_limit):
-    # on S^1 the conformal-identity suites hold the transform table and the
-    # off-grid evaluation's workspace; on a small S^2 grid gibbs' stacks are
-    # largest, and energyharmonics' pair sums on their fixed grid stay below
-    cfg = RunConfig(n=n, band_limit=band_limit)
-    need = table_needs(cfg)
-    for k, suite in enumerate(SUITES):
-        suite.run(cfg, np.random.default_rng(k))  # first-use allocations stay out
-        hm._evaluation_plan.cache_clear()
-        hm.h_multiplier_table.cache_clear()
-        tracemalloc.start()
-        try:
-            suite.run(cfg, np.random.default_rng(cfg.seed + 1000 * k))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= need, (suite.name, peak, need)
-
-
 @pytest.mark.parametrize("argv, echoed", [
     (["minimize", "--init", "constant:1", "--max-iter", "1"], {"n", "band_limit", "seed"}),
     (["movespheres", "--xi0", "north", "--values", "1"], {"n", "band_limit", "seed"}),
-    (["verify", "--n", "1", "--band-limit", "4"],
-     {"n", "band_limit", "tol", "seed", "fault"}),
+    (["verify", "--n", "1"], {"n", "tol", "seed", "fault"}),
 ], ids=["minimize", "movespheres", "verify"])
 def test_report_echoes_the_fields_its_command_reads(argv, echoed, tmp_path):
     out = tmp_path / "rep.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert set(read_json(out)["config"]) == echoed
+
+
+@pytest.mark.parametrize("command, flag, values, key", [
+    (["minimize", "--init", "constant:1", "--max-iter", "1"], "--step", ["0.05", "0.1"], "step"),
+    (["minimize", "--init", "constant:1", "--step", "0.05"], "--max-iter", ["1", "2"],
+     "max_iter"),
+    (["movespheres", "--xi0", "north", "--values", "auto"], "--scan-tol", ["1e-9", "1e-6"],
+     "scan_tol"),
+], ids=["step", "max-iter", "scan-tol"])
+def test_report_names_the_settings_that_shape_it(command, flag, values, key, tmp_path):
+    # two runs that differ in one setting write two different reports
+    seen = []
+    for value in values:
+        out = tmp_path / f"{key}-{value}.json"
+        assert main(command + ["--band-limit", "8", flag, value, "--out", str(out)]) == 0
+        seen.append(read_json(out)[key])
+    assert seen == [json.loads(value) for value in values]
+
+
+@pytest.mark.parametrize("amplitude", ["1e-151", "1e-152", "1e-154"])
+def test_a_tiny_constant_init_has_zero_deficit(amplitude, tmp_path):
+    # u^2 below 1e-300 takes its own logarithm: a floor at 1e-300 made the
+    # entropy term of a constant short and its deficit about -7e-302
+    out = tmp_path / "rep.json"
+    assert main(["minimize", "--band-limit", "8", "--init", f"constant:{amplitude}",
+                 "--out", str(out)]) == 0
+    norm_sq = float(amplitude) ** 2 * sp.sphere_area(2)
+    assert abs(read_json(out)["flow"]["final_deficit"]) <= 1e-14 * norm_sq
 
 
 def test_zeta_spec_magnitude_may_carry_an_exponent():

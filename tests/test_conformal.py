@@ -29,6 +29,7 @@ from logsphere import (
     sphere_point,
     stereographic,
 )
+from logsphere.conformal import _orthonormal_frame
 from logsphere.harmonics import HarmonicCoeffs, analyze, as_evaluable, evaluate_at
 from oracles import (bubble_to_zeta, factorization_residual, in_sigma, inverse, pullback,
                      pullback_to_plane, zeta_to_bubble)
@@ -443,7 +444,10 @@ def rowwise_map_with_jacobian(phi, pts):
         y = phi.lam**2 * (x - x0) / d2[:, None] + x0
         jac_plane = (phi.lam**2 / d2) ** n
     else:
-        y = x + 2.0 * (phi.alpha - x @ phi.e)[:, None] * phi.e
+        # x . e summed over the coordinates in order, as the module sums it:
+        # a matrix product's rounding depends on the shape of its operands
+        xe = sum(x[:, k] * phi.e[k] for k in range(n))
+        y = x + 2.0 * (phi.alpha - xe)[:, None] * phi.e
         jac_plane = 1.0
     s2 = _row_sq(y)[:, None]
     image = sphere_point(np.hstack([2.0 * y / (1.0 + s2), (1.0 - s2) / (1.0 + s2)]))
@@ -501,6 +505,43 @@ def test_map_entry_points_agree_bit_for_bit(rng, n):
         image, jac = map_with_jacobian(phi, pts)
         np.testing.assert_array_equal(apply_map(phi, pts), image)
         np.testing.assert_array_equal(jacobian(phi, pts), jac)
+
+
+def test_a_reflections_image_bits_do_not_depend_on_call_shape():
+    # the planar step sums e . x over the coordinates in order: a matrix
+    # product's rounding depended on how many rows were mapped with a point
+    rng, differ = np.random.default_rng(11), []
+    for k in range(300):
+        phi = LiftedReflection(float(rng.uniform(-1.0, 1.0)), rng.standard_normal(2))
+        point = random_points(rng, 2, 1)
+        alone = map_with_jacobian(phi, point)
+        for copies in (4, 5, 8, 50):
+            image, jac = map_with_jacobian(phi, np.repeat(point, copies, axis=0))
+            if not (np.array_equal(image, np.repeat(alone[0], copies, axis=0))
+                    and np.array_equal(jac, np.repeat(alone[1], copies))):
+                differ.append((k, copies))
+    assert differ == []
+
+
+def near_plane_axes(n, rng, count):
+    """Unit axes in R^{n+1} with one coordinate between 1e-7 and 1e-3."""
+    axes = rng.standard_normal((count, n + 1))
+    axes[np.arange(count), rng.integers(0, n + 1, count)] = (
+        rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-7.0, -3.0, count))
+    return sphere_point(axes)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_orthonormal_frame_near_coordinate_planes(n):
+    # one Gram-Schmidt pass left the frame 3e-11 off orthogonal for an axis
+    # 1e-5 off a coordinate plane, and so its cap points 1.5e-11 off the sphere
+    eye = np.eye(n + 1)
+    for axis in near_plane_axes(n, np.random.default_rng(n), 200):
+        basis = np.vstack([axis, _orthonormal_frame(axis)])
+        assert np.abs(basis @ basis.T - eye).max() <= 1e-15, axis
+    region = region_of(LiftedReflection(-1.0339e-5, np.array([0.8829, 0.4696])))
+    pts = sample_region(region, 1000, np.random.default_rng(0))
+    assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-15
 
 
 ROW_MAP = LiftedInversion(0.8, sphere_point([0.5, -0.2, 0.9]))

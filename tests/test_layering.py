@@ -215,27 +215,33 @@ def test_short_axis_patterns_are_seen():
                                        "axis[None, :]"]
 
 
-# names that conformal gives to point rows
+# names that conformal gives to point rows, and to coordinate columns
 POINT_ROWS = {"pts", "points", "xi", "xis", "eta", "etas", "nodes", "rows"}
+POINT_COLUMNS = {"x", "y", "d", "cols", "head", "xm", "image"}
 
 
 def row_products(node: ast.AST) -> list[str]:
-    """Matrix products in `node` whose left operand is point rows: `_rows(...)`
-    or a name in POINT_ROWS, as `x @ v` or as the first argument of
-    `np.dot` or `np.matmul`."""
+    """Matrix products in `node` that sum over the coordinates of points:
+    point rows (`_rows(...)` or a name in POINT_ROWS) on the left, as
+    `x @ v` or as the first argument of `np.dot` or `np.matmul`, or
+    coordinate columns (a name in POINT_COLUMNS) on the right, as `v @ x`
+    or as the second argument."""
     def is_rows(expr: ast.AST) -> bool:
         return ((isinstance(expr, ast.Call) and ast.unparse(expr.func) == "_rows")
                 or (isinstance(expr, ast.Name) and expr.id in POINT_ROWS))
 
+    def is_columns(expr: ast.AST) -> bool:
+        return isinstance(expr, ast.Name) and expr.id in POINT_COLUMNS
+
     found = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
-            left = sub.left
+            left, right = sub.left, sub.right
         elif isinstance(sub, ast.Call) and ast.unparse(sub.func) in {"np.dot", "np.matmul"}:
-            left = sub.args[0] if sub.args else None
+            left, right = (list(sub.args) + [None, None])[:2]
         else:
             continue
-        if left is not None and is_rows(left):
+        if is_rows(left) or is_columns(right):
             found.append(ast.unparse(sub))
     return found
 
@@ -243,19 +249,22 @@ def row_products(node: ast.AST) -> list[str]:
 def test_conformal_sums_over_coordinates_in_order():
     # the rounding of a matrix product with (k, n + 1) rows depends on their
     # memory layout, so a C- and an F-order copy of the same rows could give
-    # the family and the Moebius Jacobian different bits: conformal sums
-    # zeta . xi over the coordinates in order instead (`_dot_rows`)
+    # the family and the Moebius Jacobian different bits, and a product with
+    # (n, k) coordinate columns on the number of columns, so a reflection's
+    # image of one point on the points mapped with it: conformal sums over
+    # the coordinates in order instead (`_dot_rows`)
     assert row_products(tree("conformal")) == []
 
 
 def test_row_products_are_seen():
     # the gate's detector, on the row-wise forms it keeps out
     sample = ast.parse("a = 1.0 - _rows(pts) @ zeta\n"
-                       "b = pts @ phi.zeta\n"
-                       "c = np.dot(xi, z) + np.matmul(_rows(eta), z)\n"
-                       "ok = phi.e @ x + (v @ axis) * np.dot(zeta, zeta) + cols @ z\n")
-    assert sorted(row_products(sample)) == ["_rows(pts) @ zeta", "np.dot(xi, z)",
-                                            "np.matmul(_rows(eta), z)", "pts @ phi.zeta"]
+                       "b = pts @ phi.zeta + phi.e @ x\n"
+                       "c = np.dot(xi, z) + np.matmul(_rows(eta), z) + np.dot(e, y)\n"
+                       "ok = (v @ axis) * np.dot(zeta, zeta) + cols @ z + np.dot(x, e)\n")
+    assert sorted(row_products(sample)) == ["_rows(pts) @ zeta", "np.dot(e, y)", "np.dot(xi, z)",
+                                            "np.matmul(_rows(eta), z)", "phi.e @ x",
+                                            "pts @ phi.zeta"]
 
 
 def pole_handlers(node: ast.AST, scope: str = "<module>") -> list[str]:
