@@ -36,7 +36,7 @@ from . import harmonics as hm
 from . import sphere as sp
 from . import verify as vf
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 # A band limit whose command's tables (`_check_table_budget`) would peak above
 # this is refused before anything is allocated.
@@ -59,7 +59,7 @@ class RunConfig:
 _READS = {
     "verify": ("n", "tol", "seed", "out", "fault"),
     "spectrum": ("n", "out"),
-    "minimize": ("n", "band_limit", "seed", "out"),
+    "minimize": ("n", "band_limit", "out"),
     "movespheres": ("n", "band_limit", "seed", "out"),
 }
 
@@ -314,7 +314,8 @@ def _parse_extremizer(payload: str, n: int) -> cf.ExtremizerParams:
 def _parse_init(spec: str, cfg: RunConfig, grid: sp.QuadratureGrid | None = None
                 ) -> hm.HarmonicCoeffs:
     """The initial state of `spec`; a random one is scaled on `grid`, by
-    default the entropy grid of (cfg.n, cfg.band_limit)."""
+    default the entropy grid of (cfg.n, cfg.band_limit), and without `seed=`
+    takes cfg.seed (0 in `minimize`, which reads no seed)."""
     kind, _, payload = spec.partition(":")
     n, L = cfg.n, cfg.band_limit
     if kind == "constant":

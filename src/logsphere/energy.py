@@ -234,10 +234,11 @@ def el_residual(u: HarmonicCoeffs, L_test: int,
 # ---------------------------------------------------------------------------
 # conformal transformation identities as numerical residuals
 
-def _check_identity_inputs(phi: ConformalMap, grid: QuadratureGrid, *states: HarmonicCoeffs):
-    """Refuse a map that is not Moebius, and a map or states on another
-    sphere than the grid's or states above its band limit: the grid cannot
-    project their pullbacks."""
+def _pullbacks(phi: ConformalMap, grid: QuadratureGrid, *states: HarmonicCoeffs):
+    """(J_phi, [J_phi^{1/2} s o phi for each state]) at the grid's nodes,
+    from one map pass.  Refuse a map that is not Moebius, and a map or states
+    on another sphere than the grid's or states above its band limit: the
+    grid cannot project their pullbacks."""
     if not isinstance(phi, Moebius):
         raise ValueError("the identity check projects pullbacks spectrally; "
                          "use a globally smooth Moebius map")
@@ -246,49 +247,15 @@ def _check_identity_inputs(phi: ConformalMap, grid: QuadratureGrid, *states: Har
     L = max(s.L for s in states)
     if L > grid.degree:
         raise ValueError(f"states of band limit {L} exceed the grid's band limit {grid.degree}")
-
-
-def verify_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: ConformalMap,
-                  grid: QuadratureGrid) -> float:
-    """Residual |E[u_phi, v_phi] - (E[u,v] + C_n int u_phi v_phi ln J_phi^{1/2})|.
-
-    The pullbacks J_phi^{1/2} u o phi and ln J_phi share one map pass of the
-    grid's nodes.  Both pullbacks are re-projected to band limit grid.degree
-    before the spectral energy; the tolerance owns the truncation error.
-    """
-    _check_identity_inputs(phi, grid, u, v)
     image, jac = map_with_jacobian(phi, grid.nodes)
     jr = np.sqrt(jac)
-    u_vals, v_vals = jr * evaluate_at(u, image), jr * evaluate_at(v, image)
-    u_pb = analyze(GridFunction(grid, u_vals), grid.degree)
-    v_pb = analyze(GridFunction(grid, v_vals), grid.degree)
-    _check_projection_tail(u_pb)
-    _check_projection_tail(v_pb)
-    lhs = energy_spectral(u_pb, v_pb)
-    correction = constant_Cn(u.n) * float(
-        np.sum(grid.weights * u_vals * v_vals * 0.5 * np.log(jac)))
-    return abs(lhs - (energy_spectral(u, v) + correction))
+    return jac, [jr * evaluate_at(s, image) for s in states]
 
 
-def verify_conf_H(u: HarmonicCoeffs, phi: ConformalMap, grid: QuadratureGrid) -> float:
-    """Max node residual of H(u_phi) = (Hu)_phi + C_n u_phi ln J_phi^{1/2}.
-
-    Both pullbacks and ln J_phi come from one map pass of the grid's nodes."""
-    _check_identity_inputs(phi, grid, u)
-    image, jac = map_with_jacobian(phi, grid.nodes)
-    jr = np.sqrt(jac)
-    u_pb = jr * evaluate_at(u, image)
-    c_pb = analyze(GridFunction(grid, u_pb), grid.degree)
-    _check_projection_tail(c_pb)
-    lhs = synthesize(apply_H(c_pb), grid).values
-    hu_pb = jr * evaluate_at(apply_H(u), image)
-    rhs = hu_pb + constant_Cn(u.n) * u_pb * (0.5 * np.log(jac))
-    return float(np.abs(lhs - rhs).max())
-
-
-def _check_projection_tail(c: HarmonicCoeffs):
-    """Reject pullbacks whose top two degrees carry more than 1e-3 of the
-    energy."""
+def _projected(grid: QuadratureGrid, values: np.ndarray) -> HarmonicCoeffs:
+    """Node values projected to band limit grid.degree.  Reject a pullback
+    whose top two degrees carry more than 1e-3 of the energy."""
+    c = analyze(GridFunction(grid, values), grid.degree)
     ls = degree_of_index(c.n, c.L)
     tail = float(np.sum(c.coeffs[ls >= c.L - 1] ** 2))
     total = c.norm_sq()
@@ -297,6 +264,29 @@ def _check_projection_tail(c: HarmonicCoeffs):
             "pullback projection overflow: map parameter too extreme for the "
             f"working band limit L={c.L} (top-degree energy fraction {tail/total:.2e})"
         )
+    return c
+
+
+def verify_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: ConformalMap,
+                  grid: QuadratureGrid) -> float:
+    """Residual |E[u_phi, v_phi] - (E[u,v] + C_n int u_phi v_phi ln J_phi^{1/2})|.
+
+    Both pullbacks are re-projected to band limit grid.degree before the
+    spectral energy; the tolerance owns the truncation error.
+    """
+    jac, (u_vals, v_vals) = _pullbacks(phi, grid, u, v)
+    lhs = energy_spectral(_projected(grid, u_vals), _projected(grid, v_vals))
+    correction = constant_Cn(u.n) * float(
+        np.sum(grid.weights * u_vals * v_vals * 0.5 * np.log(jac)))
+    return abs(lhs - (energy_spectral(u, v) + correction))
+
+
+def verify_conf_H(u: HarmonicCoeffs, phi: ConformalMap, grid: QuadratureGrid) -> float:
+    """Max node residual of H(u_phi) = (Hu)_phi + C_n u_phi ln J_phi^{1/2}."""
+    jac, (u_pb, hu_pb) = _pullbacks(phi, grid, u, apply_H(u))
+    lhs = synthesize(apply_H(_projected(grid, u_pb)), grid).values
+    rhs = hu_pb + constant_Cn(u.n) * u_pb * (0.5 * np.log(jac))
+    return float(np.abs(lhs - rhs).max())
 
 
 def gibbs_gap(grid: QuadratureGrid, fv: np.ndarray, gv: np.ndarray) -> np.ndarray:

@@ -36,11 +36,9 @@ from logsphere.conformal import (
     stereographic,
 )
 from logsphere.dynamics import _CapProbe
-from logsphere.energy import (_check_projection_tail, constant_Cn, default_entropy_grid,
-                              energy_spectral)
-from logsphere.harmonics import (HarmonicCoeffs, analyze, apply_H, as_evaluable,
-                                 degree_of_index, h_multiplier_table, random_coeffs,
-                                 synthesize)
+from logsphere.energy import _projected, constant_Cn, default_entropy_grid, energy_spectral
+from logsphere.harmonics import (HarmonicCoeffs, apply_H, as_evaluable, degree_of_index,
+                                 h_multiplier_table, random_coeffs, synthesize)
 from logsphere.specfun import assoc_legendre_norm, legendre_row
 from logsphere.sphere import QuadratureGrid, sphere_area, sphere_point
 
@@ -476,11 +474,8 @@ def _conf_E_pullbacks(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: Moebius,
     """The node values of u's and v's `pullback` closures sampled on the
     grid, and their projections to band limit grid.degree, both tails
     checked."""
-    samples = [grid.sample(pullback(as_evaluable(x), phi)) for x in (u, v)]
-    coeffs = [analyze(f, grid.degree) for f in samples]
-    for c in coeffs:
-        _check_projection_tail(c)
-    return [f.values for f in samples], coeffs
+    samples = [grid.sample(pullback(as_evaluable(x), phi)).values for x in (u, v)]
+    return samples, [_projected(grid, f) for f in samples]
 
 
 def pullback_conf_E(u: HarmonicCoeffs, v: HarmonicCoeffs, phi: Moebius,
@@ -511,9 +506,7 @@ def pullback_conf_H(u: HarmonicCoeffs, phi: Moebius, grid: QuadratureGrid) -> fl
     """`verify_conf_H`'s residual in three map passes: the pullbacks of u
     and of Hu as `pullback` closures, and the Jacobian on its own."""
     u_pb_vals = grid.sample(pullback(as_evaluable(u), phi))
-    c_pb = analyze(u_pb_vals, grid.degree)
-    _check_projection_tail(c_pb)
-    lhs = synthesize(apply_H(c_pb), grid).values
+    lhs = synthesize(apply_H(_projected(grid, u_pb_vals.values)), grid).values
     hu_pb = pullback(as_evaluable(apply_H(u)), phi)(grid.nodes)
     log_j = 0.5 * np.log(jacobian(phi, grid.nodes))
     rhs = hu_pb + constant_Cn(u.n) * u_pb_vals.values * log_j

@@ -49,7 +49,7 @@ def verify_report(tmp_path_factory):
 def test_verify_passes_with_defaults(verify_report):
     code, report, _ = verify_report
     assert code == 0
-    assert report["schema"] == 13
+    assert report["schema"] == 14
     assert report["all_pass"] is True
     assert len(report["suites"]) >= 8
     assert all(s["passed"] for s in report["suites"])
@@ -78,7 +78,7 @@ def test_critical_search_reproducible(geometry, tmp_path):
         assert main(["movespheres", "--band-limit", "8", "--u", "random:seed=5,amp=0.5",
                      *geometry, "--values", "auto", "--out", str(path)]) == 0
     report = read_json(paths[0])
-    assert report["schema"] == 13 and report["report"]["refine_evaluations"] > 0
+    assert report["schema"] == 14 and report["report"]["refine_evaluations"] > 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -223,6 +223,18 @@ def test_minimize_random_converges(tmp_path):
     assert rep["flow"]["final_deficit"] <= 1e-4
     assert rep["fit"]["residual"] <= 1e-2
     assert "final_coeffs" in rep and rep["final_coeffs"]["L"] == 12
+
+
+def test_minimize_random_init_without_a_seed_takes_seed_0(tmp_path):
+    # minimize reads no seed, so the spec's seed= is the one way to set it
+    reports = []
+    for spec in ("random:amp=0.3", "random:seed=0,amp=0.3"):
+        out = tmp_path / "min.json"
+        assert main(["minimize", "--n", "1", "--band-limit", "8", "--max-iter", "3",
+                     "--init", spec, "--out", str(out)]) == 0
+        reports.append(read_json(out))
+    assert reports[0]["final_coeffs"] == reports[1]["final_coeffs"]
+    assert reports[0]["flow"]["deficits"] == reports[1]["flow"]["deficits"]
 
 
 def test_minimize_negative_state_is_not_in_the_family(tmp_path):
@@ -544,6 +556,8 @@ def test_unknown_config_key_rejected(tmp_path):
     ["movespheres", "--xi0", "north", "--tol", "1e-6"],
     ["minimize", "--n", "x"],
     ["minimize", "--config", "{tmp}/grid_degree.json"],
+    ["minimize", "--seed", "7"],
+    ["minimize", "--config", "{tmp}/seed_7.json"],
     ["movespheres", "--xi0", "north", "--config", "{tmp}/fault_suite_ok.json"],
     ["minimize", "--n", "2", "--band-limit", "8", "--init", "coeffs:{tmp}/coeffs_n1.json"],
     ["movespheres", "--n", "2", "--u", "coeffs:{tmp}/coeffs_n1.json", "--xi0", "north",
@@ -596,6 +610,7 @@ def test_unknown_config_key_rejected(tmp_path):
         "band-limit-huge", "spectrum-lmax-negative", "verify-config-grid-degree",
         "spectrum-band-limit", "spectrum-seed", "minimize-tol", "minimize-grid-degree",
         "movespheres-tol", "minimize-n-type", "minimize-config-grid-degree",
+        "minimize-seed-flag", "minimize-config-seed",
         "movespheres-config-fault", "minimize-coeffs-n", "movespheres-coeffs-n",
         "radius-overflow", "radius-tiny", "radius-huge", "offset-huge", "offset-overflow",
         "critical-radius-below-scan", "search-state-subnormal", "search-reflection-overflow",
@@ -613,6 +628,7 @@ def test_bad_input_exits_with_one_line(argv, tmp_path, capsys):
         "band_limit_str.json": {"band_limit": "x"},
         "band_limit_8.json": {"band_limit": 8},
         "seed_str.json": {"seed": "abc"},
+        "seed_7.json": {"seed": 7},
         # dense coefficient vectors: 5 slots at (n, L) = (1, 2), 9 at (2, 2)
         "coeffs_nan.json": {"n": 1, "L": 2, "coeffs": [1.0, math.nan, 0.0, 0.0, 0.0]},
         "coeffs_inf.json": {"n": 2, "L": 2, "coeffs": [math.inf] + [0.0] * 8},
@@ -706,7 +722,7 @@ def test_flow_and_probe_band_limit_budget_boundary(n, command, largest_ok):
 
 
 @pytest.mark.parametrize("argv, echoed", [
-    (["minimize", "--init", "constant:1", "--max-iter", "1"], {"n", "band_limit", "seed"}),
+    (["minimize", "--init", "constant:1", "--max-iter", "1"], {"n", "band_limit"}),
     (["movespheres", "--xi0", "north", "--values", "1"], {"n", "band_limit", "seed"}),
     (["verify", "--n", "1"], {"n", "tol", "seed", "fault"}),
 ], ids=["minimize", "movespheres", "verify"])

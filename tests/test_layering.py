@@ -16,8 +16,11 @@ imports nothing from `cli`.  Besides its own modules, src imports only the
 standard library and numpy, the one dependency `pyproject.toml` declares.
 No process-wide cache wraps the grid builders: a grid keeps its transform
 tables, so callers share one by passing it.  In `dynamics` one function,
-the probe's measurement, handles `PoleError`.  Every `RunConfig` field is
-read somewhere in src besides `cli`'s config plumbing.
+the probe's measurement, handles `PoleError`.  In `energy` one function,
+the pullback step, makes a map pass, and the conformal laws reach the map
+pass, the evaluation and the projection only through it and the checked
+projection.  Every `RunConfig` field is read somewhere in src besides
+`cli`'s config plumbing.
 No module imports or reads another's underscore names.  Every public name
 is used somewhere besides its definition and the package's re-exports, every
 public module-level function or class is used by src itself unless it is
@@ -302,6 +305,55 @@ def test_pole_handlers_are_seen():
                        "    try: inner()\n"
                        "    except Exception: pass\n")
     assert pole_handlers(sample) == ["P.one", "two.inner"]
+
+
+CONFORMAL_LAWS = ("verify_conf_E", "verify_conf_H")
+PULLBACK_PRIMITIVES = frozenset({"map_with_jacobian", "evaluate_at", "analyze"})
+
+
+def pullback_step_breaks(node: ast.Module) -> list[str]:
+    """Each way `node` departs from one pullback step: a map pass in another
+    module-level function than `_pullbacks`, or a conformal law calling a
+    primitive of the step (the map pass, the evaluation, the projection)
+    itself rather than through `_pullbacks` and `_projected`."""
+    calls = {fn.name: {ast.unparse(sub.func).rsplit(".", 1)[-1] for sub in ast.walk(fn)
+                       if isinstance(sub, ast.Call)}
+             for fn in node.body if isinstance(fn, ast.FunctionDef)}
+    mappers = sorted(name for name, called in calls.items() if "map_with_jacobian" in called)
+    found = [] if mappers == ["_pullbacks"] else [f"map passes in {mappers}"]
+    for law in CONFORMAL_LAWS:
+        found += [f"{law} calls {name}"
+                  for name in sorted(calls.get(law, set()) & PULLBACK_PRIMITIVES)]
+    return found
+
+
+def test_the_conformal_laws_share_one_pullback_step():
+    # the guard, the one map pass and the tail-checked projection exist once,
+    # so a new law is a caller of the step rather than a copy of it
+    energy = tree("energy")
+    assert set(CONFORMAL_LAWS) <= {fn.name for fn in energy.body
+                                   if isinstance(fn, ast.FunctionDef)}
+    assert pullback_step_breaks(energy) == []
+
+
+def test_pullback_step_breaks_are_seen():
+    # the gate's detector, on the laws as they were before the step: a
+    # guard, a map pass and the projections in each
+    sample = ast.parse(
+        "def verify_conf_E(u, v, phi, grid):\n"
+        "    _check_identity_inputs(phi, grid, u, v)\n"
+        "    image, jac = map_with_jacobian(phi, grid.nodes)\n"
+        "    u_vals = np.sqrt(jac) * evaluate_at(u, image)\n"
+        "    u_pb = analyze(GridFunction(grid, u_vals), grid.degree)\n"
+        "def verify_conf_H(u, phi, grid):\n"
+        "    image, jac = cf.map_with_jacobian(phi, grid.nodes)\n"
+        "    c_pb = analyze(GridFunction(grid, np.sqrt(jac) * evaluate_at(u, image)), 16)\n")
+    assert pullback_step_breaks(sample) == [
+        "map passes in ['verify_conf_E', 'verify_conf_H']",
+        "verify_conf_E calls analyze", "verify_conf_E calls evaluate_at",
+        "verify_conf_E calls map_with_jacobian",
+        "verify_conf_H calls analyze", "verify_conf_H calls evaluate_at",
+        "verify_conf_H calls map_with_jacobian"]
 
 
 # cli's functions that load, check or echo every config field alike
